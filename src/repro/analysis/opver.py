@@ -29,9 +29,10 @@ Rule namespaces (OPV — INTERNALS §13 has the full catalogue):
   transfer direction vs. handle source, OPV402 transfer byte count
   vs. minted window, OPV403 register read before any definition,
   OPV404 handle use not dominated by its declaration.
-* **OPV5xx** — TLM summarizability: OPV501 explains (info severity)
-  each reason :func:`~repro.core.opir.summarize.plan_check` demotes
-  the program off the compiled-plan fast path.
+* **OPV5xx** — TLM templatability: OPV501 explains (info severity)
+  each reason :func:`~repro.core.opir.summarize.plan_fingerprint`
+  gives for the TLM tier running the program on the generic runtime
+  instead of as a template.
 
 Abstract domains
 ----------------
@@ -455,12 +456,12 @@ class _Verifier:
         return self.findings
 
     def _plan_findings(self) -> None:
-        """OPV501: name each reason the TLM fast path demotes this
-        program to the generic interpreter."""
-        from repro.core.opir.summarize import plan_blockers
+        """OPV501: name each reason the TLM tier runs this program on
+        the generic runtime instead of as a template."""
+        from repro.core.opir.summarize import plan_fingerprint
 
         try:
-            blockers = plan_blockers(self.program, self.vendor)
+            _, blockers = plan_fingerprint(self.program, self.vendor)
         except Exception as exc:  # defensive: never crash the verifier
             self.flag("OPV501", "info", "nodes",
                       f"plan analysis failed: {exc}")
@@ -468,9 +469,9 @@ class _Verifier:
         for where, reason in blockers:
             self.flag(
                 "OPV501", "info", where,
-                f"not TLM-plannable: {reason}",
-                hint="the program runs on the exact interpreter path; "
-                     "this is informational, not a defect",
+                f"not TLM-templatable: {reason}",
+                hint="the program runs on the generic runtime, which is "
+                     "exact; this is informational, not a defect",
             )
 
     # -- step walk ----------------------------------------------------

@@ -25,7 +25,6 @@ from repro.config.build import (
     build_controllers,
     build_experiment,
     build_stack,
-    legacy_kwargs_to_spec,
     stack_profile,
 )
 from repro.config.io import dump_spec, load_spec, load_spec_dict, to_toml
@@ -59,7 +58,6 @@ __all__ = [
     "build_stack",
     "canonical_json",
     "dump_spec",
-    "legacy_kwargs_to_spec",
     "load_spec",
     "load_spec_dict",
     "parse_override",

@@ -4,29 +4,15 @@
 CLI subcommand, benchmark, chaos campaign, and crash fuzzer: spec in,
 ``(sim, controllers, ftl, engine)`` out.  The construction order —
 controllers, then the sharded FTL, then prefill, then the queue-depth
-engine — is exactly the order the legacy per-subcommand wiring used,
-so a spec-built stack is byte-identical to a keyword-built one (pinned
-by ``tests/test_config_build.py``).
-
-``legacy_kwargs_to_spec`` is the deprecation adapter: it maps the old
-``build_scale_stack(**kwargs)`` surface onto a :class:`StackSpec`, so
-the old entry point keeps working for one release while warning.
+engine — is fixed, so the same spec always builds the same stack.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.config.specs import (
-    ExperimentSpec,
-    FtlSpec,
-    GeometrySpec,
-    SpecError,
-    StackSpec,
-    WorkloadSpec,
-)
+from repro.config.specs import ExperimentSpec, SpecError, StackSpec
 
 
 def stack_profile(stack: StackSpec):
@@ -65,9 +51,9 @@ def build_controllers(sim, stack: StackSpec, profile=None,
                       diagnostics=None) -> list:
     """One :class:`BabolController` per channel, per the spec.
 
-    ``profile`` overrides the resolved vendor profile — the escape
-    hatch the ``build_scale_stack`` compatibility shim uses for
-    unregistered ad-hoc profiles.
+    ``profile`` overrides the resolved vendor profile — how tests
+    substitute ad-hoc profiles (shrunken geometries) that a data spec
+    cannot name.
     """
     from repro.core.controller import BabolController, ControllerConfig
     from repro.flash.errors import ErrorModelConfig
@@ -212,88 +198,3 @@ def build_experiment(spec: ExperimentSpec, sim=None,
         )
     return BuiltExperiment(spec=spec, sim=sim, controllers=controllers,
                            ftl=ftl, engine=engine)
-
-
-# ----------------------------------------------------------------------
-# The deprecation adapter (old keyword surface -> spec)
-# ----------------------------------------------------------------------
-
-def _vendor_name(vendor) -> str:
-    """Registry name for a vendor argument (name, profile, or None)."""
-    from repro.flash.vendors import VENDOR_PROFILES
-
-    if vendor is None:
-        return "hynix"
-    if isinstance(vendor, str):
-        if vendor not in VENDOR_PROFILES:
-            raise SpecError(
-                f"vendor {vendor!r} unknown; known: {sorted(VENDOR_PROFILES)}"
-            )
-        return vendor
-    for name, profile in VENDOR_PROFILES.items():
-        if profile is vendor or profile == vendor:
-            return name
-    raise SpecError(
-        f"vendor profile {getattr(vendor, 'name', vendor)!r} is not "
-        f"registered; pass a registry name or register the profile"
-    )
-
-
-def legacy_kwargs_to_spec(
-    channels: int = 4,
-    luns_per_channel: int = 4,
-    vendor=None,
-    runtime: str = "coroutine",
-    ftl_config=None,
-    prefill_pages: Optional[int] = None,
-    track_data: bool = False,
-    fidelity: str = "waveform",
-) -> StackSpec:
-    """Map the historical ``build_scale_stack`` keywords to a spec.
-
-    Raises :class:`SpecError` when the kwargs name something a data
-    spec cannot (an unregistered ad-hoc vendor profile) — the shim
-    handles that case with the ``profile`` escape hatch.
-    """
-    ftl_kwargs = {}
-    if ftl_config is not None:
-        ftl_kwargs = {
-            "blocks_per_lun": ftl_config.blocks_per_lun,
-            "overprovision_blocks": ftl_config.overprovision_blocks,
-            "gc_free_threshold": ftl_config.gc_free_threshold,
-            "gc_staging_base": ftl_config.gc_staging_base,
-            "checkpoint_interval": ftl_config.checkpoint_interval,
-            "journal_flush_records": ftl_config.journal_flush_records,
-            "meta_blocks": ftl_config.meta_blocks,
-        }
-    spec = StackSpec(
-        vendor=_vendor_name(vendor),
-        channels=channels,
-        luns_per_channel=luns_per_channel,
-        runtime=runtime,
-        track_data=track_data,
-        fidelity=fidelity,
-        ftl=FtlSpec(prefill_pages=prefill_pages, **ftl_kwargs),
-        geometry=GeometrySpec(),
-    )
-    spec.validate()
-    return spec
-
-
-def workload_from_job(job, queue_depth: int = 32,
-                      doorbell_batch: int = 4) -> WorkloadSpec:
-    """A :class:`WorkloadSpec` mirroring a legacy ``ScaleJob``."""
-    from repro.host.hic import HostOpcode
-
-    mix = "read" if job.opcode is HostOpcode.READ else "write"
-    return WorkloadSpec(
-        mix=mix,
-        pattern=job.pattern,
-        io_count=job.io_count,
-        queue_depth=queue_depth,
-        doorbell_batch=doorbell_batch,
-        seed=job.seed,
-        working_set_pages=job.working_set_pages,
-        dram_base=job.dram_base,
-        dram_stride=job.dram_stride,
-    )

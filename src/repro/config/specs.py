@@ -156,9 +156,9 @@ class GeometrySpec:
 
 @dataclass(frozen=True)
 class FtlSpec:
-    """FTL sizing, as data.  Defaults mirror the scale stack's
-    historical ``build_scale_stack`` wiring (8 blocks/LUN, 2
-    overprovisioned), not the larger ``FtlConfig`` class defaults."""
+    """FTL sizing, as data.  Defaults are the scale stack's historical
+    sizing (8 blocks/LUN, 2 overprovisioned), not the larger
+    ``FtlConfig`` class defaults."""
 
     blocks_per_lun: int = 8
     overprovision_blocks: int = 2

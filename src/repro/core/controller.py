@@ -162,8 +162,8 @@ class BabolController:
                 self.diagnostics = DiagnosticReport()
             self.sanitizers = attach_sanitizers(self, spec, self.diagnostics)
 
-        # The TLM tier's compiled-plan runner for the FTL-facing data
-        # plane (read_page/program_page/erase_block/...).  It needs the
+        # The TLM tier's template runner for the FTL-facing data plane
+        # (read_page/program_page/erase_block/...).  It needs the
         # generic runtime out of the loop, so it stands down when a
         # watchdog or sanitizers are attached — both observe the
         # generic runtime's events.
@@ -191,10 +191,12 @@ class BabolController:
 
         The generic path always runs the full software runtime — exact
         per-op latency in every fidelity tier.  ``_plan=True`` (set by
-        the data-plane convenience wrappers) lets the TLM tier execute
-        the op as a compiled plan instead: identical data, status, die
-        state, and faults, with the runtime's cycle costs charged in
-        closed form rather than simulated (see :mod:`repro.core.fastops`).
+        the data-plane convenience wrappers) lets the TLM tier run a
+        straight-line op as a template instead: identical data, status,
+        die state, and faults, with the runtime's cycle costs charged in
+        closed form rather than simulated.  Ops submitted while a
+        tracer or fault injector is attached always take the generic
+        path (see :mod:`repro.core.fastops`).
         """
         self._check_lun(lun)
 

@@ -1,56 +1,41 @@
-"""The TLM compiled-plan runner: data-plane ops as single kernel events.
+"""The TLM template runner: straight-line data-plane ops without the runtime.
 
 The generic execution path is faithful to the paper's software stack:
 every transaction crosses the modeled runtime (admission, scheduler
 iterations, context switches, completion wakeups) and every status
-poll is a full round trip.  That faithfulness is the point of the
-waveform tier — and of the TLM tier's *exact* mode, which the
-equivalence harness holds to 0 ns drift.  But a scale-out throughput
-workload pays that per-op machinery millions of times without reading
+poll is a full round trip.  The equivalence harness holds that path to
+0 ns drift against the waveform tier — but a scale-out throughput
+workload pays the per-op machinery millions of times without reading
 anything from it.
 
-This module is the TLM tier's second gear.  For operations submitted
-through the FTL-facing convenience wrappers (``controller.read_page``
-and friends), the op-IR program is checked by the compile pass
-(:func:`repro.core.opir.summarize.plan_check`) and executed as a
-*compiled plan* instead of being interpreted.  Two strategies, chosen
-per program:
+For operations submitted through the FTL-facing convenience wrappers
+(``controller.read_page`` and friends) there is therefore one other way
+to run an op under TLM.  A straight-line program — transactions, handle
+declarations, polls, sleeps, a return — is compiled once per structural
+fingerprint (:func:`repro.core.opir.summarize.plan_fingerprint`) into a
+:class:`_Template`: segment durations, per-action offsets, latched
+opcodes, batched channel-stats deltas, and the closed-form software
+cost.  Running a template is one channel-mutex hold plus one
+``Timeout`` per transaction, with the die driven by *direct calls into
+the same LUN action handlers* the waveform tier uses (``_on_command`` /
+``_on_address`` / data movement) at their exact logical nanoseconds.
+Same handlers, same order, same RNG draws — die state, payload bytes,
+status bits, LUN-side fault hooks, and array aging are identical to the
+waveform tier; only the bus-segment *objects* and the runtime's
+per-event machinery are gone.  Each poll site becomes a ready-wait:
+sleep to the die's next pending completion, then one real STATUS
+command and sample.  Per-op software latency is *modeled* (charged in
+closed form), not replayed.
 
-* **Template execution** (the fast path).  Straight-line programs —
-  transactions, handle declarations, polls, sleeps, a return — are
-  compiled once per cached program object into a :class:`_Template`:
-  segment durations, per-action offsets, latched opcodes and address
-  bytes, batched channel-stats deltas, and the closed-form software
-  cost.  Executing a template is a handful of kernel events: one
-  channel-mutex hold plus one ``Timeout`` per transaction, with the
-  die driven by *direct calls into the same LUN action handlers* the
-  waveform tier uses (``_on_command`` / ``_on_address`` / data
-  movement) at their exact logical nanoseconds.  Same handlers, same
-  order, same RNG draws — die state, payload bytes, status bits,
-  fault-hook invocations, and array aging are identical to the
-  waveform tier; only the bus-segment *objects* and the runtime's
-  per-event machinery are gone.  Each poll site becomes a ready-wait:
-  sleep to the die's next pending completion, then one real STATUS
-  command and sample.
-
-* **Interpreted plan execution** (the fallback gear).  Programs with
-  closed but non-trivial control flow (branches, loops, callees), and
-  any op running while a bus-level observer is attached (tracer,
-  channel fault hook, bus sanitizer, unreliable PHY trim), replay the
-  IR node by node with real segments delivered inline through the
-  backend — full observability, still far cheaper than the generic
-  runtime.
-
-Per-op software latency is therefore *modeled*, not replayed; per-LUN
-ordering, channel arbitration, die busy windows, data, and status are
-unchanged.  Operations that need exact latency (the equivalence
-harness, the logic-analyzer experiments) go through ``submit()``,
-which never takes this path.
-
-The runner refuses work it cannot replay faithfully: programs with
-data-dependent exits, gang polls, or hook predicates fall back to the
-generic path, as does the whole fast path when a watchdog or runtime
-sanitizers are attached (those observe the generic runtime's events).
+The decision is made once, in :meth:`PlanExecutor.try_submit`.
+Anything the template cannot reproduce takes the generic path, which is
+exact: programs with control flow, callees, gang masks or hook kwargs,
+and every op submitted while something is watching bus segments that a
+template never creates — a tracer, a channel fault hook, or (for ops
+that move data) a DDR PHY trim outside the sampling eye.  Observers
+must be attached before the ops they should see are submitted; an op
+already queued finishes as a template.  A watchdog or runtime
+sanitizers stand the whole runner down (see ``BabolController``).
 """
 
 from __future__ import annotations
@@ -61,27 +46,21 @@ from typing import Generator, Optional
 from repro.core.opir.compile import compile_segment
 from repro.core.opir.interp import _mint_handle
 from repro.core.opir.nodes import (
-    Branch,
-    CallOp,
-    DataXfer,
     DeclareHandle,
     EvalState,
-    LatchSeq,
-    Loop,
     OpProgram,
     PollStatus,
-    Reg,
     Return,
-    SetReg,
     SoftSleep,
     Txn,
     eval_expr,
 )
 from repro.core.opir.registry import _cached_program, _resolved_builder
-from repro.core.opir.summarize import _static_kwargs, plan_check
+from repro.core.opir.summarize import plan_fingerprint, wrapper_callee
 from repro.core.recovery import RecoverableOpError
 from repro.core.softenv.base import Task, TaskState
 from repro.core.ufsm.ca_writer import cmd
+from repro.dram import DmaHandle
 from repro.flash.lun import _DataSource
 from repro.onfi.commands import CMD
 from repro.onfi.signals import (
@@ -92,12 +71,6 @@ from repro.onfi.signals import (
 )
 from repro.onfi.status import StatusRegister
 from repro.sim import Timeout
-
-
-class _PlanReturn(Exception):
-    def __init__(self, value):
-        super().__init__()
-        self.value = value
 
 
 class _PlanContext:
@@ -148,13 +121,13 @@ class _Template:
     """A straight-line op program compiled to an execution recipe.
 
     Templates are shared across every program with the same structural
-    *fingerprint* (:meth:`PlanExecutor._fingerprint`): latch counts and
-    opcodes, burst sizes, timer parameters, poll shapes — everything
-    segment durations and action offsets depend on.  Values that vary
-    per instance (address bytes, DRAM targets, inline payloads) are
-    *not* baked; die ops and handle phases record node paths into the
-    instance program and the runner reads them per run.  One compile
-    therefore serves a whole workload's worth of addresses.
+    *fingerprint* (:func:`~repro.core.opir.summarize.plan_fingerprint`):
+    latch counts and opcodes, burst sizes, timer parameters, poll
+    shapes — everything segment durations and action offsets depend on.
+    Values that vary per instance (address bytes, DRAM targets, inline
+    payloads) are *not* baked; die ops and handle phases record node
+    paths into the instance program and the runner reads them per run.
+    One compile therefore serves a whole workload's worth of addresses.
 
     Phases are tuples tagged by ``_PH_*``; transaction phases carry
     per-segment die-op lists tagged by ``_OP_*`` with offsets relative
@@ -181,7 +154,7 @@ def _parked() -> Generator:
 
 
 class PlanExecutor:
-    """Executes plannable op-IR programs without the generic runtime.
+    """Runs templatable op-IR programs without the generic runtime.
 
     One FIFO per LUN preserves the environment's admission semantics
     (``max_tasks_per_lun=1``): operations against the same die run in
@@ -194,7 +167,6 @@ class PlanExecutor:
         self.sim = controller.sim
         self.env = controller.env
         self.channel = controller.channel
-        self.backend = controller.backend
         self.ufsm = controller.ufsm
         self.packetizer = controller.packetizer
         cpu = controller.cpu
@@ -209,195 +181,138 @@ class PlanExecutor:
         # builder's control-flow *shape* is a function of which kwargs
         # it receives, never of their values (addresses and DMA targets
         # only parameterize latch bytes), so one walk per shape decides
-        # every submission of that shape.  Values: False (unplannable)
-        # or (builder name to use, inline-per-call flag) — the name is
-        # the wrapper's callee when the wrapper collapses to it with
-        # identical kwargs, saving a program build per submission.
-        self._shapes: dict[tuple, object] = {}
+        # every submission of that shape.  Values: None (no template)
+        # or the builder name to use — the wrapper's callee when the
+        # wrapper forwards its kwargs unchanged, saving a program build
+        # per submission.
+        self._shapes: dict[tuple, Optional[str]] = {}
         # Two-level template cache.  id(program) -> (program, template)
         # answers repeat submissions of a cached program in one dict
         # hit (the reference pins the id); fingerprint -> template
         # shares one compiled recipe across all programs that differ
         # only in instance values.  Both bounded like the registry.
         self._templates: dict[int, tuple] = {}
-        self._tpl_shapes: dict[tuple, object] = {}
-        self._poll_txns: dict[int, tuple] = {}
+        self._tpl_shapes: dict[tuple, _Template] = {}
         self._out_shim = _OutShim()
         self._in_shim = _InShim()
         self.ops_planned = 0
-        self.ops_templated = 0
         self.ops_declined = 0
+
+    @property
+    def ops_templated(self) -> int:
+        """Every planned op runs as a template (the name the benchmark
+        ledger reads; kept so its template ratio stays defined)."""
+        return self.ops_planned
 
     # -- submission ----------------------------------------------------
 
     def try_submit(self, op_name: str, lun_position: int, priority: int,
                    label: str, kwargs: dict) -> Optional[Task]:
         """Plan and enqueue one operation; None = take the generic path."""
-        for value in kwargs.values():
-            if callable(value):
-                self.ops_declined += 1
-                return None  # hooks need the interpreter
-        shape = (op_name, frozenset(kwargs))
-        info = self._shapes.get(shape)
-        vendor = self.controller.config.vendor
-        if info is None:
-            info = self._classify_shape(op_name, vendor, kwargs)
-            self._shapes[shape] = info
-        if info is False:
+        planned = self._plan(op_name, lun_position, label, kwargs)
+        if planned is None:
             self.ops_declined += 1
             return None
-        build_name, per_call_inline = info
-        try:
-            program = _cached_program(_resolved_builder(build_name, vendor),
-                                      kwargs)
-        except Exception:
-            self.ops_declined += 1
-            return None  # bad args: let the generic path report
-        if per_call_inline:
-            program = self._inline_wrapper(program, vendor)
-        template = self._template_for(program, lun_position, label)
         self.ops_planned += 1
         task = Task(self.sim, _parked(), lun_position, priority=priority,
                     label=label or op_name)
         self.env.tasks_submitted += 1
         queue = self._queues.setdefault(lun_position, deque())
-        queue.append((task, program, template))
+        queue.append((task,) + planned)
         if lun_position not in self._running:
             self._running.add(lun_position)
             self.sim.spawn(self._runner(lun_position),
                            name=f"tlm-plan-lun{lun_position}")
         return task
 
-    def _classify_shape(self, op_name: str, vendor, kwargs: dict):
-        """One-time dispatch decision for a (op, kwarg-names) shape."""
+    def _plan(self, op_name: str, lun_position: int, label: str,
+              kwargs: dict) -> Optional[tuple]:
+        """``(program, template)`` when this submission runs as a
+        template, None when it needs the generic runtime."""
+        channel = self.channel
+        if self.sim._tracer is not None or channel._fault_hook is not None:
+            return None  # bus-level observers need real segments
+        for value in kwargs.values():
+            if callable(value):
+                return None  # hooks need the interpreter
+        shape = (op_name, frozenset(kwargs))
+        vendor = self.controller.config.vendor
         try:
-            builder = _resolved_builder(op_name, vendor)
-            program = _cached_program(builder, kwargs)
+            build_name = self._shapes[shape]
+        except KeyError:
+            build_name = self._classify_shape(op_name, vendor, kwargs)
+            self._shapes[shape] = build_name
+        if build_name is None:
+            return None
+        try:
+            program = _cached_program(_resolved_builder(build_name, vendor),
+                                      kwargs)
         except Exception:
-            return False
-        if not plan_check(program, vendor):
-            return False
-        callee = self._wrapper_callee(program)
-        if callee is not None:
-            callee_name, callee_kwargs = callee
-            try:
-                same = callee_kwargs == kwargs
-            except Exception:
-                same = False
-            if same:
-                return (callee_name, False)  # build the callee directly
-            return (op_name, True)  # collapse per call
-        return (op_name, False)
+            return None  # bad args: let the generic path report
+        template = self._template_for(program, vendor, lun_position, label)
+        if template is None:
+            return None
+        if template.has_data and channel.interface.ddr \
+                and not channel.phy.data_reliable(lun_position):
+            return None  # the PHY corrupts bursts per segment
+        return program, template
 
     @staticmethod
-    def _wrapper_callee(program: OpProgram):
-        """(callee name, static kwargs) when ``program`` is a pure
-        one-CallOp wrapper (``full_page_read`` → ``read_page``)."""
-        nodes = program.nodes
-        if (len(nodes) == 2 and isinstance(nodes[0], CallOp)
-                and isinstance(nodes[1], Return)
-                and isinstance(nodes[1].expr, Reg)
-                and nodes[1].expr.name == nodes[0].dest):
-            kwargs = _static_kwargs(nodes[0])
-            if kwargs is not None:
-                return nodes[0].op, kwargs
-        return None
-
-    def _inline_wrapper(self, program: OpProgram, vendor) -> OpProgram:
-        """Collapse a one-CallOp wrapper to its callee program."""
-        callee = self._wrapper_callee(program)
-        if callee is not None:
-            try:
-                return _cached_program(
-                    _resolved_builder(callee[0], vendor), callee[1])
-            except Exception:
-                pass
-        return program
+    def _classify_shape(op_name: str, vendor, kwargs: dict) -> Optional[str]:
+        """One-time dispatch decision for a (op, kwarg-names) shape:
+        the name of the builder to template, or None."""
+        try:
+            program = _cached_program(_resolved_builder(op_name, vendor),
+                                      kwargs)
+            if plan_fingerprint(program, vendor)[0] is None:
+                return None
+            callee = wrapper_callee(program)
+            if callee is None:
+                return op_name
+            # The fingerprint is the callee's; building the callee from
+            # this op's kwargs is only the same program when the
+            # wrapper forwards them unchanged.
+            return callee[0] if callee[1] == kwargs else None
+        except Exception:
+            return None
 
     # -- template compilation ------------------------------------------
 
-    def _template_for(self, program: OpProgram, lun_position: int,
+    def _template_for(self, program: OpProgram, vendor, lun_position: int,
                       label: str) -> Optional[_Template]:
-        entry = self._templates.get(id(program))
+        key = id(program)
+        entry = self._templates.get(key)
         if entry is not None and entry[0] is program:
             return entry[1]
-        try:
-            fingerprint = self._fingerprint(program)
-            template = self._tpl_shapes.get(fingerprint) \
-                if fingerprint is not None else False
+        template = None
+        fingerprint = plan_fingerprint(program, vendor)[0]
+        if fingerprint is not None:
+            template = self._tpl_shapes.get(fingerprint)
             if template is None:  # new shape: compile once
                 ctx = _PlanContext(self.ufsm, 1 << lun_position,
                                    self.packetizer,
                                    self.channel.luns[lun_position], label)
-                template = self._compile_template(ctx, program)
-                if len(self._tpl_shapes) >= 512:
-                    self._tpl_shapes.clear()
-                self._tpl_shapes[fingerprint] = template \
-                    if template is not None else False
-        except Exception:
-            template = False
-        if template is False:
-            template = None
+                try:
+                    template = self._compile_template(ctx, program)
+                except Exception:
+                    pass  # let the generic path report
+                else:
+                    if len(self._tpl_shapes) >= 512:
+                        self._tpl_shapes.clear()
+                    self._tpl_shapes[fingerprint] = template
         if len(self._templates) >= 2048:
             self._templates.clear()
-        self._templates[id(program)] = (program, template)
+        self._templates[key] = (program, template)
         return template
 
-    @staticmethod
-    def _fingerprint(program: OpProgram) -> Optional[tuple]:
-        """The structural identity a template depends on: everything
-        that determines segment durations, action offsets, and stats —
-        latch counts and command opcodes, address byte counts, burst
-        sizes, timer parameters, poll and return shapes.  Instance
-        values (address bytes, DRAM targets, inline payloads) are
-        deliberately excluded; the runner reads them per run.  None
-        means the program cannot be templated.
-        """
-        parts = []
-        for node in program.nodes:
-            if isinstance(node, Txn):
-                seg_parts = []
-                for seg in node.segments:
-                    if getattr(seg, "chip_mask", None) is not None \
-                            or getattr(seg, "via_chip_control", False):
-                        return None  # gang segments keep real masks
-                    if isinstance(seg, LatchSeq):
-                        seg_parts.append(("L",) + tuple(
-                            (latch.kind, latch.value) if latch.kind == "cmd"
-                            else ("A", len(latch.value))
-                            for latch in seg.latches))
-                    elif isinstance(seg, DataXfer):
-                        seg_parts.append((
-                            "D", seg.direction, seg.nbytes, seg.column,
-                            seg.after_address, seg.handle.name))
-                    else:  # TimerWait
-                        seg_parts.append(("W", seg.ns, seg.param))
-                parts.append(("T",) + tuple(seg_parts))
-            elif isinstance(node, DeclareHandle):
-                parts.append(("H", node.name, node.source, node.nbytes))
-            elif isinstance(node, PollStatus):
-                if node.chip_mask is not None:
-                    return None
-                parts.append(("P", node.until, node.dest, node.max_polls))
-            elif isinstance(node, SoftSleep):
-                if not isinstance(node.ns, int):
-                    return None
-                parts.append(("S", node.ns))
-            elif isinstance(node, Return):
-                parts.append(("R", node.expr))
-                break
-            else:
-                return None  # Branch/Loop/CallOp/SetReg: interpreted path
-        return tuple(parts)
-
     def _compile_template(self, ctx: _PlanContext,
-                          program: OpProgram) -> Optional[_Template]:
+                          program: OpProgram) -> _Template:
         """Bake one program of a fingerprint class into a template.
 
         Segments are lowered once through the real µFSM emitters — the
-        same compile the interpreted path performs per run — and only
-        their durations, action offsets, baked opcodes, and node paths
-        for instance values are kept.  The fingerprint guarantees the
+        same compile the interpreter performs per run — and only their
+        durations, action offsets, baked opcodes, and node paths for
+        instance values are kept.  The fingerprint guarantees the
         result is valid for every program in the class.
         """
         state = EvalState(None)  # scratch: compile-time handle minting
@@ -474,7 +389,10 @@ class PlanExecutor:
         return (_PH_TXN, hold, stats, tuple(segs))
 
     def _compile_poll(self, node: PollStatus):
-        latch, data, _handle = self._poll_txn(1)  # durations are mask-free
+        # The status round trip; its durations are mask-free.
+        latch = self.ufsm.ca_writer.emit([cmd(CMD.READ_STATUS)], chip_mask=1)
+        data = self.ufsm.data_reader.emit(1, DmaHandle(None, 0, 1),
+                                          chip_mask=1)
         cmd_off = latch.actions[0][0]
         data_off = next(off for off, action in data.actions
                         if isinstance(action, DataOutAction))
@@ -648,190 +566,25 @@ class PlanExecutor:
 
     def _runner(self, lun_position: int) -> Generator:
         queue = self._queues[lun_position]
-        channel = self.channel
+        lun = self.channel.luns[lun_position]
         try:
             while queue:
                 task, program, template = queue.popleft()
                 task.admitted_at = self.sim.now
                 task.state = TaskState.RUNNING
-                lun = channel.luns[lun_position]
                 ctx = _PlanContext(self.ufsm, 1 << lun_position,
                                    self.packetizer, lun, task.label)
-                # Bus-level observers need real segments: hand the op to
-                # the interpreted plan path, whose deliveries route
-                # through the full backend.  Checked per op, so hooks
-                # attached mid-run take effect immediately.
-                use_template = (
-                    template is not None
-                    and self.sim._tracer is None
-                    and channel._fault_hook is None
-                    and channel._san_bus is None
-                    and (not template.has_data
-                         or not channel.interface.ddr
-                         or channel.phy.data_reliable(lun_position))
-                )
                 result = None
                 try:
-                    if use_template:
-                        self.ops_templated += 1
-                        result = yield from self._run_template(
-                            ctx, template, program)
-                    else:
-                        result = yield from self._run_program(ctx, program)
+                    result = yield from self._run_template(
+                        ctx, template, program)
                 except RecoverableOpError as exc:
                     task.error = exc
                     self.env.tasks_failed += 1
-                self._finish(task, result)
+                task.state = TaskState.DONE
+                task.result = result
+                task.finished_at = self.sim.now
+                self.env.tasks_completed += 1
+                task.completed.fire(result)
         finally:
             self._running.discard(lun_position)
-
-    def _finish(self, task: Task, result) -> None:
-        task.state = TaskState.DONE
-        task.result = result
-        task.finished_at = self.sim.now
-        tracer = self.sim._tracer
-        if tracer is not None:
-            start = task.admitted_at if task.admitted_at is not None \
-                else task.submitted_at
-            tracer.complete(
-                "task", f"task/lun{task.lun_position}", task.label,
-                start, self.sim.now - start,
-                {"admission_wait_ns": start - task.submitted_at},
-            )
-        self.env.tasks_completed += 1
-        task.completed.fire(result)
-
-    # -- interpreted plan replay ---------------------------------------
-
-    def _run_program(self, ctx: _PlanContext, program: OpProgram) -> Generator:
-        state = EvalState(None)
-        try:
-            yield from self._run_nodes(ctx, program.nodes, state)
-        except _PlanReturn as signal:
-            return signal.value
-        return None
-
-    def _run_nodes(self, ctx: _PlanContext, nodes, state: EvalState) -> Generator:
-        for node in nodes:
-            if isinstance(node, Txn):
-                yield from self._run_txn(ctx, node, state)
-            elif isinstance(node, DeclareHandle):
-                state.handles[node.name] = _mint_handle(ctx, node, state)
-            elif isinstance(node, PollStatus):
-                yield from self._wait_ready(ctx, node, state)
-            elif isinstance(node, SoftSleep):
-                ns = eval_expr(node.ns, state)
-                if ns:
-                    yield Timeout(ns)
-            elif isinstance(node, SetReg):
-                state.regs[node.name] = eval_expr(node.expr, state)
-            elif isinstance(node, Branch):
-                branch = node.then if eval_expr(node.pred, state) else node.orelse
-                yield from self._run_nodes(ctx, branch, state)
-            elif isinstance(node, Loop):
-                for index in range(node.count):
-                    state.regs[node.var] = index
-                    yield from self._run_nodes(ctx, node.body, state)
-            elif isinstance(node, CallOp):
-                kwargs = {name: eval_expr(value, state)
-                          for name, value in node.kwargs}
-                vendor = self.controller.config.vendor
-                callee = _cached_program(
-                    _resolved_builder(node.op, vendor), kwargs)
-                value = yield from self._run_program(ctx, callee)
-                if node.dest:
-                    state.regs[node.dest] = value
-            elif isinstance(node, Return):
-                raise _PlanReturn(eval_expr(node.expr, state))
-            else:  # pragma: no cover - plan_check excludes these
-                raise TypeError(
-                    f"{type(node).__name__} escaped the plan gate")
-
-    def _deliver(self, segment, at: int, lun) -> None:
-        """Deliver one plan segment: the observable effects of
-        :meth:`TLMBackend._deliver` minus the hooks that are provably
-        inactive — checked per call, so a tracer, fault injector, or
-        sanitizer attached after construction still routes every
-        segment through the full backend path."""
-        channel = self.channel
-        if (self.sim._tracer is not None or channel._fault_hook is not None
-                or channel._san_bus is not None):
-            self.backend._deliver(channel, segment, at)
-            return
-        segment.emitted_at = at
-        channel.stats.record(segment)
-        channel._apply_phy(segment, (lun.position,))
-        lun.deliver_segment_inline(segment, at)
-
-    def _run_txn(self, ctx: _PlanContext, node: Txn,
-                 state: EvalState) -> Generator:
-        segments = [compile_segment(ctx, seg, state) for seg in node.segments]
-        if self.pre_txn_ns:
-            yield Timeout(self.pre_txn_ns)
-        yield from self.channel.acquire(owner=ctx.label)
-        at = self.sim.now
-        base = at
-        for segment in segments:
-            self._deliver(segment, at, ctx.lun)
-            at += segment.duration_ns
-        if at > base:
-            yield Timeout(at - base)
-        self.channel.release()
-
-    def _poll_txn(self, mask: int):
-        """The status round trip for one chip mask, built once: the
-        latch, the 1-byte data segment, and its private capture handle.
-        Safe to reuse because delivery and the status read happen in
-        the same scheduler turn, and the per-LUN FIFO means at most one
-        poll per mask is in flight."""
-        cached = self._poll_txns.get(mask)
-        if cached is None:
-            handle = self.packetizer.capture(1)
-            latch = self.ufsm.ca_writer.emit([cmd(CMD.READ_STATUS)],
-                                             chip_mask=mask)
-            data = self.ufsm.data_reader.emit(1, handle, chip_mask=mask)
-            cached = (latch, data, handle)
-            self._poll_txns[mask] = cached
-        return cached
-
-    def _wait_ready(self, ctx: _PlanContext, node: PollStatus,
-                    state: EvalState) -> Generator:
-        predicate = (StatusRegister.is_ready if node.until == "ready"
-                     else StatusRegister.is_array_ready)
-        lun = ctx.lun
-        latch, data, handle = self._poll_txn(ctx.chip_mask)
-        round_ns = latch.duration_ns + data.duration_ns
-        # See _template_poll for why the pre-sleep is exact.
-        end = lun.next_completion_ns()
-        now = self.sim.now
-        if end is not None and end > now:
-            yield Timeout(end - now)
-        for _ in range(node.max_polls):
-            if self.pre_txn_ns:
-                yield Timeout(self.pre_txn_ns)
-            yield from self.channel.acquire(owner=ctx.label)
-            at = self.sim.now
-            self._deliver(latch, at, lun)
-            self._deliver(data, at + latch.duration_ns, lun)
-            status = int(handle.delivered[0])
-            yield Timeout(round_ns)
-            self.channel.release()
-            if self.wakeup_ns:
-                yield Timeout(self.wakeup_ns)
-            if predicate(status):
-                if node.dest:
-                    state.regs[node.dest] = status
-                return
-            end = lun.next_completion_ns()
-            now = self.sim.now
-            if end is not None and end > now:
-                yield Timeout(end - now)
-            else:
-                yield Timeout(self.repoll_ns)
-        raise RuntimeError(
-            f"{node.until} poll budget exhausted — stuck LUN?")
-
-    def describe(self) -> str:
-        return (f"plan-executor: {self.ops_planned} planned "
-                f"({self.ops_templated} templated), "
-                f"{self.ops_declined} declined")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.opir.compile import build_transaction, resolve_mask
+from repro.core.opir.compile import build_transaction
 from repro.core.opir.nodes import (
     Branch,
     BreakIf,
@@ -55,13 +55,13 @@ def run_program(ctx, program: OpProgram, hooks=None):
     """Execute ``program`` against ``ctx``; returns its Return value."""
     state = EvalState(hooks)
     try:
-        yield from _run_nodes(ctx, program.nodes, state)
+        yield from _interpret_nodes(ctx, program.nodes, state)
     except _ReturnSignal as signal:
         return signal.value
     return None
 
 
-def _run_nodes(ctx, nodes, state: EvalState):
+def _interpret_nodes(ctx, nodes, state: EvalState):
     for node in nodes:
         if isinstance(node, Txn):
             txn = build_transaction(ctx, node, state)
@@ -78,12 +78,12 @@ def _run_nodes(ctx, nodes, state: EvalState):
             state.regs[node.name] = eval_expr(node.expr, state)
         elif isinstance(node, Branch):
             branch = node.then if eval_expr(node.pred, state) else node.orelse
-            yield from _run_nodes(ctx, branch, state)
+            yield from _interpret_nodes(ctx, branch, state)
         elif isinstance(node, Loop):
             for index in range(node.count):
                 state.regs[node.var] = index
                 try:
-                    yield from _run_nodes(ctx, node.body, state)
+                    yield from _interpret_nodes(ctx, node.body, state)
                 except _BreakSignal:
                     break
         elif isinstance(node, BreakIf):

@@ -1,179 +1,34 @@
-"""Closed-form timing summaries compiled from op-IR programs.
+"""Plannability: which op-IR programs the TLM tier can run as templates.
 
-The waveform tier learns an operation's cost by simulating it; the TLM
-tier can *compute* most of it ahead of time.  This module is the
-compile pass that does so: given a built
-:class:`~repro.core.opir.nodes.OpProgram` and the µFSM bank whose
-data-mode timing will drive it, :func:`summarize_program` folds the
-node tree into a :class:`ProgramTimingSummary` — total channel
-occupancy in nanoseconds, nominal array-busy time, transferred bytes,
-and the number of transactions and poll sites — without touching the
-simulator.  Loops multiply, branches take the pessimistic arm (and
-mark the summary inexact), ``CallOp`` recurses into the callee's
-program exactly as the interpreter would.
-
-The same walk answers a second question the TLM fast path needs:
-*may this program be executed as a compiled plan* (single kernel
-events per transaction, ready-waits instead of poll loops)?  A program
-is plannable when its control flow is closed — no ``BreakIf`` /
-``SelectFirstReady`` / hook predicates, no gang-masked polls — so the
-plan runner in :mod:`repro.core.fastops` can replay it without the
-generic interpreter.  :func:`plan_check` is that gate; it is cheap
-(a type walk, no µFSM emission) because it runs once per submission.
+The template runner in :mod:`repro.core.fastops` executes straight-line
+programs only — transactions, handle declarations, single-die polls,
+fixed sleeps, a return — against the op's one target die.
+:func:`plan_fingerprint` is the one walk that decides it: it returns
+the structural fingerprint a template is shared under, or the reasons
+the program has none.  The runner reads the first for dispatch; the
+static verifier (:mod:`repro.analysis.opver`) reports the second as
+OPV501, so what it explains is the dispatch the runner really makes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.opir.nodes import (
-    Branch,
-    BreakIf,
     CallOp,
     DataXfer,
     DeclareHandle,
     EvalState,
     LatchSeq,
-    Loop,
     OpProgram,
     PollStatus,
+    Reg,
     Return,
-    SelectFirstReady,
-    SetReg,
     SoftSleep,
-    TimerWait,
     Txn,
     eval_expr,
 )
-from repro.core.opir.compile import resolve_timer_ns
-from repro.dram import DmaHandle
-from repro.onfi.commands import CMD
-
-#: Confirm opcodes that start an array-busy window, mapped to the
-#: vendor timing attribute naming its nominal duration.  (The die adds
-#: seeded jitter at run time; the summary reports the table value.)
-_BUSY_STARTERS = {
-    CMD.READ_2ND: "t_read_ns",
-    CMD.READ_CACHE_SEQ: "t_read_ns",
-    CMD.READ_CACHE_END: "t_read_ns",
-    CMD.PROGRAM_2ND: "t_prog_ns",
-    CMD.CACHE_PROGRAM_2ND: "t_prog_ns",
-    CMD.MP_READ_2ND: "t_dbsy_ns",
-    CMD.MP_PROGRAM_2ND: "t_dbsy_ns",
-    CMD.MP_ERASE_2ND: "t_dbsy_ns",
-    CMD.ERASE_2ND: "t_bers_ns",
-    CMD.RESET: "t_reset_ns",
-    CMD.SYNCHRONOUS_RESET: "t_reset_ns",
-    CMD.RESET_LUN: "t_reset_ns",
-}
-
-
-@dataclass(frozen=True)
-class ProgramTimingSummary:
-    """What an op-program costs, folded to closed form.
-
-    ``channel_ns`` counts every segment of every non-poll transaction;
-    poll round trips are workload-dependent, so they are reported as a
-    site count plus the per-poll occupancy (``poll_txn_ns``) instead of
-    being baked into the total.  ``exact`` is False when the program
-    branches on runtime state and the summary had to take a maximum.
-    """
-
-    name: str
-    channel_ns: int      # occupancy of all non-poll transactions
-    lun_busy_ns: int     # nominal array busy time the program triggers
-    bytes_in: int        # host -> flash payload bytes
-    bytes_out: int       # flash -> host payload bytes
-    txn_count: int       # non-poll transactions
-    poll_sites: int      # PollStatus sites (each >= 1 round trip)
-    poll_txn_ns: int     # channel occupancy of one status round trip
-    exact: bool = True
-
-    def software_ns(self, costs, cpu) -> int:
-        """Closed-form runtime overhead: the serialized cycles the
-        software environment charges to push this program's
-        transactions, assuming one round trip per poll site."""
-        per_txn = cpu.cycles_to_ns(costs.serialized_txn_cycles())
-        wakeup = cpu.cycles_to_ns(costs.wakeup)
-        txns = self.txn_count + self.poll_sites
-        return txns * per_txn + self.poll_sites * wakeup
-
-    def describe(self) -> str:
-        tag = "" if self.exact else " (pessimistic)"
-        return (
-            f"{self.name}: {self.txn_count} txns {self.channel_ns} ns on-bus, "
-            f"{self.poll_sites} poll sites, array {self.lun_busy_ns} ns, "
-            f"in {self.bytes_in} B out {self.bytes_out} B{tag}"
-        )
-
-
-class _Acc:
-    __slots__ = ("channel_ns", "lun_busy_ns", "bytes_in", "bytes_out",
-                 "txn_count", "poll_sites", "exact")
-
-    def __init__(self):
-        self.channel_ns = 0
-        self.lun_busy_ns = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.txn_count = 0
-        self.poll_sites = 0
-        self.exact = True
-
-    def add(self, other: "_Acc", times: int = 1) -> None:
-        self.channel_ns += other.channel_ns * times
-        self.lun_busy_ns += other.lun_busy_ns * times
-        self.bytes_in += other.bytes_in * times
-        self.bytes_out += other.bytes_out * times
-        self.txn_count += other.txn_count * times
-        self.poll_sites += other.poll_sites * times
-        self.exact = self.exact and other.exact
-
-
-def _segment_ns(bank, node, state: EvalState) -> tuple[int, int, int]:
-    """(duration, bytes_in, bytes_out) of one segment node — computed
-    through the real µFSM emitters so the interface's word clock and
-    latch cycle times are authoritative, with a scratch DMA handle
-    standing in for the real descriptor."""
-    if isinstance(node, LatchSeq):
-        segment = bank.ca_writer.emit(list(node.latches))
-        return segment.duration_ns, 0, 0
-    if isinstance(node, TimerWait):
-        return resolve_timer_ns(bank, node), 0, 0
-    if isinstance(node, DataXfer):
-        scratch = DmaHandle(None, 0, node.nbytes)
-        if node.direction == "out":
-            segment = bank.data_reader.emit(node.nbytes, scratch)
-            return segment.duration_ns, 0, node.nbytes
-        segment = bank.data_writer.emit(
-            node.nbytes, scratch, after_address=node.after_address
-        )
-        return segment.duration_ns, node.nbytes, 0
-    raise TypeError(f"{type(node).__name__} is not a segment node")
-
-
-def _busy_ns(timing, node: Txn) -> int:
-    total = 0
-    for seg in node.segments:
-        if not isinstance(seg, LatchSeq):
-            continue
-        for latch in seg.latches:
-            param = _BUSY_STARTERS.get(getattr(latch, "value", None))
-            if param is not None:
-                total += getattr(timing, param)
-    return total
-
-
-def _poll_txn_ns(bank) -> int:
-    latch = bank.ca_writer.emit([_status_cmd()])
-    data = bank.data_reader.emit(1, DmaHandle(None, 0, 1))
-    return latch.duration_ns + data.duration_ns
-
-
-def _status_cmd():
-    from repro.core.ufsm.ca_writer import cmd
-
-    return cmd(CMD.READ_STATUS)
+from repro.core.opir.registry import _cached_program, _resolved_builder
 
 
 def _static_kwargs(node: CallOp):
@@ -189,185 +44,101 @@ def _static_kwargs(node: CallOp):
     return kwargs
 
 
-def _summarize_nodes(nodes, bank, timing, vendor, acc: _Acc, depth: int) -> None:
-    from repro.core.opir.registry import _cached_program, _resolved_builder
+def wrapper_callee(program: OpProgram) -> Optional[tuple[str, dict]]:
+    """(callee name, static kwargs) when ``program`` is a pure
+    one-CallOp wrapper (``full_page_read`` → ``read_page``)."""
+    nodes = program.nodes
+    if (len(nodes) == 2 and isinstance(nodes[0], CallOp)
+            and isinstance(nodes[1], Return)
+            and isinstance(nodes[1].expr, Reg)
+            and nodes[1].expr.name == nodes[0].dest):
+        kwargs = _static_kwargs(nodes[0])
+        if kwargs is not None:
+            return nodes[0].op, kwargs
+    return None
 
-    for node in nodes:
+
+def plan_fingerprint(
+    program: OpProgram, vendor=None,
+) -> tuple[Optional[tuple], list[tuple[str, str]]]:
+    """``(fingerprint, blockers)`` for one program.
+
+    The fingerprint is the structural identity a template depends on:
+    everything that determines segment durations, action offsets, and
+    stats — latch counts and command opcodes, address byte counts,
+    burst sizes, timer parameters, poll and return shapes.  Instance
+    values (address bytes, DRAM targets, inline payloads) are
+    deliberately excluded; the runner reads them per run.
+
+    It is ``None`` exactly when ``blockers`` — ``(node path, reason)``
+    pairs — is non-empty.  A pure wrapper is judged by its callee,
+    which is the program the runner builds for it.
+    """
+    prefix = "nodes"
+    callee = wrapper_callee(program)
+    if callee is not None:
+        try:
+            program = _cached_program(
+                _resolved_builder(callee[0], vendor), callee[1])
+        except Exception as exc:
+            return None, [("nodes[0]",
+                           f"callee {callee[0]!r} failed to build: {exc}")]
+        prefix = f"nodes[0].{callee[0]}"
+
+    parts = []
+    blockers: list[tuple[str, str]] = []
+    index = -1  # counted by hand: this loop runs once per new address
+    for node in program.nodes:
+        index += 1
         if isinstance(node, Txn):
-            acc.txn_count += 1
+            seg_parts = []
             for seg in node.segments:
-                ns, bin_, bout = _segment_ns(bank, seg, EvalState(None))
-                acc.channel_ns += ns
-                acc.bytes_in += bin_
-                acc.bytes_out += bout
-            acc.lun_busy_ns += _busy_ns(timing, node)
-        elif isinstance(node, PollStatus):
-            acc.poll_sites += 1
-        elif isinstance(node, (SelectFirstReady, BreakIf)):
-            acc.exact = False  # data-dependent control flow
-        elif isinstance(node, Branch):
-            arms = []
-            for body in (node.then, node.orelse):
-                arm = _Acc()
-                _summarize_nodes(body, bank, timing, vendor, arm, depth)
-                arms.append(arm)
-            widest = max(arms, key=lambda a: (a.channel_ns, a.txn_count))
-            acc.add(widest)
-            if any(a.channel_ns != widest.channel_ns
-                   or a.txn_count != widest.txn_count for a in arms):
-                acc.exact = False
-        elif isinstance(node, Loop):
-            body = _Acc()
-            _summarize_nodes(node.body, bank, timing, vendor, body, depth)
-            acc.add(body, times=node.count)
-        elif isinstance(node, CallOp):
-            if depth >= 8:
-                acc.exact = False
-                continue
-            kwargs = _static_kwargs(node)
-            if kwargs is None:
-                acc.exact = False
-                continue
-            builder = _resolved_builder(node.op, vendor)
-            callee = _cached_program(builder, kwargs)
-            _summarize_nodes(callee.nodes, bank, timing, vendor, acc, depth + 1)
-        # DeclareHandle / SetReg / SoftSleep / Return cost no channel time.
-
-
-def summarize_program(program: OpProgram, bank, timing,
-                      vendor=None) -> ProgramTimingSummary:
-    """Fold ``program`` into its closed-form timing summary."""
-    acc = _Acc()
-    _summarize_nodes(program.nodes, bank, timing, vendor, acc, depth=0)
-    return ProgramTimingSummary(
-        name=program.name,
-        channel_ns=acc.channel_ns,
-        lun_busy_ns=acc.lun_busy_ns,
-        bytes_in=acc.bytes_in,
-        bytes_out=acc.bytes_out,
-        txn_count=acc.txn_count,
-        poll_sites=acc.poll_sites,
-        poll_txn_ns=_poll_txn_ns(bank),
-        exact=acc.exact,
-    )
-
-
-def summarize_op(name: str, bank, timing, vendor=None,
-                 **kwargs) -> ProgramTimingSummary:
-    """Build the program for ``name`` and summarize it."""
-    from repro.core.opir.registry import _cached_program, _resolved_builder
-
-    program = _cached_program(_resolved_builder(name, vendor), kwargs)
-    return summarize_program(program, bank, timing, vendor=vendor)
-
-
-# ---------------------------------------------------------------------------
-# Plannability: may the TLM fast path replay this program?
-# ---------------------------------------------------------------------------
-
-_PLAN_SAFE = (Txn, DeclareHandle, SoftSleep, SetReg, Return)
-
-
-def plan_check(program: OpProgram, vendor=None) -> bool:
-    """True when the program's control flow is closed enough for the
-    compiled-plan runner: every node type it can reach is replayable
-    and every callee resolves with static arguments."""
-    return _plan_walk(program.nodes, vendor, depth=0, prefix="nodes",
-                      out=None)
-
-
-def plan_blockers(program: OpProgram,
-                  vendor=None) -> list[tuple[str, str]]:
-    """Every reason ``plan_check`` demotes this program, as
-    ``(node path, reason)`` pairs — empty when the program is
-    plannable.  This is the explanatory mode of the same walk; the
-    verifier surfaces the pairs as OPV501 info findings."""
-    out: list[tuple[str, str]] = []
-    _plan_walk(program.nodes, vendor, depth=0, prefix="nodes", out=out)
-    return out
-
-
-def _plan_walk(nodes, vendor, depth: int, prefix: str,
-               out: "list[tuple[str, str]] | None") -> bool:
-    """Shared plannability walk.  With ``out=None`` it is the fast
-    boolean gate (stops at the first blocker); with a list it keeps
-    walking and records every ``(path, reason)`` blocker."""
-    from repro.core.opir.registry import _cached_program, _resolved_builder
-
-    ok = True
-
-    def blocked(path: str, reason: str) -> bool:
-        nonlocal ok
-        ok = False
-        if out is not None:
-            out.append((path, reason))
-        return out is not None  # keep walking only in explain mode
-
-    for index, node in enumerate(nodes):
-        path = f"{prefix}[{index}]"
-        if isinstance(node, (BreakIf, SelectFirstReady)):
-            kind = type(node).__name__
-            if not blocked(path, f"{kind} is a data-dependent exit the "
-                                 f"plan runner cannot replay"):
-                return False
-        elif isinstance(node, Txn):
-            for seg_index, seg in enumerate(node.segments):
-                # The plan runner delivers to the op's single target
-                # die; segments that re-mask or gang via Chip Control
-                # stay on the exact path.
-                if getattr(seg, "chip_mask", None) is not None \
-                        or getattr(seg, "via_chip_control", False):
-                    where = f"{path}.segments[{seg_index}]"
-                    if not blocked(where, "segment re-targets dies "
-                                          "(chip_mask / Chip Control)"):
-                        return False
+                gang = seg.chip_mask is not None
+                if isinstance(seg, LatchSeq):
+                    gang = gang or seg.via_chip_control
+                    seg_parts.append(("L",) + tuple(
+                        (latch.kind, latch.value) if latch.kind == "cmd"
+                        else ("A", len(latch.value))
+                        for latch in seg.latches))
+                elif isinstance(seg, DataXfer):
+                    seg_parts.append((
+                        "D", seg.direction, seg.nbytes, seg.column,
+                        seg.after_address, seg.handle.name))
+                else:  # TimerWait
+                    seg_parts.append(("W", seg.ns, seg.param))
+                if gang:
+                    blockers.append((
+                        f"{prefix}[{index}].segments[{len(seg_parts) - 1}]",
+                        "segment re-targets dies (chip_mask / Chip "
+                        "Control); a template drives the op's one die"))
+            parts.append(("T",) + tuple(seg_parts))
+        elif isinstance(node, DeclareHandle):
+            parts.append(("H", node.name, node.source, node.nbytes))
         elif isinstance(node, PollStatus):
             if node.chip_mask is not None:
-                if not blocked(path, "gang-masked poll stays on the "
-                                     "exact path"):
-                    return False
-        elif isinstance(node, Branch):
-            then_ok = _plan_walk(node.then, vendor, depth,
-                                 f"{path}.then", out)
-            else_ok = _plan_walk(node.orelse, vendor, depth,
-                                 f"{path}.orelse", out)
-            if not (then_ok and else_ok):
-                ok = False
-                if out is None:
-                    return False
-        elif isinstance(node, Loop):
-            if not _plan_walk(node.body, vendor, depth,
-                              f"{path}.body", out):
-                ok = False
-                if out is None:
-                    return False
-        elif isinstance(node, CallOp):
-            if depth >= 8:
-                if not blocked(path, "call depth exceeds the plan "
-                                     "compiler's limit (8)"):
-                    return False
-                continue
-            kwargs = _static_kwargs(node)
-            if kwargs is None:
-                if not blocked(path, f"callee {node.op!r} takes "
-                                     f"runtime-computed arguments"):
-                    return False
-                continue
-            try:
-                builder = _resolved_builder(node.op, vendor)
-                callee = _cached_program(builder, kwargs)
-            except Exception as exc:
-                if not blocked(path, f"callee {node.op!r} failed to "
-                                     f"build: {exc}"):
-                    return False
-                continue
-            if not _plan_walk(callee.nodes, vendor, depth + 1,
-                              f"{path}.{node.op}", out):
-                ok = False
-                if out is None:
-                    return False
-        elif not isinstance(node, _PLAN_SAFE):
-            if not blocked(path, f"{type(node).__name__} has no plan "
-                                 f"lowering"):
-                return False
-    return ok
+                blockers.append((f"{prefix}[{index}]",
+                                 "gang-masked poll needs the generic "
+                                 "runtime"))
+            parts.append(("P", node.until, node.dest, node.max_polls))
+        elif isinstance(node, SoftSleep):
+            if not isinstance(node.ns, int):
+                blockers.append((f"{prefix}[{index}]",
+                                 "sleep length is computed at run time"))
+            parts.append(("S", node.ns))
+        elif isinstance(node, Return):
+            parts.append(("R", node.expr))
+            break
+        else:  # Branch / Loop / CallOp / SetReg / BreakIf / SelectFirstReady
+            blockers.append((f"{prefix}[{index}]",
+                             f"{type(node).__name__} has no template "
+                             f"lowering (templates are straight-line)"))
+    if blockers:
+        return None, blockers
+    fingerprint = tuple(parts)
+    try:
+        hash(fingerprint)  # it keys the template cache
+    except TypeError:
+        return None, [(prefix, "a node carries an unhashable value (a "
+                               "list-valued Return); templates are "
+                               "shared by fingerprint")]
+    return fingerprint, blockers

@@ -8,7 +8,6 @@ from repro.host.engine import (
     ScaleEngine,
     ScaleJob,
     ScaleRunResult,
-    build_scale_stack,
     run_scale_workload,
 )
 from repro.host.hic import HostCommand, HostInterface
@@ -29,7 +28,6 @@ __all__ = [
     "ScaleEngine",
     "ScaleJob",
     "ScaleRunResult",
-    "build_scale_stack",
     "run_scale_workload",
     "HostCommand",
     "HostInterface",

@@ -38,72 +38,6 @@ class QueueSaturatedError(RuntimeError):
     """Submission against a queue pair with no free slot."""
 
 
-def build_scale_stack(
-    sim: Simulator,
-    channels: int = 4,
-    luns_per_channel: int = 4,
-    vendor=None,
-    runtime: str = "coroutine",
-    ftl_config=None,
-    prefill_pages: Optional[int] = None,
-    track_data: bool = False,
-    fidelity: str = "waveform",
-):
-    """Stand up an N-channel array: controllers + :class:`ShardedFtl`.
-
-    Each channel gets its own :class:`~repro.core.controller.BabolController`
-    (bus, executor, runtime, DRAM — nothing shared between channels, as
-    in the real chip where every channel controller is an independent
-    BABOL instance).  Returns ``(controllers, sharded_ftl)``.
-
-    ``fidelity`` selects the execution backend of every channel:
-    ``"waveform"`` for segment-accurate simulation, ``"tlm"`` for the
-    transaction-level fast path (same data and FTL behaviour, ~10x the
-    simulated ops per wall-second — see ``repro.core.backend``).
-
-    .. deprecated::
-        This keyword surface is superseded by the declarative spec
-        layer: build a :class:`~repro.config.specs.StackSpec` and call
-        :func:`repro.config.build.build_stack` (or describe the whole
-        run with an :class:`~repro.config.specs.ExperimentSpec` and
-        :func:`~repro.config.build.build_experiment`).  This shim maps
-        its kwargs onto a spec and delegates, so stacks it builds stay
-        byte-identical to spec-built ones.
-    """
-    import warnings
-
-    from repro.config.build import build_stack as _build_stack
-    from repro.config.build import legacy_kwargs_to_spec
-    from repro.config.specs import SpecError
-
-    warnings.warn(
-        "build_scale_stack is deprecated; describe the stack with a "
-        "repro.config StackSpec and use repro.config.build.build_stack",
-        DeprecationWarning, stacklevel=2,
-    )
-    if channels <= 0:
-        raise ValueError("channels must be positive")
-    profile = None
-    spec_vendor = vendor
-    if vendor is not None and not isinstance(vendor, str):
-        # Ad-hoc profile objects can't be expressed as data; resolve the
-        # spec against the default vendor and override the profile.
-        try:
-            from repro.config.build import _vendor_name
-
-            spec_vendor = _vendor_name(vendor)
-        except SpecError:
-            spec_vendor = None
-            profile = vendor
-    spec = legacy_kwargs_to_spec(
-        channels=channels, luns_per_channel=luns_per_channel,
-        vendor=spec_vendor, runtime=runtime, ftl_config=ftl_config,
-        prefill_pages=prefill_pages, track_data=track_data,
-        fidelity=fidelity,
-    )
-    return _build_stack(sim, spec, profile=profile)
-
-
 @dataclass
 class ScaleCommand:
     """One host command routed through a channel queue pair."""

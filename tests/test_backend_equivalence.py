@@ -20,6 +20,7 @@ import pytest
 
 import repro.core.ops as op_library
 from repro.baselines import AsyncHwController, SyncHwController
+from repro.config import FtlSpec, StackSpec, build_stack
 from repro.core import BabolController, ControllerConfig
 from repro.core.ops import (
     cache_program_op,
@@ -279,19 +280,19 @@ def test_tlm_matches_waveform_on_hw_baselines(kind):
 
 
 # ---------------------------------------------------------------------------
-# Compiled-plan fast path: behavioural identity at scale
+# Template fast path: behavioural identity at scale
 # ---------------------------------------------------------------------------
 
 
 def _scale_state(fidelity: str, track_data: bool = True):
-    from repro.host import ScaleEngine, ScaleJob, build_scale_stack, \
-        run_scale_workload
+    from repro.host import ScaleEngine, ScaleJob, run_scale_workload
     from repro.host.hic import HostOpcode
 
     sim = Simulator()
-    controllers, ftl = build_scale_stack(
-        sim, channels=2, luns_per_channel=2, vendor=TEST_PROFILE,
-        track_data=track_data, fidelity=fidelity,
+    controllers, ftl = build_stack(
+        sim, StackSpec(channels=2, luns_per_channel=2, ftl=FtlSpec(),
+                       track_data=track_data, fidelity=fidelity),
+        profile=TEST_PROFILE,
     )
     engine = ScaleEngine(sim, ftl, queue_depth=8)
     run_scale_workload(sim, engine, ScaleJob(
@@ -314,7 +315,7 @@ def _scale_state(fidelity: str, track_data: bool = True):
 
 def test_fast_path_keeps_ftl_and_data_identical_across_tiers():
     """Same seed => same FTL state, die counters, and DRAM payloads in
-    both tiers, even though the TLM scale path runs compiled plans."""
+    both tiers, even though the TLM scale path runs templates."""
     wave = _scale_state("waveform")
     tlm = _scale_state("tlm")
     assert tlm[0] == wave[0]          # health summary (GC, WA, mapping)
@@ -324,53 +325,108 @@ def test_fast_path_keeps_ftl_and_data_identical_across_tiers():
 
 
 def test_scale_stack_uses_the_plan_executor_under_tlm():
-    from repro.host import ScaleEngine, ScaleJob, build_scale_stack, \
-        run_scale_workload
+    from repro.host import ScaleEngine, ScaleJob, run_scale_workload
 
     sim = Simulator()
-    controllers, ftl = build_scale_stack(
-        sim, channels=1, luns_per_channel=2, vendor=TEST_PROFILE,
-        fidelity="tlm",
+    controllers, ftl = build_stack(
+        sim, StackSpec(channels=1, luns_per_channel=2, ftl=FtlSpec(),
+                       fidelity="tlm"),
+        profile=TEST_PROFILE,
     )
     engine = ScaleEngine(sim, ftl, queue_depth=4)
     run_scale_workload(sim, engine, ScaleJob(io_count=16))
     fast = controllers[0].fast_ops
     assert fast is not None
     assert fast.ops_planned >= 16
-    assert fast.ops_templated >= 16   # the template path, not the fallback
+    assert fast.ops_templated == fast.ops_planned
+    assert fast.ops_declined == 0
 
 
 # ---------------------------------------------------------------------------
-# Closed-form compile pass vs measured occupancy
+# Observed TLM is exact: ops submitted under a bus-level observer take
+# the generic path, which the harness above holds to 0 ns
 # ---------------------------------------------------------------------------
 
+# The eight ``_plan=True`` entry points of the controller, as
+# (id, method name, args after ``lun``).
+WRAPPERS = [
+    ("read_page", "read_page", (2, 0, 0)),
+    ("read_page_window", "read_page", (2, 0, 0, 256, 128)),
+    ("partial_read", "partial_read", (2, 0, 256, 128, 0)),
+    ("program_page", "program_page", (4, 0, 0)),
+    ("erase_block", "erase_block", (5,)),
+    ("pslc_read", "pslc_read", (2, 0, 0)),
+    ("pslc_program", "pslc_program", (6, 0, 0)),
+    ("pslc_erase", "pslc_erase", (7,)),
+]
 
-def test_timing_summary_matches_measured_channel_occupancy():
-    """``summarize_program``'s closed form must equal what the waveform
-    tier actually measures: non-poll occupancy plus one status round
-    trip per observed poll."""
-    from repro.core.opir.registry import _cached_program, _resolved_builder
-    from repro.core.opir.summarize import summarize_program
 
-    sim, controller = _make("waveform", "rtos")
-    program = _cached_program(
-        _resolved_builder("full_page_read", controller.config.vendor),
-        {"codec": controller.codec, "address": ADDR, "dram_address": 0},
-    )
-    summary = summarize_program(
-        program, controller.ufsm, controller.config.vendor.timing,
-        vendor=controller.config.vendor,
-    )
-    assert summary.exact
+def _attach_tracer(sim, controller):
+    from repro.obs import Tracer
 
-    task = controller.submit(full_page_read_op, 0, codec=controller.codec,
-                             address=ADDR, dram_address=0)
-    controller.run_to_completion(task)
-    polls = controller.luns[0].op_counts.get("READ_STATUS", 0)
-    measured = controller.channel.stats.busy_ns
-    assert measured == summary.channel_ns + polls * summary.poll_txn_ns
-    assert summary.bytes_out == PAGE
-    assert summary.lun_busy_ns == TEST_PROFILE.timing.t_read_ns
+    sim.set_tracer(Tracer())
+
+
+def _attach_empty_campaign(sim, controller):
+    from repro.faults import FaultCampaign, FaultInjector
+
+    FaultInjector(FaultCampaign("empty", seed=1)).attach(controller)
+
+
+def _run_wrapper(fidelity, method, args, attach):
+    """One op per LUN, back to back; per-op (finish ns, error, result)."""
+    sim, controller = _make(fidelity, "rtos")
+    attach(sim, controller)
+    per_op = []
+    for lun in (0, 1):
+        task = getattr(controller, method)(lun, *args)
+        result = controller.run_to_completion(task)
+        per_op.append((task.finished_at, task.error, _normalize(result)))
+    return controller, per_op, _snapshot(sim, controller)
+
+
+@pytest.mark.parametrize("attach", [_attach_tracer, _attach_empty_campaign],
+                         ids=["tracer", "fault-injector"])
+@pytest.mark.parametrize("name,method,args", WRAPPERS,
+                         ids=[w[0] for w in WRAPPERS])
+def test_observed_tlm_takes_the_generic_path_and_is_exact(
+        name, method, args, attach):
+    _, wave_ops, wave_state = _run_wrapper("waveform", method, args, attach)
+    controller, tlm_ops, tlm_state = _run_wrapper("tlm", method, args, attach)
+    fast = controller.fast_ops
+    assert fast.ops_planned == 0
+    assert fast.ops_declined == len(tlm_ops)
+    assert tlm_ops == wave_ops          # completion ns, error, status
+    assert tlm_state["dram"] == wave_state["dram"]
+    for key in ("now", "ops", "array", "status"):
+        assert tlm_state[key] == wave_state[key], f"{name}: {key} differ"
+
+
+def test_observer_attach_takes_effect_at_submission():
+    """The attach contract: the dispatch is decided when an op is
+    submitted.  An op already queued when an observer arrives finishes
+    as a template; every later one takes the generic path.  LUN-side
+    fault hooks sit below both and fire either way."""
+    from repro.faults import FaultCampaign, FaultInjector, FaultKind, \
+        FaultSpec
+
+    sim, controller = _make("tlm", "rtos")
+    fast = controller.fast_ops
+    before = controller.program_page(0, 4, 0, 0)
+    assert (fast.ops_planned, fast.ops_declined) == (1, 0)
+
+    injector = FaultInjector(FaultCampaign("fail-programs", seed=1, faults=[
+        FaultSpec(FaultKind.PROGRAM_FAIL, count=None)])).attach(controller)
+    after = [controller.program_page(1, 4, 0, 0),
+             controller.program_page(1, 4, 1, 0)]
+    assert (fast.ops_planned, fast.ops_declined) == (1, 2)
+
+    for task in [before] + after:
+        controller.run_to_completion(task)
+    # The die-side hook struck the templated op and the generic ones.
+    assert sorted(r.lun for r in injector.records) == [0, 1, 1]
+    assert controller.luns[0].array.programs == 0
+    assert controller.luns[1].array.programs == 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +437,12 @@ def test_timing_summary_matches_measured_channel_occupancy():
 def test_sharded_health_aggregation_with_one_empty_shard():
     """Retirements on one shard only: the empty shard must contribute
     nothing (and not break) the array-wide aggregation."""
-    from repro.host import build_scale_stack
-
     sim = Simulator()
-    _, ftl = build_scale_stack(sim, channels=2, luns_per_channel=2,
-                               vendor=TEST_PROFILE, prefill_pages=0)
+    _, ftl = build_stack(
+        sim, StackSpec(channels=2, luns_per_channel=2,
+                       ftl=FtlSpec(prefill_pages=0)),
+        profile=TEST_PROFILE,
+    )
     ftl.shards[0]._retire_block(1, 3, "test")
     ftl.shards[0]._retire_block(0, 4, "test")
 

@@ -1,14 +1,11 @@
-"""Spec-built stacks vs the legacy keyword wiring.
+"""Spec-built stacks.
 
 The contract this file pins: ``build_stack(spec)`` constructs exactly
 the stack the historical per-subcommand wiring did — same controller
-configs, same prefill, same simulated timeline — and the deprecated
-``build_scale_stack`` surface keeps working through the kwargs→spec
-adapter (with a DeprecationWarning)."""
+configs, same prefill — and ``build_experiment`` stands up the engine
+the workload describes."""
 
 import dataclasses
-import json
-import warnings
 
 import pytest
 
@@ -17,48 +14,11 @@ from repro.config import (
     build_controllers,
     build_experiment,
     build_stack,
-    legacy_kwargs_to_spec,
     stack_profile,
 )
 from repro.config.specs import ExperimentSpec, FtlSpec, StackSpec
 from repro.flash.vendors import VENDOR_PROFILES, profile_by_name
-from repro.host.engine import (
-    ScaleEngine,
-    ScaleJob,
-    build_scale_stack,
-    run_scale_workload,
-)
 from repro.sim import Simulator
-
-
-def _run(sim, ftl, io_count=48, queue_depth=8):
-    engine = ScaleEngine(sim, ftl, queue_depth=queue_depth)
-    return run_scale_workload(sim, engine, ScaleJob(io_count=io_count))
-
-
-# --- spec-built == legacy-built ------------------------------------------
-
-
-def test_spec_stack_matches_legacy_stack_exactly():
-    legacy_sim = Simulator()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_controllers, legacy_ftl = build_scale_stack(
-            legacy_sim, channels=2, luns_per_channel=2, vendor="micron",
-            fidelity="tlm")
-    legacy_result = _run(legacy_sim, legacy_ftl)
-
-    spec_sim = Simulator()
-    spec = legacy_kwargs_to_spec(channels=2, luns_per_channel=2,
-                                 vendor="micron", fidelity="tlm")
-    spec_controllers, spec_ftl = build_stack(spec_sim, spec)
-    spec_result = _run(spec_sim, spec_ftl)
-
-    assert len(spec_controllers) == len(legacy_controllers) == 2
-    # Identical simulated outcome, field for field: the spec path is a
-    # refactor, not a behavior change.
-    assert spec_result.to_json_obj() == legacy_result.to_json_obj()
-    assert spec_sim.now == legacy_sim.now
 
 
 @pytest.mark.parametrize("vendor", sorted(VENDOR_PROFILES))
@@ -105,72 +65,19 @@ def test_stack_profile_applies_data_only_overrides():
         profile_by_name("hynix").geometry.pages_per_block
 
 
-# --- the deprecation shim ------------------------------------------------
-
-
-def test_build_scale_stack_warns_deprecation():
-    sim = Simulator()
-    with pytest.warns(DeprecationWarning, match="build_scale_stack"):
-        build_scale_stack(sim, channels=1, luns_per_channel=1)
-
-
-def test_build_scale_stack_still_validates_channels():
-    sim = Simulator()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(ValueError):
-            build_scale_stack(sim, channels=0)
-
-
-def test_adapter_output_is_locked():
-    """The kwargs→spec adapter's exact output, as a regression lock:
-    changing what old keywords map to silently changes every caller
-    still on the legacy surface."""
-    spec = legacy_kwargs_to_spec()
-    assert json.loads(json.dumps(spec.to_dict(), sort_keys=True)) == {
-        "channels": 4,
-        "ftl": {},
-    }
-    spec = legacy_kwargs_to_spec(
-        channels=2, luns_per_channel=8, vendor="micron", runtime="rtos",
-        prefill_pages=7, track_data=True, fidelity="tlm")
-    assert spec.to_dict() == {
-        "vendor": "micron",
-        "channels": 2,
-        "luns_per_channel": 8,
-        "runtime": "rtos",
-        "fidelity": "tlm",
-        "track_data": True,
-        "ftl": {"prefill_pages": 7},
-    }
-
-
-def test_adapter_accepts_vendor_profile_objects():
-    spec = legacy_kwargs_to_spec(vendor=profile_by_name("micron"))
-    assert spec.vendor == "micron"
-
-
-def test_adapter_rejects_unregistered_profiles():
-    stranger = dataclasses.replace(profile_by_name("hynix"),
-                                   name="franken-nand")
-    with pytest.raises(SpecError, match="not.*registered"):
-        legacy_kwargs_to_spec(vendor=stranger)
-
-
 def test_shim_escape_hatch_for_unregistered_profiles():
-    """The legacy surface accepted ad-hoc VendorProfile objects (the
-    test suites' shrunken geometries); the shim must keep that working
-    even though a data spec cannot name them."""
+    """Ad-hoc VendorProfile objects (the test suites' shrunken
+    geometries) cannot be named by a data spec; ``build_stack`` takes
+    them through ``profile=``."""
     shrunk = dataclasses.replace(
         profile_by_name("hynix"),
         geometry=dataclasses.replace(profile_by_name("hynix").geometry,
                                      pages_per_block=16, blocks_per_plane=8),
     )
     sim = Simulator()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        controllers, ftl = build_scale_stack(
-            sim, channels=1, luns_per_channel=2, vendor=shrunk)
+    controllers, ftl = build_stack(
+        sim, StackSpec(channels=1, luns_per_channel=2, ftl=FtlSpec()),
+        profile=shrunk)
     assert controllers[0].config.vendor is shrunk
     assert ftl is not None
 

@@ -15,7 +15,6 @@ from repro.analysis.crashfuzz import (
     run_crashfuzz,
 )
 from repro.flash.vendors import profile_by_name
-from repro.host.engine import ScaleCommand
 from repro.host.hic import HostOpcode
 
 SMALL = dict(seeds=1, points=4, ios=80, qd=4)
@@ -94,6 +93,28 @@ def test_build_ops_reads_and_trims_only_settled_lpns():
         if kind != "flush":
             touch_sub[lpn] = pair_subs[lpn % 2] + 1
         pair_subs[lpn % 2] += 1
+
+
+def test_per_lpn_order_survives_non_fifo_completion():
+    """Regression for ``crashfuzz --seeds 1 --points 1 --channels 4
+    --ios 6000 --seed 7 --fidelity tlm``: a write held up by GC was
+    overtaken by a later read of its LPN ("read of unmapped LPN 4")
+    while per-LPN order rested on ``_build_ops``' FIFO-completion
+    hint.  ``_drive`` now holds an op back until its LPN is idle."""
+    profile = _fuzz_profile(profile_by_name("hynix"))
+    sim, _, _, engine, span = _build_stack(
+        profile, channels=4, luns=2, qd=8, fidelity="tlm")
+    ops = _build_ops(np.random.default_rng(7 * 1000 + 17), 6000, span, 4, 8)
+    _drive(sim, engine, ops, profile.geometry.page_size)
+    idle_at: dict = {}
+    done = sorted((c for pair in engine.pairs for c in pair.completions),
+                  key=lambda c: c.cid)
+    assert len(done) == len(ops)
+    for command in done:
+        if command.opcode is HostOpcode.FLUSH:
+            continue
+        assert command.submitted_at >= idle_at.get(command.lpn, 0)
+        idle_at[command.lpn] = command.finished_at
 
 
 # --- engine features the fuzzer leans on -----------------------------------

@@ -3,7 +3,7 @@
 Organized by layer: the CFG builder (shared with OPL009), the lint /
 verify library sweeps and their override-coverage accounting, the
 clean-library pin, one detonation test per OPV rule family, and the
-plan-summarizability explanations (OPV501 / plan_blockers).
+TLM-templatability explanations (OPV501 / plan_fingerprint).
 """
 
 import dataclasses
@@ -37,7 +37,7 @@ from repro.core.opir.nodes import (
     Txn,
 )
 from repro.core.opir.registry import resolve_builder
-from repro.core.opir.summarize import plan_blockers, plan_check
+from repro.core.opir.summarize import plan_fingerprint
 from repro.core.recovery import Watchdog
 from repro.core.transaction import TxnKind
 from repro.core.ufsm.ca_writer import addr, cmd
@@ -149,7 +149,7 @@ def test_stock_library_verifies_clean():
     assert coverage.complete, coverage.describe()
     assert rules(findings, "error") == []
     assert rules(findings, "warning") == []
-    # The only residue is OPV501 plan-summarizability notes.
+    # The only residue is OPV501 templatability notes.
     assert rules(findings) in ([], ["OPV501"])
 
 
@@ -505,7 +505,7 @@ def test_opv402_burst_size_against_window():
     assert "OPV402" in rules(verify(program), "error")
 
 
-# -- OPV5xx: plan summarizability -----------------------------------------
+# -- OPV5xx: TLM templatability -------------------------------------------
 
 
 def test_opv501_explains_gang_read_demotion():
@@ -524,12 +524,20 @@ def test_opv501_explains_read_with_retry_demotion():
 
 
 def test_plan_blockers_matches_plan_check_across_library():
+    """One walk, one answer: for every library program, "no blockers"
+    <=> "has a fingerprint" <=> the TLM runner really templates it."""
+    from repro.core import BabolController, ControllerConfig
+    from repro.sim import Simulator
+
     for vendor in VENDOR_PROFILES.values():
-        samples = sample_kwargs(vendor)
-        for name, kwargs in samples.items():
+        controller = BabolController(Simulator(), ControllerConfig(
+            vendor=vendor, lun_count=2, fidelity="tlm"))
+        for name, kwargs in sample_kwargs(vendor).items():
             program = resolve_builder(name, vendor)(**kwargs)
-            blockers = plan_blockers(program, vendor)
-            assert plan_check(program, vendor) == (not blockers), name
+            fingerprint, blockers = plan_fingerprint(program, vendor)
+            assert (fingerprint is not None) == (not blockers), name
+            task = controller.fast_ops.try_submit(name, 0, 1, name, kwargs)
+            assert (task is not None) == (not blockers), name
 
 
 def test_plan_blockers_read_page_empty_gang_read_not():
@@ -538,9 +546,9 @@ def test_plan_blockers_read_page_empty_gang_read_not():
         **samples["read_page"])
     gang = resolve_builder("gang_read", TEST_PROFILE)(
         **samples["gang_read"])
-    assert plan_blockers(read_page, TEST_PROFILE) == []
-    blockers = plan_blockers(gang, TEST_PROFILE)
-    assert blockers
+    assert plan_fingerprint(read_page, TEST_PROFILE)[1] == []
+    fingerprint, blockers = plan_fingerprint(gang, TEST_PROFILE)
+    assert fingerprint is None and blockers
     assert all(isinstance(p, str) and isinstance(r, str)
                for p, r in blockers)
 

@@ -4,6 +4,7 @@ and the channels × QD end-to-end smoke)."""
 
 import pytest
 
+from repro.config import FtlSpec, StackSpec, build_stack
 from repro.core import BabolController, ControllerConfig
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl, ShardRouter, ShardedFtl
@@ -13,7 +14,6 @@ from repro.host import (
     ScaleCommand,
     ScaleEngine,
     ScaleJob,
-    build_scale_stack,
     run_scale_workload,
 )
 from repro.host.hic import HostOpcode
@@ -258,9 +258,14 @@ def test_engine_accepts_plain_page_mapped_ftl():
 
 def test_build_scale_stack_constructs_working_array():
     sim = Simulator()
-    controllers, ftl = build_scale_stack(
-        sim, channels=2, luns_per_channel=2, vendor=TEST_PROFILE,
-        ftl_config=FTL_CONFIG, prefill_pages=16)
+    controllers, ftl = build_stack(
+        sim,
+        StackSpec(channels=2, luns_per_channel=2, ftl=FtlSpec(
+            blocks_per_lun=FTL_CONFIG.blocks_per_lun,
+            overprovision_blocks=FTL_CONFIG.overprovision_blocks,
+            gc_staging_base=FTL_CONFIG.gc_staging_base,
+            prefill_pages=16)),
+        profile=TEST_PROFILE)
     assert len(controllers) == 2
     assert isinstance(ftl, ShardedFtl)
     assert ftl.mapped_count == 16
