@@ -63,7 +63,8 @@ from repro.core.opir.nodes import (
     UNPACED_POLL_PERIOD_NS,
     effective_poll_period,
 )
-from repro.onfi.commands import CMD, CommandClass, classify_opcode
+from repro.onfi.commands import CommandClass
+from repro.onfi.protocol import OPCODES, OpcodeRow
 from repro.onfi.timing import TimingSet
 
 # A timer that parks the channel for longer than this must say why.
@@ -71,24 +72,14 @@ CHANNEL_HOLD_THRESHOLD_NS = 1_000
 
 _TIMING_PARAMS = frozenset(f.name for f in dataclasses.fields(TimingSet))
 
-# Confirm classes that start an array-busy period the program must
-# terminate (OPL003).  Cache-read confirms are listed separately: the
-# cache register may legally be streamed out while the array fetches
-# the next page, so a following data transfer also discharges them.
-_BUSY_CONFIRMS = {
-    CommandClass.READ_CONFIRM,
-    CommandClass.PROGRAM_CONFIRM,
-    CommandClass.CACHE_PROGRAM_CONFIRM,
-    CommandClass.ERASE_CONFIRM,
-    CommandClass.RESET,
-}
-_CACHE_CONFIRMS = {CommandClass.CACHE_READ_CONFIRM, CommandClass.CACHE_READ_END}
-
-_COLUMN_CHANGE_CMDS = {
-    CMD.CHANGE_READ_COL_1ST,
-    CMD.CHANGE_READ_COL_2ND,
-    CMD.CHANGE_READ_COL_ENH_1ST,
-}
+# OPL003 reads the protocol table: a row that owes tWB is a confirm
+# that starts a busy period the program must terminate.  Confirms that
+# also leave a source readable at once (the cache-read pair) may
+# instead be discharged by streaming the cache register out while the
+# array fetches the next page.
+_COLUMN_CHANGE = frozenset(
+    opcode for opcode, row in OPCODES.items()
+    if row.cls is CommandClass.CHANGE_READ_COLUMN)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,7 +132,7 @@ def _last_command(segment: LatchSeq) -> Optional[int]:
 
 
 def _has_column_change(segment: LatchSeq) -> bool:
-    return any(latch.kind == "cmd" and int(latch.value) in _COLUMN_CHANGE_CMDS
+    return any(latch.kind == "cmd" and int(latch.value) in _COLUMN_CHANGE
                for latch in segment.latches)
 
 
@@ -150,9 +141,9 @@ def _ends_with_address(segment: LatchSeq) -> bool:
 
 
 def _lint_txn(program: str, path: str, txn: Txn,
-              declared: set, findings: list) -> Optional[CommandClass]:
-    """Per-transaction segment checks; returns the confirm class issued
-    by this transaction's final command latch (if any)."""
+              declared: set, findings: list) -> Optional[OpcodeRow]:
+    """Per-transaction segment checks; returns the protocol-table row of
+    this transaction's final command latch (if any)."""
 
     def report(rule: str, where: str, message: str) -> None:
         findings.append(LintFinding(rule, "error", program, where, message))
@@ -164,7 +155,7 @@ def _lint_txn(program: str, path: str, txn: Txn,
 
     pending_column_change = False   # column change awaiting its tCCS
     previous = None                 # previous segment node
-    last_confirm: Optional[CommandClass] = None
+    last_confirm: Optional[OpcodeRow] = None
     for index, segment in enumerate(txn.segments):
         where = f"{path}.segments[{index}]"
         if isinstance(segment, LatchSeq):
@@ -174,7 +165,7 @@ def _lint_txn(program: str, path: str, txn: Txn,
                 pending_column_change = True
             opcode = _last_command(segment)
             if opcode is not None:
-                last_confirm = classify_opcode(opcode)
+                last_confirm = OPCODES.get(opcode)
         elif isinstance(segment, TimerWait):
             _lint_timer(program, where, segment, findings)
             if segment.param == "tCCS":
@@ -230,19 +221,18 @@ def lint_program(program: OpProgram, timing=None) -> list[LintFinding]:
     """
     findings: list[LintFinding] = []
     declared: set = set()
-    # (path, class) of the most recent confirm not yet terminated.
-    pending: Optional[tuple[str, CommandClass]] = None
+    # (path, row) of the most recent confirm not yet terminated.
+    pending: Optional[tuple[str, OpcodeRow]] = None
 
     for path, node in _iter_steps(program.nodes, "nodes"):
         if isinstance(node, DeclareHandle):
             declared.add(node.name)
         elif isinstance(node, Txn):
-            if pending is not None and pending[1] in _CACHE_CONFIRMS \
+            if pending is not None and pending[1].readable_now \
                     and any(isinstance(s, DataXfer) for s in node.segments):
                 pending = None  # cache register streamed out
             confirm = _lint_txn(program.name, path, node, declared, findings)
-            if confirm is not None \
-                    and confirm in (_BUSY_CONFIRMS | _CACHE_CONFIRMS):
+            if confirm is not None and confirm.owes_twb:
                 pending = (path, confirm)
         elif isinstance(node, PollStatus):
             if node.until not in ("ready", "array_ready"):
@@ -282,7 +272,7 @@ def lint_program(program: OpProgram, timing=None) -> list[LintFinding]:
     if pending is not None:
         findings.append(LintFinding(
             "OPL003", "error", program.name, pending[0],
-            f"{pending[1].value} confirm is never followed by a status "
+            f"{pending[1].cls.value} confirm is never followed by a status "
             f"poll, timer, or sleep — the busy period is unterminated"))
 
     # OPL009 — dead IR, from the shared control-flow graph.

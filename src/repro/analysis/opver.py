@@ -4,11 +4,13 @@ The sanitizers (SAN2xx/3xx/4xx) and the logic-analyzer timing checker
 (TCK) only see hazards on paths a workload happens to exercise, at
 waveform fidelity.  This module promotes those runtime checks to
 static proofs: it abstract-interprets a built
-:class:`~repro.core.opir.nodes.OpProgram` against an ONFI die
-automaton (mirroring :mod:`repro.flash.lun`) with an interval timing
-domain (mirroring :mod:`repro.analysis.timing_check`), so a protocol
-or timing bug is reported before anything runs — over *all* paths,
-not just observed traces.
+:class:`~repro.core.opir.nodes.OpProgram` against the ONFI die
+protocol in :mod:`repro.onfi.protocol` — the very opcode rows
+:class:`repro.flash.lun.Lun` executes, here read over an interval
+timing domain, and the very timing-rule list the capture checker
+(:mod:`repro.analysis.timing_check`) evaluates over integers — so a
+protocol or timing bug is reported before anything runs, over *all*
+paths, not just observed traces.
 
 Rule namespaces (OPV — INTERNALS §13 has the full catalogue):
 
@@ -80,8 +82,20 @@ from repro.core.opir.nodes import (
 )
 from repro.core.ufsm.base import UfsmBank
 from repro.dram import DmaHandle
-from repro.onfi.commands import CMD, CommandClass, classify_opcode, opcode_name
+from repro.flash.cell import CellMode, profile_for
+from repro.onfi.commands import CMD, opcode_name
 from repro.onfi.datamodes import interface_by_name
+from repro.onfi.protocol import (
+    ANCHOR_EVENTS,
+    OPCODES,
+    STATUS_OPCODES,
+    BusySpec,
+    Effect,
+    OpcodeRow,
+    burst_events,
+    due_rules,
+    latch_events,
+)
 
 INF = float("inf")
 
@@ -92,18 +106,6 @@ POLL_CPU_ALLOWANCE_NS = 10_000
 
 #: The two NV-DDR2 interface modes the library ships against.
 DEFAULT_MODES = ("NV-DDR2-100", "NV-DDR2-200")
-
-_CONFIRM_CLASSES = {
-    CommandClass.READ_CONFIRM,
-    CommandClass.CACHE_READ_CONFIRM,
-    CommandClass.CACHE_READ_END,
-    CommandClass.PROGRAM_CONFIRM,
-    CommandClass.CACHE_PROGRAM_CONFIRM,
-    CommandClass.ERASE_CONFIRM,
-    CommandClass.RESET,
-}
-
-_SUSPENDABLE_KINDS = {"program", "erase", "unknown"}
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +183,10 @@ class VerifyFinding:
 
 @dataclass
 class _Busy:
-    kind: str          # "read"|"program"|"erase"|"feature"|"reset"|"param"|"dummy"|"unknown"
+    kind: str          # a BusySpec.kind, or "unknown" after a join
     remaining: Iv
     started_at: str = ""  # node path of the confirm, for messages
+    suspendable: bool = True  # may be: only a proven no is flagged
 
 
 @dataclass
@@ -201,20 +204,16 @@ class _State:
     armed: str = "none"   # none|status|register|feature|id|param|unknown
     register_loaded: str = "no"  # no|yes|maybe
     phase: str = "idle"   # idle|await_addr|await_confirm
-    pending_opcode: Optional[int] = None
-    addr_format: str = "full"
+    pending: Optional[OpcodeRow] = None  # row awaiting its address/data
     have_row: bool = False
     status_addr_pending: bool = False
     pslc: bool = False
 
-    # Timing trackers: time since an anchor event (None = no anchor /
-    # arbitrarily long ago).  since_data_end may be transiently
-    # negative inside the segment that carries the burst.
-    since_confirm: Optional[Iv] = None
-    since_ccol: Optional[Iv] = None
-    since_cmd: Optional[Iv] = None
-    since_data_end: Optional[Iv] = None
-    ready_gap: Optional[Iv] = None
+    # Timing trackers: time since each timing-rule anchor event (absent
+    # = no anchor / arbitrarily long ago).  "data_out" counts from the
+    # burst's end, so it is transiently negative inside the segment
+    # that carries the burst.
+    since: dict = field(default_factory=dict)
     prev_wire: Optional[str] = None      # cmd|addr|data_out|data_in
 
     # Dataflow environment.
@@ -227,35 +226,29 @@ class _State:
     def clone(self) -> "_State":
         twin = _State(**{f.name: getattr(self, f.name)
                          for f in dataclasses.fields(self)})
+        twin.since = dict(self.since)
         twin.regs_def = set(self.regs_def)
         twin.regs_maybe = set(self.regs_maybe)
         twin.handles = dict(self.handles)
         twin.handles_maybe = dict(self.handles_maybe)
         if self.busy is not None:
-            twin.busy = _Busy(self.busy.kind, self.busy.remaining,
-                              self.busy.started_at)
+            twin.busy = dataclasses.replace(self.busy)
         if self.suspended is not None:
-            twin.suspended = _Busy(self.suspended.kind,
-                                   self.suspended.remaining,
-                                   self.suspended.started_at)
+            twin.suspended = dataclasses.replace(self.suspended)
         return twin
 
     # -- time ---------------------------------------------------------
 
     def advance(self, dt: Iv) -> None:
         """Let ``dt`` nanoseconds elapse (no wire activity)."""
-        for name in ("since_confirm", "since_ccol", "since_cmd",
-                     "since_data_end", "ready_gap"):
-            anchor = getattr(self, name)
-            if anchor is not None:
-                setattr(self, name, anchor + dt)
+        self.since = {name: gap + dt for name, gap in self.since.items()}
         if self.busy is not None:
             remaining = self.busy.remaining.minus(dt)
             if remaining.hi <= 0:
                 # Proven complete: the ready edge landed somewhere in
                 # [-hi, -lo] nanoseconds ago.
-                self.ready_gap = Iv(max(0.0, -remaining.hi),
-                                    max(0.0, -remaining.lo))
+                self.since["ready"] = Iv(max(0.0, -remaining.hi),
+                                         max(0.0, -remaining.lo))
                 self._complete_busy()
             else:
                 self.busy.remaining = remaining
@@ -309,7 +302,8 @@ class _State:
             if len(busys) == 1:
                 # The other path is already idle: may-busy at most.
                 remaining = Iv(min(remaining.lo, 0.0), remaining.hi)
-            out.busy = _Busy(kind, remaining, busys[0].started_at)
+            out.busy = _Busy(kind, remaining, busys[0].started_at,
+                             any(x.suspendable for x in busys))
         for name in ("cache_busy", "cache_prog"):
             iva, ivb = getattr(a, name), getattr(b, name)
             if iva is None and ivb is None:
@@ -327,7 +321,9 @@ class _State:
             kind = (a.suspended.kind if a.suspended.kind == b.suspended.kind
                     else "unknown")
             out.suspended = _Busy(
-                kind, a.suspended.remaining.hull(b.suspended.remaining))
+                kind, a.suspended.remaining.hull(b.suspended.remaining),
+                suspendable=(a.suspended.suspendable
+                             or b.suspended.suspendable))
         else:
             present = a.suspended or b.suspended
             out.suspended = _Busy("unknown", Iv(0, present.remaining.hi))
@@ -339,15 +335,13 @@ class _State:
                                if a.register_loaded == b.register_loaded
                                else "maybe")
         out.phase = a.phase if a.phase == b.phase else "idle"
-        out.pending_opcode = (a.pending_opcode
-                              if a.pending_opcode == b.pending_opcode else None)
+        out.pending = a.pending if a.pending is b.pending else None
         out.have_row = a.have_row and b.have_row
         out.status_addr_pending = False
         out.pslc = a.pslc or b.pslc
-        for name in ("since_confirm", "since_ccol", "since_cmd",
-                     "since_data_end", "ready_gap"):
-            setattr(out, name,
-                    _State._join_iv(getattr(a, name), getattr(b, name)))
+        out.since = {name: _State._join_iv(a.since.get(name),
+                                           b.since.get(name))
+                     for name in {**a.since, **b.since}}
         out.prev_wire = a.prev_wire if a.prev_wire == b.prev_wire else None
         out.regs_def = a.regs_def & b.regs_def
         out.regs_maybe = a.regs_maybe | b.regs_maybe
@@ -408,7 +402,6 @@ class _Verifier:
             watchdog_ns = Watchdog.for_vendor(vendor).budget_ns
         self.watchdog_ns = watchdog_ns
         self.findings: list[VerifyFinding] = []
-        self.inexact = False
         self._poll_round_ns = self._status_round_ns()
 
     # -- plumbing -----------------------------------------------------
@@ -426,26 +419,12 @@ class _Verifier:
         data = self.bank.data_reader.emit(1, DmaHandle(None, 0, 1))
         return latch.duration_ns + data.duration_ns
 
-    def _jittered(self, mean_ns: float, scale: float = 1.0) -> Iv:
-        jitter = self.vendor.timing.jitter if self.vendor is not None else 0.0
-        base = mean_ns * scale
-        return Iv(base * (1.0 - jitter), base * (1.0 + jitter))
-
-    def _read_iv(self, st: _State) -> Iv:
-        scale = 1.0
-        if st.pslc:
-            from repro.flash.cell import CellMode, profile_for
-
-            scale = profile_for(CellMode.PSLC).read_time_scale
-        return self._jittered(self.vendor.timing.t_read_ns, scale)
-
-    def _prog_iv(self, st: _State) -> Iv:
-        scale = 1.0
-        if st.pslc:
-            from repro.flash.cell import CellMode, profile_for
-
-            scale = profile_for(CellMode.PSLC).program_time_scale
-        return self._jittered(self.vendor.timing.t_prog_ns, scale)
+    def _window(self, spec: BusySpec, st: _State) -> Iv:
+        """A busy window as an interval: the bounds the die model
+        samples inside, scaled by the active cell mode."""
+        return Iv(*spec.bounds(
+            self.vendor.timing,
+            profile_for(CellMode.PSLC) if st.pslc else None))
 
     # -- entry --------------------------------------------------------
 
@@ -480,43 +459,45 @@ class _Verifier:
         for index, node in enumerate(nodes):
             if st.terminated:
                 return  # OPL009 reports the dead tail
-            path = f"{prefix}[{index}]"
-            if isinstance(node, Txn):
-                self._exec_txn(node, path, st)
-            elif isinstance(node, DeclareHandle):
-                st.handles[node.name] = node
-                st.handles_maybe[node.name] = node
-            elif isinstance(node, PollStatus):
-                self._exec_poll(node, path, st)
-            elif isinstance(node, SoftSleep):
-                self._check_reads(node.ns, path, st)
-                if isinstance(node.ns, int):
-                    st.advance(Iv.at_least(node.ns))
-                else:
-                    self.inexact = True
-                    st.advance(Iv(0, INF))
-            elif isinstance(node, SetReg):
-                self._check_reads(node.expr, path, st)
-                st.regs_def.add(node.name)
-                st.regs_maybe.add(node.name)
-            elif isinstance(node, CallOp):
-                self._exec_call(node, path, st, depth)
-            elif isinstance(node, Branch):
-                self._exec_branch(node, path, st, depth)
-            elif isinstance(node, Loop):
-                self._exec_loop(node, path, st, depth)
-            elif isinstance(node, BreakIf):
-                # Loop-aware handling lives in _exec_loop; a stray
-                # BreakIf outside a loop only defines its registers.
-                self._check_reads(node.pred, path, st)
-                for name, expr in node.sets:
-                    self._check_reads(expr, path, st)
-                    st.regs_maybe.add(name)
-            elif isinstance(node, SelectFirstReady):
-                self._exec_select(node, path, st)
-            elif isinstance(node, Return):
-                self._check_reads(node.expr, path, st)
-                st.terminated = True
+            self._exec_one(node, f"{prefix}[{index}]", st, depth)
+
+    def _exec_one(self, node, path: str, st: _State, depth: int) -> None:
+        """Dispatch one step node at an explicit path."""
+        if isinstance(node, Txn):
+            self._exec_txn(node, path, st)
+        elif isinstance(node, DeclareHandle):
+            st.handles[node.name] = node
+            st.handles_maybe[node.name] = node
+        elif isinstance(node, PollStatus):
+            self._exec_poll(node, path, st)
+        elif isinstance(node, SoftSleep):
+            self._check_reads(node.ns, path, st)
+            if isinstance(node.ns, int):
+                st.advance(Iv.at_least(node.ns))
+            else:
+                st.advance(Iv(0, INF))
+        elif isinstance(node, SetReg):
+            self._check_reads(node.expr, path, st)
+            st.regs_def.add(node.name)
+            st.regs_maybe.add(node.name)
+        elif isinstance(node, CallOp):
+            self._exec_call(node, path, st, depth)
+        elif isinstance(node, Branch):
+            self._exec_branch(node, path, st, depth)
+        elif isinstance(node, Loop):
+            self._exec_loop(node, path, st, depth)
+        elif isinstance(node, BreakIf):
+            # Loop-aware handling lives in _exec_body_with_breaks; a
+            # stray BreakIf outside a loop only defines its registers.
+            self._check_reads(node.pred, path, st)
+            for name, expr in node.sets:
+                self._check_reads(expr, path, st)
+                st.regs_maybe.add(name)
+        elif isinstance(node, SelectFirstReady):
+            self._exec_select(node, path, st)
+        elif isinstance(node, Return):
+            self._check_reads(node.expr, path, st)
+            st.terminated = True
 
     def _exec_branch(self, node: Branch, path: str, st: _State,
                      depth: int) -> None:
@@ -570,45 +551,8 @@ class _Verifier:
                 exits.append(snapshot)
                 for name, _ in node.sets:
                     st.regs_maybe.add(name)
-                self.inexact = True
             else:
                 self._exec_one(node, path, st, depth)
-
-    def _exec_one(self, node, path: str, st: _State, depth: int) -> None:
-        """Dispatch one step node at an explicit path."""
-        prefix, _, _ = path.rpartition("[")
-        # Reuse _exec_nodes' dispatch for a single node by faking a
-        # one-element sequence rooted at the node's own path.
-        saved = node
-        if isinstance(saved, Txn):
-            self._exec_txn(saved, path, st)
-        elif isinstance(saved, DeclareHandle):
-            st.handles[saved.name] = saved
-            st.handles_maybe[saved.name] = saved
-        elif isinstance(saved, PollStatus):
-            self._exec_poll(saved, path, st)
-        elif isinstance(saved, SoftSleep):
-            self._check_reads(saved.ns, path, st)
-            if isinstance(saved.ns, int):
-                st.advance(Iv.at_least(saved.ns))
-            else:
-                self.inexact = True
-                st.advance(Iv(0, INF))
-        elif isinstance(saved, SetReg):
-            self._check_reads(saved.expr, path, st)
-            st.regs_def.add(saved.name)
-            st.regs_maybe.add(saved.name)
-        elif isinstance(saved, CallOp):
-            self._exec_call(saved, path, st, depth)
-        elif isinstance(saved, Branch):
-            self._exec_branch(saved, path, st, depth)
-        elif isinstance(saved, Loop):
-            self._exec_loop(saved, path, st, depth)
-        elif isinstance(saved, SelectFirstReady):
-            self._exec_select(saved, path, st)
-        elif isinstance(saved, Return):
-            self._check_reads(saved.expr, path, st)
-            st.terminated = True
 
     @staticmethod
     def _copy_into(dst: _State, src: _State) -> None:
@@ -689,8 +633,7 @@ class _Verifier:
         if mask is None:
             return  # the operation's single target die
         if not isinstance(mask, int):
-            self.inexact = True  # runtime-computed mask (gang winner)
-            return
+            return  # runtime-computed mask (gang winner)
         selected = bin(mask & ((1 << self.luns) - 1)).count("1")
         if selected == 1:
             return
@@ -728,10 +671,8 @@ class _Verifier:
     def _exec_latchseq(self, seg: LatchSeq, where: str, st: _State) -> None:
         if not seg.latches:
             return  # OPL005 reports it
-        if seg.via_chip_control:
-            self.inexact = True  # broadcast conflates the replica dies
-        is_status = any(latch.kind == "cmd" and int(latch.value) in
-                        (CMD.READ_STATUS, CMD.READ_STATUS_ENHANCED)
+        is_status = any(latch.kind == "cmd"
+                        and int(latch.value) in STATUS_OPCODES
                         for latch in seg.latches)
         if is_status and not seg.via_chip_control:
             self._check_mask(seg.chip_mask, where, "status poll")
@@ -760,7 +701,6 @@ class _Verifier:
         if isinstance(ns, int):
             st.advance(Iv.exact(ns))
         else:
-            self.inexact = True
             st.advance(Iv(0, INF))
 
     def _exec_xfer(self, seg: DataXfer, where: str, st: _State) -> None:
@@ -781,184 +721,130 @@ class _Verifier:
         st.advance(Iv.exact(offset))
         wire_ns = self.bank.interface.transfer_ns(seg.nbytes)
         if seg.direction == "out":
-            self._on_data_out(seg.nbytes, where, st)
-            st.since_data_end = Iv.exact(-wire_ns)
+            self._on_data_out(seg.nbytes, Iv.exact(-wire_ns), where, st)
         else:
             self._on_data_in(seg.nbytes, where, st)
         st.prev_wire = "data_out" if seg.direction == "out" else "data_in"
         st.advance(Iv.exact(emitted.duration_ns - offset))
 
-    # -- the ONFI automaton (mirrors repro.flash.lun) ------------------
+    # -- the ONFI automaton: repro.onfi.protocol rows, read abstractly --
+
+    def _check_gaps(self, events: tuple, subject: str, where: str,
+                    st: _State, stamp: Iv = Iv.exact(0)) -> None:
+        """The static evaluator of the timing-rule list: flag every rule
+        triggered by ``events`` whose anchor can be closer than its
+        parameter, then restart the anchors this wire event sets
+        (``stamp`` is how long ago the event's anchoring edge is)."""
+        for rule in due_rules(events, st.prev_wire, st.since):
+            gap = st.since[rule.anchor]
+            limit = getattr(self.req, rule.param)
+            if gap.lo < limit:
+                self.flag(
+                    rule.static_id, "error", where,
+                    f"{subject} can follow {rule.anchor_text} by "
+                    f"{gap.describe()} ({rule.param}={limit} ns)",
+                    hint=rule.hint,
+                )
+            if rule.consumed:
+                del st.since[rule.anchor]
+        for name in events:
+            if name in ANCHOR_EVENTS:
+                st.since[name] = stamp
 
     def _on_command(self, opcode: int, where: str, st: _State) -> None:
-        cls = classify_opcode(opcode)
-
-        # OPV204 — tRHW turnaround after a data-out burst.
-        if (st.prev_wire == "data_out" and st.since_data_end is not None
-                and st.since_data_end.lo < self.req.tRHW):
-            self.flag(
-                "OPV204", "error", where,
-                f"{opcode_name(opcode)} can latch "
-                f"{st.since_data_end.describe()} after a data-out burst "
-                f"(tRHW={self.req.tRHW} ns)",
-                hint="give the RE#-to-WE# turnaround time after a burst",
-            )
+        row = OPCODES.get(opcode)
+        name = opcode_name(opcode)
+        self._check_gaps(latch_events(row), name, where, st)
 
         # OPV101 — command while array-busy (SAN201).
-        if (st.busy is not None
-                and cls not in (CommandClass.STATUS, CommandClass.RESET)
-                and opcode != CMD.VENDOR_SUSPEND):
+        if st.busy is not None and (row is None or not row.legal_while_busy):
             certainty = ("always busy" if st.busy.remaining.lo > 0
                          else "may still be busy")
             self.flag(
                 "OPV101", "error", where,
-                f"opcode {opcode_name(opcode)} latches while the "
+                f"opcode {name} latches while the "
                 f"{st.busy.kind} operation {certainty} "
                 f"(remaining {st.busy.remaining.describe()}) — SAN201 / "
                 f"LunProtocolError at run time",
                 hint="poll READ STATUS until RDY (or suspend the "
                      "operation) before the next command",
             )
-        if (st.cache_prog is not None
-                and cls in (CommandClass.PROGRAM_CONFIRM,
-                            CommandClass.CACHE_PROGRAM_CONFIRM)):
-            self.flag(
-                "OPV101", "error", where,
-                f"{opcode_name(opcode)} confirms a program while a cache "
-                f"program is still in the array "
-                f"(remaining {st.cache_prog.describe()})",
-                hint="poll ARDY before confirming the next cache page",
-            )
-
-        # OPV201 — tWB before a status poll after a confirm.
-        if (cls is CommandClass.STATUS and st.since_confirm is not None
-                and st.since_confirm.lo < self.req.tWB):
-            self.flag(
-                "OPV201", "error", where,
-                f"status poll can follow the confirm by "
-                f"{st.since_confirm.describe()} (tWB={self.req.tWB} ns)",
-            )
-
-        # State machine (mirror of Lun._on_command).
-        if cls is CommandClass.STATUS:
-            st.armed = "status"
-            st.status_addr_pending = opcode == CMD.READ_STATUS_ENHANCED
-        elif cls is CommandClass.RESET:
-            st.busy = _Busy(
-                "reset", Iv.exact(self.vendor.timing.t_reset_ns), where)
-            st.pending_arm = None
-            st.pending_loads = False
-            st.suspended = None
-            st.cache_prog = None
-            st.cache_busy = None
-            st.armed = "none"
-            st.pslc = False
-            st.phase = "idle"
-            st.since_confirm = Iv.exact(0)
-        elif opcode == CMD.VENDOR_SUSPEND:
-            self._do_suspend(where, st)
-        elif opcode == CMD.VENDOR_RESUME:
-            if st.suspended is not None:
-                st.busy = _Busy(
-                    st.suspended.kind,
-                    st.suspended.remaining
-                    + Iv.exact(self.vendor.timing.t_resume_ns),
-                    where)
-                st.suspended = None
-            # else: resuming an externally suspended op — unknowable.
-        elif opcode == CMD.VENDOR_PSLC_ENTER:
-            if not getattr(self.vendor, "supports_pslc", True):
-                self.flag("OPV104", "error", where,
-                          f"{self.vendor.name} has no pSLC opcode")
-            st.pslc = True
-        elif opcode == CMD.VENDOR_PSLC_EXIT:
-            st.pslc = False
-        elif cls is CommandClass.READ:
-            st.pending_opcode = opcode
-            st.addr_format = "full"
-            st.phase = "await_addr"
-        elif cls is CommandClass.READ_CONFIRM:
-            self._confirm(st, where, "read",
-                          queue=(opcode == CMD.MP_READ_2ND))
-        elif cls in (CommandClass.CACHE_READ_CONFIRM,
-                     CommandClass.CACHE_READ_END):
-            self._confirm_cache_read(
-                st, where, final=(cls is CommandClass.CACHE_READ_END))
-        elif cls is CommandClass.CHANGE_READ_COLUMN:
-            if opcode == CMD.CHANGE_READ_COL_1ST:
-                st.pending_opcode = opcode
-                st.addr_format = "col"
-                st.phase = "await_addr"
-            elif opcode == CMD.CHANGE_READ_COL_ENH_1ST:
-                st.pending_opcode = opcode
-                st.addr_format = "full"
-                st.phase = "await_addr"
-            else:  # 0xE0 confirm: the register becomes readable
-                st.armed = "register"
-                st.phase = "idle"
-                st.since_ccol = Iv.exact(0)
-        elif cls is CommandClass.PROGRAM:
-            st.pending_opcode = opcode
-            st.addr_format = "full"
-            st.phase = "await_addr"
-        elif cls is CommandClass.PROGRAM_CONFIRM:
-            self._confirm(st, where, "program",
-                          queue=(opcode == CMD.MP_PROGRAM_2ND))
-        elif cls is CommandClass.CACHE_PROGRAM_CONFIRM:
-            if self._require_row(st, where):
-                st.cache_prog = self._prog_iv(st)
-                st.phase = "idle"
-        elif cls is CommandClass.CHANGE_WRITE_COLUMN:
-            st.pending_opcode = opcode
-            st.addr_format = "col"
-            st.phase = "await_addr"
-        elif cls is CommandClass.ERASE:
-            st.pending_opcode = opcode
-            st.addr_format = "row"
-            st.phase = "await_addr"
-        elif cls is CommandClass.ERASE_CONFIRM:
-            self._confirm(st, where, "erase",
-                          queue=(opcode == CMD.MP_ERASE_2ND))
-        elif cls is CommandClass.IDENT:
-            st.pending_opcode = opcode
-            st.addr_format = "one"
-            st.phase = "await_addr"
-        elif cls is CommandClass.FEATURES:
-            st.pending_opcode = opcode
-            st.addr_format = "one"
-            st.phase = "await_addr"
-        else:
+        if row is None:
             self.flag("OPV104", "error", where,
                       f"unsupported opcode 0x{opcode:02X} — the die "
                       f"model raises LunProtocolError")
-
-        if cls in _CONFIRM_CLASSES:
-            st.since_confirm = Iv.exact(0)
-        st.prev_wire = "cmd"
-        st.since_cmd = Iv.exact(0)
-
-    def _do_suspend(self, where: str, st: _State) -> None:
-        if not getattr(self.vendor, "supports_suspend", True):
+        elif row.requires is not None and not getattr(
+                self.vendor, row.requires, True):
             self.flag("OPV104", "error", where,
-                      f"{self.vendor.name} has no suspend opcode")
-            return
-        if st.busy is not None:
-            if st.busy.kind in _SUSPENDABLE_KINDS:
-                st.suspended = st.busy
-                st.busy = None
-            else:
-                self.flag(
-                    "OPV104", "error", where,
-                    f"suspend latches while the die runs a "
-                    f"non-suspendable {st.busy.kind} operation — "
-                    f"LunProtocolError at run time",
-                    hint="only program/erase array times are suspendable",
-                )
+                      f"{self.vendor.name} has no {name} opcode")
         else:
+            self._EFFECTS[row.effect](self, row, where, st)
+        st.prev_wire = "cmd"
+
+    def _open_busy(self, row: OpcodeRow, where: str, st: _State) -> None:
+        """The row's R/B#-holding window opens; the source it arms at
+        busy end is pending and the die will come back idle."""
+        spec = row.busy
+        st.busy = _Busy(spec.kind, self._window(spec, st), where,
+                        spec.suspendable)
+        deferred = row.arm_at == "busy_end"
+        st.pending_arm = row.arms if deferred else None
+        st.pending_loads = deferred and row.arms == "register"
+        st.phase = "idle"
+        st.since.pop("ready", None)
+
+    # One handler per protocol-table effect (the die model has the
+    # concrete twin of each).
+
+    def _latch(self, row: OpcodeRow, where: str, st: _State) -> None:
+        st.pending = row
+        st.phase = "await_addr"
+
+    def _status(self, row: OpcodeRow, where: str, st: _State) -> None:
+        st.armed = row.arms
+        st.status_addr_pending = row.addr_format is not None
+
+    def _arm_now(self, row: OpcodeRow, where: str, st: _State) -> None:
+        st.armed = row.arms
+        st.phase = "idle"
+
+    def _set_pslc(self, row: OpcodeRow, where: str, st: _State) -> None:
+        st.pslc = row.effect is Effect.PSLC_ENTER
+
+    def _reset(self, row: OpcodeRow, where: str, st: _State) -> None:
+        st.suspended = None
+        st.cache_prog = None
+        st.cache_busy = None
+        st.armed = row.arms
+        st.pslc = False
+        self._open_busy(row, where, st)
+
+    def _suspend(self, row: OpcodeRow, where: str, st: _State) -> None:
+        busy = st.busy
+        if busy is None and st.suspended is None:
             # Called in isolation: a caller-owned program/erase may be
             # in flight (the composed preemptive-erase idiom).
             st.suspended = _Busy("unknown", Iv(0, INF), where)
-            self.inexact = True
+        elif busy is not None and busy.suspendable:
+            st.suspended = busy
+            st.busy = None
+        else:
+            running = (f"runs a non-suspendable {busy.kind} operation"
+                       if busy is not None else "is already suspended")
+            self.flag(
+                "OPV104", "error", where,
+                f"suspend latches while the die {running} — "
+                f"LunProtocolError at run time",
+                hint="only program/erase array times are suspendable",
+            )
+
+    def _resume(self, row: OpcodeRow, where: str, st: _State) -> None:
+        if st.suspended is not None:
+            st.busy = dataclasses.replace(
+                st.suspended, started_at=where,
+                remaining=st.suspended.remaining + self._window(row.busy, st))
+            st.suspended = None
+        # else: resuming an externally suspended op — unknowable.
 
     def _require_row(self, st: _State, where: str) -> bool:
         if st.phase != "await_confirm" or not st.have_row:
@@ -972,28 +858,31 @@ class _Verifier:
             return False
         return True
 
-    def _confirm(self, st: _State, where: str, kind: str,
-                 queue: bool) -> None:
+    def _confirm(self, row: OpcodeRow, where: str, st: _State) -> None:
+        """The latched row address becomes (or joins) an array operation."""
         if not self._require_row(st, where):
             return
-        if queue:
-            st.busy = _Busy(
-                "dummy", Iv.exact(self.vendor.timing.t_dbsy_ns), where)
+        if row.busy.kind == "program" and st.cache_prog is not None:
+            self.flag(
+                "OPV101", "error", where,
+                f"{row.name} confirms a program while a cache "
+                f"program is still in the array "
+                f"(remaining {st.cache_prog.describe()})",
+                hint="poll ARDY before confirming the next cache page",
+            )
+        if row.busy.holds_rb:
+            self._open_busy(row, where, st)
+        else:  # cache program: the array works behind a usable interface
+            st.cache_prog = self._window(row.busy, st)
             st.phase = "idle"
-            return
-        if kind == "read":
-            st.busy = _Busy("read", self._read_iv(st), where)
-            st.pending_arm = "register"
-            st.pending_loads = True
-        elif kind == "program":
-            st.busy = _Busy("program", self._prog_iv(st), where)
-        else:
-            st.busy = _Busy(
-                "erase", self._jittered(self.vendor.timing.t_bers_ns), where)
-        st.phase = "idle"
 
-    def _confirm_cache_read(self, st: _State, where: str,
-                            final: bool) -> None:
+    def _cache_confirm(self, row: OpcodeRow, where: str, st: _State) -> None:
+        if row.busy.kind == "read":
+            self._cache_read(row, where, st)
+        else:
+            self._confirm(row, where, st)
+
+    def _cache_read(self, row: OpcodeRow, where: str, st: _State) -> None:
         if not st.have_row:
             self.flag(
                 "OPV104", "error", where,
@@ -1013,17 +902,33 @@ class _Verifier:
                 "OPV102", "warning", where,
                 "cache read may flip an empty page register on some paths",
             )
-        st.armed = "register"
+        st.armed = row.arms
         st.register_loaded = "yes"
-        if not final:
-            st.cache_busy = self._read_iv(st)
+        if row.effect is not Effect.CACHE_END:
+            st.cache_busy = self._window(row.busy, st)
+
+    _EFFECTS = {
+        Effect.LATCH: _latch,
+        Effect.CONFIRM: _confirm,
+        Effect.MP_QUEUE: _confirm,
+        Effect.CACHE_CONFIRM: _cache_confirm,
+        Effect.CACHE_END: _cache_read,
+        Effect.ARM: _arm_now,
+        Effect.STATUS: _status,
+        Effect.RESET: _reset,
+        Effect.SUSPEND: _suspend,
+        Effect.RESUME: _resume,
+        Effect.PSLC_ENTER: _set_pslc,
+        Effect.PSLC_EXIT: _set_pslc,
+    }
 
     def _on_address(self, address_bytes, where: str, st: _State) -> None:
+        st.prev_wire = "addr"
         if st.status_addr_pending:
             st.status_addr_pending = False
-            st.prev_wire = "addr"
             return
-        if st.phase != "await_addr" or st.pending_opcode is None:
+        row = st.pending
+        if st.phase != "await_addr" or row is None:
             self.flag(
                 "OPV104", "error", where,
                 f"address latch ({len(tuple(address_bytes))} cycle(s)) "
@@ -1031,31 +936,22 @@ class _Verifier:
                 f"LunProtocolError / TCK003 at run time",
                 hint="latch the command the address belongs to first",
             )
-            st.prev_wire = "addr"
             return
-        opcode = st.pending_opcode
-        if st.addr_format in ("full", "row"):
+        if row.addr_format in ("full", "row"):
             st.have_row = True
         st.phase = "await_confirm"
-        if opcode == CMD.GET_FEATURES:
-            st.busy = _Busy(
-                "feature", Iv.exact(self.vendor.timing.t_feat_ns), where)
-            st.pending_arm = "feature"
-            st.pending_loads = False
-        elif opcode == CMD.READ_ID:
-            st.armed = "id"
+        # Rows whose effect happens right after the address phase.
+        if row.busy is not None and row.busy.opens_on == "address":
+            self._open_busy(row, where, st)
+        elif row.arms is not None:
+            st.armed = row.arms
             st.phase = "idle"
-        elif opcode == CMD.READ_PARAMETER_PAGE:
-            st.busy = _Busy(
-                "param", Iv.exact(self.vendor.timing.t_param_read_ns), where)
-            st.pending_arm = "param"
-            st.pending_loads = False
-        elif opcode == CMD.CHANGE_WRITE_COL:
-            st.phase = "await_confirm" if st.have_row else "idle"
-        st.prev_wire = "addr"
+        elif row.addr_format == "col" and not st.have_row:
+            st.phase = "idle"  # a column move with nothing to confirm
 
-    def _on_data_out(self, nbytes: int, where: str, st: _State) -> None:
-        # Arming discipline (SAN202 mirror).
+    def _on_data_out(self, nbytes: int, burst_end: Iv, where: str,
+                     st: _State) -> None:
+        # Arming discipline (static SAN202).
         if st.armed == "status":
             pass  # status is readable at any time, busy included
         elif st.pending_arm is not None and st.busy is not None:
@@ -1090,42 +986,14 @@ class _Verifier:
                 "data-out burst may read an empty page register on some "
                 "paths",
             )
-
-        # OPV202 — tWHR when the burst directly follows a command latch.
-        if (st.prev_wire == "cmd" and st.since_cmd is not None
-                and st.since_cmd.lo < self.req.tWHR):
-            self.flag(
-                "OPV202", "error", where,
-                f"data-out can start {st.since_cmd.describe()} after the "
-                f"command latch (tWHR={self.req.tWHR} ns)",
-                hint="insert TimerWait(param='tWHR') (the C/A writer "
-                     "only pads status/ID latches)",
-            )
-        # OPV203 — tRR after the R/B# ready edge (multi-byte bursts).
-        if nbytes > 1 and st.ready_gap is not None:
-            if st.ready_gap.lo < self.req.tRR:
-                self.flag(
-                    "OPV203", "error", where,
-                    f"data-out can start {st.ready_gap.describe()} after "
-                    f"R/B# ready (tRR={self.req.tRR} ns)",
-                )
-            st.ready_gap = None
-        # OPV205 — tCCS after a column-change confirm.
-        if st.since_ccol is not None:
-            if st.since_ccol.lo < self.req.tCCS:
-                self.flag(
-                    "OPV205", "error", where,
-                    f"burst can start {st.since_ccol.describe()} after "
-                    f"CHANGE READ COLUMN (tCCS={self.req.tCCS} ns)",
-                    hint="insert TimerWait(param='tCCS') between E0 and "
-                         "the burst",
-                )
-            st.since_ccol = None
+        self._check_gaps(burst_events(nbytes), "data-out", where, st,
+                         stamp=burst_end)
 
     def _on_data_in(self, nbytes: int, where: str, st: _State) -> None:
-        if st.pending_opcode == CMD.SET_FEATURES:
-            st.busy = _Busy(
-                "feature", Iv.exact(self.vendor.timing.t_feat_ns), where)
+        row = st.pending
+        if (row is not None and row.busy is not None
+                and row.busy.opens_on == "data_in"):
+            self._open_busy(row, where, st)  # SET FEATURES
             return
         # Program load path: the page register fills.
         st.register_loaded = "yes"
@@ -1205,7 +1073,7 @@ class _Verifier:
         if node.until == "array_ready":
             st.cache_busy = None
             st.cache_prog = None
-        st.ready_gap = Iv(0, INF)
+        st.since["ready"] = Iv(0, INF)
         st.armed = "status"  # the final sample latched READ STATUS
         if node.dest:
             st.regs_def.add(node.dest)
@@ -1224,11 +1092,10 @@ class _Verifier:
                 )
         st.advance(Iv.at_least(self._poll_round_ns))
         st._complete_busy()
-        st.ready_gap = Iv(0, INF)
+        st.since["ready"] = Iv(0, INF)
         st.armed = "status"
         st.regs_def.update((node.dest_pos, node.dest_mask))
         st.regs_maybe.update((node.dest_pos, node.dest_mask))
-        self.inexact = True  # which replica wins is data-dependent
 
     def _exec_call(self, node: CallOp, path: str, st: _State,
                    depth: int) -> None:
@@ -1247,7 +1114,6 @@ class _Verifier:
             # effects are unknowable here.  Every callee is verified
             # standalone by the library sweep, so only the composition
             # goes unchecked.
-            self.inexact = True
             self._havoc(st)
             return
         from repro.core.opir.registry import _cached_program, _resolved_builder
@@ -1283,13 +1149,9 @@ class _Verifier:
         st.armed = "unknown"
         st.register_loaded = "maybe"
         st.phase = "idle"
-        st.pending_opcode = None
+        st.pending = None
         st.status_addr_pending = False
-        st.since_confirm = None
-        st.since_ccol = None
-        st.since_cmd = None
-        st.since_data_end = None
-        st.ready_gap = None
+        st.since = {}
         st.prev_wire = None
 
 

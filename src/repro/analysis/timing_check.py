@@ -2,20 +2,26 @@
 
 Controllers are validated on real rigs by staring at scope traces; the
 simulated equivalent is automated.  Given a capture, the checker
-verifies per-LUN ONFI sequencing and inter-event timing rules:
+verifies per-LUN ONFI sequencing and inter-event timing.  Which opcodes
+carry an address, owe tWB or arm (or disarm) a data source is read from
+the opcode table in :mod:`repro.onfi.protocol`; the minimum gaps are the
+rows of its ``TIMING_RULES``, evaluated here over integer nanoseconds:
 
-* a confirm command is followed by no non-status command until the LUN
-  had time to raise R/B# (tWB respected before the next poll);
-* a CHANGE READ COLUMN confirm is separated from the following data-out
-  burst by at least tCCS;
-* address latches immediately follow an address-bearing command;
-* data-out bursts only occur after something armed a data source;
-* a data-out burst directly following a command latch waits tWHR
-  (WE# high to RE# low — the status-read turnaround);
-* a multi-byte data-out burst after an R/B# ready edge waits tRR
+* **tWB** — a status poll waits tWB after a confirm (the LUN needs that
+  long to drop R/B#);
+* **tWHR** — a data-out burst directly following a command latch waits
+  WE# high to RE# low (the status-read turnaround);
+* **tRR** — a multi-byte data-out burst after an R/B# ready edge
   (captures taken with ``LogicAnalyzer(capture_rb=True)``);
-* a command latch directly following a data-out burst waits tRHW
-  (RE# high to WE# low — the data-to-command turnaround).
+* **tRHW** — a command latch directly following a data-out burst waits
+  RE# high to WE# low, measured from the burst's end;
+* **tCCS** — a CHANGE READ COLUMN confirm is separated from the
+  following data-out burst.
+
+Sequencing rules: address latches immediately follow an address-bearing
+command, a confirm is not chained straight onto one without its
+address, and data-out bursts only occur while a data source is armed
+(RESET disarms it).
 
 The checker runs over *decoded events*, so it validates any controller
 on the channel — BABOL or the hardware baselines — which is how the
@@ -28,29 +34,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.logic_analyzer import AnalyzerEvent, LogicAnalyzer
-from repro.onfi.commands import CMD, CommandClass, classify_opcode, opcode_name
+from repro.onfi.commands import opcode_name
+from repro.onfi.protocol import (
+    ANCHOR_EVENTS,
+    DISARM,
+    OPCODES,
+    TIMING_RULES,
+    burst_events,
+    due_rules,
+    latch_events,
+)
 from repro.onfi.timing import TimingSet
-
-_ADDRESS_BEARING = {
-    CommandClass.READ,
-    CommandClass.PROGRAM,
-    CommandClass.ERASE,
-    CommandClass.IDENT,
-    CommandClass.FEATURES,
-}
-_CONFIRM = {
-    CommandClass.READ_CONFIRM,
-    CommandClass.CACHE_READ_CONFIRM,
-    CommandClass.CACHE_READ_END,
-    CommandClass.PROGRAM_CONFIRM,
-    CommandClass.CACHE_PROGRAM_CONFIRM,
-    CommandClass.ERASE_CONFIRM,
-    CommandClass.RESET,
-}
-_ARMS_DATA_OUT = {
-    CMD.READ_STATUS, CMD.READ_STATUS_ENHANCED, CMD.READ_ID,
-    CMD.CHANGE_READ_COL_2ND, CMD.GET_FEATURES, CMD.READ_PARAMETER_PAGE,
-}
 
 
 def _burst_bytes(event: AnalyzerEvent) -> int:
@@ -87,32 +81,26 @@ class TimingViolation:
         )
 
 
-#: Stable diagnostics rule ids for the checker's named rules.
+#: Stable diagnostics rule ids: the sequencing rules, then one per
+#: timing-rule row.
 _RULE_IDS = {
     "confirm-without-address": "TCK001",
-    "tWB": "TCK002",
     "orphan-address": "TCK003",
     "unarmed-data-out": "TCK004",
-    "tCCS": "TCK005",
-    "tWHR": "TCK006",
-    "tRR": "TCK007",
-    "tRHW": "TCK008",
+    **{rule.param: rule.runtime_id for rule in TIMING_RULES},
 }
 
 
 @dataclass
 class _LunTrack:
-    last_confirm_ns: Optional[int] = None
-    last_ccol_confirm_ns: Optional[int] = None
     awaiting_address: Optional[int] = None  # opcode expecting address next
     data_armed: bool = False
-    read_pending: bool = False
-    # Previous wire event (cmd/addr/data) for turnaround rules; R/B#
+    # Nanosecond of the latest occurrence of each timing-rule anchor
+    # event (data_out: the burst's end; ready: the R/B# rising edge).
+    anchors: dict = field(default_factory=dict)
+    # Previous wire event (cmd/addr/data) for adjacency rules; R/B#
     # edges and idle waits do not count as wire activity.
     prev_kind: Optional[str] = None
-    prev_time_ns: int = 0
-    prev_end_ns: int = 0
-    last_ready_ns: Optional[int] = None  # R/B# low->high edge, if captured
 
 
 class TimingChecker:
@@ -165,74 +153,53 @@ class TimingChecker:
             # R/B# edges inform tRR but are not wire activity: they must
             # not disturb the cmd/data adjacency the turnaround rules use.
             if event.detail == "ready":
-                track.last_ready_ns = event.time_ns
+                track.anchors["ready"] = event.time_ns
             else:
-                track.last_ready_ns = None
+                track.anchors.pop("ready", None)
             return
         if event.kind in ("cmd", "addr", "data_out", "data_in"):
             track.prev_kind = event.kind
-            track.prev_time_ns = event.time_ns
-            track.prev_end_ns = event.end_ns
+
+    def _check_gaps(self, track: _LunTrack, event: AnalyzerEvent,
+                    events: tuple, subject: str) -> None:
+        """The runtime evaluator of the timing-rule list: flag every rule
+        triggered by ``events`` whose anchor is closer than its
+        parameter, then stamp the anchors this wire event sets."""
+        for rule in due_rules(events, track.prev_kind, track.anchors):
+            gap = event.time_ns - track.anchors[rule.anchor]
+            limit = getattr(self.timing, rule.param)
+            if gap < limit:
+                self._flag(
+                    event, rule.param,
+                    f"{subject} {gap}ns after {rule.anchor_text} "
+                    f"({rule.param}={limit}ns)",
+                )
+            if rule.consumed:
+                del track.anchors[rule.anchor]
+        for name in ANCHOR_EVENTS.intersection(events):
+            track.anchors[name] = event.end_ns
 
     def _on_command(self, track: _LunTrack, event: AnalyzerEvent) -> None:
         opcode = event.opcode
-        cls = classify_opcode(opcode) if opcode is not None else CommandClass.UNKNOWN
+        row = OPCODES.get(opcode)
+        name = opcode_name(opcode) if opcode is not None else "cmd"
+        self._check_gaps(track, event, latch_events(row), f"{name} latched")
+        if row is None:
+            return
 
-        # tRHW: after a data-out burst, WE# must not fall until the
-        # RE#-to-WE# turnaround has elapsed.
-        if (
-            track.prev_kind == "data_out"
-            and event.time_ns - track.prev_end_ns < self.timing.tRHW
-        ):
-            self._flag(
-                event, "tRHW",
-                f"{opcode_name(opcode) if opcode is not None else 'cmd'} "
-                f"latched {event.time_ns - track.prev_end_ns}ns after data out "
-                f"(tRHW={self.timing.tRHW}ns)",
-            )
-
-        if track.awaiting_address is not None and cls is not CommandClass.UNKNOWN:
-            expecting = track.awaiting_address
+        if track.awaiting_address is not None and row.owes_twb:
             # A second command before the address is legal only for
             # multi-latch preambles that embed vendor prefixes; an
             # address-bearing command chained straight into a confirm
             # without any address is not.
-            if cls in _CONFIRM:
-                self._flag(
-                    event, "confirm-without-address",
-                    f"{opcode_name(opcode)} follows "
-                    f"{opcode_name(expecting)} with no address latch",
-                )
-            track.awaiting_address = None
-
-        # tWB: after a confirm, the controller must give the LUN tWB
-        # before asking anything of it (status polls included).
-        if (
-            track.last_confirm_ns is not None
-            and cls is CommandClass.STATUS
-            and event.time_ns - track.last_confirm_ns < self.timing.tWB
-        ):
             self._flag(
-                event, "tWB",
-                f"status poll {event.time_ns - track.last_confirm_ns}ns "
-                f"after confirm (tWB={self.timing.tWB}ns)",
+                event, "confirm-without-address",
+                f"{name} follows {opcode_name(track.awaiting_address)} "
+                f"with no address latch",
             )
-
-        if cls in _ADDRESS_BEARING:
-            track.awaiting_address = opcode
-        if opcode in (CMD.READ_STATUS_ENHANCED, CMD.CHANGE_WRITE_COL):
-            # Both carry address cycles despite their command class.
-            track.awaiting_address = opcode
-        if cls in _CONFIRM:
-            track.last_confirm_ns = event.time_ns
-            if cls is CommandClass.READ_CONFIRM:
-                track.read_pending = True
-        if opcode in _ARMS_DATA_OUT:
-            track.data_armed = True
-        if opcode == CMD.CHANGE_READ_COL_2ND:
-            track.last_ccol_confirm_ns = event.time_ns
-        if opcode == CMD.CHANGE_READ_COL_1ST or opcode == CMD.CHANGE_READ_COL_ENH_1ST:
-            track.awaiting_address = opcode
+        track.awaiting_address = opcode if row.addr_format is not None else None
+        if row.arms is not None:
+            track.data_armed = row.arms != DISARM
 
     def _on_address(self, track: _LunTrack, event: AnalyzerEvent) -> None:
         if track.awaiting_address is None:
@@ -248,42 +215,8 @@ class TimingChecker:
                 event, "unarmed-data-out",
                 f"data burst {event.detail} with no arming command",
             )
-        # tWHR: RE# must not fall until the WE#-to-RE# turnaround after
-        # the command latch has elapsed.  Scoped to bursts *directly*
-        # following a command latch (status/ID-style reads): an address
-        # phase in between means the burst is paced by other rules.
-        if (
-            track.prev_kind == "cmd"
-            and event.time_ns - track.prev_time_ns < self.timing.tWHR
-        ):
-            self._flag(
-                event, "tWHR",
-                f"data out {event.time_ns - track.prev_time_ns}ns after "
-                f"command latch (tWHR={self.timing.tWHR}ns)",
-            )
-        # tRR: after R/B# rises, RE# must stay high for tRR before the
-        # page data streams out.  Single-byte bursts are status reads,
-        # which are paced by tWHR, not tRR.
-        if track.last_ready_ns is not None and _burst_bytes(event) > 1:
-            gap = event.time_ns - track.last_ready_ns
-            if gap < self.timing.tRR:
-                self._flag(
-                    event, "tRR",
-                    f"data out {gap}ns after R/B# ready "
-                    f"(tRR={self.timing.tRR}ns)",
-                )
-            track.last_ready_ns = None
-        # tCCS between a column-change confirm and the burst.
-        if (
-            track.last_ccol_confirm_ns is not None
-            and event.time_ns - track.last_ccol_confirm_ns < self.timing.tCCS
-        ):
-            self._flag(
-                event, "tCCS",
-                f"burst {event.time_ns - track.last_ccol_confirm_ns}ns after "
-                f"CHANGE READ COLUMN (tCCS={self.timing.tCCS}ns)",
-            )
-        track.last_ccol_confirm_ns = None
+        self._check_gaps(track, event, burst_events(_burst_bytes(event)),
+                         "data out")
 
     # -- reporting --------------------------------------------------------------
 

@@ -3,9 +3,11 @@
 Parameterized exactly as Fig. 6 describes: the number of latches, a
 vector of latch types, and a vector of latch values.  The emitter
 computes all intra-segment timing (latch cycle times from the current
-mode's timing set) and appends the mandatory category-2 waits: tWB
-after a confirm-class command (the wait before R/B# drops) and tWHR
-after a command that will be followed by a data-out (status reads).
+mode's timing set) and appends the mandatory category-2 wait the
+protocol table (:mod:`repro.onfi.protocol`, ``wait_after``) names for
+the vector's final opcode: tWB after a confirm (the wait before R/B#
+drops) or tWHR after a command that will be followed by a data-out
+(status reads).
 """
 
 from __future__ import annotations
@@ -14,30 +16,13 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from repro.core.ufsm.base import HardwareInventory, MicroFsm
-from repro.onfi.commands import CMD, CommandClass, classify_opcode
+from repro.onfi.protocol import OPCODES
 from repro.onfi.signals import (
     AddressLatch,
     CommandLatch,
     SegmentKind,
     WaveformSegment,
 )
-
-# Confirm opcodes after which the package drops R/B#: the C/A Writer
-# owns the tWB wait that follows them (Section IV-B, category 2).
-_CONFIRM_CLASSES = {
-    CommandClass.READ_CONFIRM,
-    CommandClass.CACHE_READ_CONFIRM,
-    CommandClass.CACHE_READ_END,
-    CommandClass.PROGRAM_CONFIRM,
-    CommandClass.CACHE_PROGRAM_CONFIRM,
-    CommandClass.ERASE_CONFIRM,
-    CommandClass.RESET,
-}
-
-# Commands that are immediately followed by a data-out burst: the C/A
-# Writer owns the tWHR turnaround after them.
-_DATA_TURNAROUND = {CMD.READ_STATUS, CMD.READ_STATUS_ENHANCED, CMD.READ_ID}
-
 
 @dataclass(frozen=True)
 class Latch:
@@ -130,12 +115,12 @@ class CAWriter(MicroFsm):
                 last_opcode = None
         t += self.timing.tCH  # CE# hold
 
-        # Category-2 mandatory waits owned by this µFSM.
-        if last_opcode is not None:
-            if classify_opcode(last_opcode) in _CONFIRM_CLASSES:
-                t += self.timing.tWB
-            elif last_opcode in _DATA_TURNAROUND:
-                t += self.timing.tWHR
+        # Category-2 mandatory wait owned by this µFSM (Section IV-B):
+        # the protocol table names it per opcode — tWB after a confirm
+        # that drops R/B#, tWHR before a directly following data-out.
+        row = OPCODES.get(last_opcode)
+        if row is not None and row.wait_after is not None:
+            t += getattr(self.timing, row.wait_after)
         return t, tuple(actions)
 
     def inventory(self) -> HardwareInventory:

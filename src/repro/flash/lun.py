@@ -6,8 +6,14 @@ latching commands and addresses, going busy for the array times of its
 vendor profile, exposing a status register, and moving data between the
 flash array, its page/cache registers, and the controller's DMA handles.
 
+What each opcode does is not decided here: ``_on_command`` looks the
+opcode up once in :data:`repro.onfi.protocol.OPCODES` and *executes* the
+row — its effect, the busy window it opens, the data source it arms.
+This module owns the concrete side effects (array I/O, completions,
+fault and sanitizer hooks) and the raises.
+
 The model enforces protocol legality: a command latched while the LUN is
-array-busy (other than status/reset/suspend) raises
+array-busy (unless its row says ``legal_while_busy``) raises
 :class:`LunProtocolError`, which is how tests prove the controllers
 never violate ONFI sequencing.
 """
@@ -22,9 +28,10 @@ import numpy as np
 from repro.flash.array import FlashArray
 from repro.flash.cell import CellMode, profile_for
 from repro.flash.vendors import VendorProfile
-from repro.onfi.commands import CMD, CommandClass, classify_opcode, opcode_name
-from repro.onfi.features import FeatureAddress, FeatureStore
+from repro.onfi.commands import opcode_name
+from repro.onfi.features import FeatureStore
 from repro.onfi.geometry import AddressCodec, PhysicalAddress
+from repro.onfi.protocol import OPCODES, BusySpec, Effect, OpcodeRow
 from repro.onfi.signals import (
     Action,
     AddressLatch,
@@ -61,17 +68,9 @@ class _DataSource(enum.Enum):
     PARAM_PAGE = "param_page"
 
 
-class _BusyKind(enum.Enum):
-    READ = "read"
-    PROGRAM = "program"
-    ERASE = "erase"
-    FEATURE = "feature"
-    RESET = "reset"
-    PARAM = "param"
-    DUMMY = "dummy"
-
-
-_SUSPENDABLE = {_BusyKind.PROGRAM, _BusyKind.ERASE}
+#: ``OpcodeRow.arms`` string -> data source (subscripted, not called:
+#: the status poll path arms a source on every latch).
+_SOURCES = {source.value: source for source in _DataSource}
 
 
 class _PendingCompletion:
@@ -163,13 +162,11 @@ class Lun:
         self._rng = np.random.default_rng(seed ^ 0x5A5A)
 
         self.state = LunState.IDLE
-        self._pending_opcode: Optional[int] = None
-        self._addr_format = "full"
+        self._pending: Optional[OpcodeRow] = None  # row awaiting address/data
         self._data_source = _DataSource.NONE
         self._column = 0
         self._row_addr: Optional[PhysicalAddress] = None
-        self._feature_addr = 0
-        self._id_area = 0
+        self._one_addr = 0  # single-cycle address (feature / ID area)
         self._status_addr_pending = False
         self._cache_program_active = False
 
@@ -199,13 +196,13 @@ class Lun:
         self.inflight_ops: list[dict] = []
 
         self._pslc_override = False
-        self._busy_kind: Optional[_BusyKind] = None
+        self._busy_spec: Optional[BusySpec] = None
         self._busy_event = None
         self._busy_until = 0
         self._busy_finish = None
         self._suspend_remaining = 0
         self._suspend_pending = False
-        self._suspended_kind: Optional[_BusyKind] = None
+        self._suspended_spec: Optional[BusySpec] = None
         self._suspended_finish = None
         self._sets_status = True
 
@@ -340,156 +337,92 @@ class Lun:
             raise LunProtocolError(f"unknown action {action!r}")
 
     def _on_command(self, opcode: int) -> None:
-        name = opcode_name(opcode)
+        row = OPCODES.get(opcode)
+        name = row.name if row is not None else opcode_name(opcode)
         self.op_counts[name] = self.op_counts.get(name, 0) + 1
-        cls = classify_opcode(opcode)
 
-        if self.state is LunState.ARRAY_BUSY and cls not in (
-            CommandClass.STATUS,
-            CommandClass.RESET,
-        ) and opcode != CMD.VENDOR_SUSPEND:
+        if self.state is LunState.ARRAY_BUSY and (
+            row is None or not row.legal_while_busy
+        ):
             if self._san_flash is not None:
                 self._san_flash.on_busy_violation(self, opcode)
             raise LunProtocolError(
-                f"opcode {opcode_name(opcode)} latched while LUN {self.position} is busy"
+                f"opcode {name} latched while LUN {self.position} is busy"
             )
-
-        if cls is CommandClass.STATUS:
-            if self._san_liveness is not None:
-                self._san_liveness.on_status_poll(self)
-            self._data_source = _DataSource.STATUS
-            # READ STATUS ENHANCED carries a row address (die select on
-            # multi-LUN packages); it is legal while the array is busy,
-            # so it must not disturb the busy state machine.
-            self._status_addr_pending = opcode == CMD.READ_STATUS_ENHANCED
-            return
-        if cls is CommandClass.RESET:
-            self._do_reset()
-            return
-        if opcode == CMD.VENDOR_SUSPEND:
-            self._do_suspend()
-            return
-        if opcode == CMD.VENDOR_RESUME:
-            self._do_resume()
-            return
-        if opcode == CMD.VENDOR_PSLC_ENTER:
-            if not self.profile.supports_pslc:
-                raise LunProtocolError(f"{self.profile.name} has no pSLC opcode")
-            self._pslc_override = True
-            return
-        if opcode == CMD.VENDOR_PSLC_EXIT:
-            self._pslc_override = False
-            return
-
-        if cls is CommandClass.READ:
-            self._pending_opcode = opcode
-            self._addr_format = "full"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.READ_CONFIRM:
-            self._confirm_read(queue_more=(opcode == CMD.MP_READ_2ND))
-        elif cls is CommandClass.CACHE_READ_CONFIRM:
-            self._confirm_cache_read(final=False)
-        elif cls is CommandClass.CACHE_READ_END:
-            self._confirm_cache_read(final=True)
-        elif cls is CommandClass.CHANGE_READ_COLUMN:
-            if opcode == CMD.CHANGE_READ_COL_1ST:
-                self._pending_opcode = opcode
-                self._addr_format = "col"
-                self.state = LunState.AWAIT_ADDRESS
-            elif opcode == CMD.CHANGE_READ_COL_ENH_1ST:
-                # Enhanced variant carries a full address (selects the
-                # plane whose register subsequent bursts read from).
-                self._pending_opcode = opcode
-                self._addr_format = "full"
-                self.state = LunState.AWAIT_ADDRESS
-            else:  # 0xE0 confirm: register data now readable
-                self._data_source = _DataSource.REGISTER
-                self.state = LunState.IDLE
-        elif cls is CommandClass.PROGRAM:
-            self._pending_opcode = opcode
-            self._addr_format = "full"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.PROGRAM_CONFIRM:
-            self._confirm_program(cache=False, queue_more=(opcode == CMD.MP_PROGRAM_2ND))
-        elif cls is CommandClass.CACHE_PROGRAM_CONFIRM:
-            self._confirm_program(cache=True)
-        elif cls is CommandClass.CHANGE_WRITE_COLUMN:
-            self._pending_opcode = opcode
-            self._addr_format = "col"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.ERASE:
-            self._pending_opcode = opcode
-            self._addr_format = "row"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.ERASE_CONFIRM:
-            self._confirm_erase(queue_more=(opcode == CMD.MP_ERASE_2ND))
-        elif cls is CommandClass.IDENT:
-            self._pending_opcode = opcode
-            self._addr_format = "one"
-            self.state = LunState.AWAIT_ADDRESS
-        elif cls is CommandClass.FEATURES:
-            self._pending_opcode = opcode
-            self._addr_format = "one"
-            self.state = LunState.AWAIT_ADDRESS
-        else:
+        if row is None:
             raise LunProtocolError(f"unsupported opcode 0x{opcode:02X}")
+        if row.requires is not None and not getattr(self.profile, row.requires):
+            raise LunProtocolError(f"{self.profile.name} has no {name} opcode")
+        self._EFFECTS[row.effect](self, row)
+
+    # -- one handler per protocol-table effect -----------------------------
+
+    def _latch(self, row: OpcodeRow) -> None:
+        self._pending = row
+        self.state = LunState.AWAIT_ADDRESS
+
+    def _status(self, row: OpcodeRow) -> None:
+        if self._san_liveness is not None:
+            self._san_liveness.on_status_poll(self)
+        self._data_source = _SOURCES[row.arms]
+        # READ STATUS ENHANCED carries a row address (die select on
+        # multi-LUN packages); it is legal while the array is busy,
+        # so it must not disturb the busy state machine.
+        self._status_addr_pending = row.addr_format is not None
+
+    def _arm_now(self, row: OpcodeRow) -> None:
+        # 0xE0 confirm: register data now readable
+        self._data_source = _SOURCES[row.arms]
+        self.state = LunState.IDLE
+
+    def _set_pslc(self, row: OpcodeRow) -> None:
+        self._pslc_override = row.effect is Effect.PSLC_ENTER
 
     # ------------------------------------------------------------------
     # Address handling
     # ------------------------------------------------------------------
 
     def _on_address(self, address_bytes: tuple[int, ...]) -> None:
-        if getattr(self, "_status_addr_pending", False):
+        if self._status_addr_pending:
             # Enhanced-status die select; single-die positions ignore it.
             self._status_addr_pending = False
             return
-        if self.state is not LunState.AWAIT_ADDRESS or self._pending_opcode is None:
+        row = self._pending
+        if self.state is not LunState.AWAIT_ADDRESS or row is None:
             raise LunProtocolError("address latched without a preceding command")
-        opcode = self._pending_opcode
 
-        if self._addr_format == "full":
+        fmt = row.addr_format
+        if fmt == "full":
             addr = self.codec.decode(address_bytes)
             self._row_addr = addr
             self._column = addr.column
             self._active_plane = self.codec.plane_of(addr)
-        elif self._addr_format == "row":
-            row = self.codec.decode_row(address_bytes)
-            block, page = divmod(row, self.geometry.pages_per_block)
+        elif fmt == "row":
+            row_index = self.codec.decode_row(address_bytes)
+            block, page = divmod(row_index, self.geometry.pages_per_block)
             self._row_addr = PhysicalAddress(block=block, page=page)
             self._active_plane = self.codec.plane_of(self._row_addr)
-        elif self._addr_format == "col":
+        elif fmt == "col":
             self._column = self.codec.decode_column(address_bytes)
-        elif self._addr_format == "one":
-            value = address_bytes[0]
-            if classify_opcode(opcode) is CommandClass.FEATURES:
-                self._feature_addr = value
-            else:
-                self._id_area = value
+        elif fmt == "one":
+            self._one_addr = address_bytes[0]
         else:  # pragma: no cover
-            raise LunProtocolError(f"bad address format {self._addr_format}")
+            raise LunProtocolError(f"bad address format {fmt}")
 
         self.state = LunState.AWAIT_CONFIRM
-        # Commands whose effect happens right after the address phase.
-        if opcode == CMD.GET_FEATURES:
-            self._begin_busy(
-                _BusyKind.FEATURE,
-                self.profile.timing.t_feat_ns,
-                finish=lambda: self._arm(_DataSource.FEATURE),
-            )
-        elif opcode == CMD.READ_ID:
-            self._data_source = _DataSource.ID
+        # Rows whose effect happens right after the address phase.
+        spec = row.busy
+        if spec is not None and spec.opens_on == "address":
+            source = _SOURCES[row.arms]
+            self._begin_busy(spec, self._busy_ns(spec),
+                             finish=lambda: self._arm(source))
+        elif row.arms is not None:
+            self._data_source = _SOURCES[row.arms]
             self.state = LunState.IDLE
-        elif opcode == CMD.READ_PARAMETER_PAGE:
-            self._begin_busy(
-                _BusyKind.PARAM,
-                self.profile.timing.t_param_read_ns,
-                finish=lambda: self._arm(_DataSource.PARAM_PAGE),
-            )
-        elif opcode == CMD.CHANGE_WRITE_COL:
-            # Mid-program column move: stay armed for the confirm cycle.
-            self.state = (
-                LunState.AWAIT_CONFIRM if self._row_addr is not None else LunState.IDLE
-            )
+        elif fmt == "col" and self._row_addr is None:
+            # A column move with no row latched leaves nothing to confirm
+            # (mid-program moves stay armed for the confirm cycle).
+            self.state = LunState.IDLE
 
     def _arm(self, source: _DataSource) -> None:
         self._data_source = source
@@ -526,10 +459,10 @@ class Lun:
             self._column = end
             return chunk
         if source is _DataSource.FEATURE:
-            params = self.features.get(self._feature_addr)
+            params = self.features.get(self._one_addr)
             return np.array(list(params)[:nbytes], dtype=np.uint8)
         if source is _DataSource.ID:
-            return np.array(self.profile.id_bytes(self._id_area)[:nbytes], dtype=np.uint8)
+            return np.array(self.profile.id_bytes(self._one_addr)[:nbytes], dtype=np.uint8)
         if source is _DataSource.PARAM_PAGE:
             page = self.profile.parameter_page()
             reps = -(-nbytes // len(page))  # parameter page repeats per ONFI
@@ -541,20 +474,21 @@ class Lun:
         raise LunProtocolError("data out requested with no data source armed")
 
     def _on_data_in(self, action: DataInAction) -> None:
-        if self._pending_opcode == CMD.SET_FEATURES:
+        pending = self._pending
+        if (pending is not None and pending.busy is not None
+                and pending.busy.opens_on == "data_in"):
+            # SET FEATURES: four parameter bytes, then the feature busy.
             data = self._fetch(action, 4)
             params = tuple(int(b) for b in data[:4])
-            finish = lambda: self.features.set(self._feature_addr, params)  # noqa: E731
+            finish = lambda: self.features.set(self._one_addr, params)  # noqa: E731
             if self._fault_hook is not None and self._fault_hook.on_set_features(
-                self, self._feature_addr, params
+                self, self._one_addr, params
             ):
                 # Injected FEATURE DROP: the die goes busy for tFEAT and
                 # acknowledges, but the register write is silently lost.
                 finish = None
             self._begin_busy(
-                _BusyKind.FEATURE,
-                self.profile.timing.t_feat_ns,
-                finish=finish,
+                pending.busy, self._busy_ns(pending.busy), finish=finish
             )
             return
         # Program path: fill the page register at the given column.
@@ -585,35 +519,43 @@ class Lun:
     def _effective_mode(self) -> Optional[CellMode]:
         return CellMode.PSLC if self.pslc_active else None
 
-    def _sample(self, mean_ns: int, scale: float = 1.0) -> int:
-        """Array time with bounded uniform jitter (tR is 'highly variable')."""
-        jitter = self.profile.timing.jitter
-        low = mean_ns * scale * (1.0 - jitter)
-        high = mean_ns * scale * (1.0 + jitter)
+    def _busy_ns(self, spec: BusySpec) -> int:
+        """Price a busy window from the vendor profile: exact, or
+        sampled with bounded uniform jitter (tR is 'highly variable')
+        inside the bounds the active cell mode scales."""
+        mode = self._effective_mode()
+        low, high = spec.bounds(self.profile.timing,
+                                profile_for(mode) if mode else None)
+        if not spec.jittered:
+            return low
         return max(int(self._rng.uniform(low, high)), 1)
 
-    def _read_time_ns(self) -> int:
-        mode = self._effective_mode()
-        scale = profile_for(mode).read_time_scale if mode else 1.0
-        return self._sample(self.profile.timing.t_read_ns, scale)
-
-    def _program_time_ns(self) -> int:
-        mode = self._effective_mode()
-        scale = profile_for(mode).program_time_scale if mode else 1.0
-        return self._sample(self.profile.timing.t_prog_ns, scale)
-
-    def _confirm_read(self, queue_more: bool) -> None:
+    def _confirm(self, row: OpcodeRow) -> None:
+        """The latched row address becomes (or joins) an array operation."""
         addr = self._require_row()
-        if queue_more:
+        spec = row.busy
+        if row.effect is Effect.MP_QUEUE:
             # Multi-plane queue cycle: short inter-plane busy, then ready
-            # for the next plane's 0x00/address.
+            # for the next plane's first cycle/address.
             self._mp_queue.append(addr)
-            self._begin_busy(_BusyKind.DUMMY, self.profile.timing.t_dbsy_ns)
+            self._begin_busy(spec, self._busy_ns(spec))
             return
+        if spec.kind == "program" and self._cache_program_active:
+            raise LunProtocolError(
+                "program confirm while a cache program is still in the array"
+                " (poll ARDY first)"
+            )
         targets = self._mp_queue + [addr]
         self._mp_queue = []
-        duration = self._read_time_ns()
+        self._ARRAY_OPS[spec.kind](self, spec, targets, self._busy_ns(spec))
 
+    def _cache_confirm(self, row: OpcodeRow) -> None:
+        if row.busy.kind == "read":
+            self._confirm_cache_read(row)
+        else:
+            self._confirm(row)
+
+    def _start_read(self, spec: BusySpec, targets: list, duration: int) -> None:
         def finish() -> None:
             for target in targets:
                 plane = self.codec.plane_of(target)
@@ -628,9 +570,9 @@ class Lun:
             self._data_source = _DataSource.REGISTER
             self.reads_completed += len(targets)
 
-        self._begin_busy(_BusyKind.READ, duration, finish=finish)
+        self._begin_busy(spec, duration, finish=finish)
 
-    def _confirm_cache_read(self, final: bool) -> None:
+    def _confirm_cache_read(self, row: OpcodeRow) -> None:
         """READ CACHE SEQUENTIAL / END (interleaves tR with transfers)."""
         if self._row_addr is None:
             raise LunProtocolError("cache read without a prior page read")
@@ -646,13 +588,13 @@ class Lun:
         # readable while the array fetches the next sequential page.
         self._cache_register[plane] = register
         next_row = self._next_sequential(self._row_addr)
-        if final or next_row is None:
+        if row.effect is Effect.CACHE_END or next_row is None:
             self._data_source = _DataSource.REGISTER
             self._page_register[plane] = self._cache_register[plane]
             self._column = 0
             return
         self._row_addr = next_row
-        duration = self._read_time_ns()
+        duration = self._busy_ns(row.busy)
         self.status.begin_cache_phase()
         self.state = LunState.CACHE_BUSY
 
@@ -685,20 +627,8 @@ class Lun:
             return PhysicalAddress(block=addr.block, page=addr.page + 1)
         return None
 
-    def _confirm_program(self, cache: bool, queue_more: bool = False) -> None:
-        addr = self._require_row()
-        if queue_more:
-            self._mp_queue.append(addr)
-            self._begin_busy(_BusyKind.DUMMY, self.profile.timing.t_dbsy_ns)
-            return
-        if self._cache_program_active:
-            raise LunProtocolError(
-                "program confirm while a cache program is still in the array"
-                " (poll ARDY first)"
-            )
-        targets = self._mp_queue + [addr]
-        self._mp_queue = []
-        duration = self._program_time_ns()
+    def _start_program(self, spec: BusySpec, targets: list,
+                       duration: int) -> None:
         mode = self._effective_mode()
         registers = {
             self.codec.plane_of(t): self._ensure_register(self.codec.plane_of(t)).copy()
@@ -730,7 +660,7 @@ class Lun:
             self.programs_completed += len(targets)
             self.status.finish_operation(failed=failed)
 
-        if cache:
+        if not spec.holds_rb:
             # Cache program: the array works in the background while the
             # interface stays usable (RDY without ARDY), so the next
             # page's data can stream in during tPROG.
@@ -748,19 +678,10 @@ class Lun:
 
             self._schedule_completion(duration, cache_done)
         else:
-            self._begin_busy(
-                _BusyKind.PROGRAM, duration, finish=finish, sets_status=False
-            )
+            self._begin_busy(spec, duration, finish=finish, sets_status=False)
 
-    def _confirm_erase(self, queue_more: bool) -> None:
-        addr = self._require_row()
-        if queue_more:
-            self._mp_queue.append(addr)
-            self._begin_busy(_BusyKind.DUMMY, self.profile.timing.t_dbsy_ns)
-            return
-        targets = self._mp_queue + [addr]
-        self._mp_queue = []
-        duration = self._sample(self.profile.timing.t_bers_ns)
+    def _start_erase(self, spec: BusySpec, targets: list,
+                     duration: int) -> None:
         mode = self._effective_mode()
         inflight = {"kind": "erase", "targets": list(targets),
                     "begun": self._now()}
@@ -783,7 +704,10 @@ class Lun:
             self.erases_completed += len(targets)
             self.status.finish_operation(failed=failed)
 
-        self._begin_busy(_BusyKind.ERASE, duration, finish=finish, sets_status=False)
+        self._begin_busy(spec, duration, finish=finish, sets_status=False)
+
+    _ARRAY_OPS = {"read": _start_read, "program": _start_program,
+                  "erase": _start_erase}
 
     def _require_row(self) -> PhysicalAddress:
         if self._row_addr is None or self.state is not LunState.AWAIT_CONFIRM:
@@ -796,16 +720,16 @@ class Lun:
 
     def _begin_busy(
         self,
-        kind: _BusyKind,
+        spec: BusySpec,
         duration: int,
         finish=None,
         sets_status: bool = True,
     ) -> None:
         if self._fault_hook is not None:
-            duration = self._fault_hook.on_busy(self, kind.value, duration)
+            duration = self._fault_hook.on_busy(self, spec.kind, duration)
         self.status.begin_operation()
         self.state = LunState.ARRAY_BUSY
-        self._busy_kind = kind
+        self._busy_spec = spec
         self._busy_finish = finish
         self._sets_status = sets_status
         if duration is None:
@@ -830,7 +754,7 @@ class Lun:
 
     def _finish_busy(self) -> None:
         finish, self._busy_finish = self._busy_finish, None
-        self._busy_kind = None
+        self._busy_spec = None
         self._busy_event = None
         # A nested operation during a suspension returns the LUN to its
         # suspended state, not to idle.
@@ -845,32 +769,30 @@ class Lun:
         self.rb_trigger.fire(self)
         self._notify_rb(False)
 
-    def _do_reset(self) -> None:
+    def _do_reset(self, row: OpcodeRow) -> None:
         if self._busy_event is not None and self._busy_event.pending:
             self._busy_event.cancel()
         self._busy_finish = None
         self.inflight_ops.clear()  # aborted ops never reached the array
         self._mp_queue = []
         self._pslc_override = False
-        self._data_source = _DataSource.NONE
+        self._data_source = _SOURCES[row.arms]
         self._suspend_remaining = 0
         self._suspend_pending = False
         self._cache_program_active = False
         self.status.suspended = False
-        self._begin_busy(_BusyKind.RESET, self.profile.timing.t_reset_ns)
+        self._begin_busy(row.busy, self._busy_ns(row.busy))
 
-    def _do_suspend(self) -> None:
-        if not self.profile.supports_suspend:
-            raise LunProtocolError(f"{self.profile.name} has no suspend opcode")
-        if self.state is not LunState.ARRAY_BUSY or self._busy_kind not in _SUSPENDABLE:
+    def _do_suspend(self, row: OpcodeRow) -> None:
+        if self.state is not LunState.ARRAY_BUSY or not self._busy_spec.suspendable:
             raise LunProtocolError("suspend latched with no suspendable operation")
         if self._busy_event is not None:  # a hung busy has no event
             self._busy_event.cancel()
         self._suspend_remaining = max(self._busy_until - self._now(), 0)
-        self._suspended_kind = self._busy_kind
+        self._suspended_spec = self._busy_spec
         self._suspended_finish = self._busy_finish
         self._suspend_pending = True
-        self._busy_kind = None
+        self._busy_spec = None
         self._busy_finish = None
         self.state = LunState.SUSPENDED
         self.status.rdy = True
@@ -879,16 +801,31 @@ class Lun:
         self.rb_trigger.fire(self)
         self._notify_rb(False)
 
-    def _do_resume(self) -> None:
+    def _do_resume(self, row: OpcodeRow) -> None:
         if not self._suspend_pending or self.state is LunState.ARRAY_BUSY:
             raise LunProtocolError("resume latched while not suspended")
         self.status.suspended = False
         self._suspend_pending = False
-        remaining = self._suspend_remaining + self.profile.timing.t_resume_ns
-        kind = self._suspended_kind
+        remaining = self._suspend_remaining + self._busy_ns(row.busy)
         finish = self._suspended_finish
         self._suspend_remaining = 0
-        self._begin_busy(kind, remaining, finish=finish, sets_status=False)
+        self._begin_busy(self._suspended_spec, remaining, finish=finish,
+                         sets_status=False)
+
+    _EFFECTS = {
+        Effect.LATCH: _latch,
+        Effect.CONFIRM: _confirm,
+        Effect.MP_QUEUE: _confirm,
+        Effect.CACHE_CONFIRM: _cache_confirm,
+        Effect.CACHE_END: _confirm_cache_read,
+        Effect.ARM: _arm_now,
+        Effect.STATUS: _status,
+        Effect.RESET: _do_reset,
+        Effect.SUSPEND: _do_suspend,
+        Effect.RESUME: _do_resume,
+        Effect.PSLC_ENTER: _set_pslc,
+        Effect.PSLC_EXIT: _set_pslc,
+    }
 
     def describe(self) -> str:
         return (

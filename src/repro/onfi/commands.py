@@ -1,10 +1,14 @@
-"""ONFI command opcodes and classification.
+"""ONFI command opcodes, their names and their classes.
 
 The opcode values below follow the ONFI 5.1 mandatory/optional command
 sets.  Vendor-specific opcodes (pseudo-SLC entry/exit, suspend/resume,
 read-retry register access) are modeled after common conventions in
 commercial datasheets; the exact byte values only need to be consistent
 between the controller's operation library and the package model.
+
+What a die *does* with an opcode lives in :mod:`repro.onfi.protocol`;
+an opcode constant without a row there (READ UNIQUE ID) is kept only so
+captures render its name.
 """
 
 from __future__ import annotations
@@ -80,39 +84,6 @@ class CommandClass(enum.Enum):
     UNKNOWN = "unknown"
 
 
-_CLASS_TABLE: dict[int, CommandClass] = {
-    CMD.READ_1ST: CommandClass.READ,
-    CMD.READ_2ND: CommandClass.READ_CONFIRM,
-    CMD.MP_READ_2ND: CommandClass.READ_CONFIRM,
-    CMD.READ_CACHE_SEQ: CommandClass.CACHE_READ_CONFIRM,
-    CMD.READ_CACHE_END: CommandClass.CACHE_READ_END,
-    CMD.CHANGE_READ_COL_1ST: CommandClass.CHANGE_READ_COLUMN,
-    CMD.CHANGE_READ_COL_2ND: CommandClass.CHANGE_READ_COLUMN,
-    CMD.CHANGE_READ_COL_ENH_1ST: CommandClass.CHANGE_READ_COLUMN,
-    CMD.READ_STATUS: CommandClass.STATUS,
-    CMD.READ_STATUS_ENHANCED: CommandClass.STATUS,
-    CMD.PROGRAM_1ST: CommandClass.PROGRAM,
-    CMD.PROGRAM_2ND: CommandClass.PROGRAM_CONFIRM,
-    CMD.MP_PROGRAM_2ND: CommandClass.PROGRAM_CONFIRM,
-    CMD.CACHE_PROGRAM_2ND: CommandClass.CACHE_PROGRAM_CONFIRM,
-    CMD.CHANGE_WRITE_COL: CommandClass.CHANGE_WRITE_COLUMN,
-    CMD.ERASE_1ST: CommandClass.ERASE,
-    CMD.ERASE_2ND: CommandClass.ERASE_CONFIRM,
-    CMD.MP_ERASE_2ND: CommandClass.ERASE_CONFIRM,
-    CMD.READ_ID: CommandClass.IDENT,
-    CMD.READ_PARAMETER_PAGE: CommandClass.IDENT,
-    CMD.READ_UNIQUE_ID: CommandClass.IDENT,
-    CMD.SET_FEATURES: CommandClass.FEATURES,
-    CMD.GET_FEATURES: CommandClass.FEATURES,
-    CMD.RESET: CommandClass.RESET,
-    CMD.SYNCHRONOUS_RESET: CommandClass.RESET,
-    CMD.RESET_LUN: CommandClass.RESET,
-    CMD.VENDOR_PSLC_ENTER: CommandClass.VENDOR,
-    CMD.VENDOR_PSLC_EXIT: CommandClass.VENDOR,
-    CMD.VENDOR_SUSPEND: CommandClass.VENDOR,
-    CMD.VENDOR_RESUME: CommandClass.VENDOR,
-}
-
 _NAME_TABLE: dict[int, str] = {
     value: name
     for name, value in vars(CMD).items()
@@ -121,8 +92,12 @@ _NAME_TABLE: dict[int, str] = {
 
 
 def classify_opcode(opcode: int) -> CommandClass:
-    """Map a raw opcode byte to its behavioural class."""
-    return _CLASS_TABLE.get(opcode, CommandClass.UNKNOWN)
+    """The class column of the opcode's protocol-table row (an opcode
+    with no row is UNKNOWN: the die rejects it)."""
+    from repro.onfi.protocol import OPCODES  # protocol imports this module
+
+    row = OPCODES.get(opcode)
+    return row.cls if row is not None else CommandClass.UNKNOWN
 
 
 def is_vendor_opcode(opcode: int) -> bool:

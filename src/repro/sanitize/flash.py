@@ -6,8 +6,10 @@ which rule was broken.  The sanitizer records a structured finding
 first (so a `repro sanitize` run reports every hazard), and adds checks
 the model is silent about:
 
-* **SAN201** — a non-status/non-suspend opcode latched while the LUN is
-  array-busy (the LUN raises right after the finding is recorded).
+* **SAN201** — an opcode whose protocol-table row is not
+  ``legal_while_busy`` (anything but status/reset/suspend) latched while
+  the LUN is array-busy (the LUN raises right after the finding is
+  recorded).
 * **SAN202** — a data-out/cache-register read before anything armed a
   data source: empty page register, cache read before the first tR
   completed, or no source armed at all.
@@ -18,7 +20,8 @@ the model is silent about:
 
 from __future__ import annotations
 
-from repro.onfi.commands import CMD, opcode_name
+from repro.onfi.commands import opcode_name
+from repro.onfi.protocol import STATUS_OPCODES
 from repro.onfi.signals import CommandLatch, DataOutAction
 from repro.sanitize.base import Sanitizer
 
@@ -30,8 +33,6 @@ class FlashSanitizer(Sanitizer):
     # SAN203 inspects chip-select masks on driven segments via a channel
     # tap, which the TLM tier never fires.
     requires_waveform = True
-
-    _STATUS_OPCODES = (CMD.READ_STATUS, CMD.READ_STATUS_ENHANCED)
 
     def attach(self, target, report) -> None:
         super().attach(target, report)
@@ -50,7 +51,7 @@ class FlashSanitizer(Sanitizer):
 
     def on_busy_violation(self, lun, opcode: int) -> None:
         remaining = max(lun._busy_until - lun.sim.now, 0)
-        kind = lun._busy_kind.value if lun._busy_kind is not None else "?"
+        kind = lun._busy_spec.kind if lun._busy_spec is not None else "?"
         self.emit(
             "SAN201",
             f"opcode {opcode_name(opcode)} latched while the {kind} "
@@ -75,7 +76,7 @@ class FlashSanitizer(Sanitizer):
         has_data_out = any(isinstance(action, DataOutAction)
                            for _, action in segment.actions)
         is_status = any(isinstance(action, CommandLatch)
-                        and action.opcode in self._STATUS_OPCODES
+                        and action.opcode in STATUS_OPCODES
                         for _, action in segment.actions)
         if not has_data_out and not is_status:
             return

@@ -23,6 +23,7 @@ from repro.onfi import (
     SegmentKind,
     StatusBits,
     StatusRegister,
+    TimingSet,
     WaveformSegment,
     classify_opcode,
     interface_by_name,
@@ -52,6 +53,135 @@ def test_vendor_opcodes_classified():
 def test_opcode_name_lookup():
     assert opcode_name(CMD.READ_STATUS) == "READ_STATUS"
     assert opcode_name(0xB7) == "0xB7"
+
+
+# --- the protocol table (repro.onfi.protocol) ---------------------------------
+
+#: classify_opcode() as it answered before the table existed (PR 12's
+#: commands._CLASS_TABLE), minus READ UNIQUE ID, which nothing implemented.
+PINNED_CLASSES = {
+    0x00: "read", 0x30: "read_confirm", 0x32: "read_confirm",
+    0x31: "cache_read_confirm", 0x3F: "cache_read_end",
+    0x05: "change_read_column", 0xE0: "change_read_column",
+    0x06: "change_read_column", 0x70: "status", 0x78: "status",
+    0x80: "program", 0x10: "program_confirm", 0x11: "program_confirm",
+    0x15: "cache_program_confirm", 0x85: "change_write_column",
+    0x60: "erase", 0xD0: "erase_confirm", 0xD1: "erase_confirm",
+    0x90: "ident", 0xEC: "ident", 0xEF: "features", 0xEE: "features",
+    0xFF: "reset", 0xFC: "reset", 0xFA: "reset",
+    0xA2: "vendor", 0xA3: "vendor", 0x61: "vendor", 0xD2: "vendor",
+}
+
+
+def _cmd_constants():
+    return {name: value for name, value in vars(CMD).items()
+            if not name.startswith("_") and isinstance(value, int)}
+
+
+def test_every_cmd_constant_has_exactly_one_row_except_read_unique_id():
+    from repro.onfi import protocol
+
+    by_opcode = {}
+    for row in protocol._ROWS:
+        by_opcode.setdefault(row.opcode, []).append(row)
+    assert all(len(rows) == 1 for rows in by_opcode.values())
+    constants = _cmd_constants()
+    assert set(by_opcode) == set(constants.values()) - {CMD.READ_UNIQUE_ID}
+    assert set(protocol.OPCODES) == set(by_opcode)
+    for name, value in constants.items():
+        if value != CMD.READ_UNIQUE_ID:
+            assert protocol.OPCODES[value].name == name
+
+
+def test_classify_and_name_unchanged_for_all_256_bytes():
+    names = {value: name for name, value in _cmd_constants().items()}
+    for byte in range(256):
+        expected = PINNED_CLASSES.get(byte, "unknown")
+        assert classify_opcode(byte).value == expected, hex(byte)
+        assert opcode_name(byte) == names.get(byte, f"0x{byte:02X}")
+    # The constant survives for capture rendering; the class does not.
+    assert opcode_name(CMD.READ_UNIQUE_ID) == "READ_UNIQUE_ID"
+    assert classify_opcode(CMD.READ_UNIQUE_ID) is CommandClass.UNKNOWN
+
+
+def test_row_columns_name_real_attributes():
+    import dataclasses
+
+    from repro.flash.cell import CellModeProfile
+    from repro.flash.vendors import VENDOR_PROFILES, VendorProfile
+    from repro.onfi.protocol import OPCODES, Effect
+
+    timing_fields = {f.name for f in dataclasses.fields(TimingSet)}
+    scale_fields = {f.name for f in dataclasses.fields(CellModeProfile)}
+    capabilities = {f.name for f in dataclasses.fields(VendorProfile)}
+    assert VENDOR_PROFILES
+    for row in OPCODES.values():
+        assert row.addr_format in (None, "full", "row", "col", "one")
+        assert row.arm_at in ("now", "busy_end")
+        assert row.wait_after is None or row.wait_after in timing_fields
+        assert row.requires is None or row.requires in capabilities
+        # A LATCH row is exactly a row that expects an address (status
+        # enhanced carries one too, but stays a STATUS).
+        if row.effect is Effect.LATCH:
+            assert row.addr_format is not None
+        if row.arm_at == "busy_end":
+            assert row.busy is not None and row.busy.holds_rb
+        spec = row.busy
+        if spec is None:
+            continue
+        assert spec.opens_on in ("command", "address", "data_in")
+        assert spec.scale is None or spec.scale in scale_fields
+        for vendor in VENDOR_PROFILES.values():
+            assert isinstance(getattr(vendor.timing, spec.timing), int)
+
+
+def test_timing_rules_name_timing_set_fields_and_known_events():
+    import dataclasses
+
+    from repro.onfi.protocol import (
+        OPCODES, TIMING_RULES, burst_events, latch_events)
+
+    fields = {f.name for f in dataclasses.fields(TimingSet)}
+    assert [rule.param for rule in TIMING_RULES] == [
+        "tWB", "tWHR", "tRR", "tRHW", "tCCS"]
+    events = {"ready", *burst_events(1), *burst_events(2),
+              *latch_events(None)}
+    for row in OPCODES.values():
+        events.update(latch_events(row))
+    static_ids, runtime_ids = set(), set()
+    for rule in TIMING_RULES:
+        assert rule.param in fields
+        assert rule.anchor in events and rule.trigger in events
+        # An adjacency rule compares against the previous *wire* event.
+        assert not rule.adjacent or rule.anchor in ("cmd", "data_out")
+        static_ids.add(rule.static_id)
+        runtime_ids.add(rule.runtime_id)
+    assert static_ids == {f"OPV20{n}" for n in range(1, 6)}
+    assert runtime_ids == {"TCK002", "TCK005", "TCK006", "TCK007", "TCK008"}
+
+
+def test_internals_rule_table_is_rendered_from_the_rule_list():
+    import pathlib
+
+    from repro.onfi.protocol import TIMING_RULES
+
+    internals = (pathlib.Path(__file__).resolve().parents[1]
+                 / "docs" / "INTERNALS.md").read_text()
+    for rule in TIMING_RULES:
+        condition = ("adjacent wire events only" if rule.adjacent
+                     else "anchor consumed by the first trigger"
+                     if rule.consumed else "anchor persists")
+        assert (f"| `{rule.param}` | {rule.anchor} | {rule.trigger} | "
+                f"{condition} | `{rule.static_id}` | `{rule.runtime_id}` |"
+                ) in internals
+
+
+def test_every_effect_is_handled_by_the_model_and_the_verifier():
+    from repro.analysis.opver import _Verifier
+    from repro.flash.lun import Lun
+    from repro.onfi.protocol import Effect
+
+    assert set(Lun._EFFECTS) == set(Effect) == set(_Verifier._EFFECTS)
 
 
 # --- data modes -----------------------------------------------------------

@@ -4,8 +4,14 @@ Every test seeds one defective op program and pins the agreement the
 static verifier promises: the OPV rule flags the defect *ahead of
 time*, and the matching runtime check (SAN sanitizer rule, TCK
 timing-checker rule, or the die model's raise) catches the same defect
-when the program actually runs.  A final test pins the negative side:
-a clean program is clean through both lenses.
+when the program actually runs.  A negative control pins the other
+side: a clean program is clean through both lenses.
+
+The twelve hand-seeded defects sample the space; the last section
+covers it: every die situation x every opcode, the die model raises
+exactly when the verifier proves a protocol error.  Both read the one
+opcode table in :mod:`repro.onfi.protocol`, so this is the test a table
+edit has to keep green.
 
 The TEST_PROFILE vendor has jitter 0, so array times are exact on both
 sides and the interval analysis cannot hide behind slack.
@@ -38,7 +44,9 @@ from repro.core.ufsm.ca_writer import addr, cmd
 from repro.flash.errors import ErrorModelConfig
 from repro.flash.lun import LunProtocolError
 from repro.onfi.commands import CMD
+from repro.onfi.features import FeatureAddress
 from repro.onfi.geometry import PhysicalAddress
+from repro.onfi.protocol import OPCODES
 from repro.sanitize import LivenessSanitizer, attach_sanitizers
 from repro.sim import Simulator
 
@@ -48,10 +56,10 @@ MODE = "NV-DDR2-200"  # the test controller's interface mode
 LUNS = 2
 
 
-def make_controller(track_data=False):
+def make_controller(track_data=False, vendor=TEST_PROFILE):
     sim = Simulator()
     controller = BabolController(sim, ControllerConfig(
-        vendor=TEST_PROFILE, lun_count=LUNS, runtime="rtos",
+        vendor=vendor, lun_count=LUNS, runtime="rtos",
         track_data=track_data, seed=6))
     for lun in controller.luns:
         lun.array.error_model.config = ErrorModelConfig.noiseless()
@@ -68,10 +76,10 @@ def static_errors(program, vendor=TEST_PROFILE, **kwargs):
 
 
 def run_runtime(program, *, sanitize="flash", track_data=False,
-                liveness_budget=None):
+                liveness_budget=None, vendor=TEST_PROFILE):
     """Run ``program`` on the waveform simulator with sanitizers
     attached; returns (report, analyzer, raised-exception-or-None)."""
-    sim, controller = make_controller(track_data=track_data)
+    sim, controller = make_controller(track_data=track_data, vendor=vendor)
     report = DiagnosticReport()
     attach_sanitizers(controller, sanitize, report)
     if liveness_budget is not None:
@@ -325,6 +333,55 @@ def test_short_window_opv402_vs_san303():
     assert "SAN303" in runtime_rules(report)
 
 
+# 12 — data-out after RESET: the reset disarmed the status source ---------
+
+
+def test_burst_after_reset_opv102_vs_san202_vs_tck004():
+    program = OpProgram("defect_burst_after_reset", (
+        DeclareHandle("s", "capture", nbytes=1),
+        Txn(TxnKind.CMD_ADDR, (LatchSeq((cmd(CMD.READ_STATUS),)),)),
+        Txn(TxnKind.DATA_OUT, (DataXfer("out", 1, HandleRef("s")),)),
+        Txn(TxnKind.CMD_ADDR, (LatchSeq((cmd(CMD.RESET),)),)),
+        SoftSleep(2 * TEST_PROFILE.timing.t_reset_ns),
+        DeclareHandle("h", "capture", nbytes=16),
+        Txn(TxnKind.DATA_OUT, (DataXfer("out", 16, HandleRef("h")),)),
+    ), "status armed before the reset is gone after it")
+    assert "OPV102" in static_errors(program)
+    report, analyzer, error = run_runtime(program)
+    assert "SAN202" in runtime_rules(report)
+    assert isinstance(error, LunProtocolError)
+    # The capture checker disarms on RESET too (it used to arm once
+    # and never disarm): exactly one burst is unarmed, the second.
+    checker = TimingChecker(_channel_timing(), lun_count=LUNS)
+    unarmed = [v for v in checker.check_analyzer(analyzer)
+               if v.rule == "unarmed-data-out"]
+    assert len(unarmed) == 1 and "16B" in unarmed[0].detail
+    assert unarmed[0].to_finding().rule == "TCK004"
+
+
+# an opcode with no protocol-table row is rejected on both sides ----------
+
+
+def test_read_unique_id_has_no_row_opv104_vs_die_raise():
+    """0xED used to be classed IDENT with nothing behind it: the die
+    took it plus an address, parked in AWAIT_CONFIRM, and a following
+    0x30 launched an array read of the stale row address."""
+    assert CMD.READ_UNIQUE_ID not in OPCODES
+    program = OpProgram("defect_read_unique_id", (
+        Txn(TxnKind.CMD_ADDR,
+            (LatchSeq((cmd(CMD.READ_1ST), addr(ROW))),)),
+        Txn(TxnKind.CMD_ADDR,
+            (LatchSeq((cmd(CMD.READ_UNIQUE_ID), addr((0,)),
+                       cmd(CMD.READ_2ND))),)),
+    ), "unimplemented opcode, then a confirm of the stale row")
+    assert "OPV104" in static_errors(program)
+    _report, analyzer, error = run_runtime(program)
+    assert isinstance(error, LunProtocolError)
+    assert "unsupported opcode 0xED" in str(error)
+    # The constant stays so captures still render the name.
+    assert "READ_UNIQUE_ID" in {e.detail for e in analyzer.events}
+
+
 # negative control: a stock program is clean through both lenses ----------
 
 
@@ -338,3 +395,117 @@ def test_stock_program_clean_through_both_lenses(name):
     assert error is None
     assert runtime_rules(report) == []
     assert tck_rules(analyzer) == []
+
+
+# exhaustive: die situation x opcode, model raise <=> verifier error ------
+#
+# Each situation is a legal prefix that leaves the die in one state of
+# its automaton; the probed opcode rides in the same C/A segment as the
+# prefix's last cycle (one latch cycle later), so "busy" is exact on
+# both sides and no software gap blurs it.
+
+
+def _latch(*latches):
+    return LatchSeq(tuple(latches))
+
+
+FEATURE = (int(FeatureAddress.IO_DRIVE_STRENGTH),)
+READ_CONFIRMED = (cmd(CMD.READ_1ST), addr(ROW), cmd(CMD.READ_2ND))
+ERASE_CONFIRMED = (cmd(CMD.ERASE_1ST), addr(ERASE_ROW), cmd(CMD.ERASE_2ND))
+WRITE_HANDLE = DeclareHandle("w", "to_flash", nbytes=512, dram_address=0)
+PAGE_LOADED = (_latch(cmd(CMD.PROGRAM_1ST), addr(ROW)),
+               DataXfer("in", 512, HandleRef("w"), after_address=True))
+POLL = PollStatus(until="ready", dest="s")
+
+#: name -> (prefix step nodes, segments before the probe's latch
+#: sequence, latches before the probed opcode in that sequence)
+SITUATIONS = {
+    "idle": ((), (), ()),
+    "await_address": ((), (), (cmd(CMD.READ_1ST),)),
+    "await_confirm": ((), (), (cmd(CMD.READ_1ST), addr(ROW))),
+    "busy_read": ((), (), READ_CONFIRMED),
+    "busy_program": ((WRITE_HANDLE,), PAGE_LOADED, (cmd(CMD.PROGRAM_2ND),)),
+    "busy_erase": ((), (), ERASE_CONFIRMED),
+    "busy_feature": ((), (), (cmd(CMD.GET_FEATURES), addr(FEATURE))),
+    "busy_param": ((), (), (cmd(CMD.READ_PARAMETER_PAGE), addr((0,)))),
+    "busy_reset": ((), (), (cmd(CMD.RESET),)),
+    "busy_plane_queue": ((), (), (cmd(CMD.READ_1ST), addr(ROW),
+                                  cmd(CMD.MP_READ_2ND))),
+    "cache_busy": ((Txn(TxnKind.CMD_ADDR, (_latch(*READ_CONFIRMED),)), POLL),
+                   (), (cmd(CMD.READ_CACHE_SEQ),)),
+    "cache_program_active": ((WRITE_HANDLE,), PAGE_LOADED,
+                             (cmd(CMD.CACHE_PROGRAM_2ND),)),
+    "suspended": ((), (), ERASE_CONFIRMED + (cmd(CMD.VENDOR_SUSPEND),)),
+    # Two compound states the hand-kept verifier mirror got wrong: a
+    # plane queued behind a background cache program (legal), and the
+    # idle die a finished address-phase busy leaves behind (it forgets
+    # the earlier row address: a confirm must raise).
+    "await_confirm_behind_cache_program": (
+        (WRITE_HANDLE,), PAGE_LOADED,
+        (cmd(CMD.CACHE_PROGRAM_2ND), cmd(CMD.PROGRAM_1ST), addr(ROW))),
+    "idle_after_feature_busy": (
+        (Txn(TxnKind.CMD_ADDR,
+             (_latch(cmd(CMD.READ_1ST), addr(ROW),
+                     cmd(CMD.GET_FEATURES), addr(FEATURE)),)), POLL),
+        (), ()),
+}
+
+#: Every table opcode, the row-less READ UNIQUE ID, and a byte that was
+#: never an opcode.
+PROBES = sorted(OPCODES) + [CMD.READ_UNIQUE_ID, 0xB7]
+
+#: The verifier's one deliberate blind spot.  A SUSPEND with no busy
+#: window opened by *this* program, or a RESUME with no suspension made
+#: by it, is assumed to act on a caller-owned operation — the stock
+#: `suspend`/`resume` ops are verified standalone and composed by
+#: `erase_with_preemptive_read`.  Run alone, the die raises.
+_NO_WINDOW_OF_ITS_OWN = ("idle", "await_address", "await_confirm",
+                         "cache_busy", "cache_program_active",
+                         "await_confirm_behind_cache_program",
+                         "idle_after_feature_busy")
+CALLER_OWNED = {(situation, opcode)
+                for situation in _NO_WINDOW_OF_ITS_OWN
+                for opcode in (CMD.VENDOR_SUSPEND, CMD.VENDOR_RESUME)}
+
+NO_VENDOR_OPS = dataclasses.replace(TEST_PROFILE, supports_suspend=False,
+                                    supports_pslc=False)
+
+
+def _probe(situation, opcode, vendor=TEST_PROFILE):
+    """(verifier proves a protocol error, die raised) for one cell."""
+    prefix, segments, latches = SITUATIONS[situation]
+    program = OpProgram(f"probe_{situation}_{opcode:02X}", tuple(prefix) + (
+        Txn(TxnKind.CMD_ADDR,
+            tuple(segments) + (_latch(*latches, cmd(opcode)),)),), "")
+    # OPV102 counts: the die's cache-read raise on an empty page
+    # register is its SAN202 arm, which the verifier files under 102.
+    proven = {"OPV101", "OPV102", "OPV104"} & set(
+        static_errors(program, vendor=vendor))
+    _report, _analyzer, error = run_runtime(program, track_data=True,
+                                            vendor=vendor)
+    assert error is None or isinstance(error, LunProtocolError), error
+    return bool(proven), error is not None
+
+
+@pytest.mark.parametrize("situation", sorted(SITUATIONS))
+def test_model_raises_iff_verifier_proves_error(situation):
+    disagreements = []
+    for opcode in PROBES:
+        proven, raised = _probe(situation, opcode)
+        if (situation, opcode) in CALLER_OWNED:
+            # Pin the blind spot itself, so the list cannot rot.
+            assert raised and not proven, (situation, hex(opcode))
+        elif proven != raised:
+            disagreements.append((hex(opcode), proven, raised))
+    assert disagreements == [], (
+        f"{situation}: (opcode, verifier error, die raised)")
+
+
+def test_capability_columns_agree_for_a_vendor_without_them():
+    """`requires` is one column read by both sides: a part without the
+    vendor opcodes rejects them, blind spot or not."""
+    for opcode, row in sorted(OPCODES.items()):
+        proven, raised = _probe("idle", opcode, vendor=NO_VENDOR_OPS)
+        assert proven == raised, hex(opcode)
+        if row.requires is not None:
+            assert raised, hex(opcode)
