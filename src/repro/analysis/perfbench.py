@@ -251,6 +251,7 @@ def run_perf_sweep(
     worst_dispatch = max(
         cell["host"]["dispatch_us_per_op"] for cell in cells.values()
     )
+    kernel = kernel_microbench(events=microbench_events)
     return {
         "bench": "scale",
         "cells": cells,
@@ -259,9 +260,12 @@ def run_perf_sweep(
                 max(worst_dispatch * DISPATCH_CEILING_FACTOR,
                     DISPATCH_CEILING_FLOOR_US), 1
             ),
+            "kernel_timeout_ns_ceiling": round(
+                kernel["timeout_ns_per_event"] * DISPATCH_CEILING_FACTOR, 1
+            ),
             "throughput_tolerance": DEFAULT_THROUGHPUT_TOLERANCE,
         },
-        "kernel": kernel_microbench(events=microbench_events),
+        "kernel": kernel,
         "params": {
             "io_count": io_count,
             "luns_per_channel": luns_per_channel,
@@ -284,6 +288,9 @@ def compare_reports(current: dict, baseline: dict) -> list[str]:
       deterministic — drift means the simulated machine changed).
     * Host dispatch µs/op must stay under the baseline's recorded
       ceiling (wall-clock, so only a hard ceiling — not a tolerance).
+    * The kernel microbench's ns per timeout event must stay under the
+      baseline's ``kernel_timeout_ns_ceiling`` (same headroom factor);
+      a baseline recorded before that gate has no key and is not checked.
     * Cell parameters must match, else the comparison is meaningless.
     * Cells are compared like-with-like on fidelity: a cell run under a
       different execution tier than the baseline's is excluded (the
@@ -342,4 +349,12 @@ def compare_reports(current: dict, baseline: dict) -> list[str]:
                     f"{key}: host dispatch {dispatch:.1f} µs/op exceeds "
                     f"ceiling {ceiling:.1f} µs/op"
                 )
+    kernel_ceiling = gates.get("kernel_timeout_ns_ceiling")
+    if kernel_ceiling is not None:
+        timeout_ns = current["kernel"]["timeout_ns_per_event"]
+        if timeout_ns > kernel_ceiling:
+            problems.append(
+                f"kernel: {timeout_ns:.1f} ns per timeout event exceeds "
+                f"ceiling {kernel_ceiling:.1f} ns"
+            )
     return problems

@@ -36,16 +36,34 @@ class Cpu:
         if cpi <= 0:
             raise ValueError("CPI must be positive")
         self.sim = sim
-        self.freq_hz = freq_hz
-        self.cpi = cpi
+        # Fixed for the life of the core: ``cycles_to_ns`` memoises on it.
+        self._freq_hz = freq_hz
+        self._cpi = cpi
+        self._ns_memo: dict[int, int] = {}
         self.name = name
         self.exclusive = exclusive
         self._mutex = Mutex(sim) if exclusive else None
         self.cycles_charged = 0
         self.contention_waits = 0
 
+    @property
+    def freq_hz(self) -> int:
+        return self._freq_hz
+
+    @property
+    def cpi(self) -> float:
+        return self._cpi
+
+    def _convert(self, cycles: int) -> int:
+        return max(int(round(cycles * self._cpi * 1e9 / self._freq_hz)), 0)
+
     def cycles_to_ns(self, cycles: int) -> int:
-        return max(int(round(cycles * self.cpi * 1e9 / self.freq_hz)), 0)
+        """Memoised: callers pass the few fixed costs of a ``CostModel``."""
+        try:
+            return self._ns_memo[cycles]
+        except KeyError:
+            ns = self._ns_memo[cycles] = self._convert(cycles)
+            return ns
 
     def execute(self, cycles: int) -> Generator:
         """Process command: occupy the core for ``cycles``."""
@@ -75,7 +93,7 @@ class Cpu:
 
     @property
     def busy_ns(self) -> int:
-        return self.cycles_to_ns(self.cycles_charged)
+        return self._convert(self.cycles_charged)  # ever-growing argument
 
     def describe(self) -> str:
         mhz = self.freq_hz / MHZ

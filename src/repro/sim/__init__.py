@@ -5,10 +5,12 @@ DMA engines, the modeled controller CPUs) is a process running on this
 kernel.  Time is an integer number of nanoseconds, which keeps event
 ordering exact and reproducible.
 
-The kernel is intentionally small: a time-ordered event heap, processes
-expressed as Python generators, and a handful of synchronization
-primitives (:class:`Trigger`, :class:`Mutex`, :class:`Queue`,
-:class:`Condition`).
+The kernel is intentionally small: a heap of plain tuples for timed
+entries and a FIFO for zero-delay ones (together one ``(time, seq)``
+total order), processes expressed as Python generators, and a handful of
+synchronization primitives (:class:`Trigger`, :class:`Mutex`,
+:class:`Queue`, :class:`Condition`).  :class:`Event` is the cancellable
+handle ``Simulator.schedule`` returns; process wakeups have none.
 """
 
 from repro.sim.kernel import (

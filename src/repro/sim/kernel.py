@@ -1,12 +1,18 @@
 """Core event loop and process machinery.
 
-The simulator keeps a heap of ``(time, sequence, Event)`` entries.  The
-``sequence`` counter makes ordering of same-time events deterministic
-(FIFO by schedule order), which matters for reproducing waveform traces
+The simulator keeps a heap of plain ``(time, sequence, callback,
+event_or_None)`` tuples, which ``heapq`` compares in C.  The ``sequence``
+counter makes ordering of same-time events deterministic (FIFO by
+schedule order), which matters for reproducing waveform traces
 bit-exactly across runs.  Zero-delay events — the dominant traffic on
 the hot path (every trigger fire, spawn, and finished-process join) —
-ride a separate FIFO now-queue that preserves the same total order
-while skipping the heap; timed events recycle pooled heap entries.
+ride a separate FIFO now-queue of ``(callback, value, event_or_None)``
+that preserves the same total order while skipping the heap.
+
+Only :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
+cancellable :class:`Event` handle.  Process wakeups (``Timeout``, bare
+``int``, ``spawn``, trigger fan-out, joins) are enqueued with no handle:
+nothing can cancel them, so nothing is allocated for them.
 
 Processes are plain Python generators.  A process yields *commands* to
 the kernel:
@@ -29,9 +35,9 @@ ONFI operations (e.g. READ invoking READ STATUS).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 NS_PER_US = 1_000
@@ -64,15 +70,9 @@ class WaitProcess:
     process: "Process"
 
 
-@dataclass(order=True)
-class _HeapEntry:
-    time: int
-    seq: int
-    event: "Event" = field(compare=False)
-
-
 class Event:
-    """A scheduled callback.  Cancellable until it has run."""
+    """Handle on a callback scheduled through :meth:`Simulator.schedule`.
+    Cancellable until it has run."""
 
     __slots__ = ("time", "callback", "cancelled", "_done")
 
@@ -111,9 +111,9 @@ class Process:
         self.value: Any = None
         self.error: Optional[BaseException] = None
         self._waiters: list[Callable[[Any], None]] = []
-        # One reusable no-value resume callback: every Timeout wakeup
-        # schedules this same bound callable instead of a fresh lambda.
-        self._resume: Callable[[], None] = lambda: self._step(None)
+        # The one wakeup callback of this process: every queue entry and
+        # waiter list holds this same bound method.
+        self._resume: Callable[..., None] = self._step
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.finished else "running"
@@ -122,9 +122,10 @@ class Process:
     def _step(self, send_value: Any = None) -> None:
         if self.finished:
             return
-        tracer = self.sim._tracer
+        sim = self.sim
+        tracer = sim._tracer
         if tracer is not None:
-            tracer.kernel_process("step", self.name, self.sim.now)
+            tracer.kernel_process("step", self.name, sim.now)
         try:
             command = self.gen.send(send_value)
         except StopIteration as stop:
@@ -134,19 +135,28 @@ class Process:
             self.finished = True
             self.error = exc
             raise
-        self._dispatch(command)
-
-    def _dispatch(self, command: Any) -> None:
-        sim = self.sim
-        if isinstance(command, Timeout):
-            sim.schedule(command.delay, self._resume)
+        # Exact-class dispatch, with the enqueue inlined, for the two
+        # commands that are nearly all of the traffic; everything else
+        # (subclasses, ints, joins, a traced run) takes the slow path.
+        cls = command.__class__
+        if cls is Timeout:
+            delay = command.delay
+            if delay.__class__ is int and delay > 0 and tracer is None:
+                sim.events_scheduled = seq = sim.events_scheduled + 1
+                heappush(sim._heap, (sim.now + delay, seq, self._resume, None))
+            else:
+                sim._sleep(delay, self._resume)
+        elif cls is WaitTrigger:
+            command.trigger._waiters.append(self._resume)
+        elif isinstance(command, Timeout):
+            sim._sleep(command.delay, self._resume)
         elif isinstance(command, WaitTrigger):
-            command.trigger._add_waiter(self._step)
+            command.trigger._add_waiter(self._resume)
         elif isinstance(command, WaitProcess):
-            command.process._add_join_waiter(self._step)
+            command.process._add_join_waiter(self._resume)
         elif isinstance(command, int):
             # Bare integers are accepted as a shorthand for Timeout.
-            sim.schedule(command, self._resume)
+            sim._sleep(command, self._resume)
         else:
             raise SimError(
                 f"process {self.name!r} yielded unsupported command {command!r}"
@@ -165,7 +175,7 @@ class Process:
     def _add_join_waiter(self, waiter: Callable[[Any], None]) -> None:
         if self.finished:
             # Resume on a fresh event to keep ordering causal.
-            self.sim.schedule(0, lambda: waiter(self.value))
+            self.sim._wake((waiter,), self.value)
         else:
             self._waiters.append(waiter)
 
@@ -191,19 +201,19 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[_HeapEntry] = []
-        # Zero-delay events (trigger resumptions, spawns, joins of
-        # finished processes) bypass the heap entirely: they can only
-        # ever run at the current time, after every heap entry already
-        # scheduled for this instant, in FIFO order — exactly the
-        # (time, seq) order the heap would produce, without the
-        # O(log n) push/pop or the entry allocation.
-        self._now_queue: deque[Event] = deque()
-        # Recycled _HeapEntry slots: timed events mutate a pooled entry
-        # instead of allocating a fresh one per schedule() call.
-        self._entry_pool: list[_HeapEntry] = []
-        self._seq = 0
-        self._running = False
+        # Timed entries: (time, seq, callback, event_or_None).  ``seq``
+        # is unique, so the C tuple comparison never reaches the callback.
+        self._heap: list[tuple] = []
+        # Zero-delay entries (trigger resumptions, spawns, joins of
+        # finished processes): (callback, value, event_or_None).  They
+        # bypass the heap entirely: they can only ever run at the
+        # current time, after every heap entry already scheduled for
+        # this instant, in FIFO order — exactly the (time, seq) order
+        # the heap would produce, without the O(log n) push/pop.
+        self._now_queue: deque[tuple] = deque()
+        #: Every entry ever enqueued, timed or zero-delay, cancellable or
+        #: not.  Doubles as the heap's FIFO tie-break sequence.
+        self.events_scheduled = 0
         # Optional observability hook (repro.obs.Tracer).  Every kernel
         # call site guards with a single `is not None` check so the
         # untraced fast path stays one attribute load per event.
@@ -230,32 +240,49 @@ class Simulator:
     # -- scheduling ----------------------------------------------------
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` ns from now."""
+        """Schedule ``callback`` to run ``delay`` ns from now.
+
+        The returned :class:`Event` is the only way to cancel it."""
+        if delay < 0:
+            raise SimError(f"negative delay {delay}")
+        now = self.now
+        delay = int(delay)
+        event = Event(now + delay, callback)
+        self.events_scheduled = seq = self.events_scheduled + 1
+        if delay:
+            heappush(self._heap, (event.time, seq, callback, event))
+        else:
+            # An immediately-ready event never touches the heap (see
+            # ``_now_queue``); ordering is unchanged.
+            self._now_queue.append((callback, None, event))
+        if self._tracer is not None:
+            self._tracer.kernel_event("schedule", now, event.time)
+        return event
+
+    def _sleep(self, delay: int, resume: Callable[[], None]) -> None:
+        """Uncancellable ``schedule``: a process's own timed wakeup."""
         if delay < 0:
             raise SimError(f"negative delay {delay}")
         delay = int(delay)
-        if delay == 0:
-            # Fast path: an immediately-ready event never touches the
-            # heap (see ``_now_queue``); ordering is unchanged.
-            event = Event(self.now, callback)
-            self._now_queue.append(event)
-            if self._tracer is not None:
-                self._tracer.kernel_event("schedule", self.now, event.time)
-            return event
-        event = Event(self.now + delay, callback)
-        self._seq += 1
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry.time = event.time
-            entry.seq = self._seq
-            entry.event = event
-        else:
-            entry = _HeapEntry(event.time, self._seq, event)
-        heapq.heappush(self._heap, entry)
+        if not delay:
+            self._wake((resume,), None)
+            return
+        now = self.now
+        self.events_scheduled = seq = self.events_scheduled + 1
+        heappush(self._heap, (now + delay, seq, resume, None))
         if self._tracer is not None:
-            self._tracer.kernel_event("schedule", self.now, event.time)
-        return event
+            self._tracer.kernel_event("schedule", now, now + delay)
+
+    def _wake(self, waiters: Iterable[Callable[[Any], None]], value: Any) -> None:
+        """Enqueue ``waiter(value)`` for each waiter at the current time.
+
+        No handle exists for these entries, so they cannot be cancelled."""
+        append = self._now_queue.append
+        for waiter in waiters:
+            append((waiter, value, None))
+            self.events_scheduled += 1
+            if self._tracer is not None:
+                self._tracer.kernel_event("schedule", self.now, self.now)
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute simulation time."""
@@ -268,17 +295,15 @@ class Simulator:
         process = Process(self, gen, name)
         if self._tracer is not None:
             self._tracer.kernel_process("spawn", process.name, self.now)
-        self.schedule(0, process._resume)
+        self._wake((process._resume,), None)
         return process
 
     # -- running -------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> None:
         """Run events until the queues drain or ``until`` (absolute ns)."""
-        self._running = True
         heap = self._heap
         nq = self._now_queue
-        pool = self._entry_pool
         if until is None or until >= self.now:
             while True:
                 # Heap entries stamped for the current instant were
@@ -286,48 +311,39 @@ class Simulator:
                 # now-queue (a zero-delay schedule can only happen at
                 # the current time), so they drain first; the now-queue
                 # then drains FIFO before time may advance.
-                if nq and not (heap and heap[0].time <= self.now):
-                    event = nq.popleft()
-                    if event.cancelled:
+                if nq and not (heap and heap[0][0] <= self.now):
+                    callback, value, event = nq.popleft()
+                    if event is None:
                         if self._tracer is not None:
-                            self._tracer.kernel_event("cancel", self.now, event.time)
+                            self._tracer.kernel_event("fire", self.now, self.now)
+                        callback(value)
+                        continue
+                    time = self.now
+                elif not heap or (until is not None and heap[0][0] > until):
+                    break
+                else:
+                    time, _, callback, event = heappop(heap)
+                if event is not None:
+                    if event.cancelled:
+                        # Cancellation itself is a plain flag flip (Event
+                        # has no simulator back-reference); it becomes
+                        # observable here, when the dead entry surfaces.
+                        if self._tracer is not None:
+                            self._tracer.kernel_event("cancel", self.now, time)
                         continue
                     event._done = True
-                    if self._tracer is not None:
-                        self._tracer.kernel_event("fire", self.now, event.time)
-                    event.callback()
-                    continue
-                if not heap:
-                    break
-                entry = heap[0]
-                if until is not None and entry.time > until:
-                    break
-                heapq.heappop(heap)
-                event = entry.event
-                entry.event = None  # release the slot's reference
-                if len(pool) < 128:
-                    pool.append(entry)
-                if event.cancelled:
-                    # Cancellation itself is a plain flag flip (Event has
-                    # no simulator back-reference); it becomes observable
-                    # here, when the dead entry surfaces from the heap.
-                    if self._tracer is not None:
-                        self._tracer.kernel_event("cancel", self.now, event.time)
-                    continue
-                if event.time < self.now:  # pragma: no cover - invariant guard
+                if time < self.now:  # pragma: no cover - invariant guard
                     raise SimError("event heap time went backwards")
-                self.now = event.time
-                event._done = True
+                self.now = time
                 if self._tracer is not None:
-                    self._tracer.kernel_event("fire", self.now, event.time)
-                event.callback()
+                    self._tracer.kernel_event("fire", time, time)
+                callback()
         if self._san_liveness is not None and not heap and not nq:
             # Quiescent point: nothing left to run anywhere.  If work is
             # still outstanding, that is a deadlock, not completion.
             self._san_liveness.on_quiescent(self.now)
         if until is not None and self.now < until:
             self.now = until
-        self._running = False
 
     def run_process(self, gen: Generator, name: str = "", until: Optional[int] = None):
         """Spawn ``gen``, run the simulation, and return the process value."""
@@ -339,12 +355,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for entry in self._heap if entry.event.pending) + sum(
-            1 for event in self._now_queue if event.pending
+        """Entries still due to run (a wakeup without a handle always is)."""
+        return sum(
+            1 for entry in (*self._heap, *self._now_queue)
+            if entry[-1] is None or entry[-1].pending
         )
-
-
-def passthrough(iterable: Iterable) -> Generator:
-    """Wrap a finished iterable as a trivially complete process body."""
-    for item in iterable:  # pragma: no cover - convenience shim
-        yield item

@@ -37,10 +37,11 @@ class Trigger:
         """Fire now: every process currently waiting resumes with ``value``."""
         self.fire_count += 1
         self.last_value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
             # Resume via the scheduler so firing is never re-entrant.
-            self.sim.schedule(0, lambda w=waiter: w(value))
+            self.sim._wake(waiters, value)
 
     def wait(self) -> Generator:
         """Process command helper: ``value = yield from trigger.wait()``."""

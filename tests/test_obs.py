@@ -10,6 +10,7 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import time
@@ -142,6 +143,37 @@ def test_kernel_category_records_process_and_event_lifecycle():
     assert "schedule" in kinds and "fire" in kinds and "cancel" in kinds
 
 
+def run_firehose_workload():
+    """The fixed workload plus what it never issues on its own: an erase
+    run in two ``run(until=)`` halves and two cancelled handles, one that
+    surfaces from the heap and one still sitting in the now-queue."""
+    tracer = Tracer(categories=ALL_CATEGORIES)
+    sim, controller, _ = run_fixed_workload(tracer=tracer)
+    erase = controller.erase_block(0, 2)
+    sim.run(until=sim.now + 200_000)
+    sim.schedule(0, lambda: None).cancel()
+    sim.schedule(300_000, lambda: None).cancel()
+    controller.run_to_completion(erase)
+    return sim, tracer
+
+
+def test_kernel_firehose_trace_is_pinned():
+    # Digest and count recorded on the commit before the tuple-heap
+    # kernel (PR 13): every schedule / fire / cancel instant, with its
+    # fire_at, in the same order, whatever the queue entries look like.
+    sim, tracer = run_firehose_workload()
+    buffer = io.StringIO()
+    write_chrome_trace(buffer, tracer)
+    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    assert digest == (
+        "15e6ffdaf3d651392b8d1dbf4fb35b2e70d433552e57c8a21214b781a845b7ad")
+    kinds = [e.name for e in tracer.events if e.track == "kernel/events"]
+    assert kinds.count("cancel") == 2
+    # One "schedule" instant per enqueue, cancellable or not: 2910 is the
+    # number of schedule() calls the pre-rewrite kernel made here.
+    assert sim.events_scheduled == kinds.count("schedule") == 2910
+
+
 # --- invariance: tracing must never change the simulation --------------------
 
 
@@ -150,6 +182,7 @@ def test_disabled_tracer_identical_results():
     sim_on, controller_on, results_on = run_fixed_workload(tracer=Tracer())
 
     assert sim_off.now == sim_on.now
+    assert sim_off.events_scheduled == sim_on.events_scheduled
     assert controller_off.channel.stats.busy_ns == controller_on.channel.stats.busy_ns
     assert controller_off.channel.stats.segments == controller_on.channel.stats.segments
     # Same statuses back from every op (reads return (status, handle),

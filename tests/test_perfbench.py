@@ -110,6 +110,19 @@ def test_gate_fails_on_dispatch_ceiling_breach():
     assert any("ceiling" in p for p in problems)
 
 
+def test_gate_fails_on_kernel_ceiling_breach():
+    baseline = tiny_sweep()
+    current = copy.deepcopy(baseline)
+    ceiling = baseline["gates"]["kernel_timeout_ns_ceiling"]
+    assert ceiling > baseline["kernel"]["timeout_ns_per_event"]
+    current["kernel"]["timeout_ns_per_event"] = ceiling + 1
+    problems = compare_reports(current, baseline)
+    assert len(problems) == 1 and "kernel" in problems[0]
+    # A baseline recorded before the gate existed has no key: not checked.
+    del baseline["gates"]["kernel_timeout_ns_ceiling"]
+    assert compare_reports(current, baseline) == []
+
+
 def test_gate_rejects_param_mismatch():
     baseline = tiny_sweep()
     current = tiny_sweep(io_count=12)
@@ -233,4 +246,5 @@ def test_sorted_reports_are_byte_reproducible(tmp_path):
         for cell in report["cells"].values():
             cell.pop("host")
         report["gates"].pop("dispatch_us_per_op_ceiling")
+        report["gates"].pop("kernel_timeout_ns_ceiling")
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)

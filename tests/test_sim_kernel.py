@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.sim import (
@@ -10,6 +12,8 @@ from repro.sim import (
     Simulator,
     Timeout,
     Trigger,
+    WaitProcess,
+    WaitTrigger,
 )
 
 
@@ -296,3 +300,206 @@ def test_nested_yield_from_composition():
         return a + b, sim.now
 
     assert sim.run_process(outer()) == (4, 10)
+
+
+# --- slow-path commands and the Event handle ---------------------------------
+
+
+def test_negative_timeout_from_process_rejected():
+    sim = Simulator()
+
+    def body():
+        yield Timeout(-1)
+
+    sim.spawn(body())
+    with pytest.raises(SimError):
+        sim.run()
+
+
+def test_event_handle_not_pending_after_fire_or_cancel():
+    sim = Simulator()
+    fired = sim.schedule(5, lambda: None)
+    now_fired = sim.schedule(0, lambda: None)
+    cancelled = sim.schedule(5, lambda: None)
+    assert fired.pending and now_fired.pending and cancelled.pending
+    assert sim.pending_events == 3
+    cancelled.cancel()
+    assert not cancelled.pending and sim.pending_events == 2
+    sim.run()
+    assert not fired.pending and not now_fired.pending
+    assert sim.pending_events == 0
+
+
+def test_process_wakeups_count_as_pending_events():
+    sim = Simulator()
+
+    def body():
+        yield Timeout(5)
+
+    sim.spawn(body())
+    assert sim.pending_events == 1  # the spawn, in the now-queue
+    sim.run(until=1)
+    assert sim.pending_events == 1  # the Timeout, in the heap
+    sim.run()
+    assert sim.pending_events == 0
+
+
+def test_timeout_subclass_and_zero_delays_take_effect():
+    class Nap(Timeout):
+        pass
+
+    sim = Simulator()
+    log = []
+
+    def body():
+        yield Nap(7)
+        log.append(sim.now)
+        yield Nap(0)
+        yield Timeout(0)
+        yield 0
+        log.append(sim.now)
+        yield 3
+        log.append(sim.now)
+
+    sim.run_process(body())
+    assert log == [7, 7, 10]
+
+
+# --- ordering differential against a sorted-list reference -------------------
+
+
+class _RefHandle:
+    def __init__(self, time, seq, fn):
+        self.time, self.seq, self.fn, self.cancelled = time, seq, fn, False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _RefSim:
+    """The ordering contract spelled out: one list sorted by (time, seq)."""
+
+    def __init__(self):
+        self.now, self.events_scheduled, self.entries = 0, 0, []
+
+    def schedule(self, delay, fn):
+        self.events_scheduled += 1
+        self.entries.append(_RefHandle(self.now + delay, self.events_scheduled, fn))
+        return self.entries[-1]
+
+    def spawn(self, gen, name=""):
+        proc = _RefProcess(self, gen)
+        self.schedule(0, proc.step)
+        return proc
+
+    def run(self, until=None):
+        while self.entries:
+            self.entries.sort(key=lambda e: (e.time, e.seq))
+            if until is not None and self.entries[0].time > until:
+                break
+            entry = self.entries.pop(0)
+            if not entry.cancelled:
+                self.now = entry.time
+                entry.fn()
+        if until is not None and self.now < until:
+            self.now = until
+
+    @property
+    def pending_events(self):
+        return sum(not e.cancelled for e in self.entries)
+
+
+class _RefTrigger:
+    def __init__(self, sim):
+        self.sim, self._waiters = sim, []
+
+    def fire(self, value=None):
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            self.sim.schedule(0, lambda w=waiter: w(value))
+
+
+class _RefProcess:
+    def __init__(self, sim, gen):
+        self.sim, self.gen = sim, gen
+        self.finished, self.value, self._waiters = False, None, []
+
+    def step(self, value=None):
+        try:
+            cmd = self.gen.send(value)
+        except StopIteration as stop:
+            self.finished, self.value = True, stop.value
+            for waiter in self._waiters:
+                waiter(stop.value)
+            return
+        if isinstance(cmd, (int, Timeout)):
+            self.sim.schedule(getattr(cmd, "delay", cmd), self.step)
+        elif isinstance(cmd, WaitTrigger):
+            cmd.trigger._waiters.append(self.step)
+        elif cmd.process.finished:
+            self.sim.schedule(0, lambda: self.step(cmd.process.value))
+        else:
+            cmd.process._waiters.append(self.step)
+
+
+def _run_random_program(seed, sim, trigger_cls):
+    """Drive ``sim`` with a seeded program; every random draw happens
+    inside a callback, so equal callback order means equal programs."""
+    rng = random.Random(seed)
+    stops = sorted(random.Random(~seed).sample(range(1, 150), 3))
+    log, handles, procs, budget = [], [], [], [120]
+    triggers = [trigger_cls(sim) for _ in range(3)]
+
+    def callback(tag):
+        return lambda: act(tag)
+
+    def worker(tag):
+        for step in range(rng.randrange(1, 5)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                got = yield Timeout(rng.randrange(30))
+            elif kind == 1:
+                got = yield rng.randrange(30)
+            elif kind == 2:
+                got = yield WaitTrigger(rng.choice(triggers))
+            else:  # finished, unfinished or (never resuming) itself
+                got = yield WaitProcess(rng.choice(procs))
+            act((tag, step, got))
+        return tag
+
+    def act(tag):
+        log.append((tag, sim.now))
+        for _ in range(rng.randrange(1, 5)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            tag = ("n", budget[0])
+            kind = rng.randrange(6)
+            if kind == 0:
+                handles.append(sim.schedule(0, callback(tag)))
+            elif kind == 1:
+                handles.append(sim.schedule(rng.randrange(1, 40), callback(tag)))
+            elif kind == 2 and handles:  # before or after it fired
+                rng.choice(handles).cancel()
+            elif kind == 3:  # still sitting in the now-queue / the heap
+                sim.schedule(rng.choice((0, 0, 9)), callback(tag)).cancel()
+            elif kind == 4:
+                procs.append(sim.spawn(worker(tag), name=str(tag)))
+            else:
+                rng.choice(triggers).fire(tag)
+
+    for root in range(4):
+        sim.schedule(root * 11, callback(("root", root)))
+    checkpoints = []
+    for until in (*stops, None):
+        sim.run(until=until)
+        checkpoints.append(
+            (len(log), sim.now, sim.pending_events, sim.events_scheduled))
+    return log, checkpoints
+
+
+def test_callback_order_matches_sorted_list_reference():
+    for seed in range(240):
+        got = _run_random_program(seed, Simulator(), Trigger)
+        want = _run_random_program(seed, _RefSim(), _RefTrigger)
+        assert got == want, f"seed {seed}"
