@@ -144,6 +144,7 @@ def run_scale_cell(
     import dataclasses
 
     from repro.config.build import build_stack
+    from repro.core.opir.registry import cache_stats
     from repro.host.engine import ScaleEngine, ScaleJob, run_scale_workload
 
     if spec is None:
@@ -156,8 +157,9 @@ def run_scale_cell(
         doorbell_batch = spec.workload.doorbell_batch
     workload = spec.workload
     sim = Simulator()
-    _, ftl = build_stack(sim, dataclasses.replace(spec.stack,
-                                                  channels=channels))
+    cache_before = cache_stats()
+    controllers, ftl = build_stack(sim, dataclasses.replace(
+        spec.stack, channels=channels))
     engine = ScaleEngine(sim, ftl, queue_depth=queue_depth,
                          doorbell_batch=min(doorbell_batch, queue_depth))
     job = ScaleJob(pattern=workload.pattern, opcode=workload.opcode(),
@@ -170,10 +172,23 @@ def run_scale_cell(
     wall_s = time.process_time() - started
     cell = result.to_json_obj()
     cell["fidelity"] = spec.stack.fidelity
+    # Ungated diagnostics of the op dispatch path.  ``opir_cache`` is
+    # the op-IR registry's cache traffic over this cell; the caches are
+    # process-wide, so what a cell misses depends on what ran before it
+    # — it sits with the host numbers.  ``fastops`` (TLM cells) is how
+    # the template runner's submissions went, a pure count.
     cell["host"] = {
         "dispatch_us_per_op": round(wall_s / max(result.commands, 1) * 1e6, 1),
+        "opir_cache": {key: value - cache_before[key]
+                       for key, value in cache_stats().items()},
         "wall_s": round(wall_s, 4),
     }
+    fast = [c.fast_ops for c in controllers if c.fast_ops is not None]
+    if fast:
+        cell["fastops"] = {
+            name: sum(getattr(f, name) for f in fast)
+            for name in ("ops_declined", "ops_planned", "shapes_compiled")
+        }
     return cell
 
 

@@ -11,11 +11,10 @@ anything from it.
 For operations submitted through the FTL-facing convenience wrappers
 (``controller.read_page`` and friends) there is therefore one other way
 to run an op under TLM.  A straight-line program — transactions, handle
-declarations, polls, sleeps, a return — is compiled once per structural
-fingerprint (:func:`repro.core.opir.summarize.plan_fingerprint`) into a
-:class:`_Template`: segment durations, per-action offsets, latched
-opcodes, batched channel-stats deltas, and the closed-form software
-cost.  Running a template is one channel-mutex hold plus one
+declarations, polls, sleeps, a return — is compiled once per *shape*
+into a :class:`_Template`: segment durations, per-action offsets,
+latched opcodes, batched channel-stats deltas, and the closed-form
+software cost.  Running a template is one channel-mutex hold plus one
 ``Timeout`` per transaction, with the die driven by *direct calls into
 the same LUN action handlers* the waveform tier uses (``_on_command`` /
 ``_on_address`` / data movement) at their exact logical nanoseconds.
@@ -26,6 +25,20 @@ per-event machinery are gone.  Each poll site becomes a ready-wait:
 sleep to the die's next pending completion, then one real STATUS
 command and sample.  Per-op software latency is *modeled* (charged in
 closed form), not replayed.
+
+Submission is O(1) in the op's shape.  A builder declares, beside
+itself, ``plan(**kwargs) -> (shape_key, operands)``
+(:func:`repro.core.opir.registry.op_program`): the hashable values its
+structure depends on, and the per-call leaves — address bytes, DMA
+targets — in program order.  :class:`PlanExecutor` keeps one memo
+``(builder, shape_key) -> template``.  The first submission of a shape
+builds the program, asks
+:func:`~repro.core.opir.summarize.plan_fingerprint` whether it has a
+template at all, checks the declared operands against the program's
+leaves and compiles; every later one is the ``plan`` call and a dict
+hit.  A builder with no declaration (a vendor override) takes the
+*reference* plan on every submission — build, the fingerprint as shape
+key, the leaves read off the program — through the same memo.
 
 The decision is made once, in :meth:`PlanExecutor.try_submit`.
 Anything the template cannot reproduce takes the generic path, which is
@@ -41,7 +54,9 @@ sanitizers stand the whole runner down (see ``BabolController``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Optional
+from dataclasses import replace
+from types import SimpleNamespace
+from typing import Callable, Generator, NamedTuple, Optional
 
 from repro.core.opir.compile import compile_segment
 from repro.core.opir.interp import _mint_handle
@@ -53,10 +68,14 @@ from repro.core.opir.nodes import (
     Return,
     SoftSleep,
     Txn,
-    eval_expr,
+    lower_expr,
 )
 from repro.core.opir.registry import _cached_program, _resolved_builder
-from repro.core.opir.summarize import plan_fingerprint, wrapper_callee
+from repro.core.opir.summarize import (
+    plan_fingerprint,
+    program_operands,
+    wrapper_callee,
+)
 from repro.core.recovery import RecoverableOpError
 from repro.core.softenv.base import Task, TaskState
 from repro.core.ufsm.ca_writer import cmd
@@ -73,31 +92,12 @@ from repro.onfi.status import StatusRegister
 from repro.sim import Timeout
 
 
-class _PlanContext:
-    """The slice of :class:`OperationContext` the op-IR compiler needs:
-    the µFSM bank, the op's chip mask, and the Packetizer."""
-
-    __slots__ = ("ufsm", "chip_mask", "packetizer", "lun", "label")
-
-    def __init__(self, ufsm, chip_mask: int, packetizer, lun, label: str):
-        self.ufsm = ufsm
-        self.chip_mask = chip_mask
-        self.packetizer = packetizer
-        self.lun = lun
-        self.label = label
-
-
-class _OutShim:
-    """Stand-in for a :class:`DataOutAction` on the template path — the
-    LUN handler only reads ``nbytes`` and ``dma_handle``, so one
-    mutable shim per executor replaces an allocation per burst.  Safe
-    because set and use happen in the same scheduler turn."""
-
-    __slots__ = ("nbytes", "dma_handle")
-
-
-class _InShim:
-    """Stand-in for a :class:`DataInAction` (adds ``column``)."""
+class _BurstShim:
+    """Stand-in for a :class:`DataOutAction` / :class:`DataInAction` on
+    the template path — the LUN handlers only read ``nbytes``,
+    ``dma_handle`` and (data-in) ``column``, so one mutable shim per
+    executor replaces an allocation per burst.  Safe because set and
+    use happen in the same scheduler turn."""
 
     __slots__ = ("nbytes", "column", "dma_handle")
 
@@ -114,20 +114,23 @@ _OP_ADDR = 1
 _OP_DATA_OUT = 2
 _OP_DATA_IN = 3
 
-_NO_RESULT = object()
+# Memo states beside a template / None: a shape not seen yet, and a
+# declared shape that must take the reference plan.
+_UNSEEN = object()
+_REFERENCE = object()
 
 
-class _Template:
+class _Template(NamedTuple):
     """A straight-line op program compiled to an execution recipe.
 
-    Templates are shared across every program with the same structural
-    *fingerprint* (:func:`~repro.core.opir.summarize.plan_fingerprint`):
-    latch counts and opcodes, burst sizes, timer parameters, poll
-    shapes — everything segment durations and action offsets depend on.
-    Values that vary per instance (address bytes, DRAM targets, inline
-    payloads) are *not* baked; die ops and handle phases record node
-    paths into the instance program and the runner reads them per run.
-    One compile therefore serves a whole workload's worth of addresses.
+    A template holds what segment durations, action offsets and stats
+    depend on — the program's *shape*: latch counts and opcodes, burst
+    sizes, timer parameters, poll shapes.  Values that vary per call
+    (address bytes, DRAM targets, inline payloads) are not baked: they
+    are the op's *operands*, a flat tuple in program order
+    (:func:`~repro.core.opir.summarize.program_operands`), and die ops
+    and handle phases hold an index into it.  One compile therefore
+    serves a whole workload's worth of addresses.
 
     Phases are tuples tagged by ``_PH_*``; transaction phases carry
     per-segment die-op lists tagged by ``_OP_*`` with offsets relative
@@ -137,13 +140,10 @@ class _Template:
     descriptor.
     """
 
-    __slots__ = ("sw_ns", "phases", "result_expr", "has_data")
-
-    def __init__(self, sw_ns, phases, result_expr, has_data):
-        self.sw_ns = sw_ns
-        self.phases = phases
-        self.result_expr = result_expr
-        self.has_data = has_data
+    sw_ns: int
+    phases: tuple
+    result: Optional[Callable]  # the Return, lowered to f(regs, handles)
+    has_data: bool
 
 
 def _parked() -> Generator:
@@ -167,8 +167,10 @@ class PlanExecutor:
         self.sim = controller.sim
         self.env = controller.env
         self.channel = controller.channel
-        self.ufsm = controller.ufsm
-        self.packetizer = controller.packetizer
+        # The slice of OperationContext the op-IR compiler reads; nothing
+        # a template keeps depends on the chip mask.
+        self._ctx = SimpleNamespace(ufsm=controller.ufsm, chip_mask=1,
+                                    packetizer=controller.packetizer)
         cpu = controller.cpu
         costs = controller.env.costs
         # The closed-form software cost constants (see module docstring).
@@ -177,26 +179,15 @@ class PlanExecutor:
         self.repoll_ns = max(controller.config.vendor.timing.t_poll_min_ns, 1)
         self._queues: dict[int, deque] = {}
         self._running: set[int] = set()
-        # Per-shape dispatch cache, keyed by (op name, kwarg names): a
-        # builder's control-flow *shape* is a function of which kwargs
-        # it receives, never of their values (addresses and DMA targets
-        # only parameterize latch bytes), so one walk per shape decides
-        # every submission of that shape.  Values: None (no template)
-        # or the builder name to use — the wrapper's callee when the
-        # wrapper forwards its kwargs unchanged, saving a program build
-        # per submission.
-        self._shapes: dict[tuple, Optional[str]] = {}
-        # Two-level template cache.  id(program) -> (program, template)
-        # answers repeat submissions of a cached program in one dict
-        # hit (the reference pins the id); fingerprint -> template
-        # shares one compiled recipe across all programs that differ
-        # only in instance values.  Both bounded like the registry.
-        self._templates: dict[int, tuple] = {}
-        self._tpl_shapes: dict[tuple, _Template] = {}
-        self._out_shim = _OutShim()
-        self._in_shim = _InShim()
+        # THE template memo: (builder, shape key) -> _Template, None (the
+        # shape has no template) or _REFERENCE.  The shape key is the
+        # one the builder's ``plan`` declares; for a builder that
+        # declares none it is the built program's fingerprint.
+        self._memo: dict[tuple, object] = {}
+        self._shim = _BurstShim()
         self.ops_planned = 0
         self.ops_declined = 0
+        self.shapes_compiled = 0
 
     @property
     def ops_templated(self) -> int:
@@ -209,7 +200,7 @@ class PlanExecutor:
     def try_submit(self, op_name: str, lun_position: int, priority: int,
                    label: str, kwargs: dict) -> Optional[Task]:
         """Plan and enqueue one operation; None = take the generic path."""
-        planned = self._plan(op_name, lun_position, label, kwargs)
+        planned = self._plan(op_name, lun_position, kwargs)
         if planned is None:
             self.ops_declined += 1
             return None
@@ -225,9 +216,9 @@ class PlanExecutor:
                            name=f"tlm-plan-lun{lun_position}")
         return task
 
-    def _plan(self, op_name: str, lun_position: int, label: str,
+    def _plan(self, op_name: str, lun_position: int,
               kwargs: dict) -> Optional[tuple]:
-        """``(program, template)`` when this submission runs as a
+        """``(template, operands)`` when this submission runs as a
         template, None when it needs the generic runtime."""
         channel = self.channel
         if self.sim._tracer is not None or channel._fault_hook is not None:
@@ -235,145 +226,149 @@ class PlanExecutor:
         for value in kwargs.values():
             if callable(value):
                 return None  # hooks need the interpreter
-        shape = (op_name, frozenset(kwargs))
         vendor = self.controller.config.vendor
+        memo = self._memo
+        template = _REFERENCE
         try:
-            build_name = self._shapes[shape]
-        except KeyError:
-            build_name = self._classify_shape(op_name, vendor, kwargs)
-            self._shapes[shape] = build_name
-        if build_name is None:
-            return None
-        try:
-            program = _cached_program(_resolved_builder(build_name, vendor),
-                                      kwargs)
+            builder = _resolved_builder(op_name, vendor)
+            declared = getattr(builder, "plan", None)
+            if declared is not None:
+                shape_key, operands = declared(**kwargs)
+                template = memo.get((builder, shape_key), _UNSEEN)
+            if template is _UNSEEN or template is _REFERENCE:
+                built = self._reference_plan(builder, kwargs, vendor)
         except Exception:
             return None  # bad args: let the generic path report
-        template = self._template_for(program, vendor, lun_position, label)
+        if template is _UNSEEN:
+            # First submission of a declared shape: the declaration is
+            # checked, once, against the program it stands for.  A
+            # wrapper around an undeclared override is not covered by
+            # its own declaration; its shape is pinned to the reference.
+            fingerprint, leaves, program, declares = built
+            if not declares:
+                template = memo[builder, shape_key] = _REFERENCE
+            elif fingerprint is not None and leaves != operands:
+                raise AssertionError(
+                    f"{op_name}: declared operands {operands!r} are not the "
+                    f"built program's leaves {leaves!r}")
+            else:
+                template = self._compile((builder, shape_key), program,
+                                         fingerprint)
+        if template is _REFERENCE:
+            fingerprint, operands, program, _ = built
+            template = memo.get((builder, fingerprint), _UNSEEN)
+            if template is _UNSEEN:
+                template = self._compile((builder, fingerprint), program,
+                                         fingerprint)
         if template is None:
             return None
         if template.has_data and channel.interface.ddr \
                 and not channel.phy.data_reliable(lun_position):
             return None  # the PHY corrupts bursts per segment
-        return program, template
+        return template, operands
 
     @staticmethod
-    def _classify_shape(op_name: str, vendor, kwargs: dict) -> Optional[str]:
-        """One-time dispatch decision for a (op, kwarg-names) shape:
-        the name of the builder to template, or None."""
-        try:
-            program = _cached_program(_resolved_builder(op_name, vendor),
-                                      kwargs)
-            if plan_fingerprint(program, vendor)[0] is None:
-                return None
-            callee = wrapper_callee(program)
-            if callee is None:
-                return op_name
-            # The fingerprint is the callee's; building the callee from
-            # this op's kwargs is only the same program when the
-            # wrapper forwards them unchanged.
-            return callee[0] if callee[1] == kwargs else None
-        except Exception:
-            return None
+    def _reference_plan(builder, kwargs: dict, vendor) -> tuple:
+        """``(fingerprint, operands, program, declares)`` read off the
+        built program.  A pure wrapper is planned as its callee — the
+        program its template is compiled from; ``declares`` tells
+        whether that program's builder has a ``plan`` of its own."""
+        program = _cached_program(builder, kwargs)
+        fingerprint = plan_fingerprint(program, vendor)[0]
+        callee = wrapper_callee(program)
+        if fingerprint is not None and callee is not None:
+            builder = _resolved_builder(callee[0], vendor)
+            program = _cached_program(builder, callee[1])
+        return (fingerprint, program_operands(program), program,
+                hasattr(builder, "plan"))
 
     # -- template compilation ------------------------------------------
 
-    def _template_for(self, program: OpProgram, vendor, lun_position: int,
-                      label: str) -> Optional[_Template]:
-        key = id(program)
-        entry = self._templates.get(key)
-        if entry is not None and entry[0] is program:
-            return entry[1]
-        template = None
-        fingerprint = plan_fingerprint(program, vendor)[0]
-        if fingerprint is not None:
-            template = self._tpl_shapes.get(fingerprint)
-            if template is None:  # new shape: compile once
-                ctx = _PlanContext(self.ufsm, 1 << lun_position,
-                                   self.packetizer,
-                                   self.channel.luns[lun_position], label)
-                try:
-                    template = self._compile_template(ctx, program)
-                except Exception:
-                    pass  # let the generic path report
-                else:
-                    if len(self._tpl_shapes) >= 512:
-                        self._tpl_shapes.clear()
-                    self._tpl_shapes[fingerprint] = template
-        if len(self._templates) >= 2048:
-            self._templates.clear()
-        self._templates[key] = (program, template)
-        return template
-
-    def _compile_template(self, ctx: _PlanContext,
-                          program: OpProgram) -> _Template:
-        """Bake one program of a fingerprint class into a template.
+    def _compile(self, key: tuple, program: OpProgram,
+                 fingerprint) -> Optional[_Template]:
+        """Bake the first program seen of a shape into the memo.
 
         Segments are lowered once through the real µFSM emitters — the
         same compile the interpreter performs per run — and only their
-        durations, action offsets, baked opcodes, and node paths for
-        instance values are kept.  The fingerprint guarantees the
-        result is valid for every program in the class.
+        durations, action offsets, baked opcodes, and operand indices
+        are kept.  The shape key guarantees the result is valid for
+        every program of the shape.
         """
+        template = None
+        if fingerprint is not None:
+            self.shapes_compiled += 1
+            try:
+                template = self._compile_template(program)
+            except Exception:
+                pass  # let the generic path report
+        if len(self._memo) >= 512:  # bounded like the registry's caches
+            self._memo.clear()
+        self._memo[key] = template
+        return template
+
+    def _compile_template(self, program: OpProgram) -> _Template:
+        ctx = self._ctx
         state = EvalState(None)  # scratch: compile-time handle minting
         phases = []
-        result_expr = _NO_RESULT
+        result = None
         has_data = False
         txn_count = 0
         poll_count = 0
-        for index, node in enumerate(program.nodes):
+        slot = 0  # index of the next operand, in program order
+        for node in program.nodes:
             if isinstance(node, Txn):
-                phase = self._compile_txn(ctx, node, index, state)
+                phase, slot = self._compile_txn(node, slot, state)
                 has_data = has_data or phase[2][3] or phase[2][2]
                 phases.append(phase)
                 txn_count += 1
             elif isinstance(node, DeclareHandle):
                 state.handles[node.name] = _mint_handle(ctx, node, state)
-                phases.append((_PH_HANDLE, index))
+                # mint(operand, nbytes): the Packetizer's own verb for a
+                # DRAM-bound handle; the interpreter's mint on the
+                # re-bound node for the rare capture / inline one.
+                if node.source in ("from_flash", "to_flash"):
+                    mint = getattr(ctx.packetizer, node.source)
+                else:
+                    field = "data" if node.source == "inline" \
+                        else "dram_address"
+                    mint = (lambda operand, _nbytes, node=node, field=field:
+                            _mint_handle(ctx, replace(node, **{field: operand}),
+                                         state))
+                phases.append((_PH_HANDLE, node.name, mint, node.nbytes, slot))
+                slot += 1
             elif isinstance(node, PollStatus):
                 phases.append(self._compile_poll(node))
                 poll_count += 1
             elif isinstance(node, SoftSleep):
                 phases.append((_PH_SLEEP, node.ns))
             elif isinstance(node, Return):
-                result_expr = node.expr
+                result = lower_expr(node.expr)
                 break
         sw_ns = (self.pre_txn_ns * (txn_count + poll_count)
                  + self.wakeup_ns * poll_count)
-        return _Template(sw_ns, tuple(phases), result_expr, has_data)
+        return _Template(sw_ns, tuple(phases), result, has_data)
 
-    def _compile_txn(self, ctx: _PlanContext, node: Txn, node_index: int,
-                     state: EvalState):
+    def _compile_txn(self, node: Txn, slot: int, state: EvalState):
         hold = 0
         nseg = 0
         bytes_in = 0
         bytes_out = 0
         kinds: dict[str, int] = {}
         segs = []
-        for seg_index, seg_node in enumerate(node.segments):
-            segment = compile_segment(ctx, seg_node, state)
+        for seg_node in node.segments:
+            segment = compile_segment(self._ctx, seg_node, state)
             nseg += 1
             kinds[segment.kind.value] = kinds.get(segment.kind.value, 0) + 1
             ops = []
-            addr_index = 0
             for offset, action in segment.actions:
                 at = hold + offset
                 if isinstance(action, CommandLatch):
                     ops.append((_OP_CMD, at, action.opcode))
                 elif isinstance(action, AddressLatch):
-                    # Address bytes vary per instance: record the path
-                    # to the latch (the j-th address-kind latch of this
-                    # LatchSeq) instead of the bytes.
-                    latch_index = addr_index
-                    addr_index += 1
-                    position = 0
-                    for li, latch in enumerate(seg_node.latches):
-                        if latch.kind != "cmd":
-                            if position == latch_index:
-                                ops.append((_OP_ADDR, at, node_index,
-                                            seg_index, li))
-                                break
-                            position += 1
+                    # Address bytes vary per call: one operand per
+                    # address latch, in latch order.
+                    ops.append((_OP_ADDR, at, slot))
+                    slot += 1
                 elif isinstance(action, DataOutAction):
                     bytes_out += action.nbytes
                     ops.append((_OP_DATA_OUT, at, action.nbytes,
@@ -381,18 +376,18 @@ class PlanExecutor:
                 elif isinstance(action, DataInAction):
                     bytes_in += action.nbytes
                     ops.append((_OP_DATA_IN, at, action.nbytes,
-                                action.column, seg_node.handle.name))
+                                seg_node.handle.name, action.column))
                 # IdleWait: pure time, no die effect.
             segs.append(tuple(ops))
             hold += segment.duration_ns
         stats = (nseg, hold, bytes_in, bytes_out, tuple(kinds.items()))
-        return (_PH_TXN, hold, stats, tuple(segs))
+        return (_PH_TXN, hold, stats, tuple(segs)), slot
 
     def _compile_poll(self, node: PollStatus):
         # The status round trip; its durations are mask-free.
-        latch = self.ufsm.ca_writer.emit([cmd(CMD.READ_STATUS)], chip_mask=1)
-        data = self.ufsm.data_reader.emit(1, DmaHandle(None, 0, 1),
-                                          chip_mask=1)
+        ufsm = self._ctx.ufsm
+        latch = ufsm.ca_writer.emit([cmd(CMD.READ_STATUS)], chip_mask=1)
+        data = ufsm.data_reader.emit(1, DmaHandle(None, 0, 1), chip_mask=1)
         cmd_off = latch.actions[0][0]
         data_off = next(off for off, action in data.actions
                         if isinstance(action, DataOutAction))
@@ -406,12 +401,10 @@ class PlanExecutor:
 
     # -- template execution --------------------------------------------
 
-    def _run_template(self, ctx: _PlanContext, template: _Template,
-                      program: OpProgram) -> Generator:
-        state = EvalState(None)
-        handles = state.handles
-        nodes = program.nodes
-        lun = ctx.lun
+    def _run_template(self, lun, label: str, template: _Template,
+                      operands: tuple) -> Generator:
+        regs: dict = {}
+        handles: dict = {}
         channel = self.channel
         sim = self.sim
         if template.sw_ns:
@@ -420,11 +413,11 @@ class PlanExecutor:
             tag = phase[0]
             if tag == _PH_TXN:
                 _, hold, stats, segs = phase
-                yield from channel.acquire(owner=ctx.label)
+                yield from channel.acquire(owner=label)
                 base = sim.now
                 try:
                     for ops in segs:
-                        self._apply_seg(lun, ops, base, handles, nodes)
+                        self._apply_seg(lun, ops, base, handles, operands)
                 finally:
                     lun._action_time = None
                 chan_stats = channel.stats
@@ -440,62 +433,49 @@ class PlanExecutor:
                     yield Timeout(hold)
                 channel.release()
             elif tag == _PH_POLL:
-                yield from self._template_poll(ctx, phase, state)
+                yield from self._template_poll(lun, label, phase, regs)
             elif tag == _PH_HANDLE:
-                node = nodes[phase[1]]
-                handles[node.name] = _mint_handle(ctx, node, state)
+                _, name, mint, nbytes, slot = phase
+                handles[name] = mint(operands[slot], nbytes)
             else:  # _PH_SLEEP
                 yield Timeout(phase[1])
-        if template.result_expr is not _NO_RESULT:
-            return eval_expr(template.result_expr, state)
+        if template.result is not None:
+            return template.result(regs, handles)
         return None
 
-    def _apply_seg(self, lun, ops, base: int, handles: dict, nodes) -> None:
+    def _apply_seg(self, lun, ops, base: int, handles: dict,
+                   operands: tuple) -> None:
         """Drive the die through one segment's decoded actions — the
         same LUN handlers, at the same logical nanoseconds, in the same
         order as inline waveform delivery; only the segment object is
         gone.  Catch-up mirrors ``deliver_segment_inline``: pending
         completions due before an action fire first, with the segment-
         start epoch breaking exact-time ties."""
-        if not ops:
-            return
-        if lun._pending_completions:
-            epoch = lun._completion_seq
-            run_due = lun._run_due_completions
-            for op in ops:
-                at = base + op[1]
-                run_due(at, epoch)
-                lun._action_time = at
-                self._apply_op(lun, op, handles, nodes)
-        else:
-            for op in ops:
-                lun._action_time = base + op[1]
-                self._apply_op(lun, op, handles, nodes)
+        catch_up = True if lun._pending_completions else False
+        epoch = lun._completion_seq
+        for op in ops:
+            at = base + op[1]
+            if catch_up:
+                lun._run_due_completions(at, epoch)
+            lun._action_time = at
+            tag = op[0]
+            if tag == _OP_CMD:
+                lun._on_command(op[2])
+            elif tag == _OP_ADDR:
+                lun._on_address(operands[op[2]])
+            else:  # a burst: (tag, offset, nbytes, handle name, column)
+                shim = self._shim
+                shim.nbytes = op[2]
+                shim.dma_handle = handles[op[3]]
+                if tag == _OP_DATA_OUT:
+                    lun._on_data_out(shim)
+                else:
+                    shim.column = op[4]
+                    lun._on_data_in(shim)
 
-    def _apply_op(self, lun, op, handles: dict, nodes) -> None:
-        tag = op[0]
-        if tag == _OP_CMD:
-            lun._on_command(op[2])
-        elif tag == _OP_ADDR:
-            # op = (_OP_ADDR, offset, node idx, segment idx, latch idx):
-            # the address bytes live in the instance program.
-            lun._on_address(nodes[op[2]].segments[op[3]].latches[op[4]].value)
-        elif tag == _OP_DATA_OUT:
-            shim = self._out_shim
-            shim.nbytes = op[2]
-            shim.dma_handle = handles[op[3]]
-            lun._on_data_out(shim)
-        else:  # _OP_DATA_IN
-            shim = self._in_shim
-            shim.nbytes = op[2]
-            shim.column = op[3]
-            shim.dma_handle = handles[op[4]]
-            lun._on_data_in(shim)
-
-    def _template_poll(self, ctx: _PlanContext, phase,
-                       state: EvalState) -> Generator:
+    def _template_poll(self, lun, label: str, phase,
+                       regs: dict) -> Generator:
         _, predicate, dest, max_polls, hold, cmd_off, sample_off, kinds = phase
-        lun = ctx.lun
         channel = self.channel
         sim = self.sim
         # The die knows when its busy window ends; sleeping there first
@@ -509,7 +489,7 @@ class PlanExecutor:
             yield Timeout(end - now)
         polls = 0
         while True:
-            yield from channel.acquire(owner=ctx.label)
+            yield from channel.acquire(owner=label)
             base = sim.now
             if lun._pending_completions:
                 epoch = lun._completion_seq
@@ -543,7 +523,7 @@ class PlanExecutor:
             polls += 1
             if predicate(status):
                 if dest:
-                    state.regs[dest] = status
+                    regs[dest] = status
                 return
             if polls >= max_polls:
                 raise RuntimeError("status poll budget exhausted — stuck LUN?")
@@ -569,15 +549,13 @@ class PlanExecutor:
         lun = self.channel.luns[lun_position]
         try:
             while queue:
-                task, program, template = queue.popleft()
+                task, template, operands = queue.popleft()
                 task.admitted_at = self.sim.now
                 task.state = TaskState.RUNNING
-                ctx = _PlanContext(self.ufsm, 1 << lun_position,
-                                   self.packetizer, lun, task.label)
                 result = None
                 try:
                     result = yield from self._run_template(
-                        ctx, template, program)
+                        lun, task.label, template, operands)
                 except RecoverableOpError as exc:
                     task.error = exc
                     self.env.tasks_failed += 1

@@ -40,6 +40,7 @@ __all__ = [
     "E",
     "EvalState",
     "eval_expr",
+    "lower_expr",
     "LatchSeq",
     "TimerWait",
     "DataXfer",
@@ -162,6 +163,47 @@ def _apply(expr: E, state: EvalState) -> Any:
     if op == "delivered_tuple":
         return tuple(int(b) for b in args[0].delivered)
     raise ValueError(f"unknown expression operator {op!r}")
+
+
+# Python source of each E operator, for :func:`lower_expr`; hooks have
+# no entry (a program that calls one is never lowered).
+_E_SOURCE = {
+    "item": "{0}[{1}]",
+    "and": "({0} and {1})",
+    "gt": "({0} > {1})",
+    "ne": "({0} != {1})",
+    "not_failed": "(not is_failed({0}))",
+    "delivered": "{0}.delivered",
+    "delivered_byte": "int({0}.delivered[0])",
+    "delivered_tuple": "tuple(int(b) for b in {0}.delivered)",
+}
+
+
+def lower_expr(value: Any) -> Callable[[dict, dict], Any]:
+    """Lower a value position, once, into a flat ``f(regs, handles)``.
+
+    The result equals :func:`eval_expr` against a hook-less state with
+    those registers and handles, without the per-node recursion — the
+    TLM template runner evaluates one ``Return`` per operation.  Raises
+    ``KeyError`` for an operator with no source form (``hook``).
+    """
+    consts: list = []
+
+    def source(node: Any) -> str:
+        if isinstance(node, Reg):
+            return f"regs.get({node.name!r})"
+        if isinstance(node, HandleRef):
+            return f"handles[{node.name!r}]"
+        if isinstance(node, E):
+            return _E_SOURCE[node.op].format(*map(source, node.args))
+        if isinstance(node, (tuple, list)):
+            items = "".join(source(item) + ", " for item in node)
+            return f"({items})" if isinstance(node, tuple) else f"[{items}]"
+        consts.append(node)
+        return f"consts[{len(consts) - 1}]"
+
+    return eval(f"lambda regs, handles: {source(value)}",
+                {"consts": consts, "is_failed": StatusRegister.is_failed})
 
 
 # ---------------------------------------------------------------------------

@@ -50,22 +50,64 @@ _FEAT_MARGIN_NS = 200
 _PARAM_MARGIN_NS = 500
 
 
-def _col_change(codec: AddressCodec, column: int) -> tuple:
+def _col_change(column_bytes: tuple) -> tuple:
     """The CHANGE READ COLUMN latch triple (05h-addr-E0h)."""
     return (
         cmd(CMD.CHANGE_READ_COL_1ST),
-        addr(codec.encode_column(column)),
+        addr(column_bytes),
         cmd(CMD.CHANGE_READ_COL_2ND),
     )
 
 
-def _read_preamble(codec: AddressCodec, address: PhysicalAddress) -> tuple:
+def _read_preamble(address_bytes: tuple) -> tuple:
     """The READ latch triple (00h-addr-30h)."""
-    return (cmd(CMD.READ_1ST), addr(codec.encode(address)), cmd(CMD.READ_2ND))
+    return (cmd(CMD.READ_1ST), addr(address_bytes), cmd(CMD.READ_2ND))
 
 
 def _not_failed(status) -> E:
     return E("not_failed", (status,))
+
+
+# ---------------------------------------------------------------------------
+# Shape declarations (``op_program(..., plan=)``) of the data-plane ops:
+# ``(shape_key, operands)`` from the builder's own kwargs — what the
+# program's structure depends on (burst size, a column that reaches a
+# DataXfer, address cycle counts), and the per-call leaves in program
+# order.  Each builder unpacks its leaves from its plan, so a leaf has one
+# definition (tests/test_plan_shapes.py holds plan and program together).
+# ---------------------------------------------------------------------------
+
+
+def _read_plan(codec, address, dram_address, length=None) -> tuple:
+    geometry = codec.geometry
+    nbytes = length if length is not None else geometry.full_page_size
+    return ((nbytes, geometry.col_cycles, geometry.row_cycles),
+            (codec.encode(address), dram_address,
+             codec.encode_column(address.column)))
+
+
+def _full_page_read_plan(codec, address, dram_address) -> tuple:
+    base = PhysicalAddress(address.block, address.page)
+    return _read_plan(codec, base, dram_address)
+
+
+def _partial_read_plan(codec, address, dram_address, length) -> tuple:
+    if length <= 0:
+        raise ValueError("partial read length must be positive")
+    return _read_plan(codec, address, dram_address, length)
+
+
+def _program_plan(codec, address, dram_address, length=None) -> tuple:
+    geometry = codec.geometry
+    nbytes = length if length is not None else geometry.full_page_size
+    return ((nbytes, address.column, geometry.col_cycles, geometry.row_cycles),
+            (dram_address, codec.encode(address)))
+
+
+def _erase_plan(codec, block) -> tuple:
+    row = PhysicalAddress(block=block, page=0)
+    return (codec.geometry.row_cycles,
+            (codec.encode(row, include_column=False),))
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +166,21 @@ def read_status_enhanced_program(
 # ---------------------------------------------------------------------------
 
 
-@op_program("read_page")
+@op_program("read_page", plan=_read_plan)
 def read_page_program(
     codec: AddressCodec,
     address: PhysicalAddress,
     dram_address: int,
     length: Optional[int] = None,
 ) -> OpProgram:
-    nbytes = length if length is not None else codec.geometry.full_page_size
+    (nbytes, _, _), (address_bytes, dram_address, column_bytes) = _read_plan(
+        codec, address, dram_address, length)
     return OpProgram(
         "read_page",
         (
             Txn(
                 TxnKind.CMD_ADDR,
-                (LatchSeq(_read_preamble(codec, address)),),
+                (LatchSeq(_read_preamble(address_bytes)),),
                 label="read-preamble",
             ),
             PollStatus(until="ready", dest="status"),
@@ -145,7 +188,7 @@ def read_page_program(
             Txn(
                 TxnKind.DATA_OUT,
                 (
-                    LatchSeq(_col_change(codec, address.column)),
+                    LatchSeq(_col_change(column_bytes)),
                     TimerWait(param="tCCS"),
                     DataXfer("out", nbytes, HandleRef("h")),
                 ),
@@ -157,7 +200,7 @@ def read_page_program(
     )
 
 
-@op_program("full_page_read")
+@op_program("full_page_read", plan=_full_page_read_plan)
 def full_page_read_program(
     codec: AddressCodec,
     address: PhysicalAddress,
@@ -182,7 +225,7 @@ def full_page_read_program(
     )
 
 
-@op_program("partial_read")
+@op_program("partial_read", plan=_partial_read_plan)
 def partial_read_program(
     codec: AddressCodec,
     address: PhysicalAddress,
@@ -224,7 +267,7 @@ def read_page_timed_wait_program(
         (
             Txn(
                 TxnKind.CMD_ADDR,
-                (LatchSeq(_read_preamble(codec, address)),),
+                (LatchSeq(_read_preamble(codec.encode(address))),),
                 label="read-preamble-timed",
             ),
             # The category-3 wait as a software sleep: the channel is
@@ -234,7 +277,7 @@ def read_page_timed_wait_program(
             Txn(
                 TxnKind.DATA_OUT,
                 (
-                    LatchSeq(_col_change(codec, address.column)),
+                    LatchSeq(_col_change(codec.encode_column(address.column))),
                     TimerWait(param="tCCS"),
                     DataXfer("out", nbytes, HandleRef("h")),
                 ),
@@ -252,14 +295,15 @@ def read_page_timed_wait_program(
 # ---------------------------------------------------------------------------
 
 
-@op_program("program_page")
+@op_program("program_page", plan=_program_plan)
 def program_page_program(
     codec: AddressCodec,
     address: PhysicalAddress,
     dram_address: int,
     length: Optional[int] = None,
 ) -> OpProgram:
-    nbytes = length if length is not None else codec.geometry.full_page_size
+    (nbytes, column, _, _), (dram_address, address_bytes) = _program_plan(
+        codec, address, dram_address, length)
     return OpProgram(
         "program_page",
         (
@@ -267,10 +311,10 @@ def program_page_program(
             Txn(
                 TxnKind.DATA_IN,
                 (
-                    LatchSeq((cmd(CMD.PROGRAM_1ST), addr(codec.encode(address)))),
+                    LatchSeq((cmd(CMD.PROGRAM_1ST), addr(address_bytes))),
                     DataXfer(
                         "in", nbytes, HandleRef("h"),
-                        column=address.column, after_address=True,
+                        column=column, after_address=True,
                     ),
                 ),
                 label="program-load",
@@ -357,9 +401,9 @@ def partial_program_program(
 # ---------------------------------------------------------------------------
 
 
-@op_program("erase_block")
+@op_program("erase_block", plan=_erase_plan)
 def erase_block_program(codec: AddressCodec, block: int) -> OpProgram:
-    row = codec.row_address(PhysicalAddress(block=block, page=0))
+    _, (row_bytes,) = _erase_plan(codec, block)
     return OpProgram(
         "erase_block",
         (
@@ -369,7 +413,7 @@ def erase_block_program(codec: AddressCodec, block: int) -> OpProgram:
                     LatchSeq(
                         (
                             cmd(CMD.ERASE_1ST),
-                            addr(codec.encode_row(row)),
+                            addr(row_bytes),
                             cmd(CMD.ERASE_2ND),
                         )
                     ),
@@ -401,7 +445,7 @@ def cache_read_sequential_program(
     nodes: list = [
         Txn(
             TxnKind.CMD_ADDR,
-            (LatchSeq(_read_preamble(codec, start)),),
+            (LatchSeq(_read_preamble(codec.encode(start))),),
             label="cache-read-start",
         ),
         PollStatus(until="ready"),
@@ -666,7 +710,7 @@ def gang_read_program(
                 TxnKind.CMD_ADDR,
                 (
                     LatchSeq(
-                        _read_preamble(codec, address),
+                        _read_preamble(codec.encode(address)),
                         chip_mask=gang_mask,
                         via_chip_control=True,
                     ),
@@ -681,7 +725,8 @@ def gang_read_program(
             Txn(
                 TxnKind.DATA_OUT,
                 (
-                    LatchSeq(_col_change(codec, address.column), chip_mask=winner_mask),
+                    LatchSeq(_col_change(codec.encode_column(address.column)),
+                             chip_mask=winner_mask),
                     TimerWait(param="tCCS", chip_mask=winner_mask),
                     DataXfer(
                         "out", page_bytes, HandleRef("h"), chip_mask=winner_mask
@@ -700,14 +745,15 @@ def gang_read_program(
 # ---------------------------------------------------------------------------
 
 
-@op_program("pslc_read")
+@op_program("pslc_read", plan=_read_plan)
 def pslc_read_program(
     codec: AddressCodec,
     address: PhysicalAddress,
     dram_address: int,
     length: Optional[int] = None,
 ) -> OpProgram:
-    nbytes = length if length is not None else codec.geometry.full_page_size
+    (nbytes, _, _), (address_bytes, dram_address, column_bytes) = _read_plan(
+        codec, address, dram_address, length)
     return OpProgram(
         "pslc_read",
         (
@@ -716,7 +762,7 @@ def pslc_read_program(
                 (
                     LatchSeq(
                         (cmd(CMD.VENDOR_PSLC_ENTER),)  # <- the Alg. 3 diff
-                        + _read_preamble(codec, address)
+                        + _read_preamble(address_bytes)
                     ),
                 ),
                 label="pslc-read-preamble",
@@ -726,7 +772,7 @@ def pslc_read_program(
             Txn(
                 TxnKind.DATA_OUT,
                 (
-                    LatchSeq(_col_change(codec, address.column)),
+                    LatchSeq(_col_change(column_bytes)),
                     TimerWait(param="tCCS"),
                     DataXfer("out", nbytes, HandleRef("h")),
                     LatchSeq((cmd(CMD.VENDOR_PSLC_EXIT),)),
@@ -739,14 +785,15 @@ def pslc_read_program(
     )
 
 
-@op_program("pslc_program")
+@op_program("pslc_program", plan=_program_plan)
 def pslc_program_program(
     codec: AddressCodec,
     address: PhysicalAddress,
     dram_address: int,
     length: Optional[int] = None,
 ) -> OpProgram:
-    nbytes = length if length is not None else codec.geometry.full_page_size
+    (nbytes, column, _, _), (dram_address, address_bytes) = _program_plan(
+        codec, address, dram_address, length)
     return OpProgram(
         "pslc_program",
         (
@@ -758,12 +805,12 @@ def pslc_program_program(
                         (
                             cmd(CMD.VENDOR_PSLC_ENTER),
                             cmd(CMD.PROGRAM_1ST),
-                            addr(codec.encode(address)),
+                            addr(address_bytes),
                         )
                     ),
                     DataXfer(
                         "in", nbytes, HandleRef("h"),
-                        column=address.column, after_address=True,
+                        column=column, after_address=True,
                     ),
                 ),
                 label="pslc-program-load",
@@ -785,9 +832,9 @@ def pslc_program_program(
     )
 
 
-@op_program("pslc_erase")
+@op_program("pslc_erase", plan=_erase_plan)
 def pslc_erase_program(codec: AddressCodec, block: int) -> OpProgram:
-    row = codec.row_address(PhysicalAddress(block=block, page=0))
+    _, (row_bytes,) = _erase_plan(codec, block)
     return OpProgram(
         "pslc_erase",
         (
@@ -798,7 +845,7 @@ def pslc_erase_program(codec: AddressCodec, block: int) -> OpProgram:
                         (
                             cmd(CMD.VENDOR_PSLC_ENTER),
                             cmd(CMD.ERASE_1ST),
-                            addr(codec.encode_row(row)),
+                            addr(row_bytes),
                             cmd(CMD.ERASE_2ND),
                         )
                     ),

@@ -13,13 +13,17 @@ Vendor profiles override operations wholesale by carrying
 new-package bring-up story (Section IV-C) as a table change.
 
 Built programs are memoized per (builder, kwargs) when the kwargs are
-hashable, so the hot read path builds its program once and replays the
-cached node tree on every call.
+hashable, so a repeated (address, DRAM target) pair replays the cached
+node tree.  An FTL rarely repeats one; the TLM template runner
+(:mod:`repro.core.fastops`) therefore does not build per submission at
+all for a builder that declares its *shape* (``op_program(..., plan=)``)
+— it builds once per shape, and only an undeclared builder (a vendor
+override) is built per submission there.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.core.opir.interp import run_program
 from repro.core.opir.nodes import OpProgram
@@ -35,8 +39,9 @@ _RESOLVE_CACHE: dict = {}
 _RESOLVE_CACHE_MAX = 256
 _programs_loaded = False
 
-#: Hot-path cache counters, surfaced by ``repro perf`` — how often the
-#: dispatch path reused a resolved builder / a built program.
+#: Hot-path cache counters — how often the dispatch path reused a
+#: resolved builder / a built program.  ``repro perf`` records their
+#: movement per sweep cell (``cells.*.host.opir_cache``).
 CACHE_STATS = {
     "resolve_hits": 0,
     "resolve_misses": 0,
@@ -45,11 +50,23 @@ CACHE_STATS = {
 }
 
 
-def op_program(name: str):
-    """Register a program builder under ``name`` (decorator)."""
+def op_program(name: str, plan: Optional[Callable[..., tuple]] = None):
+    """Register a program builder under ``name`` (decorator).
+
+    ``plan`` declares the builder's *shape*: a pure function of the same
+    kwargs returning ``(shape_key, operands)`` — the hashable values the
+    program's structure depends on, and the leaves that vary per call
+    (address-latch byte tuples, DMA targets, inline payloads) in program
+    order.  It lands on the builder as ``builder.plan``; the TLM template
+    runner (:mod:`repro.core.fastops`) submits a declared op without
+    building its program.  The builder must take its leaves from the
+    same function, and ``plan`` must raise what the builder raises.
+    """
 
     def register(builder: Callable[..., OpProgram]) -> Callable[..., OpProgram]:
         builder.program_name = name
+        if plan is not None:
+            builder.plan = plan
         _BUILDERS[name] = builder
         return builder
 

@@ -4,10 +4,13 @@ The template runner in :mod:`repro.core.fastops` executes straight-line
 programs only — transactions, handle declarations, single-die polls,
 fixed sleeps, a return — against the op's one target die.
 :func:`plan_fingerprint` is the one walk that decides it: it returns
-the structural fingerprint a template is shared under, or the reasons
-the program has none.  The runner reads the first for dispatch; the
-static verifier (:mod:`repro.analysis.opver`) reports the second as
-OPV501, so what it explains is the dispatch the runner really makes.
+the structural fingerprint of a program, or the reasons the program has
+none.  The runner walks once per *shape* (a builder's declared shape
+key, see :func:`repro.core.opir.registry.op_program`) and reads the
+first for dispatch; the static verifier (:mod:`repro.analysis.opver`)
+reports the second as OPV501, so what it explains is the dispatch the
+runner really makes.  :func:`program_operands` reads the other half off
+a built program — the per-call leaves the fingerprint leaves out.
 """
 
 from __future__ import annotations
@@ -58,6 +61,27 @@ def wrapper_callee(program: OpProgram) -> Optional[tuple[str, dict]]:
     return None
 
 
+def program_operands(program: OpProgram) -> tuple:
+    """The per-call leaves of a straight-line program, in program order:
+    each address latch's byte tuple, and each declared handle's DRAM
+    address (its payload when inline, None for a capture) — what a
+    builder's declared ``plan`` must return as operands, and what the
+    reference plan of a builder that declares none reads off."""
+    leaves = []
+    for node in program.nodes:
+        if isinstance(node, Txn):
+            for seg in node.segments:
+                if isinstance(seg, LatchSeq):
+                    leaves.extend(latch.value for latch in seg.latches
+                                  if latch.kind != "cmd")
+        elif isinstance(node, DeclareHandle):
+            leaves.append(node.data if node.source == "inline"
+                          else node.dram_address)
+        elif isinstance(node, Return):
+            break
+    return tuple(leaves)
+
+
 def plan_fingerprint(
     program: OpProgram, vendor=None,
 ) -> tuple[Optional[tuple], list[tuple[str, str]]]:
@@ -68,7 +92,7 @@ def plan_fingerprint(
     stats — latch counts and command opcodes, address byte counts,
     burst sizes, timer parameters, poll and return shapes.  Instance
     values (address bytes, DRAM targets, inline payloads) are
-    deliberately excluded; the runner reads them per run.
+    deliberately excluded; they are the :func:`program_operands`.
 
     It is ``None`` exactly when ``blockers`` — ``(node path, reason)``
     pairs — is non-empty.  A pure wrapper is judged by its callee,
@@ -87,9 +111,7 @@ def plan_fingerprint(
 
     parts = []
     blockers: list[tuple[str, str]] = []
-    index = -1  # counted by hand: this loop runs once per new address
-    for node in program.nodes:
-        index += 1
+    for index, node in enumerate(program.nodes):
         if isinstance(node, Txn):
             seg_parts = []
             for seg in node.segments:

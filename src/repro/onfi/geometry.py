@@ -77,6 +77,14 @@ class AddressCodec:
     def __init__(self, geometry: Geometry):
         geometry.validate()
         self.geometry = geometry
+        # The geometry is frozen, so the limits the range checks and the
+        # byte packing need are taken once (each is a property chain).
+        self._columns = geometry.full_page_size
+        self._blocks = geometry.blocks_per_lun
+        self._pages = geometry.pages_per_block
+        self._rows = geometry.pages_per_lun
+        self._col_cycles = geometry.col_cycles
+        self._row_cycles = geometry.row_cycles
 
     # Value semantics: two codecs over equal geometries encode
     # identically, so they compare (and hash) by geometry.  Serialized
@@ -92,58 +100,66 @@ class AddressCodec:
     def row_address(self, addr: PhysicalAddress) -> int:
         """Pack block+page into the ONFI row address integer."""
         self._check(addr)
-        return addr.block * self.geometry.pages_per_block + addr.page
+        return addr.block * self._pages + addr.page
 
     def column_address(self, addr: PhysicalAddress) -> int:
         return addr.column
 
     # -- wire encoding ---------------------------------------------------
+    #
+    # Cycles are little-endian bytes of one integer, so both directions
+    # are a single ``int.to_bytes`` / ``int.from_bytes`` — these run per
+    # op submission and per die address latch on every tier.
 
     def encode(self, addr: PhysicalAddress, include_column: bool = True) -> tuple[int, ...]:
         """Full address cycles: column bytes then row bytes, LSB first."""
-        cycles: list[int] = []
-        if include_column:
-            cycles.extend(self.encode_column(addr.column))
-        cycles.extend(self.encode_row(self.row_address(addr)))
-        return tuple(cycles)
+        if not include_column:
+            return tuple(self.row_address(addr).to_bytes(self._row_cycles, "little"))
+        column = addr.column
+        if not 0 <= column < self._columns:
+            raise ValueError(f"column {column} out of range")
+        self._check(addr)
+        row = addr.block * self._pages + addr.page
+        return tuple((column | row << 8 * self._col_cycles).to_bytes(
+            self._col_cycles + self._row_cycles, "little"))
 
     def encode_column(self, column: int) -> tuple[int, ...]:
-        if not 0 <= column < self.geometry.full_page_size:
+        if not 0 <= column < self._columns:
             raise ValueError(f"column {column} out of range")
-        return tuple(column >> (8 * i) & 0xFF for i in range(self.geometry.col_cycles))
+        return tuple(column.to_bytes(self._col_cycles, "little"))
 
     def encode_row(self, row: int) -> tuple[int, ...]:
-        if not 0 <= row < self.geometry.pages_per_lun:
+        if not 0 <= row < self._rows:
             raise ValueError(f"row {row} out of range")
-        return tuple(row >> (8 * i) & 0xFF for i in range(self.geometry.row_cycles))
+        return tuple(row.to_bytes(self._row_cycles, "little"))
 
     # -- wire decoding ---------------------------------------------------
 
     def decode(self, cycles: tuple[int, ...]) -> PhysicalAddress:
         """Inverse of :meth:`encode` (column + row cycle layout)."""
-        expected = self.geometry.col_cycles + self.geometry.row_cycles
-        if len(cycles) != expected:
-            raise ValueError(f"expected {expected} address cycles, got {len(cycles)}")
-        column = self.decode_column(cycles[: self.geometry.col_cycles])
-        row = self.decode_row(cycles[self.geometry.col_cycles:])
-        block, page = divmod(row, self.geometry.pages_per_block)
-        return PhysicalAddress(block=block, page=page, column=column)
+        split = self._col_cycles
+        if len(cycles) != split + self._row_cycles:
+            raise ValueError(f"expected {split + self._row_cycles} address "
+                             f"cycles, got {len(cycles)}")
+        block, page = divmod(int.from_bytes(cycles[split:], "little"),
+                             self._pages)
+        return PhysicalAddress(block=block, page=page,
+                               column=int.from_bytes(cycles[:split], "little"))
 
     def decode_column(self, cycles: tuple[int, ...]) -> int:
-        return sum(byte << (8 * i) for i, byte in enumerate(cycles))
+        return int.from_bytes(cycles, "little")
 
     def decode_row(self, cycles: tuple[int, ...]) -> int:
-        return sum(byte << (8 * i) for i, byte in enumerate(cycles))
+        return int.from_bytes(cycles, "little")
 
     def plane_of(self, addr: PhysicalAddress) -> int:
         """Plane index (interleaved block-to-plane mapping, ONFI style)."""
         return addr.block % self.geometry.planes
 
     def _check(self, addr: PhysicalAddress) -> None:
-        geometry = self.geometry
-        if not 0 <= addr.block < geometry.blocks_per_lun:
+        if not 0 <= addr.block < self._blocks:
             raise ValueError(f"block {addr.block} out of range")
-        if not 0 <= addr.page < geometry.pages_per_block:
+        if not 0 <= addr.page < self._pages:
             raise ValueError(f"page {addr.page} out of range")
-        if not 0 <= addr.column < geometry.full_page_size:
+        if not 0 <= addr.column < self._columns:
             raise ValueError(f"column {addr.column} out of range")

@@ -22,6 +22,16 @@ class StatusBits(enum.IntFlag):
     WP = 0x80      # write-protect (1 = not protected)
 
 
+# Plain-int masks: composing and testing the byte with ``IntFlag``
+# operators costs three enum calls per bit, once per status poll.
+_FAIL = int(StatusBits.FAIL)
+_FAILC = int(StatusBits.FAILC)
+_CSP = int(StatusBits.CSP)
+_ARDY = int(StatusBits.ARDY)
+_RDY = int(StatusBits.RDY)
+_WP = int(StatusBits.WP)
+
+
 class StatusRegister:
     """Mutable status state owned by one LUN."""
 
@@ -39,18 +49,18 @@ class StatusRegister:
         """Compose the status byte as a READ STATUS would return it."""
         byte = 0
         if self.fail:
-            byte |= StatusBits.FAIL
+            byte |= _FAIL
         if self.failc:
-            byte |= StatusBits.FAILC
+            byte |= _FAILC
         if self.suspended:
-            byte |= StatusBits.CSP
+            byte |= _CSP
         if self.ardy:
-            byte |= StatusBits.ARDY
+            byte |= _ARDY
         if self.rdy:
-            byte |= StatusBits.RDY
+            byte |= _RDY
         if not self.write_protected:
-            byte |= StatusBits.WP
-        return int(byte)
+            byte |= _WP
+        return byte
 
     def begin_operation(self) -> None:
         """Mark the LUN busy; shifts FAIL into FAILC per ONFI cache rules."""
@@ -71,12 +81,12 @@ class StatusRegister:
 
     @staticmethod
     def is_ready(byte: int) -> bool:
-        return bool(byte & StatusBits.RDY)
+        return bool(byte & _RDY)
 
     @staticmethod
     def is_array_ready(byte: int) -> bool:
-        return bool(byte & StatusBits.ARDY)
+        return bool(byte & _ARDY)
 
     @staticmethod
     def is_failed(byte: int) -> bool:
-        return bool(byte & StatusBits.FAIL)
+        return bool(byte & _FAIL)

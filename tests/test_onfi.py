@@ -1,6 +1,9 @@
 """Unit tests for the ONFI substrate (commands, timing, modes, status,
 geometry, features, waveform segments)."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.onfi import (
@@ -309,6 +312,29 @@ def test_write_protect_bit_inverted():
     assert not reg.value() & StatusBits.WP
 
 
+def test_status_byte_table_over_all_flag_combinations():
+    """``value()`` and the three predicates against the ``StatusBits``
+    definition, for all 64 register states: the byte is composed and
+    tested with plain-int masks, and must stay the IntFlag composition."""
+    flags = ("fail", "failc", "suspended", "ardy", "rdy", "write_protected")
+    bits = (StatusBits.FAIL, StatusBits.FAILC, StatusBits.CSP,
+            StatusBits.ARDY, StatusBits.RDY, StatusBits.WP)
+    for state in range(64):
+        reg = StatusRegister()
+        expected = StatusBits(0)
+        for index, (flag, bit) in enumerate(zip(flags, bits)):
+            on = bool(state >> index & 1)
+            setattr(reg, flag, on)
+            if on != (flag == "write_protected"):  # WP reads inverted
+                expected |= bit
+        value = reg.value()
+        assert type(value) is int and value == int(expected)
+        assert StatusRegister.is_ready(value) is bool(expected & StatusBits.RDY)
+        assert StatusRegister.is_array_ready(value) is \
+            bool(expected & StatusBits.ARDY)
+        assert StatusRegister.is_failed(value) is bool(expected & StatusBits.FAIL)
+
+
 # --- geometry / address codec -------------------------------------------
 
 
@@ -340,6 +366,75 @@ def test_codec_rejects_out_of_range():
         codec.encode(PhysicalAddress(block=0, page=0, column=1 << 20))
     with pytest.raises(ValueError):
         codec.decode((0, 0))
+
+
+def _in_tree_geometries():
+    from repro.analysis.crashfuzz import FUZZ_GEOMETRY
+    from repro.faults.chaos import CHAOS_GEOMETRY
+    from repro.flash.vendors import VENDOR_PROFILES
+    from tests.helpers import TEST_GEOMETRY
+
+    geometries = [Geometry(), TEST_GEOMETRY,
+                  Geometry(col_cycles=3, row_cycles=4)]
+    for vendor in VENDOR_PROFILES.values():
+        geometries += [vendor.geometry,
+                       dataclasses.replace(vendor.geometry, **CHAOS_GEOMETRY),
+                       dataclasses.replace(vendor.geometry, **FUZZ_GEOMETRY)]
+    return geometries
+
+
+def _cycles(value, count):
+    """The codec's original per-byte formula (the reference)."""
+    return tuple(value >> (8 * i) & 0xFF for i in range(count))
+
+
+def test_codec_closed_forms_match_the_per_byte_formulas():
+    """Seeded differential over every in-tree geometry: the closed-form
+    encode/decode family against the shift-and-mask generator formulas
+    it replaced — values, round trips, and the range-check messages."""
+    rng = random.Random(15)
+    for geometry in _in_tree_geometries():
+        codec = AddressCodec(geometry)
+        cols, rows = geometry.col_cycles, geometry.row_cycles
+        for _ in range(200):
+            addr = PhysicalAddress(
+                block=rng.randrange(geometry.blocks_per_lun),
+                page=rng.randrange(geometry.pages_per_block),
+                column=rng.randrange(geometry.full_page_size))
+            row = addr.block * geometry.pages_per_block + addr.page
+            old = _cycles(addr.column, cols) + _cycles(row, rows)
+            assert codec.encode(addr) == old
+            assert codec.encode(addr, include_column=False) == old[cols:]
+            assert codec.encode_column(addr.column) == old[:cols]
+            assert codec.encode_row(row) == old[cols:]
+            assert codec.decode(old) == addr
+            assert codec.decode_column(old[:cols]) == addr.column == sum(
+                byte << (8 * i) for i, byte in enumerate(old[:cols]))
+            assert codec.decode_row(old[cols:]) == row
+        edge = {"block": geometry.blocks_per_lun,
+                "page": geometry.pages_per_block,
+                "column": geometry.full_page_size}
+        for field, limit in edge.items():
+            for bad in (limit, -1):
+                address = PhysicalAddress(**{"block": 0, "page": 0,
+                                             field: bad})
+                for include_column in (True, False):
+                    with pytest.raises(ValueError,
+                                       match=f"{field} {bad} out of range"):
+                        codec.encode(address, include_column=include_column)
+        for bad in (geometry.full_page_size, -1):
+            with pytest.raises(ValueError, match=f"column {bad} out of range"):
+                codec.encode_column(bad)
+        for bad in (geometry.pages_per_lun, -1):
+            with pytest.raises(ValueError, match=f"row {bad} out of range"):
+                codec.encode_row(bad)
+        with pytest.raises(ValueError,
+                           match=f"expected {cols + rows} address cycles, got 2"):
+            codec.decode((0, 0))
+    # A bad column is reported before a bad block, as when the column
+    # cycles were encoded first.
+    with pytest.raises(ValueError, match="column"):
+        AddressCodec(Geometry()).encode(PhysicalAddress(999_999, 0, 1 << 20))
 
 
 def test_codec_plane_interleaving():

@@ -152,6 +152,56 @@ def test_deserialized_program_replays_identically():
     assert run(replayed) == run(original)
 
 
+# --- expressions ------------------------------------------------------------
+
+
+def test_lowered_expressions_equal_eval_expr():
+    """``lower_expr`` is a second evaluator of the value language (the
+    template runner's flat one): every operator, nesting and literal,
+    and every library program's ``Return``, against ``eval_expr``."""
+    import numpy as np
+
+    from repro.core.opir.nodes import E, EvalState, Reg, eval_expr, lower_expr
+    from repro.dram import DmaHandle
+
+    handle = DmaHandle(None, 0, 4)
+    handle.deliver(np.array([0xE1, 2, 3, 4], dtype=np.uint8))
+    state = EvalState(None)
+    state.regs.update(status=0xE0, failed=0xE1, seq=(5, 6, 7), zero=0)
+    state.handles.update(h=handle)
+    h = HandleRef("h")
+    exprs = [
+        None, 7, "text", (), (1, (2, Reg("status"))), [Reg("zero"), h],
+        Reg("status"), Reg("never_set"), h, (Reg("status"), h),
+        E("item", (Reg("seq"), 1)), E("and", (Reg("zero"), Reg("status"))),
+        E("and", (Reg("status"), Reg("seq"))), E("gt", (Reg("status"), 3)),
+        E("ne", (Reg("status"), Reg("failed"))),
+        E("not_failed", (Reg("status"),)), E("not_failed", (Reg("failed"),)),
+        E("delivered_byte", (h,)), E("delivered_tuple", (h,)),
+        E("and", (E("not_failed", (Reg("status"),)),
+                  E("gt", (E("delivered_byte", (h,)), 0)))),
+    ]
+    for kwargs in sample_kwargs(TEST_PROFILE).items():
+        program = resolve_builder(kwargs[0], TEST_PROFILE)(**kwargs[1])
+        exprs += [node.expr for node in program.nodes
+                  if isinstance(node, Return)]
+    lowered = 0
+    for expr in exprs:
+        try:
+            expected = eval_expr(expr, state)
+        except KeyError:  # a Return over handles this state does not hold
+            continue
+        assert lower_expr(expr)(state.regs, state.handles) == expected, expr
+        lowered += 1
+    assert lowered >= 25
+    assert lower_expr(E("delivered", (h,)))(state.regs, state.handles) \
+        is handle.delivered
+    with pytest.raises(KeyError):  # hooks are never lowered
+        lower_expr(E("hook", ("validate", h)))
+    with pytest.raises(KeyError):
+        lower_expr(h)({}, {})  # undeclared handle, as eval_expr
+
+
 # --- registry / vendor overrides -------------------------------------------
 
 

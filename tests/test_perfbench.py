@@ -150,6 +150,37 @@ def test_sweep_records_fidelity_per_cell():
                for cell in report["cells"].values())
 
 
+def test_cells_surface_dispatch_counters_ungated():
+    """Every cell records the op-IR registry's cache traffic, TLM cells
+    also how the template runner's submissions went — sorted keys,
+    diagnostics only: the gate never reads them."""
+    wave = tiny_sweep()
+    tlm = tiny_sweep(fidelity="tlm")
+    for report in (wave, tlm):
+        for cell in report["cells"].values():
+            assert list(cell["host"]["opir_cache"]) == [
+                "program_hits", "program_misses",
+                "resolve_hits", "resolve_misses"]
+            assert_keys_sorted(cell.get("fastops", {}))
+            assert all(v >= 0 for v in cell["host"]["opir_cache"].values())
+    assert all("fastops" not in cell for cell in wave["cells"].values())
+    for cell in tlm["cells"].values():
+        fast = cell["fastops"]
+        assert fast["ops_planned"] >= cell["commands"]
+        assert fast["ops_declined"] == 0
+        # One compile per shape and controller, not one per command.
+        assert 1 <= fast["shapes_compiled"] <= 2 * cell["channels"]
+        # The generic runtime builds (or re-finds) a program per op; a
+        # declared shape is built once.
+        assert cell["host"]["opir_cache"]["program_misses"] \
+            <= 2 * fast["shapes_compiled"]
+    changed = copy.deepcopy(tlm)
+    for cell in changed["cells"].values():
+        cell["host"]["opir_cache"]["program_misses"] += 10_000
+        cell["fastops"]["ops_declined"] += 10_000
+    assert compare_reports(changed, tlm) == []
+
+
 def test_gate_only_compares_cells_of_matching_fidelity():
     """A TLM run against a waveform baseline must not be gated on
     throughput — the tiers' aggregate timelines legitimately differ."""

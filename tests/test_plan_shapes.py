@@ -1,0 +1,301 @@
+"""The ``plan`` declarations of the data-plane builders, tested not trusted.
+
+A builder that declares ``plan(**kwargs) -> (shape_key, operands)``
+(``op_program(..., plan=)``) is submitted on the TLM tier without its
+program being built: the template runner trusts the shape key to pick
+the template and the operands to be the program's leaves.  This file
+holds that contract against the *reference* plan — build the program,
+fingerprint it, read its leaves off — for every declaring builder under
+every in-tree vendor profile, and pins what the runner's traffic looks
+like because of it: one build, one walk, one compile per shape.
+"""
+
+import inspect
+import random
+
+import pytest
+
+import repro.core.fastops as fastops
+from repro.config.build import build_stack
+from repro.config.specs import FtlSpec, StackSpec
+from repro.core import BabolController, ControllerConfig
+from repro.core.fastops import PlanExecutor
+from repro.core.opir.nodes import SoftSleep
+from repro.core.opir.programs import program_page_program, read_page_program
+from repro.core.opir.registry import CACHE_STATS, _BUILDERS, list_ops
+from repro.flash.vendors import VENDOR_PROFILES
+from repro.host import ScaleEngine, ScaleJob, run_scale_workload
+from repro.host.hic import HostOpcode
+from repro.onfi.geometry import AddressCodec, PhysicalAddress
+from repro.sim import Simulator
+
+from tests.helpers import TEST_PROFILE
+
+DRAWS = 40
+PROFILES = dict(VENDOR_PROFILES, test=TEST_PROFILE)
+DECLARED = [name for name in list_ops() if hasattr(_BUILDERS[name], "plan")]
+
+
+def test_the_eight_plan_wrapper_builders_declare():
+    assert DECLARED == sorted([
+        "read_page", "full_page_read", "partial_read", "program_page",
+        "erase_block", "pslc_read", "pslc_program", "pslc_erase"])
+
+
+def _draws(name, vendor, seed):
+    """Seeded kwargs for one declaring builder: block, page and DRAM
+    target everywhere, plus every structural variation its signature
+    admits — ``length`` (absent, None, sub-page) and a non-zero column."""
+    rng = random.Random(seed)
+    geometry = vendor.geometry
+    codec = AddressCodec(geometry)
+    params = inspect.signature(_BUILDERS[name]).parameters
+    for index in range(DRAWS):
+        block = rng.randrange(geometry.blocks_per_lun)
+        if "block" in params:
+            yield {"codec": codec, "block": block}
+            continue
+        column = rng.choice((0, 0, 16, 512, geometry.page_size - 64))
+        kwargs = {
+            "codec": codec,
+            "address": PhysicalAddress(
+                block, rng.randrange(geometry.pages_per_block), column),
+            "dram_address": rng.randrange(0, 1 << 20, 64),
+        }
+        if "length" in params:
+            length = rng.choice((None, 64, 512, geometry.page_size))
+            if params["length"].default is inspect.Parameter.empty:
+                kwargs["length"] = length or 64
+            elif index % 3:
+                kwargs["length"] = length
+        yield kwargs
+
+
+def _reference(name, vendor, kwargs):
+    """(fingerprint, leaves) the way the runner itself reads them off a
+    built program — a pure wrapper is judged by its callee."""
+    fingerprint, leaves, _, declares = PlanExecutor._reference_plan(
+        _BUILDERS[name], kwargs, vendor)
+    assert declares and fingerprint is not None, name
+    return fingerprint, leaves
+
+
+def check_declaration(name, vendor, seed=0):
+    """The differential: declared operands are the built program's
+    leaves, and the shape key decides the fingerprint."""
+    plan = _BUILDERS[name].plan
+    by_key = {}
+    for kwargs in _draws(name, vendor, seed):
+        shape_key, operands = plan(**kwargs)
+        fingerprint, leaves = _reference(name, vendor, kwargs)
+        assert operands == leaves, (name, kwargs)
+        assert by_key.setdefault(shape_key, fingerprint) == fingerprint, \
+            (name, shape_key)
+    return by_key
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("name", DECLARED)
+def test_declared_plan_matches_the_built_program(name, profile):
+    by_key = check_declaration(name, PROFILES[profile],
+                               seed=DECLARED.index(name))
+    # Equal key => equal fingerprint held above; the draws must also
+    # have produced every structural variation, or it held vacuously
+    # (and a key finer than the fingerprint would compile duplicates).
+    fingerprints = set(by_key.values())
+    assert len(fingerprints) == len(by_key)
+    if "length" in inspect.signature(_BUILDERS[name]).parameters:
+        assert len(fingerprints) >= 3, name
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_plan_raises_what_the_builder_raises(name):
+    """Bad operands must still reach the generic path's error: ``plan``
+    raises exactly what building (the callee, for a wrapper) raises."""
+    geometry = TEST_PROFILE.geometry
+    good = next(_draws(name, TEST_PROFILE, 1))
+    if "block" in good:
+        bad = [{"block": geometry.blocks_per_lun}, {"block": -1}]
+    else:
+        bad = [{"address": PhysicalAddress(geometry.blocks_per_lun, 0)},
+               {"address": PhysicalAddress(0, geometry.pages_per_block)},
+               {"address": PhysicalAddress(0, 0, geometry.full_page_size)},
+               {"address": PhysicalAddress(-1, 0)}]
+        if name == "partial_read":
+            bad += [{"length": 0}, {"length": -4}]
+
+    def build(**kwargs):
+        callee = fastops.wrapper_callee(_BUILDERS[name](**kwargs))
+        if callee is not None:
+            _BUILDERS[callee[0]](**callee[1])
+
+    def outcome(fn, kwargs):
+        try:
+            fn(**kwargs)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    outcomes = [(outcome(build, dict(good, **change)),
+                 outcome(_BUILDERS[name].plan, dict(good, **change)))
+                for change in bad]
+    assert all(built == planned for built, planned in outcomes), outcomes
+    # full_page_read drops the column, so not every case raises there.
+    assert sum(built is not None for built, _ in outcomes) >= 2
+
+
+def test_differential_catches_a_broken_declaration(monkeypatch):
+    """Mutation check: a key that forgets the burst size, and operands
+    in the wrong order, both fail the differential."""
+    stock = program_page_program.plan
+
+    def forgets_nbytes(**kwargs):
+        key, operands = stock(**kwargs)
+        return key[1:], operands
+
+    def swaps_operands(**kwargs):
+        key, operands = stock(**kwargs)
+        return key, operands[::-1]
+
+    for broken in (forgets_nbytes, swaps_operands):
+        monkeypatch.setattr(program_page_program, "plan", broken)
+        with pytest.raises(AssertionError):
+            check_declaration("program_page", TEST_PROFILE)
+    monkeypatch.setattr(program_page_program, "plan", stock)
+    check_declaration("program_page", TEST_PROFILE)
+
+
+def test_runner_checks_the_first_instance_of_a_shape(monkeypatch):
+    """The runner's own guard: wrong declared operands stop the first
+    submission of the shape instead of driving the die with them."""
+    stock = program_page_program.plan
+    monkeypatch.setattr(
+        program_page_program, "plan",
+        lambda **kwargs: (stock(**kwargs)[0], stock(**kwargs)[1][::-1]))
+    controller = BabolController(Simulator(), ControllerConfig(
+        vendor=TEST_PROFILE, lun_count=1, fidelity="tlm"))
+    with pytest.raises(AssertionError, match="declared operands"):
+        controller.program_page(0, 4, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Traffic: what the declarations buy, counted
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Count the runner's plan_fingerprint walks."""
+    calls = []
+    real = fastops.plan_fingerprint
+
+    def counting(program, vendor=None):
+        calls.append(program.name)
+        return real(program, vendor)
+
+    monkeypatch.setattr(fastops, "plan_fingerprint", counting)
+    return calls
+
+
+def test_one_build_walk_and_compile_per_shape(walks):
+    sim = Simulator()
+    controllers, ftl = build_stack(
+        sim, StackSpec(channels=2, luns_per_channel=2, ftl=FtlSpec(),
+                       fidelity="tlm"), profile=TEST_PROFILE)
+    engine = ScaleEngine(sim, ftl, queue_depth=8)
+    misses = CACHE_STATS["program_misses"]
+    run_scale_workload(sim, engine, ScaleJob(
+        pattern="sequential", opcode=HostOpcode.WRITE, io_count=320,
+        working_set_pages=320))
+    run_scale_workload(sim, engine, ScaleJob(
+        pattern="random", opcode=HostOpcode.READ, io_count=640, seed=5))
+    misses = CACHE_STATS["program_misses"] - misses
+
+    fast = [c.fast_ops for c in controllers]
+    planned = sum(f.ops_planned for f in fast)
+    compiled = sum(f.shapes_compiled for f in fast)
+    assert planned >= 960 and all(f.ops_declined == 0 for f in fast)
+    assert all(f.ops_templated == f.ops_planned for f in fast)
+    # program_page + full_page_read (+ erase_block if GC ran), once per
+    # controller — not once per address.
+    assert 4 <= compiled <= 6
+    assert len(walks) == compiled
+    assert misses <= 2 * compiled  # a wrapper builds itself and its callee
+
+
+def _undeclared_program_page(**kwargs):
+    return program_page_program(**kwargs)
+
+
+def _run_ops(vendor):
+    sim = Simulator()
+    controller = BabolController(sim, ControllerConfig(
+        vendor=vendor, lun_count=2, fidelity="tlm"))
+    tasks = [controller.program_page(i % 2, 3 + i // 4, i % 4, 4096 * i)
+             for i in range(12)]
+    for task in tasks:
+        controller.run_to_completion(task)
+    tasks += [controller.read_page(i % 2, 3 + i // 4, i % 4, 4096 * i)
+              for i in range(12)]
+    for task in tasks[12:]:
+        controller.run_to_completion(task)
+    return [task.finished_at for task in tasks], controller.fast_ops
+
+
+# Completion times of _run_ops with program_page overridden by an
+# undeclared builder, recorded on the parent commit (b1330f6).
+PARENT_TIMELINE = [
+    258665, 258960, 517330, 517625, 775995, 776290, 1034660, 1034955,
+    1293325, 1293620, 1551990, 1552285, 1650395, 1661835, 1748505, 1759945,
+    1846615, 1858055, 1944725, 1956165, 2042835, 2054275, 2140945, 2152385]
+
+
+def test_undeclared_override_is_templated_on_the_reference_plan(walks):
+    vendor = TEST_PROFILE.with_op_override(
+        "program_page", _undeclared_program_page)
+    timeline, fast = _run_ops(vendor)
+    assert timeline == PARENT_TIMELINE
+    assert (fast.ops_planned, fast.ops_declined) == (24, 0)
+    # Every program_page is built and walked (today's cost); the
+    # declared full_page_read walks once.  One compile each.
+    assert walks.count("program_page") == 12
+    assert walks.count("full_page_read") == 1
+    assert fast.shapes_compiled == 2
+    assert _run_ops(TEST_PROFILE)[0] == PARENT_TIMELINE
+
+
+def _read_page_slow_on_odd_blocks(**kwargs):
+    """An override whose *structure* depends on an operand the stock
+    shape key leaves out."""
+    program = read_page_program(**kwargs)
+    if kwargs["address"].block % 2:
+        program = type(program)(
+            program.name, (SoftSleep(1000),) + program.nodes)
+    return program
+
+
+def test_wrapper_around_an_undeclared_override_takes_the_reference_plan():
+    """``full_page_read`` declares a plan, but it stands for the stock
+    ``read_page``.  With ``read_page`` overridden by a builder that
+    declares none, the wrapper's declaration is not trusted: odd and
+    even blocks get their own templates, as when the override is
+    submitted by name."""
+    vendor = TEST_PROFILE.with_op_override(
+        "read_page", _read_page_slow_on_odd_blocks)
+
+    def run(method, *extra):
+        controller = BabolController(Simulator(), ControllerConfig(
+            vendor=vendor, lun_count=1, fidelity="tlm"))
+        done = []
+        for block in (2, 3, 4, 5):
+            task = getattr(controller, method)(0, block, 0, 0, *extra)
+            controller.run_to_completion(task)
+            done.append(task.finished_at)
+        return done, controller.fast_ops
+
+    via_wrapper, fast = run("read_page")           # -> full_page_read
+    assert (fast.ops_planned, fast.shapes_compiled) == (4, 2)
+    by_name, _ = run("read_page", 0, TEST_PROFILE.geometry.full_page_size)
+    assert via_wrapper == by_name
+    laps = [b - a for a, b in zip([0] + via_wrapper, via_wrapper)]
+    assert laps[1] - laps[0] == 1000 and laps[3] - laps[2] == 1000
