@@ -101,8 +101,14 @@ class WaveformBackend(ExecutionBackend):
 
     def run_transaction(self, channel: "Channel",
                         txn: "Transaction") -> Generator:
+        # channel.transmit -> self.transmit -> _transmit_waveform, minus
+        # the two forwarding frames (same check, same kernel events).
+        mutex = channel.mutex
+        transmit = channel._transmit_waveform
         for segment in txn.segments:
-            yield from channel.transmit(segment)
+            if not mutex.locked:
+                raise RuntimeError("transmit without owning the channel")
+            yield from transmit(segment)
 
 
 class TLMBackend(ExecutionBackend):

@@ -11,66 +11,64 @@ anything from it.
 For operations submitted through the FTL-facing convenience wrappers
 (``controller.read_page`` and friends) there is therefore one other way
 to run an op under TLM.  A straight-line program — transactions, handle
-declarations, polls, sleeps, a return — is compiled once per *shape*
-into a :class:`_Template`: segment durations, per-action offsets,
-latched opcodes, batched channel-stats deltas, and the closed-form
-software cost.  Running a template is one channel-mutex hold plus one
-``Timeout`` per transaction, with the die driven by *direct calls into
-the same LUN action handlers* the waveform tier uses (``_on_command`` /
-``_on_address`` / data movement) at their exact logical nanoseconds.
-Same handlers, same order, same RNG draws — die state, payload bytes,
-status bits, LUN-side fault hooks, and array aging are identical to the
-waveform tier; only the bus-segment *objects* and the runtime's
-per-event machinery are gone.  Each poll site becomes a ready-wait:
-sleep to the die's next pending completion, then one real STATUS
-command and sample.  Per-op software latency is *modeled* (charged in
-closed form), not replayed.
+declarations, polls, sleeps, a return — is lowered once per *shape* by
+the lowering the waveform tier runs (:mod:`repro.core.opir.compile`,
+memoized on the µFSM bank by
+:func:`repro.core.opir.registry.declared_shape`), and a
+:class:`_Template` is the *fold* of those steps: per transaction, the
+sum of its segment recipes, plus the closed-form software cost.
+Running a template is one channel-mutex hold plus one ``Timeout`` per
+transaction, with the die driven by *direct calls into the same LUN
+action handlers* the waveform tier uses, at their exact logical
+nanoseconds.  Same handlers, same order, same RNG draws — die state,
+payload bytes, status bits, LUN-side fault hooks and array aging are
+identical to the waveform tier; only the bus-segment *objects* and the
+runtime's per-event machinery are gone.  Each poll site becomes a
+ready-wait: sleep to the die's next pending completion, then one real
+STATUS command and sample.
 
-Submission is O(1) in the op's shape.  A builder declares, beside
-itself, ``plan(**kwargs) -> (shape_key, operands)``
-(:func:`repro.core.opir.registry.op_program`): the hashable values its
-structure depends on, and the per-call leaves — address bytes, DMA
-targets — in program order.  :class:`PlanExecutor` keeps one memo
-``(builder, shape_key) -> template``.  The first submission of a shape
-builds the program, asks
-:func:`~repro.core.opir.summarize.plan_fingerprint` whether it has a
-template at all, checks the declared operands against the program's
-leaves and compiles; every later one is the ``plan`` call and a dict
-hit.  A builder with no declaration (a vendor override) takes the
-*reference* plan on every submission — build, the fingerprint as shape
-key, the leaves read off the program — through the same memo.
+Submission is O(1) in the op's shape: a declared builder's ``plan``
+call and one memo hit.  A builder with no declaration (a vendor
+override) takes the *reference* plan on every submission — build,
+:func:`~repro.core.opir.summarize.plan_fingerprint` as shape key, the
+leaves read off the program — through the same memo.
 
 The decision is made once, in :meth:`PlanExecutor.try_submit`.
-Anything the template cannot reproduce takes the generic path, which is
+Anything a template cannot reproduce takes the generic path, which is
 exact: programs with control flow, callees, gang masks or hook kwargs,
 and every op submitted while something is watching bus segments that a
 template never creates — a tracer, a channel fault hook, or (for ops
-that move data) a DDR PHY trim outside the sampling eye.  Observers
-must be attached before the ops they should see are submitted; an op
-already queued finishes as a template.  A watchdog or runtime
-sanitizers stand the whole runner down (see ``BabolController``).
+that move data) a DDR PHY trim outside the sampling eye.  Attach
+observers before submitting the ops they should see; an op already
+queued finishes as a template.  A watchdog or runtime sanitizers stand
+the whole runner down (see ``BabolController``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
-from types import SimpleNamespace
+from functools import partial
 from typing import Callable, Generator, NamedTuple, Optional
 
-from repro.core.opir.compile import compile_segment
-from repro.core.opir.interp import _mint_handle
-from repro.core.opir.nodes import (
-    DeclareHandle,
-    EvalState,
-    OpProgram,
-    PollStatus,
-    Return,
-    SoftSleep,
-    Txn,
-    lower_expr,
+from repro.core.opir.compile import (
+    ADDR,
+    DATA_OUT,
+    HANDLE,
+    POLL,
+    RETURN,
+    SLEEP,
+    TXN,
+    UNFOLDED,
+    lower,
 )
-from repro.core.opir.registry import _cached_program, _resolved_builder
+from repro.core.opir.registry import (
+    _cached_program,
+    _remember,
+    _resolved_builder,
+    declared_shape,
+    lowered_shape,
+    resolve_builder,
+)
 from repro.core.opir.summarize import (
     plan_fingerprint,
     program_operands,
@@ -78,16 +76,9 @@ from repro.core.opir.summarize import (
 )
 from repro.core.recovery import RecoverableOpError
 from repro.core.softenv.base import Task, TaskState
-from repro.core.ufsm.ca_writer import cmd
-from repro.dram import DmaHandle
 from repro.flash.lun import _DataSource
 from repro.onfi.commands import CMD
-from repro.onfi.signals import (
-    AddressLatch,
-    CommandLatch,
-    DataInAction,
-    DataOutAction,
-)
+from repro.onfi.signals import CommandLatch
 from repro.onfi.status import StatusRegister
 from repro.sim import Timeout
 
@@ -114,30 +105,17 @@ _OP_ADDR = 1
 _OP_DATA_OUT = 2
 _OP_DATA_IN = 3
 
-# Memo states beside a template / None: a shape not seen yet, and a
-# declared shape that must take the reference plan.
-_UNSEEN = object()
-_REFERENCE = object()
-
 
 class _Template(NamedTuple):
-    """A straight-line op program compiled to an execution recipe.
-
-    A template holds what segment durations, action offsets and stats
-    depend on — the program's *shape*: latch counts and opcodes, burst
-    sizes, timer parameters, poll shapes.  Values that vary per call
-    (address bytes, DRAM targets, inline payloads) are not baked: they
-    are the op's *operands*, a flat tuple in program order
-    (:func:`~repro.core.opir.summarize.program_operands`), and die ops
-    and handle phases hold an index into it.  One compile therefore
-    serves a whole workload's worth of addresses.
+    """The fold of a straight-line shape's lowered steps.
 
     Phases are tuples tagged by ``_PH_*``; transaction phases carry
     per-segment die-op lists tagged by ``_OP_*`` with offsets relative
     to the transaction start, plus the batched channel-stats delta
     ``(segments, busy_ns, bytes_in, bytes_out, per-kind counts)``.
-    DMA handles are minted per run, so concurrent runs never alias a
-    descriptor.
+    Like the steps it folds, a template bakes nothing that varies per
+    call: die ops and handle phases index the op's *operands*.  DMA
+    handles are minted per run, so concurrent runs never alias one.
     """
 
     sw_ns: int
@@ -167,23 +145,14 @@ class PlanExecutor:
         self.sim = controller.sim
         self.env = controller.env
         self.channel = controller.channel
-        # The slice of OperationContext the op-IR compiler reads; nothing
-        # a template keeps depends on the chip mask.
-        self._ctx = SimpleNamespace(ufsm=controller.ufsm, chip_mask=1,
-                                    packetizer=controller.packetizer)
         cpu = controller.cpu
         costs = controller.env.costs
-        # The closed-form software cost constants (see module docstring).
+        # The software cost is modeled — charged in closed form.
         self.pre_txn_ns = cpu.cycles_to_ns(costs.serialized_txn_cycles())
         self.wakeup_ns = cpu.cycles_to_ns(costs.wakeup)
         self.repoll_ns = max(controller.config.vendor.timing.t_poll_min_ns, 1)
         self._queues: dict[int, deque] = {}
         self._running: set[int] = set()
-        # THE template memo: (builder, shape key) -> _Template, None (the
-        # shape has no template) or _REFERENCE.  The shape key is the
-        # one the builder's ``plan`` declares; for a builder that
-        # declares none it is the built program's fingerprint.
-        self._memo: dict[tuple, object] = {}
         self._shim = _BurstShim()
         self.ops_planned = 0
         self.ops_declined = 0
@@ -225,41 +194,26 @@ class PlanExecutor:
             return None  # bus-level observers need real segments
         for value in kwargs.values():
             if callable(value):
-                return None  # hooks need the interpreter
-        vendor = self.controller.config.vendor
-        memo = self._memo
-        template = _REFERENCE
+                return None  # hooks need the generic runtime
+        controller = self.controller
+        vendor = controller.config.vendor
         try:
             builder = _resolved_builder(op_name, vendor)
-            declared = getattr(builder, "plan", None)
-            if declared is not None:
-                shape_key, operands = declared(**kwargs)
-                template = memo.get((builder, shape_key), _UNSEEN)
-            if template is _UNSEEN or template is _REFERENCE:
-                built = self._reference_plan(builder, kwargs, vendor)
+            shape = declared_shape(controller.ufsm, vendor, builder, kwargs)
+            if shape is None:
+                shape = self._reference_shape(builder, kwargs, vendor)
+        except AssertionError:
+            raise  # a wrong declaration stops the shape's first submission
         except Exception:
             return None  # bad args: let the generic path report
-        if template is _UNSEEN:
-            # First submission of a declared shape: the declaration is
-            # checked, once, against the program it stands for.  A
-            # wrapper around an undeclared override is not covered by
-            # its own declaration; its shape is pinned to the reference.
-            fingerprint, leaves, program, declares = built
-            if not declares:
-                template = memo[builder, shape_key] = _REFERENCE
-            elif fingerprint is not None and leaves != operands:
-                raise AssertionError(
-                    f"{op_name}: declared operands {operands!r} are not the "
-                    f"built program's leaves {leaves!r}")
-            else:
-                template = self._compile((builder, shape_key), program,
-                                         fingerprint)
-        if template is _REFERENCE:
-            fingerprint, operands, program, _ = built
-            template = memo.get((builder, fingerprint), _UNSEEN)
-            if template is _UNSEEN:
-                template = self._compile((builder, fingerprint), program,
-                                         fingerprint)
+        if shape is None:
+            return None
+        lowered, operands = shape
+        template = lowered.template
+        if template is UNFOLDED:  # a declared shape's first submission:
+            # THE plannability decision, on the instance it was lowered from
+            template = lowered.template = self._fold(
+                lowered, plan_fingerprint(lowered.program, vendor)[0])
         if template is None:
             return None
         if template.has_data and channel.interface.ddr \
@@ -267,12 +221,29 @@ class PlanExecutor:
             return None  # the PHY corrupts bursts per segment
         return template, operands
 
+    def _reference_shape(self, builder, kwargs: dict,
+                         vendor) -> Optional[tuple]:
+        """The shape of a builder that declares none (a vendor override,
+        a pinned wrapper): built and fingerprinted on every submission,
+        lowered once per fingerprint in the same memo.  None when the
+        program has no fingerprint, hence no template."""
+        fingerprint, operands, program, _ = self._reference_plan(
+            builder, kwargs, vendor)
+        if fingerprint is None:
+            return None
+        bank = self.controller.ufsm
+        lowered = bank.lowered.get((builder, fingerprint))
+        if lowered is None:
+            lowered = _remember(bank, (builder, fingerprint),
+                                lower(bank, program)[0])
+            lowered.template = self._fold(lowered, fingerprint)
+        return lowered, operands
+
     @staticmethod
     def _reference_plan(builder, kwargs: dict, vendor) -> tuple:
         """``(fingerprint, operands, program, declares)`` read off the
-        built program.  A pure wrapper is planned as its callee — the
-        program its template is compiled from; ``declares`` tells
-        whether that program's builder has a ``plan`` of its own."""
+        built program.  A pure wrapper is planned as its callee;
+        ``declares``: that program's builder has a ``plan`` of its own."""
         program = _cached_program(builder, kwargs)
         fingerprint = plan_fingerprint(program, vendor)[0]
         callee = wrapper_callee(program)
@@ -282,122 +253,88 @@ class PlanExecutor:
         return (fingerprint, program_operands(program), program,
                 hasattr(builder, "plan"))
 
-    # -- template compilation ------------------------------------------
+    # -- template folding ----------------------------------------------
 
-    def _compile(self, key: tuple, program: OpProgram,
-                 fingerprint) -> Optional[_Template]:
-        """Bake the first program seen of a shape into the memo.
-
-        Segments are lowered once through the real µFSM emitters — the
-        same compile the interpreter performs per run — and only their
-        durations, action offsets, baked opcodes, and operand indices
-        are kept.  The shape key guarantees the result is valid for
-        every program of the shape.
-        """
-        template = None
-        if fingerprint is not None:
-            self.shapes_compiled += 1
-            try:
-                template = self._compile_template(program)
-            except Exception:
-                pass  # let the generic path report
-        if len(self._memo) >= 512:  # bounded like the registry's caches
-            self._memo.clear()
-        self._memo[key] = template
-        return template
-
-    def _compile_template(self, program: OpProgram) -> _Template:
-        ctx = self._ctx
-        state = EvalState(None)  # scratch: compile-time handle minting
+    def _fold(self, lowered, fingerprint) -> Optional[_Template]:
+        """Fold a shape's lowered steps (its callee's, for a pure
+        wrapper) into a template: per transaction, the sum of its
+        segment recipes.  None when the program has no fingerprint."""
+        if fingerprint is None:
+            return None
+        self.shapes_compiled += 1
+        if lowered.alias is not None:
+            lowered = lowered.alias[1]
+        packetizer = self.controller.packetizer
         phases = []
         result = None
         has_data = False
-        txn_count = 0
-        poll_count = 0
-        slot = 0  # index of the next operand, in program order
-        for node in program.nodes:
-            if isinstance(node, Txn):
-                phase, slot = self._compile_txn(node, slot, state)
+        txns = 0
+        polls = 0
+        for step in lowered.steps:
+            tag = step[0]
+            if tag == TXN:
+                phase = self._fold_txn(step[3])
                 has_data = has_data or phase[2][3] or phase[2][2]
-                phases.append(phase)
-                txn_count += 1
-            elif isinstance(node, DeclareHandle):
-                state.handles[node.name] = _mint_handle(ctx, node, state)
-                # mint(operand, nbytes): the Packetizer's own verb for a
-                # DRAM-bound handle; the interpreter's mint on the
-                # re-bound node for the rare capture / inline one.
-                if node.source in ("from_flash", "to_flash"):
-                    mint = getattr(ctx.packetizer, node.source)
-                else:
-                    field = "data" if node.source == "inline" \
-                        else "dram_address"
-                    mint = (lambda operand, _nbytes, node=node, field=field:
-                            _mint_handle(ctx, replace(node, **{field: operand}),
-                                         state))
-                phases.append((_PH_HANDLE, node.name, mint, node.nbytes, slot))
-                slot += 1
-            elif isinstance(node, PollStatus):
-                phases.append(self._compile_poll(node))
-                poll_count += 1
-            elif isinstance(node, SoftSleep):
-                phases.append((_PH_SLEEP, node.ns))
-            elif isinstance(node, Return):
-                result = lower_expr(node.expr)
+                txns += 1
+            elif tag == HANDLE:  # mint(operand, nbytes) on our Packetizer
+                phase = (_PH_HANDLE, step[1], partial(step[2], packetizer),
+                         step[3], step[4])
+            elif tag == POLL:
+                phase = self._fold_poll(step)
+                polls += 1
+            elif tag == SLEEP:
+                phase = (_PH_SLEEP, step[1])
+            elif tag == RETURN:
+                result = step[1]
                 break
-        sw_ns = (self.pre_txn_ns * (txn_count + poll_count)
-                 + self.wakeup_ns * poll_count)
+            else:
+                raise AssertionError(f"step {tag} in a fingerprinted program")
+            phases.append(phase)
+        sw_ns = self.pre_txn_ns * (txns + polls) + self.wakeup_ns * polls
         return _Template(sw_ns, tuple(phases), result, has_data)
 
-    def _compile_txn(self, node: Txn, slot: int, state: EvalState):
+    @staticmethod
+    def _fold_txn(recipes: tuple) -> tuple:
         hold = 0
-        nseg = 0
         bytes_in = 0
         bytes_out = 0
         kinds: dict[str, int] = {}
         segs = []
-        for seg_node in node.segments:
-            segment = compile_segment(self._ctx, seg_node, state)
-            nseg += 1
-            kinds[segment.kind.value] = kinds.get(segment.kind.value, 0) + 1
+        for _, kind, duration, actions, _, _, _, _ in recipes:
+            kinds[kind.value] = kinds.get(kind.value, 0) + 1
             ops = []
-            for offset, action in segment.actions:
-                at = hold + offset
-                if isinstance(action, CommandLatch):
-                    ops.append((_OP_CMD, at, action.opcode))
-                elif isinstance(action, AddressLatch):
-                    # Address bytes vary per call: one operand per
-                    # address latch, in latch order.
-                    ops.append((_OP_ADDR, at, slot))
-                    slot += 1
-                elif isinstance(action, DataOutAction):
-                    bytes_out += action.nbytes
-                    ops.append((_OP_DATA_OUT, at, action.nbytes,
-                                seg_node.handle.name))
-                elif isinstance(action, DataInAction):
-                    bytes_in += action.nbytes
-                    ops.append((_OP_DATA_IN, at, action.nbytes,
-                                seg_node.handle.name, action.column))
-                # IdleWait: pure time, no die effect.
+            for action in actions:
+                at = hold + action[0]
+                if len(action) == 2:
+                    if isinstance(action[1], CommandLatch):
+                        ops.append((_OP_CMD, at, action[1].opcode))
+                    continue  # IdleWait: pure time, no die effect
+                _, what, a, name, column = action
+                if what == ADDR:
+                    ops.append((_OP_ADDR, at, a))
+                elif what == DATA_OUT:
+                    bytes_out += a
+                    ops.append((_OP_DATA_OUT, at, a, name))
+                else:
+                    bytes_in += a
+                    ops.append((_OP_DATA_IN, at, a, name, column))
             segs.append(tuple(ops))
-            hold += segment.duration_ns
-        stats = (nseg, hold, bytes_in, bytes_out, tuple(kinds.items()))
-        return (_PH_TXN, hold, stats, tuple(segs)), slot
+            hold += duration
+        stats = (len(recipes), hold, bytes_in, bytes_out,
+                 tuple(kinds.items()))
+        return (_PH_TXN, hold, stats, tuple(segs))
 
-    def _compile_poll(self, node: PollStatus):
-        # The status round trip; its durations are mask-free.
-        ufsm = self._ctx.ufsm
-        latch = ufsm.ca_writer.emit([cmd(CMD.READ_STATUS)], chip_mask=1)
-        data = ufsm.data_reader.emit(1, DmaHandle(None, 0, 1), chip_mask=1)
-        cmd_off = latch.actions[0][0]
-        data_off = next(off for off, action in data.actions
-                        if isinstance(action, DataOutAction))
-        sample_off = latch.duration_ns + data_off
-        hold = latch.duration_ns + data.duration_ns
-        kinds = ((latch.kind.value, 1), (data.kind.value, 1))
-        predicate = (StatusRegister.is_ready if node.until == "ready"
+    def _fold_poll(self, step: tuple) -> tuple:
+        # The status round trip is the stock ``read_status`` shape (one
+        # command latch, one 1-byte burst); its durations are mask-free.
+        status, _ = lowered_shape(self.controller.ufsm, None,
+                                  resolve_builder("read_status"), {})
+        _, hold, stats, ((latch,), (burst,)) = self._fold_txn(
+            status.steps[1][3])
+        predicate = (StatusRegister.is_ready if step[2] == "ready"
                      else StatusRegister.is_array_ready)
-        return (_PH_POLL, predicate, node.dest, node.max_polls, hold,
-                cmd_off, sample_off, kinds)
+        return (_PH_POLL, predicate, step[3], step[5], hold, latch[1],
+                burst[1], stats[4])
 
     # -- template execution --------------------------------------------
 

@@ -1,10 +1,12 @@
-"""The declarative op-program IR (compiler + interpreter + registry).
+"""The declarative op-program IR (lowering + executor + registry).
 
 Flash operations as *values*: an :class:`OpProgram` is a tree of frozen
-node dataclasses (:mod:`~repro.core.opir.nodes`), lowered to waveform
-segments by the compiler (:mod:`~repro.core.opir.compile`), executed by
-the interpreter generator (:mod:`~repro.core.opir.interp`), looked up —
-with per-vendor overrides — through the registry
+node dataclasses (:mod:`~repro.core.opir.nodes`), lowered once per
+shape to flat steps through the µFSM emitters
+(:mod:`~repro.core.opir.compile`), run by the waveform executor
+(:mod:`~repro.core.opir.interp`) and folded by the TLM template runner
+(:mod:`repro.core.fastops`), looked up — with per-vendor overrides and
+the shape memo — through the registry
 (:mod:`~repro.core.opir.registry`), and serialized to JSON for replay
 and diffing (:mod:`~repro.core.opir.serialize`).  The public ``*_op``
 wrappers in :mod:`repro.core.ops` are one-line shims over
@@ -34,7 +36,7 @@ from repro.core.opir.nodes import (
     Txn,
     kwargs_tuple,
 )
-from repro.core.opir.compile import build_transaction, compile_segment, resolve_timer_ns
+from repro.core.opir.compile import lower, resolve_timer_ns
 from repro.core.opir.interp import run_program
 from repro.core.opir.registry import (
     build_program,
@@ -67,8 +69,7 @@ __all__ = [
     "TimerWait",
     "Txn",
     "kwargs_tuple",
-    "build_transaction",
-    "compile_segment",
+    "lower",
     "resolve_timer_ns",
     "run_program",
     "build_program",

@@ -1,32 +1,89 @@
-"""The op-program compiler: lower segment nodes to waveform segments.
+"""The op-program lowering: an :class:`OpProgram` to flat steps, once.
 
-This is the "table to wires" half of the IR: given a
-:class:`~repro.core.softenv.base.OperationContext` (whose µFSM bank
-carries the current data mode's timing), each segment node lowers to
-exactly the µFSM emission the hand-written generators performed —
-same emitter, same arguments, same order — so the resulting waveform
-is byte/ns identical to the seeds.
+The "table to wires" half of the IR.  :func:`lower` walks a program one
+time, emitting every segment through the bank's real µFSM emitters, and
+keeps what is fixed per *shape*: segment kinds, durations, action
+offsets, labels, and every value position lowered by
+:func:`~repro.core.opir.nodes.lower_expr`.  What varies per call —
+address-latch bytes, DMA targets, inline payloads — becomes an *operand
+slot*, an index into a flat tuple in program order.  The waveform
+executor (:mod:`repro.core.opir.interp`) runs the steps; the TLM
+template (:mod:`repro.core.fastops`) folds them.  Steps are tuples
+tagged by the ints below (``f`` is a lowered ``f(regs, handles, hooks)``;
+``mask`` is None = the op's target, an int, or an ``f``)::
+
+    (TXN, kind, label, recipes)   recipe = (µFSM, SegmentKind, duration_ns,
+                                  actions, fills, mask, label, via_chip_control)
+    (HANDLE, name, mint, nbytes, slot)   mint(packetizer, operand, nbytes)
+    (POLL, poll_fn, until, dest, mask, max_polls, period_ns)
+    (SLEEP, ns | f)   (SET, name, f)   (RETURN, f)   (SELECT, node, read_status_op)
+    (CALL, op, fn, names, f, dest)
+    (BRANCH, f | None, else_pc)   None = unconditional jump
+    (LOOP, var, count, exit_pc)   (BREAK_IF, f, sets, loop_pc, exit_pc)
+
+A recipe's ``actions`` holds ``(offset, action)`` where the shape fixes
+the action (command latches, idle waits) and ``(offset, tag, a, b, c)``
+at the indices in ``fills``: ``ADDR`` (a = operand slot), ``DATA_OUT`` /
+``DATA_IN`` (a = nbytes, b = handle name, c = column).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.opir.nodes import (
+    Branch,
+    BreakIf,
+    CallOp,
     DataXfer,
-    EvalState,
+    DeclareHandle,
     LatchSeq,
+    Loop,
+    OpProgram,
+    PollStatus,
+    Return,
+    SelectFirstReady,
+    SetReg,
+    SoftSleep,
     TimerWait,
     Txn,
-    eval_expr,
+    effective_poll_period,
+    lower_expr,
 )
-from repro.core.transaction import Transaction
-from repro.onfi.signals import WaveformSegment
+from repro.core.packetizer import Packetizer
+from repro.dram import DmaHandle
+from repro.onfi.signals import AddressLatch, DataInAction, DataOutAction
+
+(TXN, HANDLE, POLL, SLEEP, CALL, SET, BRANCH, LOOP, BREAK_IF, SELECT,
+ RETURN) = range(11)
+ADDR, DATA_OUT, DATA_IN = range(3)
+
+# DeclareHandle source -> mint(packetizer, operand, nbytes): the operand
+# is a DRAM address, or an inline handle's immediate bytes.
+_MINTS = {
+    "capture": lambda packetizer, _, nbytes: packetizer.capture(nbytes),
+    "from_flash": Packetizer.from_flash,
+    "to_flash": Packetizer.to_flash,
+    "inline": lambda packetizer, data, _: packetizer.inline(
+        np.array(data, dtype=np.uint8)),
+}
+UNFOLDED = object()  # Lowered.template before the TLM runner asked
 
 
-def resolve_mask(ctx, chip_mask, state: EvalState) -> int:
-    """A node's chip mask: ``None`` means the operation's target."""
-    if chip_mask is None:
-        return ctx.chip_mask
-    return eval_expr(chip_mask, state)
+class Lowered:
+    """One lowered shape.  ``program`` is the instance it was lowered
+    from (the TLM runner fingerprints it); ``alias`` is set instead of
+    ``steps`` for a declared pure wrapper — ``(run, callee Lowered)``,
+    the callee's shape run under the wrapper's own operands;
+    ``template`` caches the TLM fold."""
+
+    __slots__ = ("steps", "program", "alias", "template")
+
+    def __init__(self, steps: tuple, program: OpProgram, alias=None):
+        self.steps = steps
+        self.program = program
+        self.alias = alias
+        self.template = UNFOLDED
 
 
 def resolve_timer_ns(bank, node: TimerWait) -> int:
@@ -43,51 +100,139 @@ def resolve_timer_ns(bank, node: TimerWait) -> int:
         ) from None
 
 
-def compile_segment(ctx, node, state: EvalState) -> WaveformSegment:
-    """Lower one segment node via the bank's µFSM emitters."""
-    bank = ctx.ufsm
+def _mask(chip_mask):
+    if chip_mask is None or type(chip_mask) is int:
+        return chip_mask
+    return lower_expr(chip_mask)
+
+
+def _lower_segment(bank, node, operands: list, declared: set) -> tuple:
+    """One segment node to its recipe, via the bank's µFSM emitters."""
+    name = None
     if isinstance(node, LatchSeq):
-        if node.via_chip_control:
-            # Emit with the default mask, then let Chip Control redirect
-            # it — the gang-scheduling idiom (Fig. 6d).
-            segment = bank.ca_writer.emit(list(node.latches), label=node.label)
-            return bank.chip_control.apply(
-                segment, eval_expr(node.chip_mask, state)
-            )
-        return bank.ca_writer.emit(
-            list(node.latches),
-            chip_mask=resolve_mask(ctx, node.chip_mask, state),
-            label=node.label,
-        )
-    if isinstance(node, TimerWait):
-        return bank.timer.emit(
-            resolve_timer_ns(bank, node),
-            chip_mask=resolve_mask(ctx, node.chip_mask, state),
-            label=node.label,
-        )
-    if isinstance(node, DataXfer):
-        handle = eval_expr(node.handle, state)
-        mask = resolve_mask(ctx, node.chip_mask, state)
+        ufsm = bank.ca_writer
+        segment = ufsm.emit(list(node.latches), label=node.label)
+    elif isinstance(node, TimerWait):
+        ufsm = bank.timer
+        segment = ufsm.emit(resolve_timer_ns(bank, node), label=node.label)
+    elif isinstance(node, DataXfer):
+        name = node.handle.name
+        if name not in declared:
+            raise KeyError(f"handle {name!r} referenced before declaration")
+        scratch = DmaHandle(None, 0, node.nbytes)
         if node.direction == "out":
-            return bank.data_reader.emit(
-                node.nbytes, handle, chip_mask=mask, label=node.label
-            )
-        if node.direction == "in":
-            return bank.data_writer.emit(
-                node.nbytes,
-                handle,
-                column=node.column,
-                chip_mask=mask,
-                after_address=node.after_address,
-                label=node.label,
-            )
-        raise ValueError(f"DataXfer direction must be 'out' or 'in', got {node.direction!r}")
-    raise TypeError(f"{type(node).__name__} is not a segment node")
+            ufsm = bank.data_reader
+            segment = ufsm.emit(node.nbytes, scratch, label=node.label)
+        elif node.direction == "in":
+            ufsm = bank.data_writer
+            segment = ufsm.emit(node.nbytes, scratch, column=node.column,
+                                after_address=node.after_address,
+                                label=node.label)
+        else:
+            raise ValueError("DataXfer direction must be 'out' or 'in', "
+                             f"got {node.direction!r}")
+    else:
+        raise TypeError(f"{type(node).__name__} is not a segment node")
+    actions = list(segment.actions)
+    fills = []
+    for index, (offset, action) in enumerate(actions):
+        if isinstance(action, AddressLatch):
+            actions[index] = (offset, ADDR, len(operands), None, None)
+            operands.append(action.address_bytes)
+        elif isinstance(action, DataOutAction):
+            actions[index] = (offset, DATA_OUT, action.nbytes, name, None)
+        elif isinstance(action, DataInAction):
+            actions[index] = (offset, DATA_IN, action.nbytes, name,
+                              action.column)
+        else:
+            continue  # a command latch or idle wait: fixed by the shape
+        fills.append(index)
+    return (ufsm, segment.kind, segment.duration_ns, tuple(actions),
+            tuple(fills), _mask(node.chip_mask), segment.label,
+            getattr(node, "via_chip_control", False))
 
 
-def build_transaction(ctx, node: Txn, state: EvalState) -> Transaction:
-    """Lower a :class:`Txn` node into one prepared transaction."""
-    txn = ctx.transaction(node.kind, label=node.label)
-    for segment_node in node.segments:
-        txn.add_segment(compile_segment(ctx, segment_node, state))
-    return txn
+def lower(bank, program: OpProgram) -> tuple[Lowered, tuple]:
+    """Lower ``program`` against ``bank``'s current data mode:
+    ``(Lowered, operands)`` — the steps, and this instance's values for
+    their operand slots."""
+    import repro.core.ops as ops  # imports the registry, hence lazy
+    from repro.core.ops.base import poll_until_array_ready, poll_until_ready
+
+    polls = {"ready": poll_until_ready, "array_ready": poll_until_array_ready}
+    steps: list = []
+    operands: list = []
+    declared: set = set()
+
+    def block(nodes, loop=None, top=False) -> None:
+        for node in nodes:
+            if isinstance(node, Txn):
+                steps.append((TXN, node.kind, node.label, tuple(
+                    _lower_segment(bank, seg, operands, declared)
+                    for seg in node.segments)))
+            elif isinstance(node, DeclareHandle):
+                if node.source not in _MINTS:
+                    raise ValueError(f"unknown handle source {node.source!r}")
+                steps.append((HANDLE, node.name, _MINTS[node.source],
+                              node.nbytes, len(operands)))
+                operands.append(node.data if node.source == "inline"
+                                else node.dram_address)
+                declared.add(node.name)
+            elif isinstance(node, PollStatus):
+                if node.until not in polls:
+                    raise ValueError("PollStatus until must be 'ready' or "
+                                     f"'array_ready', got {node.until!r}")
+                steps.append((POLL, polls[node.until], node.until, node.dest,
+                              _mask(node.chip_mask), node.max_polls,
+                              effective_poll_period(node.period_ns)))
+            elif isinstance(node, SoftSleep):
+                steps.append((SLEEP, node.ns if type(node.ns) is int
+                              else lower_expr(node.ns)))
+            elif isinstance(node, CallOp):
+                steps.append((
+                    CALL, node.op, getattr(ops, f"{node.op}_op", None),
+                    tuple(name for name, _ in node.kwargs),
+                    lower_expr(tuple(value for _, value in node.kwargs)),
+                    node.dest))
+            elif isinstance(node, SetReg):
+                steps.append((SET, node.name, lower_expr(node.expr)))
+            elif isinstance(node, Branch):
+                at = len(steps)
+                steps.append(None)
+                block(node.then, loop)
+                skip = len(steps)  # end of then: jump over orelse
+                steps.append(None)
+                steps[at] = (BRANCH, lower_expr(node.pred), len(steps))
+                block(node.orelse, loop)
+                steps[skip] = (BRANCH, None, len(steps))
+            elif isinstance(node, Loop):
+                head = len(steps)
+                steps.append(None)
+                breaks: list = []
+                block(node.body, (head + 1, breaks))
+                steps.append((BRANCH, None, head))
+                steps[head] = (LOOP, node.var, node.count, len(steps))
+                for at in breaks:
+                    steps[at] += (len(steps),)
+            elif isinstance(node, BreakIf):
+                if loop is None:
+                    raise ValueError("BreakIf outside a Loop")
+                loop[1].append(len(steps))
+                steps.append((BREAK_IF, lower_expr(node.pred), tuple(
+                    (name, lower_expr(expr)) for name, expr in node.sets),
+                    loop[0]))
+            elif isinstance(node, SelectFirstReady):
+                steps.append((SELECT, node, ops.read_status_op))
+            elif isinstance(node, Return):
+                steps.append((RETURN, lower_expr(node.expr)))
+                if top:
+                    return  # nothing after a top-level Return can run
+            else:
+                raise TypeError(f"{type(node).__name__} is not a step node")
+
+    emitted = [ufsm.emissions for ufsm in bank.all()]
+    block(program.nodes, top=True)
+    for ufsm, count in zip(bank.all(), emitted):
+        ufsm.emissions = count  # lowering drives no bus; runs count
+    bank.shapes_lowered += 1
+    return Lowered(tuple(steps), program), tuple(operands)

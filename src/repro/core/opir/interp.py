@@ -1,168 +1,144 @@
-"""The op-program interpreter: run an IR program through a context.
+"""The waveform executor: run a lowered op program through a context.
 
-``run_program`` is a generator over environment commands, exactly like
-a hand-written operation — the software environment cannot tell the
-difference (and the golden tests assert it cannot: same segments, same
-nanoseconds, same results).  Composition goes through the public
-``*_op`` wrappers (:class:`~repro.core.opir.nodes.CallOp`) and status
-polls through :func:`~repro.core.ops.base.poll_until_ready`, so traced
-spans nest the way Algorithm 2 nests Algorithm 1 and vendor overrides
-resolve for callees too.
+``run_program`` yields environment commands exactly like a hand-written
+operation (the golden tests hold it to the seed generators: same
+segments, same nanoseconds, same results).  It is one generator,
+:func:`run_lowered`, over the flat steps of
+:func:`repro.core.opir.compile.lower`: no program node is visited at run
+time, but every transmission still gets a fresh ``WaveformSegment``
+(taps, sanitizers, fault hooks and Chip Control read and mutate it) in a
+fresh ``Transaction``.  Composition goes through the public ``*_op``
+wrappers and status polls through ``poll_until_ready``, so traced spans
+nest the way Algorithm 2 nests Algorithm 1 and vendor overrides resolve
+for callees too.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.opir.compile import build_transaction
-from repro.core.opir.nodes import (
-    Branch,
-    BreakIf,
-    CallOp,
-    DeclareHandle,
-    EvalState,
-    Loop,
-    OpProgram,
-    PollStatus,
-    Return,
-    SelectFirstReady,
-    SetReg,
-    SoftSleep,
-    Txn,
-    effective_poll_period,
-    eval_expr,
+from repro.core.opir.compile import (
+    ADDR,
+    BRANCH,
+    BREAK_IF,
+    CALL,
+    DATA_OUT,
+    HANDLE,
+    LOOP,
+    POLL,
+    RETURN,
+    SELECT,
+    SET,
+    SLEEP,
+    TXN,
+    Lowered,
+    lower,
 )
-
-
-# Poll/compose helpers live in ``repro.core.ops``, which imports this
-# module — so they are resolved lazily, once, at first use.
-_POLL_FNS = None
-_OPS_MODULE = None
-_SELECT_FNS = None
-
-
-class _BreakSignal(Exception):
-    pass
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value):
-        super().__init__()
-        self.value = value
+from repro.core.opir.nodes import OpProgram, SelectFirstReady
+from repro.core.ufsm.chip_control import ChipControl
+from repro.onfi.signals import (
+    AddressLatch,
+    DataInAction,
+    DataOutAction,
+    WaveformSegment,
+)
+from repro.onfi.status import StatusRegister
 
 
 def run_program(ctx, program: OpProgram, hooks=None):
     """Execute ``program`` against ``ctx``; returns its Return value."""
-    state = EvalState(hooks)
-    try:
-        yield from _interpret_nodes(ctx, program.nodes, state)
-    except _ReturnSignal as signal:
-        return signal.value
-    return None
+    lowered, operands = lower(ctx.ufsm, program)
+    return run_lowered(ctx, lowered, operands, hooks)
 
 
-def _interpret_nodes(ctx, nodes, state: EvalState):
-    for node in nodes:
-        if isinstance(node, Txn):
-            txn = build_transaction(ctx, node, state)
+def run_lowered(ctx, lowered: Lowered, operands: tuple, hooks=None):
+    """Run lowered steps with ``operands`` bound to their slots."""
+    steps = lowered.steps
+    regs: dict = {}
+    handles: dict = {}
+    counters: dict = {}  # LOOP pc -> next index
+    pc = 0
+    end = len(steps)
+    while pc < end:
+        step = steps[pc]
+        pc += 1
+        tag = step[0]
+        if tag == TXN:
+            txn = ctx.transaction(step[1], label=step[2])
+            segments = txn.segments
+            for ufsm, kind, duration, actions, fills, mask, label, via in step[3]:
+                if fills:
+                    actions = list(actions)
+                    for index in fills:
+                        offset, what, a, b, c = actions[index]
+                        if what == ADDR:
+                            action = AddressLatch(operands[a])
+                        elif what == DATA_OUT:
+                            action = DataOutAction(a, handles[b])
+                        else:
+                            action = DataInAction(a, c, handles[b])
+                        actions[index] = (offset, action)
+                    actions = tuple(actions)
+                if mask is None:
+                    mask = ctx.chip_mask
+                elif type(mask) is not int:
+                    mask = mask(regs, handles, hooks)
+                ufsm.emissions += 1
+                segment = WaveformSegment(kind, duration, actions,
+                                          1 if via else mask, label)
+                if via:  # emitted with the default mask, then redirected
+                    # by Chip Control: the gang-scheduling idiom (Fig. 6d)
+                    ctx.ufsm.chip_control.apply(segment, mask)
+                segments.append(segment)
             yield from ctx.add_transaction(txn)
-        elif isinstance(node, DeclareHandle):
-            state.handles[node.name] = _mint_handle(ctx, node, state)
-        elif isinstance(node, PollStatus):
-            yield from _poll(ctx, node, state)
-        elif isinstance(node, SoftSleep):
-            yield from ctx.sleep(eval_expr(node.ns, state))
-        elif isinstance(node, CallOp):
-            yield from _call_op(ctx, node, state)
-        elif isinstance(node, SetReg):
-            state.regs[node.name] = eval_expr(node.expr, state)
-        elif isinstance(node, Branch):
-            branch = node.then if eval_expr(node.pred, state) else node.orelse
-            yield from _interpret_nodes(ctx, branch, state)
-        elif isinstance(node, Loop):
-            for index in range(node.count):
-                state.regs[node.var] = index
-                try:
-                    yield from _interpret_nodes(ctx, node.body, state)
-                except _BreakSignal:
-                    break
-        elif isinstance(node, BreakIf):
-            if eval_expr(node.pred, state):
-                for name, expr in node.sets:
-                    state.regs[name] = eval_expr(expr, state)
-                raise _BreakSignal()
-        elif isinstance(node, SelectFirstReady):
-            yield from _select_first_ready(ctx, node, state)
-        elif isinstance(node, Return):
-            raise _ReturnSignal(eval_expr(node.expr, state))
-        else:
-            raise TypeError(f"{type(node).__name__} is not a step node")
+        elif tag == HANDLE:
+            handles[step[1]] = step[2](
+                ctx.packetizer, operands[step[4]], step[3])
+        elif tag == POLL:
+            mask = step[4]
+            if mask is not None and type(mask) is not int:
+                mask = mask(regs, handles, hooks)
+            status = yield from step[1](
+                ctx, chip_mask=mask, max_polls=step[5], period_ns=step[6])
+            if step[3]:
+                regs[step[3]] = status
+        elif tag == RETURN:
+            return step[1](regs, handles, hooks)
+        elif tag == SET:
+            regs[step[1]] = step[2](regs, handles, hooks)
+        elif tag == CALL:
+            if step[2] is None:
+                raise KeyError(
+                    f"CallOp target {step[1]!r} is not a library operation")
+            result = yield from step[2](ctx, **dict(zip(
+                step[3], step[4](regs, handles, hooks))))
+            if step[5]:
+                regs[step[5]] = result
+        elif tag == BRANCH:
+            if step[1] is None or not step[1](regs, handles, hooks):
+                pc = step[2]
+        elif tag == LOOP:
+            index = counters.get(pc, 0)
+            if index < step[2]:
+                regs[step[1]] = index
+                counters[pc] = index + 1
+            else:
+                counters[pc] = 0
+                pc = step[3]
+        elif tag == BREAK_IF:
+            if step[1](regs, handles, hooks):
+                for name, expr in step[2]:
+                    regs[name] = expr(regs, handles, hooks)
+                counters[step[3]] = 0
+                pc = step[4]
+        elif tag == SLEEP:
+            ns = step[1]
+            yield from ctx.sleep(
+                ns if type(ns) is int else ns(regs, handles, hooks))
+        elif tag == SELECT:
+            yield from _select_first_ready(ctx, step[1], step[2], regs)
 
 
-def _mint_handle(ctx, node: DeclareHandle, state: EvalState):
-    packetizer = ctx.packetizer
-    if node.source == "capture":
-        return packetizer.capture(node.nbytes)
-    if node.source == "from_flash":
-        return packetizer.from_flash(node.dram_address, node.nbytes)
-    if node.source == "to_flash":
-        return packetizer.to_flash(node.dram_address, node.nbytes)
-    if node.source == "inline":
-        data = eval_expr(node.data, state)
-        return packetizer.inline(np.array(data, dtype=np.uint8))
-    raise ValueError(f"unknown handle source {node.source!r}")
-
-
-def _poll(ctx, node: PollStatus, state: EvalState):
-    global _POLL_FNS
-    if _POLL_FNS is None:
-        from repro.core.ops.base import poll_until_array_ready, poll_until_ready
-
-        _POLL_FNS = (poll_until_ready, poll_until_array_ready)
-    poll_until_ready, poll_until_array_ready = _POLL_FNS
-
-    mask = None if node.chip_mask is None else eval_expr(node.chip_mask, state)
-    period = effective_poll_period(node.period_ns)
-    if node.until == "ready":
-        status = yield from poll_until_ready(
-            ctx, chip_mask=mask, max_polls=node.max_polls, period_ns=period
-        )
-    elif node.until == "array_ready":
-        status = yield from poll_until_array_ready(
-            ctx, chip_mask=mask, max_polls=node.max_polls, period_ns=period
-        )
-    else:
-        raise ValueError(f"PollStatus until must be 'ready' or 'array_ready', got {node.until!r}")
-    if node.dest:
-        state.regs[node.dest] = status
-
-
-def _call_op(ctx, node: CallOp, state: EvalState):
-    global _OPS_MODULE
-    if _OPS_MODULE is None:
-        import repro.core.ops as _OPS_MODULE  # noqa: PLW0603
-    ops_module = _OPS_MODULE
-
-    try:
-        fn = getattr(ops_module, f"{node.op}_op")
-    except AttributeError:
-        raise KeyError(f"CallOp target {node.op!r} is not a library operation") from None
-    kwargs = {name: eval_expr(value, state) for name, value in node.kwargs}
-    result = yield from fn(ctx, **kwargs)
-    if node.dest:
-        state.regs[node.dest] = result
-
-
-def _select_first_ready(ctx, node: SelectFirstReady, state: EvalState):
-    global _SELECT_FNS
-    if _SELECT_FNS is None:
-        from repro.core.ops.status import read_status_op
-        from repro.core.ufsm.chip_control import ChipControl
-        from repro.onfi.status import StatusRegister
-
-        _SELECT_FNS = (read_status_op, ChipControl, StatusRegister)
-    read_status_op, ChipControl, StatusRegister = _SELECT_FNS
-
+def _select_first_ready(ctx, node: SelectFirstReady, read_status_op,
+                        regs: dict):
     winner = None
     for _ in range(node.max_rounds):
         for position in node.positions:
@@ -175,5 +151,5 @@ def _select_first_ready(ctx, node: SelectFirstReady, state: EvalState):
             break
     else:
         raise RuntimeError("gang poll budget exhausted — no replica became ready")
-    state.regs[node.dest_pos] = winner
-    state.regs[node.dest_mask] = ChipControl.mask_for(winner)
+    regs[node.dest_pos] = winner
+    regs[node.dest_mask] = ChipControl.mask_for(winner)

@@ -16,11 +16,12 @@ things imperative generators could never give us:
 * vendors override whole operations by supplying a different program
   builder (:mod:`repro.flash.vendors`), not by monkeypatching code.
 
-Execution is split the way the paper splits it: a *compiler*
-(:mod:`repro.core.opir.compile`) lowers segment nodes to waveform
-segments against a :class:`~repro.core.ufsm.base.UfsmBank`, and an
-*interpreter* (:mod:`repro.core.opir.interp`) runs the program through
-an :class:`~repro.core.softenv.base.OperationContext` with byte/ns
+Execution is split the way the paper splits it — prepared ahead of the
+hardware: a *lowering* (:mod:`repro.core.opir.compile`) turns a program,
+once per shape, into flat steps through the µFSM emitters of a
+:class:`~repro.core.ufsm.base.UfsmBank`, and an *executor*
+(:mod:`repro.core.opir.interp`) runs those steps through an
+:class:`~repro.core.softenv.base.OperationContext` with byte/ns
 identical behaviour to the original hand-written generators (pinned by
 ``tests/test_opir_golden.py``).
 """
@@ -66,15 +67,16 @@ __all__ = [
 #
 # Any "value position" in a node (a chip mask, a register assignment, a
 # return expression, CallOp kwargs) may hold a literal, a tuple/list of
-# values, or one of the three expression kinds below.  Evaluation is
-# :func:`eval_expr`; undefined registers evaluate to ``None`` (matching
-# the seeds' ``level_used = None`` initializations).
+# values, or one of the three expression kinds below.  The reference
+# evaluator is :func:`eval_expr`; the lowering evaluates the same
+# language through :func:`lower_expr`.  Undefined registers evaluate to
+# ``None`` (matching the seeds' ``level_used = None`` initializations).
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Reg:
-    """Read a named interpreter register."""
+    """Read a named register of the running operation."""
 
     name: str
 
@@ -108,7 +110,7 @@ class E:
 
 
 class EvalState:
-    """Mutable interpreter state: registers, handles, and hooks."""
+    """Mutable evaluation state: registers, handles, and hooks."""
 
     __slots__ = ("regs", "handles", "hooks")
 
@@ -165,11 +167,11 @@ def _apply(expr: E, state: EvalState) -> Any:
     raise ValueError(f"unknown expression operator {op!r}")
 
 
-# Python source of each E operator, for :func:`lower_expr`; hooks have
-# no entry (a program that calls one is never lowered).
+# Python source of each E operator, for :func:`lower_expr`.  ``and`` is a
+# call so that both sides are evaluated, as :func:`eval_expr` does.
 _E_SOURCE = {
     "item": "{0}[{1}]",
-    "and": "({0} and {1})",
+    "and": "both({0}, {1})",
     "gt": "({0} > {1})",
     "ne": "({0} != {1})",
     "not_failed": "(not is_failed({0}))",
@@ -179,13 +181,21 @@ _E_SOURCE = {
 }
 
 
-def lower_expr(value: Any) -> Callable[[dict, dict], Any]:
-    """Lower a value position, once, into a flat ``f(regs, handles)``.
+def _hook(hooks: Optional[dict], name: str) -> Callable:
+    try:
+        return hooks[name]
+    except (KeyError, TypeError):
+        raise KeyError(f"program calls hook {name!r} but none was supplied") from None
 
-    The result equals :func:`eval_expr` against a hook-less state with
-    those registers and handles, without the per-node recursion — the
-    TLM template runner evaluates one ``Return`` per operation.  Raises
-    ``KeyError`` for an operator with no source form (``hook``).
+
+def lower_expr(value: Any) -> Callable[..., Any]:
+    """Lower a value position, once, into a flat ``f(regs, handles,
+    hooks=None)``.
+
+    The result equals :func:`eval_expr` against a state with those
+    registers, handles and hooks, without the per-node recursion: the
+    lowering (:mod:`repro.core.opir.compile`) calls this once for every
+    value position of a program, and both tiers evaluate the result.
     """
     consts: list = []
 
@@ -195,19 +205,26 @@ def lower_expr(value: Any) -> Callable[[dict, dict], Any]:
         if isinstance(node, HandleRef):
             return f"handles[{node.name!r}]"
         if isinstance(node, E):
-            return _E_SOURCE[node.op].format(*map(source, node.args))
+            if node.op == "hook":
+                args = ", ".join(map(source, node.args[1:]))
+                return f"hook(hooks, {node.args[0]!r})({args})"
+            try:
+                return _E_SOURCE[node.op].format(*map(source, node.args))
+            except KeyError:
+                raise ValueError(f"unknown expression operator {node.op!r}") from None
         if isinstance(node, (tuple, list)):
             items = "".join(source(item) + ", " for item in node)
             return f"({items})" if isinstance(node, tuple) else f"[{items}]"
         consts.append(node)
         return f"consts[{len(consts) - 1}]"
 
-    return eval(f"lambda regs, handles: {source(value)}",
-                {"consts": consts, "is_failed": StatusRegister.is_failed})
+    return eval(f"lambda regs, handles, hooks=None: {source(value)}",
+                {"consts": consts, "is_failed": StatusRegister.is_failed,
+                 "hook": _hook, "both": lambda a, b: a and b})
 
 
 # ---------------------------------------------------------------------------
-# Segment nodes: lowered to WaveformSegments by the compiler.  A
+# Segment nodes: lowered to segment recipes through the µFSM emitters.  A
 # ``chip_mask`` of ``None`` means "the operation's target mask"
 # (``ctx.chip_mask``) — resolved at run time, so one program serves any
 # LUN position.
@@ -235,7 +252,7 @@ class TimerWait:
 
     Exactly one of ``ns`` (absolute) or ``param`` (a
     :class:`~repro.onfi.timing.TimingSet` attribute such as ``"tCCS"``,
-    resolved against the bank's current mode at compile time) must be
+    resolved against the bank's current mode when lowered) must be
     given.  ``reason`` documents *why* a long wait holds the channel —
     the channel-hold lint (OPL004) requires it for waits over its
     threshold.
@@ -268,7 +285,7 @@ SEGMENT_NODES = (LatchSeq, TimerWait, DataXfer)
 
 
 # ---------------------------------------------------------------------------
-# Step nodes: executed in order by the interpreter.
+# Step nodes: lowered to flat steps, run in order by the executor.
 # ---------------------------------------------------------------------------
 
 
@@ -299,7 +316,7 @@ class DeclareHandle:
 
 
 # THE definition of "unpaced": a PollStatus with no explicit period
-# re-polls back to back.  The interpreter's fallback, the ops-layer
+# re-polls back to back.  The lowering's fallback, the ops-layer
 # defaults, and the OPL008 lint all resolve pacing through
 # effective_poll_period so the semantics cannot drift apart.
 UNPACED_POLL_PERIOD_NS = 0
@@ -449,6 +466,26 @@ def _walk(nodes):
 def kwargs_tuple(mapping: dict) -> tuple:
     """Normalize a kwargs dict into the sorted pair-tuple CallOp wants."""
     return tuple(sorted(mapping.items()))
+
+
+def wrapper_callee(program: OpProgram) -> Optional[tuple[str, dict]]:
+    """(callee name, static kwargs) when ``program`` is a pure
+    one-CallOp wrapper (``full_page_read`` → ``read_page``); None when
+    it is not, or an argument depends on runtime registers or hooks."""
+    nodes = program.nodes
+    if not (len(nodes) == 2 and isinstance(nodes[0], CallOp)
+            and isinstance(nodes[1], Return)
+            and isinstance(nodes[1].expr, Reg)
+            and nodes[1].expr.name == nodes[0].dest):
+        return None
+    state = EvalState(None)
+    kwargs = {}
+    for name, value in nodes[0].kwargs:
+        try:
+            kwargs[name] = eval_expr(value, state)
+        except Exception:
+            return None
+    return nodes[0].op, kwargs
 
 
 Value = Union[Reg, HandleRef, E, int, str, bytes, None]

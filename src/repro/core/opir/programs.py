@@ -11,7 +11,7 @@ before a single segment exists.
 This module must not import :mod:`repro.core.ops` (the wrappers there
 import the registry, which imports us); composition is expressed with
 :class:`~repro.core.opir.nodes.CallOp` and resolved lazily by the
-interpreter.
+lowering.
 """
 
 from __future__ import annotations

@@ -1,32 +1,37 @@
 """The op-program registry: name -> program builder, with vendor overrides.
 
 A *builder* is a plain function taking the operation's keyword
-arguments (minus hooks — callables are routed to the interpreter as
+arguments (minus hooks — callables are routed to the executor as
 hooks) and returning an :class:`~repro.core.opir.nodes.OpProgram`.
 The builder runs at "compile time": it encodes addresses, unrolls
-data-independent loops, and resolves geometry, so the interpreter's
-hot path touches no codec.
+data-independent loops, and resolves geometry.
 
 Vendor profiles override operations wholesale by carrying
 ``op_overrides`` pairs (:meth:`~repro.flash.vendors.VendorProfile.with_op_override`);
 :func:`resolve_builder` consults the target vendor first — the paper's
 new-package bring-up story (Section IV-C) as a table change.
 
-Built programs are memoized per (builder, kwargs) when the kwargs are
-hashable, so a repeated (address, DRAM target) pair replays the cached
-node tree.  An FTL rarely repeats one; the TLM template runner
-(:mod:`repro.core.fastops`) therefore does not build per submission at
-all for a builder that declares its *shape* (``op_program(..., plan=)``)
-— it builds once per shape, and only an undeclared builder (a vendor
-override) is built per submission there.
+A program is lowered (:func:`repro.core.opir.compile.lower`) once per
+*shape*, and both tiers find the result through THE shape memo, which
+lives on the controller's µFSM bank (``UfsmBank.lowered``, emptied by
+``retarget``).  A builder that declares its shape (``op_program(...,
+plan=)``) is never built per call: :func:`declared_shape` is the
+``plan`` call plus one memo hit.  An undeclared builder (``read_status``,
+a vendor override, anything with control flow) is built — programs are
+memoized per (builder, kwargs) when the kwargs are hashable — and keeps
+its lowered form beside that instance (:func:`lowered_shape`); the TLM
+template runner (:mod:`repro.core.fastops`) shares one lowering per
+fingerprint among an undeclared builder's instances instead.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.opir.interp import run_program
-from repro.core.opir.nodes import OpProgram
+from repro.core.opir.compile import Lowered, lower
+from repro.core.opir.interp import run_lowered
+from repro.core.opir.nodes import OpProgram, wrapper_callee
+from repro.obs.instrument import traced_op
 
 _BUILDERS: dict[str, Callable[..., OpProgram]] = {}
 _PROGRAM_CACHE: dict = {}
@@ -57,10 +62,10 @@ def op_program(name: str, plan: Optional[Callable[..., tuple]] = None):
     kwargs returning ``(shape_key, operands)`` — the hashable values the
     program's structure depends on, and the leaves that vary per call
     (address-latch byte tuples, DMA targets, inline payloads) in program
-    order.  It lands on the builder as ``builder.plan``; the TLM template
-    runner (:mod:`repro.core.fastops`) submits a declared op without
-    building its program.  The builder must take its leaves from the
-    same function, and ``plan`` must raise what the builder raises.
+    order.  It lands on the builder as ``builder.plan``; both tiers run a
+    declared op without building its program (:func:`declared_shape`).
+    The builder must take its leaves from the same function, and
+    ``plan`` must raise what the builder raises.
     """
 
     def register(builder: Callable[..., OpProgram]) -> Callable[..., OpProgram]:
@@ -148,12 +153,84 @@ def cache_stats() -> dict:
     return dict(sorted(CACHE_STATS.items()))
 
 
-def run_op(ctx, name: str, **kwargs):
-    """Resolve, build, and interpret the program for ``name``.
+#: Memo state of a declared wrapper whose callee declares no shape (an
+#: undeclared vendor override): its declaration stands for the stock
+#: callee only, so every call takes the undeclared route.
+PINNED = object()
+_SHAPE_MEMO_MAX = 512  # bounded like the caches above
 
-    Callable kwargs become interpreter hooks (reachable from programs
-    via ``E("hook", (kwarg_name, ...))``); everything else goes to the
-    builder.  This is the body of every thin ``*_op`` wrapper.
+
+def _remember(bank, key: tuple, value):
+    if len(bank.lowered) >= _SHAPE_MEMO_MAX:
+        bank.lowered.clear()
+    bank.lowered[key] = value
+    return value
+
+
+def declared_shape(bank, vendor, builder, kwargs: dict) -> Optional[tuple]:
+    """``(Lowered, operands)`` of one call of a builder that declares its
+    shape: the ``plan`` call and one hit in the bank's memo — no program
+    built, no node visited.  None for a builder with no declaration (or
+    a pinned wrapper): the caller takes its undeclared route.
+
+    The first call of a shape builds the program, checks the declared
+    operands against the leaves the lowering found, and lowers it; a pure
+    wrapper around a declared callee *is* its callee's shape
+    (``Lowered.alias``), run under the wrapper's own operands.
+    """
+    plan = getattr(builder, "plan", None)
+    if plan is None:
+        return None
+    shape_key, operands = plan(**kwargs)
+    lowered = bank.lowered.get((builder, shape_key))
+    if lowered is None:
+        program = _cached_program(builder, kwargs)
+        callee = wrapper_callee(program)
+        if callee is None:
+            lowered, leaves = lower(bank, program)
+        else:
+            shape = declared_shape(
+                bank, vendor, _resolved_builder(callee[0], vendor), callee[1])
+            if shape is None:
+                lowered, leaves = PINNED, operands
+            else:
+                leaves = shape[1]
+                lowered = Lowered((), program, alias=(
+                    traced_op(run_lowered, name=f"{callee[0]}_op"), shape[0]))
+        if leaves != operands:
+            raise AssertionError(
+                f"{program.name}: declared operands {operands!r} are not the "
+                f"built program's leaves {leaves!r}")
+        _remember(bank, (builder, shape_key), lowered)
+    return None if lowered is PINNED else (lowered, operands)
+
+
+def lowered_shape(bank, vendor, builder, kwargs: dict) -> tuple:
+    """``(Lowered, operands)`` of one call on the waveform tier.  An
+    undeclared builder (``read_status``, a vendor override, anything
+    with control flow) keeps its lowered form beside its instance:
+    memoized per kwargs like the program cache, lowered afresh when the
+    kwargs are unhashable."""
+    shape = declared_shape(bank, vendor, builder, kwargs)
+    if shape is None:
+        try:
+            key = (builder, tuple(sorted(kwargs.items())))
+            shape = bank.lowered.get(key)
+        except TypeError:
+            return lower(bank, _cached_program(builder, kwargs))
+        if shape is None:
+            shape = _remember(
+                bank, key, lower(bank, _cached_program(builder, kwargs)))
+    return shape
+
+
+def run_op(ctx, name: str, **kwargs):
+    """Resolve the program for ``name`` to its lowered shape and run it.
+
+    Callable kwargs become hooks (reachable from programs via
+    ``E("hook", (kwarg_name, ...))``); everything else goes to the
+    builder.  This is the body of every thin ``*_op`` wrapper; it
+    returns the generator the wrapper delegates to.
     """
     hooks = None
     for value in kwargs.values():
@@ -161,7 +238,10 @@ def run_op(ctx, name: str, **kwargs):
             hooks = {k: v for k, v in kwargs.items() if callable(v)}
             kwargs = {k: v for k, v in kwargs.items() if k not in hooks}
             break
-    builder = _resolved_builder(name, getattr(ctx, "vendor", None))
-    program = _cached_program(builder, kwargs)
-    result = yield from run_program(ctx, program, hooks=hooks)
-    return result
+    vendor = getattr(ctx, "vendor", None)
+    lowered, operands = lowered_shape(
+        ctx.ufsm, vendor, _resolved_builder(name, vendor), kwargs)
+    if lowered.alias is not None:
+        run_callee, lowered = lowered.alias
+        return run_callee(ctx, lowered, operands)
+    return run_lowered(ctx, lowered, operands, hooks)

@@ -5,12 +5,12 @@ programs only — transactions, handle declarations, single-die polls,
 fixed sleeps, a return — against the op's one target die.
 :func:`plan_fingerprint` is the one walk that decides it: it returns
 the structural fingerprint of a program, or the reasons the program has
-none.  The runner walks once per *shape* (a builder's declared shape
-key, see :func:`repro.core.opir.registry.op_program`) and reads the
-first for dispatch; the static verifier (:mod:`repro.analysis.opver`)
-reports the second as OPV501, so what it explains is the dispatch the
-runner really makes.  :func:`program_operands` reads the other half off
-a built program — the per-call leaves the fingerprint leaves out.
+none.  The runner walks once per *shape*, on the instance the shape was
+lowered from (:func:`repro.core.opir.registry.declared_shape`), and
+reads the first for dispatch; the static verifier
+(:mod:`repro.analysis.opver`) reports the second as OPV501, so it
+explains the dispatch the runner really makes.  :func:`program_operands`
+reads the per-call leaves the fingerprint leaves out off a built program.
 """
 
 from __future__ import annotations
@@ -18,47 +18,17 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.opir.nodes import (
-    CallOp,
     DataXfer,
     DeclareHandle,
-    EvalState,
     LatchSeq,
     OpProgram,
     PollStatus,
-    Reg,
     Return,
     SoftSleep,
     Txn,
-    eval_expr,
+    wrapper_callee,
 )
 from repro.core.opir.registry import _cached_program, _resolved_builder
-
-
-def _static_kwargs(node: CallOp):
-    """Evaluate a CallOp's kwargs against an empty state; None when any
-    argument depends on runtime registers or hooks."""
-    state = EvalState(None)
-    kwargs = {}
-    for name, value in node.kwargs:
-        try:
-            kwargs[name] = eval_expr(value, state)
-        except Exception:
-            return None
-    return kwargs
-
-
-def wrapper_callee(program: OpProgram) -> Optional[tuple[str, dict]]:
-    """(callee name, static kwargs) when ``program`` is a pure
-    one-CallOp wrapper (``full_page_read`` → ``read_page``)."""
-    nodes = program.nodes
-    if (len(nodes) == 2 and isinstance(nodes[0], CallOp)
-            and isinstance(nodes[1], Return)
-            and isinstance(nodes[1].expr, Reg)
-            and nodes[1].expr.name == nodes[0].dest):
-        kwargs = _static_kwargs(nodes[0])
-        if kwargs is not None:
-            return nodes[0].op, kwargs
-    return None
 
 
 def program_operands(program: OpProgram) -> tuple:

@@ -3,8 +3,8 @@
 Every operation is now an *op program* — a declarative IR value in
 :mod:`repro.core.opir.programs` mirroring the paper's Fig. 8
 algorithms — and the ``*_op`` generators here are thin wrappers that
-resolve the program (honouring per-vendor overrides), interpret it
-against the operation's context, and keep the original call signatures.
+resolve the program (honouring per-vendor overrides), run its lowered
+shape against the operation's context, and keep the original call signatures.
 Operations still compose (READ invokes READ STATUS the way Algorithm 2
 invokes Algorithm 1 — via ``CallOp`` nodes) and variations are still
 small diffs (pSLC READ differs from READ by exactly the latch nodes

@@ -121,7 +121,7 @@ def _poll_status(
     A non-zero ``period_ns`` soft-sleeps between polls (the channel is
     free meanwhile); the unpaced fallback is
     :data:`~repro.core.opir.nodes.UNPACED_POLL_PERIOD_NS`, shared with
-    the IR interpreter and the OPL008 lint.  The two public polls below
+    the IR lowering and the OPL008 lint.  The two public polls below
     differ only in the predicate.
 
     When the environment carries a :class:`~repro.core.recovery.Watchdog`

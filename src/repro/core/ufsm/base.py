@@ -58,6 +58,12 @@ class UfsmBank:
     One bank per channel: the µFSMs are shared by all operations (that
     sharing is the area saving Table III shows), and retargeting the
     bank retargets every µFSM coherently.
+
+    The bank also holds THE shape memo of its controller — ``(builder,
+    shape key) -> lowered op program``
+    (:func:`repro.core.opir.registry.lowered_shape`): a lowering bakes
+    this bank's segment durations, so it lives and dies with the bank's
+    data mode — :meth:`retarget` empties it.
     """
 
     def __init__(self, interface: DataInterface):
@@ -74,6 +80,8 @@ class UfsmBank:
         self.data_reader = DataReader(interface)
         self.chip_control = ChipControl(interface)
         self.timer = TimerFsm(interface)
+        self.lowered: dict = {}
+        self.shapes_lowered = 0  # lowerings performed, ever
 
     def all(self) -> list[MicroFsm]:
         return [
@@ -88,3 +96,4 @@ class UfsmBank:
         self.interface = interface
         for ufsm in self.all():
             ufsm.retarget(interface)
+        self.lowered.clear()

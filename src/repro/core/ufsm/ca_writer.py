@@ -53,42 +53,13 @@ class CAWriter(MicroFsm):
 
     name = "ca_writer"
 
-    # The encoded form of a latch vector depends only on the vector and
-    # the mode's timing set, so hot-path C/A sequences (the read
-    # preamble, the status poll) are encoded once and replayed.  Bounded
-    # so pathological workloads (every page a distinct address) cannot
-    # grow it without limit.
-    _ENCODE_CACHE_MAX = 1024
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._encode_cache: dict = {}
-        self.encode_cache_hits = 0
-        self.encode_cache_misses = 0
-
-    def retarget(self, interface) -> None:
-        # A mode change invalidates every cached encoding.
-        super().retarget(interface)
-        self._encode_cache.clear()
-
     def emit(self, latches: list[Latch], chip_mask: int = 0b1, label: str = "") -> WaveformSegment:
-        """Build one CMD_ADDR segment from a latch vector."""
+        """Build one CMD_ADDR segment from a latch vector (uncached: the
+        op-program lowering calls this once per shape and keeps it)."""
         if not latches:
             raise ValueError("a C/A segment needs at least one latch")
         self._count()
-        key = tuple(latches)
-        cached = self._encode_cache.get(key)
-        if cached is None:
-            cached = self._encode(latches)
-            if len(self._encode_cache) >= self._ENCODE_CACHE_MAX:
-                self._encode_cache.clear()
-            self._encode_cache[key] = cached
-            self.encode_cache_misses += 1
-        else:
-            self.encode_cache_hits += 1
-        duration_ns, actions = cached
-        # Segments are mutable (Chip Control rewrites chip_mask), so a
-        # fresh one is minted per emit; only the encoding is shared.
+        duration_ns, actions = self._encode(latches)
         return WaveformSegment(
             kind=SegmentKind.CMD_ADDR,
             duration_ns=duration_ns,

@@ -322,19 +322,25 @@ class Lun:
     # Action dispatch
     # ------------------------------------------------------------------
 
+    #: Action class -> dispatch code (table dispatch on the exact class:
+    #: the Action union is closed, its members are never subclassed).
+    _ACTION_CODES = {CommandLatch: 0, AddressLatch: 1, DataOutAction: 2,
+                     DataInAction: 3, IdleWait: 4}
+
     def _process(self, action: Action) -> None:
-        if isinstance(action, CommandLatch):
+        try:
+            code = self._ACTION_CODES[type(action)]
+        except KeyError:  # pragma: no cover - guarded by the Action union
+            raise LunProtocolError(f"unknown action {action!r}") from None
+        if code == 0:
             self._on_command(action.opcode)
-        elif isinstance(action, AddressLatch):
+        elif code == 1:
             self._on_address(action.address_bytes)
-        elif isinstance(action, DataOutAction):
+        elif code == 2:
             self._on_data_out(action)
-        elif isinstance(action, DataInAction):
+        elif code == 3:
             self._on_data_in(action)
-        elif isinstance(action, IdleWait):
-            pass  # pure time; nothing latched
-        else:  # pragma: no cover - guarded by the Action union
-            raise LunProtocolError(f"unknown action {action!r}")
+        # code 4, IdleWait: pure time; nothing latched
 
     def _on_command(self, opcode: int) -> None:
         row = OPCODES.get(opcode)

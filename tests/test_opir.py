@@ -1,5 +1,5 @@
 """Op-program IR unit tests: JSON serialization, the registry and
-vendor overrides, the static linter, the C/A encode cache, and the
+vendor overrides, the static linter, the shape memo, and the
 ``op-lint`` CLI entry point."""
 
 import json
@@ -196,10 +196,25 @@ def test_lowered_expressions_equal_eval_expr():
     assert lowered >= 25
     assert lower_expr(E("delivered", (h,)))(state.regs, state.handles) \
         is handle.delivered
-    with pytest.raises(KeyError):  # hooks are never lowered
-        lower_expr(E("hook", ("validate", h)))
     with pytest.raises(KeyError):
         lower_expr(h)({}, {})  # undeclared handle, as eval_expr
+
+    # Hooks are lowered too (the waveform executor evaluates them): same
+    # value, same call order — ``and`` evaluates both sides, as eval_expr
+    # does — and the same KeyError when the caller supplied none.
+    for expr in (E("hook", ("validate", h)),
+                 E("and", (Reg("zero"), E("hook", ("validate", Reg("seq"))))),
+                 (E("hook", ("validate", 1)), E("hook", ("validate", 2)))):
+        seen, calls = EvalState({"validate": lambda arg: (calls.append(arg), arg)[1]}), []
+        seen.regs, seen.handles = state.regs, state.handles
+        expected, walked = eval_expr(expr, seen), list(calls)
+        del calls[:]
+        assert lower_expr(expr)(state.regs, state.handles, seen.hooks) == expected
+        assert calls == walked and calls
+    with pytest.raises(KeyError, match="hook 'validate'"):
+        lower_expr(E("hook", ("validate", h)))(state.regs, state.handles)
+    with pytest.raises(KeyError, match="hook 'validate'"):
+        lower_expr(E("hook", ("validate", h)))(state.regs, state.handles, {})
 
 
 # --- registry / vendor overrides -------------------------------------------
@@ -259,31 +274,30 @@ def test_vendor_override_changes_the_emitted_waveform():
     assert overridden.op_override("read_page") is None
 
 
-# --- the C/A encode cache ---------------------------------------------------
+# --- the shape memo ---------------------------------------------------------
 
 
-def test_ca_encode_cache_hits_on_hot_read_path():
+def test_shape_memo_hits_on_a_second_read_at_another_address():
     sim, controller = make_controller("rtos")
-    ca_writer = controller.ufsm.ca_writer
+    bank = controller.ufsm
     controller.run_to_completion(controller.read_page(0, 1, 0, 0))
-    misses_after_first = ca_writer.encode_cache_misses
-    hits_after_first = ca_writer.encode_cache_hits
-    assert misses_after_first > 0
-    assert hits_after_first > 0  # the poll loop repeats 0x70 immediately
-    controller.run_to_completion(controller.read_page(0, 1, 0, 0))
-    # An identical read re-encodes nothing: every latch vector is hot.
-    assert ca_writer.encode_cache_misses == misses_after_first
-    assert ca_writer.encode_cache_hits > hits_after_first
+    lowered = bank.shapes_lowered
+    # full_page_read is its callee's shape; the poll loop's read_status
+    # is the other one.
+    assert lowered == 2 and bank.lowered
+    controller.run_to_completion(controller.read_page(1, 2, 3, 4096))
+    # A read elsewhere lowers nothing: the shape is hot, operands bind.
+    assert bank.shapes_lowered == lowered
 
 
-def test_ca_encode_cache_cleared_on_retarget():
+def test_shape_memo_emptied_on_retarget():
     sim, controller = make_controller("rtos")
-    ca_writer = controller.ufsm.ca_writer
+    bank = controller.ufsm
     controller.run_to_completion(controller.read_page(0, 1, 0, 0))
-    assert ca_writer._encode_cache
-    ca_writer.retarget(NVDDR2_200 if ca_writer.timing is not NVDDR2_200
-                       else NVDDR2_100)
-    assert not ca_writer._encode_cache
+    assert bank.lowered
+    bank.retarget(NVDDR2_200 if bank.interface is not NVDDR2_200
+                  else NVDDR2_100)
+    assert not bank.lowered
 
 
 # --- the linter -------------------------------------------------------------

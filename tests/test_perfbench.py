@@ -163,6 +163,10 @@ def test_cells_surface_dispatch_counters_ungated():
                 "resolve_hits", "resolve_misses"]
             assert_keys_sorted(cell.get("fastops", {}))
             assert all(v >= 0 for v in cell["host"]["opir_cache"].values())
+            # One lowering per shape and controller on either tier (the
+            # op's and the status poll's), not one per command.
+            assert cell["channels"] <= cell["host"]["shapes_lowered"] \
+                <= 3 * cell["channels"] < cell["commands"]
     assert all("fastops" not in cell for cell in wave["cells"].values())
     for cell in tlm["cells"].values():
         fast = cell["fastops"]
@@ -177,6 +181,7 @@ def test_cells_surface_dispatch_counters_ungated():
     changed = copy.deepcopy(tlm)
     for cell in changed["cells"].values():
         cell["host"]["opir_cache"]["program_misses"] += 10_000
+        cell["host"]["shapes_lowered"] += 10_000
         cell["fastops"]["ops_declined"] += 10_000
     assert compare_reports(changed, tlm) == []
 
