@@ -12,12 +12,12 @@ plus the cost paid by the erase itself.
 import pytest
 
 from repro.analysis import summarize_latencies
-from repro.core import BabolController, ControllerConfig
 from repro.core.preempt import PreemptiveLunManager
 from repro.flash import HYNIX_V7
-from repro.sim import Simulator, Timeout
+from repro.onfi import NVDDR2_200
+from repro.sim import Timeout
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import build_babol, print_table
 
 ARRIVALS_US = [200, 900, 1700, 2500]  # read arrivals across the erase window
 
@@ -25,12 +25,7 @@ ARRIVALS_US = [200, 900, 1700, 2500]  # read arrivals across the erase window
 def run_policy(preemptive: bool):
     read_latencies = []
     erase_spans = []
-    sim = Simulator()
-    controller = BabolController(
-        sim,
-        ControllerConfig(vendor=HYNIX_V7, lun_count=1, runtime="rtos",
-                         track_data=False),
-    )
+    sim, controller = build_babol(HYNIX_V7, 1, NVDDR2_200, "rtos")
     manager = PreemptiveLunManager(controller, lun=0)
 
     def background():

@@ -20,13 +20,14 @@ from repro.core.softenv.txn_scheduler import (
     PriorityTxnScheduler,
     RoundRobinTxnScheduler,
 )
-from repro.core import BabolController, ControllerConfig
-from repro.core.softenv import GHZ
 from repro.flash import HYNIX_V7
 from repro.onfi import NVDDR2_100, NVDDR2_200
-from repro.sim import Simulator
 
-from benchmarks.conftest import print_table, read_throughput_mb_s
+from benchmarks.conftest import (
+    build_babol,
+    print_table,
+    read_throughput_mb_s,
+)
 
 POLICIES = {
     "fifo": lambda: FifoTxnScheduler(),
@@ -37,13 +38,10 @@ POLICIES = {
 
 
 def run_policy(policy_factory, interface) -> float:
-    sim = Simulator()
-    controller = BabolController(
-        sim,
-        ControllerConfig(vendor=HYNIX_V7, lun_count=8, interface=interface,
-                         runtime="coroutine", cpu_freq_hz=GHZ, track_data=False),
-        txn_scheduler=policy_factory(),
-    )
+    sim, controller = build_babol(HYNIX_V7, 8, interface, "coroutine")
+    # The policy is a field of the software environment, consulted on
+    # every dispatch: swapping it before the first op is the whole change.
+    controller.env.txn_scheduler = policy_factory()
     return read_throughput_mb_s(sim, controller, 8)
 
 

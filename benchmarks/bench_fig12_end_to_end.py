@@ -13,36 +13,22 @@ stack, prefilled with data, driven by the fio-like generator.
 
 import pytest
 
-from repro.baselines import AsyncHwController
-from repro.core import BabolController, ControllerConfig
-from repro.core.softenv import GHZ
 from repro.flash import HYNIX_V7
 from repro.ftl import FtlConfig, PageMappedFtl
 from repro.host import FioJob, HostInterface, run_fio
 from repro.onfi import NVDDR2_200
-from repro.sim import Simulator
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import build_babol, build_hw, print_table
 
 WAYS = [1, 2, 4, 8]
 IODEPTH = 16
 
 
 def build_stack(kind: str, ways: int):
-    sim = Simulator()
     if kind == "cosmos":
-        controller = AsyncHwController(
-            sim, vendor=HYNIX_V7, lun_count=ways, interface=NVDDR2_200,
-            track_data=False,
-        )
+        sim, controller = build_hw(HYNIX_V7, ways, NVDDR2_200, kind="async")
     else:
-        controller = BabolController(
-            sim,
-            ControllerConfig(
-                vendor=HYNIX_V7, lun_count=ways, interface=NVDDR2_200,
-                runtime=kind, cpu_freq_hz=GHZ, track_data=False,
-            ),
-        )
+        sim, controller = build_babol(HYNIX_V7, ways, NVDDR2_200, kind)
     ftl = PageMappedFtl(
         sim, controller,
         FtlConfig(blocks_per_lun=8, overprovision_blocks=2,

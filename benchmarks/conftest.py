@@ -14,8 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.baselines import AsyncHwController, SyncHwController
-from repro.core import BabolController, ControllerConfig
+from repro.config import StackSpec, build_baseline, build_controllers
 from repro.core.softenv import GHZ, MHZ
 from repro.flash.vendors import VendorProfile
 from repro.host import measure_read_throughput
@@ -37,17 +36,14 @@ def build_babol(
     runtime: str,
     cpu_freq_hz: int = GHZ,
     seed: int = 0,
-) -> tuple[Simulator, BabolController]:
+):
+    """``(sim, controller)`` from the one stack factory; ``vendor`` is a
+    profile object, which a data spec cannot name (``profile=``)."""
     sim = Simulator()
-    controller = BabolController(
-        sim,
-        ControllerConfig(
-            vendor=vendor, lun_count=lun_count, interface=interface,
-            runtime=runtime, cpu_freq_hz=cpu_freq_hz, track_data=False,
-            seed=seed,
-        ),
-    )
-    return sim, controller
+    stack = StackSpec(luns_per_channel=lun_count,
+                      interface_mt=interface.mega_transfers,
+                      runtime=runtime, cpu_freq_hz=cpu_freq_hz, seed=seed)
+    return sim, build_controllers(sim, stack, profile=vendor)[0]
 
 
 def build_hw(
@@ -58,12 +54,9 @@ def build_hw(
     seed: int = 0,
 ):
     sim = Simulator()
-    cls = SyncHwController if kind == "sync" else AsyncHwController
-    controller = cls(
-        sim, vendor=vendor, lun_count=lun_count, interface=interface,
-        track_data=False, seed=seed,
-    )
-    return sim, controller
+    stack = StackSpec(luns_per_channel=lun_count,
+                      interface_mt=interface.mega_transfers, seed=seed)
+    return sim, build_baseline(sim, stack, kind, profile=vendor)
 
 
 def read_throughput_mb_s(sim, controller, lun_count, reads_per_lun=14,

@@ -53,17 +53,24 @@ from typing import Generator
 
 import numpy as np
 
-from repro.core import BabolController, ControllerConfig
+from repro.config.build import build_controllers, build_experiment
+from repro.config.specs import (
+    FINDINGS_ONLY,
+    CampaignSpec,
+    ExperimentSpec,
+    FtlSpec,
+    GeometrySpec,
+    StackSpec,
+    WorkloadSpec,
+)
 from repro.faults.power import (
     PowerCut,
     PowerLossError,
     apply_power_cut,
     restore_media,
     snapshot_media,
+    versioned_payload,
 )
-from repro.flash.errors import ErrorModelConfig
-from repro.flash.vendors import VendorProfile, profile_by_name
-from repro.ftl import FtlConfig, ShardedFtl
 from repro.ftl.spor import mount_sharded
 from repro.host.engine import ScaleCommand, ScaleEngine
 from repro.host.hic import HostOpcode
@@ -72,18 +79,6 @@ from repro.sim import Simulator
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INTERNAL = 2
-
-_DRAM_STRIDE = 32 * 1024
-
-# Small geometry, real code paths: 160 logical pages per shard once the
-# meta region is carved out, checkpoints every 48 writes so most crash
-# points land between checkpoints.
-_FUZZ_FTL = FtlConfig(
-    blocks_per_lun=10, overprovision_blocks=4,
-    checkpoint_interval=48, journal_flush_records=16, meta_blocks=2,
-    gc_staging_base=48 * 1024 * 1024,
-)
-
 
 #: The shrunken fuzz array as spec data (mirrors :data:`CHAOS_GEOMETRY`
 #: in repro.faults.chaos — full code paths, tiny state).
@@ -95,29 +90,24 @@ FUZZ_GEOMETRY = {
     "planes": 2,
 }
 
-
-def _fuzz_profile(vendor: VendorProfile) -> VendorProfile:
-    geometry = dataclasses.replace(vendor.geometry, **FUZZ_GEOMETRY)
-    return dataclasses.replace(vendor, geometry=geometry,
-                               factory_bad_rate=0.0)
+#: What a crashfuzz spec may not change: :func:`stand_up` prefills
+#: exactly half the logical space (the op generator's reads need every
+#: LPN of its span mapped), and the command stream is the fuzzer's own
+#: seeded mix — no pattern, workload seed or working set to honour.
+CRASHFUZZ_FIXED = (
+    "stack.ftl.prefill_pages", *FINDINGS_ONLY, "workload.mix",
+    "workload.pattern", "workload.seed", "workload.working_set_pages",
+)
 
 
 def crashfuzz_spec(seeds: int = 3, points: int = 50, channels: int = 2,
                    luns: int = 2, qd: int = 8, ios: int = 400,
                    fidelity: str = "tlm", vendor: str = "hynix",
-                   base_seed: int = 7):
-    """The :class:`~repro.config.specs.ExperimentSpec` describing one
-    fuzz campaign — the ``workload.mix = "crashfuzz"`` stream over a
-    persistence-enabled (checkpoint + journal) sharded FTL."""
-    from repro.config.specs import (
-        CampaignSpec,
-        ExperimentSpec,
-        FtlSpec,
-        GeometrySpec,
-        StackSpec,
-        WorkloadSpec,
-    )
-
+                   base_seed: int = 7) -> ExperimentSpec:
+    """The stock fuzz campaign — the ``workload.mix = "crashfuzz"``
+    stream over a persistence-enabled (checkpoint + journal) sharded
+    FTL: where its defaults live, and what ``repro crashfuzz`` resolves
+    ``--set`` / ``--spec`` against."""
     spec = ExperimentSpec(
         name="crashfuzz",
         stack=StackSpec(
@@ -129,22 +119,16 @@ def crashfuzz_spec(seeds: int = 3, points: int = 50, channels: int = 2,
             noiseless=True,
             factory_bad_rate=0.0,
             geometry=GeometrySpec(**FUZZ_GEOMETRY),
+            # Small geometry, real code paths: 160 logical pages per
+            # shard once the meta region is carved out, checkpoints
+            # every 48 writes so most crash points land between them.
             ftl=FtlSpec(
-                blocks_per_lun=_FUZZ_FTL.blocks_per_lun,
-                overprovision_blocks=_FUZZ_FTL.overprovision_blocks,
-                gc_free_threshold=_FUZZ_FTL.gc_free_threshold,
-                gc_staging_base=_FUZZ_FTL.gc_staging_base,
-                checkpoint_interval=_FUZZ_FTL.checkpoint_interval,
-                journal_flush_records=_FUZZ_FTL.journal_flush_records,
-                meta_blocks=_FUZZ_FTL.meta_blocks,
+                blocks_per_lun=10, overprovision_blocks=4,
+                checkpoint_interval=48, journal_flush_records=16,
+                meta_blocks=2,
             ),
         ),
-        workload=WorkloadSpec(
-            mix="crashfuzz",
-            io_count=ios,
-            queue_depth=qd,
-            dram_stride=_DRAM_STRIDE,
-        ),
+        workload=WorkloadSpec(mix="crashfuzz", io_count=ios, queue_depth=qd),
         campaign=CampaignSpec(plan="crashfuzz", crash_seeds=seeds,
                               crash_points=points, base_seed=base_seed),
     )
@@ -152,32 +136,23 @@ def crashfuzz_spec(seeds: int = 3, points: int = 50, channels: int = 2,
     return spec
 
 
-def _payload(lpn: int, version: int, nbytes: int) -> np.ndarray:
-    data = np.full(nbytes, (lpn * 37 + version * 101) % 251, dtype=np.uint8)
-    data[0] = lpn & 0xFF
-    data[1] = (lpn >> 8) & 0xFF
-    data[2] = version & 0xFF
-    data[3] = (version >> 8) & 0xFF
-    return data
+def stand_up(spec: ExperimentSpec):
+    """One identical stack per run, built by the factory: returns the
+    :class:`~repro.config.build.BuiltExperiment` (ack ledger and slot
+    DRAM on) and the op generator's LPN span — half the logical space,
+    prefilled, so every read in the stream targets a mapped page."""
+    ftl = dataclasses.replace(spec.stack.ftl, prefill_pages=0)
+    built = build_experiment(
+        dataclasses.replace(
+            spec, stack=dataclasses.replace(spec.stack, ftl=ftl)),
+        record_acks=True, auto_dram=True)
+    span = max(1, built.ftl.logical_pages // 2)
+    built.ftl.prefill(span)
+    return built, span
 
 
-def _controllers(sim: Simulator, profile: VendorProfile, channels: int,
-                 luns: int, fidelity: str) -> list[BabolController]:
-    controllers = []
-    for channel in range(channels):
-        controller = BabolController(sim, ControllerConfig(
-            vendor=profile, lun_count=luns, track_data=True,
-            seed=channel, fidelity=fidelity,
-        ))
-        # Content verification must see stored bytes, not RBER noise.
-        for lun in controller.luns:
-            lun.array.error_model.config = ErrorModelConfig.noiseless()
-        controllers.append(controller)
-    return controllers
-
-
-def _build_ops(rng: np.random.Generator, ios: int, span: int,
-               channels: int, qd: int) -> list[tuple[str, int, int]]:
+def build_ops(rng: np.random.Generator, ios: int, span: int,
+              channels: int, qd: int) -> list[tuple[str, int, int]]:
     """The seeded command stream: ~65% writes, ~25% reads, ~5% trims,
     ~5% flushes.
 
@@ -187,7 +162,7 @@ def _build_ops(rng: np.random.Generator, ios: int, span: int,
     before this one was staged.  That is only a hint that keeps the
     submitter from stalling — completion is not FIFO (a GC pass can
     hold one write for milliseconds while later commands overtake it),
-    so :func:`_drive` enforces per-LPN ordering itself.  The span is
+    so :func:`drive` enforces per-LPN ordering itself.  The span is
     prefilled, so any read is mapped.  Trims share the per-LPN version
     counter so the verifier can totally order writes and trims on one
     LPN.
@@ -230,15 +205,18 @@ def _build_ops(rng: np.random.Generator, ios: int, span: int,
     return ops
 
 
-def _drive(sim: Simulator, engine: ScaleEngine,
-           ops: list[tuple[str, int, int]], page_size: int) -> None:
-    """Replay ``ops`` with the closed-loop backpressure submitter.
+def drive(built, ops: list[tuple[str, int, int]]) -> None:
+    """Replay ``ops`` on a :func:`stand_up` stack with the closed-loop
+    backpressure submitter.
 
     Strict submission order, plus a per-LPN guard: an op whose LPN
     still has a command in flight waits (and blocks the ops behind
     it), so the verifier's "last acked operation per LPN" is also the
     last one the FTL executed.  Flushes touch no LPN and never wait.
     """
+
+    engine: ScaleEngine = built.engine
+    page_size = built.controllers[0].codec.geometry.page_size
 
     def submitter() -> Generator:
         queue = deque(ops)
@@ -257,7 +235,8 @@ def _drive(sim: Simulator, engine: ScaleEngine,
                     if kind == "write":
                         command = ScaleCommand(
                             opcode=HostOpcode.WRITE, lpn=lpn,
-                            payload=_payload(lpn, version, page_size),
+                            payload=versioned_payload(lpn, version,
+                                                      page_size),
                             tag=version)
                     elif kind == "read":
                         command = ScaleCommand(opcode=HostOpcode.READ,
@@ -274,32 +253,31 @@ def _drive(sim: Simulator, engine: ScaleEngine,
             yield from engine.completion_pulse.wait()
         yield from engine.drain()
 
-    sim.run_process(submitter(), name="crashfuzz-submitter")
+    built.sim.run_process(submitter(), name="crashfuzz-submitter")
 
 
-def _build_stack(profile: VendorProfile, channels: int, luns: int,
-                 qd: int, fidelity: str, ftl_config: FtlConfig = _FUZZ_FTL):
-    """One identical stack per run: half the LPN space prefilled, so
-    every read in the stream targets a mapped page."""
+def remount(crashed):
+    """Crash is final: transplant the media of ``crashed`` (a
+    :func:`stand_up` stack whose cut :func:`apply_power_cut` finalized)
+    into a fresh build of the same stack and mount it.  Returns
+    ``(controllers, ftl, MountReport)`` of the new machine."""
+    stack = crashed.spec.stack
+    images = snapshot_media(crashed.controllers)
     sim = Simulator()
-    controllers = _controllers(sim, profile, channels, luns, fidelity)
-    ftl = ShardedFtl(sim, controllers, ftl_config)
-    span = max(1, ftl.logical_pages // 2)
-    ftl.prefill(span)
-    engine = ScaleEngine(sim, ftl, queue_depth=qd, record_acks=True,
-                         auto_dram=True, dram_stride=_DRAM_STRIDE)
-    return sim, controllers, ftl, engine, span
+    controllers = build_controllers(sim, stack)
+    restore_media(controllers, images)
+    ftl, report = mount_sharded(sim, controllers, stack.ftl.to_ftl_config())
+    return controllers, ftl, report
 
 
 def _ledger(commands) -> list[tuple[str, int, int]]:
     return [(c.opcode.value, c.lpn, c.tag) for c in commands]
 
 
-def _verify_point(controllers, crashed_ftl, engine, oracle_acks,
-                  crash_ns: int, write_versions: dict, trims: dict,
-                  profile, channels: int, luns: int, fidelity: str,
-                  ftl_config: FtlConfig = _FUZZ_FTL) -> dict:
-    """Crash is final: transplant media, remount, check the contract."""
+def _verify_point(crashed, oracle_acks, crash_ns: int,
+                  write_versions: dict, trims: dict) -> dict:
+    """Remount the crashed stack and check the contract."""
+    crashed_ftl, engine = crashed.ftl, crashed.engine
     point: dict = {"cut_ns": crash_ns, "acked": len(engine.acks)}
     violations: list[str] = []
     internal: list[str] = []
@@ -315,8 +293,7 @@ def _verify_point(controllers, crashed_ftl, engine, oracle_acks,
             f"({len(got)} vs {len(expect)} entries)"
         )
 
-    apply_power_cut(controllers, crash_ns)
-    images = snapshot_media(controllers)
+    apply_power_cut(crashed.controllers, crash_ns)
     durable_wear = {
         shard_index: shard.persist.durable_wear()
         for shard_index, shard in enumerate(crashed_ftl.shards)
@@ -341,10 +318,8 @@ def _verify_point(controllers, crashed_ftl, engine, oracle_acks,
             durable_trimmed.add(
                 crashed_ftl.router.global_lpn(shard_index, local))
 
-    sim2 = Simulator()
-    controllers2 = _controllers(sim2, profile, channels, luns, fidelity)
-    restore_media(controllers2, images)
-    ftl2, report = mount_sharded(sim2, controllers2, ftl_config)
+    controllers2, ftl2, report = remount(crashed)
+    sim2 = controllers2[0].sim
     point["mount"] = {
         "journal_replay_entries": report.journal_replay_entries,
         "mount_ns": report.mount_ns,
@@ -378,7 +353,7 @@ def _verify_point(controllers, crashed_ftl, engine, oracle_acks,
     #        only unmapped or a post-trim write is legal — a pre-trim
     #        version resurrecting past a durable tombstone is the bug
     #        class the checkpoint tombstones exist to prevent.
-    page_size = profile.geometry.page_size
+    page_size = controllers2[0].codec.geometry.page_size
     acked: dict[int, tuple[int, HostOpcode]] = {}
     for command in engine.acks:
         if command.opcode in (HostOpcode.WRITE, HostOpcode.TRIM):
@@ -424,7 +399,7 @@ def _verify_point(controllers, crashed_ftl, engine, oracle_acks,
         channel, _ = ftl2.router.route(lpn)
         got_bytes = controllers2[channel].dram.read(0, page_size)
         ok = any(
-            np.array_equal(got_bytes, _payload(lpn, v, page_size))
+            np.array_equal(got_bytes, versioned_payload(lpn, v, page_size))
             for v in candidates
         )
         if not ok:
@@ -463,71 +438,34 @@ def _verify_point(controllers, crashed_ftl, engine, oracle_acks,
     return point
 
 
-def run_crashfuzz(
-    seeds: int = 3,
-    points: int = 50,
-    channels: int = 2,
-    luns: int = 2,
-    qd: int = 8,
-    ios: int = 400,
-    fidelity: str = "tlm",
-    vendor: str = "hynix",
-    base_seed: int = 7,
-    spec=None,
-) -> dict:
-    """Run the fuzz campaign; returns the JSON-ready report dict.
-
-    ``spec`` (an :class:`~repro.config.specs.ExperimentSpec` with
-    ``workload.mix == "crashfuzz"``) supersedes the individual kwargs;
-    without one, an equivalent spec is constructed when the kwargs are
-    spec-expressible, so the report embeds ``spec`` + ``spec_hash``.
-    """
-    if spec is not None:
-        from repro.config.build import stack_profile
-
-        spec.validate()
-        channels = spec.stack.channels
-        luns = spec.stack.luns_per_channel
-        fidelity = spec.stack.fidelity
-        vendor = spec.stack.vendor
-        qd = spec.workload.queue_depth
-        ios = spec.workload.io_count
-        if spec.campaign is not None:
-            seeds = spec.campaign.crash_seeds
-            points = spec.campaign.crash_points
-            base_seed = spec.campaign.base_seed
-        profile = stack_profile(spec.stack)
-    if seeds <= 0 or points <= 0 or ios <= 0:
-        raise ValueError("seeds, points and ios must be positive")
-    if spec is None:
-        profile = _fuzz_profile(profile_by_name(vendor))
-        try:
-            spec = crashfuzz_spec(seeds=seeds, points=points,
-                                  channels=channels, luns=luns, qd=qd,
-                                  ios=ios, fidelity=fidelity, vendor=vendor,
-                                  base_seed=base_seed)
-        except ValueError:
-            spec = None  # kwargs outside the spec's validity envelope
-    ftl_config = (spec.stack.ftl.to_ftl_config()
-                  if spec is not None and spec.stack.ftl is not None
-                  else _FUZZ_FTL)
-    page_size = profile.geometry.page_size
+def run_crashfuzz(spec: ExperimentSpec) -> dict:
+    """Run the fuzz campaign ``spec`` describes (``workload.mix ==
+    "crashfuzz"`` over a persistent FTL; sweep knobs in
+    ``spec.campaign``); returns the JSON-ready report dict.  Every
+    oracle, cut point and remount is the factory's build of
+    ``spec.stack``."""
+    spec.validate()
+    spec.refuse_fixed(crashfuzz_spec(), CRASHFUZZ_FIXED, "crashfuzz")
+    knobs = spec.campaign or CampaignSpec()
+    channels = spec.stack.channels
+    qd = spec.workload.queue_depth
+    ios = spec.workload.io_count
 
     results: list[dict] = []
     total_violations = 0
     total_internal = 0
-    for index in range(seeds):
-        seed = base_seed + index
+    for index in range(knobs.crash_seeds):
+        seed = knobs.base_seed + index
         rng = np.random.default_rng(seed * 1000 + 17)
 
         # -- oracle -----------------------------------------------------
-        sim, controllers, ftl, engine, span = _build_stack(
-            profile, channels, luns, qd, fidelity, ftl_config)
-        ops = _build_ops(rng, ios, span, channels, qd)
+        oracle, span = stand_up(spec)
+        sim = oracle.sim
+        ops = build_ops(rng, ios, span, channels, qd)
         start_ns = sim.now
-        _drive(sim, engine, ops, page_size)
+        drive(oracle, ops)
         elapsed = sim.now - start_ns
-        oracle_acks = list(engine.acks)
+        oracle_acks = list(oracle.engine.acks)
         write_versions: dict[int, list[int]] = {}
         trims: dict[int, tuple[int, int]] = {}  # lpn -> (first, last)
         for kind, lpn, version in ops:
@@ -550,26 +488,22 @@ def run_crashfuzz(
         # -- fuzzed crash points ---------------------------------------
         cuts = sorted(
             start_ns + 1 + int(u * max(elapsed - 1, 1))
-            for u in rng.random(points)
+            for u in rng.random(knobs.crash_points)
         )
         for cut_ns in cuts:
-            sim_c, controllers_c, ftl_c, engine_c, _ = _build_stack(
-                profile, channels, luns, qd, fidelity, ftl_config)
-            cut = PowerCut(sim_c, cut_ns).arm(controllers_c)
+            crashed, _ = stand_up(spec)
+            cut = PowerCut(crashed.sim, cut_ns).arm(crashed.controllers)
             fired = True
             try:
-                _drive(sim_c, engine_c, ops, page_size)
+                drive(crashed, ops)
                 fired = False
             except PowerLossError:
                 pass
             if not fired:
                 cut.cancel()  # the run outlived this cut point
-            crash_ns = cut_ns if fired else sim_c.now + 1
-            point = _verify_point(
-                controllers_c, ftl_c, engine_c, oracle_acks, crash_ns,
-                write_versions, trims, profile, channels, luns, fidelity,
-                ftl_config,
-            )
+            crash_ns = cut_ns if fired else crashed.sim.now + 1
+            point = _verify_point(crashed, oracle_acks, crash_ns,
+                                  write_versions, trims)
             point["fired"] = fired
             total_violations += len(point["violations"])
             total_internal += len(point.get("internal", ()))
@@ -583,20 +517,20 @@ def run_crashfuzz(
         exit_code = EXIT_INTERNAL
     return {
         "schema": 2,
-        "base_seed": base_seed,
+        "base_seed": knobs.base_seed,
         "channels": channels,
         "exit_code": exit_code,
-        "fidelity": fidelity,
+        "fidelity": spec.stack.fidelity,
         "internal_errors": total_internal,
         "ios": ios,
-        "luns_per_channel": luns,
-        "points": points,
+        "luns_per_channel": spec.stack.luns_per_channel,
+        "points": knobs.crash_points,
         "queue_depth": qd,
         "results": results,
-        "seeds": seeds,
-        "spec": spec.resolved() if spec is not None else None,
-        "spec_hash": spec.spec_hash() if spec is not None else None,
-        "vendor": vendor,
+        "seeds": knobs.crash_seeds,
+        "spec": spec.resolved(),
+        "spec_hash": spec.spec_hash(),
+        "vendor": spec.stack.vendor,
         "violations": total_violations,
     }
 

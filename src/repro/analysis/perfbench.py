@@ -22,6 +22,14 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from repro.config.specs import (
+    FINDINGS_ONLY,
+    ExperimentSpec,
+    FtlSpec,
+    SpecError,
+    StackSpec,
+    WorkloadSpec,
+)
 from repro.sim import Simulator
 from repro.sim.kernel import Timeout
 
@@ -80,29 +88,32 @@ def cell_key(channels: int, queue_depth: int) -> str:
     return f"c{channels}_qd{queue_depth}"
 
 
+#: The stock sweep axes.
+SWEEP_CHANNELS = (1, 2, 4)
+SWEEP_QUEUE_DEPTHS = (8, 32)
+
+#: What a perf spec may not change: the sweep reads no campaign.
+PERF_FIXED = (*FINDINGS_ONLY, "campaign")
+
+
 def perf_spec(
-    channel_counts=(1, 2, 4),
-    queue_depths=(8, 32),
+    channel_counts=SWEEP_CHANNELS,
+    queue_depths=SWEEP_QUEUE_DEPTHS,
     luns_per_channel: int = 4,
     io_count: int = 192,
     vendor: str = "hynix",
     pattern: str = "sequential",
     fidelity: str = "waveform",
 ):
-    """The sweep's :class:`~repro.config.specs.ExperimentSpec` template.
+    """The stock sweep's :class:`~repro.config.specs.ExperimentSpec`
+    template: where its defaults live, and what ``repro perf`` resolves
+    ``--set`` / ``--spec`` against.
 
     Channels and queue depth are pinned at the sweep *maxima* — per-cell
     values are sweep axes, not spec identity — so a ``--quick`` run and
     the full sweep over the same axes hash identically and a baseline
     check can insist on matching ``spec_hash``.
     """
-    from repro.config.specs import (
-        ExperimentSpec,
-        FtlSpec,
-        StackSpec,
-        WorkloadSpec,
-    )
-
     spec = ExperimentSpec(
         name="perf",
         stack=StackSpec(
@@ -123,52 +134,29 @@ def perf_spec(
     return spec
 
 
-def run_scale_cell(
-    channels: int,
-    queue_depth: int,
-    luns_per_channel: int = 4,
-    io_count: int = 192,
-    vendor: str = "hynix",
-    pattern: str = "sequential",
-    doorbell_batch: int = 4,
-    fidelity: str = "waveform",
-    spec=None,
-) -> dict:
-    """One sweep cell: build the stack, run the job, report both the
-    simulated outcome and the host CPU cost of driving it.
-
-    ``spec`` (the sweep template from :func:`perf_spec`) supersedes the
-    individual kwargs; ``channels``/``queue_depth`` are this cell's
-    sweep-axis coordinates either way.
-    """
+def run_scale_cell(spec: ExperimentSpec, channels: int,
+                   queue_depth: int) -> dict:
+    """One sweep cell: the factory's build of ``spec`` (the sweep
+    template) at this cell's axis coordinates — ``stack.channels`` and
+    ``workload.queue_depth``, the doorbell batch capped to fit — run to
+    completion; reports both the simulated outcome and the host CPU
+    cost of driving it."""
     import dataclasses
 
-    from repro.config.build import build_stack
+    from repro.config.build import build_experiment
     from repro.core.opir.registry import cache_stats
-    from repro.host.engine import ScaleEngine, ScaleJob, run_scale_workload
 
-    if spec is None:
-        spec = perf_spec(
-            channel_counts=(channels,), queue_depths=(queue_depth,),
-            luns_per_channel=luns_per_channel, io_count=io_count,
-            vendor=vendor, pattern=pattern, fidelity=fidelity,
-        )
-    else:
-        doorbell_batch = spec.workload.doorbell_batch
-    workload = spec.workload
-    sim = Simulator()
     cache_before = cache_stats()
-    controllers, ftl = build_stack(sim, dataclasses.replace(
-        spec.stack, channels=channels))
-    engine = ScaleEngine(sim, ftl, queue_depth=queue_depth,
-                         doorbell_batch=min(doorbell_batch, queue_depth))
-    job = ScaleJob(pattern=workload.pattern, opcode=workload.opcode(),
-                   io_count=workload.io_count, seed=workload.seed,
-                   working_set_pages=workload.working_set_pages,
-                   dram_stride=workload.dram_stride,
-                   dram_base=workload.dram_base)
+    built = build_experiment(dataclasses.replace(
+        spec,
+        stack=dataclasses.replace(spec.stack, channels=channels),
+        workload=dataclasses.replace(
+            spec.workload, queue_depth=queue_depth,
+            doorbell_batch=min(spec.workload.doorbell_batch, queue_depth)),
+    ))
+    controllers = built.controllers
     started = time.process_time()
-    result = run_scale_workload(sim, engine, job)
+    result = built.run_workload()
     wall_s = time.process_time() - started
     cell = result.to_json_obj()
     cell["fidelity"] = spec.stack.fidelity
@@ -195,56 +183,49 @@ def run_scale_cell(
     return cell
 
 
+def _axis(values, stock, top: int, field: str) -> list:
+    """One sweep axis: the explicit ``values`` — each within the spec's
+    maximum ``top``, refused otherwise — or the stock axis clipped to
+    it; the maximum itself always runs."""
+    if values is None:
+        values = [value for value in stock if value <= top]
+    elif max(values) > top:
+        raise SpecError(
+            f"sweep axis value {max(values)} exceeds {field}={top}, the "
+            f"sweep maximum — raise it with --set {field}={max(values)}"
+        )
+    return sorted({*values, top})
+
+
 def run_perf_sweep(
-    channel_counts=(1, 2, 4),
-    queue_depths=(8, 32),
-    luns_per_channel: int = 4,
-    io_count: int = 192,
-    vendor: str = "hynix",
-    pattern: str = "sequential",
+    spec: ExperimentSpec,
+    channel_counts=None,
+    queue_depths=None,
     quick: bool = False,
     microbench_events: Optional[int] = None,
-    fidelity: str = "waveform",
-    spec=None,
 ) -> dict:
-    """The full ``repro perf`` report.
+    """The full ``repro perf`` report for ``spec`` (a :func:`perf_spec`
+    template).
 
-    ``quick`` narrows the sweep to its corner cells (1 and max channels
-    at max QD) with the same per-cell parameters, so every quick cell is
-    key-compatible with a full-sweep baseline.
+    ``spec.stack.channels`` / ``spec.workload.queue_depth`` are the
+    sweep maxima: ``channel_counts`` / ``queue_depths`` pick the cells
+    at or below them (default: the stock axes, clipped) and the maxima
+    always run, so quick and full runs of the same axes embed the same
+    ``spec_hash``.  ``quick`` narrows the sweep to its corner cells
+    (1 and max channels at max QD) with the same per-cell parameters,
+    so every quick cell is key-compatible with a full-sweep baseline.
 
-    ``fidelity`` selects the execution backend for every cell and is
-    recorded per cell; :func:`compare_reports` only compares cells run
-    under the same tier (the tiers' simulated timelines legitimately
-    differ in aggregate throughput).
-
-    ``spec`` (a :func:`perf_spec` template) supersedes the per-stack
-    kwargs — its ``stack.channels`` / ``workload.queue_depth`` are the
-    sweep maxima, so quick and full runs of the same axes embed the
-    same ``spec_hash``.  Without one, the equivalent template is
-    constructed and embedded.
+    ``spec.stack.fidelity`` is recorded per cell;
+    :func:`compare_reports` only compares cells run under the same tier
+    (the tiers' simulated timelines legitimately differ in aggregate
+    throughput).
     """
-    channel_counts = sorted(set(channel_counts))
-    queue_depths = sorted(set(queue_depths))
-    if spec is not None:
-        spec.validate()
-        channel_counts = sorted({
-            ch for ch in channel_counts if ch <= spec.stack.channels
-        } | {spec.stack.channels})
-        queue_depths = sorted({
-            qd for qd in queue_depths if qd <= spec.workload.queue_depth
-        } | {spec.workload.queue_depth})
-        luns_per_channel = spec.stack.luns_per_channel
-        io_count = spec.workload.io_count
-        vendor = spec.stack.vendor
-        pattern = spec.workload.pattern
-        fidelity = spec.stack.fidelity
-    else:
-        spec = perf_spec(
-            channel_counts=channel_counts, queue_depths=queue_depths,
-            luns_per_channel=luns_per_channel, io_count=io_count,
-            vendor=vendor, pattern=pattern, fidelity=fidelity,
-        )
+    spec.validate()
+    spec.refuse_fixed(perf_spec(), PERF_FIXED, "perf")
+    channel_counts = _axis(channel_counts, SWEEP_CHANNELS,
+                           spec.stack.channels, "stack.channels")
+    queue_depths = _axis(queue_depths, SWEEP_QUEUE_DEPTHS,
+                         spec.workload.queue_depth, "workload.queue_depth")
     if quick:
         channel_counts = sorted({channel_counts[0], channel_counts[-1]})
         queue_depths = [queue_depths[-1]]
@@ -254,7 +235,7 @@ def run_perf_sweep(
     cells = {}
     for ch in channel_counts:
         for qd in queue_depths:
-            cells[cell_key(ch, qd)] = run_scale_cell(ch, qd, spec=spec)
+            cells[cell_key(ch, qd)] = run_scale_cell(spec, ch, qd)
 
     scaling = {}
     top_qd = queue_depths[-1]
@@ -285,10 +266,10 @@ def run_perf_sweep(
         },
         "kernel": kernel,
         "params": {
-            "io_count": io_count,
-            "luns_per_channel": luns_per_channel,
-            "pattern": pattern,
-            "vendor": vendor,
+            "io_count": spec.workload.io_count,
+            "luns_per_channel": spec.stack.luns_per_channel,
+            "pattern": spec.workload.pattern,
+            "vendor": spec.stack.vendor,
         },
         "quick": quick,
         "scaling": scaling,

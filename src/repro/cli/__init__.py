@@ -11,11 +11,11 @@ One module per subcommand group:
 * :mod:`repro.cli.benchcmd` — bench-smoke / perf benchmark artifacts
 * :mod:`repro.cli.speccmd` — spec validate / show / hash
 
-Every stack-building subcommand resolves its parameters into one
-:class:`~repro.config.specs.ExperimentSpec` (``--spec`` / ``--set`` /
-legacy flags — see :func:`repro.cli.common.resolve_spec`) and embeds
-the resolved spec plus its ``spec_hash`` in whatever artifact it
-writes.
+Every stack-building subcommand resolves one
+:class:`~repro.config.specs.ExperimentSpec` (``--set`` over ``--spec``
+over its stock spec — see :func:`repro.cli.common.resolve_spec`), builds
+what it runs from that spec, and embeds the resolved spec plus its
+``spec_hash`` in whatever artifact it writes.
 """
 
 from repro.cli.main import build_parser, main

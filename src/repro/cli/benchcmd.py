@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.cli.common import (
-    fidelity_opt,
-    print_rows,
-    resolve_spec,
-    spec_opts,
-    vendor_opt,
-)
+from repro.cli.common import RAW_CHANNEL, print_rows, resolve_spec, spec_opts
+from repro.config.specs import FINDINGS_ONLY, WorkloadSpec
 from repro.sim import Simulator
 
 BENCH_SMOKE_BASE = {
@@ -18,9 +13,9 @@ BENCH_SMOKE_BASE = {
     "stack": {"luns_per_channel": 1},
     "workload": {"io_count": 4},
 }
-
-DEFAULT_SWEEP_CHANNELS = [1, 2, 4]
-DEFAULT_SWEEP_QD = [8, 32]
+# The Fig. 11 cells sweep the runtime; the dispatch cell is coroutine.
+BENCH_SMOKE_FIXED = (*RAW_CHANNEL, "stack.runtime", *FINDINGS_ONLY,
+                     *WorkloadSpec.all_but("io_count"), "campaign")
 
 
 def cmd_bench_smoke(args) -> int:
@@ -34,11 +29,7 @@ def cmd_bench_smoke(args) -> int:
     from repro.config.build import build_controllers, stack_profile
     from repro.onfi.datamodes import NVDDR2_200
 
-    spec = resolve_spec(args, BENCH_SMOKE_BASE, flags=(
-        ("vendor", "stack.vendor"),
-        ("reads", "workload.io_count"),
-        ("fidelity", "stack.fidelity"),
-    ))
+    spec = resolve_spec(args, BENCH_SMOKE_BASE, BENCH_SMOKE_FIXED)
     fidelity = spec.stack.fidelity
     reads = spec.workload.io_count
     results: dict = {"schema": 2, "bench": "smoke",
@@ -48,7 +39,7 @@ def cmd_bench_smoke(args) -> int:
     if fidelity != "waveform":
         # The Fig. 11 cells measure the polling waveform itself through
         # the logic analyzer, which only exists at waveform fidelity —
-        # they always run under that tier, whatever --fidelity says.
+        # they always run under that tier, whatever stack.fidelity says.
         print(f"bench-smoke: fig11 cells stay at fidelity=waveform "
               f"(the logic analyzer samples bus segments the "
               f"'{fidelity}' tier does not drive); dispatch cells "
@@ -111,46 +102,34 @@ def cmd_bench_smoke(args) -> int:
         "status_us_per_op": round(poll_wall / polls * 1e6, 1),
     }
     # Power-loss recovery cell: one deterministic mid-workload crash and
-    # remount, with the SPOR counters scraped through the obs registry —
-    # the same pull collectors a monitoring stack would read.
-    from repro.analysis.crashfuzz import (
-        _build_ops,
-        _build_stack,
-        _controllers as _fuzz_controllers,
-        _drive,
-        _FUZZ_FTL,
-        _fuzz_profile,
-    )
-    from repro.faults.power import (
-        PowerCut,
-        PowerLossError,
-        apply_power_cut,
-        restore_media,
-        snapshot_media,
-    )
-    from repro.ftl.spor import mount_sharded
-    from repro.obs import MetricsRegistry, register_spor_metrics
-
+    # remount of the stock crashfuzz stack (this run's vendor and tier),
+    # with the SPOR counters scraped through the obs registry — the same
+    # pull collectors a monitoring stack would read.
     import numpy as np
 
+    from repro.analysis.crashfuzz import (
+        build_ops,
+        crashfuzz_spec,
+        drive,
+        remount,
+        stand_up,
+    )
+    from repro.faults.power import PowerCut, PowerLossError, apply_power_cut
+    from repro.obs import MetricsRegistry, register_spor_metrics
+
     spor_started = time.perf_counter()
-    profile = _fuzz_profile(vendor)
-    spor_sim, spor_controllers, _, spor_engine, spor_span = _build_stack(
-        profile, 2, 2, 8, fidelity)
-    spor_ops = _build_ops(np.random.default_rng(1234), 120, spor_span, 2, 8)
-    cut_ns = spor_sim.now + 10_000_000
-    PowerCut(spor_sim, cut_ns).arm(spor_controllers)
+    fuzz = crashfuzz_spec(vendor=spec.stack.vendor, fidelity=fidelity)
+    crashed, span = stand_up(fuzz)
+    spor_ops = build_ops(np.random.default_rng(1234), 120, span,
+                         fuzz.stack.channels, fuzz.workload.queue_depth)
+    cut_ns = crashed.sim.now + 10_000_000
+    PowerCut(crashed.sim, cut_ns).arm(crashed.controllers)
     try:
-        _drive(spor_sim, spor_engine, spor_ops, profile.geometry.page_size)
+        drive(crashed, spor_ops)
     except PowerLossError:
         pass
-    apply_power_cut(spor_controllers, cut_ns)
-    images = snapshot_media(spor_controllers)
-    mount_sim = Simulator()
-    mount_controllers = _fuzz_controllers(mount_sim, profile, 2, 2,
-                                          fidelity)
-    restore_media(mount_controllers, images)
-    _, mount_report = mount_sharded(mount_sim, mount_controllers, _FUZZ_FTL)
+    apply_power_cut(crashed.controllers, cut_ns)
+    _, _, mount_report = remount(crashed)
     registry = MetricsRegistry()
     register_spor_metrics(registry, mount_report)
     spor_cell = dict(registry.snapshot()["collected"]["spor"])
@@ -174,29 +153,15 @@ def cmd_perf(args) -> int:
     ``--check BASELINE`` exits 1 when the fresh run regresses past the
     baseline's tolerances."""
     from repro.analysis.perfbench import (
+        PERF_FIXED,
         compare_reports,
         perf_spec,
         run_perf_sweep,
     )
 
-    channel_counts = args.channels or DEFAULT_SWEEP_CHANNELS
-    queue_depths = args.qd or DEFAULT_SWEEP_QD
-    base = perf_spec().to_dict()
-    spec = resolve_spec(args, base, flags=(
-        ("vendor", "stack.vendor"),
-        ("channels", "stack.channels", max),
-        ("qd", "workload.queue_depth", max),
-        ("luns", "stack.luns_per_channel"),
-        ("ios", "workload.io_count"),
-        ("pattern", "workload.pattern"),
-        ("fidelity", "stack.fidelity"),
-    ))
-    report = run_perf_sweep(
-        channel_counts=channel_counts,
-        queue_depths=queue_depths,
-        quick=args.quick,
-        spec=spec,
-    )
+    spec = resolve_spec(args, perf_spec().to_dict(), PERF_FIXED)
+    report = run_perf_sweep(spec, channel_counts=args.channels,
+                            queue_depths=args.qd, quick=args.quick)
     rendered = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as handle:
@@ -235,31 +200,22 @@ def cmd_perf(args) -> int:
 def add_parsers(sub) -> None:
     p = sub.add_parser("bench-smoke",
                        help="fast benchmark cells as JSON (CI artifact)")
-    vendor_opt(p)
-    p.add_argument("--reads", type=int, default=None)
     p.add_argument("--out", default=None, help="JSON output path")
-    fidelity_opt(p)
     spec_opts(p)
     p.set_defaults(func=cmd_bench_smoke)
 
     p = sub.add_parser("perf",
                        help="multi-channel scale sweep + perf-regression "
                             "gate (exit 1 on regression vs --check baseline)")
-    vendor_opt(p)
     p.add_argument("--channels", type=int, nargs="+", default=None,
-                   help="channel counts to sweep")
+                   help="channel counts to sweep, each at most "
+                        "stack.channels (which always runs)")
     p.add_argument("--qd", type=int, nargs="+", default=None,
-                   help="queue depths to sweep")
-    p.add_argument("--luns", type=int, default=None,
-                   help="LUNs per channel")
-    p.add_argument("--ios", type=int, default=None,
-                   help="commands per cell")
-    p.add_argument("--pattern", default=None,
-                   choices=["sequential", "random"])
+                   help="queue depths to sweep, each at most "
+                        "workload.queue_depth (which always runs)")
     p.add_argument("--quick", action="store_true",
                    help="corner cells only (CI mode; keys stay "
                         "comparable with a full-sweep baseline)")
-    fidelity_opt(p)
     p.add_argument("--out", default=None,
                    help="write the JSON report here (e.g. BENCH_scale.json)")
     p.add_argument("--check", metavar="BASELINE.json", default=None,

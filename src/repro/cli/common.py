@@ -3,22 +3,24 @@ and the one spec-resolution path every stack-building subcommand uses.
 
 Override precedence (highest wins)::
 
-    --set KEY=VALUE  >  explicit legacy flags  >  --spec FILE  >  defaults
+    --set KEY=VALUE  >  --spec FILE  >  the subcommand's stock spec
 
-Without ``--spec``, "defaults" means the subcommand's historical base
-spec (so ``repro demo`` still runs the exact demo it always did).
-With ``--spec``, the file is resolved against the *global* spec
-defaults — which is what makes ``repro spec hash FILE`` equal the
-``spec_hash`` a run of that file embeds in its artifacts.
+Without ``--spec``, the document starts as the subcommand's stock spec
+(so ``repro demo`` still runs the exact demo it always did).  With
+``--spec``, the file is resolved against the *global* spec defaults —
+which is what makes ``repro spec hash FILE`` equal the ``spec_hash`` a
+run of that file embeds in its artifacts.  Either way, a field the
+subcommand fixes for itself (sets per phase, sweeps as an axis, never
+reads) must keep its stock value: the resolved spec is the stack that
+runs, or the run is refused.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 
-from repro.flash.vendors import VENDOR_PROFILES
-from repro.onfi.datamodes import NVDDR2_100, NVDDR2_200
+#: Fixed by every subcommand that drives one raw (FTL-less) channel.
+RAW_CHANNEL = ("stack.channels", "stack.ftl")
 
 
 def print_rows(headers, rows) -> None:
@@ -30,10 +32,6 @@ def print_rows(headers, rows) -> None:
     print("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-
-
-def interface_for(mt: int):
-    return NVDDR2_200 if mt == 200 else NVDDR2_100
 
 
 def make_tracer(args):
@@ -58,82 +56,51 @@ def write_trace_file(args, tracer, metrics=None, spec=None) -> None:
 # Option groups
 # ----------------------------------------------------------------------
 
-def vendor_opt(p, default=None) -> None:
-    p.add_argument("--vendor", default=default,
-                   choices=sorted(VENDOR_PROFILES))
-
-
 def trace_opt(p) -> None:
     p.add_argument("--trace", metavar="OUT.json", default=None,
                    help="write a Chrome trace_event capture of the "
                         "run(s) (open in Perfetto)")
 
 
-def sanitize_opt(p) -> None:
-    p.add_argument("--sanitize", default=None, metavar="NAMES",
-                   help="attach runtime sanitizers (\"all\" or a "
-                        "comma list of bus,flash,memory,liveness); "
-                        "exit 1 if any fires")
-
-
-def fidelity_opt(p) -> None:
-    from repro.core.backend import FIDELITIES
-
-    p.add_argument("--fidelity", default=None, choices=FIDELITIES,
-                   help="execution backend: 'waveform' drives every "
-                        "bus segment (exact); 'tlm' executes whole "
-                        "transactions as single events (fast, same "
-                        "data and per-op timing)")
-
-
 def spec_opts(p) -> None:
     """``--spec FILE`` + ``--set KEY=VALUE`` on a stack-building
     subcommand."""
     p.add_argument("--spec", metavar="FILE", default=None,
-                   help="experiment spec (.json or .toml) to run; "
-                        "explicit flags and --set override it")
+                   help="experiment spec (.json or .toml) to run "
+                        "instead of the subcommand's stock spec")
     p.add_argument("--set", dest="overrides", action="append",
                    default=[], metavar="KEY=VALUE",
                    help="dotted spec override, e.g. "
-                        "--set stack.channels=8 (repeatable; applied "
-                        "after --spec and flags)")
+                        "--set stack.vendor=micron (repeatable; applied "
+                        "after --spec)")
 
 
 # ----------------------------------------------------------------------
 # Spec resolution
 # ----------------------------------------------------------------------
 
-def resolve_spec(args, base=None, flags=()):
+def resolve_spec(args, stock: dict, fixed=()):
     """The :class:`~repro.config.specs.ExperimentSpec` one invocation
-    describes.
+    describes: ``--set`` over ``--spec FILE`` over ``stock`` (the
+    subcommand's stock spec document).
 
-    ``base`` is the subcommand's historical default document (ignored
-    when ``--spec`` was given).  ``flags`` maps explicitly-passed
-    legacy flags onto dotted spec paths: ``(attr, "stack.vendor")`` or
-    ``(attr, path, transform)``; an attr whose value is ``None`` was
-    not passed and leaves the document alone.
+    ``fixed`` lists the dotted paths the subcommand fixes for itself; a
+    resolved spec that differs from ``stock`` at one of them raises
+    :class:`~repro.config.specs.SpecError` (exit 1) naming the path and
+    the subcommand — whether it came from ``--set`` or from the file.
     """
     from repro.config import ExperimentSpec, SpecError, apply_overrides
     from repro.config.io import load_spec_dict
 
-    if getattr(args, "spec", None):
-        document = load_spec_dict(args.spec)
-    else:
-        document = copy.deepcopy(base) if base else {}
-    for entry in flags:
-        attr, path = entry[0], entry[1]
-        transform = entry[2] if len(entry) > 2 else None
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        if transform is not None:
-            value = transform(value)
-        apply_overrides(document, [f"{path}={json.dumps(value)}"])
-    apply_overrides(document, list(getattr(args, "overrides", None) or []))
+    source = args.spec
+    document = load_spec_dict(source) if source else copy.deepcopy(stock)
+    apply_overrides(document, args.overrides)
     try:
-        return ExperimentSpec.from_dict(document)
+        spec = ExperimentSpec.from_dict(document)
+        spec.refuse_fixed(ExperimentSpec.from_dict(stock), fixed,
+                          args.command)
     except SpecError as exc:
-        source = getattr(args, "spec", None)
         if source:
             raise SpecError(f"{source}: {exc}") from None
         raise
+    return spec

@@ -4,24 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.cli.common import fidelity_opt, resolve_spec, spec_opts, vendor_opt
-from repro.faults.chaos import CHAOS_GEOMETRY
-
-CHAOS_BASE = {
-    "name": "chaos",
-    "stack": {
-        "luns_per_channel": 4,
-        "factory_bad_rate": 0.0,
-        "geometry": dict(CHAOS_GEOMETRY),
-    },
-    "campaign": {},
-}
-
-
-def _crashfuzz_base() -> dict:
-    from repro.analysis.crashfuzz import crashfuzz_spec
-
-    return crashfuzz_spec().to_dict()
+from repro.cli.common import resolve_spec, spec_opts
 
 
 def cmd_chaos(args) -> int:
@@ -30,17 +13,16 @@ def cmd_chaos(args) -> int:
     what recovered, and the added tail latency.  Exit 0 when every
     recoverable fault recovered, 1 when any did not, 2 when the chaos
     harness itself broke."""
-    from repro.faults import EXIT_INTERNAL, run_chaos
+    from repro.faults.chaos import (
+        CHAOS_FIXED,
+        EXIT_INTERNAL,
+        chaos_spec,
+        run_chaos,
+    )
 
-    spec = resolve_spec(args, CHAOS_BASE, flags=(
-        ("seed", "campaign.seed"),
-        ("vendor", "stack.vendor"),
-        ("campaign", "campaign.plan"),
-        ("no_baselines", "campaign.baselines", lambda v: not v),
-        ("fidelity", "stack.fidelity"),
-    ))
+    spec = resolve_spec(args, chaos_spec().to_dict(), CHAOS_FIXED)
     try:
-        report = run_chaos(spec=spec)
+        report = run_chaos(spec)
         text = json.dumps(report, indent=2, sort_keys=True)
         if args.json:
             with open(args.json, "w") as handle:
@@ -69,24 +51,16 @@ def cmd_crashfuzz(args) -> int:
     its acked contents.  Exit 0 when the contract held at every crash
     point, 1 on any violation, 2 when the harness itself broke."""
     from repro.analysis.crashfuzz import (
-        EXIT_INTERNAL as FUZZ_INTERNAL,
+        CRASHFUZZ_FIXED,
+        EXIT_INTERNAL,
+        crashfuzz_spec,
         run_crashfuzz,
         summarize,
     )
 
-    spec = resolve_spec(args, _crashfuzz_base(), flags=(
-        ("seeds", "campaign.crash_seeds"),
-        ("points", "campaign.crash_points"),
-        ("channels", "stack.channels"),
-        ("luns", "stack.luns_per_channel"),
-        ("qd", "workload.queue_depth"),
-        ("ios", "workload.io_count"),
-        ("seed", "campaign.base_seed"),
-        ("vendor", "stack.vendor"),
-        ("fidelity", "stack.fidelity"),
-    ))
+    spec = resolve_spec(args, crashfuzz_spec().to_dict(), CRASHFUZZ_FIXED)
     try:
-        report = run_crashfuzz(spec=spec)
+        report = run_crashfuzz(spec)
         if args.json:
             with open(args.json, "w") as handle:
                 handle.write(json.dumps(report, indent=2, sort_keys=True)
@@ -96,7 +70,7 @@ def cmd_crashfuzz(args) -> int:
             print(line)
     except Exception as exc:  # the harness broke — not a finding
         print(f"crashfuzz: internal error: {exc!r}")
-        return FUZZ_INTERNAL
+        return EXIT_INTERNAL
     return report["exit_code"]
 
 
@@ -104,14 +78,7 @@ def add_parsers(sub) -> None:
     p = sub.add_parser("chaos",
                        help="seeded fault-injection campaign "
                             "(exit 0 recovered / 1 unrecovered / 2 internal)")
-    p.add_argument("--seed", type=int, default=None)
-    vendor_opt(p)
-    p.add_argument("--campaign", default=None,
-                   help="campaign JSON file (default: built-in campaign)")
     p.add_argument("--json", default=None, help="write the full report here")
-    p.add_argument("--no-baselines", action="store_true", default=None,
-                   help="run the FTL phase against BABOL only")
-    fidelity_opt(p)
     spec_opts(p)
     p.set_defaults(func=cmd_chaos)
 
@@ -120,20 +87,6 @@ def add_parsers(sub) -> None:
                             "fuzzed ns, remount, verify every acked "
                             "write (exit 0 clean / 1 violation / "
                             "2 internal)")
-    p.add_argument("--seeds", type=int, default=None,
-                   help="number of seeded workloads")
-    p.add_argument("--points", type=int, default=None,
-                   help="crash points fuzzed per seed")
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--luns", type=int, default=None,
-                   help="LUNs per channel")
-    p.add_argument("--qd", type=int, default=None, help="queue depth")
-    p.add_argument("--ios", type=int, default=None,
-                   help="host commands per workload")
-    p.add_argument("--seed", type=int, default=None,
-                   help="base seed the per-workload seeds derive from")
-    vendor_opt(p)
     p.add_argument("--json", default=None, help="write the full report here")
-    fidelity_opt(p)
     spec_opts(p)
     p.set_defaults(func=cmd_crashfuzz)

@@ -2,9 +2,10 @@
 
 Every stack-building command here resolves an
 :class:`~repro.config.specs.ExperimentSpec` first (``--spec``/``--set``
-plus legacy flags — see :func:`repro.cli.common.resolve_spec`) and
-builds its controllers through :mod:`repro.config.build`, so the same
-spec document reproduces the same cells anywhere.
+over its stock spec — see :func:`repro.cli.common.resolve_spec`) and
+builds every cell and baseline through :mod:`repro.config.build`, so
+the same spec document reproduces the same cells anywhere.  Each
+``*_FIXED`` tuple lists what its command sweeps or never reads.
 """
 
 from __future__ import annotations
@@ -12,15 +13,19 @@ from __future__ import annotations
 import dataclasses
 
 from repro.cli.common import (
-    interface_for,
+    RAW_CHANNEL,
     make_tracer,
     print_rows,
     resolve_spec,
-    sanitize_opt,
     spec_opts,
     trace_opt,
-    vendor_opt,
     write_trace_file,
+)
+from repro.config.specs import (
+    FINDINGS_ONLY,
+    SpecError,
+    StackSpec,
+    WorkloadSpec,
 )
 from repro.flash.vendors import VENDOR_PROFILES, profile_by_name
 from repro.onfi.datamodes import NVDDR2_100, NVDDR2_200
@@ -30,23 +35,35 @@ DEMO_BASE = {
     "name": "demo",
     "stack": {"luns_per_channel": 8, "track_data": True},
 }
+DEMO_FIXED = (*RAW_CHANNEL, "stack.timing_overrides", "workload", "campaign")
 
 FIG10_BASE = {
     "name": "fig10",
     "stack": {"luns_per_channel": 8},
 }
+# The grid's axes are the runtime and the CPU clock (--freq-mhz).
+FIG10_FIXED = (*RAW_CHANNEL, "stack.runtime", "stack.cpu_freq_hz",
+               *FINDINGS_ONLY, "workload", "campaign")
 
 FIG11_BASE = {
     "name": "fig11",
     "stack": {"luns_per_channel": 1},
     "workload": {"io_count": 8},
 }
+# The logic analyzer samples bus segments only the waveform tier drives.
+FIG11_FIXED = (*RAW_CHANNEL, "stack.runtime", "stack.fidelity",
+               *FINDINGS_ONLY, *WorkloadSpec.all_but("io_count"), "campaign")
 
 FIG12_BASE = {
     "name": "fig12",
     "stack": {"luns_per_channel": 1, "ftl": {}},
     "workload": {"queue_depth": 16},
 }
+# The axes are the controller (hardware, RTOS, coroutine) and --ways;
+# each cell prefills and sizes its job by the way count.
+FIG12_FIXED = ("stack.channels", "stack.runtime", "stack.luns_per_channel",
+               "stack.ftl.prefill_pages", *FINDINGS_ONLY,
+               *WorkloadSpec.all_but("pattern", "queue_depth"), "campaign")
 
 
 def cmd_demo(args) -> int:
@@ -54,12 +71,7 @@ def cmd_demo(args) -> int:
 
     from repro.config.build import build_controllers
 
-    spec = resolve_spec(args, DEMO_BASE, flags=(
-        ("vendor", "stack.vendor"),
-        ("luns", "stack.luns_per_channel"),
-        ("runtime", "stack.runtime"),
-        ("sanitize", "stack.sanitizers"),
-    ))
+    spec = resolve_spec(args, DEMO_BASE, DEMO_FIXED)
     sim = Simulator()
     tracer = make_tracer(args)
     sim.set_tracer(tracer)
@@ -101,17 +113,11 @@ def cmd_table1(args) -> int:
 
 
 def cmd_fig10(args) -> int:
-    from repro.baselines import SyncHwController
-    from repro.config.build import build_controllers, stack_profile
+    from repro.config.build import build_baseline, build_controllers
     from repro.core.softenv import MHZ
     from repro.host import measure_read_throughput
 
-    spec = resolve_spec(args, FIG10_BASE, flags=(
-        ("vendor", "stack.vendor"),
-        ("luns", "stack.luns_per_channel"),
-        ("interface", "stack.interface_mt"),
-    ))
-    vendor = stack_profile(spec.stack)
+    spec = resolve_spec(args, FIG10_BASE, FIG10_FIXED)
     luns = spec.stack.luns_per_channel
     rows = []
 
@@ -123,9 +129,7 @@ def cmd_fig10(args) -> int:
     if tracer is not None:
         tracer.scope = "sync-hw"
         sim.set_tracer(tracer)
-    hw = SyncHwController(sim, vendor=vendor, lun_count=luns,
-                          interface=interface_for(spec.stack.interface_mt),
-                          track_data=False)
+    hw = build_baseline(sim, spec.stack, "sync")
     result = measure_read_throughput(sim, hw, luns)
     rows.append(["HW baseline", "-", f"{result.throughput_mb_s:.1f}"])
     for runtime in ("rtos", "coroutine"):
@@ -150,10 +154,7 @@ def cmd_fig11(args) -> int:
     from repro.analysis import LogicAnalyzer
     from repro.config.build import build_controllers
 
-    spec = resolve_spec(args, FIG11_BASE, flags=(
-        ("vendor", "stack.vendor"),
-        ("reads", "workload.io_count"),
-    ))
+    spec = resolve_spec(args, FIG11_BASE, FIG11_FIXED)
     reads = spec.workload.io_count
     rows = []
     tracer = make_tracer(args)
@@ -178,18 +179,13 @@ def cmd_fig11(args) -> int:
 
 
 def cmd_fig12(args) -> int:
-    import dataclasses
-
-    from repro.baselines import AsyncHwController
-    from repro.config.build import build_controllers, stack_profile
+    from repro.config.build import build_baseline, build_controllers
     from repro.ftl import PageMappedFtl
     from repro.host import FioJob, HostInterface, run_fio
 
-    spec = resolve_spec(args, FIG12_BASE, flags=(
-        ("vendor", "stack.vendor"),
-        ("pattern", "workload.pattern"),
-    ))
-    vendor = stack_profile(spec.stack)
+    spec = resolve_spec(args, FIG12_BASE, FIG12_FIXED)
+    if spec.stack.ftl is None:
+        raise SpecError("fig12 runs fio over an FTL: stack.ftl is null")
     iodepth = spec.workload.queue_depth
     rows = []
     tracer = make_tracer(args)
@@ -200,14 +196,12 @@ def cmd_fig12(args) -> int:
             if tracer is not None:
                 tracer.scope = f"{kind}@{ways}way"
                 sim.set_tracer(tracer)
+            cell = dataclasses.replace(spec.stack, luns_per_channel=ways)
             if kind == "cosmos":
-                controller = AsyncHwController(
-                    sim, vendor=vendor, lun_count=ways, track_data=False
-                )
+                controller = build_baseline(sim, cell, "async")
             else:
-                cell = dataclasses.replace(spec.stack, runtime=kind,
-                                           luns_per_channel=ways)
-                controller = build_controllers(sim, cell)[0]
+                controller = build_controllers(
+                    sim, dataclasses.replace(cell, runtime=kind))[0]
             ftl = PageMappedFtl(sim, controller,
                                 spec.stack.ftl.to_ftl_config())
             ftl.prefill(min(ftl.logical_pages, 64 * ways))
@@ -238,16 +232,15 @@ def cmd_table2(args) -> int:
 def cmd_table3(args) -> int:
     from repro.analysis import estimate_area
     from repro.analysis.area import babol_inventory
-    from repro.baselines import AsyncHwController, SyncHwController
+    from repro.config.build import build_baseline
 
+    stack = StackSpec(luns_per_channel=8)
     estimates = {
         "sync HW": estimate_area(
-            SyncHwController(Simulator(), lun_count=8, track_data=False).inventory()
-        ),
+            build_baseline(Simulator(), stack, "sync").inventory()),
         "async HW": estimate_area(
-            AsyncHwController(Simulator(), lun_count=8, track_data=False).inventory()
-        ),
-        "BABOL": estimate_area(babol_inventory(8)),
+            build_baseline(Simulator(), stack, "async").inventory()),
+        "BABOL": estimate_area(babol_inventory(stack.luns_per_channel)),
     }
     rows = [[name, str(e.lut), str(e.ff), f"{e.bram:g}"]
             for name, e in estimates.items()]
@@ -258,11 +251,7 @@ def cmd_table3(args) -> int:
 
 def add_parsers(sub) -> None:
     p = sub.add_parser("demo", help="program+read roundtrip demo")
-    vendor_opt(p)
     trace_opt(p)
-    p.add_argument("--luns", type=int, default=None)
-    p.add_argument("--runtime", default=None, choices=["coroutine", "rtos"])
-    sanitize_opt(p)
     spec_opts(p)
     p.set_defaults(func=cmd_demo)
 
@@ -270,28 +259,20 @@ def add_parsers(sub) -> None:
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("fig10", help="throughput cell")
-    vendor_opt(p)
     trace_opt(p)
-    p.add_argument("--luns", type=int, default=None)
-    p.add_argument("--interface", type=int, default=None, choices=[100, 200])
     p.add_argument("--freq-mhz", type=int, nargs="+",
                    default=[150, 200, 400, 1000])
     spec_opts(p)
     p.set_defaults(func=cmd_fig10)
 
     p = sub.add_parser("fig11", help="polling breakdown")
-    vendor_opt(p)
     trace_opt(p)
-    p.add_argument("--reads", type=int, default=None)
     spec_opts(p)
     p.set_defaults(func=cmd_fig11)
 
     p = sub.add_parser("fig12", help="end-to-end fio bandwidth")
-    vendor_opt(p)
     trace_opt(p)
     p.add_argument("--ways", type=int, nargs="+", default=[1, 2, 4, 8])
-    p.add_argument("--pattern", default=None,
-                   choices=["sequential", "random"])
     spec_opts(p)
     p.set_defaults(func=cmd_fig12)
 

@@ -4,41 +4,20 @@ from __future__ import annotations
 
 import json
 
-from repro.cli.common import resolve_spec, spec_opts, vendor_opt
-
-SANITIZE_BASE = {
-    "name": "sanitize",
-    "stack": {"luns_per_channel": 4},
-    "workload": {"io_count": 18},
-    "campaign": {},
-}
+from repro.cli.common import resolve_spec, spec_opts
 
 
 def cmd_sanitize(args) -> int:
     """Run workloads (BABOL and, by default, both hardware baselines)
     under every runtime sanitizer plus the capture-time timing checker.
     Exit 0 clean / 1 findings / 2 internal error."""
+    from repro import sanitize
     from repro.analysis.diagnostics import EXIT_INTERNAL
-    from repro.config.build import stack_profile
-    from repro.sanitize import run_all_sanitized
 
-    spec = resolve_spec(args, SANITIZE_BASE, flags=(
-        ("vendor", "stack.vendor"),
-        ("luns", "stack.luns_per_channel"),
-        ("ops", "workload.io_count"),
-        ("runtime", "stack.runtime"),
-        ("no_baselines", "campaign.baselines", lambda v: not v),
-    ))
-    baselines = (spec.campaign.baselines
-                 if spec.campaign is not None else True)
+    spec = resolve_spec(args, sanitize.sanitize_spec().to_dict(),
+                        sanitize.SANITIZE_FIXED)
     try:
-        report = run_all_sanitized(
-            stack_profile(spec.stack),
-            lun_count=spec.stack.luns_per_channel,
-            ops=spec.workload.io_count,
-            runtime=spec.stack.runtime,
-            baselines=baselines,
-        )
+        report = sanitize.run_all_sanitized(spec)
         if args.json:
             obj = json.loads(report.render_json())
             obj["spec"] = spec.resolved()
@@ -56,13 +35,6 @@ def cmd_sanitize(args) -> int:
 def add_parsers(sub) -> None:
     p = sub.add_parser("sanitize",
                        help="run workloads under the runtime sanitizers")
-    vendor_opt(p)
-    p.add_argument("--luns", type=int, default=None)
-    p.add_argument("--ops", type=int, default=None,
-                   help="operations in the BABOL workload")
-    p.add_argument("--runtime", default=None, choices=["coroutine", "rtos"])
-    p.add_argument("--no-baselines", action="store_true", default=None,
-                   help="skip the sync/async hardware baselines")
     p.add_argument("--json", metavar="OUT.json", default=None,
                    help="also write the findings report as JSON")
     spec_opts(p)

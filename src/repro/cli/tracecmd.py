@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.cli.common import resolve_spec, sanitize_opt, spec_opts, vendor_opt
+from repro.cli.common import RAW_CHANNEL, resolve_spec, spec_opts
+from repro.config.specs import WorkloadSpec
 from repro.sim import Simulator
 
 TRACE_BASE = {
@@ -10,6 +11,10 @@ TRACE_BASE = {
     "stack": {"luns_per_channel": 4},
     "workload": {"io_count": 24},
 }
+# The logic analyzer samples bus segments only the waveform tier drives;
+# the workload is the fixed read/program mix: only its op count is read.
+TRACE_FIXED = (*RAW_CHANNEL, "stack.fidelity", "stack.timing_overrides",
+               *WorkloadSpec.all_but("io_count"), "campaign")
 
 
 def cmd_trace(args) -> int:
@@ -18,6 +23,7 @@ def cmd_trace(args) -> int:
     summaries."""
     from repro.analysis import LogicAnalyzer
     from repro.config.build import build_controllers
+    from repro.host import submit_mixed_ops
     from repro.obs import (
         MetricsRegistry,
         Tracer,
@@ -26,13 +32,7 @@ def cmd_trace(args) -> int:
         write_chrome_trace,
     )
 
-    spec = resolve_spec(args, TRACE_BASE, flags=(
-        ("vendor", "stack.vendor"),
-        ("luns", "stack.luns_per_channel"),
-        ("ops", "workload.io_count"),
-        ("runtime", "stack.runtime"),
-        ("sanitize", "stack.sanitizers"),
-    ))
+    spec = resolve_spec(args, TRACE_BASE, TRACE_FIXED)
     sim = Simulator()
     tracer = Tracer(categories=None if not args.kernel else
                     {"kernel", "channel", "txn", "cpu", "sched", "task", "op",
@@ -43,22 +43,7 @@ def cmd_trace(args) -> int:
     registry = register_controller_metrics(MetricsRegistry(), controller)
     op_latency = registry.histogram("op_latency_ns")
 
-    # A read/program mix fanned across every LUN: enough concurrency to
-    # make the channel-occupancy and queue-depth tracks interesting.
-    page = controller.codec.geometry.full_page_size
-    import numpy as np
-
-    luns = spec.stack.luns_per_channel
-    controller.dram.write(0, (np.arange(page) % 251).astype(np.uint8))
-    tasks = []
-    for i in range(spec.workload.io_count):
-        lun = i % luns
-        if i % 3 == 2:
-            tasks.append(controller.program_page(lun, 1, i // luns, 0))
-        else:
-            tasks.append(controller.read_page(lun, 1, i // luns,
-                                              page * (1 + lun)))
-    for task in tasks:
+    for task in submit_mixed_ops(controller, spec.workload.io_count):
         controller.run_to_completion(task)
         op_latency.observe(task.finished_at - task.submitted_at)
 
@@ -77,15 +62,9 @@ def cmd_trace(args) -> int:
 def add_parsers(sub) -> None:
     p = sub.add_parser("trace",
                        help="observability capture of a mixed workload")
-    vendor_opt(p)
     p.add_argument("--out", default="trace.json",
                    help="Chrome trace_event output path")
-    p.add_argument("--luns", type=int, default=None)
-    p.add_argument("--ops", type=int, default=None,
-                   help="operations to run across the LUNs")
-    p.add_argument("--runtime", default=None, choices=["coroutine", "rtos"])
     p.add_argument("--kernel", action="store_true",
                    help="also record the kernel event firehose")
-    sanitize_opt(p)
     spec_opts(p)
     p.set_defaults(func=cmd_trace)

@@ -15,13 +15,14 @@ JSON and TOML, and carry a canonical content hash
 emitted artifact embeds — so any result file names the exact
 experiment that produced it.
 
-:func:`~repro.config.build.build_experiment` is the single factory
-every CLI subcommand, benchmark, chaos campaign, and fuzzer builds
-stacks through.
+:mod:`repro.config.build` is the single factory every CLI subcommand,
+benchmark, chaos campaign, fuzzer, perf sweep and sanitizer run builds
+its stacks through.
 """
 
 from repro.config.build import (
     BuiltExperiment,
+    build_baseline,
     build_controllers,
     build_experiment,
     build_stack,
@@ -53,6 +54,7 @@ __all__ = [
     "StackSpec",
     "WorkloadSpec",
     "apply_overrides",
+    "build_baseline",
     "build_controllers",
     "build_experiment",
     "build_stack",

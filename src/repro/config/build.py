@@ -1,10 +1,16 @@
 """One factory from spec to running stack.
 
-:func:`build_experiment` is the single construction path behind every
-CLI subcommand, benchmark, chaos campaign, and crash fuzzer: spec in,
-``(sim, controllers, ftl, engine)`` out.  The construction order —
-controllers, then the sharded FTL, then prefill, then the queue-depth
-engine — is fixed, so the same spec always builds the same stack.
+This module is the single construction path behind every CLI
+subcommand, benchmark, chaos campaign, crash fuzzer, perf sweep and
+sanitizer run: spec in, ``(sim, controllers, ftl, engine)`` out.  A
+harness that fixes a field for one phase, cut point, remount or sweep
+cell derives that phase's stack with ``dataclasses.replace(spec.stack,
+...)`` and builds it here — :func:`build_controllers`,
+:func:`build_baseline`, :func:`build_stack`, :func:`build_experiment` —
+so the spec an artifact embeds is the stack that ran.  The
+construction order — controllers, then the sharded FTL, then prefill,
+then the queue-depth engine — is fixed, so the same spec always builds
+the same stack.
 """
 
 from __future__ import annotations
@@ -47,6 +53,14 @@ def _interface(stack: StackSpec):
     return NVDDR2_200 if stack.interface_mt == 200 else NVDDR2_100
 
 
+def _make_noiseless(controller) -> None:
+    """Zero the RBER model: content checks see stored bytes, not noise."""
+    from repro.flash.errors import ErrorModelConfig
+
+    for lun in controller.luns:
+        lun.array.error_model.config = ErrorModelConfig.noiseless()
+
+
 def build_controllers(sim, stack: StackSpec, profile=None,
                       diagnostics=None) -> list:
     """One :class:`BabolController` per channel, per the spec.
@@ -56,7 +70,6 @@ def build_controllers(sim, stack: StackSpec, profile=None,
     cannot name.
     """
     from repro.core.controller import BabolController, ControllerConfig
-    from repro.flash.errors import ErrorModelConfig
 
     stack.validate()
     if profile is None:
@@ -83,10 +96,37 @@ def build_controllers(sim, stack: StackSpec, profile=None,
         )
         controller = BabolController(sim, config, diagnostics=diagnostics)
         if stack.noiseless:
-            for lun in controller.luns:
-                lun.array.error_model.config = ErrorModelConfig.noiseless()
+            _make_noiseless(controller)
         controllers.append(controller)
     return controllers
+
+
+def build_baseline(sim, stack: StackSpec, kind: str, profile=None,
+                   diagnostics=None):
+    """The ``"sync"`` or ``"async"`` hardware baseline of one channel
+    of ``stack``: every field a hardware controller has (a baseline has
+    no runtime, CPU or watchdog to configure).  ``profile`` and
+    ``diagnostics`` are as for :func:`build_controllers`."""
+    from repro.baselines import AsyncHwController, SyncHwController
+
+    stack.validate()
+    controller = {"sync": SyncHwController, "async": AsyncHwController}[kind](
+        sim,
+        vendor=profile if profile is not None else stack_profile(stack),
+        lun_count=stack.luns_per_channel,
+        interface=_interface(stack),
+        dram_size=stack.dram_size,
+        track_data=stack.track_data,
+        seed=stack.seed if stack.seed is not None else 0,
+        fidelity=stack.fidelity,
+    )
+    if stack.noiseless:
+        _make_noiseless(controller)
+    if stack.sanitizers:
+        from repro.sanitize.base import attach_sanitizers
+
+        attach_sanitizers(controller, stack.sanitizers, diagnostics)
+    return controller
 
 
 def build_stack(sim, stack: StackSpec, profile=None):

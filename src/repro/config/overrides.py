@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 
+from repro.config.specs import SpecError
 
-class OverrideError(ValueError):
-    """A malformed --set expression."""
+
+class OverrideError(SpecError):
+    """A malformed --set expression (a usage error, like any bad spec)."""
 
 
 def parse_override(expression: str) -> tuple:

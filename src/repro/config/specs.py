@@ -59,6 +59,14 @@ VALID_MIXES = ("read", "write", "crashfuzz")
 WAVEFORM_ONLY_SANITIZERS = frozenset({"bus", "flash"})
 
 
+#: Stack fields only a findings channel can honour: sanitizers report
+#: through a DiagnosticReport, and ``timing_overrides`` are requirements
+#: the capture-time timing checker reads (the emitters pad to the ONFI
+#: mode regardless, so no simulated number moves).  A harness without
+#: such a channel declares them fixed (:meth:`ExperimentSpec.refuse_fixed`).
+FINDINGS_ONLY = ("stack.sanitizers", "stack.timing_overrides")
+
+
 class SpecError(ValueError):
     """A malformed experiment spec (unknown field, bad value, bad combo)."""
 
@@ -434,6 +442,14 @@ class WorkloadSpec:
                 "workload.dram_base must be >= 0 and dram_stride positive"
             )
 
+    @classmethod
+    def all_but(cls, *read: str) -> tuple:
+        """Dotted paths of every workload field except ``read`` — what
+        a harness that reads only those declares fixed (see
+        :meth:`ExperimentSpec.refuse_fixed`)."""
+        return tuple(f"workload.{f.name}" for f in fields(cls)
+                     if f.name not in read)
+
     def opcode(self):
         """The HostOpcode for single-opcode mixes."""
         from repro.host.hic import HostOpcode
@@ -516,9 +532,8 @@ class CampaignSpec:
                         for entry in self.faults],
             )
         if self.plan.endswith(".json"):
-            # A plan file's own seed wins (matching the legacy
-            # ``--campaign file.json`` semantics); campaign.seed applies
-            # to the built-in plan and inline faults.
+            # A plan file's own seed wins; campaign.seed applies to the
+            # built-in plan and inline faults.
             return FaultCampaign.load(self.plan)
         if self.plan == "chaos-default":
             from repro.faults.chaos import default_campaign
@@ -625,6 +640,26 @@ class ExperimentSpec:
         spec = dataclasses.replace(self, **kwargs)
         spec.validate()
         return spec
+
+    def refuse_fixed(self, stock: "ExperimentSpec", fixed,
+                     harness: str) -> None:
+        """Honoured or refused: raise :class:`SpecError` when this spec
+        differs from ``harness``'s ``stock`` spec at one of the dotted
+        paths the harness declares ``fixed`` — fields it sets per phase,
+        sweeps as an axis, or never reads — so no field is silently
+        ignored under a changed ``spec_hash``."""
+        ours, stocks = self.resolved(), stock.resolved()
+        for path in fixed:
+            mine, theirs = ours, stocks
+            for key in path.split("."):
+                mine = mine.get(key) if isinstance(mine, dict) else None
+                theirs = theirs.get(key) if isinstance(theirs, dict) else None
+            if mine != theirs:
+                raise SpecError(
+                    f"{path} is fixed by `{harness}` (it sets, sweeps or "
+                    f"never reads it): expected {canonical_json(theirs)}, "
+                    f"got {canonical_json(mine)}"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":

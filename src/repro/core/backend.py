@@ -182,7 +182,7 @@ FIDELITIES = ("waveform", "tlm")
 
 
 def resolve_backend(fidelity) -> ExecutionBackend:
-    """Map a ``--fidelity`` name (or an already-built backend) to an
+    """Map a ``stack.fidelity`` name (or an already-built backend) to an
     :class:`ExecutionBackend` instance."""
     if isinstance(fidelity, ExecutionBackend):
         return fidelity

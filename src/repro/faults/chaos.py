@@ -26,20 +26,22 @@ with the same seed produce byte-identical JSON.
 from __future__ import annotations
 
 import dataclasses
-from typing import Generator, Optional, Union
+import functools
+from typing import Generator, Optional
 
 import numpy as np
 
-from repro.baselines.async_hw import AsyncHwController
-from repro.baselines.sync_hw import SyncHwController
-from repro.core import (
-    BabolController,
-    ControllerConfig,
-    DieDegraded,
-    OpFailed,
-    RecoveryManager,
-    Watchdog,
+from repro.config.build import build_baseline, build_controllers, build_stack
+from repro.config.specs import (
+    FINDINGS_ONLY,
+    CampaignSpec,
+    ExperimentSpec,
+    FtlSpec,
+    GeometrySpec,
+    StackSpec,
+    WorkloadSpec,
 )
+from repro.core import DieDegraded, OpFailed, RecoveryManager
 from repro.core.reliability import ReliableReader
 from repro.ecc import BchConfig, BchEngine
 from repro.faults.injector import FaultInjector
@@ -54,10 +56,9 @@ from repro.faults.power import (
     apply_power_cut,
     restore_media,
     snapshot_media,
+    versioned_payload,
 )
-from repro.flash.errors import ErrorModelConfig
-from repro.flash.vendors import VendorProfile, profile_by_name
-from repro.ftl import FtlConfig, PageMappedFtl, ShardedFtl
+from repro.ftl import FtlConfig, PageMappedFtl
 from repro.ftl.badblocks import REASON_ERASE_FAIL, REASON_FACTORY, REASON_PROGRAM_FAIL
 from repro.ftl.spor import mount_sharded
 from repro.sim import Simulator, WaitProcess
@@ -133,29 +134,21 @@ CHAOS_GEOMETRY = {
 }
 
 
-def _chaos_profile(vendor: VendorProfile) -> VendorProfile:
-    """The vendor with a small array: real timing, tiny state."""
-    geometry = dataclasses.replace(vendor.geometry, **CHAOS_GEOMETRY)
-    return dataclasses.replace(
-        vendor, geometry=geometry, factory_bad_rate=0.0,
-    )
+#: What a chaos spec may not change: every phase fixes its own LUN
+#: count, data tracking, die seed (the campaign's), watchdog, error
+#: model and FTL, and drives one channel with its own workload.
+CHAOS_FIXED = (
+    "stack.channels", "stack.luns_per_channel", "stack.track_data",
+    "stack.seed", "stack.watchdog", "stack.noiseless", "stack.ftl",
+    *FINDINGS_ONLY, "workload",
+)
 
 
 def chaos_spec(vendor: str = "hynix", seed: int = 4,
                baselines: bool = True, fidelity: str = "waveform",
-               plan: str = "chaos-default"):
-    """The :class:`~repro.config.specs.ExperimentSpec` describing one
-    stock chaos run — the spec :func:`run_chaos` embeds in its report
-    (and resolves its profile from) when the caller does not pass one.
-    """
-    from repro.config.specs import (
-        CampaignSpec,
-        ExperimentSpec,
-        GeometrySpec,
-        StackSpec,
-        WorkloadSpec,
-    )
-
+               plan: str = "chaos-default") -> ExperimentSpec:
+    """The stock chaos run: where its defaults live, and what
+    ``repro chaos`` resolves ``--set`` / ``--spec`` against."""
     spec = ExperimentSpec(
         name="chaos",
         stack=StackSpec(
@@ -193,29 +186,16 @@ def _percentiles(latencies: list[int]) -> dict:
 # Phase 1: media faults through the FTL
 # ----------------------------------------------------------------------
 
-def _make_target(name: str, sim: Simulator, profile: VendorProfile,
-                 seed: int, fidelity: str = "waveform"):
-    if name == "babol":
-        return BabolController(sim, ControllerConfig(
-            vendor=profile, lun_count=_FTL_LUNS, track_data=False, seed=seed,
-            fidelity=fidelity,
-        ))
-    if name == "sync-hw":
-        return SyncHwController(sim, vendor=profile, lun_count=_FTL_LUNS,
-                                track_data=False, seed=seed,
-                                fidelity=fidelity)
-    if name == "async-hw":
-        return AsyncHwController(sim, vendor=profile, lun_count=_FTL_LUNS,
-                                 track_data=False, seed=seed,
-                                 fidelity=fidelity)
-    raise ValueError(f"unknown chaos target {name!r}")
-
-
-def _run_ftl_phase(target: str, profile: VendorProfile,
-                   campaign: FaultCampaign, inject: bool,
-                   fidelity: str = "waveform") -> dict:
+def _run_ftl_phase(target: str, stack: StackSpec, profile,
+                   campaign: FaultCampaign, inject: bool) -> dict:
     sim = Simulator()
-    controller = _make_target(target, sim, profile, campaign.seed, fidelity)
+    stack = dataclasses.replace(stack, luns_per_channel=_FTL_LUNS,
+                                track_data=False, seed=campaign.seed)
+    if target == "babol":
+        controller = build_controllers(sim, stack, profile=profile)[0]
+    else:
+        controller = build_baseline(sim, stack, target.removesuffix("-hw"),
+                                    profile=profile)
     ftl = PageMappedFtl(sim, controller, FtlConfig(
         blocks_per_lun=8, overprovision_blocks=4,
     ))
@@ -300,18 +280,15 @@ def _ftl_recovery_accounting(ftl: PageMappedFtl, campaign: FaultCampaign,
 # Phase 2: protocol faults through the recovery stack (BABOL only)
 # ----------------------------------------------------------------------
 
-def _run_ops_phase(profile: VendorProfile, campaign: FaultCampaign,
-                   inject: bool, fidelity: str = "waveform") -> dict:
+def _run_ops_phase(stack: StackSpec, profile, campaign: FaultCampaign,
+                   inject: bool) -> dict:
     sim = Simulator()
-    controller = BabolController(sim, ControllerConfig(
-        vendor=profile, lun_count=_OPS_LUNS, track_data=True,
-        seed=campaign.seed, watchdog=Watchdog.for_vendor(profile),
-        fidelity=fidelity,
-    ))
-    # The reliable reader's job here is recovering *injected* bus
-    # corruption; background RBER noise would blur the accounting.
-    for lun in controller.luns:
-        lun.array.error_model.config = ErrorModelConfig.noiseless()
+    # Noiseless: the reliable reader's job here is recovering *injected*
+    # bus corruption; background RBER noise would blur the accounting.
+    controller = build_controllers(sim, dataclasses.replace(
+        stack, luns_per_channel=_OPS_LUNS, track_data=True,
+        seed=campaign.seed, watchdog=True, noiseless=True,
+    ), profile=profile)[0]
     reader = ReliableReader(
         controller, BchEngine(BchConfig(codeword_bytes=256, t=4)))
     recovery = RecoveryManager(controller)
@@ -319,7 +296,7 @@ def _run_ops_phase(profile: VendorProfile, campaign: FaultCampaign,
     if inject:
         injector = FaultInjector(campaign, kinds=OPS_KINDS).attach(controller)
 
-    page_bytes = profile.geometry.full_page_size
+    page_bytes = controller.codec.geometry.full_page_size
     outs = [
         {"programs": 0, "reads": 0, "op_failed": 0, "degraded": False,
          "latencies": []}
@@ -438,43 +415,27 @@ def _ops_recovery_accounting(recovery: RecoveryManager,
 # Phase 3: power cut + SPOR remount (BABOL only)
 # ----------------------------------------------------------------------
 
-_SPOR_FTL = FtlConfig(
+_SPOR_FTL = FtlSpec(
     blocks_per_lun=10, overprovision_blocks=4,
     checkpoint_interval=24, journal_flush_records=8, meta_blocks=2,
+    prefill_pages=0,
 )
 
 
-def _spor_payload(lpn: int, version: int, nbytes: int) -> np.ndarray:
-    data = np.full(nbytes, (lpn * 37 + version * 101) % 251, dtype=np.uint8)
-    data[0] = lpn & 0xFF
-    data[1] = (lpn >> 8) & 0xFF
-    data[2] = version & 0xFF
-    data[3] = (version >> 8) & 0xFF
-    return data
-
-
-def _spor_controller(sim: Simulator, profile: VendorProfile, seed: int,
-                     fidelity: str) -> BabolController:
-    controller = BabolController(sim, ControllerConfig(
-        vendor=profile, lun_count=_FTL_LUNS, track_data=True, seed=seed,
-        fidelity=fidelity,
-    ))
-    # Content verification must see the stored bytes, not RBER noise.
-    for lun in controller.luns:
-        lun.array.error_model.config = ErrorModelConfig.noiseless()
-    return controller
-
-
-def _run_spor_phase(profile: VendorProfile, campaign: FaultCampaign,
-                    inject: bool, fidelity: str = "waveform") -> dict:
+def _run_spor_phase(stack: StackSpec, profile, campaign: FaultCampaign,
+                    inject: bool) -> dict:
     sim = Simulator()
-    controller = _spor_controller(sim, profile, campaign.seed, fidelity)
-    ftl = ShardedFtl(sim, [controller], _SPOR_FTL)
+    # Noiseless: content verification must see the stored bytes.
+    stack = dataclasses.replace(
+        stack, luns_per_channel=_FTL_LUNS, track_data=True,
+        seed=campaign.seed, noiseless=True, ftl=_SPOR_FTL,
+    )
+    (controller,), ftl = build_stack(sim, stack, profile=profile)
     injector: Optional[FaultInjector] = None
     if inject:
         injector = FaultInjector(campaign, kinds=SPOR_KINDS).attach(controller)
 
-    page_bytes = profile.geometry.page_size
+    page_bytes = controller.codec.geometry.page_size
     span = max(1, ftl.logical_pages // 2)
     writes = 4 * span
     acked: dict[int, int] = {}
@@ -488,7 +449,8 @@ def _run_spor_phase(profile: VendorProfile, campaign: FaultCampaign,
             lpn = i % span
             version = versions.get(lpn, 0) + 1
             versions[lpn] = version
-            controller.dram.write(0, _spor_payload(lpn, version, page_bytes))
+            controller.dram.write(0, versioned_payload(lpn, version,
+                                                       page_bytes))
             start = sim.now
             yield from ftl.write(lpn, 0)
             latencies.append(sim.now - start)
@@ -518,9 +480,7 @@ def _run_spor_phase(profile: VendorProfile, campaign: FaultCampaign,
         violations: list[str] = []
         if fired and cut_ns is not None and not error:
             violations = _spor_crash_and_verify(
-                controller, profile, campaign.seed, fidelity, cut_ns,
-                acked, versions, phase,
-            )
+                controller, stack, profile, cut_ns, acked, versions, phase)
             recovered = 1 if not violations else 0
         phase["violations"] = violations
         phase["recovered_by_kind"] = {
@@ -530,7 +490,7 @@ def _run_spor_phase(profile: VendorProfile, campaign: FaultCampaign,
     return phase
 
 
-def _spor_crash_and_verify(controller, profile, seed: int, fidelity: str,
+def _spor_crash_and_verify(controller, stack: StackSpec, profile,
                            cut_ns: int, acked: dict, versions: dict,
                            phase: dict) -> list[str]:
     """Finalize the crash, remount on a fresh stack, verify durability."""
@@ -538,12 +498,13 @@ def _spor_crash_and_verify(controller, profile, seed: int, fidelity: str,
     images = snapshot_media([controller])
 
     sim2 = Simulator()
-    controller2 = _spor_controller(sim2, profile, seed, fidelity)
+    (controller2,) = build_controllers(sim2, stack, profile=profile)
     restore_media([controller2], images)
-    ftl2, mount_report = mount_sharded(sim2, [controller2], _SPOR_FTL)
+    ftl2, mount_report = mount_sharded(sim2, [controller2],
+                                       stack.ftl.to_ftl_config())
     phase["mount"] = mount_report.as_dict()
 
-    page_bytes = profile.geometry.page_size
+    page_bytes = controller2.codec.geometry.page_size
     violations: list[str] = []
     # 1. no mapped LPN may point at a torn page.
     for shard in ftl2.shards:
@@ -564,7 +525,7 @@ def _spor_crash_and_verify(controller, profile, seed: int, fidelity: str,
         sim2.run_process(check())
         got = controller2.dram.read(0, page_bytes)
         ok = any(
-            np.array_equal(got, _spor_payload(lpn, v, page_bytes))
+            np.array_equal(got, versioned_payload(lpn, v, page_bytes))
             for v in range(acked[lpn], versions.get(lpn, acked[lpn]) + 1)
         )
         if not ok:
@@ -577,65 +538,36 @@ def _spor_crash_and_verify(controller, profile, seed: int, fidelity: str,
 # The campaign runner
 # ----------------------------------------------------------------------
 
-def run_chaos(
-    seed: int = 4,
-    vendor: Union[str, VendorProfile] = "hynix",
-    campaign: Optional[FaultCampaign] = None,
-    baselines: bool = True,
-    fidelity: str = "waveform",
-    spec=None,
-) -> dict:
-    """Run one campaign; returns the JSON-ready report dict.
+def run_chaos(spec: ExperimentSpec, profile=None,
+              campaign: Optional[FaultCampaign] = None) -> dict:
+    """Run the campaign ``spec`` describes; returns the JSON-ready
+    report dict.
 
-    ``fidelity`` selects the execution backend for every target.  Fault
-    injection, recovery, and retirement accounting are tier-independent
-    (the injector hooks transaction-level events that both backends
-    deliver), so a TLM campaign must reach the same verdicts.
-
-    ``spec`` (an :class:`~repro.config.specs.ExperimentSpec`) supersedes
-    the individual kwargs: vendor/geometry come from ``spec.stack`` (via
-    :func:`repro.config.build.stack_profile`), seed/plan/baselines from
-    ``spec.campaign``.  Without one, an equivalent spec is constructed
-    so the report always embeds ``spec`` + ``spec_hash`` — except when
-    ``vendor`` is an unregistered ad-hoc profile object, which data
-    specs cannot name (the report then carries ``spec: null``).
+    Everything comes from the spec: the stack every phase derives its
+    own from (``stack.fidelity`` selects the backend of every target —
+    fault injection, recovery and retirement accounting are
+    tier-independent, so a TLM campaign must reach the same verdicts),
+    and the plan, seed and baseline switch in ``spec.campaign``.  The
+    two arguments beside it are what data cannot name: ``profile``, an
+    unregistered :class:`~repro.flash.vendors.VendorProfile` used as
+    is, and ``campaign``, a ready :class:`FaultCampaign` object.
     """
-    if spec is not None:
-        from repro.config.build import stack_profile
-
-        spec.validate()
-        profile = stack_profile(spec.stack)
-        vendor_name = spec.stack.vendor
-        fidelity = spec.stack.fidelity
-        if spec.campaign is not None:
-            seed = spec.campaign.seed
-            baselines = spec.campaign.baselines
-            if campaign is None:
-                campaign = spec.campaign.resolve_campaign()
-    else:
-        if isinstance(vendor, str):
-            vendor = profile_by_name(vendor)
-        profile = _chaos_profile(vendor)
-        vendor_name = vendor.name
-        from repro.config.specs import SpecError
-
-        try:
-            spec = chaos_spec(vendor=vendor_name, seed=seed,
-                              baselines=baselines, fidelity=fidelity)
-        except SpecError:
-            spec = None  # ad-hoc profile: not expressible as data
+    spec.validate()
+    spec.refuse_fixed(chaos_spec(), CHAOS_FIXED, "chaos")
+    plan = spec.campaign or CampaignSpec()
     if campaign is None:
-        campaign = default_campaign(seed)
+        campaign = plan.resolve_campaign()
     campaign.validate()
+    stack = spec.stack
 
-    targets = ["babol"] + (["sync-hw", "async-hw"] if baselines else [])
+    targets = ["babol"] + (["sync-hw", "async-hw"] if plan.baselines else [])
     report: dict = {
         "schema": 2,
         "campaign": campaign.to_dict(),
-        "vendor": vendor_name,
-        "fidelity": fidelity,
-        "spec": spec.resolved() if spec is not None else None,
-        "spec_hash": spec.spec_hash() if spec is not None else None,
+        "vendor": stack.vendor,
+        "fidelity": stack.fidelity,
+        "spec": spec.resolved(),
+        "spec_hash": spec.spec_hash(),
         "targets": {},
     }
     injected_total = 0
@@ -644,51 +576,25 @@ def run_chaos(
     degraded_luns: list[int] = []
 
     for target in targets:
-        entry: dict = {}
-        faulted = _run_ftl_phase(target, profile, campaign, inject=True,
-                                 fidelity=fidelity)
-        clean = _run_ftl_phase(target, profile, campaign, inject=False,
-                               fidelity=fidelity)
-        faulted["latency_clean"] = clean["latency"]
-        faulted["added_p99_ns"] = (
-            faulted["latency"]["p99_ns"] - clean["latency"]["p99_ns"])
-        entry["ftl"] = faulted
-        injected_total += len(faulted.get("injected", ()))
-        recovered_total += sum(faulted.get("recovered_by_kind", {}).values())
-        for kind, count in faulted.get("unrecovered_by_kind", {}).items():
-            if count:
-                unrecovered[f"{target}/ftl/{kind}"] = count
-
+        phases = {"ftl": functools.partial(_run_ftl_phase, target)}
         if target == "babol":
-            ops = _run_ops_phase(profile, campaign, inject=True,
-                                 fidelity=fidelity)
-            ops_clean = _run_ops_phase(profile, campaign, inject=False,
-                                       fidelity=fidelity)
-            ops["latency_clean"] = ops_clean["latency"]
-            ops["added_p99_ns"] = (
-                ops["latency"]["p99_ns"] - ops_clean["latency"]["p99_ns"])
-            entry["ops"] = ops
-            injected_total += len(ops.get("injected", ()))
-            recovered_total += sum(ops.get("recovered_by_kind", {}).values())
-            for kind, count in ops.get("unrecovered_by_kind", {}).items():
+            phases.update(ops=_run_ops_phase, spor=_run_spor_phase)
+        entry: dict = {}
+        for name, run in phases.items():
+            faulted, clean = (run(stack, profile, campaign, inject)
+                              for inject in (True, False))
+            faulted["latency_clean"] = clean["latency"]
+            faulted["added_p99_ns"] = (
+                faulted["latency"]["p99_ns"] - clean["latency"]["p99_ns"])
+            entry[name] = faulted
+            injected_total += len(faulted.get("injected", ()))
+            recovered_total += sum(
+                faulted.get("recovered_by_kind", {}).values())
+            for kind, count in faulted.get("unrecovered_by_kind", {}).items():
                 if count:
-                    unrecovered[f"{target}/ops/{kind}"] = count
-            degraded_luns = ops["degraded_luns"]
-
-            spor = _run_spor_phase(profile, campaign, inject=True,
-                                   fidelity=fidelity)
-            spor_clean = _run_spor_phase(profile, campaign, inject=False,
-                                         fidelity=fidelity)
-            spor["latency_clean"] = spor_clean["latency"]
-            spor["added_p99_ns"] = (
-                spor["latency"]["p99_ns"] - spor_clean["latency"]["p99_ns"])
-            entry["spor"] = spor
-            injected_total += len(spor.get("injected", ()))
-            recovered_total += sum(spor.get("recovered_by_kind", {}).values())
-            for kind, count in spor.get("unrecovered_by_kind", {}).items():
-                if count:
-                    unrecovered[f"{target}/spor/{kind}"] = count
-
+                    unrecovered[f"{target}/{name}/{kind}"] = count
+        if target == "babol":
+            degraded_luns = entry["ops"]["degraded_luns"]
         report["targets"][target] = entry
 
     report["summary"] = {

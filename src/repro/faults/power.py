@@ -25,6 +25,20 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+import numpy as np
+
+
+def versioned_payload(lpn: int, version: int, nbytes: int) -> np.ndarray:
+    """The page a durability check writes: a fill derived from
+    ``(lpn, version)`` with both stamped into the first four bytes, so
+    a read-back after remount names the version that survived."""
+    data = np.full(nbytes, (lpn * 37 + version * 101) % 251, dtype=np.uint8)
+    data[0] = lpn & 0xFF
+    data[1] = (lpn >> 8) & 0xFF
+    data[2] = version & 0xFF
+    data[3] = (version >> 8) & 0xFF
+    return data
+
 
 class PowerLossError(RuntimeError):
     """Raised by the armed power-cut event: the machine is now off."""

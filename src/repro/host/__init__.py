@@ -11,7 +11,11 @@ from repro.host.engine import (
     run_scale_workload,
 )
 from repro.host.hic import HostCommand, HostInterface
-from repro.host.workload import ReadWorkloadResult, measure_read_throughput
+from repro.host.workload import (
+    ReadWorkloadResult,
+    measure_read_throughput,
+    submit_mixed_ops,
+)
 from repro.host.fio import FioJob, FioResult, run_fio
 from repro.host.trace import (
     ReplayResult,
@@ -33,6 +37,7 @@ __all__ = [
     "HostInterface",
     "ReadWorkloadResult",
     "measure_read_throughput",
+    "submit_mixed_ops",
     "FioJob",
     "FioResult",
     "run_fio",

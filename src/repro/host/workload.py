@@ -1,4 +1,5 @@
-"""Controller-level READ injection (the Fig. 10 microbenchmark driver).
+"""Controller-level op injection: the Fig. 10 READ microbenchmark
+driver and the read/program mix ``repro trace`` / ``repro sanitize`` run.
 
 "We use a workload generator that injects requests directly into the
 storage controllers as if they were coming from the FTL" (Section VI).
@@ -10,6 +11,8 @@ simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.sim import Simulator
 from repro.sim.kernel import NS_PER_S
@@ -85,3 +88,22 @@ def measure_read_throughput(
         elapsed_ns=elapsed,
         channel_utilization=utilization,
     )
+
+
+def submit_mixed_ops(controller, ops: int) -> list:
+    """Submit ``ops`` operations — two reads, then a program — fanned
+    across every LUN of ``controller``; returns the submitted tasks.
+    Enough concurrency to make channel occupancy, queue depth and the
+    sanitizers' hazard windows interesting."""
+    page = controller.codec.geometry.full_page_size
+    luns = len(controller.luns)
+    controller.dram.write(0, (np.arange(page) % 251).astype(np.uint8))
+    tasks = []
+    for i in range(ops):
+        lun = i % luns
+        if i % 3 == 2:
+            tasks.append(controller.program_page(lun, 1, i // luns, 0))
+        else:
+            tasks.append(controller.read_page(lun, 1, i // luns,
+                                              page * (1 + lun)))
+    return tasks

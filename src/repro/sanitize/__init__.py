@@ -19,9 +19,11 @@ from repro.sanitize.flash import FlashSanitizer
 from repro.sanitize.liveness import DEFAULT_MAX_STALLED_POLLS, LivenessSanitizer
 from repro.sanitize.memory import MemorySanitizer
 from repro.sanitize.runner import (
+    SANITIZE_FIXED,
     run_all_sanitized,
     run_babol_sanitized,
     run_baseline_sanitized,
+    sanitize_spec,
 )
 
 __all__ = [
@@ -38,4 +40,6 @@ __all__ = [
     "run_all_sanitized",
     "run_babol_sanitized",
     "run_baseline_sanitized",
+    "SANITIZE_FIXED",
+    "sanitize_spec",
 ]

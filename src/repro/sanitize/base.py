@@ -15,7 +15,7 @@ baselines all qualify.
 
 Custom sanitizers register with :func:`register_sanitizer` (INTERNALS
 §9 shows a worked example) and are then selectable by name everywhere
-built-ins are: ``ControllerConfig(sanitizers=...)``, ``--sanitize``.
+built-ins are: ``ControllerConfig(sanitizers=...)``, ``stack.sanitizers``.
 """
 
 from __future__ import annotations

@@ -18,26 +18,30 @@ def test_table1_prints_vendors(capsys):
 
 
 def test_demo_runs(capsys):
-    assert main(["demo", "--luns", "2", "--runtime", "rtos"]) == 0
+    assert main(["demo", "--set", "stack.luns_per_channel=2",
+                 "--set", "stack.runtime=rtos"]) == 0
     out = capsys.readouterr().out
     assert "roundtrip" in out
 
 
 def test_fig10_cell(capsys):
-    assert main(["fig10", "--vendor", "micron", "--luns", "2",
-                 "--interface", "200", "--freq-mhz", "1000"]) == 0
+    assert main(["fig10", "--set", "stack.vendor=micron",
+                 "--set", "stack.luns_per_channel=2",
+                 "--set", "stack.interface_mt=200",
+                 "--freq-mhz", "1000"]) == 0
     out = capsys.readouterr().out
     assert "HW baseline" in out and "rtos" in out and "coroutine" in out
 
 
 def test_fig11_summary(capsys):
-    assert main(["fig11", "--reads", "3"]) == 0
+    assert main(["fig11", "--set", "workload.io_count=3"]) == 0
     out = capsys.readouterr().out
     assert "polls" in out and "period" in out
 
 
 def test_fig12_single_way(capsys):
-    assert main(["fig12", "--ways", "1", "--pattern", "random"]) == 0
+    assert main(["fig12", "--ways", "1",
+                 "--set", "workload.pattern=random"]) == 0
     out = capsys.readouterr().out
     assert "Cosmos+" in out and "BABOL-RTOS" in out
 
@@ -54,23 +58,33 @@ def test_table3_area(capsys):
     assert "BRAM" in out
 
 
-def test_unknown_vendor_rejected():
+def test_unknown_vendor_rejected(capsys):
+    assert main(["fig11", "--set", "stack.vendor=samsung"]) == 1
+    assert "samsung" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--vendor", "--luns", "--runtime",
+                                  "--sanitize", "--fidelity", "--seed"])
+def test_legacy_flags_are_gone(flag):
+    # One way to say it: a spec field is set with --set, nothing else.
     with pytest.raises(SystemExit):
-        main(["fig11", "--vendor", "samsung"])
+        main(["demo", flag, "x"])
 
 
 # -- diagnostics exit codes (0 clean / 1 findings / 2 internal) ------------
 
 
 def test_demo_with_sanitizers_stays_clean(capsys):
-    assert main(["demo", "--luns", "2", "--sanitize", "all"]) == 0
+    assert main(["demo", "--set", "stack.luns_per_channel=2",
+                 "--set", "stack.sanitizers=all"]) == 0
     out = capsys.readouterr().out
     assert "roundtrip" in out
 
 
 def test_sanitize_subcommand_clean_run(capsys):
-    assert main(["sanitize", "--vendor", "micron", "--luns", "2",
-                 "--ops", "4"]) == 0
+    assert main(["sanitize", "--set", "stack.vendor=micron",
+                 "--set", "stack.luns_per_channel=2",
+                 "--set", "workload.io_count=4"]) == 0
     out = capsys.readouterr().out
     assert "sanitize: 0 finding(s)" in out
 
@@ -79,8 +93,11 @@ def test_sanitize_writes_json_findings(tmp_path, capsys):
     import json
 
     out_path = tmp_path / "findings.json"
-    assert main(["sanitize", "--vendor", "micron", "--luns", "2", "--ops", "3",
-                 "--no-baselines", "--json", str(out_path)]) == 0
+    assert main(["sanitize", "--set", "stack.vendor=micron",
+                 "--set", "stack.luns_per_channel=2",
+                 "--set", "workload.io_count=3",
+                 "--set", "campaign.baselines=false",
+                 "--json", str(out_path)]) == 0
     obj = json.loads(out_path.read_text())
     assert obj["schema"] == 1
     assert obj["findings"] == []
@@ -91,7 +108,7 @@ def test_sanitize_internal_error_exits_two(monkeypatch, capsys):
         raise RuntimeError("harness exploded")
 
     monkeypatch.setattr("repro.sanitize.run_all_sanitized", broken)
-    assert main(["sanitize", "--luns", "2"]) == 2
+    assert main(["sanitize", "--set", "stack.luns_per_channel=2"]) == 2
     assert "internal error" in capsys.readouterr().out
 
 
@@ -103,7 +120,7 @@ def test_sanitize_findings_exit_one(monkeypatch, capsys):
                                          message="injected")])
 
     monkeypatch.setattr("repro.sanitize.run_all_sanitized", found)
-    assert main(["sanitize", "--luns", "2"]) == 1
+    assert main(["sanitize", "--set", "stack.luns_per_channel=2"]) == 1
     assert "SAN101" in capsys.readouterr().out
 
 
@@ -119,5 +136,6 @@ def test_op_lint_internal_error_exits_two(monkeypatch, capsys):
 def test_unknown_sanitizer_name_is_rejected(capsys):
     # Spec validation failures are usage errors: exit 1 with the rule's
     # message, not a traceback.
-    assert main(["demo", "--luns", "2", "--sanitize", "tsan"]) == 1
+    assert main(["demo", "--set", "stack.luns_per_channel=2",
+                 "--set", "stack.sanitizers=tsan"]) == 1
     assert "unknown sanitizer" in capsys.readouterr().out

@@ -93,23 +93,25 @@ def test_set_overrides_beat_spec_file(tmp_path):
     assert payload["spec"]["workload"]["io_count"] == 3
 
 
-def test_explicit_flags_beat_spec_file_and_set_beats_flags(tmp_path):
+def test_spec_file_replaces_the_stock_spec_and_later_set_wins(tmp_path):
+    # Two layers: a file is resolved against the global defaults, not
+    # merged over the subcommand's stock spec (stock io_count is 4) ...
     spec_path = tmp_path / "smoke.json"
-    spec_path.write_text(json.dumps({
-        "stack": {"luns_per_channel": 1},
-        "workload": {"io_count": 2},
-    }))
-    flag_out = tmp_path / "flag.json"
-    assert main(["bench-smoke", "--spec", str(spec_path), "--reads", "4",
-                 "--out", str(flag_out)]) == 0
-    assert json.loads(flag_out.read_text())[
-        "spec"]["workload"]["io_count"] == 4
+    spec_path.write_text(json.dumps({"stack": {"luns_per_channel": 1}}))
+    file_out = tmp_path / "file.json"
+    assert main(["bench-smoke", "--spec", str(spec_path),
+                 "--set", "workload.io_count=2",
+                 "--out", str(file_out)]) == 0
+    spec = json.loads(file_out.read_text())["spec"]
+    assert spec["name"] == "experiment" and spec["workload"]["io_count"] == 2
+    # ... and --set applies in order, last one wins.
     both_out = tmp_path / "both.json"
-    assert main(["bench-smoke", "--spec", str(spec_path), "--reads", "4",
-                 "--set", "workload.io_count=5",
+    assert main(["bench-smoke", "--spec", str(spec_path),
+                 "--set", "workload.io_count=4",
+                 "--set", "workload.io_count=3",
                  "--out", str(both_out)]) == 0
     assert json.loads(both_out.read_text())[
-        "spec"]["workload"]["io_count"] == 5
+        "spec"]["workload"]["io_count"] == 3
 
 
 def test_bad_spec_file_is_a_usage_error(tmp_path, capsys):
@@ -153,8 +155,10 @@ def test_crashfuzz_runs_from_example_spec(tmp_path):
 def test_perf_quick_and_full_share_spec_hash(tmp_path):
     quick_out = tmp_path / "quick.json"
     full_out = tmp_path / "full.json"
-    args = ["perf", "--channels", "1", "2", "--qd", "4",
-            "--luns", "2", "--ios", "16"]
+    args = ["perf", "--channels", "1", "--qd", "4",
+            "--set", "stack.channels=2", "--set", "workload.queue_depth=4",
+            "--set", "stack.luns_per_channel=2",
+            "--set", "workload.io_count=16"]
     assert main(args + ["--quick", "--out", str(quick_out)]) == 0
     assert main(args + ["--out", str(full_out)]) == 0
     quick = json.loads(quick_out.read_text())
@@ -165,7 +169,8 @@ def test_perf_quick_and_full_share_spec_hash(tmp_path):
 
 def test_trace_artifact_embeds_spec(tmp_path, capsys):
     out = tmp_path / "trace.json"
-    assert main(["trace", "--ops", "4", "--luns", "2",
+    assert main(["trace", "--set", "workload.io_count=4",
+                 "--set", "stack.luns_per_channel=2",
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["otherData"]["spec"]["workload"]["io_count"] == 4
@@ -174,7 +179,8 @@ def test_trace_artifact_embeds_spec(tmp_path, capsys):
 
 def test_sanitize_report_embeds_spec(tmp_path, capsys):
     out = tmp_path / "sanitize.json"
-    assert main(["sanitize", "--luns", "2", "--ops", "6",
+    assert main(["sanitize", "--set", "stack.luns_per_channel=2",
+                 "--set", "workload.io_count=6",
                  "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["spec_hash"]

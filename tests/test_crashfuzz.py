@@ -7,21 +7,21 @@ import pytest
 
 from repro.analysis.crashfuzz import (
     EXIT_OK,
-    _build_ops,
-    _build_stack,
-    _drive,
-    _fuzz_profile,
-    _payload,
+    build_ops,
+    crashfuzz_spec,
+    drive,
     run_crashfuzz,
+    stand_up,
 )
-from repro.flash.vendors import profile_by_name
+from repro.faults.power import versioned_payload
 from repro.host.hic import HostOpcode
 
-SMALL = dict(seeds=1, points=4, ios=80, qd=4)
+SMALL = crashfuzz_spec(seeds=1, points=4, ios=80, qd=4)
+PAGE_SIZE = SMALL.stack.geometry.page_size  # the shrunken fuzz array's
 
 
 def test_small_campaign_is_clean():
-    report = run_crashfuzz(fidelity="tlm", **SMALL)
+    report = run_crashfuzz(SMALL)
     assert report["exit_code"] == EXIT_OK
     assert report["violations"] == 0
     assert report["internal_errors"] == 0
@@ -37,8 +37,8 @@ def test_small_campaign_is_clean():
 
 
 def test_campaign_is_deterministic():
-    a = run_crashfuzz(fidelity="tlm", **SMALL)
-    b = run_crashfuzz(fidelity="tlm", **SMALL)
+    a = run_crashfuzz(SMALL)
+    b = run_crashfuzz(SMALL)
     assert a == b
 
 
@@ -47,24 +47,27 @@ def test_fidelity_tiers_agree_on_the_verdict():
     # so both tiers must reach the same verdict.  (Cut nanoseconds
     # differ — each tier's oracle window differs — so only the verdict
     # triple is the contract, not the full report.)
-    tlm = run_crashfuzz(fidelity="tlm", seeds=1, points=3, ios=60, qd=4)
-    wav = run_crashfuzz(fidelity="waveform", seeds=1, points=3, ios=60, qd=4)
+    tlm, wav = (
+        run_crashfuzz(crashfuzz_spec(fidelity=fidelity, seeds=1, points=3,
+                                     ios=60, qd=4))
+        for fidelity in ("tlm", "waveform"))
     keys = ("exit_code", "violations", "internal_errors")
     assert [tlm[k] for k in keys] == [wav[k] for k in keys]
 
 
 def test_rejects_nonsense_parameters():
+    # A spec cannot say them: construction is where they are refused.
     with pytest.raises(ValueError):
-        run_crashfuzz(seeds=0)
+        crashfuzz_spec(seeds=0)
     with pytest.raises(ValueError):
-        run_crashfuzz(points=0)
+        crashfuzz_spec(points=0)
     with pytest.raises(ValueError):
-        run_crashfuzz(ios=-1)
+        crashfuzz_spec(ios=-1)
 
 
 def test_build_ops_reads_and_trims_only_settled_lpns():
     rng = np.random.default_rng(42)
-    ops = _build_ops(rng, 300, span=64, channels=2, qd=4)
+    ops = build_ops(rng, 300, span=64, channels=2, qd=4)
     assert len(ops) == 300
     kinds = {kind for kind, _, _ in ops}
     assert kinds == {"write", "read", "trim", "flush"}
@@ -96,16 +99,16 @@ def test_build_ops_reads_and_trims_only_settled_lpns():
 
 
 def test_per_lpn_order_survives_non_fifo_completion():
-    """Regression for ``crashfuzz --seeds 1 --points 1 --channels 4
-    --ios 6000 --seed 7 --fidelity tlm``: a write held up by GC was
-    overtaken by a later read of its LPN ("read of unmapped LPN 4")
-    while per-LPN order rested on ``_build_ops``' FIFO-completion
-    hint.  ``_drive`` now holds an op back until its LPN is idle."""
-    profile = _fuzz_profile(profile_by_name("hynix"))
-    sim, _, _, engine, span = _build_stack(
-        profile, channels=4, luns=2, qd=8, fidelity="tlm")
-    ops = _build_ops(np.random.default_rng(7 * 1000 + 17), 6000, span, 4, 8)
-    _drive(sim, engine, ops, profile.geometry.page_size)
+    """Regression for ``crashfuzz --set stack.channels=4 --set
+    workload.io_count=6000`` (1 seed, 1 point, base seed 7, TLM): a
+    write held up by GC was overtaken by a later read of its LPN ("read
+    of unmapped LPN 4") while per-LPN order rested on ``build_ops``'
+    FIFO-completion hint.  ``drive`` now holds an op back until its LPN
+    is idle."""
+    built, span = stand_up(crashfuzz_spec(channels=4))
+    engine = built.engine
+    ops = build_ops(np.random.default_rng(7 * 1000 + 17), 6000, span, 4, 8)
+    drive(built, ops)
     idle_at: dict = {}
     done = sorted((c for pair in engine.pairs for c in pair.completions),
                   key=lambda c: c.cid)
@@ -121,12 +124,10 @@ def test_per_lpn_order_survives_non_fifo_completion():
 
 
 def drive_stack(ios=60, qd=4):
-    profile = _fuzz_profile(profile_by_name("hynix"))
-    sim, controllers, ftl, engine, span = _build_stack(
-        profile, channels=2, luns=2, qd=qd, fidelity="tlm")
-    ops = _build_ops(np.random.default_rng(5), ios, span, 2, qd)
-    _drive(sim, engine, ops, profile.geometry.page_size)
-    return sim, controllers, ftl, engine, ops
+    built, span = stand_up(crashfuzz_spec(qd=qd))
+    ops = build_ops(np.random.default_rng(5), ios, span, 2, qd)
+    drive(built, ops)
+    return built.sim, built.controllers, built.ftl, built.engine, ops
 
 
 def test_engine_ack_ledger_records_state_changing_ops_only():
@@ -173,8 +174,8 @@ def test_flush_opcode_reaches_the_ftl_journal():
 
 
 def test_payload_encodes_identity():
-    a = _payload(7, 3, 2048)
-    b = _payload(7, 4, 2048)
+    a = versioned_payload(7, 3, PAGE_SIZE)
+    b = versioned_payload(7, 4, PAGE_SIZE)
     assert a.dtype == np.uint8 and len(a) == 2048
     assert not np.array_equal(a, b)
     assert int(a[0]) == 7 and int(a[2]) == 3

@@ -404,7 +404,9 @@ def test_cli_trace_subcommand_writes_valid_file(tmp_path, capsys):
     from repro.cli import main
 
     out = tmp_path / "cap.json"
-    assert main(["trace", "--out", str(out), "--luns", "2", "--ops", "4"]) == 0
+    assert main(["trace", "--out", str(out),
+                 "--set", "stack.luns_per_channel=2",
+                 "--set", "workload.io_count=4"]) == 0
     payload = json.loads(out.read_text())
     assert_valid_trace_events(payload["traceEvents"])
     assert "otherData" in payload
@@ -416,7 +418,8 @@ def test_cli_bench_smoke_writes_json(tmp_path, capsys):
     from repro.cli import main
 
     out = tmp_path / "BENCH_smoke.json"
-    assert main(["bench-smoke", "--reads", "2", "--out", str(out)]) == 0
+    assert main(["bench-smoke", "--set", "workload.io_count=2",
+                 "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["schema"] == 2
     assert payload["spec_hash"]
@@ -452,7 +455,8 @@ def test_cli_fig11_trace_flag(tmp_path):
     from repro.cli import main
 
     out = tmp_path / "f11.json"
-    assert main(["fig11", "--reads", "1", "--trace", str(out)]) == 0
+    assert main(["fig11", "--set", "workload.io_count=1",
+                 "--trace", str(out)]) == 0
     payload = json.loads(out.read_text())
     names = {e["args"]["name"] for e in payload["traceEvents"]
              if e["ph"] == "M" and e["name"] == "thread_name"}

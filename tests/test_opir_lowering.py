@@ -155,7 +155,8 @@ def trace_digest(tmp_path) -> str:
 
     out = tmp_path / "trace.json"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["trace", "--vendor", "hynix", "--out", str(out)]) == 0
+        assert main(["trace", "--set", "stack.vendor=hynix",
+                     "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 

@@ -8,17 +8,19 @@ from repro.analysis.perfbench import (
     cell_key,
     compare_reports,
     kernel_microbench,
+    perf_spec,
     run_perf_sweep,
     run_scale_cell,
 )
 from repro.cli import main
 
 
-def tiny_sweep(**overrides):
-    params = dict(channel_counts=(1, 2), queue_depths=(4,),
-                  luns_per_channel=2, io_count=24, microbench_events=200)
-    params.update(overrides)
-    return run_perf_sweep(**params)
+def tiny_sweep(channel_counts=(1, 2), queue_depths=(4,), quick=False,
+               io_count=24, **stack):
+    spec = perf_spec(channel_counts, queue_depths, luns_per_channel=2,
+                     io_count=io_count, **stack)
+    return run_perf_sweep(spec, channel_counts, queue_depths, quick=quick,
+                          microbench_events=200)
 
 
 def assert_keys_sorted(obj, path="$"):
@@ -35,7 +37,7 @@ def assert_keys_sorted(obj, path="$"):
 
 
 def test_scale_cell_reports_sim_and_host_numbers():
-    cell = run_scale_cell(1, 4, luns_per_channel=2, io_count=16)
+    cell = run_scale_cell(perf_spec(luns_per_channel=2, io_count=16), 1, 4)
     assert cell["commands"] == 16
     assert cell["throughput_mb_s"] > 0
     assert cell["host"]["dispatch_us_per_op"] >= 0
@@ -212,8 +214,10 @@ def test_gate_treats_schema1_baseline_cells_as_waveform():
 # --- CLI -----------------------------------------------------------------
 
 
-PERF_ARGS = ["perf", "--channels", "1", "2", "--qd", "4", "--luns", "2",
-             "--ios", "24"]
+PERF_ARGS = ["perf", "--set", "stack.channels=2",
+             "--set", "workload.queue_depth=4",
+             "--set", "stack.luns_per_channel=2",
+             "--set", "workload.io_count=24"]
 
 
 def test_cli_perf_writes_report_and_table(tmp_path, capsys):
@@ -259,13 +263,14 @@ def test_perf_report_keys_sorted_recursively(tmp_path):
 
 def test_bench_smoke_report_keys_sorted(tmp_path):
     out = tmp_path / "smoke.json"
-    assert main(["bench-smoke", "--reads", "2", "--out", str(out)]) == 0
+    assert main(["bench-smoke", "--set", "workload.io_count=2",
+                 "--out", str(out)]) == 0
     assert_keys_sorted(json.loads(out.read_text()))
 
 
 def test_chaos_report_keys_sorted(tmp_path):
     out = tmp_path / "chaos.json"
-    assert main(["chaos", "--seed", "4", "--no-baselines",
+    assert main(["chaos", "--set", "campaign.baselines=false",
                  "--json", str(out)]) in (0, 1)
     assert_keys_sorted(json.loads(out.read_text()))
 

@@ -17,7 +17,7 @@ from repro.core import (
     Watchdog,
 )
 from repro.faults import FaultCampaign, FaultInjector, FaultKind, FaultSpec
-from repro.faults.chaos import run_chaos
+from repro.faults.chaos import chaos_spec, run_chaos
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl
 from repro.ftl.badblocks import (
@@ -242,7 +242,7 @@ def test_recovery_and_reliability_metrics_registered():
 
 @pytest.mark.slow_waveform
 def test_chaos_campaign_recovers_and_is_deterministic():
-    report = run_chaos(seed=4, baselines=False)
+    report = run_chaos(chaos_spec(seed=4, baselines=False))
     summary = report["summary"]
     babol = report["targets"]["babol"]
 
@@ -266,6 +266,6 @@ def test_chaos_campaign_recovers_and_is_deterministic():
             assert row["programs"] == 3 and row["reads"] == 3
 
     # Same seed, same campaign: byte-identical report.
-    again = run_chaos(seed=4, baselines=False)
+    again = run_chaos(chaos_spec(seed=4, baselines=False))
     assert json.dumps(report, sort_keys=True) == json.dumps(
         again, sort_keys=True)

@@ -17,6 +17,7 @@ from repro.sanitize import (
     resolve_names,
     run_babol_sanitized,
     run_baseline_sanitized,
+    sanitize_spec,
 )
 from repro.sim import Simulator
 
@@ -28,22 +29,24 @@ from tests.helpers import TEST_PROFILE
 
 @pytest.mark.parametrize("runtime", ["rtos", "coroutine"])
 def test_babol_workload_is_sanitizer_clean(runtime):
-    report = run_babol_sanitized(TEST_PROFILE, lun_count=2, ops=6,
-                                 runtime=runtime)
+    report = run_babol_sanitized(
+        sanitize_spec(luns=2, ops=6, runtime=runtime), profile=TEST_PROFILE)
     assert report.clean, report.render_text()
 
 
 @pytest.mark.parametrize("kind", ["sync", "async"])
 def test_hw_baselines_are_sanitizer_clean(kind):
-    report = run_baseline_sanitized(kind, TEST_PROFILE, lun_count=2, reads=3)
+    report = run_baseline_sanitized(kind, sanitize_spec(luns=2),
+                                    profile=TEST_PROFILE)
     assert report.clean, report.render_text()
 
 
 def test_reports_pool_across_controllers():
     report = DiagnosticReport()
-    run_babol_sanitized(TEST_PROFILE, lun_count=2, ops=3, report=report)
-    run_baseline_sanitized("sync", TEST_PROFILE, lun_count=1, reads=1,
-                           report=report)
+    run_babol_sanitized(sanitize_spec(luns=2, ops=3), profile=TEST_PROFILE,
+                        report=report)
+    run_baseline_sanitized("sync", sanitize_spec(luns=1),
+                           profile=TEST_PROFILE, report=report)
     assert report.clean
     assert report.exit_code() == 0
 
