@@ -16,6 +16,7 @@ schedulers do is about keeping it busy.  This model provides:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
@@ -41,13 +42,12 @@ class ChannelStats:
     busy_ns: int = 0
     data_bytes_out: int = 0
     data_bytes_in: int = 0
-    per_kind: dict[str, int] = field(default_factory=dict)
+    per_kind: Counter[str] = field(default_factory=Counter)
 
     def record(self, segment: WaveformSegment) -> None:
         self.segments += 1
         self.busy_ns += segment.duration_ns
-        key = segment.kind.value
-        self.per_kind[key] = self.per_kind.get(key, 0) + 1
+        self.per_kind[segment.kind.value] += 1
         for _, action in segment.actions:
             if isinstance(action, DataOutAction):
                 self.data_bytes_out += action.nbytes

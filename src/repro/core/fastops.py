@@ -18,14 +18,24 @@ memoized on the µFSM bank by
 :class:`_Template` is the *fold* of those steps: per transaction, the
 sum of its segment recipes, plus the closed-form software cost.
 Running a template is one channel-mutex hold plus one ``Timeout`` per
-transaction, with the die driven by *direct calls into the same LUN
-action handlers* the waveform tier uses, at their exact logical
-nanoseconds.  Same handlers, same order, same RNG draws — die state,
-payload bytes, status bits, LUN-side fault hooks and array aging are
-identical to the waveform tier; only the bus-segment *objects* and the
+transaction, and the transaction reaches the die as a *die
+transaction*: one :meth:`~repro.flash.lun.Lun.apply_transaction` call
+that composes the same LUN effect handlers the waveform tier uses, at
+their exact logical nanoseconds, with each command latch resolved once
+per shape (:func:`~repro.flash.lun.die_latch`).  Same handlers, same
+order, same RNG draws — die state, payload bytes, status bits, LUN-side
+fault hooks and array aging are identical to the waveform tier; only
+the bus-segment *objects*, the per-latch table lookups and the
 runtime's per-event machinery are gone.  Each poll site becomes a
 ready-wait: sleep to the die's next pending completion, then one real
-STATUS command and sample.
+STATUS round trip (:meth:`~repro.flash.lun.Lun.status_round_trip`).
+
+This module touches a die through those two calls and
+``next_completion_ns`` only — the die's private state stays behind
+``repro.flash`` — and the per-LUN :meth:`PlanExecutor._runner` is the
+one generator frame a wake-up resumes: the channel is taken with the
+non-generator ``Mutex.try_acquire`` (``acquire`` only when contended)
+and fixed waits are ``Timeout`` commands built once per phase.
 
 Submission is O(1) in the op's shape: a declared builder's ``plan``
 call and one memo hit.  A builder with no declaration (a vendor
@@ -74,24 +84,12 @@ from repro.core.opir.summarize import (
     program_operands,
     wrapper_callee,
 )
+from repro.core.ops.base import POLLS, poll_budget_exhausted
 from repro.core.recovery import RecoverableOpError
 from repro.core.softenv.base import Task, TaskState
-from repro.flash.lun import _DataSource
-from repro.onfi.commands import CMD
+from repro.flash.lun import DIE_ADDR, DIE_DATA_IN, DIE_DATA_OUT, die_latch
 from repro.onfi.signals import CommandLatch
-from repro.onfi.status import StatusRegister
 from repro.sim import Timeout
-
-
-class _BurstShim:
-    """Stand-in for a :class:`DataOutAction` / :class:`DataInAction` on
-    the template path — the LUN handlers only read ``nbytes``,
-    ``dma_handle`` and (data-in) ``column``, so one mutable shim per
-    executor replaces an allocation per burst.  Safe because set and
-    use happen in the same scheduler turn."""
-
-    __slots__ = ("nbytes", "column", "dma_handle")
-
 
 # Template phase tags (first element of each phase tuple).
 _PH_TXN = 0
@@ -99,26 +97,29 @@ _PH_HANDLE = 1
 _PH_POLL = 2
 _PH_SLEEP = 3
 
-# Template op tags (first element of each die-op tuple).
-_OP_CMD = 0
-_OP_ADDR = 1
-_OP_DATA_OUT = 2
-_OP_DATA_IN = 3
+
+def _timeout(ns: int) -> Optional[Timeout]:
+    """A ``Timeout`` built once, at fold time, and yielded by every run
+    of the phase (the kernel reads ``.delay`` at the yield and keeps no
+    reference); None for a zero-length wait, which is not yielded."""
+    return Timeout(ns) if ns else None
 
 
 class _Template(NamedTuple):
     """The fold of a straight-line shape's lowered steps.
 
-    Phases are tuples tagged by ``_PH_*``; transaction phases carry
-    per-segment die-op lists tagged by ``_OP_*`` with offsets relative
-    to the transaction start, plus the batched channel-stats delta
-    ``(segments, busy_ns, bytes_in, bytes_out, per-kind counts)``.
-    Like the steps it folds, a template bakes nothing that varies per
-    call: die ops and handle phases index the op's *operands*.  DMA
-    handles are minted per run, so concurrent runs never alias one.
+    Phases are tuples tagged by ``_PH_*``.  A transaction phase is a
+    *die transaction* — per segment, the die ops
+    :meth:`repro.flash.lun.Lun.apply_transaction` takes, offsets
+    relative to the transaction start — plus the ``Timeout`` of its
+    channel hold and the batched channel-stats delta ``(segments,
+    busy_ns, bytes_in, bytes_out, per-kind counts)``.  Like the steps it
+    folds, a template bakes nothing that varies per call: die ops and
+    handle phases index the op's *operands*.  DMA handles are minted
+    per run, so concurrent runs never alias one.
     """
 
-    sw_ns: int
+    software: Optional[Timeout]  # the closed-form software cost
     phases: tuple
     result: Optional[Callable]  # the Return, lowered to f(regs, handles)
     has_data: bool
@@ -150,10 +151,13 @@ class PlanExecutor:
         # The software cost is modeled — charged in closed form.
         self.pre_txn_ns = cpu.cycles_to_ns(costs.serialized_txn_cycles())
         self.wakeup_ns = cpu.cycles_to_ns(costs.wakeup)
-        self.repoll_ns = max(controller.config.vendor.timing.t_poll_min_ns, 1)
+        # A poll that saw "busy": one more round's runtime cost, then —
+        # when the die is opaque — the minimum legal re-poll period.
+        self._extra_round = _timeout(self.pre_txn_ns + self.wakeup_ns)
+        self._repoll = Timeout(
+            max(controller.config.vendor.timing.t_poll_min_ns, 1))
         self._queues: dict[int, deque] = {}
         self._running: set[int] = set()
-        self._shim = _BurstShim()
         self.ops_planned = 0
         self.ops_declined = 0
         self.shapes_compiled = 0
@@ -283,7 +287,7 @@ class PlanExecutor:
                 phase = self._fold_poll(step)
                 polls += 1
             elif tag == SLEEP:
-                phase = (_PH_SLEEP, step[1])
+                phase = (_PH_SLEEP, Timeout(step[1]))
             elif tag == RETURN:
                 result = step[1]
                 break
@@ -291,7 +295,7 @@ class PlanExecutor:
                 raise AssertionError(f"step {tag} in a fingerprinted program")
             phases.append(phase)
         sw_ns = self.pre_txn_ns * (txns + polls) + self.wakeup_ns * polls
-        return _Template(sw_ns, tuple(phases), result, has_data)
+        return _Template(_timeout(sw_ns), tuple(phases), result, has_data)
 
     @staticmethod
     def _fold_txn(recipes: tuple) -> tuple:
@@ -307,22 +311,23 @@ class PlanExecutor:
                 at = hold + action[0]
                 if len(action) == 2:
                     if isinstance(action[1], CommandLatch):
-                        ops.append((_OP_CMD, at, action[1].opcode))
+                        # static legality, proved once for the shape
+                        ops.append(die_latch(at, action[1].opcode))
                     continue  # IdleWait: pure time, no die effect
                 _, what, a, name, column = action
                 if what == ADDR:
-                    ops.append((_OP_ADDR, at, a))
+                    ops.append((DIE_ADDR, at, a))
                 elif what == DATA_OUT:
                     bytes_out += a
-                    ops.append((_OP_DATA_OUT, at, a, name))
+                    ops.append((DIE_DATA_OUT, at, a, name))
                 else:
                     bytes_in += a
-                    ops.append((_OP_DATA_IN, at, a, name, column))
+                    ops.append((DIE_DATA_IN, at, a, name, column))
             segs.append(tuple(ops))
             hold += duration
         stats = (len(recipes), hold, bytes_in, bytes_out,
                  tuple(kinds.items()))
-        return (_PH_TXN, hold, stats, tuple(segs))
+        return (_PH_TXN, _timeout(hold), stats, tuple(segs))
 
     def _fold_poll(self, step: tuple) -> tuple:
         # The status round trip is the stock ``read_status`` shape (one
@@ -331,175 +336,114 @@ class PlanExecutor:
                                   resolve_builder("read_status"), {})
         _, hold, stats, ((latch,), (burst,)) = self._fold_txn(
             status.steps[1][3])
-        predicate = (StatusRegister.is_ready if step[2] == "ready"
-                     else StatusRegister.is_array_ready)
-        return (_PH_POLL, predicate, step[3], step[5], hold, latch[1],
-                burst[1], stats[4])
-
-    # -- template execution --------------------------------------------
-
-    def _run_template(self, lun, label: str, template: _Template,
-                      operands: tuple) -> Generator:
-        regs: dict = {}
-        handles: dict = {}
-        channel = self.channel
-        sim = self.sim
-        if template.sw_ns:
-            yield Timeout(template.sw_ns)
-        for phase in template.phases:
-            tag = phase[0]
-            if tag == _PH_TXN:
-                _, hold, stats, segs = phase
-                yield from channel.acquire(owner=label)
-                base = sim.now
-                try:
-                    for ops in segs:
-                        self._apply_seg(lun, ops, base, handles, operands)
-                finally:
-                    lun._action_time = None
-                chan_stats = channel.stats
-                nseg, busy, b_in, b_out, kinds = stats
-                chan_stats.segments += nseg
-                chan_stats.busy_ns += busy
-                chan_stats.data_bytes_in += b_in
-                chan_stats.data_bytes_out += b_out
-                per_kind = chan_stats.per_kind
-                for key, count in kinds:
-                    per_kind[key] = per_kind.get(key, 0) + count
-                if hold:
-                    yield Timeout(hold)
-                channel.release()
-            elif tag == _PH_POLL:
-                yield from self._template_poll(lun, label, phase, regs)
-            elif tag == _PH_HANDLE:
-                _, name, mint, nbytes, slot = phase
-                handles[name] = mint(operands[slot], nbytes)
-            else:  # _PH_SLEEP
-                yield Timeout(phase[1])
-        if template.result is not None:
-            return template.result(regs, handles)
-        return None
-
-    def _apply_seg(self, lun, ops, base: int, handles: dict,
-                   operands: tuple) -> None:
-        """Drive the die through one segment's decoded actions — the
-        same LUN handlers, at the same logical nanoseconds, in the same
-        order as inline waveform delivery; only the segment object is
-        gone.  Catch-up mirrors ``deliver_segment_inline``: pending
-        completions due before an action fire first, with the segment-
-        start epoch breaking exact-time ties."""
-        catch_up = True if lun._pending_completions else False
-        epoch = lun._completion_seq
-        for op in ops:
-            at = base + op[1]
-            if catch_up:
-                lun._run_due_completions(at, epoch)
-            lun._action_time = at
-            tag = op[0]
-            if tag == _OP_CMD:
-                lun._on_command(op[2])
-            elif tag == _OP_ADDR:
-                lun._on_address(operands[op[2]])
-            else:  # a burst: (tag, offset, nbytes, handle name, column)
-                shim = self._shim
-                shim.nbytes = op[2]
-                shim.dma_handle = handles[op[3]]
-                if tag == _OP_DATA_OUT:
-                    lun._on_data_out(shim)
-                else:
-                    shim.column = op[4]
-                    lun._on_data_in(shim)
-
-    def _template_poll(self, lun, label: str, phase,
-                       regs: dict) -> Generator:
-        _, predicate, dest, max_polls, hold, cmd_off, sample_off, kinds = phase
-        channel = self.channel
-        sim = self.sim
-        # The die knows when its busy window ends; sleeping there first
-        # makes the common case exactly one status round trip.  (Under
-        # load the waveform tier's poll count converges to the same
-        # one-poll floor, because contention stretches each round trip
-        # past the remaining busy time.)
-        end = lun.next_completion_ns()
-        now = sim.now
-        if end is not None and end > now:
-            yield Timeout(end - now)
-        polls = 0
-        while True:
-            yield from channel.acquire(owner=label)
-            base = sim.now
-            if lun._pending_completions:
-                epoch = lun._completion_seq
-                lun._run_due_completions(base + cmd_off, epoch)
-                lun._action_time = base + cmd_off
-                lun._on_command(CMD.READ_STATUS)
-                lun._run_due_completions(base + sample_off, epoch)
-            else:
-                lun._action_time = base + cmd_off
-                lun._on_command(CMD.READ_STATUS)
-            lun._action_time = base + sample_off
-            if lun._data_source is _DataSource.STATUS:
-                # The 1-byte status burst, minus the array and handle.
-                lun.last_status_sample_ns = base + sample_off
-                status = lun.status.value()
-            else:
-                # A completion between latch and burst re-armed the data
-                # source; sample through the real produce path so the
-                # (degenerate) byte matches inline delivery exactly.
-                status = int(lun._produce_data(1)[0])
-            lun._action_time = None
-            chan_stats = channel.stats
-            chan_stats.segments += 2
-            chan_stats.busy_ns += hold
-            chan_stats.data_bytes_out += 1
-            per_kind = chan_stats.per_kind
-            for key, count in kinds:
-                per_kind[key] = per_kind.get(key, 0) + count
-            yield Timeout(hold)
-            channel.release()
-            polls += 1
-            if predicate(status):
-                if dest:
-                    regs[dest] = status
-                return
-            if polls >= max_polls:
-                raise RuntimeError("status poll budget exhausted — stuck LUN?")
-            # Not ready: charge the extra round's runtime cost, then
-            # sleep to the die's next pending completion, or re-poll on
-            # the minimum legal grid when the die is opaque (hung-die
-            # faults keep the same poll-budget escape as the generic
-            # path).
-            extra = self.pre_txn_ns + self.wakeup_ns
-            if extra:
-                yield Timeout(extra)
-            end = lun.next_completion_ns()
-            now = sim.now
-            if end is not None and end > now:
-                yield Timeout(end - now)
-            else:
-                yield Timeout(self.repoll_ns)
+        what, mask = POLLS[step[2]]
+        return (_PH_POLL, mask, step[3], step[5], what, hold, stats[1],
+                latch[1], burst[1], stats[4])
 
     # -- the per-LUN runner --------------------------------------------
 
     def _runner(self, lun_position: int) -> Generator:
+        """Run this LUN's queued templates, one at a time, in one
+        generator frame: every wake-up resumes this frame and nothing
+        under it (a contended channel excepted).  The die is touched
+        through its transaction-level entry only."""
         queue = self._queues[lun_position]
-        lun = self.channel.luns[lun_position]
+        sim = self.sim
+        env = self.env
+        channel = self.channel
+        mutex = channel.mutex
+        lun = channel.luns[lun_position]
         try:
             while queue:
                 task, template, operands = queue.popleft()
-                task.admitted_at = self.sim.now
+                task.admitted_at = sim.now
                 task.state = TaskState.RUNNING
+                label = task.label
+                regs: dict = {}
+                handles: dict = {}
                 result = None
                 try:
-                    result = yield from self._run_template(
-                        lun, task.label, template, operands)
+                    if template.software is not None:
+                        yield template.software
+                    for phase in template.phases:
+                        tag = phase[0]
+                        if tag == _PH_TXN:
+                            _, hold, stats, segs = phase
+                            if not mutex.try_acquire(label):
+                                yield from mutex.acquire(label)
+                            lun.apply_transaction(segs, sim.now, operands,
+                                                  handles)
+                            chan_stats = channel.stats
+                            chan_stats.segments += stats[0]
+                            chan_stats.busy_ns += stats[1]
+                            chan_stats.data_bytes_in += stats[2]
+                            chan_stats.data_bytes_out += stats[3]
+                            per_kind = chan_stats.per_kind
+                            for key, count in stats[4]:
+                                per_kind[key] += count
+                            if hold is not None:
+                                yield hold
+                            channel.release()
+                        elif tag == _PH_POLL:
+                            (_, mask, dest, max_polls, what, hold, busy,
+                             cmd_off, sample_off, kinds) = phase
+                            # The die knows when its busy window ends;
+                            # sleeping there first makes the common case
+                            # exactly one status round trip.  (Under load
+                            # the waveform tier's poll count converges to
+                            # the same one-poll floor, because contention
+                            # stretches each round trip past the
+                            # remaining busy time.)
+                            polls = 0
+                            while True:
+                                end = lun.next_completion_ns()
+                                now = sim.now
+                                if end is not None and end > now:
+                                    yield Timeout(end - now)
+                                elif polls:
+                                    # an opaque (hung) die: re-poll on
+                                    # the minimum legal grid, keeping the
+                                    # generic path's poll-budget escape
+                                    yield self._repoll
+                                if not mutex.try_acquire(label):
+                                    yield from mutex.acquire(label)
+                                now = sim.now
+                                status = lun.status_round_trip(
+                                    now + cmd_off, now + sample_off)
+                                chan_stats = channel.stats
+                                chan_stats.segments += 2
+                                chan_stats.busy_ns += busy
+                                chan_stats.data_bytes_out += 1
+                                per_kind = chan_stats.per_kind
+                                for key, count in kinds:
+                                    per_kind[key] += count
+                                yield hold
+                                channel.release()
+                                polls += 1
+                                if status & mask:
+                                    if dest:
+                                        regs[dest] = status
+                                    break
+                                if polls >= max_polls:
+                                    raise poll_budget_exhausted(what)
+                                # Not ready: charge the extra round's
+                                # runtime cost before looking again.
+                                if self._extra_round is not None:
+                                    yield self._extra_round
+                        elif tag == _PH_HANDLE:
+                            _, name, mint, nbytes, slot = phase
+                            handles[name] = mint(operands[slot], nbytes)
+                        else:  # _PH_SLEEP
+                            yield phase[1]
+                    if template.result is not None:
+                        result = template.result(regs, handles)
                 except RecoverableOpError as exc:
                     task.error = exc
-                    self.env.tasks_failed += 1
+                    env.tasks_failed += 1
                 task.state = TaskState.DONE
                 task.result = result
-                task.finished_at = self.sim.now
-                self.env.tasks_completed += 1
+                task.finished_at = sim.now
+                env.tasks_completed += 1
                 task.completed.fire(result)
         finally:
             self._running.discard(lun_position)

@@ -8,7 +8,7 @@ from repro.core.opir.nodes import UNPACED_POLL_PERIOD_NS
 from repro.core.softenv.base import OperationContext
 from repro.core.transaction import Transaction, TxnKind
 from repro.core.ufsm.ca_writer import Latch
-from repro.onfi.status import StatusRegister
+from repro.onfi.status import StatusBits, StatusRegister
 
 
 def single_latch_txn(
@@ -106,6 +106,18 @@ class _TlmPollPlanner:
         return skip, sleep_ns
 
 
+#: ``PollStatus.until`` -> (what the poll's errors call it, the status
+#: bit it waits for).
+POLLS = {"ready": ("status", int(StatusBits.RDY)),
+         "array_ready": ("array-ready", int(StatusBits.ARDY))}
+
+
+def poll_budget_exhausted(what: str) -> RuntimeError:
+    """The error of a poll that used up ``max_polls`` — one text for the
+    generic loop below and the TLM template runner."""
+    return RuntimeError(f"{what} poll budget exhausted — stuck LUN?")
+
+
 def _poll_status(
     ctx: OperationContext,
     predicate: Callable[[int], bool],
@@ -157,7 +169,7 @@ def _poll_status(
             if skip:
                 polls += skip
                 yield from ctx.sleep(sleep_ns)
-    raise RuntimeError(f"{what} poll budget exhausted — stuck LUN?")
+    raise poll_budget_exhausted(what)
 
 
 def poll_until_ready(
@@ -168,7 +180,8 @@ def poll_until_ready(
 ) -> Generator:
     """Poll until RDY (Algorithm 2, lines 7..9); returns the status byte."""
     status = yield from _poll_status(
-        ctx, StatusRegister.is_ready, chip_mask, max_polls, "status",
+        ctx, StatusRegister.is_ready, chip_mask, max_polls,
+        POLLS["ready"][0],
         period_ns=period_ns,
     )
     return status
@@ -182,7 +195,8 @@ def poll_until_array_ready(
 ) -> Generator:
     """Poll until ARDY: cache operations' inner readiness."""
     status = yield from _poll_status(
-        ctx, StatusRegister.is_array_ready, chip_mask, max_polls, "array-ready",
+        ctx, StatusRegister.is_array_ready, chip_mask, max_polls,
+        POLLS["array_ready"][0],
         period_ns=period_ns,
     )
     return status

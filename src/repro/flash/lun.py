@@ -12,6 +12,20 @@ row — its effect, the busy window it opens, the data source it arms.
 This module owns the concrete side effects (array I/O, completions,
 fault and sanitizer hooks) and the raises.
 
+There are two ways in, and one definition of what the die does.  The
+pin-level entry (``deliver_segment`` / ``deliver_segment_inline`` ->
+``_process`` -> ``_on_command`` ...) takes decoded waveform actions one
+at a time: the waveform tier and the generic TLM path use it.  The
+*transaction-level* entry takes what a TLM template folded once per
+shape: :meth:`Lun.apply_transaction` applies a whole transaction's
+die ops in one call, with each command latch pre-resolved by
+:func:`die_latch` to ``(opcode, row, effect handler)``, and
+:meth:`Lun.status_round_trip` is the READ STATUS latch plus its 1-byte
+sample.  Both compose the *same* per-effect handlers in the same order
+at the same logical nanoseconds, so die state, RNG draws, fault-hook
+sites and completion times cannot differ between the entries
+(``tests/test_die_transactions.py`` drives twin dies through both).
+
 The model enforces protocol legality: a command latched while the LUN is
 array-busy (unless its row says ``legal_while_busy``) raises
 :class:`LunProtocolError`, which is how tests prove the controllers
@@ -21,6 +35,7 @@ never violate ONFI sequencing.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -28,7 +43,7 @@ import numpy as np
 from repro.flash.array import FlashArray
 from repro.flash.cell import CellMode, profile_for
 from repro.flash.vendors import VendorProfile
-from repro.onfi.commands import opcode_name
+from repro.onfi.commands import CMD, opcode_name
 from repro.onfi.features import FeatureStore
 from repro.onfi.geometry import AddressCodec, PhysicalAddress
 from repro.onfi.protocol import OPCODES, BusySpec, Effect, OpcodeRow
@@ -71,6 +86,45 @@ class _DataSource(enum.Enum):
 #: ``OpcodeRow.arms`` string -> data source (subscripted, not called:
 #: the status poll path arms a source on every latch).
 _SOURCES = {source.value: source for source in _DataSource}
+
+#: READ STATUS's row, for :meth:`Lun.status_round_trip`.
+_READ_STATUS = OPCODES[CMD.READ_STATUS]
+
+
+# Die ops of a folded transaction (``Lun.apply_transaction``), tagged by
+# their first element; ``offset`` is relative to the transaction start:
+#   (DIE_CMD, offset, opcode, row, handler)   see :func:`die_latch`
+#   (DIE_ADDR, offset, operand slot)
+#   (DIE_DATA_OUT, offset, nbytes, handle name)
+#   (DIE_DATA_IN, offset, nbytes, handle name, column)
+DIE_CMD, DIE_ADDR, DIE_DATA_OUT, DIE_DATA_IN = range(4)
+
+
+def die_latch(offset: int, opcode: int) -> tuple:
+    """A command latch resolved once, for :meth:`Lun.apply_transaction`.
+
+    What does not depend on the die is proved here: the opcode has a
+    row and the row needs no vendor capability, so its effect handler
+    may be called directly.  Otherwise ``handler`` is None and every
+    latch goes through ``Lun._on_command`` (which raises for an unknown
+    opcode and tests ``requires`` against the die's own profile).  What
+    does depend on the die — busy vs. ``legal_while_busy`` — is still
+    checked per latch.
+    """
+    row = OPCODES.get(opcode)
+    static = row is not None and row.requires is None
+    return (DIE_CMD, offset, opcode, row,
+            Lun._EFFECTS[row.effect] if static else None)
+
+
+class _Burst:
+    """Stand-in for a :class:`DataOutAction` / :class:`DataInAction` on
+    the transaction-level entry — the burst handlers only read
+    ``nbytes``, ``dma_handle`` and (data-in) ``column``, so one mutable
+    shim per die replaces an allocation per burst.  Safe because set
+    and use happen inside one ``apply_transaction`` step."""
+
+    __slots__ = ("nbytes", "column", "dma_handle")
 
 
 class _PendingCompletion:
@@ -185,6 +239,7 @@ class Lun:
         self._action_time: Optional[int] = None
         self._pending_completions: list[_PendingCompletion] = []
         self._completion_seq = 0
+        self._burst = _Burst()
         # Nanosecond of the most recent STATUS byte sampled from this
         # die — the poll fast-forward in ops/base reads it to measure
         # the polling period.
@@ -207,7 +262,7 @@ class Lun:
         self._sets_status = True
 
         # Statistics exposed to the analysis layer.
-        self.op_counts: dict[str, int] = {}
+        self.op_counts: Counter[str] = Counter()  # latches, by opcode name
         self.busy_ns_total = 0
         self.reads_completed = 0
         self.programs_completed = 0
@@ -256,6 +311,83 @@ class Lun:
         finally:
             self._action_time = None
 
+    # ------------------------------------------------------------------
+    # Transaction-level entry (called by the TLM template runner)
+    # ------------------------------------------------------------------
+
+    def apply_transaction(self, segs: tuple, base_ns: int, operands: tuple,
+                          handles: dict) -> None:
+        """Apply one folded transaction: ``segs`` holds, per segment,
+        its die ops (see ``DIE_*``), with offsets from ``base_ns``.
+
+        A composition of the same handlers inline delivery reaches, in
+        the same order at the same logical nanoseconds; only the
+        segment objects and the per-latch table lookups are gone.
+        Catch-up is per *segment*, as in :meth:`deliver_segment_inline`:
+        skipped when nothing is pending at the segment's start, else
+        with that start's epoch breaking exact-time ties.
+        """
+        pending = self._pending_completions
+        try:
+            for ops in segs:
+                catch_up = True if pending else False
+                epoch = self._completion_seq
+                for op in ops:
+                    at = base_ns + op[1]
+                    if catch_up:
+                        self._run_due_completions(at, epoch)
+                    self._action_time = at
+                    tag = op[0]
+                    if tag == DIE_CMD:
+                        row = op[3]
+                        handler = op[4]
+                        if handler is None or (
+                                self.state is LunState.ARRAY_BUSY
+                                and not row.legal_while_busy):
+                            self._on_command(op[2])  # raises, or `requires`
+                        else:
+                            self.op_counts[row.name] += 1
+                            handler(self, row)
+                    elif tag == DIE_ADDR:
+                        self._on_address(operands[op[2]])
+                    else:
+                        burst = self._burst
+                        burst.nbytes = op[2]
+                        burst.dma_handle = handles[op[3]]
+                        if tag == DIE_DATA_OUT:
+                            self._on_data_out(burst)
+                        else:
+                            burst.column = op[4]
+                            self._on_data_in(burst)
+        finally:
+            self._action_time = None
+
+    def status_round_trip(self, cmd_ns: int, sample_ns: int) -> int:
+        """READ STATUS latched at ``cmd_ns`` and its status byte sampled
+        at ``sample_ns``: the two segments of the stock ``read_status``
+        shape (READ STATUS is legal while busy and needs no capability,
+        so nothing is left to check per latch)."""
+        pending = self._pending_completions
+        try:
+            if pending:
+                self._run_due_completions(cmd_ns, self._completion_seq)
+            self._action_time = cmd_ns
+            self.op_counts[_READ_STATUS.name] += 1
+            self._status(_READ_STATUS)
+            if pending:
+                self._run_due_completions(sample_ns, self._completion_seq)
+            self._action_time = sample_ns
+            if self._data_source is _DataSource.STATUS:
+                # The 1-byte status burst, minus the array and handle.
+                self.last_status_sample_ns = sample_ns
+                return self.status.value()
+            # A completion between latch and burst re-armed the data
+            # source; sample through the real produce path so the
+            # (degenerate) byte matches inline delivery exactly.
+            return int(self._produce_data(1)[0])
+        finally:
+            self._action_time = None
+
     def _now(self) -> int:
         """The die's clock: logical action time under TLM, sim.now else."""
         at = self._action_time
@@ -264,9 +396,12 @@ class Lun:
     def _schedule_completion(self, duration: int, fn) -> _PendingCompletion:
         """Schedule ``fn`` at ``_now() + duration`` (kernel time), kept
         on the pending list so the TLM tier can catch it up early."""
+        at = self._action_time
+        if at is None:
+            at = self.sim.now
         self._completion_seq += 1
         rec = _PendingCompletion(
-            self, self._now() + duration, self._completion_seq, fn)
+            self, at + duration, self._completion_seq, fn)
         self._pending_completions.append(rec)
         return rec
 
@@ -298,9 +433,11 @@ class Lun:
         so polls against it keep running at full rate and the watchdog
         fires on the exact waveform nanosecond.
         """
-        if not self._pending_completions:
-            return None
-        return min(rec.time for rec in self._pending_completions)
+        earliest = None
+        for rec in self._pending_completions:
+            if earliest is None or rec.time < earliest:
+                earliest = rec.time
+        return earliest
 
     # ------------------------------------------------------------------
     # Observability
@@ -345,7 +482,7 @@ class Lun:
     def _on_command(self, opcode: int) -> None:
         row = OPCODES.get(opcode)
         name = row.name if row is not None else opcode_name(opcode)
-        self.op_counts[name] = self.op_counts.get(name, 0) + 1
+        self.op_counts[name] += 1
 
         if self.state is LunState.ARRAY_BUSY and (
             row is None or not row.legal_while_busy
@@ -523,13 +660,19 @@ class Lun:
     # ------------------------------------------------------------------
 
     def _effective_mode(self) -> Optional[CellMode]:
-        return CellMode.PSLC if self.pslc_active else None
+        """The cell mode array operations run in right now.  Resolved
+        once per confirm and handed to the pricing and to the array op
+        it starts, so one confirm reads the feature store once."""
+        return (CellMode.PSLC
+                if self._pslc_override or self.features.pslc_enabled
+                else None)
 
-    def _busy_ns(self, spec: BusySpec) -> int:
+    def _busy_ns(self, spec: BusySpec,
+                 mode: Optional[CellMode] = None) -> int:
         """Price a busy window from the vendor profile: exact, or
         sampled with bounded uniform jitter (tR is 'highly variable')
-        inside the bounds the active cell mode scales."""
-        mode = self._effective_mode()
+        inside the bounds the cell mode ``mode`` scales (only jittered
+        windows have a mode-dependent price)."""
         low, high = spec.bounds(self.profile.timing,
                                 profile_for(mode) if mode else None)
         if not spec.jittered:
@@ -538,7 +681,9 @@ class Lun:
 
     def _confirm(self, row: OpcodeRow) -> None:
         """The latched row address becomes (or joins) an array operation."""
-        addr = self._require_row()
+        addr = self._row_addr
+        if addr is None or self.state is not LunState.AWAIT_CONFIRM:
+            raise LunProtocolError("confirm latched without a full address")
         spec = row.busy
         if row.effect is Effect.MP_QUEUE:
             # Multi-plane queue cycle: short inter-plane busy, then ready
@@ -553,7 +698,9 @@ class Lun:
             )
         targets = self._mp_queue + [addr]
         self._mp_queue = []
-        self._ARRAY_OPS[spec.kind](self, spec, targets, self._busy_ns(spec))
+        mode = self._effective_mode()
+        self._ARRAY_OPS[spec.kind](self, spec, targets,
+                                   self._busy_ns(spec, mode), mode)
 
     def _cache_confirm(self, row: OpcodeRow) -> None:
         if row.busy.kind == "read":
@@ -561,7 +708,10 @@ class Lun:
         else:
             self._confirm(row)
 
-    def _start_read(self, spec: BusySpec, targets: list, duration: int) -> None:
+    def _start_read(self, spec: BusySpec, targets: list, duration: int,
+                    mode: Optional[CellMode]) -> None:
+        # ``mode`` priced tR; the array senses in the mode that is
+        # current when tR *ends*, so ``finish`` reads it again.
         def finish() -> None:
             for target in targets:
                 plane = self.codec.plane_of(target)
@@ -600,7 +750,7 @@ class Lun:
             self._column = 0
             return
         self._row_addr = next_row
-        duration = self._busy_ns(row.busy)
+        duration = self._busy_ns(row.busy, self._effective_mode())
         self.status.begin_cache_phase()
         self.state = LunState.CACHE_BUSY
 
@@ -633,13 +783,13 @@ class Lun:
             return PhysicalAddress(block=addr.block, page=addr.page + 1)
         return None
 
-    def _start_program(self, spec: BusySpec, targets: list,
-                       duration: int) -> None:
-        mode = self._effective_mode()
-        registers = {
-            self.codec.plane_of(t): self._ensure_register(self.codec.plane_of(t)).copy()
-            for t in targets
-        }
+    def _start_program(self, spec: BusySpec, targets: list, duration: int,
+                       mode: Optional[CellMode]) -> None:
+        # Each target with a snapshot of its plane's page register.
+        staged = []
+        for target in targets:
+            plane = self.codec.plane_of(target)
+            staged.append((target, self._ensure_register(plane).copy()))
         inflight = {"kind": "program", "targets": list(targets),
                     "begun": self._now()}
         self.inflight_ops.append(inflight)
@@ -656,10 +806,9 @@ class Lun:
                 # page refusing to verify.
                 failed = True
             else:
-                for target in targets:
-                    plane = self.codec.plane_of(target)
+                for target, register in staged:
                     ok = self.array.program(
-                        target, registers[plane], now_ns=self._now(),
+                        target, register, now_ns=self._now(),
                         cell_mode=mode, begun_ns=inflight["begun"],
                     )
                     failed = failed or not ok
@@ -686,9 +835,8 @@ class Lun:
         else:
             self._begin_busy(spec, duration, finish=finish, sets_status=False)
 
-    def _start_erase(self, spec: BusySpec, targets: list,
-                     duration: int) -> None:
-        mode = self._effective_mode()
+    def _start_erase(self, spec: BusySpec, targets: list, duration: int,
+                     mode: Optional[CellMode]) -> None:
         inflight = {"kind": "erase", "targets": list(targets),
                     "begun": self._now()}
         self.inflight_ops.append(inflight)
@@ -715,11 +863,6 @@ class Lun:
     _ARRAY_OPS = {"read": _start_read, "program": _start_program,
                   "erase": _start_erase}
 
-    def _require_row(self) -> PhysicalAddress:
-        if self._row_addr is None or self.state is not LunState.AWAIT_CONFIRM:
-            raise LunProtocolError("confirm latched without a full address")
-        return self._row_addr
-
     # ------------------------------------------------------------------
     # Busy machinery, reset, suspend/resume
     # ------------------------------------------------------------------
@@ -744,15 +887,18 @@ class Lun:
             # operation — which never committed — and revives the die.
             self._busy_until = -1
             self._busy_event = None
+        else:
+            self.busy_ns_total += duration
+            self._busy_event = rec = self._schedule_completion(
+                duration, self._finish_busy)
+            self._busy_until = rec.time
+        if self._san_liveness is not None or self.rb_taps:
             self._notify_rb(True)
-            return
-        self._busy_until = self._now() + duration
-        self.busy_ns_total += duration
-        self._busy_event = self._schedule_completion(duration, self._finish_busy)
-        self._notify_rb(True)
 
     def _notify_rb(self, busy: bool) -> None:
-        """R/B# pin edge: reset liveness poll budget, feed analyzer taps."""
+        """R/B# pin edge: reset liveness poll budget, feed analyzer taps.
+        The two per-operation sites (``_begin_busy``, ``_finish_busy``)
+        enter it only when one of the two exists."""
         if self._san_liveness is not None:
             self._san_liveness.on_progress(self)
         for tap in self.rb_taps:
@@ -773,7 +919,8 @@ class Lun:
             # finish() forgot to settle status; settle it defensively.
             self.status.finish_operation()
         self.rb_trigger.fire(self)
-        self._notify_rb(False)
+        if self._san_liveness is not None or self.rb_taps:
+            self._notify_rb(False)
 
     def _do_reset(self, row: OpcodeRow) -> None:
         if self._busy_event is not None and self._busy_event.pending:
@@ -818,6 +965,9 @@ class Lun:
         self._begin_busy(self._suspended_spec, remaining, finish=finish,
                          sets_status=False)
 
+    #: The single definition of die behaviour, per protocol-table effect:
+    #: ``_on_command`` dispatches on it per latch, ``die_latch``
+    #: resolves it once per shape for ``apply_transaction``.
     _EFFECTS = {
         Effect.LATCH: _latch,
         Effect.CONFIRM: _confirm,

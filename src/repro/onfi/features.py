@@ -10,7 +10,6 @@ voltage offset for read-retry).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
 
 
 class FeatureAddress(enum.IntEnum):
@@ -28,22 +27,25 @@ class FeatureAddress(enum.IntEnum):
     VENDOR_OUTPUT_PHASE = 0x92
 
 
+# Plain-int keys of the two records the die model reads on every array
+# operation (they are always present: ``__init__`` seeds them and
+# nothing deletes a record).
+_READ_RETRY = int(FeatureAddress.VENDOR_READ_RETRY)
+_PSLC_MODE = int(FeatureAddress.VENDOR_PSLC_MODE)
+
+
 class FeatureStore:
-    """Per-LUN feature parameter storage with change callbacks."""
+    """Per-LUN feature parameter storage.  The LUN model reads it
+    lazily, when an array operation needs a value."""
 
     def __init__(self) -> None:
         self._params: dict[int, tuple[int, int, int, int]] = {
             int(FeatureAddress.TIMING_MODE): (0, 0, 0, 0),
             int(FeatureAddress.IO_DRIVE_STRENGTH): (2, 0, 0, 0),
-            int(FeatureAddress.VENDOR_READ_RETRY): (0, 0, 0, 0),
-            int(FeatureAddress.VENDOR_PSLC_MODE): (0, 0, 0, 0),
+            _READ_RETRY: (0, 0, 0, 0),
+            _PSLC_MODE: (0, 0, 0, 0),
             int(FeatureAddress.VENDOR_OUTPUT_PHASE): (0, 0, 0, 0),
         }
-        self._on_change: Optional[Callable[[int, tuple[int, int, int, int]], None]] = None
-
-    def on_change(self, callback: Callable[[int, tuple[int, int, int, int]], None]) -> None:
-        """Register the LUN's reaction to feature writes."""
-        self._on_change = callback
 
     def set(self, address: int, params: tuple[int, int, int, int]) -> None:
         if len(params) != 4:
@@ -51,8 +53,6 @@ class FeatureStore:
         if any(not 0 <= p <= 0xFF for p in params):
             raise ValueError("feature parameter bytes must be in [0, 255]")
         self._params[int(address)] = tuple(params)
-        if self._on_change is not None:
-            self._on_change(int(address), tuple(params))
 
     def get(self, address: int) -> tuple[int, int, int, int]:
         return self._params.get(int(address), (0, 0, 0, 0))
@@ -65,11 +65,11 @@ class FeatureStore:
 
     @property
     def pslc_enabled(self) -> bool:
-        return self.get(FeatureAddress.VENDOR_PSLC_MODE)[0] != 0
+        return self._params[_PSLC_MODE][0] != 0
 
     @property
     def read_retry_level(self) -> int:
-        return self.get(FeatureAddress.VENDOR_READ_RETRY)[0]
+        return self._params[_READ_RETRY][0]
 
     @property
     def output_phase(self) -> int:

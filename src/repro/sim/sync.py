@@ -53,6 +53,7 @@ class Mutex:
     """FIFO-fair mutual exclusion.
 
     ``yield from mutex.acquire()`` blocks until ownership is granted;
+    ``mutex.try_acquire()`` takes it only when that needs no blocking;
     ``mutex.release()`` hands the lock to the longest waiter.
     """
 
@@ -64,6 +65,20 @@ class Mutex:
         self.owner: Any = None
         self._queue: deque[Trigger] = deque()
         self.acquire_count = 0
+
+    def try_acquire(self, owner: Any = None) -> bool:
+        """Take a free lock without a generator frame; False when held.
+
+        A lock being handed to a waiter stays ``locked`` throughout
+        (see :meth:`release`), so this can never jump the FIFO queue:
+        on False, fall back to ``yield from mutex.acquire(owner)``.
+        """
+        if self.locked:
+            return False
+        self.locked = True
+        self.owner = owner
+        self.acquire_count += 1
+        return True
 
     def acquire(self, owner: Any = None) -> Generator:
         if not self.locked:

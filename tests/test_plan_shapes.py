@@ -10,6 +10,7 @@ every in-tree vendor profile, and pins what the runner's traffic looks
 like because of it: one build, one walk, one compile per shape.
 """
 
+import dataclasses
 import inspect
 import random
 
@@ -20,8 +21,12 @@ from repro.config.build import build_stack
 from repro.config.specs import FtlSpec, StackSpec
 from repro.core import BabolController, ControllerConfig
 from repro.core.fastops import PlanExecutor
-from repro.core.opir.nodes import SoftSleep
-from repro.core.opir.programs import program_page_program, read_page_program
+from repro.core.opir.nodes import PollStatus, SoftSleep
+from repro.core.opir.programs import (
+    erase_block_program,
+    program_page_program,
+    read_page_program,
+)
 from repro.core.opir.registry import CACHE_STATS, _BUILDERS, list_ops
 from repro.flash.vendors import VENDOR_PROFILES
 from repro.host import ScaleEngine, ScaleJob, run_scale_workload
@@ -299,3 +304,49 @@ def test_wrapper_around_an_undeclared_override_takes_the_reference_plan():
     assert via_wrapper == by_name
     laps = [b - a for a, b in zip([0] + via_wrapper, via_wrapper)]
     assert laps[1] - laps[0] == 1000 and laps[3] - laps[2] == 1000
+
+
+def _erase_polling_ardy_twice(**kwargs):
+    """A straight-line override whose poll waits for ARDY on a budget
+    of two round trips."""
+    program = erase_block_program(**kwargs)
+    return type(program)(program.name, tuple(
+        dataclasses.replace(node, until="array_ready", max_polls=2)
+        if isinstance(node, PollStatus) else node for node in program.nodes))
+
+
+class _HangsErases:
+    """LUN-side fault hook: an erase's busy window never ends."""
+
+    def on_busy(self, lun, kind, duration):
+        return None if kind == "erase" else duration
+
+    def on_erase(self, lun, targets):  # pragma: no cover - never completes
+        return False
+
+
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["template", "generic"])
+def test_poll_budget_error_names_the_poll_on_both_paths(observed):
+    """An exhausted poll budget raises the generic loop's text — which
+    names *which* poll ran out — whether the op ran as a template or,
+    with a tracer attached, through ``_poll_status``."""
+    from repro.obs import Tracer
+
+    sim = Simulator()
+    controller = BabolController(sim, ControllerConfig(
+        vendor=TEST_PROFILE.with_op_override(
+            "erase_block", _erase_polling_ardy_twice),
+        lun_count=1, fidelity="tlm"))
+    controller.luns[0]._fault_hook = _HangsErases()
+    if observed:
+        sim.set_tracer(Tracer())
+    task = controller.erase_block(0, 5)
+    fast = controller.fast_ops
+    assert (fast.ops_planned, fast.ops_declined) == (
+        (0, 1) if observed else (1, 0))
+    with pytest.raises(
+            RuntimeError,
+            match="^array-ready poll budget exhausted — stuck LUN\\?$"):
+        controller.run_to_completion(task)
+    assert controller.luns[0].op_counts["READ_STATUS"] == 2

@@ -217,6 +217,85 @@ def test_mutex_release_unlocked_raises():
         Mutex(sim).release()
 
 
+def test_mutex_try_acquire_takes_only_a_free_lock():
+    sim = Simulator()
+    mutex = Mutex(sim)
+    assert mutex.try_acquire("a") is True
+    assert (mutex.locked, mutex.owner, mutex.acquire_count) == (True, "a", 1)
+    assert mutex.try_acquire("b") is False      # held
+    assert (mutex.owner, mutex.acquire_count) == ("a", 1)
+    mutex.release()
+    assert not mutex.locked and mutex.owner is None
+    assert mutex.try_acquire("b") is True
+    assert (mutex.owner, mutex.acquire_count) == ("b", 2)
+
+
+def test_mutex_try_acquire_cannot_jump_the_queue_during_hand_off():
+    """``release()`` with a queued waiter leaves the lock ``locked``
+    while the waiter's wake-up is still in the now-queue: a
+    ``try_acquire`` at that same instant must lose to it."""
+    sim = Simulator()
+    mutex = Mutex(sim)
+    order = []
+
+    def waiter():
+        yield from mutex.acquire("waiter")
+        order.append(("waiter", sim.now))
+        mutex.release()
+
+    def holder():
+        assert mutex.try_acquire("holder")
+        yield Timeout(50)
+        mutex.release()                         # hands off, same instant:
+        assert mutex.locked and mutex.waiters == 0
+        assert mutex.try_acquire("jumper") is False
+        order.append(("refused", sim.now))
+
+    sim.spawn(holder())
+    sim.spawn(waiter())
+    sim.run()
+    assert order == [("refused", 50), ("waiter", 50)]
+    assert not mutex.locked and mutex.acquire_count == 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mutex_try_acquire_with_fallback_grants_like_acquire(seed):
+    """A seeded interleaving of callers; the ones that try first and
+    fall back to ``acquire`` are granted the lock in the order, at the
+    times and with the event count of the all-``acquire`` program."""
+
+    def run(try_first):
+        rng = random.Random(seed)
+        sim = Simulator()
+        mutex = Mutex(sim)
+        grants = []
+        tried = {True: 0, False: 0}
+
+        def caller(tag, tries):
+            for _ in range(4):
+                yield Timeout(rng.randrange(1, 120))
+                took = tries and mutex.try_acquire(tag)
+                if tries:
+                    tried[took] += 1
+                if not took:
+                    yield from mutex.acquire(tag)
+                assert mutex.owner == tag
+                grants.append((tag, sim.now))
+                yield Timeout(rng.randrange(1, 20))
+                mutex.release()
+
+        for tag in range(6):
+            sim.spawn(caller(tag, try_first and tag % 2 == 0))
+        sim.run()
+        if try_first:   # both outcomes of the try were exercised
+            assert tried[True] and tried[False]
+        return grants, sim.now, sim.events_scheduled, mutex.acquire_count
+
+    grants = run(try_first=True)
+    assert grants == run(try_first=False)
+    assert len(grants[0]) == 24
+
+
 def test_queue_get_blocks_until_put():
     sim = Simulator()
     queue = Queue(sim)
