@@ -30,7 +30,7 @@ from repro.onfi.signals import (
     WaveformSegment,
 )
 from repro.onfi.timing import TimingSet, timing_for_mode
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 from repro.sim.sync import Mutex
 
 
@@ -155,9 +155,17 @@ class Channel:
             raise RuntimeError("transmit without owning the channel")
         yield from self.backend.transmit(self, segment)
 
-    def _transmit_waveform(self, segment: WaveformSegment) -> Generator:
-        """The segment-accurate transmission path (WaveformBackend)."""
-        segment.emitted_at = self.sim.now
+    def drive(self, segment: WaveformSegment,
+              at: Optional[int] = None) -> None:
+        """Put one segment on the bus: stamp it, account for it, show it
+        to every observer and hand its actions to the selected dies.  The
+        backend holds the bus for ``segment.duration_ns`` from its own
+        frame.  The waveform tier drives at the kernel's ``now`` and the
+        dies schedule each action at its offset; the TLM tier passes the
+        segment's logical start ``at`` and the dies apply them inline.
+        """
+        now = self.sim.now if at is None else at
+        segment.emitted_at = now
         self.stats.record(segment)
         tracer = self.sim._tracer
         if tracer is not None:
@@ -165,23 +173,24 @@ class Channel:
             # occupancy picture Figs. 10-12 reason about.
             tracer.complete(
                 "channel", f"channel/{self.name}", segment.kind.value,
-                self.sim.now, segment.duration_ns,
+                now, segment.duration_ns,
                 {"chip_mask": segment.chip_mask, "label": segment.label},
             )
         for tap in self._taps:
-            tap(self.sim.now, segment)
+            tap(now, segment)
         if self._san_bus is not None:
-            self._san_bus.on_transmit(self.sim.now, segment, self.mutex.owner)
-        targets = segment.targets(self.width)
+            self._san_bus.on_transmit(now, segment, self.mutex.owner)
+        targets = segment.targets(len(self.luns))
         if not targets and segment.kind is not SegmentKind.TIMER:
             raise ValueError(f"segment {segment.describe()} selects no LUN")
         self._apply_phy(segment, targets)
         if self._fault_hook is not None:
-            self._fault_hook.on_transmit(self.sim.now, segment, targets)
+            self._fault_hook.on_transmit(now, segment, targets)
         for position in targets:
-            self.luns[position].deliver_segment(segment)
-        if segment.duration_ns:
-            yield Timeout(segment.duration_ns)
+            if at is None:
+                self.luns[position].deliver_segment(segment)
+            else:
+                self.luns[position].deliver_segment_inline(segment, at)
 
     def _apply_phy(self, segment: WaveformSegment, targets: list[int]) -> None:
         if not self.interface.ddr:

@@ -22,7 +22,8 @@ from repro.config.specs import ExperimentSpec, SpecError
 
 def load_spec_dict(path: str) -> dict:
     """Read a raw spec document (sparse dict) from ``path``."""
-    if path.endswith(".toml"):
+    toml = path.endswith(".toml")
+    if toml:
         try:
             import tomllib
         except ImportError:  # Python 3.10
@@ -30,16 +31,17 @@ def load_spec_dict(path: str) -> dict:
                 f"{path}: TOML specs need Python 3.11+ (tomllib); "
                 f"convert to JSON with `repro spec show`"
             ) from None
-        try:
-            with open(path, "rb") as handle:
-                return tomllib.load(handle)
-        except tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"{path}: invalid TOML: {exc}") from None
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: not UTF-8 text: {exc}") from None
+    try:
+        return tomllib.loads(text) if toml else json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError as exc:  # tomllib.TOMLDecodeError
+        raise SpecError(f"{path}: invalid TOML: {exc}") from None
 
 
 def load_spec(path: str) -> ExperimentSpec:

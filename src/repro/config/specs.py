@@ -327,6 +327,15 @@ class StackSpec:
         self.geometry.validate()
         if self.ftl is not None:
             self.ftl.validate()
+            # ftl/persist.py opens every meta block with a checkpoint
+            # page and journals behind it: it needs the second page.
+            if self.ftl.checkpoint_interval > 0 \
+                    and self.geometry.pages_per_block == 1:
+                raise SpecError(
+                    "stack.geometry.pages_per_block must be >= 2 when "
+                    "stack.ftl.checkpoint_interval > 0: a meta block holds "
+                    "a checkpoint page plus at least one journal page"
+                )
 
     def to_dict(self, resolved: bool = False) -> dict:
         data: dict = {}

@@ -19,8 +19,9 @@ The seam is deliberately narrow: a backend owns exactly two generators,
   executor's inner loop);
 
 everything else (arbitration, scheduling, op programs, the dies) is
-shared.  :class:`WaveformBackend` delegates to the channel's historical
-per-segment path, byte-for-byte — golden traces do not move.
+shared.  :class:`WaveformBackend` puts each segment on the bus
+(``Channel.drive``) and holds it for the segment's duration,
+byte-for-byte the historical per-segment path — golden traces do not move.
 :class:`TLMBackend` performs the same bookkeeping at *logical* times
 computed from segment offsets, delivers die actions inline, and yields
 one :class:`~repro.sim.Timeout` for the whole transaction.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.onfi.signals import SegmentKind, WaveformSegment
+from repro.onfi.signals import WaveformSegment
 from repro.sim import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -97,18 +98,22 @@ class WaveformBackend(ExecutionBackend):
 
     def transmit(self, channel: "Channel",
                  segment: WaveformSegment) -> Generator:
-        yield from channel._transmit_waveform(segment)
+        channel.drive(segment)
+        if segment.duration_ns:
+            yield Timeout(segment.duration_ns)
 
     def run_transaction(self, channel: "Channel",
                         txn: "Transaction") -> Generator:
-        # channel.transmit -> self.transmit -> _transmit_waveform, minus
-        # the two forwarding frames (same check, same kernel events).
+        # channel.transmit per segment, from this one frame: the only
+        # kernel steps of a transaction are its segments' bus holds.
         mutex = channel.mutex
-        transmit = channel._transmit_waveform
+        drive = channel.drive
         for segment in txn.segments:
             if not mutex.locked:
                 raise RuntimeError("transmit without owning the channel")
-            yield from transmit(segment)
+            drive(segment)
+            if segment.duration_ns:
+                yield Timeout(segment.duration_ns)
 
 
 class TLMBackend(ExecutionBackend):
@@ -135,7 +140,7 @@ class TLMBackend(ExecutionBackend):
 
     def transmit(self, channel: "Channel",
                  segment: WaveformSegment) -> Generator:
-        self._deliver(channel, segment, channel.sim.now)
+        channel.drive(segment, channel.sim.now)
         if segment.duration_ns:
             yield Timeout(segment.duration_ns)
 
@@ -147,35 +152,10 @@ class TLMBackend(ExecutionBackend):
         for segment in txn.segments:
             if not channel.mutex.locked:
                 raise RuntimeError("transmit without owning the channel")
-            self._deliver(channel, segment, at)
+            channel.drive(segment, at)
             at += segment.duration_ns
         if at > base:
             yield Timeout(at - base)
-
-    def _deliver(self, channel: "Channel", segment: WaveformSegment,
-                 at: int) -> None:
-        """The waveform transmit bookkeeping, at logical time ``at``."""
-        segment.emitted_at = at
-        channel.stats.record(segment)
-        tracer = channel.sim._tracer
-        if tracer is not None:
-            tracer.complete(
-                "channel", f"channel/{channel.name}", segment.kind.value,
-                at, segment.duration_ns,
-                {"chip_mask": segment.chip_mask, "label": segment.label},
-            )
-        # Taps cannot be registered on a TLM channel (add_tap raises),
-        # so there is no tap loop here by construction.
-        if channel._san_bus is not None:
-            channel._san_bus.on_transmit(at, segment, channel.mutex.owner)
-        targets = segment.targets(channel.width)
-        if not targets and segment.kind is not SegmentKind.TIMER:
-            raise ValueError(f"segment {segment.describe()} selects no LUN")
-        channel._apply_phy(segment, targets)
-        if channel._fault_hook is not None:
-            channel._fault_hook.on_transmit(at, segment, targets)
-        for position in targets:
-            channel.luns[position].deliver_segment_inline(segment, at)
 
 
 FIDELITIES = ("waveform", "tlm")

@@ -37,11 +37,13 @@ class Executor:
         self.sim = sim
         self.channel = channel
         self.dispatch_latency_ns = dispatch_latency_ns
+        # Fixed hardware dispatch: descriptor decode + channel request.
+        # One command serves every transaction (the kernel reads .delay).
+        self._dispatch = Timeout(dispatch_latency_ns)
         self.queue_depth = queue_depth
         self._queue: deque[Transaction] = deque()
         self._cond = Condition(sim)
         self.slot_freed = Trigger(sim)  # software listens: room to dispatch
-        self.txn_done = Trigger(sim)    # software listens: completions
         self.executed = 0
         self.busy_ns = 0
         self._process = sim.spawn(self._run(), name="executor")
@@ -69,14 +71,16 @@ class Executor:
     # -- the hardware pipeline -----------------------------------------
 
     def _run(self):
+        queue = self._queue
         while True:
-            yield from self._cond.wait_for(lambda: bool(self._queue))
-            txn = self._queue.popleft()
+            # (a deque's own length is the predicate: non-empty is true)
+            yield from self._cond.wait_for(queue.__len__)
+            txn = queue.popleft()
             self.slot_freed.fire(self)
-            # Fixed hardware dispatch: descriptor decode + channel request.
             if self.dispatch_latency_ns:
-                yield Timeout(self.dispatch_latency_ns)
-            yield from self.channel.acquire(owner=txn)
+                yield self._dispatch
+            if not self.channel.mutex.try_acquire(txn):
+                yield from self.channel.acquire(owner=txn)
             txn.started_at = self.sim.now
             # The fidelity backend owns the inner loop: per-segment bus
             # events (waveform) or one event per transaction (tlm).
@@ -98,7 +102,6 @@ class Executor:
             self.channel.release()
             self.executed += 1
             txn.completed.fire(txn)
-            self.txn_done.fire(txn)
 
     def describe(self) -> str:
         return (

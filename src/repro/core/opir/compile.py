@@ -157,9 +157,8 @@ def lower(bank, program: OpProgram) -> tuple[Lowered, tuple]:
     ``(Lowered, operands)`` — the steps, and this instance's values for
     their operand slots."""
     import repro.core.ops as ops  # imports the registry, hence lazy
-    from repro.core.ops.base import poll_until_array_ready, poll_until_ready
+    from repro.core.ops.base import POLL_LOOPS as polls
 
-    polls = {"ready": poll_until_ready, "array_ready": poll_until_array_ready}
     steps: list = []
     operands: list = []
     declared: set = set()

@@ -8,9 +8,9 @@ segments, same nanoseconds, same results).  It is one generator,
 time, but every transmission still gets a fresh ``WaveformSegment``
 (taps, sanitizers, fault hooks and Chip Control read and mutate it) in a
 fresh ``Transaction``.  Composition goes through the public ``*_op``
-wrappers and status polls through ``poll_until_ready``, so traced spans
-nest the way Algorithm 2 nests Algorithm 1 and vendor overrides resolve
-for callees too.
+wrappers and status polls through the poll loop of ``core/ops/base``
+(``poll_until_ready``'s), so traced spans nest the way Algorithm 2 nests
+Algorithm 1 and vendor overrides resolve for callees too.
 """
 
 from __future__ import annotations

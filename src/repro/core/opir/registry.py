@@ -224,6 +224,19 @@ def lowered_shape(bank, vendor, builder, kwargs: dict) -> tuple:
     return shape
 
 
+def resolved_op(ctx, name: str, kwargs: dict) -> tuple:
+    """``(run, lowered, operands)`` of one call of ``name`` — the vendor's
+    override, the shape memo, a pure wrapper's callee — to be run as
+    ``run(ctx, lowered, operands)``; the status poll loop decides once."""
+    vendor = getattr(ctx, "vendor", None)
+    lowered, operands = lowered_shape(
+        ctx.ufsm, vendor, _resolved_builder(name, vendor), kwargs)
+    if lowered.alias is not None:
+        run_callee, lowered = lowered.alias
+        return run_callee, lowered, operands
+    return run_lowered, lowered, operands
+
+
 def run_op(ctx, name: str, **kwargs):
     """Resolve the program for ``name`` to its lowered shape and run it.
 
@@ -238,10 +251,7 @@ def run_op(ctx, name: str, **kwargs):
             hooks = {k: v for k, v in kwargs.items() if callable(v)}
             kwargs = {k: v for k, v in kwargs.items() if k not in hooks}
             break
-    vendor = getattr(ctx, "vendor", None)
-    lowered, operands = lowered_shape(
-        ctx.ufsm, vendor, _resolved_builder(name, vendor), kwargs)
-    if lowered.alias is not None:
-        run_callee, lowered = lowered.alias
-        return run_callee(ctx, lowered, operands)
-    return run_lowered(ctx, lowered, operands, hooks)
+    run, lowered, operands = resolved_op(ctx, name, kwargs)
+    if run is run_lowered:
+        return run_lowered(ctx, lowered, operands, hooks)
+    return run(ctx, lowered, operands)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Generator, Optional
 
 from repro.core.opir.nodes import UNPACED_POLL_PERIOD_NS
 from repro.core.softenv.base import OperationContext
 from repro.core.transaction import Transaction, TxnKind
 from repro.core.ufsm.ca_writer import Latch
+from repro.obs.instrument import traced_body
 from repro.onfi.status import StatusBits, StatusRegister
 
 
@@ -147,15 +149,24 @@ def _poll_status(
     :class:`_TlmPollPlanner` — same sampling grid, same final status,
     same timeout nanosecond, far fewer simulated round trips.
     """
-    from repro.core.ops.status import read_status_op
+    from repro.core.opir.registry import resolved_op
     from repro.core.recovery import OpTimeout
 
     watchdog = ctx.watchdog
     deadline = None if watchdog is None else ctx.sim.now + watchdog.budget_ns
     planner = _TlmPollPlanner.create(ctx, chip_mask)
+    # READ STATUS, resolved once for the loop (what ``read_status_op``
+    # resolves per call); each poll runs the shape, under that op's span.
+    run, lowered, operands = resolved_op(
+        ctx, "read_status", {"chip_mask": chip_mask})
     polls = 0
     while polls < max_polls:
-        status = yield from read_status_op(ctx, chip_mask=chip_mask)
+        tracer = ctx.sim._tracer
+        if tracer is None or not tracer.wants("op"):
+            status = yield from run(ctx, lowered, operands)
+        else:
+            status = yield from traced_body(
+                tracer, "read_status_op", ctx, run, (lowered, operands), {})
         polls += 1
         if predicate(status):
             return status
@@ -170,6 +181,17 @@ def _poll_status(
                 polls += skip
                 yield from ctx.sleep(sleep_ns)
     raise poll_budget_exhausted(what)
+
+
+#: ``PollStatus.until`` -> the loop a lowered POLL step runs: the two
+#: public polls below, minus their forwarding frame.
+POLL_LOOPS = {
+    "ready": partial(_poll_status, predicate=StatusRegister.is_ready,
+                     what=POLLS["ready"][0]),
+    "array_ready": partial(_poll_status,
+                           predicate=StatusRegister.is_array_ready,
+                           what=POLLS["array_ready"][0]),
+}
 
 
 def poll_until_ready(

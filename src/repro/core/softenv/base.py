@@ -26,6 +26,14 @@ charges the runtime's cycle costs for every scheduler iteration,
 context switch, enqueue, and dispatch — so a 150 MHz soft-core really
 does schedule ~7× slower than the 1 GHz ARM, which is the effect
 Fig. 10 sweeps.
+
+Each of those four charges is one kernel step and the loop takes no
+other: on a private core a charge is written where it happens
+(``cycles_charged += c``, yield ``cpu.pauses[c]``), the loop sleeps on a
+``Condition`` that resumes it only when there is work, and the
+executor's "slot freed" pulse reaches that condition synchronously.  On
+an ``exclusive`` core every charge still goes through ``Cpu.execute``:
+its per-charge mutex hand-off is how environments sharing it interleave.
 """
 
 from __future__ import annotations
@@ -278,7 +286,7 @@ class SoftwareEnvironment:
 
         # The executor tells us when a queue slot frees so the dispatcher
         # half of the loop can run again.
-        self._slot_listener = sim.spawn(self._watch_slots(), name=f"{self.runtime_name}-slots")
+        executor.slot_freed.subscribe(self._work.notify)
         self._loop = sim.spawn(self._run(), name=f"{self.runtime_name}-env")
 
     # ------------------------------------------------------------------
@@ -338,44 +346,64 @@ class SoftwareEnvironment:
             self._pending_txns and self.executor.has_room
         )
 
-    def _watch_slots(self) -> Generator:
-        while True:
-            yield from self.executor.slot_freed.wait()
-            self._work.notify()
-
     def _run(self) -> Generator:
+        sim = self.sim
+        costs = self.costs
         while not self._stopped:
+            cpu = self.cpu
             if self._pending_txns and self.executor.has_room:
                 # Dispatcher half: choose the next transaction and hand
                 # it to the hardware.
-                yield from self.cpu.execute(self.costs.dispatch)
+                pause = cpu.pauses[costs.dispatch]
+                if pause is None:
+                    yield from cpu.execute(costs.dispatch)
+                else:
+                    cpu.cycles_charged += costs.dispatch
+                    yield pause
+                    if sim._tracer is not None:
+                        cpu.trace_busy(costs.dispatch, pause.delay)
                 if not (self._pending_txns and self.executor.has_room):
                     continue  # world changed while we were computing
                 txn = self.txn_scheduler.select(self._pending_txns)
                 self._pending_txns.remove(txn)
                 self.executor.push(txn)
                 self.txns_dispatched += 1
-                if self.sim._tracer is not None:
+                if sim._tracer is not None:
                     self._trace_queue_depths()
                 continue
             if self._ready:
                 # Task half: pick, context-switch, resume one step.
-                yield from self.cpu.execute(self.costs.scheduler_iteration)
+                pause = cpu.pauses[costs.scheduler_iteration]
+                if pause is None:
+                    yield from cpu.execute(costs.scheduler_iteration)
+                else:
+                    cpu.cycles_charged += costs.scheduler_iteration
+                    yield pause
+                    if sim._tracer is not None:
+                        cpu.trace_busy(costs.scheduler_iteration, pause.delay)
                 if not self._ready:
                     continue
                 task = self.task_scheduler.select(self._ready)
                 self._ready.remove(task)
-                if self.sim._tracer is not None:
+                if sim._tracer is not None:
                     self._trace_queue_depths()
-                yield from self.cpu.execute(self.costs.context_switch)
+                pause = cpu.pauses[costs.context_switch]
+                if pause is None:
+                    yield from cpu.execute(costs.context_switch)
+                else:
+                    cpu.cycles_charged += costs.context_switch
+                    yield pause
+                    if sim._tracer is not None:
+                        cpu.trace_busy(costs.context_switch, pause.delay)
                 yield from self._step_task(task)
                 continue
             yield from self._work.wait_for(self._has_work)
 
     def _step_task(self, task: Task) -> Generator:
         """Resume one task until it suspends or finishes."""
+        sim = self.sim
         task.state = TaskState.RUNNING
-        task.last_resumed_at = self.sim.now
+        task.last_resumed_at = sim.now
         send, task.send_value = task.send_value, None
         while True:
             try:
@@ -394,32 +422,37 @@ class SoftwareEnvironment:
                 self.tasks_failed += 1
                 self._finish_task(task, None)
                 return
-            send = None
-            if isinstance(command, EnvAwait):
-                yield from self.cpu.execute(self.costs.enqueue)
+            kind = command.__class__
+            if kind is EnvAwait or kind is EnvPost:
+                cpu = self.cpu
+                enqueue = self.costs.enqueue
+                pause = cpu.pauses[enqueue]
+                if pause is None:
+                    yield from cpu.execute(enqueue)
+                else:
+                    cpu.cycles_charged += enqueue
+                    yield pause
+                    if sim._tracer is not None:
+                        cpu.trace_busy(enqueue, pause.delay)
                 self._enqueue_txn(command.txn)
+                if kind is EnvPost:
+                    send = command.txn
+                    continue  # posting does not suspend the task
                 self._block_on_txn(task, command.txn)
-                return
-            if isinstance(command, EnvPost):
-                yield from self.cpu.execute(self.costs.enqueue)
-                self._enqueue_txn(command.txn)
-                send = command.txn
-                continue  # posting does not suspend the task
-            if isinstance(command, EnvWaitTxn):
+            elif kind is EnvWaitTxn:
                 self._block_on_txn(task, command.txn)
-                return
-            if isinstance(command, EnvSleep):
+            elif kind is EnvSleep:
                 task.state = TaskState.BLOCKED
-                self.sim.schedule(command.ns, lambda t=task: self._make_ready(t))
-                return
-            if isinstance(command, EnvYield):
+                sim._wake_after(command.ns, self._make_ready, task)
+            elif kind is EnvYield:
                 task.state = TaskState.READY
-                task.ready_since = self.sim.now
+                task.ready_since = sim.now
                 self._ready.append(task)
-                return
-            raise TypeError(
-                f"operation {task.label!r} yielded unsupported command {command!r}"
-            )
+            else:
+                raise TypeError(
+                    f"operation {task.label!r} yielded unsupported command "
+                    f"{command!r}")
+            return
 
     # -- transitions -----------------------------------------------------
 

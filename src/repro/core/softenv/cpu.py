@@ -10,13 +10,31 @@ stronger pipeline when an experiment wants that distinction.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.sim import Simulator, Timeout
 from repro.sim.sync import Mutex
 
 MHZ = 1_000_000
 GHZ = 1_000_000_000
+
+
+class _Pauses(dict):
+    """``cycles`` -> the kernel command of one charge of that cost, for a
+    user that books the charge itself (``cycles_charged += cycles``, yield
+    the pause, ``trace_busy`` under a tracer).  One ``Timeout`` serves
+    every charge of a cost: the kernel reads ``.delay`` at the yield and
+    keeps no reference.  ``None`` where only ``Cpu.execute`` will do: an
+    ``exclusive`` core (each charge hands the mutex over) or cycles that
+    round to zero nanoseconds (no kernel step at all)."""
+
+    def __init__(self, cpu: "Cpu"):
+        self.cpu = cpu
+
+    def __missing__(self, cycles: int) -> Optional[Timeout]:
+        ns = 0 if self.cpu.exclusive else self.cpu.cycles_to_ns(cycles)
+        pause = self[cycles] = Timeout(ns) if ns else None
+        return pause
 
 
 class Cpu:
@@ -40,6 +58,7 @@ class Cpu:
         self._freq_hz = freq_hz
         self._cpi = cpi
         self._ns_memo: dict[int, int] = {}
+        self.pauses = _Pauses(self)
         self.name = name
         self.exclusive = exclusive
         self._mutex = Mutex(sim) if exclusive else None
@@ -65,6 +84,11 @@ class Cpu:
             ns = self._ns_memo[cycles] = self._convert(cycles)
             return ns
 
+    def trace_busy(self, cycles: int, ns: int) -> None:
+        """The ``cpu`` span of a charge that just ended (tracer attached)."""
+        self.sim._tracer.complete("cpu", f"cpu/{self.name}", "busy",
+                                  self.sim.now - ns, ns, {"cycles": cycles})
+
     def execute(self, cycles: int) -> Generator:
         """Process command: occupy the core for ``cycles``."""
         self.cycles_charged += cycles
@@ -75,8 +99,7 @@ class Cpu:
         if self._mutex is None:
             yield Timeout(ns)
             if tracer is not None:
-                tracer.complete("cpu", f"cpu/{self.name}", "busy",
-                                self.sim.now - ns, ns, {"cycles": cycles})
+                self.trace_busy(cycles, ns)
             return
         if self._mutex.locked:
             self.contention_waits += 1
@@ -86,8 +109,7 @@ class Cpu:
             if tracer is not None:
                 # Span starts after the core was won, so shared-CPU
                 # traces show contention as gaps, not stretched spans.
-                tracer.complete("cpu", f"cpu/{self.name}", "busy",
-                                self.sim.now - ns, ns, {"cycles": cycles})
+                self.trace_busy(cycles, ns)
         finally:
             self._mutex.release()
 

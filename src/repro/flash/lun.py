@@ -273,9 +273,14 @@ class Lun:
     # ------------------------------------------------------------------
 
     def deliver_segment(self, segment: WaveformSegment) -> None:
-        """Schedule processing of each decoded action at its offset."""
+        """Waveform delivery: process each decoded action at its offset.
+        A latch offset is a modelled delay, so each action is one kernel
+        entry — uncancellable and carrying the action itself, so neither
+        an ``Event`` nor a closure is allocated to hold it."""
+        wake_after = self.sim._wake_after
+        process = self._process
         for offset, action in segment.actions:
-            self.sim.schedule(offset, lambda a=action: self._process(a))
+            wake_after(offset, process, action)
 
     def deliver_segment_inline(self, segment: WaveformSegment,
                                base_ns: int) -> None:

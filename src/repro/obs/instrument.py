@@ -47,14 +47,16 @@ def traced_op(fn: Optional[Callable] = None, *, name: Optional[str] = None):
             tracer = ctx.sim._tracer
             if tracer is None or not tracer.wants("op"):
                 return func(ctx, *args, **kwargs)
-            return _traced_body(tracer, label, ctx, func, args, kwargs)
+            return traced_body(tracer, label, ctx, func, args, kwargs)
 
         return wrapper
 
     return decorate(fn) if fn is not None else decorate
 
 
-def _traced_body(tracer: Tracer, label: str, ctx, func, args, kwargs):
+def traced_body(tracer: Tracer, label: str, ctx, func, args, kwargs):
+    """``func(ctx, *args, **kwargs)`` under an op span named ``label``
+    (what a :func:`traced_op` wrapper runs when ``op`` tracing is on)."""
     sim = ctx.sim
     start = sim.now  # first resume: the environment just scheduled us
     try:

@@ -1,6 +1,6 @@
 """Core event loop and process machinery.
 
-The simulator keeps a heap of plain ``(time, sequence, callback,
+The simulator keeps a heap of plain ``(time, sequence, callback, value,
 event_or_None)`` tuples, which ``heapq`` compares in C.  The ``sequence``
 counter makes ordering of same-time events deterministic (FIFO by
 schedule order), which matters for reproducing waveform traces
@@ -11,8 +11,10 @@ that preserves the same total order while skipping the heap.
 
 Only :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
 cancellable :class:`Event` handle.  Process wakeups (``Timeout``, bare
-``int``, ``spawn``, trigger fan-out, joins) are enqueued with no handle:
-nothing can cancel them, so nothing is allocated for them.
+``int``, ``spawn``, trigger fan-out, joins) and timed deliveries
+(``_wake_after``: a die's latch actions) are enqueued with no handle:
+nothing can cancel them, so nothing is allocated for them.  An entry
+with a handle runs as ``callback()``, one without as ``callback(value)``.
 
 Processes are plain Python generators.  A process yields *commands* to
 the kernel:
@@ -143,20 +145,21 @@ class Process:
             delay = command.delay
             if delay.__class__ is int and delay > 0 and tracer is None:
                 sim.events_scheduled = seq = sim.events_scheduled + 1
-                heappush(sim._heap, (sim.now + delay, seq, self._resume, None))
+                heappush(sim._heap,
+                         (sim.now + delay, seq, self._resume, None, None))
             else:
-                sim._sleep(delay, self._resume)
+                sim._wake_after(delay, self._resume)
         elif cls is WaitTrigger:
             command.trigger._waiters.append(self._resume)
         elif isinstance(command, Timeout):
-            sim._sleep(command.delay, self._resume)
+            sim._wake_after(command.delay, self._resume)
         elif isinstance(command, WaitTrigger):
             command.trigger._add_waiter(self._resume)
         elif isinstance(command, WaitProcess):
             command.process._add_join_waiter(self._resume)
         elif isinstance(command, int):
             # Bare integers are accepted as a shorthand for Timeout.
-            sim._sleep(command, self._resume)
+            sim._wake_after(command, self._resume)
         else:
             raise SimError(
                 f"process {self.name!r} yielded unsupported command {command!r}"
@@ -201,8 +204,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        # Timed entries: (time, seq, callback, event_or_None).  ``seq``
-        # is unique, so the C tuple comparison never reaches the callback.
+        # Timed entries: (time, seq, callback, value, event_or_None).
+        # ``seq`` is unique, so the C tuple comparison never reaches the
+        # callback.
         self._heap: list[tuple] = []
         # Zero-delay entries (trigger resumptions, spawns, joins of
         # finished processes): (callback, value, event_or_None).  They
@@ -250,7 +254,7 @@ class Simulator:
         event = Event(now + delay, callback)
         self.events_scheduled = seq = self.events_scheduled + 1
         if delay:
-            heappush(self._heap, (event.time, seq, callback, event))
+            heappush(self._heap, (event.time, seq, callback, None, event))
         else:
             # An immediately-ready event never touches the heap (see
             # ``_now_queue``); ordering is unchanged.
@@ -259,17 +263,21 @@ class Simulator:
             self._tracer.kernel_event("schedule", now, event.time)
         return event
 
-    def _sleep(self, delay: int, resume: Callable[[], None]) -> None:
-        """Uncancellable ``schedule``: a process's own timed wakeup."""
+    def _wake_after(self, delay: int, waiter: Callable[[Any], None],
+                    value: Any = None) -> None:
+        """Uncancellable, argument-carrying ``schedule``: run
+        ``waiter(value)`` ``delay`` ns from now (a process's own timed
+        wakeup, a die's latch action).  The timed sibling of :meth:`_wake`:
+        ``schedule``'s order and tracer instants, no :class:`Event`."""
         if delay < 0:
             raise SimError(f"negative delay {delay}")
         delay = int(delay)
-        if not delay:
-            self._wake((resume,), None)
-            return
         now = self.now
         self.events_scheduled = seq = self.events_scheduled + 1
-        heappush(self._heap, (now + delay, seq, resume, None))
+        if delay:
+            heappush(self._heap, (now + delay, seq, waiter, value, None))
+        else:
+            self._now_queue.append((waiter, value, None))
         if self._tracer is not None:
             self._tracer.kernel_event("schedule", now, now + delay)
 
@@ -322,7 +330,7 @@ class Simulator:
                 elif not heap or (until is not None and heap[0][0] > until):
                     break
                 else:
-                    time, _, callback, event = heappop(heap)
+                    time, _, callback, value, event = heappop(heap)
                 if event is not None:
                     if event.cancelled:
                         # Cancellation itself is a plain flag flip (Event
@@ -337,7 +345,10 @@ class Simulator:
                 self.now = time
                 if self._tracer is not None:
                     self._tracer.kernel_event("fire", time, time)
-                callback()
+                if event is None:
+                    callback(value)
+                else:
+                    callback()
         if self._san_liveness is not None and not heap and not nq:
             # Quiescent point: nothing left to run anywhere.  If work is
             # still outstanding, that is a deadlock, not completion.

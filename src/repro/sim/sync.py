@@ -20,18 +20,31 @@ from repro.sim.kernel import Simulator, WaitTrigger
 
 
 class Trigger:
-    """A repeatable event that resumes all current waiters when fired."""
+    """A repeatable event that resumes all current waiters when fired.
 
-    __slots__ = ("sim", "_waiters", "fire_count", "last_value")
+    A waiter is one-shot and resumes through the scheduler (one kernel
+    step).  A *subscriber* is persistent and synchronous: every ``fire``
+    calls it with the value, after queueing the waiters — a listener that
+    only forwards the pulse needs no process and costs no step.  It must
+    not block and must not fire this trigger.
+    """
+
+    __slots__ = ("sim", "_waiters", "_subscribers", "fire_count",
+                 "last_value")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._waiters: list[Callable[[Any], None]] = []
+        self._subscribers: tuple[Callable[[Any], None], ...] = ()
         self.fire_count = 0
         self.last_value: Any = None
 
     def _add_waiter(self, waiter: Callable[[Any], None]) -> None:
         self._waiters.append(waiter)
+
+    def subscribe(self, callback: Callable[[Any], None]) -> None:
+        """Call ``callback(value)`` from inside every future ``fire``."""
+        self._subscribers += (callback,)
 
     def fire(self, value: Any = None) -> None:
         """Fire now: every process currently waiting resumes with ``value``."""
@@ -42,6 +55,8 @@ class Trigger:
             self._waiters = []
             # Resume via the scheduler so firing is never re-entrant.
             self.sim._wake(waiters, value)
+        for callback in self._subscribers:
+            callback(value)
 
     def wait(self) -> Generator:
         """Process command helper: ``value = yield from trigger.wait()``."""
@@ -159,19 +174,45 @@ class Queue:
 class Condition:
     """Level-triggered wait on an arbitrary predicate.
 
-    The owner of the state calls :meth:`notify` whenever the state may
-    have changed; waiters re-check their predicate.
+    The owner of the state calls :meth:`notify` after every change;
+    ``notify`` resumes, in registration order, only the waiters whose
+    predicate holds *now*.  That is exact: a waiter resumed on a false
+    predicate would only wait again, and the change that makes it true
+    brings its own notify.  A resumed waiter still re-checks (an earlier
+    waiter of the same notify may have consumed the state) and, if it
+    lost, registers again.
     """
 
-    __slots__ = ("sim", "_trigger")
+    __slots__ = ("sim", "_waiters", "_spare")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._trigger = Trigger(sim)
+        # (predicate, gate) in registration order.
+        self._waiters: list[tuple[Callable[[], bool], Trigger]] = []
+        # The gate of the last waiter to leave, for the next to reuse.
+        self._spare: Optional[WaitTrigger] = None
 
-    def notify(self) -> None:
-        self._trigger.fire()
+    def notify(self, _value: Any = None) -> None:
+        """(Takes a value so that it can ``Trigger.subscribe`` to a pulse.)"""
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for waiter in waiters:
+                if waiter[0]():
+                    waiter[1].fire()
+                else:
+                    self._waiters.append(waiter)
 
     def wait_for(self, predicate: Callable[[], bool]) -> Generator:
-        while not predicate():
-            yield from self._trigger.wait()
+        if predicate():
+            return
+        wait, self._spare = self._spare, None
+        if wait is None:
+            wait = WaitTrigger(Trigger(self.sim))
+        waiter = (predicate, wait.trigger)
+        while True:
+            self._waiters.append(waiter)
+            yield wait
+            if predicate():
+                self._spare = wait
+                return

@@ -122,6 +122,38 @@ def test_bad_spec_file_is_a_usage_error(tmp_path, capsys):
     assert "spec error" in out and "acme" in out
 
 
+# A spec saved as UTF-16 (it starts with b"\xff\xfe"): found by hand at
+# 08fb7bd, where every entry point died with a bare UnicodeDecodeError.
+NOT_UTF8 = {
+    suffix: str(Path(__file__).parent / "fixtures" / f"not_utf8_spec.{suffix}")
+    for suffix in ("json", "toml")}
+
+
+@pytest.mark.parametrize("suffix", sorted(NOT_UTF8))
+@pytest.mark.parametrize("argv", (
+    ["spec", "validate"], ["spec", "show"], ["spec", "hash"],
+    ["bench-smoke", "--spec"], ["chaos", "--spec"], ["crashfuzz", "--spec"],
+    ["perf", "--quick", "--spec"], ["trace", "--spec"],
+), ids=lambda argv: argv[0] + "-" + argv[1].lstrip("-"))
+def test_a_non_utf8_spec_file_is_a_usage_error(argv, suffix, capsys):
+    path = NOT_UTF8[suffix]
+    assert Path(path).read_bytes().startswith(b"\xff\xfe")
+    assert main([*argv, path]) == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert path in text and "not UTF-8" in text
+    assert "Traceback" not in text
+
+
+def test_one_page_blocks_under_a_persistent_ftl_fail_at_parse_time(capsys):
+    """Validated, then died mid-run with exit 2 at 08fb7bd."""
+    assert main(["crashfuzz", "--spec", str(SPEC_DIR / "crashfuzz-mix.json"),
+                 "--set", "stack.geometry.pages_per_block=1"]) == 1
+    out = capsys.readouterr().out
+    assert "spec error" in out and "pages_per_block" in out
+    assert "internal error" not in out
+
+
 def test_chaos_runs_from_example_spec(tmp_path, capsys):
     report_path = tmp_path / "chaos.json"
     code = main(["chaos", "--spec", str(SPEC_DIR / "chaos-campaign.json"),

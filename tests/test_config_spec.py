@@ -189,6 +189,26 @@ def test_crashfuzz_mix_requires_checkpointing_ftl():
         })
 
 
+def test_persistent_ftl_needs_a_second_page_per_block():
+    """Found at 08fb7bd as `crashfuzz --set stack.geometry.pages_per_block=1`
+    -> exit 2, ``ValueError('page 1 out of range')`` mid-run: the meta
+    ring writes a checkpoint page, then the journal page behind it."""
+    with pytest.raises(SpecError, match="pages_per_block must be >= 2"):
+        ExperimentSpec.from_dict({
+            "stack": {"geometry": {"pages_per_block": 1},
+                      "ftl": {"checkpoint_interval": 48,
+                              "overprovision_blocks": 4}},
+        })
+    # The rule is the pair: a volatile FTL on one-page blocks, and a
+    # persistent one on two-page blocks, are both fine.
+    ExperimentSpec.from_dict({
+        "stack": {"geometry": {"pages_per_block": 1}, "ftl": {}}})
+    ExperimentSpec.from_dict({
+        "stack": {"geometry": {"pages_per_block": 2},
+                  "ftl": {"checkpoint_interval": 48,
+                          "overprovision_blocks": 4}}})
+
+
 def test_unknown_fields_are_rejected_everywhere():
     with pytest.raises(SpecError, match="unknown spec field"):
         ExperimentSpec.from_dict({"stacc": {}})

@@ -274,6 +274,38 @@ def test_vendor_override_changes_the_emitted_waveform():
     assert overridden.op_override("read_page") is None
 
 
+def test_poll_loop_honours_a_vendor_read_status_override():
+    """The poll loop resolves READ STATUS once per loop, through the same
+    override table ``read_status_op`` resolves it through per call."""
+    from repro.analysis import LogicAnalyzer
+    from repro.core.opir.programs import read_status_enhanced_program
+
+    def enhanced_status(chip_mask=None) -> OpProgram:
+        return read_status_enhanced_program(
+            row_address_bytes=(0, 0, 0), chip_mask=chip_mask)
+
+    def capture(vendor):
+        sim = Simulator()
+        controller = BabolController(
+            sim, ControllerConfig(vendor=vendor, lun_count=1, runtime="rtos",
+                                  track_data=False, seed=6),
+        )
+        analyzer = LogicAnalyzer(controller.channel)
+        status, _ = controller.run_to_completion(
+            controller.read_page(0, 1, 0, 0))
+        opcodes = [e.opcode for e in analyzer.events if e.kind == "cmd"]
+        return status, opcodes, sim.now
+
+    stock = capture(TEST_PROFILE)
+    assert CMD.READ_STATUS in stock[1]
+    assert CMD.READ_STATUS_ENHANCED not in stock[1]
+    status, opcodes, _ = capture(
+        TEST_PROFILE.with_op_override("read_status", enhanced_status))
+    assert CMD.READ_STATUS_ENHANCED in opcodes
+    assert CMD.READ_STATUS not in opcodes
+    assert status & 0x40  # RDY: the loop ended on the override's byte
+
+
 # --- the shape memo ---------------------------------------------------------
 
 

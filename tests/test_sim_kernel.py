@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.obs import ALL_CATEGORIES, Tracer
 from repro.sim import (
     Condition,
     Mutex,
@@ -460,11 +461,17 @@ class _RefSim:
 
     def __init__(self):
         self.now, self.events_scheduled, self.entries = 0, 0, []
+        self.instants = []  # what a tracer's kernel/events track shows
 
     def schedule(self, delay, fn):
         self.events_scheduled += 1
         self.entries.append(_RefHandle(self.now + delay, self.events_scheduled, fn))
+        self.instants.append(("schedule", self.now, self.now + delay))
         return self.entries[-1]
+
+    def _wake_after(self, delay, waiter, value=None):
+        """The argument-carrying entry is ``schedule`` minus the handle."""
+        self.schedule(delay, lambda: waiter(value))
 
     def spawn(self, gen, name=""):
         proc = _RefProcess(self, gen)
@@ -477,8 +484,11 @@ class _RefSim:
             if until is not None and self.entries[0].time > until:
                 break
             entry = self.entries.pop(0)
-            if not entry.cancelled:
+            if entry.cancelled:
+                self.instants.append(("cancel", self.now, entry.time))
+            else:
                 self.now = entry.time
+                self.instants.append(("fire", self.now, self.now))
                 entry.fn()
         if until is not None and self.now < until:
             self.now = until
@@ -521,9 +531,11 @@ class _RefProcess:
             cmd.process._waiters.append(self.step)
 
 
-def _run_random_program(seed, sim, trigger_cls):
+def _run_random_program(seed, sim, trigger_cls, kinds=6):
     """Drive ``sim`` with a seeded program; every random draw happens
-    inside a callback, so equal callback order means equal programs."""
+    inside a callback, so equal callback order means equal programs.
+    ``kinds=8`` adds the argument-carrying entry (``_wake_after``) to
+    the mix, at zero and non-zero delays."""
     rng = random.Random(seed)
     stops = sorted(random.Random(~seed).sample(range(1, 150), 3))
     log, handles, procs, budget = [], [], [], [120]
@@ -553,7 +565,7 @@ def _run_random_program(seed, sim, trigger_cls):
                 return
             budget[0] -= 1
             tag = ("n", budget[0])
-            kind = rng.randrange(6)
+            kind = rng.randrange(kinds)
             if kind == 0:
                 handles.append(sim.schedule(0, callback(tag)))
             elif kind == 1:
@@ -564,8 +576,13 @@ def _run_random_program(seed, sim, trigger_cls):
                 sim.schedule(rng.choice((0, 0, 9)), callback(tag)).cancel()
             elif kind == 4:
                 procs.append(sim.spawn(worker(tag), name=str(tag)))
-            else:
+            elif kind == 5:
                 rng.choice(triggers).fire(tag)
+            elif kind == 6:  # rides the now-queue
+                sim._wake_after(0, act, ("carried", tag))
+            else:  # ties with schedule()d entries of the same instant
+                sim._wake_after(rng.choice((1, 9, 9, 30)), act,
+                                ("carried", tag))
 
     for root in range(4):
         sim.schedule(root * 11, callback(("root", root)))
@@ -582,3 +599,212 @@ def test_callback_order_matches_sorted_list_reference():
         got = _run_random_program(seed, Simulator(), Trigger)
         want = _run_random_program(seed, _RefSim(), _RefTrigger)
         assert got == want, f"seed {seed}"
+
+
+def _kernel_instants(tracer):
+    return [(e.name, e.ts, (e.args or {}).get("fire_at", e.ts))
+            for e in tracer.events if e.track == "kernel/events"]
+
+
+@pytest.mark.parametrize("traced", (False, True), ids=("untraced", "traced"))
+def test_argument_carrying_entry_matches_sorted_list_reference(traced):
+    """``_wake_after`` mixed with ``schedule``, ``cancel``, triggers and
+    processes over ``run(until=)`` halves: the callbacks run in the
+    reference's order with the reference's ``now`` and values,
+    ``events_scheduled`` counts one per entry, and a tracer sees the
+    ``schedule`` / ``fire`` / ``cancel`` instants ``schedule`` would
+    have produced."""
+    carried = 0
+    for seed in range(160):
+        sim, ref = Simulator(), _RefSim()
+        tracer = Tracer(categories=ALL_CATEGORIES) if traced else None
+        sim.set_tracer(tracer)
+        got = _run_random_program(seed, sim, Trigger, kinds=8)
+        want = _run_random_program(seed, ref, _RefTrigger, kinds=8)
+        assert got == want, f"seed {seed}"
+        assert sim.events_scheduled == ref.events_scheduled
+        if traced:
+            assert _kernel_instants(tracer) == ref.instants, f"seed {seed}"
+        carried += sum(tag[0] == "carried" for tag, _ in got[0])
+    assert carried > 300  # the mix did exercise the new entry
+
+
+def test_wake_after_carries_its_value_and_cannot_be_cancelled():
+    sim = Simulator()
+    log = []
+    assert sim._wake_after(7, log.append, "late") is None  # no handle
+    sim._wake_after(0, log.append, "now")
+    sim.schedule(7, lambda: log.append("scheduled after, same instant"))
+    assert sim.pending_events == 3 and sim.events_scheduled == 3
+    sim.run()
+    assert log == ["now", "late", "scheduled after, same instant"]
+    assert sim.now == 7
+    with pytest.raises(SimError):
+        sim._wake_after(-1, log.append)
+
+
+# --- Trigger subscribers ------------------------------------------------------
+
+
+def test_trigger_subscriber_is_synchronous_persistent_and_sees_the_value():
+    sim = Simulator()
+    trigger = Trigger(sim)
+    log = []
+
+    def waiter(tag):
+        value = yield WaitTrigger(trigger)
+        log.append((tag, value, sim.now))
+
+    sim.spawn(waiter("w1"))
+    sim.run()
+    # Subscribed after the waiter registered: it is still called after
+    # the one-shot waiters were queued (their entries are pending when
+    # the subscriber runs, not yet run).
+    trigger.subscribe(
+        lambda value: log.append(("sub", value, sim.pending_events)))
+    before = sim.events_scheduled
+    trigger.fire("a")
+    assert log == [("sub", "a", 1)]            # inside fire(), waiter queued
+    assert sim.events_scheduled == before + 1  # the waiter's step only
+    sim.run()
+    assert log == [("sub", "a", 1), ("w1", "a", 0)]
+    trigger.fire("b")                          # survives fires; no waiter left
+    trigger.fire("c")
+    assert log[2:] == [("sub", "b", 0), ("sub", "c", 0)]
+    assert sim.events_scheduled == before + 1  # a subscriber costs no step
+
+
+def test_trigger_subscribers_run_in_subscription_order():
+    sim = Simulator()
+    trigger = Trigger(sim)
+    log = []
+    trigger.subscribe(lambda v: log.append(("first", v)))
+    trigger.subscribe(lambda v: log.append(("second", v)))
+    trigger.fire(1)
+    assert log == [("first", 1), ("second", 1)]
+
+
+# --- Condition: predicate at notify -------------------------------------------
+
+
+def test_condition_waiter_with_a_false_predicate_is_not_resumed():
+    sim = Simulator()
+    cond = Condition(sim)
+    state = {"a": False, "b": False}
+    log = []
+
+    def waiter(key):
+        yield from cond.wait_for(lambda: state[key])
+        log.append((key, sim.now))
+
+    sim.spawn(waiter("a"))
+    sim.spawn(waiter("b"))
+    sim.run()
+    steps = sim.events_scheduled
+    cond.notify()                      # nobody's predicate holds
+    assert sim.events_scheduled == steps and sim.pending_events == 0
+    state["b"] = True
+    cond.notify()                      # only b is resumed ...
+    assert sim.events_scheduled == steps + 1
+    sim.run()
+    assert log == [("b", 0)]
+    state["a"] = True
+    cond.notify()                      # ... and a kept its registration
+    sim.run()
+    assert log == [("b", 0), ("a", 0)]
+
+
+def test_condition_resumes_in_registration_order_and_the_loser_rewaits():
+    sim = Simulator()
+    cond = Condition(sim)
+    tokens = []
+    log = []
+
+    def consumer(tag):
+        yield from cond.wait_for(lambda: bool(tokens))
+        log.append((tag, tokens.pop(), sim.now))
+
+    sim.spawn(consumer("first"))
+    sim.spawn(consumer("second"))
+    sim.spawn(consumer("third"))
+    sim.run()
+    tokens.append("t1")
+    cond.notify()          # all three predicates hold at notify time
+    sim.run()
+    # The first registered took the token; the others re-checked, lost,
+    # and wait again — in their original relative order.
+    assert log == [("first", "t1", 0)]
+    tokens.extend(["t2", "t3"])
+    cond.notify()
+    sim.run()
+    assert log == [("first", "t1", 0), ("second", "t3", 0),
+                   ("third", "t2", 0)]
+
+
+def test_condition_concurrent_waiters_never_share_a_gate():
+    """A finished waiter's gate is reused by the next waiter — by one."""
+    sim = Simulator()
+    cond = Condition(sim)
+    state = {"warm": False, "a": False, "b": False}
+    log = []
+
+    def waiter(key):
+        yield from cond.wait_for(lambda: state[key])
+        log.append(key)
+
+    sim.spawn(waiter("warm"))
+    sim.run()
+    state["warm"] = True
+    cond.notify()
+    sim.run()                      # its gate is now the spare one
+    sim.spawn(waiter("a"))
+    sim.spawn(waiter("b"))
+    sim.run()
+    state["b"] = True
+    steps = sim.events_scheduled
+    cond.notify()
+    sim.run()
+    assert log == ["warm", "b"]
+    assert sim.events_scheduled == steps + 1   # a did not ride b's gate
+    state["a"] = True
+    cond.notify()
+    sim.run()
+    assert log == ["warm", "b", "a"]
+
+
+def test_condition_predicate_true_at_entry_never_yields():
+    sim = Simulator()
+    cond = Condition(sim)
+
+    def body():
+        yield from cond.wait_for(lambda: True)
+        return sim.events_scheduled
+
+    # One entry for the spawn, none for the wait.
+    assert sim.run_process(body()) == 1
+    assert list(cond.wait_for(lambda: True)) == []
+
+
+def test_condition_notify_accepts_a_trigger_value():
+    """``Condition.notify`` can subscribe to a pulse directly (the
+    environment listens to ``executor.slot_freed`` this way)."""
+    sim = Simulator()
+    cond = Condition(sim)
+    pulse = Trigger(sim)
+    pulse.subscribe(cond.notify)
+    state = {"room": False}
+    log = []
+
+    def waiter():
+        yield from cond.wait_for(lambda: state["room"])
+        log.append(sim.now)
+
+    sim.spawn(waiter())
+    sim.run()
+    pulse.fire("ignored")
+    sim.run()
+    assert log == []
+    state["room"] = True
+    pulse.fire("ignored")
+    sim.run()
+    assert log == [0]

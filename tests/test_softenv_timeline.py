@@ -273,9 +273,17 @@ if __name__ == "__main__":
 @pytest.mark.parametrize("config", CONFIGS)
 def test_timeline_equals_the_recording(config, traced):
     recorded = json.loads(FIXTURE.read_text())[config]
-    timeline = run_timeline(config, Tracer() if traced else None)
+    tracer = Tracer() if traced else None
+    timeline = run_timeline(config, tracer)
     # JSON round trip: tuples and int keys compare as the file holds them.
     assert json.loads(json.dumps(summarize(timeline))) == recorded
+    if traced:
+        # Every charge is a ``cpu`` span, wherever the charge is written.
+        spans = [e for e in tracer.events if e.cat == "cpu"]
+        assert sum(e.args["cycles"] for e in spans) == sum(
+            cycles for cycles, _, _ in timeline["cpus"])
+        assert sum(e.value for e in spans) == sum(
+            busy_ns for _, _, busy_ns in timeline["cpus"])
 
 
 def test_workload_reaches_every_environment_command():
