@@ -86,9 +86,8 @@ class _Recording:
     the choice — tasks and transactions named by their labels, whose
     process-global ids would differ between runs."""
 
-    def __init__(self, inner, sim, log: list, name: str):
+    def __init__(self, inner, sim, log: list):
         self.inner, self.sim, self.log = inner, sim, log
-        self.name = name
 
     def select(self, items):
         choice = self.inner.select(items)
@@ -174,9 +173,9 @@ def _build(config: str, sim: Simulator):
         log = {"task_select": [], "txn_select": [], "txns": [], "tasks": []}
         env = controller.env
         env.task_scheduler = _Recording(
-            TASK_SCHEDULERS[task_name](), sim, log["task_select"], task_name)
+            TASK_SCHEDULERS[task_name](), sim, log["task_select"])
         env.txn_scheduler = _Recording(
-            TXN_SCHEDULERS[txn_name](), sim, log["txn_select"], txn_name)
+            TXN_SCHEDULERS[txn_name](), sim, log["txn_select"])
         logs.append(log)
     return controllers, logs
 
