@@ -162,15 +162,18 @@ def run_firehose_workload():
 
 
 def test_kernel_firehose_trace_is_pinned():
-    # Digest and count recorded on the commit before the tuple-heap
-    # kernel (PR 13): every schedule / fire / cancel instant, with its
-    # fire_at, in the same order, whatever the queue entries look like.
+    # Every schedule / fire / cancel instant, with its fire_at, in the
+    # same order, whatever the queue entries look like.  Recorded on the
+    # commit before the tuple-heap kernel (PR 13: 15e6ffda..., 2910
+    # entries) and re-recorded once, by PR 23, which deleted kernel
+    # entries on purpose: the slot-freed forwarding process and every
+    # wake-up of a waiter whose predicate is false (2910 -> 2529).
     sim, tracer = run_firehose_workload()
     buffer = io.StringIO()
     write_chrome_trace(buffer, tracer)
     digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
     assert digest == (
-        "15e6ffdaf3d651392b8d1dbf4fb35b2e70d433552e57c8a21214b781a845b7ad")
+        "03ebacf677f7c78cbed01a9d8536ff8c70bcf8b602d65295a60233638aaf6f6b")
     # The same trace without the kernel's own bookkeeping — channel, txn,
     # cpu, sched, task and op spans and counters — recorded on 08fb7bd:
     # a change to how many kernel entries a run takes (a forwarding
@@ -185,9 +188,8 @@ def test_kernel_firehose_trace_is_pinned():
         "d42fba32f97f0ce508e36a99999f2a87ddb0ce37628be3b3d7f979ef98bb9186")
     kinds = [e.name for e in tracer.events if e.track == "kernel/events"]
     assert kinds.count("cancel") == 2
-    # One "schedule" instant per enqueue, cancellable or not: 2910 is the
-    # number of schedule() calls the pre-rewrite kernel made here.
-    assert sim.events_scheduled == kinds.count("schedule") == 2910
+    # One "schedule" instant per enqueue, cancellable or not.
+    assert sim.events_scheduled == kinds.count("schedule") == 2529
 
 
 # --- invariance: tracing must never change the simulation --------------------
