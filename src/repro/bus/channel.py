@@ -23,12 +23,7 @@ from typing import Callable, Generator, Optional
 from repro.bus.phy import ChannelPhy
 from repro.flash.lun import Lun
 from repro.onfi.datamodes import DataInterface, NVDDR2_200
-from repro.onfi.signals import (
-    DataInAction,
-    DataOutAction,
-    SegmentKind,
-    WaveformSegment,
-)
+from repro.onfi.signals import SegmentKind, WaveformSegment
 from repro.onfi.timing import TimingSet, timing_for_mode
 from repro.sim import Simulator
 from repro.sim.sync import Mutex
@@ -43,16 +38,6 @@ class ChannelStats:
     data_bytes_out: int = 0
     data_bytes_in: int = 0
     per_kind: Counter[str] = field(default_factory=Counter)
-
-    def record(self, segment: WaveformSegment) -> None:
-        self.segments += 1
-        self.busy_ns += segment.duration_ns
-        self.per_kind[segment.kind.value] += 1
-        for _, action in segment.actions:
-            if isinstance(action, DataOutAction):
-                self.data_bytes_out += action.nbytes
-            elif isinstance(action, DataInAction):
-                self.data_bytes_in += action.nbytes
 
 
 class Channel:
@@ -85,6 +70,8 @@ class Channel:
         self.timing: TimingSet = timing_for_mode(interface.name)
         self.mutex = Mutex(sim)
         self.stats = ChannelStats()
+        # chip mask -> selected LUN positions, for this channel's width.
+        self._targets: dict[int, tuple[int, ...]] = {}
         self._taps: list[Callable[[int, WaveformSegment], None]] = []
         self._san_bus = None  # BusSanitizer when attached (repro.sanitize)
         self._fault_hook = None  # FaultInjector when attached (repro.faults)
@@ -163,16 +150,27 @@ class Channel:
         frame.  The waveform tier drives at the kernel's ``now`` and the
         dies schedule each action at its offset; the TLM tier passes the
         segment's logical start ``at`` and the dies apply them inline.
+
+        This is where :class:`ChannelStats` is booked, for both tiers
+        and the hardware baselines, from the segment's plain fields: no
+        action is inspected here unless an NV-DDR burst meets an
+        uncalibrated PHY.
         """
         now = self.sim.now if at is None else at
         segment.emitted_at = now
-        self.stats.record(segment)
+        kind = segment.kind
+        stats = self.stats
+        stats.segments += 1
+        stats.busy_ns += segment.duration_ns
+        stats.per_kind[kind._value_] += 1
+        stats.data_bytes_out += segment.data_out_bytes
+        stats.data_bytes_in += segment.data_in_bytes
         tracer = self.sim._tracer
         if tracer is not None:
             # One span per segment on this channel's track: the bus
             # occupancy picture Figs. 10-12 reason about.
             tracer.complete(
-                "channel", f"channel/{self.name}", segment.kind.value,
+                "channel", f"channel/{self.name}", kind._value_,
                 now, segment.duration_ns,
                 {"chip_mask": segment.chip_mask, "label": segment.label},
             )
@@ -180,10 +178,18 @@ class Channel:
             tap(now, segment)
         if self._san_bus is not None:
             self._san_bus.on_transmit(now, segment, self.mutex.owner)
-        targets = segment.targets(len(self.luns))
-        if not targets and segment.kind is not SegmentKind.TIMER:
+        try:
+            targets = self._targets[segment.chip_mask]
+        except KeyError:
+            targets = self._targets[segment.chip_mask] = tuple(
+                segment.targets(len(self.luns)))
+        if not targets and kind is not SegmentKind.TIMER:
             raise ValueError(f"segment {segment.describe()} selects no LUN")
-        self._apply_phy(segment, targets)
+        # SDR is slow enough that trace-length skew never leaves the
+        # sampling eye — which is why packages can always boot in it.
+        if self.interface.ddr and (kind is SegmentKind.DATA_OUT
+                                   or kind is SegmentKind.DATA_IN):
+            self._apply_phy(segment, targets)
         if self._fault_hook is not None:
             self._fault_hook.on_transmit(now, segment, targets)
         for position in targets:
@@ -192,13 +198,9 @@ class Channel:
             else:
                 self.luns[position].deliver_segment_inline(segment, at)
 
-    def _apply_phy(self, segment: WaveformSegment, targets: list[int]) -> None:
-        if not self.interface.ddr:
-            # SDR is slow enough that trace-length skew never leaves the
-            # sampling eye — which is why packages can always boot in it.
-            return
-        if segment.kind not in (SegmentKind.DATA_OUT, SegmentKind.DATA_IN):
-            return
+    def _apply_phy(self, segment: WaveformSegment, targets: tuple) -> None:
+        """An NV-DDR data burst: garble it if a selected die's PHY
+        position is not trimmed into the sampling eye."""
         unreliable = [p for p in targets if not self.phy.data_reliable(p)]
         if not unreliable:
             return

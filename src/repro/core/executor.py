@@ -10,6 +10,11 @@ principle.
 The queue is deliberately shallow (default depth 1): keeping ordering
 decisions in software until the last possible moment is what lets the
 transaction scheduler reorder under contention.
+
+The pipeline is the queue's only consumer, so the hand-offs around it
+are plain state: ``has_room`` is an attribute kept beside the queue (the
+dispatcher reads it three times per transaction), and an idle pipeline
+parks on one gate that ``push`` fires only while it is parked.
 """
 
 from __future__ import annotations
@@ -18,12 +23,14 @@ from collections import deque
 
 from repro.bus.channel import Channel
 from repro.core.transaction import Transaction
-from repro.sim import Simulator, Timeout
-from repro.sim.sync import Condition, Trigger
+from repro.sim import Simulator, Timeout, WaitTrigger
+from repro.sim.sync import Trigger
 
 
 class Executor:
-    """Drains prepared transactions onto the channel."""
+    """Drains prepared transactions onto the channel: ``has_room`` says
+    whether ``push`` may be called, ``slot_freed`` pulses when the
+    pipeline takes a descriptor out of the queue."""
 
     def __init__(
         self,
@@ -42,17 +49,15 @@ class Executor:
         self._dispatch = Timeout(dispatch_latency_ns)
         self.queue_depth = queue_depth
         self._queue: deque[Transaction] = deque()
-        self._cond = Condition(sim)
+        self.has_room = True  # len(_queue) < queue_depth, kept by push/_run
+        self._gate = Trigger(sim)  # wakes the pipeline, when parked
+        self._parked = False
         self.slot_freed = Trigger(sim)  # software listens: room to dispatch
         self.executed = 0
         self.busy_ns = 0
         self._process = sim.spawn(self._run(), name="executor")
 
     # -- software-facing interface ------------------------------------
-
-    @property
-    def has_room(self) -> bool:
-        return len(self._queue) < self.queue_depth
 
     @property
     def pending(self) -> int:
@@ -65,17 +70,24 @@ class Executor:
         if not txn.segments:
             raise ValueError(f"empty transaction {txn.describe()}")
         txn.dispatched_at = self.sim.now
-        self._queue.append(txn)
-        self._cond.notify()
+        queue = self._queue
+        queue.append(txn)
+        self.has_room = len(queue) < self.queue_depth
+        if self._parked:
+            self._parked = False
+            self._gate.fire()
 
     # -- the hardware pipeline -----------------------------------------
 
     def _run(self):
         queue = self._queue
+        idle = WaitTrigger(self._gate)
         while True:
-            # (a deque's own length is the predicate: non-empty is true)
-            yield from self._cond.wait_for(queue.__len__)
+            if not queue:
+                self._parked = True
+                yield idle
             txn = queue.popleft()
+            self.has_room = True
             self.slot_freed.fire(self)
             if self.dispatch_latency_ns:
                 yield self._dispatch

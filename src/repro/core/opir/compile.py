@@ -24,7 +24,10 @@ tagged by the ints below (``f`` is a lowered ``f(regs, handles, hooks)``;
 A recipe's ``actions`` holds ``(offset, action)`` where the shape fixes
 the action (command latches, idle waits) and ``(offset, tag, a, b, c)``
 at the indices in ``fills``: ``ADDR`` (a = operand slot), ``DATA_OUT`` /
-``DATA_IN`` (a = nbytes, b = handle name, c = column).
+``DATA_IN`` (a = nbytes, b = handle name, c = column).  A lowered recipe
+is a :class:`Recipe`: those eight slots, read off the validated segment
+the µFSM emitted, plus that segment as ``prototype`` — what a
+transmission binds (:meth:`WaveformSegment.bind`).
 """
 
 from __future__ import annotations
@@ -70,6 +73,23 @@ _MINTS = {
 UNFOLDED = object()  # Lowered.template before the TLM runner asked
 
 
+class Recipe(tuple):
+    """One segment of a lowered transaction: the eight slots of the
+    module docstring, and ``prototype`` — the segment ``ufsm`` emitted
+    for this shape, validated once by its constructor.  Kind, duration
+    and label are taken from it, so slots and prototype cannot differ."""
+
+    def __new__(cls, ufsm, prototype, actions, fills, mask, via):
+        assert ([entry[0] for entry in actions]
+                == [offset for offset, _ in prototype.actions]), \
+            "a recipe's offsets are its prototype's"
+        self = super().__new__(cls, (
+            ufsm, prototype.kind, prototype.duration_ns, actions, fills,
+            mask, prototype.label, via))
+        self.prototype = prototype
+        return self
+
+
 class Lowered:
     """One lowered shape.  ``program`` is the instance it was lowered
     from (the TLM runner fingerprints it); ``alias`` is set instead of
@@ -106,7 +126,7 @@ def _mask(chip_mask):
     return lower_expr(chip_mask)
 
 
-def _lower_segment(bank, node, operands: list, declared: set) -> tuple:
+def _lower_segment(bank, node, operands: list, declared: set) -> Recipe:
     """One segment node to its recipe, via the bank's µFSM emitters."""
     name = None
     if isinstance(node, LatchSeq):
@@ -147,9 +167,9 @@ def _lower_segment(bank, node, operands: list, declared: set) -> tuple:
         else:
             continue  # a command latch or idle wait: fixed by the shape
         fills.append(index)
-    return (ufsm, segment.kind, segment.duration_ns, tuple(actions),
-            tuple(fills), _mask(node.chip_mask), segment.label,
-            getattr(node, "via_chip_control", False))
+    return Recipe(ufsm, segment, tuple(actions), tuple(fills),
+                  _mask(node.chip_mask),
+                  getattr(node, "via_chip_control", False))
 
 
 def lower(bank, program: OpProgram) -> tuple[Lowered, tuple]:

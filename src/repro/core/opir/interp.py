@@ -5,12 +5,20 @@ operation (the golden tests hold it to the seed generators: same
 segments, same nanoseconds, same results).  It is one generator,
 :func:`run_lowered`, over the flat steps of
 :func:`repro.core.opir.compile.lower`: no program node is visited at run
-time, but every transmission still gets a fresh ``WaveformSegment``
-(taps, sanitizers, fault hooks and Chip Control read and mutate it) in a
-fresh ``Transaction``.  Composition goes through the public ``*_op``
-wrappers and status polls through the poll loop of ``core/ops/base``
-(``poll_until_ready``'s), so traced spans nest the way Algorithm 2 nests
-Algorithm 1 and vendor overrides resolve for callees too.
+time.  Per transmission, what is *fresh* is the ``Transaction``, each
+``WaveformSegment`` object (taps, sanitizers, fault hooks and Chip
+Control read it, keep it and write ``emitted_at`` / ``chip_mask`` / its
+DMA handles) and the actions carrying this call's address bytes and DMA
+handles; what is *shared* is everything the lowering proved — a segment
+is bound (``WaveformSegment.bind``) from the validated prototype its
+recipe keeps, so kind, duration, label, offsets, burst sizes and a
+fill-free actions tuple are the prototype's, unchecked and uncounted
+here.  The ``Transaction`` is built and ``EnvAwait`` yielded in place:
+``ctx.transaction`` + ``ctx.add_transaction`` without their frames.
+Composition goes through the public ``*_op`` wrappers and status polls
+through the poll loop of ``core/ops/base`` (``poll_until_ready``'s), so
+traced spans nest the way Algorithm 2 nests Algorithm 1 and vendor
+overrides resolve for callees too.
 """
 
 from __future__ import annotations
@@ -33,13 +41,10 @@ from repro.core.opir.compile import (
     lower,
 )
 from repro.core.opir.nodes import OpProgram, SelectFirstReady
+from repro.core.softenv.base import EnvAwait
+from repro.core.transaction import Transaction
 from repro.core.ufsm.chip_control import ChipControl
-from repro.onfi.signals import (
-    AddressLatch,
-    DataInAction,
-    DataOutAction,
-    WaveformSegment,
-)
+from repro.onfi.signals import AddressLatch, DataInAction, DataOutAction
 from repro.onfi.status import StatusRegister
 
 
@@ -62,9 +67,11 @@ def run_lowered(ctx, lowered: Lowered, operands: tuple, hooks=None):
         pc += 1
         tag = step[0]
         if tag == TXN:
-            txn = ctx.transaction(step[1], label=step[2])
+            txn = Transaction(ctx.sim, ctx.lun_position, step[1], None,
+                              step[2])
             segments = txn.segments
-            for ufsm, kind, duration, actions, fills, mask, label, via in step[3]:
+            for recipe in step[3]:
+                ufsm, _, _, actions, fills, mask, _, via = recipe
                 if fills:
                     actions = list(actions)
                     for index in fills:
@@ -82,13 +89,12 @@ def run_lowered(ctx, lowered: Lowered, operands: tuple, hooks=None):
                 elif type(mask) is not int:
                     mask = mask(regs, handles, hooks)
                 ufsm.emissions += 1
-                segment = WaveformSegment(kind, duration, actions,
-                                          1 if via else mask, label)
+                segment = recipe.prototype.bind(actions, 1 if via else mask)
                 if via:  # emitted with the default mask, then redirected
                     # by Chip Control: the gang-scheduling idiom (Fig. 6d)
                     ctx.ufsm.chip_control.apply(segment, mask)
                 segments.append(segment)
-            yield from ctx.add_transaction(txn)
+            yield EnvAwait(txn)
         elif tag == HANDLE:
             handles[step[1]] = step[2](
                 ctx.packetizer, operands[step[4]], step[3])

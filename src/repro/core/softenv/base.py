@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 from repro.core.executor import Executor
@@ -275,8 +276,7 @@ class SoftwareEnvironment:
         self._running_per_lun: dict[int, int] = {}
         self._work = Condition(sim)
         self._stopped = False
-        self._tick_batch: list[Task] = []
-        self._tick_event = None
+        self._tick_batch: list[Task] = []  # non-empty = a tick is due
 
         self.tasks_submitted = 0
         self.tasks_completed = 0
@@ -483,7 +483,9 @@ class SoftwareEnvironment:
             self._work.notify()
             return
         task.state = TaskState.BLOCKED
-        txn.completed._add_waiter(lambda value, t=task: self._txn_woke(t, value))
+        # One-shot: the callback holds the task, whose frame holds the
+        # transaction — left registered, that is a reference cycle.
+        txn.completed.once(partial(self._txn_woke, task))
 
     def _txn_woke(self, task: Task, txn: Transaction) -> None:
         task.send_value = txn
@@ -496,13 +498,12 @@ class SoftwareEnvironment:
         # within one window share the same tick (the loop drains its
         # completion queue in a batch), so the latency amortizes across
         # LUNs instead of serializing per event.  The CPU is not held.
+        if not self._tick_batch:
+            self.sim._wake_after(delay, self._on_tick)
         self._tick_batch.append(task)
-        if self._tick_event is None or not self._tick_event.pending:
-            self._tick_event = self.sim.schedule(delay, self._on_tick)
 
-    def _on_tick(self) -> None:
+    def _on_tick(self, _value: Any = None) -> None:
         batch, self._tick_batch = self._tick_batch, []
-        self._tick_event = None
         for task in batch:
             self._make_ready(task)
 

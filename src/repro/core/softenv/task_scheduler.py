@@ -11,6 +11,7 @@ an SSD Architect subclasses.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,9 +41,10 @@ class RoundRobinTaskScheduler(TaskScheduler):
     """Fair rotation across tasks (by last-resumed time, oldest first)."""
 
     name = "round-robin"
+    _key = attrgetter("last_resumed_at", "id")
 
     def select(self, ready: Sequence["Task"]) -> "Task":
-        return min(ready, key=lambda task: (task.last_resumed_at, task.id))
+        return min(ready, key=self._key)
 
 
 class PriorityTaskScheduler(TaskScheduler):
@@ -53,6 +55,7 @@ class PriorityTaskScheduler(TaskScheduler):
     """
 
     name = "priority"
+    _key = attrgetter("priority", "ready_since", "id")
 
     def select(self, ready: Sequence["Task"]) -> "Task":
-        return min(ready, key=lambda task: (task.priority, task.ready_since, task.id))
+        return min(ready, key=self._key)

@@ -11,6 +11,7 @@ which are pure overhead while the channel is contended.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.core.transaction import Transaction, TxnKind
@@ -30,9 +31,10 @@ class FifoTxnScheduler(TxnScheduler):
     """Dispatch in enqueue order."""
 
     name = "fifo"
+    _key = attrgetter("enqueued_at", "id")
 
     def select(self, pending: Sequence[Transaction]) -> Transaction:
-        return min(pending, key=lambda txn: (txn.enqueued_at, txn.id))
+        return min(pending, key=self._key)
 
 
 class RoundRobinTxnScheduler(TxnScheduler):
@@ -66,6 +68,7 @@ class PriorityTxnScheduler(TxnScheduler):
     """
 
     name = "priority"
+    _key = attrgetter("priority", "enqueued_at", "id")
 
     def __init__(self, age_threshold_ns: Optional[int] = None):
         # Aging is off by default: measurements (see the transaction-
@@ -74,17 +77,18 @@ class PriorityTxnScheduler(TxnScheduler):
         self.age_threshold_ns = age_threshold_ns
 
     def select(self, pending: Sequence[Transaction]) -> Transaction:
-        def key(txn: Transaction) -> tuple:
+        threshold = self.age_threshold_ns
+        if threshold is None:
+            return min(pending, key=self._key)
+
+        def aged_key(txn: Transaction) -> tuple:
             priority = txn.priority
-            if (
-                self.age_threshold_ns is not None
-                and txn.kind is TxnKind.POLL
-                and txn.sim.now - txn.enqueued_at >= self.age_threshold_ns
-            ):
+            if (txn.kind is TxnKind.POLL
+                    and txn.sim.now - txn.enqueued_at >= threshold):
                 priority = -1  # aged poll: cheap, and it unblocks work
             return (priority, txn.enqueued_at, txn.id)
 
-        return min(pending, key=key)
+        return min(pending, key=aged_key)
 
     @staticmethod
     def poll_pressure(pending: Sequence[Transaction]) -> float:

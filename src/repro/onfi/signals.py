@@ -134,6 +134,15 @@ class WaveformSegment:
         chip_mask: bitmap of targeted LUN positions on the channel
             (bit *i* set = chip-enable asserted for position *i*).
         label: short human-readable tag for traces.
+        data_out_bytes / data_in_bytes: burst bytes per direction,
+            counted in the one walk that validates ``actions`` so the
+            channel books a segment from plain fields.
+
+    The constructor validates; :meth:`bind` mints a transmission of an
+    already validated segment, which has nothing left to check.  After
+    either, what may still be written is ``emitted_at`` (the channel, on
+    driving it), ``chip_mask`` (Chip Control) and the DMA handles its
+    bursts point at (PHY, fault hooks) — never the shape.
     """
 
     kind: SegmentKind
@@ -142,17 +151,39 @@ class WaveformSegment:
     chip_mask: int = 0b1
     label: str = ""
     emitted_at: Optional[int] = field(default=None, compare=False)
+    data_out_bytes: int = field(default=0, init=False, compare=False)
+    data_in_bytes: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.duration_ns < 0:
             raise ValueError("segment duration must be >= 0")
         last = -1
-        for offset, _ in self.actions:
+        for offset, action in self.actions:
             if offset < last:
                 raise ValueError("segment action offsets must be non-decreasing")
             if offset > self.duration_ns:
                 raise ValueError("segment action offset beyond segment end")
             last = offset
+            if isinstance(action, DataOutAction):
+                self.data_out_bytes += action.nbytes
+            elif isinstance(action, DataInAction):
+                self.data_in_bytes += action.nbytes
+
+    def bind(self, actions: tuple, chip_mask: int) -> "WaveformSegment":
+        """A fresh segment of this one's shape — kind, duration, label
+        and burst sizes shared, not yet emitted — carrying ``actions``
+        (this segment's offsets and burst sizes, the caller's address
+        bytes and DMA handles) for ``chip_mask``."""
+        segment = object.__new__(WaveformSegment)  # no __init__: see above
+        segment.kind = self.kind
+        segment.duration_ns = self.duration_ns
+        segment.actions = actions
+        segment.chip_mask = chip_mask
+        segment.label = self.label
+        segment.emitted_at = None
+        segment.data_out_bytes = self.data_out_bytes
+        segment.data_in_bytes = self.data_in_bytes
+        return segment
 
     def targets(self, channel_width: int) -> list[int]:
         """LUN positions selected by the chip mask."""

@@ -22,22 +22,31 @@ from repro.sim.kernel import Simulator, WaitTrigger
 class Trigger:
     """A repeatable event that resumes all current waiters when fired.
 
-    A waiter is one-shot and resumes through the scheduler (one kernel
-    step).  A *subscriber* is persistent and synchronous: every ``fire``
-    calls it with the value, after queueing the waiters — a listener that
-    only forwards the pulse needs no process and costs no step.  It must
+    Three ways to hear a pulse, by what the listener is:
+
+    * a *waiter* is a process: one-shot, resumed through the scheduler
+      (one kernel step), so firing is never re-entrant for it;
+    * a *subscriber* is persistent and synchronous: every ``fire`` calls
+      it with the value — a listener that only forwards the pulse needs
+      no process and costs no step;
+    * a *one-shot callback* (:meth:`once`) is synchronous too, but hears
+      only the next ``fire`` and is forgotten before it runs — for a
+      listener that holds its caller (a task blocked on this pulse), so
+      that a fired trigger keeps nothing of it alive.
+
+    ``fire`` queues the waiters, then calls subscribers, then one-shot
+    callbacks, each in registration order.  A synchronous listener must
     not block and must not fire this trigger.
     """
 
-    __slots__ = ("sim", "_waiters", "_subscribers", "fire_count",
-                 "last_value")
+    __slots__ = ("sim", "_waiters", "_subscribers", "_once", "fire_count")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._waiters: list[Callable[[Any], None]] = []
         self._subscribers: tuple[Callable[[Any], None], ...] = ()
+        self._once: tuple[Callable[[Any], None], ...] = ()
         self.fire_count = 0
-        self.last_value: Any = None
 
     def _add_waiter(self, waiter: Callable[[Any], None]) -> None:
         self._waiters.append(waiter)
@@ -46,10 +55,13 @@ class Trigger:
         """Call ``callback(value)`` from inside every future ``fire``."""
         self._subscribers += (callback,)
 
+    def once(self, callback: Callable[[Any], None]) -> None:
+        """Call ``callback(value)`` from inside the next ``fire`` only."""
+        self._once += (callback,)
+
     def fire(self, value: Any = None) -> None:
         """Fire now: every process currently waiting resumes with ``value``."""
         self.fire_count += 1
-        self.last_value = value
         waiters = self._waiters
         if waiters:
             self._waiters = []
@@ -57,6 +69,11 @@ class Trigger:
             self.sim._wake(waiters, value)
         for callback in self._subscribers:
             callback(value)
+        once = self._once
+        if once:
+            self._once = ()
+            for callback in once:
+                callback(value)
 
     def wait(self) -> Generator:
         """Process command helper: ``value = yield from trigger.wait()``."""
