@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.cli.common import resolve_spec, spec_opts
+from repro.config.specs import SpecError
 
 
 def cmd_chaos(args) -> int:
@@ -38,6 +39,8 @@ def cmd_chaos(args) -> int:
         )
         for key, count in sorted(summary["unrecovered"].items()):
             print(f"  UNRECOVERED {key}: {count}")
+    except SpecError:  # sized against the spec before anything ran
+        raise
     except Exception as exc:  # the harness broke — not a finding
         print(f"chaos: internal error: {exc!r}")
         return EXIT_INTERNAL
@@ -68,6 +71,8 @@ def cmd_crashfuzz(args) -> int:
             print(f"crashfuzz: report -> {args.json}")
         for line in summarize(report):
             print(line)
+    except SpecError:  # sized against the spec before anything ran
+        raise
     except Exception as exc:  # the harness broke — not a finding
         print(f"crashfuzz: internal error: {exc!r}")
         return EXIT_INTERNAL

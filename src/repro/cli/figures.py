@@ -26,6 +26,7 @@ from repro.config.specs import (
     SpecError,
     StackSpec,
     WorkloadSpec,
+    require_dram,
 )
 from repro.flash.vendors import VENDOR_PROFILES, profile_by_name
 from repro.onfi.datamodes import NVDDR2_100, NVDDR2_200
@@ -77,6 +78,8 @@ def cmd_demo(args) -> int:
     sim.set_tracer(tracer)
     controller = build_controllers(sim, spec.stack)[0]
     page = controller.codec.geometry.full_page_size
+    require_dram(spec.stack.dram_size, 2 * page,
+                 "the demo (a program page and a read page)")
     payload = (np.arange(page) % 251).astype(np.uint8)
     controller.dram.write(0, payload)
     controller.run_to_completion(controller.program_page(0, 1, 0, 0))

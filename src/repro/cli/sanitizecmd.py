@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.cli.common import resolve_spec, spec_opts
+from repro.config.specs import SpecError
 
 
 def cmd_sanitize(args) -> int:
@@ -26,6 +27,8 @@ def cmd_sanitize(args) -> int:
                 handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
             print(f"sanitize: findings -> {args.json}")
         print(report.render_text(title="sanitize"))
+    except SpecError:  # sized against the spec before anything ran
+        raise
     except Exception as exc:  # the harness broke — not a finding
         print(f"sanitize: internal error: {exc!r}")
         return EXIT_INTERNAL

@@ -18,7 +18,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.config.specs import ExperimentSpec, SpecError, StackSpec
+from repro.config.specs import (
+    ExperimentSpec,
+    SpecError,
+    StackSpec,
+    require_dram,
+)
 
 
 def stack_profile(stack: StackSpec):
@@ -227,6 +232,13 @@ def build_experiment(spec: ExperimentSpec, sim=None,
         from repro.host.engine import ScaleEngine
 
         workload = spec.workload
+        require_dram(
+            spec.stack.dram_size,
+            workload.dram_base + (workload.queue_depth - 1)
+            * workload.dram_stride
+            + controllers[0].codec.geometry.full_page_size,
+            f"the host slot pool (workload.queue_depth="
+            f"{workload.queue_depth} slots of workload.dram_stride)")
         engine = ScaleEngine(
             sim, ftl,
             queue_depth=workload.queue_depth,

@@ -116,6 +116,16 @@ def _coerce_scalar(name: str, value, kind, where: str):
     return value
 
 
+def require_dram(dram_size: int, needed: int, who: str) -> None:
+    """Refuse a ``stack.dram_size`` smaller than what ``who`` stages in
+    it: a :class:`SpecError` where the footprint is sized, before the
+    run, instead of a bounds error from inside it."""
+    if needed > dram_size:
+        raise SpecError(
+            f"stack.dram_size={dram_size} is too small: {who} needs "
+            f"{needed} bytes")
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
     """Data-only overrides of the vendor's NAND geometry.
@@ -325,8 +335,19 @@ class StackSpec:
                     f"field name to a non-negative ns value, got {pair!r}"
                 )
         self.geometry.validate()
+        vendor = VENDOR_PROFILES[self.vendor].geometry
+        full_page = ((self.geometry.page_size or vendor.page_size)
+                     + (self.geometry.spare_size or vendor.spare_size))
+        require_dram(self.dram_size, full_page,
+                     "any operation with data (one page incl. spare)")
         if self.ftl is not None:
             self.ftl.validate()
+            # GC staging grows down from gc_staging_base; ftl/persist.py
+            # stages meta pages in the third page above it.
+            require_dram(self.dram_size,
+                         self.ftl.gc_staging_base + 3 * full_page,
+                         "the FTL's GC and meta staging around "
+                         "stack.ftl.gc_staging_base")
             # ftl/persist.py opens every meta block with a checkpoint
             # page and journals behind it: it needs the second page.
             if self.ftl.checkpoint_interval > 0 \

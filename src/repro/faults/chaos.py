@@ -559,6 +559,10 @@ def run_chaos(spec: ExperimentSpec, profile=None,
         campaign = plan.resolve_campaign()
     campaign.validate()
     stack = spec.stack
+    # Sized before any phase runs: the SPOR phase's FTL staging is the
+    # campaign's largest DRAM footprint (the FTL phase stages at the
+    # same base, the ops phase in the first 2 * _OPS_LUNS pages).
+    dataclasses.replace(stack, ftl=_SPOR_FTL).validate()
 
     targets = ["babol"] + (["sync-hw", "async-hw"] if plan.baselines else [])
     report: dict = {

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config.specs import require_dram
 from repro.sim import Simulator
 from repro.sim.kernel import NS_PER_S
 
@@ -56,6 +57,10 @@ def measure_read_throughput(
     """
     geometry = controller.codec.geometry
     page_size = geometry.page_size
+    reads = lun_count * (warmup_per_lun + reads_per_lun)
+    require_dram(controller.dram.size,
+                 (reads - 1) * dram_stride + geometry.full_page_size,
+                 f"the read-throughput harness ({reads} read buffers)")
     state = {"started_at": None, "completed": 0}
     total_measured = reads_per_lun * lun_count
 
@@ -97,6 +102,9 @@ def submit_mixed_ops(controller, ops: int) -> list:
     sanitizers' hazard windows interesting."""
     page = controller.codec.geometry.full_page_size
     luns = len(controller.luns)
+    require_dram(controller.dram.size, page * (1 + luns),
+                 f"the mixed-op workload (a program page + one read "
+                 f"page per LUN, {luns} LUNs)")
     controller.dram.write(0, (np.arange(page) % 251).astype(np.uint8))
     tasks = []
     for i in range(ops):

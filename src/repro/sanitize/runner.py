@@ -23,6 +23,7 @@ from repro.config.specs import (
     ExperimentSpec,
     StackSpec,
     WorkloadSpec,
+    require_dram,
 )
 
 #: What a sanitize spec may not change: every run attaches *all*
@@ -122,6 +123,9 @@ def run_baseline_sanitized(
     analyzer = LogicAnalyzer(controller.channel, capture_rb=True)
 
     page = controller.codec.geometry.full_page_size
+    require_dram(controller.dram.size, page * (1 + lun_count),
+                 f"the {kind}-hw sanitize sweep (a program page + one "
+                 f"read page per LUN, {lun_count} LUNs)")
     payload = (np.arange(page) % 249).astype(np.uint8)
     controller.dram.write(0, payload)
 

@@ -223,3 +223,50 @@ def test_figures_accept_spec_overrides(capsys):
     assert main(["fig11", "--set", "workload.io_count=2"]) == 0
     out = capsys.readouterr().out
     assert "polling" in out.lower() or "rtos" in out.lower()
+
+
+# --- stack.dram_size too small for what a harness stages -----------------
+# At d304518 each of these died mid-run: a ValueError / AllocationError
+# traceback (exit 1) or "internal error: AllocationError(...)" (exit 2).
+
+HYNIX_PAGE = 16384 + 2048
+CHAOS_PAGE = 2048 + 64
+FTL_STAGING = 48 * 1024 * 1024  # FtlSpec.gc_staging_base
+CRASH = ["--set", "campaign.crash_seeds=1", "--set", "campaign.crash_points=2"]
+
+# (argv, smallest accepted stack.dram_size, who needs it)
+DRAM_FLOORS = {
+    "demo": (["demo"], 2 * HYNIX_PAGE, "demo"),
+    "trace": (["trace"], 5 * HYNIX_PAGE, "mixed-op workload"),
+    "sanitize": (["sanitize"], 5 * HYNIX_PAGE, "mixed-op workload"),
+    "fig10": (["fig10", "--freq-mhz", "1000"],
+              (8 * 14 - 1) * 32768 + HYNIX_PAGE, "read-throughput harness"),
+    "fig11": (["fig11"], HYNIX_PAGE, "one page incl. spare"),
+    "bench-smoke": (["bench-smoke"], HYNIX_PAGE, "one page incl. spare"),
+    "fig12": (["fig12", "--ways", "1"], FTL_STAGING + 3 * HYNIX_PAGE,
+              "gc_staging_base"),
+    "perf": (["perf", "--quick"], FTL_STAGING + 3 * HYNIX_PAGE,
+             "gc_staging_base"),
+    "chaos": (["chaos", "--set", "campaign.baselines=false"],
+              FTL_STAGING + 3 * CHAOS_PAGE, "gc_staging_base"),
+    "crashfuzz": (["crashfuzz", *CRASH], FTL_STAGING + 3 * CHAOS_PAGE,
+                  "gc_staging_base"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAM_FLOORS))
+def test_a_dram_too_small_for_the_harness_is_a_spec_error(name, capsys,
+                                                          tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)  # trace / bench-smoke write their default --out
+    argv, floor, who = DRAM_FLOORS[name]
+    for size in (1024, floor - 1):
+        assert main([*argv, "--set", f"stack.dram_size={size}"]) == 1
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert "spec error" in text and f"stack.dram_size={size}" in text
+        assert "Traceback" not in text and "internal error" not in text
+    assert who in text and f"needs {floor} bytes" in text
+    # ... and the smallest accepted size runs clean.
+    assert main([*argv, "--set", f"stack.dram_size={floor}"]) == 0
+    assert "spec error" not in capsys.readouterr().out

@@ -240,6 +240,45 @@ def test_geometry_must_be_positive():
         ExperimentSpec.from_dict({"stack": {"geometry": {"page_size": 0}}})
 
 
+def test_dram_must_hold_one_full_page_of_the_resolved_geometry():
+    """The floor every stack needs; a mid-run bounds error at d304518."""
+    full = 16384 + 2048  # hynix data + spare
+    with pytest.raises(SpecError, match=rf"stack\.dram_size={full - 1} is too "
+                                        rf"small.*needs {full} bytes"):
+        ExperimentSpec.from_dict({"stack": {"dram_size": full - 1}})
+    ExperimentSpec.from_dict({"stack": {"dram_size": full}})
+    # The geometry overrides move the floor with them.
+    small = {"page_size": 512, "spare_size": 16}
+    ExperimentSpec.from_dict({"stack": {"dram_size": 528, "geometry": small}})
+    with pytest.raises(SpecError, match="needs 528 bytes"):
+        ExperimentSpec.from_dict(
+            {"stack": {"dram_size": 527, "geometry": small}})
+
+
+def test_dram_must_reach_past_the_ftl_staging_area():
+    base = FtlSpec().gc_staging_base
+    need = base + 3 * (16384 + 2048)
+    with pytest.raises(SpecError, match=rf"gc_staging_base needs {need} bytes"):
+        ExperimentSpec.from_dict({"stack": {"dram_size": need - 1, "ftl": {}}})
+    ExperimentSpec.from_dict({"stack": {"dram_size": need, "ftl": {}}})
+
+
+def test_the_host_slot_pool_is_sized_when_the_engine_is_built():
+    """queue_depth x dram_stride from dram_base, checked by the factory
+    before anything is staged (the FTL staging moved out of the way)."""
+    from repro.config import build_experiment
+
+    full = 16384 + 2048
+    stack = {"ftl": {"gc_staging_base": 4 << 20, "prefill_pages": 0}}
+    workload = {"queue_depth": 256, "dram_base": 8 << 20}
+    need = (8 << 20) + 255 * 32768 + full
+    build = lambda size: build_experiment(ExperimentSpec.from_dict(
+        {"stack": {**stack, "dram_size": size}, "workload": workload}))
+    with pytest.raises(SpecError, match=rf"host slot pool.*needs {need} bytes"):
+        build(need - 1)
+    assert build(need).engine.queue_depth == 256
+
+
 def test_inline_faults_are_validated():
     with pytest.raises(SpecError, match="campaign.faults"):
         ExperimentSpec.from_dict({
