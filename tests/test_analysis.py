@@ -148,6 +148,30 @@ def test_operation_loc_table_shape():
         assert row["babol"] > 0
 
 
+def test_experiments_md_table2_is_the_measured_table():
+    """EXPERIMENTS.md printed 58/53/38 for BABOL long after `repro
+    table2` printed 62/64/54 (d304518): the document is parsed and held
+    to the measurement, rows and the factors quoted under them."""
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).parent.parent / "EXPERIMENTS.md").read_text()
+    section = text[text.index("## Table II"):text.index("## Table III")]
+    rows = re.findall(
+        r"^\| (READ|PROGRAM|ERASE) \| (\d+) \(\d+\) \| (\d+) \(\d+\) "
+        r"\| (\d+) \(\d+\) \|$", section, re.MULTILINE)
+    documented = {op: {"sync_hw": int(sync), "async_hw": int(async_),
+                       "babol": int(babol)}
+                  for op, sync, async_, babol in rows}
+    measured = operation_loc_table()
+    assert documented == measured
+    for baseline in ("sync_hw", "async_hw"):
+        factors = " / ".join(
+            f"{measured[op][baseline] / measured[op]['babol']:.2f}×"
+            for op in ("READ", "PROGRAM", "ERASE"))
+        assert factors in " ".join(section.split()), factors
+
+
 def test_loc_babol_read_near_paper_count():
     # The paper reports 58 lines for BABOL's READ; ours should be the
     # same order (the listing is the same algorithm).
