@@ -167,13 +167,16 @@ def test_kernel_firehose_trace_is_pinned():
     # commit before the tuple-heap kernel (PR 13: 15e6ffda..., 2910
     # entries) and re-recorded once, by PR 23, which deleted kernel
     # entries on purpose: the slot-freed forwarding process and every
-    # wake-up of a waiter whose predicate is false (2910 -> 2529).
+    # wake-up of a waiter whose predicate is false (2910 -> 2529); and
+    # once more by PR 24: a transaction's completion reaches its task
+    # through a synchronous one-shot callback, one now-queue entry fewer
+    # per transaction (2529 -> 2339).
     sim, tracer = run_firehose_workload()
     buffer = io.StringIO()
     write_chrome_trace(buffer, tracer)
     digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
     assert digest == (
-        "03ebacf677f7c78cbed01a9d8536ff8c70bcf8b602d65295a60233638aaf6f6b")
+        "e204c8b62a7aa6550c54bf4ac0204a87d580637dd4d331440ec92d5b3cadcc2c")
     # The same trace without the kernel's own bookkeeping — channel, txn,
     # cpu, sched, task and op spans and counters — recorded on 08fb7bd:
     # a change to how many kernel entries a run takes (a forwarding
@@ -189,7 +192,7 @@ def test_kernel_firehose_trace_is_pinned():
     kinds = [e.name for e in tracer.events if e.track == "kernel/events"]
     assert kinds.count("cancel") == 2
     # One "schedule" instant per enqueue, cancellable or not.
-    assert sim.events_scheduled == kinds.count("schedule") == 2529
+    assert sim.events_scheduled == kinds.count("schedule") == 2339
 
 
 # --- invariance: tracing must never change the simulation --------------------
