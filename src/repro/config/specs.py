@@ -335,9 +335,7 @@ class StackSpec:
                     f"field name to a non-negative ns value, got {pair!r}"
                 )
         self.geometry.validate()
-        vendor = VENDOR_PROFILES[self.vendor].geometry
-        full_page = ((self.geometry.page_size or vendor.page_size)
-                     + (self.geometry.spare_size or vendor.spare_size))
+        full_page = self.full_page_size()
         require_dram(self.dram_size, full_page,
                      "any operation with data (one page incl. spare)")
         if self.ftl is not None:
@@ -348,6 +346,13 @@ class StackSpec:
                          self.ftl.gc_staging_base + 3 * full_page,
                          "the FTL's GC and meta staging around "
                          "stack.ftl.gc_staging_base")
+            low = self.ftl_staging()[0]
+            if low < 0:
+                raise SpecError(
+                    f"stack.ftl.gc_staging_base={self.ftl.gc_staging_base} "
+                    f"is too low: the GC staging slots below it need "
+                    f"{self.ftl.gc_staging_base - low} bytes (one full page "
+                    f"per stack.luns_per_channel x stack.ftl.blocks_per_lun)")
             # ftl/persist.py opens every meta block with a checkpoint
             # page and journals behind it: it needs the second page.
             if self.ftl.checkpoint_interval > 0 \
@@ -357,6 +362,24 @@ class StackSpec:
                     "stack.ftl.checkpoint_interval > 0: a meta block holds "
                     "a checkpoint page plus at least one journal page"
                 )
+
+    def full_page_size(self) -> int:
+        """Bytes of one page incl. spare, under the geometry overrides."""
+        from repro.flash.vendors import VENDOR_PROFILES
+
+        vendor = VENDOR_PROFILES[self.vendor].geometry
+        return ((self.geometry.page_size or vendor.page_size)
+                + (self.geometry.spare_size or vendor.spare_size))
+
+    def ftl_staging(self) -> tuple[int, int]:
+        """``[low, high)`` DRAM bytes the FTL stages in: one GC slot per
+        (LUN, block) of a shard growing down from ``gc_staging_base``
+        (``ftl/ftl.py::_gc_staging``), meta staging in the three full
+        pages from it (``ftl/persist.py``)."""
+        full_page = self.full_page_size()
+        base = self.ftl.gc_staging_base
+        slots = self.luns_per_channel * self.ftl.blocks_per_lun
+        return base - slots * full_page, base + 3 * full_page
 
     def to_dict(self, resolved: bool = False) -> dict:
         data: dict = {}
@@ -638,6 +661,28 @@ class ExperimentSpec:
                     "checkpoint_interval > 0 (crash consistency is only "
                     "checkable against persistent media)"
                 )
+        # The queue-depth engine's host slots: queue_depth DRAM buffers,
+        # dram_stride apart from dram_base, each a full page long.
+        workload = self.workload
+        full_page = self.stack.full_page_size()
+        if workload.queue_depth > 1 and workload.dram_stride < full_page:
+            raise SpecError(
+                f"workload.dram_stride={workload.dram_stride} is smaller "
+                f"than a full page ({full_page} bytes incl. spare): "
+                f"adjacent host slots would overlap")
+        if self.stack.ftl is not None:
+            pool = (workload.dram_base,
+                    workload.dram_base
+                    + (workload.queue_depth - 1) * workload.dram_stride
+                    + full_page)
+            staging = self.stack.ftl_staging()
+            if pool[0] < staging[1] and staging[0] < pool[1]:
+                raise SpecError(
+                    f"stack.ftl.gc_staging_base="
+                    f"{self.stack.ftl.gc_staging_base} puts the FTL's "
+                    f"staging at [{staging[0]}, {staging[1]}), which "
+                    f"overlaps the host slot pool [{pool[0]}, {pool[1]}) "
+                    f"of workload.dram_base, queue_depth and dram_stride")
 
     def to_dict(self, resolved: bool = False) -> dict:
         data: dict = {"schema": SPEC_SCHEMA, "name": self.name}

@@ -29,10 +29,10 @@ Fig. 10 sweeps.
 
 Each of those four charges is one kernel step and the loop takes no
 other: on a private core a charge is written where it happens
-(``cycles_charged += c``, yield ``cpu.pauses[c]``), the loop sleeps on a
-``Condition`` that resumes it only when there is work, and the
-executor's "slot freed" pulse reaches that condition synchronously.  On
-an ``exclusive`` core every charge still goes through ``Cpu.execute``:
+(``cycles_charged += c``, yield ``cpu.pauses[c]``), the loop parks on a
+gate that is fired only once it has work again, and the executor's
+"slot freed" pulse reaches that check synchronously.  On an
+``exclusive`` core every charge still goes through ``Cpu.execute``:
 its per-charge mutex hand-off is how environments sharing it interleave.
 """
 
@@ -52,8 +52,7 @@ from repro.core.softenv.task_scheduler import RoundRobinTaskScheduler, TaskSched
 from repro.core.softenv.txn_scheduler import FifoTxnScheduler, TxnScheduler
 from repro.core.transaction import Transaction, TxnKind
 from repro.core.ufsm.base import UfsmBank
-from repro.sim import Simulator
-from repro.sim.sync import Condition, Trigger
+from repro.sim import Simulator, Trigger, WaitTrigger
 
 _task_ids = itertools.count()
 
@@ -274,9 +273,17 @@ class SoftwareEnvironment:
         self._pending_txns: list[Transaction] = []
         self._admission_queue: list[Task] = []
         self._running_per_lun: dict[int, int] = {}
-        self._work = Condition(sim)
+        # The loop parks on this gate when it finds no work; only a
+        # change made from outside the loop (a submit, a task made ready,
+        # a freed executor slot) can give it work while it is parked.
+        self._park = WaitTrigger(Trigger(sim))
+        self._parked = False
         self._stopped = False
         self._tick_batch: list[Task] = []  # non-empty = a tick is due
+        # Completion-notice latency in ns, converted once per bound core
+        # (core/storage.py rebinds ``cpu`` onto a shared core).
+        self._wakeup_cpu: Optional[Cpu] = None
+        self._wakeup_ns = 0
 
         self.tasks_submitted = 0
         self.tasks_completed = 0
@@ -286,7 +293,7 @@ class SoftwareEnvironment:
 
         # The executor tells us when a queue slot frees so the dispatcher
         # half of the loop can run again.
-        executor.slot_freed.subscribe(self._work.notify)
+        executor.slot_freed.subscribe(self._unpark)
         self._loop = sim.spawn(self._run(), name=f"{self.runtime_name}-env")
 
     # ------------------------------------------------------------------
@@ -309,7 +316,8 @@ class SoftwareEnvironment:
         self.tasks_submitted += 1
         self._admission_queue.append(task)
         self._admit_eligible()
-        self._work.notify()
+        if self._parked:
+            self._unpark()
         return task
 
     @staticmethod
@@ -341,10 +349,13 @@ class SoftwareEnvironment:
     # Main loop (runs on the modeled CPU)
     # ------------------------------------------------------------------
 
-    def _has_work(self) -> bool:
-        return bool(self._ready) or bool(
-            self._pending_txns and self.executor.has_room
-        )
+    def _unpark(self, _value: Any = None) -> None:
+        """Resume the parked loop if it has work now.  (Takes a value so
+        that it can subscribe to the executor's slot-freed pulse.)"""
+        if self._parked and (self._ready or (
+                self._pending_txns and self.executor.has_room)):
+            self._parked = False
+            self._park.trigger.fire()
 
     def _run(self) -> Generator:
         sim = self.sim
@@ -397,7 +408,8 @@ class SoftwareEnvironment:
                         cpu.trace_busy(costs.context_switch, pause.delay)
                 yield from self._step_task(task)
                 continue
-            yield from self._work.wait_for(self._has_work)
+            self._parked = True
+            yield self._park
 
     def _step_task(self, task: Task) -> Generator:
         """Resume one task until it suspends or finishes."""
@@ -472,7 +484,6 @@ class SoftwareEnvironment:
         self.txns_enqueued += 1
         if self.sim._tracer is not None:
             self._trace_queue_depths()
-        self._work.notify()
 
     def _block_on_txn(self, task: Task, txn: Transaction) -> None:
         if txn.finished_at is not None:  # already executed
@@ -480,7 +491,6 @@ class SoftwareEnvironment:
             task.state = TaskState.READY
             task.ready_since = self.sim.now
             self._ready.append(task)
-            self._work.notify()
             return
         task.state = TaskState.BLOCKED
         # One-shot: the callback holds the task, whose frame holds the
@@ -489,7 +499,11 @@ class SoftwareEnvironment:
 
     def _txn_woke(self, task: Task, txn: Transaction) -> None:
         task.send_value = txn
-        delay = self.cpu.cycles_to_ns(self.costs.wakeup)
+        cpu = self.cpu
+        if cpu is not self._wakeup_cpu:
+            self._wakeup_cpu = cpu
+            self._wakeup_ns = cpu.cycles_to_ns(self.costs.wakeup)
+        delay = self._wakeup_ns
         if not delay:
             self._make_ready(task)
             return
@@ -515,7 +529,8 @@ class SoftwareEnvironment:
         self._ready.append(task)
         if self.sim._tracer is not None:
             self._trace_queue_depths()
-        self._work.notify()
+        if self._parked:
+            self._unpark()
 
     def _finish_task(self, task: Task, result: Any) -> None:
         task.state = TaskState.DONE
@@ -537,7 +552,6 @@ class SoftwareEnvironment:
         self._running_per_lun[task.lun_position] = running - 1
         self._admit_eligible()
         task.completed.fire(result)
-        self._work.notify()
 
     # -- reporting ----------------------------------------------------------
 

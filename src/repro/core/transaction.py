@@ -44,6 +44,11 @@ DEFAULT_PRIORITY = {
     TxnKind.CONFIG: 1,
     TxnKind.POLL: 2,
 }
+# Also on each member, so that a transaction resolves its default with
+# an attribute load instead of hashing the enum (a Python-level hash).
+for _kind, _priority in DEFAULT_PRIORITY.items():
+    _kind.default_priority = _priority
+del _kind, _priority
 
 
 class Transaction:
@@ -67,7 +72,7 @@ class Transaction:
         self.sim = sim
         self.lun_position = lun_position
         self.kind = kind
-        self.priority = DEFAULT_PRIORITY[kind] if priority is None else priority
+        self.priority = kind.default_priority if priority is None else priority
         self.segments: list[WaveformSegment] = []
         self.completed = Trigger(sim)
         self.enqueued_at: Optional[int] = None

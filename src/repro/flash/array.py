@@ -38,6 +38,8 @@ class Block:
     erase_count: int = 0
     cell_mode: CellMode = CellMode.TLC
     optimal_retry_level: int = 0
+    # Stored page images and OOB records are read-only ndarrays: a
+    # media image shares them, and readers get copies.
     pages: dict[int, np.ndarray] = field(default_factory=dict)
     programmed: set[int] = field(default_factory=set)
     programmed_at_ns: dict[int, int] = field(default_factory=dict)
@@ -199,6 +201,7 @@ class FlashArray:
             page = np.full(full, ERASED_BYTE, dtype=np.uint8)
             n = min(len(data), full)
             page[:n] = np.asarray(data[:n], dtype=np.uint8)
+            page.flags.writeable = False
             block.pages[addr.page] = page
         block.programmed.add(addr.page)
         block.programmed_at_ns[addr.page] = now_ns
@@ -215,8 +218,11 @@ class FlashArray:
         The FTL stages this before issuing the program op; the array
         attaches it when (and only when) the program actually commits,
         so a torn or failed program never presents a valid record.
+        The array keeps its own read-only copy.
         """
-        self._staged_oob[(block, page)] = np.asarray(spare, dtype=np.uint8)
+        record = np.array(spare, dtype=np.uint8)
+        record.flags.writeable = False
+        self._staged_oob[(block, page)] = record
 
     def read_oob(self, block: int, page: int) -> Optional[np.ndarray]:
         """The committed spare-area bytes of a page (None if absent).
@@ -248,9 +254,10 @@ class FlashArray:
         block.programmed_at_ns.setdefault(page, self.power_fail_ns or 0)
         block.oob.pop(page, None)
         if self.track_data:
-            block.pages[page] = self._torn_bytes(
-                block.index, page, self.geometry.full_page_size
-            )
+            torn = self._torn_bytes(block.index, page,
+                                    self.geometry.full_page_size)
+            torn.flags.writeable = False
+            block.pages[page] = torn
 
     def interrupt_erase(self, block_index: int) -> None:
         """Power died mid-tBERS: cells read erased but are unreliable.
@@ -277,25 +284,31 @@ class FlashArray:
         self.power_fail_ns = at_ns
 
     def media_image(self) -> dict:
-        """Deep-copy the persistent media state (for crash/remount)."""
+        """The persistent media state (for crash/remount).
+
+        Stored pages and OOB records are read-only, so the image shares
+        them with the array instead of copying them; only the per-block
+        containers are new, so a later erase or program of either side
+        leaves the other intact."""
         blocks = {}
         for index, block in self._blocks.items():
             blocks[index] = {
                 "erase_count": block.erase_count,
                 "cell_mode": block.cell_mode,
                 "optimal_retry_level": block.optimal_retry_level,
-                "pages": {p: v.copy() for p, v in block.pages.items()},
+                "pages": dict(block.pages),
                 "programmed": set(block.programmed),
                 "programmed_at_ns": dict(block.programmed_at_ns),
                 "worn_out": block.worn_out,
-                "oob": {p: v.copy() for p, v in block.oob.items()},
+                "oob": dict(block.oob),
                 "torn": set(block.torn),
                 "erase_interrupted": block.erase_interrupted,
             }
         return {"blocks": blocks}
 
     def restore_media(self, image: dict) -> None:
-        """Load a :meth:`media_image` into this (freshly built) array."""
+        """Load a :meth:`media_image` into this (freshly built) array,
+        sharing its read-only pages and OOB records."""
         self._blocks.clear()
         self._staged_oob.clear()
         self.power_fail_ns = None
@@ -305,11 +318,11 @@ class FlashArray:
                 erase_count=state["erase_count"],
                 cell_mode=state["cell_mode"],
                 optimal_retry_level=state["optimal_retry_level"],
-                pages={p: v.copy() for p, v in state["pages"].items()},
+                pages=dict(state["pages"]),
                 programmed=set(state["programmed"]),
                 programmed_at_ns=dict(state["programmed_at_ns"]),
                 worn_out=state["worn_out"],
-                oob={p: v.copy() for p, v in state["oob"].items()},
+                oob=dict(state["oob"]),
                 torn=set(state["torn"]),
                 erase_interrupted=state["erase_interrupted"],
             )

@@ -141,42 +141,46 @@ class _PendingCompletion:
     heap's FIFO tie-break when a completion and a die action land on
     the same nanosecond (completions scheduled *before* the current
     segment's actions win the tie; ones scheduled during it lose).
+
+    ``event`` is the kernel handle while the completion is pending and
+    ``None`` once it has fired or been cancelled: the handle's callback
+    is this record's bound method, so keeping it past that point would
+    leave a record <-> event cycle for the cycle collector per op.
     """
 
-    __slots__ = ("lun", "time", "order", "fn", "event", "done")
+    __slots__ = ("lun", "time", "order", "fn", "event")
 
     def __init__(self, lun: "Lun", time_ns: int, order: int, fn):
         self.lun = lun
         self.time = time_ns
         self.order = order
         self.fn = fn
-        self.done = False
         self.event = lun.sim.schedule(time_ns - lun.sim.now, self._on_event)
 
     @property
     def pending(self) -> bool:
-        return not self.done
+        return self.event is not None
 
     def cancel(self) -> None:
-        if self.done:
+        event = self.event
+        if event is None:
             return
-        self.done = True
-        self.event.cancel()
+        self.event = None
+        event.cancel()
         self.lun._pending_completions.remove(self)
 
     def _on_event(self) -> None:
-        if self.done:
-            return
-        self.done = True
+        self.event = None
         self.lun._pending_completions.remove(self)
         self.fn()
 
     def fire_early(self) -> None:
         """Catch-up: run at the recorded logical time (TLM only)."""
-        if self.done:
+        event = self.event
+        if event is None:
             return
-        self.done = True
-        self.event.cancel()
+        self.event = None
+        event.cancel()
         self.lun._pending_completions.remove(self)
         self.lun._action_time = self.time
         self.fn()

@@ -46,7 +46,7 @@ class ScaleCommand:
     lpn: int
     dram_address: int = 0
     payload: Optional[object] = None  # uint8 ndarray, staged into shard
-                                      # DRAM at submit
+                                      # DRAM and released at submit
     tag: int = 0                      # caller-owned (e.g. write version)
     cid: int = -1                 # engine-local, assigned at submit
     channel: int = -1             # routed shard, assigned at submit
@@ -264,9 +264,12 @@ class ScaleEngine:
         if command.payload is not None:
             # Stage the write payload into the shard's DRAM now; the
             # slot pool keeps the buffer untouched until completion.
+            # The host buffer is consumed here: the command stays in the
+            # completion/ack ledger, its payload does not.
             self.shard(channel).controller.dram.write(
                 command.dram_address, command.payload
             )
+            command.payload = None
         self._next_cid += 1
         self.submitted += 1
         if len(pair._staged) >= self.doorbell_batch:

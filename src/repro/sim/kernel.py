@@ -114,8 +114,8 @@ class Process:
         self.error: Optional[BaseException] = None
         self._waiters: list[Callable[[Any], None]] = []
         # The one wakeup callback of this process: every queue entry and
-        # waiter list holds this same bound method.
-        self._resume: Callable[..., None] = self._step
+        # waiter list holds this same bound method.  None once finished.
+        self._resume: Optional[Callable[..., None]] = self._step
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.finished else "running"
@@ -168,6 +168,9 @@ class Process:
     def _finish(self, value: Any) -> None:
         self.finished = True
         self.value = value
+        # Nothing resumes a finished process; dropping the bound method
+        # leaves no process <-> method cycle for the cycle collector.
+        self._resume = None
         tracer = self.sim._tracer
         if tracer is not None:
             tracer.kernel_process("finish", self.name, self.sim.now)

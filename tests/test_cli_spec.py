@@ -270,3 +270,41 @@ def test_a_dram_too_small_for_the_harness_is_a_spec_error(name, capsys,
     # ... and the smallest accepted size runs clean.
     assert main([*argv, "--set", f"stack.dram_size={floor}"]) == 0
     assert "spec error" not in capsys.readouterr().out
+
+
+# --- DRAM regions that overlapped silently -------------------------------
+# Each is a parse-time spec error naming the field; the smallest accepted
+# value runs clean.  On the crashfuzz stack (2 LUNs x 10 blocks of 2112 B,
+# 8 host slots of 32 KiB from 0) the GC slots take 42240 bytes below
+# stack.ftl.gc_staging_base and the host pool ends at 7 x 32768 + 2112.
+
+GC_SLOTS_CRASH = 2 * 10 * CHAOS_PAGE
+POOL_END_CRASH = 7 * 32768 + CHAOS_PAGE
+
+# (extra --set overrides, the refused value, its smallest accepted value,
+#  what the message says)
+DRAM_OVERLAPS = {
+    "gc-slots-below-zero": (
+        ["workload.dram_base=65536"], "stack.ftl.gc_staging_base",
+        GC_SLOTS_CRASH, f"need {GC_SLOTS_CRASH} bytes"),
+    "gc-slots-over-host-pool": (
+        [], "stack.ftl.gc_staging_base", POOL_END_CRASH + GC_SLOTS_CRASH,
+        f"overlaps the host slot pool [0, {POOL_END_CRASH})"),
+    "stride-below-a-page": (
+        [], "workload.dram_stride", CHAOS_PAGE,
+        f"smaller than a full page ({CHAOS_PAGE} bytes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAM_OVERLAPS))
+def test_an_overlapping_dram_layout_is_a_spec_error(name, capsys):
+    extra, path, smallest, why = DRAM_OVERLAPS[name]
+    argv = ["crashfuzz", *CRASH,
+            *[arg for value in extra for arg in ("--set", value)]]
+    assert main([*argv, "--set", f"{path}={smallest - 1}"]) == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert f"spec error: {path}={smallest - 1}" in text and why in text
+    assert "Traceback" not in text and "internal error" not in text
+    assert main([*argv, "--set", f"{path}={smallest}"]) == 0
+    assert "spec error" not in capsys.readouterr().out

@@ -263,6 +263,66 @@ def test_dram_must_reach_past_the_ftl_staging_area():
     ExperimentSpec.from_dict({"stack": {"dram_size": need, "ftl": {}}})
 
 
+HYNIX_FULL = 16384 + 2048
+# ftl/ftl.py::_gc_staging: one full page per (LUN, block) below the base
+# (stock stack: 4 LUNs x 8 blocks).
+GC_SLOTS = 4 * 8 * HYNIX_FULL
+
+
+def test_gc_staging_base_must_leave_room_for_the_gc_slots_below_it():
+    """Below GC_SLOTS the lowest slot address went negative, silently."""
+    above = {"dram_base": 8 << 20}  # the host slot pool out of the way
+    with pytest.raises(SpecError, match=rf"stack\.ftl\.gc_staging_base="
+                                        rf"{GC_SLOTS - 1} is too low.*"
+                                        rf"need {GC_SLOTS} bytes"):
+        ExperimentSpec.from_dict({
+            "stack": {"ftl": {"gc_staging_base": GC_SLOTS - 1}},
+            "workload": above})
+    ExperimentSpec.from_dict({
+        "stack": {"ftl": {"gc_staging_base": GC_SLOTS}}, "workload": above})
+    # The geometry and topology move the floor with them.
+    with pytest.raises(SpecError, match="need 4224 bytes"):
+        ExperimentSpec.from_dict({
+            "stack": {"luns_per_channel": 1,
+                      "geometry": {"page_size": 2048, "spare_size": 64},
+                      "ftl": {"gc_staging_base": 4223, "blocks_per_lun": 2,
+                              "overprovision_blocks": 1}},
+            "workload": above})
+
+
+def test_gc_staging_must_not_overlap_the_host_slot_pool():
+    """32 slots of 32 KiB from 0 end at 31 x 32768 + one full page; the
+    FTL staging [base - GC_SLOTS, base + 3 pages) must start there."""
+    pool_end = 31 * 32768 + HYNIX_FULL
+    lowest = pool_end + GC_SLOTS
+    with pytest.raises(SpecError, match=rf"gc_staging_base={lowest - 1} puts "
+                                        rf".*overlaps the host slot pool "
+                                        rf"\[0, {pool_end}\)"):
+        ExperimentSpec.from_dict(
+            {"stack": {"ftl": {"gc_staging_base": lowest - 1}}})
+    ExperimentSpec.from_dict({"stack": {"ftl": {"gc_staging_base": lowest}}})
+    # A pool placed just past the meta staging pages is clear of it too.
+    base = 4 << 20
+    ExperimentSpec.from_dict({
+        "stack": {"ftl": {"gc_staging_base": base}},
+        "workload": {"dram_base": base + 3 * HYNIX_FULL}})
+    with pytest.raises(SpecError, match="overlaps the host slot pool"):
+        ExperimentSpec.from_dict({
+            "stack": {"ftl": {"gc_staging_base": base}},
+            "workload": {"dram_base": base + 3 * HYNIX_FULL - 1}})
+
+
+def test_dram_stride_must_hold_a_full_page():
+    with pytest.raises(SpecError, match=rf"workload\.dram_stride="
+                                        rf"{HYNIX_FULL - 1} is smaller than "
+                                        rf"a full page \({HYNIX_FULL} bytes"):
+        ExperimentSpec.from_dict({"workload": {"dram_stride": HYNIX_FULL - 1}})
+    ExperimentSpec.from_dict({"workload": {"dram_stride": HYNIX_FULL}})
+    # One slot cannot overlap another.
+    ExperimentSpec.from_dict({"workload": {"dram_stride": 1, "queue_depth": 1,
+                                           "doorbell_batch": 1}})
+
+
 def test_the_host_slot_pool_is_sized_when_the_engine_is_built():
     """queue_depth x dram_stride from dram_base, checked by the factory
     before anything is staged (the FTL staging moved out of the way)."""
