@@ -14,66 +14,57 @@
   linters and the runtime sanitizers (:mod:`repro.sanitize`) share.
 * :mod:`area` — the structural FPGA area model behind Table III.
 * :mod:`metrics` — shared throughput/latency summaries.
+
+The names below load their submodule on first access (PEP 562): every
+simulation imports :mod:`metrics`, and only the CLI's static checks and
+figures need the verifier, the linter or the analyzer.
 """
 
-from repro.analysis.diagnostics import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_INTERNAL,
-    DiagnosticReport,
-    Finding,
-)
-from repro.analysis.logic_analyzer import AnalyzerEvent, LogicAnalyzer
-from repro.analysis.waveform_render import render_segment, render_timeline
-from repro.analysis.loc import count_source_lines, operation_loc_table
-from repro.analysis.op_lint import (
-    LintCoverage,
-    LintFinding,
-    lint_all,
-    lint_library,
-    lint_program,
-)
-from repro.analysis.cfg import Cfg, CfgNode, build_cfg
-from repro.analysis.opver import (
-    VerifyCoverage,
-    VerifyFinding,
-    verify_library,
-    verify_op,
-    verify_program,
-)
-from repro.analysis.area import AreaEstimate, estimate_area
-from repro.analysis.metrics import LatencyStats, summarize_latencies
-from repro.analysis.timing_check import TimingChecker, TimingViolation
+from __future__ import annotations
 
-__all__ = [
-    "EXIT_CLEAN",
-    "EXIT_FINDINGS",
-    "EXIT_INTERNAL",
-    "DiagnosticReport",
-    "Finding",
-    "TimingChecker",
-    "TimingViolation",
-    "AnalyzerEvent",
-    "LogicAnalyzer",
-    "render_segment",
-    "render_timeline",
-    "count_source_lines",
-    "operation_loc_table",
-    "LintCoverage",
-    "LintFinding",
-    "lint_all",
-    "lint_library",
-    "lint_program",
-    "Cfg",
-    "CfgNode",
-    "build_cfg",
-    "VerifyCoverage",
-    "VerifyFinding",
-    "verify_library",
-    "verify_op",
-    "verify_program",
-    "AreaEstimate",
-    "estimate_area",
-    "LatencyStats",
-    "summarize_latencies",
-]
+import importlib
+
+#: Public name -> the submodule that defines it.
+_HOME = {
+    "EXIT_CLEAN": "diagnostics",
+    "EXIT_FINDINGS": "diagnostics",
+    "EXIT_INTERNAL": "diagnostics",
+    "DiagnosticReport": "diagnostics",
+    "Finding": "diagnostics",
+    "TimingChecker": "timing_check",
+    "TimingViolation": "timing_check",
+    "AnalyzerEvent": "logic_analyzer",
+    "LogicAnalyzer": "logic_analyzer",
+    "render_segment": "waveform_render",
+    "render_timeline": "waveform_render",
+    "count_source_lines": "loc",
+    "operation_loc_table": "loc",
+    "LintCoverage": "op_lint",
+    "LintFinding": "op_lint",
+    "lint_all": "op_lint",
+    "lint_library": "op_lint",
+    "lint_program": "op_lint",
+    "Cfg": "cfg",
+    "CfgNode": "cfg",
+    "build_cfg": "cfg",
+    "VerifyCoverage": "opver",
+    "VerifyFinding": "opver",
+    "verify_library": "opver",
+    "verify_op": "opver",
+    "verify_program": "opver",
+    "AreaEstimate": "area",
+    "estimate_area": "area",
+    "LatencyStats": "metrics",
+    "summarize_latencies": "metrics",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value

@@ -5,15 +5,37 @@ Packetizer (which knows the burst sizes), not here — DRAM bandwidth in
 the Cosmos+ class of devices comfortably exceeds one channel's needs,
 so the channel model treats DRAM as never the bottleneck, matching the
 paper's single-channel experiments.
+
+The storage is a private anonymous mapping (:func:`zeroed_region`), so
+a 64 MiB buffer costs host memory only for the pages the model writes.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
 
 class AllocationError(RuntimeError):
     """DRAM region allocator exhaustion or bad free."""
+
+
+def zeroed_region(count: int, dtype=np.uint8) -> np.ndarray:
+    """A zero-filled ``count``-element array that costs host memory only
+    where it is written.
+
+    The mapping must be *private*: ``mmap.mmap(-1, n)`` alone is
+    ``MAP_SHARED`` on Linux, i.e. shmem, where reading an untouched page
+    allocates it.  ``MADV_NOHUGEPAGE`` stops the kernel from backing a
+    few written KiB with a whole 2 MiB page, which ``np.zeros`` invites
+    by marking large arrays ``MADV_HUGEPAGE``.
+    """
+    region = mmap.mmap(-1, count * np.dtype(dtype).itemsize,
+                       flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux only
+        region.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(region, dtype=dtype)
 
 
 class DramBuffer:
@@ -23,7 +45,7 @@ class DramBuffer:
         if size <= 0:
             raise ValueError("DRAM size must be positive")
         self.size = size
-        self.data = np.zeros(size, dtype=np.uint8)
+        self.data = zeroed_region(size)
         self._next = 0
         self._free_list: list[tuple[int, int]] = []
         self._sanitizer = None  # MemorySanitizer when attached

@@ -38,9 +38,12 @@ class QueueSaturatedError(RuntimeError):
     """Submission against a queue pair with no free slot."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ScaleCommand:
-    """One host command routed through a channel queue pair."""
+    """One host command routed through a channel queue pair.
+
+    Slotted, without a per-instance dict: a run keeps one per command.
+    """
 
     opcode: HostOpcode
     lpn: int

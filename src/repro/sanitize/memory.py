@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dram.buffer import zeroed_region
 from repro.sanitize.base import Sanitizer
 
 
@@ -37,7 +38,7 @@ class MemorySanitizer(Sanitizer):
         if dram is None:
             raise ValueError(f"{target!r} has no DRAM buffer to sanitize")
         self.dram = dram
-        self._written = np.zeros(dram.size, dtype=bool)
+        self._written = zeroed_region(dram.size, dtype=bool)
         self._live: dict[int, int] = {}    # base -> nbytes
         self._freed: dict[int, int] = {}   # base -> nbytes on the free list
         self._emitted: dict[str, int] = {}

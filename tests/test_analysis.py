@@ -269,3 +269,31 @@ def test_percentile_matches_numpy_linear_method():
     for fraction in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
         expected = float(np.percentile(samples, fraction * 100))
         assert _percentile(samples, fraction) == pytest.approx(expected)
+
+
+# --- package namespace --------------------------------------------------------
+
+
+def test_a_simulation_imports_no_static_checker():
+    """``repro.analysis`` loads a submodule on first use of one of its
+    names, so building and running a stack (which needs only
+    :mod:`~repro.analysis.metrics`) never imports the verifier."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    probe = (
+        "import sys, repro.host, repro.config\n"
+        "assert 'repro.analysis.opver' not in sys.modules, 'eager'\n"
+        "import repro.analysis as analysis\n"
+        "from repro.analysis import *\n"
+        "assert all(getattr(analysis, name) is globals()[name]\n"
+        "           for name in analysis.__all__)\n"
+        "assert 'repro.analysis.opver' in sys.modules\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        cwd=Path(repro.__file__).parents[1], timeout=60)
+    assert done.returncode == 0, done.stderr

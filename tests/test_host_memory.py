@@ -6,14 +6,21 @@
   media image (power cut, remount) shares them instead of copying them.
 * A finished operation leaves nothing to the cycle collector: no die
   completion record, kernel event or finished process in a cycle.
+* Controller DRAM (and the memory sanitizer's shadow of it) is a private
+  anonymous mapping kept off transparent huge pages, so it costs host
+  memory only for the pages the model writes.
 """
 
 import gc
+import re
+import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.analysis.diagnostics import DiagnosticReport
 from repro.config import build_experiment
 from repro.config.specs import (
     ExperimentSpec,
@@ -23,12 +30,14 @@ from repro.config.specs import (
     WorkloadSpec,
 )
 from repro.core import BabolController, ControllerConfig
+from repro.dram import DramBuffer
 from repro.faults.power import restore_media, snapshot_media
 from repro.flash.array import FlashArray
 from repro.flash.oob import OobRecord, decode_oob, encode_oob
 from repro.host import ScaleCommand
 from repro.host.hic import HostOpcode
 from repro.onfi.geometry import PhysicalAddress
+from repro.sanitize import attach_sanitizers
 from repro.sim import Simulator
 
 from tests.helpers import TEST_GEOMETRY, TEST_PROFILE
@@ -209,3 +218,71 @@ def test_finished_ops_leave_nothing_to_the_cycle_collector(fidelity):
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# DRAM costs host memory only where it is written
+# ---------------------------------------------------------------------------
+
+HUGE_PAGE = 2 << 20
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="reads /proc/self/smaps")
+
+
+def smaps_entry(address: int) -> dict:
+    """The ``/proc/self/smaps`` fields of the mapping holding ``address``."""
+    entry = None
+    with open("/proc/self/smaps", encoding="utf-8", errors="replace") as smaps:
+        for line in smaps:
+            span = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+            if span:
+                if entry is not None:
+                    break
+                if int(span[1], 16) <= address < int(span[2], 16):
+                    entry = {}
+            elif entry is not None:
+                key, _, value = line.partition(":")
+                entry[key] = value.strip()
+    assert entry is not None, f"no mapping holds {address:#x}"
+    return entry
+
+
+def stock_regions() -> dict:
+    """A stock-sized DRAM buffer's storage and its sanitizer shadow."""
+    dram = DramBuffer()
+    attach_sanitizers(SimpleNamespace(dram=dram), "memory",
+                      DiagnosticReport())
+    return {"dram": dram.data, "shadow": dram._sanitizer._written}
+
+
+def test_a_fresh_dram_buffer_reads_as_zeros():
+    for array in stock_regions().values():
+        assert array.flags.writeable and not array.any()
+
+
+def test_dram_write_read_and_view_round_trip():
+    dram = DramBuffer()
+    data = np.arange(256, dtype=np.uint8)
+    dram.write(dram.size - 256, data)
+    assert np.array_equal(dram.read(dram.size - 256, 256), data)
+    dram.view(4096, 3)[:] = (1, 2, 3)
+    assert dram.read(4095, 5).tolist() == [0, 1, 2, 3, 0]
+
+
+@linux_only
+@pytest.mark.parametrize("region", ["dram", "shadow"])
+def test_dram_is_a_private_mapping_without_huge_pages(region):
+    """``nh`` (MADV_NOHUGEPAGE) and no ``sh``: ``mmap.mmap(-1, n)`` alone
+    is MAP_SHARED, whose untouched pages cost memory when read."""
+    array = stock_regions()[region]
+    flags = smaps_entry(array.ctypes.data)["VmFlags"].split()
+    assert "nh" in flags and "sh" not in flags
+
+
+@linux_only
+@pytest.mark.parametrize("region", ["dram", "shadow"])
+def test_a_written_huge_page_span_stays_in_small_pages(region):
+    array = stock_regions()[region]
+    start = -array.ctypes.data % HUGE_PAGE
+    array[start:start + HUGE_PAGE] = 1
+    assert smaps_entry(array.ctypes.data + start)["AnonHugePages"] == "0 kB"
