@@ -19,9 +19,12 @@ Quickstart::
     status, handle = controller.run_to_completion(task)
 """
 
-from repro.core import BabolController, ControllerConfig
-from repro.sim import Simulator
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = ["BabolController", "ControllerConfig", "Simulator", "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "BabolController": "core.controller",
+    "ControllerConfig": "core.controller",
+    "Simulator": "sim.kernel",
+})

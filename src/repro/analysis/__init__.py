@@ -15,17 +15,15 @@
 * :mod:`area` — the structural FPGA area model behind Table III.
 * :mod:`metrics` — shared throughput/latency summaries.
 
-The names below load their submodule on first access (PEP 562): every
-simulation imports :mod:`metrics`, and only the CLI's static checks and
-figures need the verifier, the linter or the analyzer.
+The names below load their submodule on first access
+(:func:`repro._lazy.lazy_exports`): every simulation imports
+:mod:`metrics`, and only the CLI's static checks and figures need the
+verifier, the linter or the analyzer.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-import importlib
-
-#: Public name -> the submodule that defines it.
-_HOME = {
+__getattr__, __dir__ = lazy_exports(globals(), {
     "EXIT_CLEAN": "diagnostics",
     "EXIT_FINDINGS": "diagnostics",
     "EXIT_INTERNAL": "diagnostics",
@@ -56,15 +54,4 @@ _HOME = {
     "estimate_area": "area",
     "LatencyStats": "metrics",
     "summarize_latencies": "metrics",
-}
-
-__all__ = list(_HOME)
-
-
-def __getattr__(name: str):
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
-    globals()[name] = value
-    return value
+})

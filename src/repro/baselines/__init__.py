@@ -13,8 +13,11 @@ their verbosity relative to the BABOL operation library is exactly what
 Table II measures.
 """
 
-from repro.baselines.fsm import HwRequest, HwRequestKind
-from repro.baselines.sync_hw import SyncHwController
-from repro.baselines.async_hw import AsyncHwController
+from repro._lazy import lazy_exports
 
-__all__ = ["HwRequest", "HwRequestKind", "SyncHwController", "AsyncHwController"]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "HwRequest": "fsm",
+    "HwRequestKind": "fsm",
+    "SyncHwController": "sync_hw",
+    "AsyncHwController": "async_hw",
+})

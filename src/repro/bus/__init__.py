@@ -1,6 +1,9 @@
 """The shared flash channel: arbitration, transmission, and PHY."""
 
-from repro.bus.channel import Channel, ChannelStats
-from repro.bus.phy import ChannelPhy
+from repro._lazy import lazy_exports
 
-__all__ = ["Channel", "ChannelStats", "ChannelPhy"]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "Channel": "channel",
+    "ChannelStats": "channel",
+    "ChannelPhy": "phy",
+})

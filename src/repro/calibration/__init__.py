@@ -6,12 +6,11 @@ package boot/initialization sequences.  Both are implemented here
 against the simulated PHY and package models.
 """
 
-from repro.calibration.phase import PhaseCalibrationResult, calibrate_phase
-from repro.calibration.boot import BootReport, boot_channel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PhaseCalibrationResult",
-    "calibrate_phase",
-    "BootReport",
-    "boot_channel",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "PhaseCalibrationResult": "phase",
+    "calibrate_phase": "phase",
+    "BootReport": "boot",
+    "boot_channel": "boot",
+})

@@ -1,6 +1,7 @@
 """The ``repro`` command-line interface.
 
-One module per subcommand group:
+:mod:`repro.cli.entry` assembles the parser and holds ``main``; one
+module per subcommand group:
 
 * :mod:`repro.cli.figures` — paper figures/tables (demo, table1,
   fig10, fig11, fig12, table2, table3)
@@ -18,6 +19,9 @@ what it runs from that spec, and embeds the resolved spec plus its
 ``spec_hash`` in whatever artifact it writes.
 """
 
-from repro.cli.main import build_parser, main
+from repro._lazy import lazy_exports
 
-__all__ = ["build_parser", "main"]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "build_parser": "entry",
+    "main": "entry",
+})

@@ -20,49 +20,29 @@ benchmark, chaos campaign, fuzzer, perf sweep and sanitizer run builds
 its stacks through.
 """
 
-from repro.config.build import (
-    BuiltExperiment,
-    build_baseline,
-    build_controllers,
-    build_experiment,
-    build_stack,
-    stack_profile,
-)
-from repro.config.io import dump_spec, load_spec, load_spec_dict, to_toml
-from repro.config.overrides import OverrideError, apply_overrides, parse_override
-from repro.config.specs import (
-    SPEC_SCHEMA,
-    CampaignSpec,
-    ExperimentSpec,
-    FtlSpec,
-    GeometrySpec,
-    SpecError,
-    StackSpec,
-    WorkloadSpec,
-    canonical_json,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SPEC_SCHEMA",
-    "BuiltExperiment",
-    "CampaignSpec",
-    "ExperimentSpec",
-    "FtlSpec",
-    "GeometrySpec",
-    "OverrideError",
-    "SpecError",
-    "StackSpec",
-    "WorkloadSpec",
-    "apply_overrides",
-    "build_baseline",
-    "build_controllers",
-    "build_experiment",
-    "build_stack",
-    "canonical_json",
-    "dump_spec",
-    "load_spec",
-    "load_spec_dict",
-    "parse_override",
-    "stack_profile",
-    "to_toml",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "SPEC_SCHEMA": "specs",
+    "BuiltExperiment": "build",
+    "CampaignSpec": "specs",
+    "ExperimentSpec": "specs",
+    "FtlSpec": "specs",
+    "GeometrySpec": "specs",
+    "OverrideError": "overrides",
+    "SpecError": "specs",
+    "StackSpec": "specs",
+    "WorkloadSpec": "specs",
+    "apply_overrides": "overrides",
+    "build_baseline": "build",
+    "build_controllers": "build",
+    "build_experiment": "build",
+    "build_stack": "build",
+    "canonical_json": "specs",
+    "dump_spec": "io",
+    "load_spec": "io",
+    "load_spec_dict": "io",
+    "parse_override": "overrides",
+    "stack_profile": "build",
+    "to_toml": "io",
+})

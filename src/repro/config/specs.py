@@ -306,26 +306,8 @@ class StackSpec:
         if self.factory_bad_rate is not None and not (
                 0.0 <= self.factory_bad_rate < 1.0):
             raise SpecError("stack.factory_bad_rate must be in [0, 1)")
-        from repro.sanitize.base import resolve_names
-
-        try:
-            resolved = resolve_names(self.sanitizers or None)
-        except ValueError as exc:
-            raise SpecError(f"stack.sanitizers: {exc}") from None
-        # The cross-tier contract, enforced at *parse* time: a spec
-        # that would only explode once a channel is built is a spec
-        # the validator failed.
-        waveform_only = sorted(set(resolved) & WAVEFORM_ONLY_SANITIZERS)
-        if waveform_only and self.fidelity != "waveform":
-            from repro.core.backend import FidelityError
-
-            raise FidelityError(
-                f"sanitizer(s) {', '.join(waveform_only)} sample "
-                f"per-segment bus traffic, which the "
-                f"{self.fidelity!r} tier does not simulate — set "
-                f"stack.fidelity to 'waveform' or select only "
-                f"transaction-safe sanitizers (memory, liveness)"
-            )
+        if self.sanitizers:
+            self._validate_sanitizers()
         for pair in self.timing_overrides:
             if (len(pair) != 2 or not isinstance(pair[0], str)
                     or isinstance(pair[1], bool)
@@ -353,15 +335,61 @@ class StackSpec:
                     f"is too low: the GC staging slots below it need "
                     f"{self.ftl.gc_staging_base - low} bytes (one full page "
                     f"per stack.luns_per_channel x stack.ftl.blocks_per_lun)")
-            # ftl/persist.py opens every meta block with a checkpoint
-            # page and journals behind it: it needs the second page.
-            if self.ftl.checkpoint_interval > 0 \
-                    and self.geometry.pages_per_block == 1:
-                raise SpecError(
-                    "stack.geometry.pages_per_block must be >= 2 when "
-                    "stack.ftl.checkpoint_interval > 0: a meta block holds "
-                    "a checkpoint page plus at least one journal page"
-                )
+            if self.ftl.checkpoint_interval > 0:
+                self._validate_persistence()
+
+    def _validate_persistence(self) -> None:
+        """What power-loss protection (``ftl/persist.py``) needs of the
+        stack, refused here instead of by an ``FtlError`` mid-build."""
+        from repro.flash.oob import OOB_RECORD_BYTES
+        from repro.flash.vendors import VENDOR_PROFILES
+
+        # Every meta block opens with a checkpoint page and journals
+        # behind it: it needs the second page.
+        if self.geometry.pages_per_block == 1:
+            raise SpecError(
+                "stack.geometry.pages_per_block must be >= 2 when "
+                "stack.ftl.checkpoint_interval > 0: a meta block holds "
+                "a checkpoint page plus at least one journal page"
+            )
+        spare = (self.geometry.spare_size
+                 or VENDOR_PROFILES[self.vendor].geometry.spare_size)
+        if spare < OOB_RECORD_BYTES:
+            raise SpecError(
+                f"stack.geometry.spare_size must be >= {OOB_RECORD_BYTES} "
+                f"when stack.ftl.checkpoint_interval > 0: every page "
+                f"carries a {OOB_RECORD_BYTES}-byte OOB record, and the "
+                f"spare area is {spare} bytes"
+            )
+        if not self.track_data:
+            raise SpecError(
+                "stack.track_data must be true when "
+                "stack.ftl.checkpoint_interval > 0: checkpoints and the "
+                "journal are read back from the arrays at remount"
+            )
+
+    def _validate_sanitizers(self) -> None:
+        # The sanitizer registry loads only for a spec that names one.
+        from repro.sanitize.base import resolve_names
+
+        try:
+            resolved = resolve_names(self.sanitizers)
+        except ValueError as exc:
+            raise SpecError(f"stack.sanitizers: {exc}") from None
+        # The cross-tier contract, enforced at *parse* time: a spec
+        # that would only explode once a channel is built is a spec
+        # the validator failed.
+        waveform_only = sorted(set(resolved) & WAVEFORM_ONLY_SANITIZERS)
+        if waveform_only and self.fidelity != "waveform":
+            from repro.core.backend import FidelityError
+
+            raise FidelityError(
+                f"sanitizer(s) {', '.join(waveform_only)} sample "
+                f"per-segment bus traffic, which the "
+                f"{self.fidelity!r} tier does not simulate — set "
+                f"stack.fidelity to 'waveform' or select only "
+                f"transaction-safe sanitizers (memory, liveness)"
+            )
 
     def full_page_size(self) -> int:
         """Bytes of one page incl. spare, under the geometry overrides."""

@@ -16,34 +16,22 @@ The core package implements the software-defined controller of Fig. 5:
 * :mod:`repro.core.controller` — the FTL-facing facade.
 """
 
-from repro.core.controller import BabolController, ControllerConfig
-from repro.core.recovery import (
-    DieDegraded,
-    OpFailed,
-    OpTimeout,
-    RecoverableOpError,
-    RecoveryManager,
-    RecoveryPolicy,
-    RecoveryStats,
-    Watchdog,
-)
-from repro.core.storage import StorageConfig, StorageController, build_storage
-from repro.core.transaction import Transaction, TxnKind
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BabolController",
-    "ControllerConfig",
-    "DieDegraded",
-    "OpFailed",
-    "OpTimeout",
-    "RecoverableOpError",
-    "RecoveryManager",
-    "RecoveryPolicy",
-    "RecoveryStats",
-    "Watchdog",
-    "StorageConfig",
-    "StorageController",
-    "build_storage",
-    "Transaction",
-    "TxnKind",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "BabolController": "controller",
+    "ControllerConfig": "controller",
+    "DieDegraded": "recovery",
+    "OpFailed": "recovery",
+    "OpTimeout": "recovery",
+    "RecoverableOpError": "recovery",
+    "RecoveryManager": "recovery",
+    "RecoveryPolicy": "recovery",
+    "RecoveryStats": "recovery",
+    "Watchdog": "recovery",
+    "StorageConfig": "storage",
+    "StorageController": "storage",
+    "build_storage": "storage",
+    "Transaction": "transaction",
+    "TxnKind": "transaction",
+})

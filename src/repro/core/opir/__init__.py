@@ -13,72 +13,40 @@ wrappers in :mod:`repro.core.ops` are one-line shims over
 :func:`run_op`.
 """
 
-from repro.core.opir.nodes import (
-    Branch,
-    BreakIf,
-    CallOp,
-    DataXfer,
-    DeclareHandle,
-    E,
-    HandleRef,
-    LatchSeq,
-    Loop,
-    OpProgram,
-    PollStatus,
-    Reg,
-    Return,
-    SEGMENT_NODES,
-    STEP_NODES,
-    SelectFirstReady,
-    SetReg,
-    SoftSleep,
-    TimerWait,
-    Txn,
-    kwargs_tuple,
-)
-from repro.core.opir.compile import lower, resolve_timer_ns
-from repro.core.opir.interp import run_program
-from repro.core.opir.registry import (
-    build_program,
-    list_ops,
-    op_program,
-    resolve_builder,
-    run_op,
-)
-from repro.core.opir.serialize import decode_value, encode_value, from_json, to_json
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Branch",
-    "BreakIf",
-    "CallOp",
-    "DataXfer",
-    "DeclareHandle",
-    "E",
-    "HandleRef",
-    "LatchSeq",
-    "Loop",
-    "OpProgram",
-    "PollStatus",
-    "Reg",
-    "Return",
-    "SEGMENT_NODES",
-    "STEP_NODES",
-    "SelectFirstReady",
-    "SetReg",
-    "SoftSleep",
-    "TimerWait",
-    "Txn",
-    "kwargs_tuple",
-    "lower",
-    "resolve_timer_ns",
-    "run_program",
-    "build_program",
-    "list_ops",
-    "op_program",
-    "resolve_builder",
-    "run_op",
-    "decode_value",
-    "encode_value",
-    "from_json",
-    "to_json",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "Branch": "nodes",
+    "BreakIf": "nodes",
+    "CallOp": "nodes",
+    "DataXfer": "nodes",
+    "DeclareHandle": "nodes",
+    "E": "nodes",
+    "HandleRef": "nodes",
+    "LatchSeq": "nodes",
+    "Loop": "nodes",
+    "OpProgram": "nodes",
+    "PollStatus": "nodes",
+    "Reg": "nodes",
+    "Return": "nodes",
+    "SEGMENT_NODES": "nodes",
+    "STEP_NODES": "nodes",
+    "SelectFirstReady": "nodes",
+    "SetReg": "nodes",
+    "SoftSleep": "nodes",
+    "TimerWait": "nodes",
+    "Txn": "nodes",
+    "kwargs_tuple": "nodes",
+    "lower": "compile",
+    "resolve_timer_ns": "compile",
+    "run_program": "interp",
+    "build_program": "registry",
+    "list_ops": "registry",
+    "op_program": "registry",
+    "resolve_builder": "registry",
+    "run_op": "registry",
+    "decode_value": "serialize",
+    "encode_value": "serialize",
+    "from_json": "serialize",
+    "to_json": "serialize",
+})

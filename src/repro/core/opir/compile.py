@@ -53,6 +53,8 @@ from repro.core.opir.nodes import (
     effective_poll_period,
     lower_expr,
 )
+import repro.core.ops as ops
+from repro.core.ops.base import POLL_LOOPS
 from repro.core.packetizer import Packetizer
 from repro.dram import DmaHandle
 from repro.onfi.signals import AddressLatch, DataInAction, DataOutAction
@@ -176,9 +178,6 @@ def lower(bank, program: OpProgram) -> tuple[Lowered, tuple]:
     """Lower ``program`` against ``bank``'s current data mode:
     ``(Lowered, operands)`` — the steps, and this instance's values for
     their operand slots."""
-    import repro.core.ops as ops  # imports the registry, hence lazy
-    from repro.core.ops.base import POLL_LOOPS as polls
-
     steps: list = []
     operands: list = []
     declared: set = set()
@@ -198,10 +197,10 @@ def lower(bank, program: OpProgram) -> tuple[Lowered, tuple]:
                                 else node.dram_address)
                 declared.add(node.name)
             elif isinstance(node, PollStatus):
-                if node.until not in polls:
+                if node.until not in POLL_LOOPS:
                     raise ValueError("PollStatus until must be 'ready' or "
                                      f"'array_ready', got {node.until!r}")
-                steps.append((POLL, polls[node.until], node.until, node.dest,
+                steps.append((POLL, POLL_LOOPS[node.until], node.until, node.dest,
                               _mask(node.chip_mask), node.max_polls,
                               effective_poll_period(node.period_ns)))
             elif isinstance(node, SoftSleep):

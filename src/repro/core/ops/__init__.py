@@ -12,67 +12,37 @@ Fig. 8 highlights in gray), but the structure is now data: lintable,
 serializable, and overridable without editing this package.
 """
 
-from repro.core.ops.base import (
-    poll_until_array_ready,
-    poll_until_ready,
-    single_latch_txn,
-)
-from repro.core.ops.status import read_status_op, read_status_enhanced_op
-from repro.core.ops.read import (
-    full_page_read_op,
-    partial_read_op,
-    read_page_op,
-    read_page_timed_wait_op,
-)
-from repro.core.ops.program import program_page_op, partial_program_op
-from repro.core.ops.erase import erase_block_op
-from repro.core.ops.features import get_features_op, set_features_op
-from repro.core.ops.reset import reset_op
-from repro.core.ops.readid import read_id_op, read_parameter_page_op
-from repro.core.ops.pslc import pslc_read_op, pslc_program_op, pslc_erase_op
-from repro.core.ops.read_retry import read_with_retry_op
-from repro.core.ops.cache import cache_read_sequential_op, cache_program_op
-from repro.core.ops.multiplane import (
-    multiplane_erase_op,
-    multiplane_read_op,
-    multiplane_program_op,
-)
-from repro.core.ops.suspend import (
-    erase_with_preemptive_read_op,
-    resume_op,
-    suspend_op,
-)
-from repro.core.ops.gang import gang_read_op
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "poll_until_array_ready",
-    "poll_until_ready",
-    "single_latch_txn",
-    "read_status_op",
-    "read_status_enhanced_op",
-    "full_page_read_op",
-    "partial_read_op",
-    "read_page_op",
-    "read_page_timed_wait_op",
-    "program_page_op",
-    "partial_program_op",
-    "erase_block_op",
-    "get_features_op",
-    "set_features_op",
-    "reset_op",
-    "read_id_op",
-    "read_parameter_page_op",
-    "pslc_read_op",
-    "pslc_program_op",
-    "pslc_erase_op",
-    "read_with_retry_op",
-    "cache_read_sequential_op",
-    "cache_program_op",
-    "multiplane_erase_op",
-    "multiplane_read_op",
-    "multiplane_program_op",
-    "erase_with_preemptive_read_op",
-    "resume_op",
-    "suspend_op",
-    "gang_read_op",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "poll_until_array_ready": "base",
+    "poll_until_ready": "base",
+    "single_latch_txn": "base",
+    "read_status_op": "status",
+    "read_status_enhanced_op": "status",
+    "full_page_read_op": "read",
+    "partial_read_op": "read",
+    "read_page_op": "read",
+    "read_page_timed_wait_op": "read",
+    "program_page_op": "program",
+    "partial_program_op": "program",
+    "erase_block_op": "erase",
+    "get_features_op": "features",
+    "set_features_op": "features",
+    "reset_op": "reset",
+    "read_id_op": "readid",
+    "read_parameter_page_op": "readid",
+    "pslc_read_op": "pslc",
+    "pslc_program_op": "pslc",
+    "pslc_erase_op": "pslc",
+    "read_with_retry_op": "read_retry",
+    "cache_read_sequential_op": "cache",
+    "cache_program_op": "cache",
+    "multiplane_erase_op": "multiplane",
+    "multiplane_read_op": "multiplane",
+    "multiplane_program_op": "multiplane",
+    "erase_with_preemptive_read_op": "suspend",
+    "resume_op": "suspend",
+    "suspend_op": "suspend",
+    "gang_read_op": "gang",
+})

@@ -7,58 +7,32 @@ switches, transaction enqueues, scheduler iterations, and dispatches —
 the costs whose frequency-scaling Fig. 10 and Fig. 11 measure.
 """
 
-from repro.core.softenv.cpu import Cpu, MHZ, GHZ
-from repro.core.softenv.base import (
-    EnvAwait,
-    EnvPost,
-    EnvSleep,
-    EnvWaitTxn,
-    EnvYield,
-    OperationContext,
-    RuntimeCosts,
-    SoftwareEnvironment,
-    Task,
-    TaskState,
-)
-from repro.core.softenv.task_scheduler import (
-    FifoTaskScheduler,
-    PriorityTaskScheduler,
-    RoundRobinTaskScheduler,
-    TaskScheduler,
-)
-from repro.core.softenv.txn_scheduler import (
-    FifoTxnScheduler,
-    PriorityTxnScheduler,
-    RoundRobinTxnScheduler,
-    TxnScheduler,
-)
-from repro.core.softenv.coroutine_env import CORO_COSTS, CoroutineEnvironment
-from repro.core.softenv.rtos_env import RTOS_COSTS, RtosEnvironment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cpu",
-    "MHZ",
-    "GHZ",
-    "EnvAwait",
-    "EnvPost",
-    "EnvSleep",
-    "EnvWaitTxn",
-    "EnvYield",
-    "OperationContext",
-    "RuntimeCosts",
-    "SoftwareEnvironment",
-    "Task",
-    "TaskState",
-    "TaskScheduler",
-    "FifoTaskScheduler",
-    "PriorityTaskScheduler",
-    "RoundRobinTaskScheduler",
-    "TxnScheduler",
-    "FifoTxnScheduler",
-    "PriorityTxnScheduler",
-    "RoundRobinTxnScheduler",
-    "CORO_COSTS",
-    "CoroutineEnvironment",
-    "RTOS_COSTS",
-    "RtosEnvironment",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "Cpu": "cpu",
+    "MHZ": "cpu",
+    "GHZ": "cpu",
+    "EnvAwait": "base",
+    "EnvPost": "base",
+    "EnvSleep": "base",
+    "EnvWaitTxn": "base",
+    "EnvYield": "base",
+    "OperationContext": "base",
+    "RuntimeCosts": "base",
+    "SoftwareEnvironment": "base",
+    "Task": "base",
+    "TaskState": "base",
+    "TaskScheduler": "task_scheduler",
+    "FifoTaskScheduler": "task_scheduler",
+    "PriorityTaskScheduler": "task_scheduler",
+    "RoundRobinTaskScheduler": "task_scheduler",
+    "TxnScheduler": "txn_scheduler",
+    "FifoTxnScheduler": "txn_scheduler",
+    "PriorityTxnScheduler": "txn_scheduler",
+    "RoundRobinTxnScheduler": "txn_scheduler",
+    "CORO_COSTS": "coroutine_env",
+    "CoroutineEnvironment": "coroutine_env",
+    "RTOS_COSTS": "rtos_env",
+    "RtosEnvironment": "rtos_env",
+})

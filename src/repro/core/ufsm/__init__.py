@@ -7,20 +7,15 @@ is the property that makes operations written against µFSMs portable
 across packages and speeds.
 """
 
-from repro.core.ufsm.base import MicroFsm, UfsmBank
-from repro.core.ufsm.ca_writer import CAWriter, Latch
-from repro.core.ufsm.data_reader import DataReader
-from repro.core.ufsm.data_writer import DataWriter
-from repro.core.ufsm.chip_control import ChipControl
-from repro.core.ufsm.timer import TimerFsm
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MicroFsm",
-    "UfsmBank",
-    "CAWriter",
-    "Latch",
-    "DataReader",
-    "DataWriter",
-    "ChipControl",
-    "TimerFsm",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "MicroFsm": "base",
+    "UfsmBank": "base",
+    "CAWriter": "ca_writer",
+    "Latch": "ca_writer",
+    "DataReader": "data_reader",
+    "DataWriter": "data_writer",
+    "ChipControl": "chip_control",
+    "TimerFsm": "timer",
+})

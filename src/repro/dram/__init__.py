@@ -5,13 +5,12 @@ channel (Fig. 1).  The Packetizer µFSM-companion reads/writes it through
 :class:`DmaHandle` endpoints.
 """
 
-from repro.dram.buffer import AllocationError, DramBuffer
-from repro.dram.dma import DmaHandle, InlineDmaHandle, ScatterGatherList
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllocationError",
-    "DramBuffer",
-    "DmaHandle",
-    "InlineDmaHandle",
-    "ScatterGatherList",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "AllocationError": "buffer",
+    "DramBuffer": "buffer",
+    "DmaHandle": "dma",
+    "InlineDmaHandle": "dma",
+    "ScatterGatherList": "dma",
+})

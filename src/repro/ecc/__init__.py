@@ -14,14 +14,13 @@ Two engines:
   substitution.
 """
 
-from repro.ecc.hamming import HammingCodec, SectorCodec
-from repro.ecc.bch import BchConfig, BchEngine, EccResult, count_bit_errors
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HammingCodec",
-    "SectorCodec",
-    "BchConfig",
-    "BchEngine",
-    "EccResult",
-    "count_bit_errors",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "HammingCodec": "hamming",
+    "SectorCodec": "hamming",
+    "BchConfig": "bch",
+    "BchEngine": "bch",
+    "EccResult": "bch",
+    "count_bit_errors": "bch",
+})

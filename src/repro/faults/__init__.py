@@ -8,55 +8,29 @@ BABOL stack and the hardware baselines and reports what was injected,
 what recovered, and what it cost in tail latency.
 """
 
-from repro.faults.chaos import (
-    EXIT_INTERNAL,
-    EXIT_OK,
-    EXIT_UNRECOVERED,
-    FTL_KINDS,
-    OPS_KINDS,
-    SPOR_KINDS,
-    default_campaign,
-    run_chaos,
-)
-from repro.faults.injector import FaultInjector, InjectionRecord
-from repro.faults.plan import (
-    RECOVERABLE_KINDS,
-    FaultCampaign,
-    FaultKind,
-    FaultPlanError,
-    FaultSpec,
-)
-from repro.faults.power import (
-    PowerCut,
-    PowerLossError,
-    apply_power_cut,
-    crash_state,
-    restore_media,
-    snapshot_media,
-    unsafe_shutdown_ns,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXIT_INTERNAL",
-    "EXIT_OK",
-    "EXIT_UNRECOVERED",
-    "FTL_KINDS",
-    "OPS_KINDS",
-    "SPOR_KINDS",
-    "FaultCampaign",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlanError",
-    "FaultSpec",
-    "InjectionRecord",
-    "PowerCut",
-    "PowerLossError",
-    "RECOVERABLE_KINDS",
-    "apply_power_cut",
-    "crash_state",
-    "default_campaign",
-    "restore_media",
-    "run_chaos",
-    "snapshot_media",
-    "unsafe_shutdown_ns",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "EXIT_INTERNAL": "chaos",
+    "EXIT_OK": "chaos",
+    "EXIT_UNRECOVERED": "chaos",
+    "FTL_KINDS": "chaos",
+    "OPS_KINDS": "chaos",
+    "SPOR_KINDS": "chaos",
+    "FaultCampaign": "plan",
+    "FaultInjector": "injector",
+    "FaultKind": "plan",
+    "FaultPlanError": "plan",
+    "FaultSpec": "plan",
+    "InjectionRecord": "injector",
+    "PowerCut": "power",
+    "PowerLossError": "power",
+    "RECOVERABLE_KINDS": "plan",
+    "apply_power_cut": "power",
+    "crash_state": "power",
+    "default_campaign": "chaos",
+    "restore_media": "power",
+    "run_chaos": "chaos",
+    "snapshot_media": "power",
+    "unsafe_shutdown_ns": "power",
+})

@@ -562,7 +562,7 @@ def run_chaos(spec: ExperimentSpec, profile=None,
     # Sized before any phase runs: the SPOR phase's FTL staging is the
     # campaign's largest DRAM footprint (the FTL phase stages at the
     # same base, the ops phase in the first 2 * _OPS_LUNS pages).
-    dataclasses.replace(stack, ftl=_SPOR_FTL).validate()
+    dataclasses.replace(stack, track_data=True, ftl=_SPOR_FTL).validate()
 
     targets = ["babol"] + (["sync-hw", "async-hw"] if plan.baselines else [])
     report: dict = {

@@ -7,38 +7,25 @@ timings, expose ONFI status/features, and inject bit errors according
 to a wear/retention/read-offset model.
 """
 
-from repro.flash.cell import CellMode, CELL_MODE_PROFILES
-from repro.flash.errors import ErrorModel, ErrorModelConfig
-from repro.flash.array import Block, FlashArray
-from repro.flash.lun import Lun, LunProtocolError, LunState
-from repro.flash.package import Package
-from repro.flash.param_page import build_parameter_page, parse_parameter_page
-from repro.flash.vendors import (
-    HYNIX_V7,
-    MICRON_B47R,
-    TOSHIBA_BICS5,
-    VENDOR_PROFILES,
-    VendorProfile,
-    profile_by_name,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellMode",
-    "CELL_MODE_PROFILES",
-    "ErrorModel",
-    "ErrorModelConfig",
-    "Block",
-    "FlashArray",
-    "Lun",
-    "LunProtocolError",
-    "LunState",
-    "Package",
-    "build_parameter_page",
-    "parse_parameter_page",
-    "HYNIX_V7",
-    "MICRON_B47R",
-    "TOSHIBA_BICS5",
-    "VENDOR_PROFILES",
-    "VendorProfile",
-    "profile_by_name",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "CellMode": "cell",
+    "CELL_MODE_PROFILES": "cell",
+    "ErrorModel": "errors",
+    "ErrorModelConfig": "errors",
+    "Block": "array",
+    "FlashArray": "array",
+    "Lun": "lun",
+    "LunProtocolError": "lun",
+    "LunState": "lun",
+    "Package": "package",
+    "build_parameter_page": "param_page",
+    "parse_parameter_page": "param_page",
+    "HYNIX_V7": "vendors",
+    "MICRON_B47R": "vendors",
+    "TOSHIBA_BICS5": "vendors",
+    "VENDOR_PROFILES": "vendors",
+    "VendorProfile": "vendors",
+    "profile_by_name": "vendors",
+})

@@ -7,30 +7,24 @@ channel injection.  For scale-out runs, :class:`ShardedFtl` stripes
 global LPNs round-robin over one :class:`PageMappedFtl` per channel.
 """
 
-from repro.ftl.badblocks import GrownBadBlockTable, RetirementRecord
-from repro.ftl.mapping import MapEntry, PageMapTable, ShardRouter
-from repro.ftl.gc import CostBenefitPolicy, GreedyPolicy, VictimPolicy
-from repro.ftl.ftl import BlockInfo, FtlConfig, FtlError, PageMappedFtl, ShardedFtl
-from repro.ftl.persist import PersistenceLayer
-from repro.ftl.spor import MountReport, mount_sharded
-from repro.ftl.wear import WearTracker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GrownBadBlockTable",
-    "RetirementRecord",
-    "MapEntry",
-    "PageMapTable",
-    "ShardRouter",
-    "CostBenefitPolicy",
-    "GreedyPolicy",
-    "VictimPolicy",
-    "BlockInfo",
-    "FtlConfig",
-    "FtlError",
-    "MountReport",
-    "PageMappedFtl",
-    "PersistenceLayer",
-    "ShardedFtl",
-    "WearTracker",
-    "mount_sharded",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "GrownBadBlockTable": "badblocks",
+    "RetirementRecord": "badblocks",
+    "MapEntry": "mapping",
+    "PageMapTable": "mapping",
+    "ShardRouter": "mapping",
+    "CostBenefitPolicy": "gc",
+    "GreedyPolicy": "gc",
+    "VictimPolicy": "gc",
+    "BlockInfo": "ftl",
+    "FtlConfig": "ftl",
+    "FtlError": "ftl",
+    "MountReport": "spor",
+    "PageMappedFtl": "ftl",
+    "PersistenceLayer": "persist",
+    "ShardedFtl": "ftl",
+    "WearTracker": "wear",
+    "mount_sharded": "spor",
+})

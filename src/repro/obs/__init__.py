@@ -22,47 +22,26 @@ Timestamps are simulated nanoseconds straight off the kernel clock, so
 traces are bit-reproducible across runs with the same seed.
 """
 
-from repro.obs.chrome import (
-    chrome_trace_events,
-    render_text_summary,
-    write_chrome_trace,
-)
-from repro.obs.instrument import (
-    register_controller_metrics,
-    register_ftl_health_metrics,
-    register_recovery_metrics,
-    register_reliability_metrics,
-    register_scale_metrics,
-    register_spor_metrics,
-    traced_op,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracer import (
-    ALL_CATEGORIES,
-    DEFAULT_CATEGORIES,
-    SpanKind,
-    TraceEvent,
-    Tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALL_CATEGORIES",
-    "DEFAULT_CATEGORIES",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SpanKind",
-    "TraceEvent",
-    "Tracer",
-    "chrome_trace_events",
-    "register_controller_metrics",
-    "register_ftl_health_metrics",
-    "register_recovery_metrics",
-    "register_reliability_metrics",
-    "register_scale_metrics",
-    "register_spor_metrics",
-    "render_text_summary",
-    "traced_op",
-    "write_chrome_trace",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "ALL_CATEGORIES": "tracer",
+    "DEFAULT_CATEGORIES": "tracer",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "SpanKind": "tracer",
+    "TraceEvent": "tracer",
+    "Tracer": "tracer",
+    "chrome_trace_events": "chrome",
+    "register_controller_metrics": "instrument",
+    "register_ftl_health_metrics": "instrument",
+    "register_recovery_metrics": "instrument",
+    "register_reliability_metrics": "instrument",
+    "register_scale_metrics": "instrument",
+    "register_spor_metrics": "instrument",
+    "render_text_summary": "chrome",
+    "traced_op": "instrument",
+    "write_chrome_trace": "chrome",
+})

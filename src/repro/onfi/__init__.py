@@ -7,63 +7,35 @@ waveform-segment model, address geometry codecs, the status register,
 and the SET/GET FEATURES address map.
 """
 
-from repro.onfi.commands import (
-    CMD,
-    CommandClass,
-    classify_opcode,
-    is_vendor_opcode,
-    opcode_name,
-)
-from repro.onfi.datamodes import (
-    DataInterface,
-    NVDDR2_100,
-    NVDDR2_200,
-    SDR_MODE0,
-    interface_by_name,
-)
-from repro.onfi.geometry import AddressCodec, Geometry, PhysicalAddress
-from repro.onfi.signals import (
-    CommandLatch,
-    AddressLatch,
-    DataInAction,
-    DataOutAction,
-    Edge,
-    IdleWait,
-    Pin,
-    SegmentKind,
-    WaveformSegment,
-)
-from repro.onfi.status import StatusBits, StatusRegister
-from repro.onfi.timing import TimingSet, timing_for_mode
-from repro.onfi.features import FeatureAddress, FeatureStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CMD",
-    "CommandClass",
-    "classify_opcode",
-    "is_vendor_opcode",
-    "opcode_name",
-    "DataInterface",
-    "NVDDR2_100",
-    "NVDDR2_200",
-    "SDR_MODE0",
-    "interface_by_name",
-    "AddressCodec",
-    "Geometry",
-    "PhysicalAddress",
-    "CommandLatch",
-    "AddressLatch",
-    "DataInAction",
-    "DataOutAction",
-    "Edge",
-    "IdleWait",
-    "Pin",
-    "SegmentKind",
-    "WaveformSegment",
-    "StatusBits",
-    "StatusRegister",
-    "TimingSet",
-    "timing_for_mode",
-    "FeatureAddress",
-    "FeatureStore",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "CMD": "commands",
+    "CommandClass": "commands",
+    "classify_opcode": "commands",
+    "is_vendor_opcode": "commands",
+    "opcode_name": "commands",
+    "DataInterface": "datamodes",
+    "NVDDR2_100": "datamodes",
+    "NVDDR2_200": "datamodes",
+    "SDR_MODE0": "datamodes",
+    "interface_by_name": "datamodes",
+    "AddressCodec": "geometry",
+    "Geometry": "geometry",
+    "PhysicalAddress": "geometry",
+    "CommandLatch": "signals",
+    "AddressLatch": "signals",
+    "DataInAction": "signals",
+    "DataOutAction": "signals",
+    "Edge": "signals",
+    "IdleWait": "signals",
+    "Pin": "signals",
+    "SegmentKind": "signals",
+    "WaveformSegment": "signals",
+    "StatusBits": "status",
+    "StatusRegister": "status",
+    "TimingSet": "timing",
+    "timing_for_mode": "timing",
+    "FeatureAddress": "features",
+    "FeatureStore": "features",
+})

@@ -7,39 +7,22 @@ Enable them with ``BabolController(..., sanitizers="all")`` or the
 ``repro sanitize`` CLI subcommand.
 """
 
-from repro.sanitize.base import (
-    SANITIZER_REGISTRY,
-    Sanitizer,
-    attach_sanitizers,
-    register_sanitizer,
-    resolve_names,
-)
-from repro.sanitize.bus import BusSanitizer
-from repro.sanitize.flash import FlashSanitizer
-from repro.sanitize.liveness import DEFAULT_MAX_STALLED_POLLS, LivenessSanitizer
-from repro.sanitize.memory import MemorySanitizer
-from repro.sanitize.runner import (
-    SANITIZE_FIXED,
-    run_all_sanitized,
-    run_babol_sanitized,
-    run_baseline_sanitized,
-    sanitize_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SANITIZER_REGISTRY",
-    "Sanitizer",
-    "attach_sanitizers",
-    "register_sanitizer",
-    "resolve_names",
-    "BusSanitizer",
-    "FlashSanitizer",
-    "MemorySanitizer",
-    "LivenessSanitizer",
-    "DEFAULT_MAX_STALLED_POLLS",
-    "run_all_sanitized",
-    "run_babol_sanitized",
-    "run_baseline_sanitized",
-    "SANITIZE_FIXED",
-    "sanitize_spec",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "SANITIZER_REGISTRY": "base",
+    "Sanitizer": "base",
+    "attach_sanitizers": "base",
+    "register_sanitizer": "base",
+    "resolve_names": "base",
+    "BusSanitizer": "bus",
+    "FlashSanitizer": "flash",
+    "MemorySanitizer": "memory",
+    "LivenessSanitizer": "liveness",
+    "DEFAULT_MAX_STALLED_POLLS": "liveness",
+    "run_all_sanitized": "runner",
+    "run_babol_sanitized": "runner",
+    "run_baseline_sanitized": "runner",
+    "SANITIZE_FIXED": "runner",
+    "sanitize_spec": "runner",
+})

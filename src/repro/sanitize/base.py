@@ -103,9 +103,9 @@ def resolve_names(spec: SanitizerSpec) -> tuple[str, ...]:
     Accepts ``"all"``, a comma-separated string, or an iterable of
     names; ``None``/empty selects nothing.
     """
-    _register_builtins()
     if spec is None:
         return ()
+    _register_builtins()
     if isinstance(spec, str):
         names = [part.strip() for part in spec.split(",") if part.strip()]
     else:

@@ -13,33 +13,21 @@ synchronization primitives (:class:`Trigger`, :class:`Mutex`,
 handle ``Simulator.schedule`` returns; process wakeups have none.
 """
 
-from repro.sim.kernel import (
-    NS_PER_US,
-    NS_PER_MS,
-    NS_PER_S,
-    Event,
-    Process,
-    SimError,
-    Simulator,
-    Timeout,
-    WaitProcess,
-    WaitTrigger,
-)
-from repro.sim.sync import Condition, Mutex, Queue, Trigger
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NS_PER_US",
-    "NS_PER_MS",
-    "NS_PER_S",
-    "Event",
-    "Process",
-    "SimError",
-    "Simulator",
-    "Timeout",
-    "WaitProcess",
-    "WaitTrigger",
-    "Condition",
-    "Mutex",
-    "Queue",
-    "Trigger",
-]
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "NS_PER_US": "kernel",
+    "NS_PER_MS": "kernel",
+    "NS_PER_S": "kernel",
+    "Event": "kernel",
+    "Process": "kernel",
+    "SimError": "kernel",
+    "Simulator": "kernel",
+    "Timeout": "kernel",
+    "WaitProcess": "kernel",
+    "WaitTrigger": "kernel",
+    "Condition": "sync",
+    "Mutex": "sync",
+    "Queue": "sync",
+    "Trigger": "sync",
+})

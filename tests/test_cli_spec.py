@@ -154,6 +154,31 @@ def test_one_page_blocks_under_a_persistent_ftl_fail_at_parse_time(capsys):
     assert "internal error" not in out
 
 
+@pytest.mark.parametrize("stack, message", (
+    ({"geometry": {"spare_size": 16}},
+     "stack.geometry.spare_size must be >= 24"),
+    ({"track_data": False}, "stack.track_data must be true"),
+), ids=("spare-below-oob-record", "no-track-data"))
+@pytest.mark.parametrize("argv", (["spec", "validate"], ["crashfuzz", "--spec"]),
+                         ids=lambda argv: argv[0])
+def test_persistence_needs_fail_at_parse_time(stack, message, argv, tmp_path,
+                                              capsys):
+    """Both validated, then ``crashfuzz --spec`` exited 2 with an
+    ``FtlError`` from the persistence layer's constructor."""
+    document = json.loads((SPEC_DIR / "crashfuzz-mix.json").read_text())
+    for key, value in stack.items():
+        if isinstance(value, dict):
+            document["stack"][key].update(value)
+        else:
+            document["stack"][key] = value
+    path = tmp_path / "persist.json"
+    path.write_text(json.dumps(document))
+    assert main([*argv, str(path)]) == 1
+    out = capsys.readouterr().out
+    assert message in out
+    assert "internal error" not in out and "FtlError" not in out
+
+
 def test_chaos_runs_from_example_spec(tmp_path, capsys):
     report_path = tmp_path / "chaos.json"
     code = main(["chaos", "--spec", str(SPEC_DIR / "chaos-campaign.json"),

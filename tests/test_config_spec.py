@@ -195,7 +195,7 @@ def test_persistent_ftl_needs_a_second_page_per_block():
     ring writes a checkpoint page, then the journal page behind it."""
     with pytest.raises(SpecError, match="pages_per_block must be >= 2"):
         ExperimentSpec.from_dict({
-            "stack": {"geometry": {"pages_per_block": 1},
+            "stack": {"geometry": {"pages_per_block": 1}, "track_data": True,
                       "ftl": {"checkpoint_interval": 48,
                               "overprovision_blocks": 4}},
         })
@@ -204,7 +204,7 @@ def test_persistent_ftl_needs_a_second_page_per_block():
     ExperimentSpec.from_dict({
         "stack": {"geometry": {"pages_per_block": 1}, "ftl": {}}})
     ExperimentSpec.from_dict({
-        "stack": {"geometry": {"pages_per_block": 2},
+        "stack": {"geometry": {"pages_per_block": 2}, "track_data": True,
                   "ftl": {"checkpoint_interval": 48,
                           "overprovision_blocks": 4}}})
 

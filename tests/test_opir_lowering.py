@@ -151,7 +151,7 @@ def digest(events) -> str:
 
 
 def trace_digest(tmp_path) -> str:
-    from repro.cli.main import main
+    from repro.cli.entry import main
 
     out = tmp_path / "trace.json"
     with contextlib.redirect_stdout(io.StringIO()):
