@@ -335,8 +335,32 @@ class StackSpec:
                     f"is too low: the GC staging slots below it need "
                     f"{self.ftl.gc_staging_base - low} bytes (one full page "
                     f"per stack.luns_per_channel x stack.ftl.blocks_per_lun)")
+            self._validate_gc_reserve()
             if self.ftl.checkpoint_interval > 0:
                 self._validate_persistence()
+
+    def _validate_gc_reserve(self) -> None:
+        """Every LUN's spare blocks must hold what background GC needs.
+
+        A LUN may come to hold a full LUN's logical share
+        (``blocks_per_lun - overprovision_blocks`` blocks: writes stripe
+        by rotor, not by LPN), and a persistent FTL carves its meta ring
+        out of LUN 0.  What is left must hold the LUN's last free block,
+        which only GC may open, plus GC's own open block; the host's
+        open block is full whenever it asks for the next one.  With one
+        spare block fewer, a filled LUN has no invalid page to reclaim
+        and a write dies mid-run with ``FtlError``."""
+        ftl = self.ftl
+        ring = ftl.meta_blocks if ftl.checkpoint_interval > 0 else 0
+        if ftl.overprovision_blocks - ring < 2:
+            where = (f"beyond the {ring}-block meta ring on LUN 0"
+                     if ring else "per LUN")
+            raise SpecError(
+                f"stack.ftl.overprovision_blocks="
+                f"{ftl.overprovision_blocks} leaves "
+                f"{ftl.overprovision_blocks - ring} spare block(s) {where}; "
+                f"background GC needs 2 (the reserve block only GC may "
+                f"open, plus GC's open block): set it to >= {ring + 2}")
 
     def _validate_persistence(self) -> None:
         """What power-loss protection (``ftl/persist.py``) needs of the

@@ -1,4 +1,4 @@
-"""Page-mapped FTL with striping, foreground GC, and wear accounting.
+"""Page-mapped FTL with striping, background GC, and wear accounting.
 
 The FTL drives any controller exposing the shared request surface
 (``read_page`` / ``program_page`` / ``erase_block`` / ``wait``) — the
@@ -11,9 +11,12 @@ Design choices (conventional, per the FTL surveys the paper cites):
 * **Page mapping**: a flat LPN→PPN table (:class:`PageMapTable`).
 * **Striping**: consecutive writes rotate across LUNs so sequential
   reads later fan out over the whole channel.
-* **Foreground GC**: when a LUN's free-block pool dips below the
-  threshold, the write path reclaims a victim (policy-pluggable)
-  before continuing — deterministic and easy to reason about.
+* **Background GC**: when a LUN's free-block pool dips below the
+  threshold, the write starts that LUN's collector (one process per
+  LUN at most) and goes on.  The collector reclaims victims
+  (policy-pluggable) into its own open block until the pool is back at
+  the threshold.  The LUN's last free block is GC's reserve: a host
+  write that would open it waits until the collector frees another.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.ftl.mapping import MapEntry, PageMapTable, ShardRouter
 from repro.ftl.wear import WearTracker
 from repro.onfi.geometry import PhysicalAddress
 from repro.sim import Simulator
-from repro.sim.sync import Condition
+from repro.sim.sync import Trigger
 
 
 @dataclass
@@ -54,8 +57,10 @@ class FtlConfig:
     def validate(self) -> None:
         if self.blocks_per_lun <= self.overprovision_blocks:
             raise ValueError("need more blocks than overprovisioning")
-        if self.gc_free_threshold < 1:
-            raise ValueError("gc threshold must be >= 1")
+        if self.gc_free_threshold < 2:
+            # The last free block is GC's reserve; the host opens the
+            # one before it, so a lower threshold would start GC too late.
+            raise ValueError("gc threshold must be >= 2")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
         if self.checkpoint_interval > 0:
@@ -130,6 +135,8 @@ class PageMappedFtl:
 
         self._free: list[deque[int]] = []
         self._active: list[Optional[BlockInfo]] = [None] * self.lun_count
+        # GC relocates into its own open block, never the host's.
+        self._gc_active: list[Optional[BlockInfo]] = [None] * self.lun_count
         self._closed: list[list[BlockInfo]] = [[] for _ in range(self.lun_count)]
         self._info: dict[tuple[int, int], BlockInfo] = {}
         # ``bad_blocks`` is the journaled table; ``retired_blocks`` is a
@@ -159,12 +166,16 @@ class PageMappedFtl:
             self._attach_persistence(usable_blocks)
 
         self._write_rotor = 0
-        self._gc_inflight: dict[int, int] = {}
-        self._gc_done = Condition(sim)
+        # LUNs with a collect in flight (the collector or level_wear).
+        self._collecting: set[int] = set()
+        # Fires when a collect frees a block or ends, and when a closed
+        # block's last in-flight program lands.
+        self._gc_done = Trigger(sim)
         self.host_reads = 0
         self.host_writes = 0
         self.gc_runs = 0
         self.gc_page_moves = 0
+        self.gc_write_stalls = 0  # host writes that waited on the reserve
         self.program_fail_rewrites = 0
 
     def _attach_persistence(self, usable_blocks: int) -> None:
@@ -218,7 +229,7 @@ class PageMappedFtl:
             seq = persist.next_seq()
         lun = self._write_rotor % self.lun_count
         self._write_rotor += 1
-        yield from self._gc_if_needed(lun)
+        yield from self._admit(lun)
         info = self._active_block(lun)
         page = info.write_ptr
         info.write_ptr += 1
@@ -246,6 +257,9 @@ class PageMappedFtl:
         if self._bind_versioned(lpn, entry, seq):
             info.valid.add(page)
         info.inflight -= 1
+        if not info.inflight and info.write_ptr == info.capacity:
+            # A closed block just became eligible as a victim.
+            self._gc_done.fire()
         self.host_writes += 1
         if persist is not None:
             yield from persist.after_host_write()
@@ -338,22 +352,28 @@ class PageMappedFtl:
     def _active_block(self, lun: int) -> BlockInfo:
         info = self._active[lun]
         if info is None:
-            if not self._free[lun]:
-                raise FtlError(f"LUN {lun} out of free blocks (GC failed?)")
-            block = self._free[lun].popleft()
-            info = self._info.get((lun, block))
-            if info is None or info.write_ptr:
-                info = BlockInfo(lun=lun, block=block, capacity=self.pages_per_block)
-                self._info[(lun, block)] = info
-            self._active[lun] = info
+            info = self._active[lun] = self._open_block(lun)
+        return info
+
+    def _open_block(self, lun: int) -> BlockInfo:
+        if not self._free[lun]:
+            raise FtlError(f"LUN {lun} out of free blocks (GC failed?)")
+        block = self._free[lun].popleft()
+        info = self._info.get((lun, block))
+        if info is None or info.write_ptr:
+            info = BlockInfo(lun=lun, block=block, capacity=self.pages_per_block)
+            self._info[(lun, block)] = info
         return info
 
     def _close_active(self, lun: int) -> None:
         info = self._active[lun]
         if info is not None:
-            info.closed_at_ns = self.sim.now
-            self._closed[lun].append(info)
             self._active[lun] = None
+            self._close(info)
+
+    def _close(self, info: BlockInfo) -> None:
+        info.closed_at_ns = self.sim.now
+        self._closed[info.lun].append(info)
 
     def _invalidate(self, entry: MapEntry) -> None:
         info = self._info.get((entry.lun, entry.block))
@@ -364,31 +384,87 @@ class PageMappedFtl:
         return len(self._free[lun])
 
     # ------------------------------------------------------------------
-    # Garbage collection (foreground)
+    # Garbage collection (one background collector per LUN)
     # ------------------------------------------------------------------
 
-    def _gc_if_needed(self, lun: int) -> Generator:
-        while len(self._free[lun]) < self.config.gc_free_threshold:
-            victim = self.victim_policy.select(self._closed[lun], self.sim.now)
-            if victim is None:
-                if self._free[lun]:
-                    return  # nothing reclaimable; live off the remainder
-                if self._gc_inflight.get(lun, 0):
-                    # Another worker is already reclaiming; let it finish.
-                    yield from self._gc_done.wait_for(
-                        lambda: not self._gc_inflight.get(lun, 0)
-                    )
-                    continue
-                raise FtlError(f"LUN {lun} has no reclaimable blocks")
-            # Claim the victim *before* yielding so concurrent writers
-            # (HIC workers share LUNs) cannot collect it twice.
-            self._closed[lun].remove(victim)
-            self._gc_inflight[lun] = self._gc_inflight.get(lun, 0) + 1
-            try:
+    def _admit(self, lun: int) -> Generator:
+        """Start the LUN's collector when its pool is low, and hold a
+        write that would open the LUN's last free block until the
+        collector frees another — unless nothing on the LUN can become
+        reclaimable, where the write takes the block (or raises)."""
+        free = self._free[lun]
+        if len(free) >= self.config.gc_free_threshold:
+            return
+        collecting = self._start_collector(lun)
+        if self._active[lun] is not None or len(free) > 1:
+            return
+        if not (collecting or self._draining(lun)):
+            return
+        self.gc_write_stalls += 1
+        while True:
+            yield from self._gc_done.wait()
+            if self._active[lun] is not None or len(free) > 1:
+                return
+            if not (self._start_collector(lun) or self._draining(lun)):
+                return
+
+    def _draining(self, lun: int) -> bool:
+        """A closed block still has programs in flight (it may become a
+        victim once they land)."""
+        return any(info.inflight for info in self._closed[lun])
+
+    def _start_collector(self, lun: int) -> bool:
+        """Spawn the LUN's collector on a claimed victim unless a collect
+        is already in flight; False when there is nothing to collect."""
+        if lun in self._collecting:
+            return True
+        victim = self._claim_victim(lun)
+        if victim is None:
+            return False
+        self._collecting.add(lun)
+        self.sim.spawn(self._collector(victim), name=f"gc-lun{lun}")
+        return True
+
+    def _claim_victim(self, lun: int) -> Optional[BlockInfo]:
+        """Take the policy's victim out of the closed list — before any
+        yield, so nothing else (a retire, level_wear) can take it — if
+        its valid pages have somewhere to go."""
+        victim = self.victim_policy.select(self._closed[lun], self.sim.now)
+        if victim is None or not self._has_room(victim):
+            return None
+        self._closed[lun].remove(victim)
+        return victim
+
+    def _has_room(self, victim: BlockInfo) -> bool:
+        dest = self._gc_active[victim.lun]
+        room = dest.capacity - dest.write_ptr if dest is not None else 0
+        return victim.valid_count <= room or bool(self._free[victim.lun])
+
+    def _collector(self, victim: BlockInfo) -> Generator:
+        """Collect greedy victims until the pool is back at the threshold."""
+        lun = victim.lun
+        try:
+            while victim is not None:
                 yield from self._collect(victim)
-            finally:
-                self._gc_inflight[lun] -= 1
-                self._gc_done.notify()
+                if len(self._free[lun]) >= self.config.gc_free_threshold:
+                    break
+                victim = self._claim_victim(lun)
+        finally:
+            self._collecting.discard(lun)
+            self._gc_done.fire()
+
+    def _gc_page(self, lun: int) -> tuple[BlockInfo, int]:
+        """Allocate the next page of the LUN's GC destination block."""
+        dest = self._gc_active[lun]
+        if dest is None:
+            dest = self._gc_active[lun] = self._open_block(lun)
+        page = dest.write_ptr
+        dest.write_ptr += 1
+        dest.inflight += 1
+        if dest.is_full:
+            self._gc_active[lun] = None
+            self._close(dest)
+        return dest, page
 
     def _gc_staging(self, lun: int, block: int) -> int:
         """Per-victim staging buffer, growing *down* from the staging
@@ -415,12 +491,7 @@ class PageMappedFtl:
             if self.map.owner_of(source) != lpn:
                 continue  # a host write/trim superseded it mid-read
             seq = self._entry_seq.get(lpn, 0)
-            dest = self._active_block(lun)
-            dest_page = dest.write_ptr
-            dest.write_ptr += 1
-            dest.inflight += 1
-            if dest.is_full:
-                self._close_active(lun)
+            dest, dest_page = self._gc_page(lun)
             if persist is not None:
                 from repro.flash.oob import KIND_GC
 
@@ -451,6 +522,7 @@ class PageMappedFtl:
             self._free[lun].append(victim.block)
             if persist is not None:
                 persist.note_erase(lun, victim.block)
+            self._gc_done.fire()  # a write may be waiting on the reserve
         if persist is not None:
             # Erases and retirements flush synchronously: the journal
             # must not lag far behind a block being reused.
@@ -476,12 +548,7 @@ class PageMappedFtl:
             if self.map.owner_of(source) != lpn:
                 continue  # superseded while the rescue read ran
             seq = self._entry_seq.get(lpn, 0)
-            dest = self._active_block(lun)
-            dest_page = dest.write_ptr
-            dest.write_ptr += 1
-            dest.inflight += 1
-            if dest.is_full:
-                self._close_active(lun)
+            dest, dest_page = self._gc_page(lun)
             if persist is not None:
                 from repro.flash.oob import KIND_GC
 
@@ -553,14 +620,16 @@ class PageMappedFtl:
             return leveled
         if victim not in self._closed[lun] or victim.inflight:
             return leveled
+        if lun in self._collecting or not self._has_room(victim):
+            return leveled  # one collect per LUN, and only one that fits
         self._closed[lun].remove(victim)
-        self._gc_inflight[lun] = self._gc_inflight.get(lun, 0) + 1
+        self._collecting.add(lun)
         try:
             yield from self._collect(victim)
             leveled = 1
         finally:
-            self._gc_inflight[lun] -= 1
-            self._gc_done.notify()
+            self._collecting.discard(lun)
+            self._gc_done.fire()
         return leveled
 
     # ------------------------------------------------------------------
@@ -703,6 +772,10 @@ class ShardedFtl:
     @property
     def gc_page_moves(self) -> int:
         return sum(shard.gc_page_moves for shard in self.shards)
+
+    @property
+    def gc_write_stalls(self) -> int:
+        return sum(shard.gc_write_stalls for shard in self.shards)
 
     @property
     def program_fail_rewrites(self) -> int:

@@ -56,6 +56,7 @@ from repro.flash.oob import (
     encode_oob,
 )
 from repro.onfi.geometry import PhysicalAddress
+from repro.sim.sync import Trigger
 
 # Journal record tags (first element of each compact record list).
 REC_BIND = "b"       # ["b", lpn, lun, block, page, seq]
@@ -103,6 +104,7 @@ class PersistenceLayer:
         self._sync = False       # force a flush at the next opportunity
         self._writes_since_ckpt = 0
         self._busy = False       # one meta op in flight at a time
+        self._idle = Trigger(ftl.sim)  # fires whenever _busy clears
 
         # Host-side copies of what is durably on media (the crash-fuzz
         # verifier compares the rebuilt state against these).
@@ -187,8 +189,14 @@ class PersistenceLayer:
             yield from self.flush()
 
     def flush(self) -> Generator:
-        """Write the buffered journal records to meta pages."""
-        if self._busy or not self._buffer:
+        """Write the buffered journal records to meta pages.
+
+        Called while another meta op is in flight (a host FLUSH), this
+        first waits for it: records noted before the call may be in
+        neither that op nor anything durable yet."""
+        while self._busy:
+            yield from self._idle.wait()
+        if not self._buffer:
             return
         self._busy = True
         try:
@@ -215,6 +223,7 @@ class PersistenceLayer:
             self._sync = False
         finally:
             self._busy = False
+            self._idle.fire()
 
     def checkpoint(self) -> Generator:
         """Serialize the full FTL state into the meta region."""
@@ -225,6 +234,7 @@ class PersistenceLayer:
             yield from self._write_checkpoint_pages()
         finally:
             self._busy = False
+            self._idle.fire()
         # Records noted by concurrent workers *during* the checkpoint's
         # chunk programs (their maybe_flush saw _busy and bailed) stay
         # in the buffer; if one of them demanded a sync flush — a GC

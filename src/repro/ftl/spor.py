@@ -295,6 +295,7 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
     shard._entry_seq = {}
     shard._free = [deque() for _ in range(lun_count)]
     shard._active = [None] * lun_count
+    shard._gc_active = [None] * lun_count
     shard._closed = [[] for _ in range(lun_count)]
     shard._info = {}
     shard._write_rotor = rotor

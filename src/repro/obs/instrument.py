@@ -163,13 +163,15 @@ def register_recovery_metrics(registry: MetricsRegistry, manager,
 def register_ftl_health_metrics(registry: MetricsRegistry, ftl,
                                 prefix: str = "") -> MetricsRegistry:
     """Expose a :class:`~repro.ftl.PageMappedFtl`'s failure-handling
-    state: the grown-bad-block table and the rewrite counter."""
+    state: the grown-bad-block table, the rewrite counter, and the host
+    writes that waited on a LUN's GC reserve block."""
     p = f"{prefix}." if prefix else ""
 
     def ftl_health() -> dict:
         return {
             "bad_blocks": len(ftl.bad_blocks),
             "bad_blocks_by_reason": ftl.bad_blocks.counts_by_reason(),
+            "gc_write_stalls": ftl.gc_write_stalls,
             "program_fail_rewrites": ftl.program_fail_rewrites,
         }
 

@@ -158,7 +158,12 @@ def test_one_page_blocks_under_a_persistent_ftl_fail_at_parse_time(capsys):
     ({"geometry": {"spare_size": 16}},
      "stack.geometry.spare_size must be >= 24"),
     ({"track_data": False}, "stack.track_data must be true"),
-), ids=("spare-below-oob-record", "no-track-data"))
+    # The benchmark's mixed_gc_persist_tlm stack with this sizing died
+    # mid-run at full prefill with ``FtlError: LUN 0 out of free blocks``.
+    ({"ftl": {"overprovision_blocks": 3}},
+     "stack.ftl.overprovision_blocks=3 leaves 1 spare block(s) beyond "
+     "the 2-block meta ring on LUN 0; background GC needs 2"),
+), ids=("spare-below-oob-record", "no-track-data", "no-gc-reserve"))
 @pytest.mark.parametrize("argv", (["spec", "validate"], ["crashfuzz", "--spec"]),
                          ids=lambda argv: argv[0])
 def test_persistence_needs_fail_at_parse_time(stack, message, argv, tmp_path,

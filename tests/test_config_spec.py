@@ -189,6 +189,22 @@ def test_crashfuzz_mix_requires_checkpointing_ftl():
         })
 
 
+@pytest.mark.parametrize("ftl, spare", (
+    ({"overprovision_blocks": 1}, 1),
+    ({"overprovision_blocks": 3, "checkpoint_interval": 48}, 1),
+    ({"overprovision_blocks": 5, "checkpoint_interval": 48,
+      "meta_blocks": 4}, 1),
+), ids=("volatile", "persistent", "bigger-meta-ring"))
+def test_spare_blocks_must_hold_the_gc_reserve(ftl, spare):
+    stack = {"track_data": True, "luns_per_channel": 2,
+             "ftl": {"blocks_per_lun": 10, **ftl}}
+    with pytest.raises(SpecError, match=rf"leaves {spare} spare block"):
+        ExperimentSpec.from_dict({"stack": stack})
+    # One more overprovisioned block is enough.
+    stack["ftl"]["overprovision_blocks"] += 1
+    ExperimentSpec.from_dict({"stack": stack})
+
+
 def test_persistent_ftl_needs_a_second_page_per_block():
     """Found at 08fb7bd as `crashfuzz --set stack.geometry.pages_per_block=1`
     -> exit 2, ``ValueError('page 1 out of range')`` mid-run: the meta

@@ -14,7 +14,7 @@ from repro.ftl import (
     WearTracker,
 )
 from repro.ftl.ftl import FtlError
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 
 from tests.helpers import TEST_PROFILE
 
@@ -257,8 +257,144 @@ def test_ftl_config_validation():
         FtlConfig(blocks_per_lun=2, overprovision_blocks=4).validate()
     with pytest.raises(ValueError):
         FtlConfig(gc_free_threshold=0).validate()
+    with pytest.raises(ValueError, match=">= 2"):
+        # The last free block is GC's: a threshold of 1 would start the
+        # collector only once the host had already taken it.
+        FtlConfig(gc_free_threshold=1).validate()
 
 
 def test_describe_reports_policy():
     sim, controller, ftl = make_ftl()
     assert "greedy" in ftl.describe()
+
+
+# --- background collector --------------------------------------------------
+
+
+def make_full_ftl(lun_count=1, blocks_per_lun=6, overprovision=3):
+    """A TLM-tier FTL with every logical page prefilled, so victims
+    carry many valid pages and collects take a while."""
+    sim = Simulator()
+    controller = BabolController(
+        sim,
+        ControllerConfig(vendor=TEST_PROFILE, lun_count=lun_count,
+                         runtime="rtos", track_data=False, seed=3,
+                         fidelity="tlm"),
+    )
+    for lun in controller.luns:
+        lun.array.error_model.config = ErrorModelConfig.noiseless()
+    ftl = PageMappedFtl(
+        sim, controller,
+        FtlConfig(blocks_per_lun=blocks_per_lun,
+                  overprovision_blocks=overprovision,
+                  gc_staging_base=8 * 1024 * 1024),
+    )
+    ftl.prefill(ftl.logical_pages)
+    return sim, ftl
+
+
+def churn(sim, ftl, writers=4, writes_each=48):
+    """``writers`` concurrent hosts overwriting the whole logical space."""
+    def writer(k):
+        for i in range(writes_each):
+            yield from ftl.write((k * 5 + i * 7) % ftl.logical_pages, 0)
+
+    for k in range(writers):
+        sim.spawn(writer(k), name=f"writer{k}")
+    sim.run()
+
+
+def test_host_never_opens_a_luns_last_free_block():
+    sim, ftl = make_full_ftl()
+    free_at_open = []
+    host_open = ftl._active_block
+
+    def active_block(lun):
+        if ftl._active[lun] is None:
+            free_at_open.append(len(ftl._free[lun]))
+        return host_open(lun)
+
+    ftl._active_block = active_block
+    churn(sim, ftl)
+    assert ftl.gc_runs > 0 and ftl.gc_write_stalls > 0
+    assert min(free_at_open) >= 2  # the last one is GC's reserve
+    ftl.map.check_invariants()
+
+
+def test_at_most_one_collect_per_lun_in_flight_level_wear_included():
+    sim, ftl = make_full_ftl(lun_count=2)
+    in_flight = {0: 0, 1: 0}
+    peak = {0: 0, 1: 0}
+    collect = ftl._collect
+
+    def counted(victim):
+        in_flight[victim.lun] += 1
+        peak[victim.lun] = max(peak[victim.lun], in_flight[victim.lun])
+        try:
+            yield from collect(victim)
+        finally:
+            in_flight[victim.lun] -= 1
+
+    ftl._collect = counted
+    writers, writes_each = 6, 48
+    leveled = []
+
+    def leveler():
+        # Any imbalance exceeds 0.5: level whenever the coldest block is
+        # closed and idle, collector or not.
+        while ftl.host_writes < writers * writes_each:
+            yield Timeout(200_000)
+            moved = yield from ftl.level_wear(threshold=0.5)
+            leveled.append(moved)
+
+    sim.spawn(leveler(), name="leveler")
+    churn(sim, ftl, writers=writers, writes_each=writes_each)
+    assert ftl.gc_runs > 0 and sum(leveled) > 0
+    assert peak == {0: 1, 1: 1}
+    assert not ftl._collecting
+
+
+def test_nothing_reclaimable_raises_at_once_instead_of_waiting():
+    sim, ftl = make_full_ftl(blocks_per_lun=4, overprovision=2)
+    # Every closed page is valid (no victim); drop one of the two free
+    # blocks as if retired, leaving only the reserve.
+    ftl._free[0].pop()
+    # Nothing could ever free another block, so the write takes it.
+    sim.run_process(ftl.write(0, 0))
+    assert ftl.gc_write_stalls == 0 and not ftl._free[0]
+    ftl._active[0].write_ptr = ftl.pages_per_block  # fill it
+    ftl._close_active(0)
+    now = sim.now
+
+    def write_again():
+        yield from ftl.write(1, 0)
+
+    with pytest.raises(FtlError, match="out of free blocks"):
+        sim.run_process(write_again())
+    assert sim.now == now  # raised before any simulated time passed
+
+
+def test_write_during_collect_completes_before_the_collect_ends():
+    sim, ftl = make_full_ftl()
+    spans = []
+    collect = ftl._collect
+
+    def timed(victim):
+        start = sim.now
+        yield from collect(victim)
+        spans.append((start, sim.now))
+
+    ftl._collect = timed
+
+    def host():
+        # Overwrite until a write finds the pool low and starts a collect.
+        lpn = 0
+        while not (spans or ftl._collecting):
+            issued = sim.now
+            yield from ftl.write(lpn, 0)
+            lpn += 1
+        return issued, sim.now
+
+    issued, done = sim.run_process(host())
+    start, end = spans[0]
+    assert issued <= start and done < end  # the collect ran beside it

@@ -18,7 +18,7 @@ from repro.flash.oob import (
 )
 from repro.ftl import FtlConfig, PageMappedFtl
 from repro.ftl.persist import REC_BIND, REC_ERASE, REC_RETIRE, REC_TRIM
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 
 from tests.helpers import TEST_PROFILE
 
@@ -226,6 +226,32 @@ def test_checkpoint_flushes_erases_noted_during_chunk_programs():
     assert (1, 5) not in {(l, b) for l, b, _ in
                           persist.checkpoint_state["wear"]}
     assert persist.durable_wear()[(1, 5)] == 1
+
+
+def test_host_flush_during_checkpoint_returns_after_trim_is_durable():
+    # A host FLUSH that lands while a checkpoint's chunks are programming
+    # must not return at once: the trim noted just before it is in
+    # neither the serialized state nor any journal page yet.
+    sim, controller, ftl = make_persistent_ftl(journal_flush_records=100,
+                                               checkpoint_interval=1000)
+    persist = ftl.persist
+    for i in range(4):
+        host_write(sim, controller, ftl, lpn=i, fill=i)
+    returned = {}
+
+    def host():
+        yield Timeout(TEST_PROFILE.timing.t_prog_ns // 2)
+        assert persist._busy  # the checkpoint is mid-flight
+        ftl.trim(2)
+        yield from ftl.flush()
+        returned["durable"] = 2 in persist.durable_trims()
+        returned["checkpoints"] = persist.checkpoints_written
+
+    sim.spawn(persist.checkpoint())
+    sim.spawn(host())
+    sim.run()
+    assert returned == {"durable": True, "checkpoints": 1}
+    assert persist._buffer == []
 
 
 def test_checkpoint_serializes_trim_tombstones():

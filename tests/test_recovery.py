@@ -230,6 +230,10 @@ def test_recovery_and_reliability_metrics_registered():
     assert collected["chaos.recovery"]["degraded_luns"] == []
     assert collected["chaos.reliability"]["uncorrectable"] == 0
     assert collected["chaos.ftl_health"]["bad_blocks"] == 0
+    assert collected["chaos.ftl_health"]["gc_write_stalls"] == 0
+    ftl.gc_write_stalls = 2
+    assert registry.snapshot()["collected"]["chaos.ftl_health"][
+        "gc_write_stalls"] == 2
     recovery.stats.timeouts = 3
     recovery.degraded_luns.add(1)
     collected = registry.snapshot()["collected"]
