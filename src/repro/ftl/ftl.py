@@ -262,7 +262,7 @@ class PageMappedFtl:
             self._gc_done.fire()
         self.host_writes += 1
         if persist is not None:
-            yield from persist.after_host_write()
+            persist.after_host_write()
         return entry
 
     def _bind_versioned(self, lpn: int, entry: MapEntry, seq) -> bool:
@@ -524,9 +524,9 @@ class PageMappedFtl:
                 persist.note_erase(lun, victim.block)
             self._gc_done.fire()  # a write may be waiting on the reserve
         if persist is not None:
-            # Erases and retirements flush synchronously: the journal
-            # must not lag far behind a block being reused.
-            yield from persist.maybe_flush()
+            # An erase or retirement starts the journal writer at once:
+            # the journal must not lag far behind a block being reused.
+            persist.maybe_flush()
 
     def _retire(self, victim: BlockInfo) -> Generator:
         """Permanently remove a grown-bad block from the rotation,
@@ -567,7 +567,7 @@ class PageMappedFtl:
         self._info.pop((lun, victim.block), None)
         self._retire_block(lun, victim.block, REASON_PROGRAM_FAIL)
         if persist is not None:
-            yield from persist.maybe_flush()
+            persist.maybe_flush()
 
     def _retire_block(self, lun: int, block: int, reason: str) -> None:
         """Journal a retirement and drop the block from wear tracking
@@ -590,7 +590,8 @@ class PageMappedFtl:
     # ------------------------------------------------------------------
 
     def flush(self) -> Generator:
-        """Force buffered journal records onto media (host FLUSH)."""
+        """Host FLUSH: return once every journal record noted before
+        the call is on media (group commit; see ``persist.flush``)."""
         if self.persist is not None:
             yield from self.persist.flush()
 
@@ -711,9 +712,15 @@ class ShardedFtl:
         self.shards[shard].trim(local)
 
     def flush(self) -> Generator:
-        """Durability barrier: flush every shard's journal."""
-        for shard in self.shards:
-            yield from shard.flush()
+        """Durability barrier over the array.  Every shard's mark is
+        taken at the same instant, so their journal writers run in
+        parallel and the FLUSH costs the slowest shard, not the sum."""
+        marks = [
+            (shard.persist, shard.persist.mark())
+            for shard in self.shards if shard.persist is not None
+        ]
+        for persist, mark in marks:
+            yield from persist.wait_durable(mark)
 
     def is_mapped(self, lpn: int) -> bool:
         shard, local = self._route(lpn)
@@ -792,6 +799,13 @@ class ShardedFtl:
     def journal_pages_written(self) -> int:
         return sum(
             shard.persist.journal_pages_written
+            for shard in self.shards if shard.persist is not None
+        )
+
+    @property
+    def journal_records_written(self) -> int:
+        return sum(
+            shard.persist.journal_records_written
             for shard in self.shards if shard.persist is not None
         )
 

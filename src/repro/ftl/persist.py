@@ -31,6 +31,14 @@ never erased before a newer one is fully committed.  A crash at any
 nanosecond therefore always leaves one complete checkpoint plus a
 durable prefix of its journal on media.
 
+Every meta program is **written behind** host I/O by the shard's one
+writer process: the FTL's hooks only count and, when a checkpoint or a
+journal flush is due, start the writer and return.  A host write's
+durability never waited on the journal anyway (its OOB record commits
+with the data).  A host FLUSH is a **group commit**: it marks how many
+records were noted before it and waits until that many are journaled
+or absorbed by a checkpoint — records noted later do not extend it.
+
 Data pages carry their own OOB record (kind ``host`` or ``gc`` with
 the LPN and write sequence number), staged by the FTL right before the
 program op — the array attaches it only when the program commits, so a
@@ -99,12 +107,17 @@ class PersistenceLayer:
         self.meta_seq = 0        # journal-page replay order
         self.checkpoint_id = 0   # 0 = genesis (no checkpoint on media)
 
-        # Volatile journal buffer + flush policy state.
+        # Volatile journal buffer + write-behind state.  Records leave
+        # the buffer in order, so counts stand for positions in it.
         self._buffer: list[list] = []
-        self._sync = False       # force a flush at the next opportunity
+        self._noted = 0          # records ever noted (monotonic)
+        self._committed = 0      # of those, journaled or absorbed
+        self._want = 0           # noted count a sync record/FLUSH awaits
         self._writes_since_ckpt = 0
-        self._busy = False       # one meta op in flight at a time
-        self._idle = Trigger(ftl.sim)  # fires whenever _busy clears
+        self._ckpt_requested = False  # checkpoint() asked for one
+        self._ckpt_owed = False  # the live meta block has no checkpoint
+        self._busy = False       # the shard's writer process is running
+        self._idle = Trigger(ftl.sim)  # each writer step, and its end
 
         # Host-side copies of what is durably on media (the crash-fuzz
         # verifier compares the rebuilt state against these).
@@ -113,6 +126,7 @@ class PersistenceLayer:
 
         # Counters.
         self.journal_pages_written = 0
+        self.journal_records_written = 0
         self.checkpoints_written = 0
         self.meta_program_failures = 0
 
@@ -148,99 +162,140 @@ class PersistenceLayer:
         self._buffer.append(
             [REC_BIND, lpn, entry.lun, entry.block, entry.page, seq]
         )
+        self._noted += 1
 
     def note_trim(self, lpn: int, seq: int) -> None:
         self._buffer.append([REC_TRIM, lpn, seq])
+        self._noted += 1
 
     def note_erase(self, lun: int, block: int) -> None:
         self._buffer.append([REC_ERASE, lun, block])
-        self._sync = True
+        self._noted += 1
+        self._want = self._noted  # flush at the next opportunity
 
     def note_retire(self, lun: int, block: int, reason: str,
                     pe_cycles: int, time_ns: int) -> None:
         self._buffer.append(
             [REC_RETIRE, lun, block, reason, pe_cycles, time_ns]
         )
-        self._sync = True
+        self._noted += 1
+        self._want = self._noted
+
+    @property
+    def _sync(self) -> bool:
+        """A sync record (erase, retirement) or a FLUSH awaits the journal."""
+        return self._committed < self._want
 
     # ------------------------------------------------------------------
-    # Flush / checkpoint policy
+    # Write-behind policy: the FTL's hooks start the writer and go on
     # ------------------------------------------------------------------
 
-    def after_host_write(self) -> Generator:
+    def after_host_write(self) -> None:
         """Hook run at the end of every successful host write."""
         self._writes_since_ckpt += 1
-        if self._busy:
-            return  # another worker is already persisting
-        if self._writes_since_ckpt >= self.ftl.config.checkpoint_interval:
-            yield from self.checkpoint()
-        elif self._sync or (
-            len(self._buffer) >= self.ftl.config.journal_flush_records
-        ):
-            yield from self.flush()
+        self._start_writer()
 
     def maybe_flush(self) -> Generator:
-        """Flush if the sync flag or batch threshold says so."""
-        if self._busy:
-            return
-        if self._sync or (
-            len(self._buffer) >= self.ftl.config.journal_flush_records
-        ):
-            yield from self.flush()
+        """Start the writer if meta work is due, and return at
+        once.  The FTL drops the result; a process that wants the pass
+        finished drives it (``yield from``) to wait for the writer."""
+        self._start_writer()
+        return self.drained()
 
-    def flush(self) -> Generator:
-        """Write the buffered journal records to meta pages.
-
-        Called while another meta op is in flight (a host FLUSH), this
-        first waits for it: records noted before the call may be in
-        neither that op nor anything durable yet."""
+    def drained(self) -> Generator:
+        """Wait until the writer has stopped."""
         while self._busy:
             yield from self._idle.wait()
-        if not self._buffer:
+
+    def flush(self) -> Generator:
+        """Host FLUSH: return once every record noted before the call
+        is journaled or absorbed by a checkpoint (group commit)."""
+        yield from self.wait_durable(self.mark())
+
+    def mark(self) -> int:
+        """Demand durability for every record noted so far and start
+        the writer; returns the mark for :meth:`wait_durable`."""
+        mark = self._noted
+        if mark > self._want:
+            self._want = mark
+        self._start_writer()
+        return mark
+
+    def wait_durable(self, mark: int) -> Generator:
+        """Wait until the first ``mark`` noted records are on media."""
+        while self._committed < mark:
+            # A no-op while the writer runs; after a pass that ended on
+            # a failed checkpoint, a retry.
+            self._start_writer()
+            yield from self._idle.wait()
+
+    def checkpoint(self) -> Generator:
+        """Have the writer write a checkpoint next; wait until it stops."""
+        self._ckpt_requested = True
+        self._start_writer()
+        yield from self.drained()
+
+    def _start_writer(self) -> None:
+        """Spawn the writer unless it runs or no meta work is due."""
+        if self._busy:
             return
-        self._busy = True
+        if self._checkpoint_due() or self._journal_due():
+            self._busy = True
+            self.ftl.sim.spawn(self._writer(), name="meta-writer")
+
+    def _checkpoint_due(self) -> bool:
+        return (self._ckpt_owed or self._ckpt_requested
+                or self._writes_since_ckpt
+                >= self.ftl.config.checkpoint_interval)
+
+    def _journal_due(self) -> bool:
+        return self._committed < self._want or (
+            len(self._buffer) >= self.ftl.config.journal_flush_records
+        )
+
+    def _writer(self) -> Generator:
+        """The shard's one meta writer: while work is due, a checkpoint
+        if one is due, else one journal page.  A failed checkpoint ends
+        the pass; the next host write (or a waiting FLUSH) retries it."""
         try:
-            while self._buffer:
-                yield from self._ensure_room(1, with_checkpoint=True)
-                if not self._buffer:
-                    break  # the rotation checkpoint absorbed everything
-                chunk = self._take_chunk()
-                payload = json.dumps(
-                    {"e": self.checkpoint_id, "r": chunk},
-                    separators=(",", ":"),
-                ).encode()
-                record = OobRecord(kind=KIND_JOURNAL,
-                                   seq=self._take_meta_seq(),
-                                   payload_len=len(payload))
-                ok = yield from self._program_meta(payload, record)
-                if ok:
-                    self.durable_journal.extend(chunk)
-                    self.journal_pages_written += 1
+            while True:
+                if self._checkpoint_due():
+                    if not (yield from self._write_checkpoint_pages()):
+                        break
+                elif self._buffer and self._journal_due():
+                    yield from self._write_journal_page()
                 else:
-                    # A failed meta program loses this batch's records;
-                    # the OOB scan at mount is the safety net for binds.
-                    self.meta_program_failures += 1
-            self._sync = False
+                    break
+                self._idle.fire()
         finally:
             self._busy = False
             self._idle.fire()
 
-    def checkpoint(self) -> Generator:
-        """Serialize the full FTL state into the meta region."""
-        if self._busy:
+    def _write_journal_page(self) -> Generator:
+        """Commit the buffer's oldest records in one journal page."""
+        if not self._pages_left():
+            # Ping-pong: the fresh block owes a checkpoint, which the
+            # writer's next step writes before any journal page.
+            yield from self._rotate()
             return
-        self._busy = True
-        try:
-            yield from self._write_checkpoint_pages()
-        finally:
-            self._busy = False
-            self._idle.fire()
-        # Records noted by concurrent workers *during* the checkpoint's
-        # chunk programs (their maybe_flush saw _busy and bailed) stay
-        # in the buffer; if one of them demanded a sync flush — a GC
-        # erase, a retirement — honour it now rather than at the next
-        # host write.
-        yield from self.maybe_flush()
+        chunk = self._take_chunk()
+        payload = json.dumps(
+            {"e": self.checkpoint_id, "r": chunk},
+            separators=(",", ":"),
+        ).encode()
+        record = OobRecord(kind=KIND_JOURNAL,
+                           seq=self._take_meta_seq(),
+                           payload_len=len(payload))
+        if (yield from self._program_meta(payload, record)):
+            self.durable_journal.extend(chunk)
+            self.journal_pages_written += 1
+            self.journal_records_written += len(chunk)
+            self._committed += len(chunk)
+        else:
+            # Nothing committed: the records go back to the front of
+            # the buffer and retry on the next ring page.
+            self.meta_program_failures += 1
+            self._buffer[:0] = chunk
 
     def _take_chunk(self) -> list[list]:
         """Pop a prefix of the buffer that serializes within one page."""
@@ -268,19 +323,18 @@ class PersistenceLayer:
     def _pages_left(self) -> int:
         return self.ftl.pages_per_block - self._next_page
 
-    def _ensure_room(self, pages: int, with_checkpoint: bool) -> Generator:
-        if self._pages_left() >= pages:
-            return
-        yield from self._rotate()
-        if with_checkpoint:
-            # Ping-pong invariant: a freshly entered meta block starts
-            # with a checkpoint, so the *previous* block (holding the
-            # old checkpoint) only becomes disposable once this commits.
-            yield from self._write_checkpoint_pages()
-
     def _rotate(self) -> Generator:
+        if self._ckpt_owed:
+            # Rotating again would erase the block that holds the last
+            # committed checkpoint before a newer one exists.
+            raise self._FtlError(
+                f"meta block {self.meta_blocks[self._ring_pos]} "
+                f"(LUN {self.meta_lun}) filled before its checkpoint "
+                f"committed; persistence region exhausted"
+            )
         self._ring_pos = (self._ring_pos + 1) % len(self.meta_blocks)
         self._next_page = 0
+        self._ckpt_owed = True
         block = self.meta_blocks[self._ring_pos]
         info = self._array().block(block)
         if info.programmed or info.torn or info.erase_interrupted:
@@ -318,8 +372,9 @@ class PersistenceLayer:
                 # Incomplete checkpoint: the previous one (plus its
                 # journal) stays authoritative.
                 self.meta_program_failures += 1
-                return
+                return False
         self._commit_checkpoint(new_id, state, absorbed)
+        return True
 
     def _commit_checkpoint(self, new_id: int, state: dict,
                            absorbed: int) -> None:
@@ -331,10 +386,10 @@ class PersistenceLayer:
         # programs (binds, trims, GC erases) are *not* in the state and
         # stay buffered for the next flush under the new epoch.
         del self._buffer[:absorbed]
-        self._sync = any(
-            rec[0] in (REC_ERASE, REC_RETIRE) for rec in self._buffer
-        )
+        self._committed += absorbed
         self._writes_since_ckpt = 0
+        self._ckpt_requested = False
+        self._ckpt_owed = False
         self.checkpoints_written += 1
 
     def _chunk_payload(self, payload: bytes) -> list[bytes]:

@@ -163,15 +163,22 @@ def register_recovery_metrics(registry: MetricsRegistry, manager,
 def register_ftl_health_metrics(registry: MetricsRegistry, ftl,
                                 prefix: str = "") -> MetricsRegistry:
     """Expose a :class:`~repro.ftl.PageMappedFtl`'s failure-handling
-    state: the grown-bad-block table, the rewrite counter, and the host
-    writes that waited on a LUN's GC reserve block."""
+    state: the grown-bad-block table, the rewrite counter, the host
+    writes that waited on a LUN's GC reserve block, and the journal's
+    pages and records written (records per page without a probe; 0
+    with persistence off)."""
     p = f"{prefix}." if prefix else ""
 
     def ftl_health() -> dict:
+        persist = ftl.persist
         return {
             "bad_blocks": len(ftl.bad_blocks),
             "bad_blocks_by_reason": ftl.bad_blocks.counts_by_reason(),
             "gc_write_stalls": ftl.gc_write_stalls,
+            "journal_pages_written":
+                persist.journal_pages_written if persist else 0,
+            "journal_records_written":
+                persist.journal_records_written if persist else 0,
             "program_fail_rewrites": ftl.program_fail_rewrites,
         }
 
