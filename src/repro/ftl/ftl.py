@@ -1,4 +1,5 @@
-"""Page-mapped FTL with striping, background GC, and wear accounting.
+"""Page-mapped FTL with load-aware placement, background GC, and wear
+accounting.
 
 The FTL drives any controller exposing the shared request surface
 (``read_page`` / ``program_page`` / ``erase_block`` / ``wait``) — the
@@ -9,8 +10,14 @@ the paper swaps them inside the Cosmos+.
 Design choices (conventional, per the FTL surveys the paper cites):
 
 * **Page mapping**: a flat LPN→PPN table (:class:`PageMapTable`).
-* **Striping**: consecutive writes rotate across LUNs so sequential
-  reads later fan out over the whole channel.
+* **Placement**: a host write goes to the LUN with the least
+  outstanding die work — a per-LUN ledger of the nominal array time
+  (tR / tPROG / tBERS) of every media op issued and not yet waited on —
+  with ties going to the LUN a write rotor names, so a uniformly loaded
+  array stripes consecutive writes exactly as a rotor would.  A LUN
+  already holding its share of valid data (its data blocks less the
+  overprovisioning, in pages) takes only overwrites of LPNs it holds,
+  so no LUN fills past the point where its GC can still make room.
 * **Background GC**: when a LUN's free-block pool dips below the
   threshold, the write starts that LUN's collector (one process per
   LUN at most) and goes on.  The collector reclaims victims
@@ -162,9 +169,32 @@ class PageMappedFtl:
                 self._retire_block(lun, b, REASON_FACTORY)
             self._free.append(deque(usable))
 
+        # Placement state.  ``_pending[lun]``: nominal array time (ns)
+        # of the LUN's media ops issued and not yet waited on (see
+        # ``_media``).  ``_lun_valid[lun]``: the LUN's valid pages plus
+        # the pages placed on it and not yet bound.  ``_share[lun]``: the
+        # most ``_lun_valid`` may reach for a new LPN — the shares sum
+        # to the logical capacity.
+        timing = controller.luns[0].profile.timing
+        self._t_read = timing.t_read_ns
+        self._t_prog = timing.t_prog_ns
+        self._t_bers = timing.t_bers_ns
+        self._pending = [0] * self.lun_count
+        self._lun_valid = [0] * self.lun_count
+        self._share = [usable_blocks * self.pages_per_block] * self.lun_count
+        # ``_rings[r]``: the LUNs in rotor order starting at ``r``.
+        self._rings = [
+            tuple((r + i) % self.lun_count for i in range(self.lun_count))
+            for r in range(self.lun_count)
+        ]
+        # Writes waiting for a LUN below its share, and their wake-up.
+        self._room_waits = 0
+        self._room = Trigger(sim)
+
         if self.config.checkpoint_interval > 0:
             self._attach_persistence(usable_blocks)
 
+        # Where placement starts looking, and where prefill puts pages.
         self._write_rotor = 0
         # LUNs with a collect in flight (the collector or level_wear).
         self._collecting: set[int] = set()
@@ -177,6 +207,8 @@ class PageMappedFtl:
         self.gc_page_moves = 0
         self.gc_write_stalls = 0  # host writes that waited on the reserve
         self.program_fail_rewrites = 0
+        self.writes_off_rotor = 0  # placed on a LUN other than the rotor's
+        self.host_writes_by_lun = [0] * self.lun_count
 
     def _attach_persistence(self, usable_blocks: int) -> None:
         """Reserve the meta region and stand up the persistence layer.
@@ -198,6 +230,7 @@ class PageMappedFtl:
             )
         meta = sorted(free0.pop() for _ in range(self.config.meta_blocks))
         self.logical_pages -= self.config.meta_blocks * self.pages_per_block
+        self._share[0] -= self.config.meta_blocks * self.pages_per_block
         self.map = PageMapTable(self.logical_pages)
         self.persist = PersistenceLayer(self, meta, meta_lun=0)
 
@@ -211,10 +244,15 @@ class PageMappedFtl:
         if entry is None:
             raise FtlError(f"read of unmapped LPN {lpn}")
         self.host_reads += 1
-        task = self.controller.read_page(
-            entry.lun, entry.block, entry.page, dram_address
-        )
+        # ``_media``'s three steps, inlined: a host read costs no more
+        # Python calls than the bare controller round trip.
+        lun = entry.lun
+        pending = self._pending
+        pending[lun] += self._t_read
+        task = self.controller.read_page(lun, entry.block, entry.page,
+                                         dram_address)
         yield from self.controller.wait(task)
+        pending[lun] -= self._t_read
         return entry
 
     def write(self, lpn: int, dram_address: int, _seq: int = None) -> Generator:
@@ -227,8 +265,14 @@ class PageMappedFtl:
             # any GC yield, so per-LPN sequence order equals the order
             # the host issued the writes in.
             seq = persist.next_seq()
-        lun = self._write_rotor % self.lun_count
-        self._write_rotor += 1
+        lun = self._place(lpn)
+        while lun < 0:
+            # Every LUN is at its share: a write or relocation in flight
+            # frees a page somewhere when it lands.
+            self._room_waits += 1
+            yield from self._room.wait()
+            self._room_waits -= 1
+            lun = self._place(lpn)
         yield from self._admit(lun)
         info = self._active_block(lun)
         page = info.write_ptr
@@ -243,12 +287,13 @@ class PageMappedFtl:
             from repro.flash.oob import KIND_HOST
 
             persist.stage_data_oob(lun, info.block, page, KIND_HOST, lpn, seq)
-        task = self.controller.program_page(lun, info.block, page, dram_address)
-        ok = yield from self.controller.wait(task)
+        ok = yield from self._media(self._t_prog, self.controller.program_page,
+                                    lun, info.block, page, dram_address)
         if not ok:
             # Grown bad block: retire it (relocating its survivors) and
             # retry the host write on a fresh block.
             info.inflight -= 1
+            self._release(lun)
             yield from self._retire(info)
             entry = yield from self.write(lpn, dram_address, _seq=seq)
             self.program_fail_rewrites += 1
@@ -256,14 +301,67 @@ class PageMappedFtl:
         entry = MapEntry(lun=lun, block=info.block, page=page)
         if self._bind_versioned(lpn, entry, seq):
             info.valid.add(page)
+        else:
+            self._release(lun)
         info.inflight -= 1
         if not info.inflight and info.write_ptr == info.capacity:
             # A closed block just became eligible as a victim.
             self._gc_done.fire()
         self.host_writes += 1
+        self.host_writes_by_lun[lun] += 1
         if persist is not None:
             persist.after_host_write()
         return entry
+
+    def _place(self, lpn: int) -> int:
+        """Choose the LUN for a host write of ``lpn`` and count the page
+        on it; -1 when every LUN is at its share.
+
+        The candidate with the least outstanding die work wins; ties go
+        to the first in rotor order.  A LUN at its share is a candidate
+        only for an overwrite of an LPN it already holds.
+        """
+        rotor = self._write_rotor % self.lun_count
+        self._write_rotor += 1
+        pending = self._pending
+        count = self._lun_valid
+        share = self._share
+        best = -1
+        holder = None
+        for lun in self._rings[rotor]:
+            if count[lun] >= share[lun]:
+                if holder is None:
+                    held = self.map._forward.get(lpn)
+                    holder = held.lun if held is not None else -1
+                if lun != holder:
+                    continue
+            if best < 0 or pending[lun] < pending[best]:
+                best = lun
+        if best >= 0:
+            count[best] += 1
+            if best != rotor:
+                self.writes_off_rotor += 1
+        return best
+
+    def _release(self, lun: int) -> None:
+        """One page stops counting toward ``lun``'s share (invalidated,
+        superseded, or its program failed); a write waiting for room
+        may try again."""
+        self._lun_valid[lun] -= 1
+        if self._room_waits:
+            self._room.fire()
+
+    def _media(self, cost: int, issue, lun: int, *args) -> Generator:
+        """Issue one media op on ``lun`` and wait for it, keeping the
+        LUN's work ledger: ``cost`` (the op's nominal array time) is
+        outstanding from issue until the wait returns.  Every media op
+        of the FTL and its meta writer goes through here, except the
+        host read, which inlines these steps."""
+        pending = self._pending
+        pending[lun] += cost
+        ok = yield from self.controller.wait(issue(lun, *args))
+        pending[lun] -= cost
+        return ok
 
     def _bind_versioned(self, lpn: int, entry: MapEntry, seq) -> bool:
         """Bind unless a newer version of the LPN already landed.
@@ -318,9 +416,18 @@ class PageMappedFtl:
             raise FtlError("prefill exceeds logical capacity")
         persist = self.persist
         payload = np.full(64, fill_byte, dtype=np.uint8)  # token content
+        count = self._lun_valid
+        share = self._share
         for lpn in range(logical_pages):
-            lun = self._write_rotor % self.lun_count
-            self._write_rotor += 1
+            # The rotor's order, passing over a LUN at its share (only a
+            # persistent shard filled past its meta LUN's share meets
+            # one; every other image is the plain rotor's).
+            for lun in self._rings[self._write_rotor % self.lun_count]:
+                self._write_rotor += 1
+                if count[lun] < share[lun]:
+                    break
+            else:
+                raise FtlError("prefill: every LUN holds its share")
             info = self._active_block(lun)
             page = info.write_ptr
             info.write_ptr += 1
@@ -338,6 +445,7 @@ class PageMappedFtl:
             )
             self.map.bind(lpn, MapEntry(lun=lun, block=info.block, page=page))
             info.valid.add(page)
+            count[lun] += 1
             if info.is_full:
                 self._close_active(lun)
         if persist is not None:
@@ -377,8 +485,9 @@ class PageMappedFtl:
 
     def _invalidate(self, entry: MapEntry) -> None:
         info = self._info.get((entry.lun, entry.block))
-        if info is not None:
-            info.valid.discard(entry.page)
+        if info is not None and entry.page in info.valid:
+            info.valid.remove(entry.page)
+            self._release(entry.lun)
 
     def free_blocks(self, lun: int) -> int:
         return len(self._free[lun])
@@ -461,6 +570,7 @@ class PageMappedFtl:
         page = dest.write_ptr
         dest.write_ptr += 1
         dest.inflight += 1
+        self._lun_valid[lun] += 1
         if dest.is_full:
             self._gc_active[lun] = None
             self._close(dest)
@@ -486,8 +596,8 @@ class PageMappedFtl:
             lpn = self.map.owner_of(source)
             if lpn is None:  # raced with a trim; nothing to preserve
                 continue
-            task = self.controller.read_page(lun, victim.block, page, staging)
-            yield from self.controller.wait(task)
+            yield from self._media(self._t_read, self.controller.read_page,
+                                   lun, victim.block, page, staging)
             if self.map.owner_of(source) != lpn:
                 continue  # a host write/trim superseded it mid-read
             seq = self._entry_seq.get(lpn, 0)
@@ -500,18 +610,21 @@ class PageMappedFtl:
                 # never prefer a stale copy over a newer host write.
                 persist.stage_data_oob(lun, dest.block, dest_page,
                                        KIND_GC, lpn, seq)
-            task = self.controller.program_page(lun, dest.block, dest_page, staging)
-            ok = yield from self.controller.wait(task)
+            ok = yield from self._media(self._t_prog,
+                                        self.controller.program_page,
+                                        lun, dest.block, dest_page, staging)
             if not ok:
                 raise FtlError("GC relocation program failed")
             entry = MapEntry(lun=lun, block=dest.block, page=dest_page)
             if self._bind_versioned(lpn, entry, seq):
                 dest.valid.add(dest_page)
+            else:
+                self._release(lun)
             dest.inflight -= 1
             self.gc_page_moves += 1
-        victim.valid.clear()
-        task = self.controller.erase_block(lun, victim.block)
-        ok = yield from self.controller.wait(task)
+        self._drop_valid(victim)
+        ok = yield from self._media(self._t_bers, self.controller.erase_block,
+                                    lun, victim.block)
         self._info.pop((lun, victim.block), None)
         if not ok:
             # The block wore out: retire it; the pool shrinks into the
@@ -543,8 +656,8 @@ class PageMappedFtl:
             lpn = self.map.owner_of(source)
             if lpn is None:
                 continue
-            task = self.controller.read_page(lun, victim.block, page, staging)
-            yield from self.controller.wait(task)
+            yield from self._media(self._t_read, self.controller.read_page,
+                                   lun, victim.block, page, staging)
             if self.map.owner_of(source) != lpn:
                 continue  # superseded while the rescue read ran
             seq = self._entry_seq.get(lpn, 0)
@@ -554,20 +667,31 @@ class PageMappedFtl:
 
                 persist.stage_data_oob(lun, dest.block, dest_page,
                                        KIND_GC, lpn, seq)
-            task = self.controller.program_page(lun, dest.block, dest_page, staging)
-            ok = yield from self.controller.wait(task)
+            ok = yield from self._media(self._t_prog,
+                                        self.controller.program_page,
+                                        lun, dest.block, dest_page, staging)
             dest.inflight -= 1
             if not ok:
+                self._release(lun)
                 raise FtlError("relocation during block retirement failed")
             entry = MapEntry(lun=lun, block=dest.block, page=dest_page)
             if self._bind_versioned(lpn, entry, seq):
                 dest.valid.add(dest_page)
+            else:
+                self._release(lun)
             self.gc_page_moves += 1
-        victim.valid.clear()
+        self._drop_valid(victim)
         self._info.pop((lun, victim.block), None)
         self._retire_block(lun, victim.block, REASON_PROGRAM_FAIL)
         if persist is not None:
             persist.maybe_flush()
+
+    def _drop_valid(self, victim: BlockInfo) -> None:
+        """Forget a reclaimed block's leftover valid pages (none whose
+        LPN still maps here: those were moved or superseded)."""
+        if victim.valid:
+            self._lun_valid[victim.lun] -= len(victim.valid)
+            victim.valid.clear()
 
     def _retire_block(self, lun: int, block: int, reason: str) -> None:
         """Journal a retirement and drop the block from wear tracking
@@ -634,6 +758,28 @@ class PageMappedFtl:
         return leveled
 
     # ------------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Property-test hook for placement: each LUN's count equals a
+        recount of its blocks' valid and in-flight pages, and no LUN
+        holds more than its share.  Call it between commands (a write
+        waiting on GC is counted before its block shows it)."""
+        recount = self._recount()
+        if recount != self._lun_valid:
+            raise AssertionError(
+                f"LUN counts {self._lun_valid} != recount {recount}")
+        for lun, (count, share) in enumerate(zip(recount, self._share)):
+            if count > share:
+                raise AssertionError(
+                    f"LUN {lun} holds {count} pages, over its share of "
+                    f"{share}")
+
+    def _recount(self) -> list[int]:
+        """Each LUN's valid plus in-flight pages, counted from its blocks."""
+        counts = [0] * self.lun_count
+        for info in self._info.values():
+            counts[info.lun] += len(info.valid) + info.inflight
+        return counts
 
     @property
     def write_amplification(self) -> float:

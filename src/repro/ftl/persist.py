@@ -195,12 +195,11 @@ class PersistenceLayer:
         self._writes_since_ckpt += 1
         self._start_writer()
 
-    def maybe_flush(self) -> Generator:
-        """Start the writer if meta work is due, and return at
-        once.  The FTL drops the result; a process that wants the pass
-        finished drives it (``yield from``) to wait for the writer."""
+    def maybe_flush(self) -> None:
+        """Start the writer if meta work is due, and return at once
+        (a process that wants the pass finished waits on
+        :meth:`drained`)."""
         self._start_writer()
-        return self.drained()
 
     def drained(self) -> Generator:
         """Wait until the writer has stopped."""
@@ -338,8 +337,9 @@ class PersistenceLayer:
         block = self.meta_blocks[self._ring_pos]
         info = self._array().block(block)
         if info.programmed or info.torn or info.erase_interrupted:
-            task = self.ftl.controller.erase_block(self.meta_lun, block)
-            ok = yield from self.ftl.controller.wait(task)
+            ftl = self.ftl
+            ok = yield from ftl._media(ftl._t_bers, ftl.controller.erase_block,
+                                       self.meta_lun, block)
             if not ok:
                 raise self._FtlError(
                     f"meta block {block} (LUN {self.meta_lun}) wore out; "
@@ -404,11 +404,10 @@ class PersistenceLayer:
         self._array().stage_oob(block, page, encode_oob(record, self.spare_size))
         padded = payload.ljust(self.ftl.page_size, b"\x00")
         data = np.frombuffer(padded, dtype=np.uint8)
-        self.ftl.controller.dram.write(self._staging, data)
-        task = self.ftl.controller.program_page(
-            self.meta_lun, block, page, self._staging
-        )
-        ok = yield from self.ftl.controller.wait(task)
+        ftl = self.ftl
+        ftl.controller.dram.write(self._staging, data)
+        ok = yield from ftl._media(ftl._t_prog, ftl.controller.program_page,
+                                   self.meta_lun, block, page, self._staging)
         return bool(ok)
 
     # ------------------------------------------------------------------

@@ -30,7 +30,8 @@ controllers whose arrays carry post-crash media (transplanted via
    most one partially-written block reopened as the active block per
    LUN.  Interrupted erases are re-issued before the block may be
    reused (without charging the wear tracker: the verifier compares
-   wear against the durable projection).
+   wear against the durable projection).  The placement counters
+   restart from the rebuilt valid sets, with no die work outstanding.
 7. **Re-anchor** — a fresh checkpoint is written offline so the next
    crash replays from the mounted state, not the pre-crash one.
 
@@ -299,6 +300,7 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
     shard._closed = [[] for _ in range(lun_count)]
     shard._info = {}
     shard._write_rotor = rotor
+    shard._pending = [0] * lun_count  # nothing is in flight after a mount
 
     # Retirements: durable records first (authoritative reasons), then
     # any worn-out block the journal never captured.  The constructor's
@@ -381,6 +383,7 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
             for info in partials[1:]:
                 shard._closed[lun].append(info)
         shard._free[lun] = deque(sorted(free))
+    shard._lun_valid = shard._recount()  # placement counts from here
 
     # -- 7. re-anchor the persistence layer -----------------------------
     persist.write_seq = write_seq

@@ -163,10 +163,11 @@ def register_recovery_metrics(registry: MetricsRegistry, manager,
 def register_ftl_health_metrics(registry: MetricsRegistry, ftl,
                                 prefix: str = "") -> MetricsRegistry:
     """Expose a :class:`~repro.ftl.PageMappedFtl`'s failure-handling
-    state: the grown-bad-block table, the rewrite counter, the host
-    writes that waited on a LUN's GC reserve block, and the journal's
-    pages and records written (records per page without a probe; 0
-    with persistence off)."""
+    and placement state: the grown-bad-block table, the rewrite
+    counter, the host writes that waited on a LUN's GC reserve block,
+    the journal's pages and records written (records per page without
+    a probe; 0 with persistence off), the host writes landed per LUN,
+    and how many were placed off the rotor's LUN."""
     p = f"{prefix}." if prefix else ""
 
     def ftl_health() -> dict:
@@ -175,11 +176,13 @@ def register_ftl_health_metrics(registry: MetricsRegistry, ftl,
             "bad_blocks": len(ftl.bad_blocks),
             "bad_blocks_by_reason": ftl.bad_blocks.counts_by_reason(),
             "gc_write_stalls": ftl.gc_write_stalls,
+            "host_writes_by_lun": list(ftl.host_writes_by_lun),
             "journal_pages_written":
                 persist.journal_pages_written if persist else 0,
             "journal_records_written":
                 persist.journal_records_written if persist else 0,
             "program_fail_rewrites": ftl.program_fail_rewrites,
+            "writes_off_rotor": ftl.writes_off_rotor,
         }
 
     registry.register_collector(f"{p}ftl_health", ftl_health)

@@ -23,3 +23,4 @@ def test_regression_spec_replays_clean(path):
     assert built.ftl.mapped_count == built.ftl.logical_pages
     for shard in built.ftl.shards:
         shard.map.check_invariants()
+        shard.check_invariants()

@@ -319,6 +319,7 @@ def test_host_never_opens_a_luns_last_free_block():
     assert ftl.gc_runs > 0 and ftl.gc_write_stalls > 0
     assert min(free_at_open) >= 2  # the last one is GC's reserve
     ftl.map.check_invariants()
+    ftl.check_invariants()
 
 
 def test_at_most_one_collect_per_lun_in_flight_level_wear_included():
@@ -352,6 +353,7 @@ def test_at_most_one_collect_per_lun_in_flight_level_wear_included():
     assert ftl.gc_runs > 0 and sum(leveled) > 0
     assert peak == {0: 1, 1: 1}
     assert not ftl._collecting
+    ftl.check_invariants()
 
 
 def test_nothing_reclaimable_raises_at_once_instead_of_waiting():

@@ -58,6 +58,7 @@ def test_ftl_agrees_with_dict_model(ops):
                 ftl.trim(lpn)
                 model.pop(lpn, None)
             ftl.map.check_invariants()
+            ftl.check_invariants()
 
     sim.run_process(scenario())
 
@@ -96,6 +97,7 @@ def test_ftl_model_holds_under_cost_benefit_gc(ops):
 
     sim.run_process(scenario())
     ftl.map.check_invariants()
+    ftl.check_invariants()
     assert ftl.map.mapped_count == len(model)
 
 

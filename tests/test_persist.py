@@ -138,10 +138,12 @@ def test_note_erase_and_retire_force_sync_flush():
     persist = ftl.persist
     persist.note_erase(1, 5)
     assert persist._sync
-    sim.run_process(persist.maybe_flush())
+    persist.maybe_flush()
+    sim.run_process(persist.drained())
     assert [REC_ERASE, 1, 5] in persist.durable_journal
     persist.note_retire(0, 7, "program_fail", 3, 123)
-    sim.run_process(persist.maybe_flush())
+    persist.maybe_flush()
+    sim.run_process(persist.drained())
     assert [REC_RETIRE, 0, 7, "program_fail", 3, 123] in persist.durable_journal
 
 

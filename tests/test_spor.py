@@ -254,3 +254,50 @@ def test_mount_requires_persistence():
                          gc_staging_base=48 * 1024 * 1024)
     with pytest.raises(FtlError):
         mount_sharded(sim, [controller], volatile)
+
+
+def test_mount_rebuilds_the_placement_counters():
+    # Crash with writes in flight on a full FTL, mount, and the mounted
+    # shard must count exactly what its rebuilt blocks hold, with no
+    # die work outstanding — else the valid-share cap works from zero
+    # and random overwrites at full prefill run a LUN out of blocks.
+    sim, controller, ftl = make_stack()
+    ftl.prefill(ftl.logical_pages)
+    rng = np.random.default_rng(5)
+
+    def writer(lpns):
+        for lpn in lpns:
+            yield from ftl.write(lpn, 0)
+
+    streams = [rng.integers(0, ftl.logical_pages, 60).tolist()
+               for _ in range(4)]
+    for k, lpns in enumerate(streams):
+        sim.spawn(writer(lpns), name=f"writer{k}")
+    cut_ns = sim.now + 30 * T_PROG
+    PowerCut(sim, cut_ns).arm([controller])
+    with pytest.raises(PowerLossError):
+        sim.run()
+    assert any(ftl.shards[0]._pending)  # the cut caught die work
+    apply_power_cut([controller], cut_ns)
+
+    sim2, controller2, ftl2, _ = remount(controller)
+    shard = ftl2.shards[0]
+    assert shard._pending == [0, 0]
+    shard.check_invariants()
+    assert sum(shard._lun_valid) == shard.map.mapped_count
+
+    streams = [rng.integers(0, ftl2.logical_pages, 150).tolist()
+               for _ in range(4)]
+    done = []
+
+    def writer2(lpns):
+        for lpn in lpns:
+            yield from ftl2.write(lpn, 0)
+            done.append(lpn)
+
+    for k, lpns in enumerate(streams):
+        sim2.spawn(writer2(lpns), name=f"writer{k}")
+    sim2.run()
+    assert len(done) == 4 * 150
+    shard.check_invariants()
+    shard.map.check_invariants()
