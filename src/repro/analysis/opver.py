@@ -198,6 +198,9 @@ class _State:
     cache_busy: Optional[Iv] = None      # cache-read array fetch remaining
     cache_prog: Optional[Iv] = None      # cache-program array work remaining
     suspended: Optional[_Busy] = None
+    # The program has latched a command: the die state is its own from
+    # here, so a suspend/resume can no longer act on a caller's op.
+    owned: bool = False
     pending_arm: Optional[str] = None    # source armed when busy completes
     pending_loads: bool = False          # ...and the page register fills
 
@@ -327,6 +330,7 @@ class _State:
         else:
             present = a.suspended or b.suspended
             out.suspended = _Busy("unknown", Iv(0, present.remaining.hi))
+        out.owned = a.owned and b.owned
         out.pending_arm = (a.pending_arm if a.pending_arm == b.pending_arm
                            else a.pending_arm or b.pending_arm)
         out.pending_loads = a.pending_loads or b.pending_loads
@@ -779,6 +783,7 @@ class _Verifier:
                       f"{self.vendor.name} has no {name} opcode")
         else:
             self._EFFECTS[row.effect](self, row, where, st)
+        st.owned = True
         st.prev_wire = "cmd"
 
     def _open_busy(self, row: OpcodeRow, where: str, st: _State) -> None:
@@ -821,16 +826,18 @@ class _Verifier:
 
     def _suspend(self, row: OpcodeRow, where: str, st: _State) -> None:
         busy = st.busy
-        if busy is None and st.suspended is None:
-            # Called in isolation: a caller-owned program/erase may be
-            # in flight (the composed preemptive-erase idiom).
+        if busy is None and st.suspended is None and not st.owned:
+            # The program's first latch: a caller-owned program/erase
+            # may be in flight (the stock ``suspend`` op run alone).
             st.suspended = _Busy("unknown", Iv(0, INF), where)
         elif busy is not None and busy.suspendable:
             st.suspended = busy
             st.busy = None
         else:
             running = (f"runs a non-suspendable {busy.kind} operation"
-                       if busy is not None else "is already suspended")
+                       if busy is not None else
+                       "is already suspended" if st.suspended is not None
+                       else "is idle")
             self.flag(
                 "OPV104", "error", where,
                 f"suspend latches while the die {running} — "
@@ -844,7 +851,14 @@ class _Verifier:
                 st.suspended, started_at=where,
                 remaining=st.suspended.remaining + self._window(row.busy, st))
             st.suspended = None
-        # else: resuming an externally suspended op — unknowable.
+        elif st.owned:
+            self.flag(
+                "OPV104", "error", where,
+                "resume latches with nothing suspended — "
+                "LunProtocolError at run time",
+                hint="resume only what this op suspended",
+            )
+        # else: the program's first latch resumes a caller's suspension.
 
     def _require_row(self, st: _State, where: str) -> bool:
         if st.phase != "await_confirm" or not st.have_row:
@@ -1141,6 +1155,7 @@ class _Verifier:
 
     def _havoc(self, st: _State) -> None:
         """Forget everything a skipped callee could have changed."""
+        st.owned = False  # it may have left an op suspended
         st.busy = None
         st.cache_busy = None
         st.cache_prog = None

@@ -26,12 +26,15 @@ byte-for-byte the historical per-segment path — golden traces do not move.
 computed from segment offsets, delivers die actions inline, and yields
 one :class:`~repro.sim.Timeout` for the whole transaction.
 
-Timing equality is exact for unpreempted operations: the TLM tier
-lands every die action, busy completion, and status sample on the same
-nanosecond the waveform tier would (see ``flash/lun.py`` for the
-logical-clock machinery and ``core/ops/base.py`` for the poll
-fast-forward that preserves the polling grid).  Under contention the
-tiers may diverge by scheduling noise — which is why the perf baseline
+Timing equality is exact for operations that nothing suspends: the
+TLM tier lands every die action, busy completion, and status sample on
+the same nanosecond the waveform tier would (see ``flash/lun.py`` for
+the logical-clock machinery and ``core/ops/base.py`` for the poll
+fast-forward that preserves the polling grid).  An erase that a host
+read suspends, and that read, keep their data and status and finish
+within about one poll period of the other tier: the waveform tier
+notices the read at its next poll round.  Under contention the tiers
+may diverge by scheduling noise — which is why the perf baseline
 records its fidelity per cell and only compares like with like.
 """
 

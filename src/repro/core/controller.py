@@ -77,8 +77,8 @@ class ControllerConfig:
     seed: int = 0
     # Fidelity tier: "waveform" simulates every bus segment at its
     # nanosecond; "tlm" collapses each transaction into one kernel
-    # event (identical data/status, same per-op latency for
-    # unpreempted ops, ~10x the simulated ops per wall-second).
+    # event (identical data/status, same per-op latency for ops no
+    # host read suspends, ~10x the simulated ops per wall-second).
     fidelity: str = "waveform"
     # Sanitizer names ("all", "bus,flash", a tuple, ...) attached at
     # construction; empty means no runtime checking and zero overhead.
@@ -189,8 +189,12 @@ class BabolController:
     ) -> Task:
         """Submit any operation from :mod:`repro.core.ops` (or your own).
 
-        The generic path always runs the full software runtime — exact
-        per-op latency in every fidelity tier.  ``_plan=True`` (set by
+        ``priority`` is the op's admission class on its LUN: the lowest
+        class waiting runs next, FIFO within a class, and a class-0 op
+        (a host read) may suspend an erase in flight on its die — see
+        ``SoftwareEnvironment.preempt_erase``.  The generic path always
+        runs the full software runtime — exact per-op latency in every
+        fidelity tier, for ops nothing suspends.  ``_plan=True`` (set by
         the data-plane convenience wrappers) lets the TLM tier run a
         straight-line op as a template instead: identical data, status,
         die state, and faults, with the runtime's cycle costs charged in

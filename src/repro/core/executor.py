@@ -94,10 +94,14 @@ class Executor:
             if not self.channel.mutex.try_acquire(txn):
                 yield from self.channel.acquire(owner=txn)
             txn.started_at = self.sim.now
-            # The fidelity backend owns the inner loop: per-segment bus
-            # events (waveform) or one event per transaction (tlm).
-            yield from self.channel.backend.run_transaction(
-                self.channel, txn)
+            guard = txn.guard
+            if guard is not None and not guard(txn):
+                txn.segments.clear()  # refused at the last moment
+            else:
+                # The fidelity backend owns the inner loop: per-segment
+                # bus events (waveform) or one event per transaction (tlm).
+                yield from self.channel.backend.run_transaction(
+                    self.channel, txn)
             txn.finished_at = self.sim.now
             self.busy_ns += txn.finished_at - txn.started_at
             tracer = self.sim._tracer

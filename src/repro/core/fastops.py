@@ -43,9 +43,17 @@ override) takes the *reference* plan on every submission — build,
 :func:`~repro.core.opir.summarize.plan_fingerprint` as shape key, the
 leaves read off the program — through the same memo.
 
+Per LUN the runner admits the lowest ``priority`` class waiting, FIFO
+within a class, as the generic runtime does; an erase's busy wait wakes
+for a class-0 op (a host read) and runs it inside a SUSPEND / RESUME
+pair folded from the stock programs.  Data and status match the generic
+path; the suspended ops' times match to within one poll period (the
+generic path sees the read at its next poll round).
+
 The decision is made once, in :meth:`PlanExecutor.try_submit`.
 Anything a template cannot reproduce takes the generic path, which is
-exact: programs with control flow, callees, gang masks or hook kwargs,
+exact for ops nothing suspends: programs with control flow, callees,
+gang masks or hook kwargs,
 and every op submitted while something is watching bus segments that a
 template never creates — a tracer, a channel fault hook, or (for ops
 that move data) a DDR PHY trim outside the sampling eye.  Attach
@@ -84,12 +92,12 @@ from repro.core.opir.summarize import (
     program_operands,
     wrapper_callee,
 )
-from repro.core.ops.base import POLLS, poll_budget_exhausted
+from repro.core.ops.base import ERASE_POLL, POLLS, poll_budget_exhausted
 from repro.core.recovery import RecoverableOpError
 from repro.core.softenv.base import Task, TaskState
 from repro.flash.lun import DIE_ADDR, DIE_DATA_IN, DIE_DATA_OUT, die_latch
 from repro.onfi.signals import CommandLatch
-from repro.sim import Timeout
+from repro.sim import Timeout, Trigger, WaitTrigger
 
 # Template phase tags (first element of each phase tuple).
 _PH_TXN = 0
@@ -123,6 +131,7 @@ class _Template(NamedTuple):
     phases: tuple
     result: Optional[Callable]  # the Return, lowered to f(regs, handles)
     has_data: bool
+    erases: bool  # waits on an erase (``ERASE_POLL``): reads may cut in
 
 
 def _parked() -> Generator:
@@ -135,10 +144,15 @@ def _parked() -> Generator:
 class PlanExecutor:
     """Runs templatable op-IR programs without the generic runtime.
 
-    One FIFO per LUN preserves the environment's admission semantics
-    (``max_tasks_per_lun=1``): operations against the same die run in
-    submission order, one at a time; operations against different dies
-    contend only for the channel mutex, exactly like the generic path.
+    Per LUN, one FIFO per admission class preserves the environment's
+    admission semantics (``max_tasks_per_lun=1``, see
+    ``SoftwareEnvironment._admit_eligible``): operations against the
+    same die run one at a time, the lowest ``priority`` class first and
+    in submission order within a class; operations against different
+    dies contend only for the channel mutex, exactly like the generic
+    path.  An erase lets class 0 (host reads) cut in: a read that
+    arrives before the erase latches runs first, and one that arrives
+    during its busy wait suspends it (:meth:`_erase_wait`).
     """
 
     def __init__(self, controller):
@@ -154,10 +168,20 @@ class PlanExecutor:
         # A poll that saw "busy": one more round's runtime cost, then —
         # when the die is opaque — the minimum legal re-poll period.
         self._extra_round = _timeout(self.pre_txn_ns + self.wakeup_ns)
-        self._repoll = Timeout(
-            max(controller.config.vendor.timing.t_poll_min_ns, 1))
-        self._queues: dict[int, deque] = {}
+        timing = controller.config.vendor.timing
+        self._repoll = Timeout(max(timing.t_poll_min_ns, 1))
+        # An erase's nominal time, and the least of it that must be left
+        # for a suspension to pay: the read's tR plus the resume penalty.
+        self._t_bers = timing.t_bers_ns
+        self._t_resume = timing.t_resume_ns
+        self._suspend_floor = timing.t_read_ns + timing.t_resume_ns
+        self._pre_txn = _timeout(self.pre_txn_ns)
+        self._suspension = None  # (suspend, resume) phases, folded once
+        # Per LUN: the (class 0, class 1, class 2) FIFOs.
+        self._queues: dict[int, tuple] = {}
         self._running: set[int] = set()
+        # LUNs whose erase sleeps until a host read arrives -> its wake.
+        self._waking: dict[int, Trigger] = {}
         self.ops_planned = 0
         self.ops_declined = 0
         self.shapes_compiled = 0
@@ -181,12 +205,20 @@ class PlanExecutor:
         task = Task(self.sim, _parked(), lun_position, priority=priority,
                     label=label or op_name)
         self.env.tasks_submitted += 1
-        queue = self._queues.setdefault(lun_position, deque())
-        queue.append((task,) + planned)
+        queues = self._queues.get(lun_position)
+        if queues is None:
+            queues = self._queues[lun_position] = (deque(), deque(), deque())
+        urgent = priority <= 0
+        queues[0 if urgent else 1 if priority == 1 else 2].append(
+            (task,) + planned)
         if lun_position not in self._running:
             self._running.add(lun_position)
             self.sim.spawn(self._runner(lun_position),
                            name=f"tlm-plan-lun{lun_position}")
+        elif urgent:
+            wake = self._waking.pop(lun_position, None)
+            if wake is not None:
+                wake.fire()  # the LUN's erase is waiting: look now
         return task
 
     def _plan(self, op_name: str, lun_position: int,
@@ -272,6 +304,7 @@ class PlanExecutor:
         phases = []
         result = None
         has_data = False
+        erases = False
         txns = 0
         polls = 0
         for step in lowered.steps:
@@ -285,6 +318,7 @@ class PlanExecutor:
                          step[3], step[4])
             elif tag == POLL:
                 phase = self._fold_poll(step)
+                erases = erases or step[1] is ERASE_POLL
                 polls += 1
             elif tag == SLEEP:
                 phase = (_PH_SLEEP, Timeout(step[1]))
@@ -295,7 +329,8 @@ class PlanExecutor:
                 raise AssertionError(f"step {tag} in a fingerprinted program")
             phases.append(phase)
         sw_ns = self.pre_txn_ns * (txns + polls) + self.wakeup_ns * polls
-        return _Template(_timeout(sw_ns), tuple(phases), result, has_data)
+        return _Template(_timeout(sw_ns), tuple(phases), result, has_data,
+                         erases)
 
     @staticmethod
     def _fold_txn(recipes: tuple) -> tuple:
@@ -342,23 +377,35 @@ class PlanExecutor:
 
     # -- the per-LUN runner --------------------------------------------
 
-    def _runner(self, lun_position: int) -> Generator:
-        """Run this LUN's queued templates, one at a time, in one
-        generator frame: every wake-up resumes this frame and nothing
-        under it (a contended channel excepted).  The die is touched
-        through its transaction-level entry only."""
-        queue = self._queues[lun_position]
+    def _runner(self, lun_position: int, nested: bool = False) -> Generator:
+        """Run this LUN's queued templates, one at a time and the lowest
+        class first, in one generator frame: every wake-up resumes this
+        frame and nothing under it (a contended channel, and an erase's
+        busy wait, excepted).  The die is touched through its
+        transaction-level entry only.  ``nested``: run the waiting
+        class-0 ops inside the op that holds the LUN, then return."""
+        urgent, normal, background = self._queues[lun_position]
         sim = self.sim
         env = self.env
         channel = self.channel
         mutex = channel.mutex
         lun = channel.luns[lun_position]
         try:
-            while queue:
-                task, template, operands = queue.popleft()
+            while True:
+                if urgent:
+                    task, template, operands = urgent.popleft()
+                elif nested:
+                    return
+                elif normal:
+                    task, template, operands = normal.popleft()
+                elif background:
+                    task, template, operands = background.popleft()
+                else:
+                    return
                 task.admitted_at = sim.now
                 task.state = TaskState.RUNNING
                 label = task.label
+                erases = template.erases
                 regs: dict = {}
                 handles: dict = {}
                 result = None
@@ -371,6 +418,15 @@ class PlanExecutor:
                             _, hold, stats, segs = phase
                             if not mutex.try_acquire(label):
                                 yield from mutex.acquire(label)
+                            if erases:
+                                if urgent:
+                                    # A host read that arrives before the
+                                    # erase latches runs first.
+                                    channel.release()
+                                    yield from self._runner(lun_position, True)
+                                    if not mutex.try_acquire(label):
+                                        yield from mutex.acquire(label)
+                                nominal = sim.now + self._t_bers
                             lun.apply_transaction(segs, sim.now, operands,
                                                   handles)
                             chan_stats = channel.stats
@@ -399,7 +455,11 @@ class PlanExecutor:
                                 end = lun.next_completion_ns()
                                 now = sim.now
                                 if end is not None and end > now:
-                                    yield Timeout(end - now)
+                                    if erases:
+                                        nominal = yield from self._erase_wait(
+                                            lun_position, lun, nominal)
+                                    else:
+                                        yield Timeout(end - now)
                                 elif polls:
                                     # an opaque (hung) die: re-poll on
                                     # the minimum legal grid, keeping the
@@ -446,4 +506,91 @@ class PlanExecutor:
                 env.tasks_completed += 1
                 task.completed.fire(result)
         finally:
-            self._running.discard(lun_position)
+            if not nested:
+                self._running.discard(lun_position)
+
+    # -- erase suspension ----------------------------------------------
+
+    def _erase_wait(self, lun_position: int, lun, nominal: int) -> Generator:
+        """Wait out the erase on ``lun``, letting host reads cut in.
+
+        Sleeps until the die's busy window ends, or until a class-0 op
+        is queued for the LUN.  Then, if the erase has more than tR +
+        t_resume left by ``nominal`` (its own estimate of its end, not
+        the die's jittered one), SUSPEND -> the waiting reads -> RESUME,
+        and wait again.  Returns the erase's nominal end once the die's
+        busy window is over (or has no end: a hung die)."""
+        sim = self.sim
+        urgent = self._queues[lun_position][0]
+        while True:
+            end = lun.next_completion_ns()
+            if end is None or end <= sim.now:
+                return nominal
+            if not urgent:
+                wake = self._waking[lun_position] = Trigger(sim)
+                timer = sim.schedule(end - sim.now, wake.fire)
+                yield WaitTrigger(wake)
+                self._waking.pop(lun_position, None)
+                timer.cancel()
+                continue
+            if nominal - sim.now <= self._suspend_floor:
+                yield Timeout(end - sim.now)  # too little left to pay
+                return nominal
+            suspend, resume = self._suspension_phases()
+            at = yield from self._transmit(lun, suspend, guarded=True)
+            if at is None:  # the erase ends before a SUSPEND could land
+                end = lun.next_completion_ns()
+                if end is not None and end > sim.now:
+                    yield Timeout(end - sim.now)
+                return nominal
+            yield from self._runner(lun_position, True)
+            left = nominal - at
+            at = yield from self._transmit(lun, resume)
+            nominal = at + left + self._t_resume
+
+    def _suspension_phases(self) -> tuple:
+        """The SUSPEND and RESUME transactions, folded once per runner
+        from the stock ``suspend`` / ``resume`` programs."""
+        if self._suspension is None:
+            bank = self.controller.ufsm
+            vendor = self.controller.config.vendor
+            self._suspension = tuple(
+                next(self._fold_txn(step[3])
+                     for step in lowered_shape(
+                         bank, vendor, _resolved_builder(name, vendor),
+                         {})[0].steps
+                     if step[0] == TXN)
+                for name in ("suspend", "resume"))
+        return self._suspension
+
+    def _transmit(self, lun, phase: tuple, guarded: bool = False
+                  ) -> Generator:
+        """Run one folded SUSPEND or RESUME the way the runner runs a
+        template's transaction, after one transaction's software cost;
+        returns the nanosecond it reached the die.  ``guarded``: only if
+        the die is still erasing when the transaction ends (None when
+        not: nothing is sent).  The runner inlines these steps rather
+        than call this: a frame per transaction is a call per op."""
+        sim = self.sim
+        channel = self.channel
+        mutex = channel.mutex
+        _, hold, stats, segs = phase
+        if self._pre_txn is not None:
+            yield self._pre_txn
+        if not mutex.try_acquire("suspend"):
+            yield from mutex.acquire("suspend")
+        at = sim.now
+        if guarded and not lun.erasing_past(at + stats[1]):
+            channel.release()
+            return None
+        lun.apply_transaction(segs, at, (), {})
+        chan_stats = channel.stats
+        chan_stats.segments += stats[0]
+        chan_stats.busy_ns += stats[1]
+        per_kind = chan_stats.per_kind
+        for key, count in stats[4]:
+            per_kind[key] += count
+        if hold is not None:
+            yield hold
+        channel.release()
+        return at

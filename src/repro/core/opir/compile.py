@@ -16,6 +16,8 @@ tagged by the ints below (``f`` is a lowered ``f(regs, handles, hooks)``;
                                   actions, fills, mask, label, via_chip_control)
     (HANDLE, name, mint, nbytes, slot)   mint(packetizer, operand, nbytes)
     (POLL, poll_fn, until, dest, mask, max_polls, period_ns)
+                                  poll_fn is ERASE_POLL for a "ready" wait
+                                  after a transaction that latches an erase
     (SLEEP, ns | f)   (SET, name, f)   (RETURN, f)   (SELECT, node, read_status_op)
     (CALL, op, fn, names, f, dest)
     (BRANCH, f | None, else_pc)   None = unconditional jump
@@ -54,10 +56,16 @@ from repro.core.opir.nodes import (
     lower_expr,
 )
 import repro.core.ops as ops
-from repro.core.ops.base import POLL_LOOPS
+from repro.core.ops.base import ERASE_POLL, POLL_LOOPS
 from repro.core.packetizer import Packetizer
 from repro.dram import DmaHandle
-from repro.onfi.signals import AddressLatch, DataInAction, DataOutAction
+from repro.onfi.protocol import OPCODES
+from repro.onfi.signals import (
+    AddressLatch,
+    CommandLatch,
+    DataInAction,
+    DataOutAction,
+)
 
 (TXN, HANDLE, POLL, SLEEP, CALL, SET, BRANCH, LOOP, BREAK_IF, SELECT,
  RETURN) = range(11)
@@ -174,6 +182,18 @@ def _lower_segment(bank, node, operands: list, declared: set) -> Recipe:
                   getattr(node, "via_chip_control", False))
 
 
+def _latches_erase(recipes: tuple) -> bool:
+    """A transaction's segments latch a command that starts an erase."""
+    for recipe in recipes:
+        for _, action in recipe.prototype.actions:
+            if isinstance(action, CommandLatch):
+                row = OPCODES.get(action.opcode)
+                if row is not None and row.busy is not None \
+                        and row.busy.kind == "erase":
+                    return True
+    return False
+
+
 def lower(bank, program: OpProgram) -> tuple[Lowered, tuple]:
     """Lower ``program`` against ``bank``'s current data mode:
     ``(Lowered, operands)`` — the steps, and this instance's values for
@@ -181,13 +201,17 @@ def lower(bank, program: OpProgram) -> tuple[Lowered, tuple]:
     steps: list = []
     operands: list = []
     declared: set = set()
+    erasing = False  # the last transaction latched an erase
 
     def block(nodes, loop=None, top=False) -> None:
+        nonlocal erasing
         for node in nodes:
             if isinstance(node, Txn):
-                steps.append((TXN, node.kind, node.label, tuple(
+                recipes = tuple(
                     _lower_segment(bank, seg, operands, declared)
-                    for seg in node.segments)))
+                    for seg in node.segments)
+                erasing = _latches_erase(recipes)
+                steps.append((TXN, node.kind, node.label, recipes))
             elif isinstance(node, DeclareHandle):
                 if node.source not in _MINTS:
                     raise ValueError(f"unknown handle source {node.source!r}")
@@ -200,7 +224,11 @@ def lower(bank, program: OpProgram) -> tuple[Lowered, tuple]:
                 if node.until not in POLL_LOOPS:
                     raise ValueError("PollStatus until must be 'ready' or "
                                      f"'array_ready', got {node.until!r}")
-                steps.append((POLL, POLL_LOOPS[node.until], node.until, node.dest,
+                loop_fn = POLL_LOOPS[node.until]
+                if erasing and node.until == "ready":
+                    loop_fn = ERASE_POLL
+                erasing = False
+                steps.append((POLL, loop_fn, node.until, node.dest,
                               _mask(node.chip_mask), node.max_polls,
                               effective_poll_period(node.period_ns)))
             elif isinstance(node, SoftSleep):

@@ -40,7 +40,8 @@ class _TlmPollPlanner:
     ``k*P - g`` ns, where ``g`` is the scheduler+context-switch cost an
     extra sleep-resume adds versus straight-line continuation.  The
     next real poll then samples on exactly the nanosecond the waveform
-    tier's ``k``-th poll would have — 0 ns drift for unpreempted ops.
+    tier's ``k``-th poll would have — 0 ns drift for ops nothing
+    suspends.
 
     Safety: the skip is bounded by the watchdog deadline grid (an
     ``OpTimeout`` still raises on its exact waveform nanosecond) and by
@@ -127,6 +128,7 @@ def _poll_status(
     max_polls: int,
     what: str,
     period_ns: int = UNPACED_POLL_PERIOD_NS,
+    erase: bool = False,
 ) -> Generator:
     """Poll READ STATUS until ``predicate`` accepts the status byte.
 
@@ -148,6 +150,13 @@ def _poll_status(
     Under the TLM fidelity tier redundant busy polls are skipped by the
     :class:`_TlmPollPlanner` — same sampling grid, same final status,
     same timeout nanosecond, far fewer simulated round trips.
+
+    ``erase`` (:data:`ERASE_POLL`, chosen by the lowering for the wait
+    after an erase latch): between rounds is the environment's
+    preemption point, where a waiting host read may suspend the erase
+    (``SoftwareEnvironment.preempt_erase``).  A fast-forwarded sleep
+    passes over the rounds it skips, so under TLM a read that arrives
+    mid-skip waits for the next round that runs.
     """
     from repro.core.opir.registry import resolved_op
     from repro.core.recovery import OpTimeout
@@ -155,6 +164,8 @@ def _poll_status(
     watchdog = ctx.watchdog
     deadline = None if watchdog is None else ctx.sim.now + watchdog.budget_ns
     planner = _TlmPollPlanner.create(ctx, chip_mask)
+    # Waiting on an erase: between rounds, a host read may suspend it.
+    erase_end = ctx.env.erase_deadline(ctx, chip_mask) if erase else None
     # READ STATUS, resolved once for the loop (what ``read_status_op``
     # resolves per call); each poll runs the shape, under that op's span.
     run, lowered, operands = resolved_op(
@@ -172,6 +183,8 @@ def _poll_status(
             return status
         if deadline is not None and ctx.sim.now >= deadline:
             raise OpTimeout(what, ctx.lun_position, watchdog.budget_ns)
+        if erase_end is not None:
+            erase_end = yield from ctx.env.preempt_erase(ctx, erase_end)
         if period_ns:
             yield from ctx.sleep(period_ns)
         if planner is not None:
@@ -192,6 +205,11 @@ POLL_LOOPS = {
                            predicate=StatusRegister.is_array_ready,
                            what=POLLS["array_ready"][0]),
 }
+
+
+#: The "ready" loop for the wait after an erase latch: it has the
+#: preemption point.
+ERASE_POLL = partial(POLL_LOOPS["ready"], erase=True)
 
 
 def poll_until_ready(

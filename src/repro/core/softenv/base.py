@@ -42,6 +42,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Generator, Optional
 
 from repro.core.executor import Executor
@@ -52,9 +53,14 @@ from repro.core.softenv.task_scheduler import RoundRobinTaskScheduler, TaskSched
 from repro.core.softenv.txn_scheduler import FifoTxnScheduler, TxnScheduler
 from repro.core.transaction import Transaction, TxnKind
 from repro.core.ufsm.base import UfsmBank
+from repro.core.ufsm.ca_writer import cmd
+from repro.onfi.commands import CMD
 from repro.sim import Simulator, Trigger, WaitTrigger
 
 _task_ids = itertools.count()
+#: Admission order: the lowest ``priority`` class first; ``sorted`` is
+#: stable, so FIFO within a class.
+_CLASS = attrgetter("priority")
 
 
 @dataclass(frozen=True)
@@ -333,8 +339,20 @@ class SoftwareEnvironment:
     # ------------------------------------------------------------------
 
     def _admit_eligible(self) -> None:
+        """Admit waiting tasks while their LUN has room: the lowest
+        ``priority`` class first (0 host reads, 1 host writes and
+        journal, 2 garbage collection, as the FTL assigns them), in
+        submission order within a class."""
+        queue = self._admission_queue
+        if not queue:
+            return
+        top = queue[0].priority
+        for task in queue:  # one class waiting (the usual case): no sort
+            if task.priority != top:
+                queue = sorted(queue, key=_CLASS)
+                break
         admitted: list[Task] = []
-        for task in self._admission_queue:
+        for task in queue:
             running = self._running_per_lun.get(task.lun_position, 0)
             if running < self.max_tasks_per_lun:
                 self._running_per_lun[task.lun_position] = running + 1
@@ -532,7 +550,8 @@ class SoftwareEnvironment:
         if self._parked:
             self._unpark()
 
-    def _finish_task(self, task: Task, result: Any) -> None:
+    def _finish_task(self, task: Task, result: Any,
+                     held: bool = True) -> None:
         task.state = TaskState.DONE
         task.result = result
         task.finished_at = self.sim.now
@@ -548,10 +567,83 @@ class SoftwareEnvironment:
                 {"admission_wait_ns": start - task.submitted_at},
             )
         self.tasks_completed += 1
-        running = self._running_per_lun.get(task.lun_position, 1)
-        self._running_per_lun[task.lun_position] = running - 1
-        self._admit_eligible()
+        if held:  # not a task run inside its LUN's holder
+            running = self._running_per_lun.get(task.lun_position, 1)
+            self._running_per_lun[task.lun_position] = running - 1
+            self._admit_eligible()
         task.completed.fire(result)
+
+    # ------------------------------------------------------------------
+    # Erase suspension: the preemption point between poll rounds
+    # ------------------------------------------------------------------
+
+    def erase_deadline(self, ctx: OperationContext,
+                       chip_mask: Optional[int]) -> Optional[int]:
+        """The nominal end of the erase a poll loop is about to wait on
+        (now + tBERS), or None: the loop polls another die than the
+        op's own, or that die is not erasing, so it has no preemption
+        point."""
+        vendor = self.vendor
+        if vendor is None or not vendor.supports_suspend or (
+                chip_mask is not None and chip_mask != ctx.chip_mask):
+            return None
+        now = self.sim.now
+        if not self.executor.channel.luns[ctx.lun_position].erasing_past(now):
+            return None
+        return now + vendor.timing.t_bers_ns
+
+    def preempt_erase(self, ctx: OperationContext,
+                      deadline: int) -> Generator:
+        """The preemption point: if a class-0 task (a host read) waits
+        for this LUN and the erase has more than tR + t_resume left by
+        ``deadline`` (the holder's nominal estimate), SUSPEND -> every
+        waiting class-0 task, run inside the holder -> RESUME.  The
+        SUSPEND is guarded: the executor sends it only while the die is
+        still erasing past its end.  Returns the new nominal end."""
+        lun_position = ctx.lun_position
+        timing = self.vendor.timing
+        if self._urgent(lun_position) is None or \
+                deadline - self.sim.now <= timing.t_read_ns + timing.t_resume_ns:
+            return deadline
+        from repro.core.ops.base import single_latch_txn
+        from repro.core.ops.suspend import resume_op
+
+        lun = self.executor.channel.luns[lun_position]
+        suspend = single_latch_txn(ctx, [cmd(CMD.VENDOR_SUSPEND)],
+                                   kind=TxnKind.CONFIG, label="suspend")
+        suspend.guard = lambda txn: lun.erasing_past(
+            txn.started_at + txn.duration_ns)
+        yield from ctx.add_transaction(suspend)
+        if not suspend.segments:
+            return deadline  # the erase ends first: nothing was sent
+        left = deadline - suspend.started_at
+        while True:
+            task = self._urgent(lun_position)
+            if task is None:
+                break
+            yield from self._run_inside(task)
+        yield from resume_op(ctx)
+        return self.sim.now + left + timing.t_resume_ns
+
+    def _urgent(self, lun_position: int) -> Optional[Task]:
+        """The first waiting class-0 task for the LUN."""
+        for task in self._admission_queue:
+            if task.priority <= 0 and task.lun_position == lun_position:
+                return task
+        return None
+
+    def _run_inside(self, task: Task) -> Generator:
+        """Run a waiting task inside the op that holds its LUN."""
+        self._admission_queue.remove(task)
+        task.admitted_at = task.ready_since = self.sim.now
+        task.state = TaskState.RUNNING
+        try:
+            result = yield from task.gen
+        except RecoverableOpError as exc:
+            task.error = exc
+            self.tasks_failed += 1
+            result = None
+        self._finish_task(task, result, held=False)
 
     # -- reporting ----------------------------------------------------------
 

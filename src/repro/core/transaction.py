@@ -57,7 +57,7 @@ class Transaction:
     __slots__ = (
         "id", "sim", "lun_position", "kind", "priority", "segments",
         "completed", "enqueued_at", "dispatched_at", "started_at",
-        "finished_at", "label",
+        "finished_at", "label", "guard",
     )
 
     def __init__(
@@ -80,6 +80,9 @@ class Transaction:
         self.started_at: Optional[int] = None
         self.finished_at: Optional[int] = None
         self.label = label
+        # ``guard(txn) -> bool``, asked by the executor as it takes the
+        # channel: False sends nothing (the segments are dropped).
+        self.guard = None
 
     def add_segment(self, segment: WaveformSegment) -> None:
         self.segments.append(segment)

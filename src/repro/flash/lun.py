@@ -457,6 +457,17 @@ class Lun:
         """R/B# pin view: low (busy) while an array op is in flight."""
         return self.state in (LunState.ARRAY_BUSY,)
 
+    def erasing_past(self, ns: int) -> bool:
+        """Whether an erase is in flight and will still be at ``ns``.
+
+        The check a controller makes as it transmits a SUSPEND that
+        ends by ``ns``: the R/B# pin plus the erase's own deadline, so
+        that no SUSPEND reaches a die the erase has already left.  A
+        hung erase (no deadline) is never suspended."""
+        spec = self._busy_spec
+        return (self.state is LunState.ARRAY_BUSY and spec is not None
+                and spec.kind == "erase" and self._busy_until > ns)
+
     @property
     def pslc_active(self) -> bool:
         return self._pslc_override or self.features.pslc_enabled

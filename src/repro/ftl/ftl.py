@@ -24,6 +24,11 @@ Design choices (conventional, per the FTL surveys the paper cites):
   (policy-pluggable) into its own open block until the pool is back at
   the threshold.  The LUN's last free block is GC's reserve: a host
   write that would open it waits until the collector frees another.
+* **Admission classes**: every media op carries a ``priority`` class
+  for the controller's per-LUN admission — host reads first, then host
+  writes and persistence, then GC — and a waiting host read suspends an
+  erase in flight on its die (see ``core/fastops.py`` and
+  ``SoftwareEnvironment.preempt_erase``).
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ from repro.ftl.wear import WearTracker
 from repro.onfi.geometry import PhysicalAddress
 from repro.sim import Simulator
 from repro.sim.sync import Trigger
+
+#: The admission classes the FTL gives its media ops (lowest first).
+HOST_READ = 0    # may suspend an erase on its die
+HOST_WRITE = 1   # host programs; the meta writer's programs and erases
+BACKGROUND = 2   # GC and retirement relocations, GC erases
 
 
 @dataclass
@@ -250,7 +260,7 @@ class PageMappedFtl:
         pending = self._pending
         pending[lun] += self._t_read
         task = self.controller.read_page(lun, entry.block, entry.page,
-                                         dram_address)
+                                         dram_address, priority=HOST_READ)
         yield from self.controller.wait(task)
         pending[lun] -= self._t_read
         return entry
@@ -351,15 +361,18 @@ class PageMappedFtl:
         if self._room_waits:
             self._room.fire()
 
-    def _media(self, cost: int, issue, lun: int, *args) -> Generator:
-        """Issue one media op on ``lun`` and wait for it, keeping the
-        LUN's work ledger: ``cost`` (the op's nominal array time) is
-        outstanding from issue until the wait returns.  Every media op
-        of the FTL and its meta writer goes through here, except the
-        host read, which inlines these steps."""
+    def _media(self, cost: int, issue, lun: int, *args,
+               priority: int = HOST_WRITE) -> Generator:
+        """Issue one media op on ``lun`` in admission class ``priority``
+        and wait for it, keeping the LUN's work ledger: ``cost`` (the
+        op's nominal array time) is outstanding from issue until the
+        wait returns.  Every media op of the FTL and its meta writer
+        goes through here, except the host read, which inlines these
+        steps."""
         pending = self._pending
         pending[lun] += cost
-        ok = yield from self.controller.wait(issue(lun, *args))
+        ok = yield from self.controller.wait(
+            issue(lun, *args, priority=priority))
         pending[lun] -= cost
         return ok
 
@@ -387,6 +400,15 @@ class PageMappedFtl:
             self._invalidate(old)
         persist.note_bind(lpn, entry, seq)
         return True
+
+    def _rebind(self, lpn: int, source: MapEntry, entry: MapEntry,
+                seq) -> bool:
+        """Bind a relocated copy, unless a host write or trim superseded
+        the source while the relocation's program ran (without
+        persistence there is no sequence number to say so)."""
+        if self.map.owner_of(source) != lpn:
+            return False
+        return self._bind_versioned(lpn, entry, seq)
 
     def trim(self, lpn: int) -> None:
         """Discard a logical page (no media work until GC)."""
@@ -597,7 +619,8 @@ class PageMappedFtl:
             if lpn is None:  # raced with a trim; nothing to preserve
                 continue
             yield from self._media(self._t_read, self.controller.read_page,
-                                   lun, victim.block, page, staging)
+                                   lun, victim.block, page, staging,
+                                   priority=BACKGROUND)
             if self.map.owner_of(source) != lpn:
                 continue  # a host write/trim superseded it mid-read
             seq = self._entry_seq.get(lpn, 0)
@@ -612,11 +635,12 @@ class PageMappedFtl:
                                        KIND_GC, lpn, seq)
             ok = yield from self._media(self._t_prog,
                                         self.controller.program_page,
-                                        lun, dest.block, dest_page, staging)
+                                        lun, dest.block, dest_page, staging,
+                                        priority=BACKGROUND)
             if not ok:
                 raise FtlError("GC relocation program failed")
             entry = MapEntry(lun=lun, block=dest.block, page=dest_page)
-            if self._bind_versioned(lpn, entry, seq):
+            if self._rebind(lpn, source, entry, seq):
                 dest.valid.add(dest_page)
             else:
                 self._release(lun)
@@ -624,7 +648,7 @@ class PageMappedFtl:
             self.gc_page_moves += 1
         self._drop_valid(victim)
         ok = yield from self._media(self._t_bers, self.controller.erase_block,
-                                    lun, victim.block)
+                                    lun, victim.block, priority=BACKGROUND)
         self._info.pop((lun, victim.block), None)
         if not ok:
             # The block wore out: retire it; the pool shrinks into the
@@ -657,7 +681,8 @@ class PageMappedFtl:
             if lpn is None:
                 continue
             yield from self._media(self._t_read, self.controller.read_page,
-                                   lun, victim.block, page, staging)
+                                   lun, victim.block, page, staging,
+                                   priority=BACKGROUND)
             if self.map.owner_of(source) != lpn:
                 continue  # superseded while the rescue read ran
             seq = self._entry_seq.get(lpn, 0)
@@ -669,13 +694,14 @@ class PageMappedFtl:
                                        KIND_GC, lpn, seq)
             ok = yield from self._media(self._t_prog,
                                         self.controller.program_page,
-                                        lun, dest.block, dest_page, staging)
+                                        lun, dest.block, dest_page, staging,
+                                        priority=BACKGROUND)
             dest.inflight -= 1
             if not ok:
                 self._release(lun)
                 raise FtlError("relocation during block retirement failed")
             entry = MapEntry(lun=lun, block=dest.block, page=dest_page)
-            if self._bind_versioned(lpn, entry, seq):
+            if self._rebind(lpn, source, entry, seq):
                 dest.valid.add(dest_page)
             else:
                 self._release(lun)

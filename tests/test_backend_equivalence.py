@@ -61,7 +61,7 @@ from repro.flash.vendors import VENDOR_PROFILES
 from repro.host import measure_read_throughput
 from repro.onfi.features import FeatureAddress
 from repro.onfi.geometry import PhysicalAddress
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 
 from tests.helpers import TEST_PROFILE
 
@@ -329,6 +329,72 @@ def test_fast_path_keeps_ftl_and_data_identical_across_tiers():
     assert tlm[1] == wave[1]          # per-die array counters
     assert tlm[2] == wave[2]          # logical-to-physical tables
     assert tlm[3] == wave[3]          # host-visible data payloads
+
+
+def _mixed_state(fidelity: str, writes: int = 360):
+    """Random overwrites that keep GC busy, beside a reader of random
+    LPNs that arrives every 30 us (so reads meet GC erases), then a
+    read-back of every LPN.  Returns the host-visible counters, the
+    erases suspended, and the read-back bytes."""
+    sim = Simulator()
+    controllers, ftl = build_stack(
+        sim, StackSpec(channels=2, luns_per_channel=2, ftl=FtlSpec(),
+                       track_data=True, noiseless=True, fidelity=fidelity),
+        profile=TEST_PROFILE,
+    )
+    span = ftl.mapped_count
+    rng = np.random.default_rng(21)
+    lpns = rng.integers(0, span, size=writes).tolist()
+    reads = rng.integers(0, span, size=writes).tolist()
+    last = {}
+    done = []
+
+    def writer():
+        for index, lpn in enumerate(lpns):
+            last[lpn] = (lpn + index) % 251
+            controllers[ftl.shard_of(lpn)].dram.write(
+                PAGE * 8, np.full(PAGE, last[lpn], dtype=np.uint8))
+            yield from ftl.write(lpn, PAGE * 8)
+        done.append(True)
+
+    def reader():
+        for lpn in reads:
+            if done:
+                return
+            yield from ftl.read(lpn, PAGE * 2)
+            yield Timeout(30_000)
+
+    sim.spawn(reader(), name="reader")
+    sim.run_process(writer(), name="writer")
+    sim.run()
+    payloads = []
+    for lpn in range(span):
+        sim.run_process(ftl.read(lpn, 0))
+        got = controllers[ftl.shard_of(lpn)].dram.read(0, PAGE)
+        if lpn in last:
+            assert (got == last[lpn]).all(), f"LPN {lpn} lost its last write"
+        payloads.append(got.tobytes())
+    health = ftl.health_summary()
+    suspended = sum(lun.op_counts["VENDOR_SUSPEND"]
+                    for c in controllers for lun in c.luns)
+    host = {key: health[key]
+            for key in ("host_reads", "host_writes", "mapped_pages")}
+    return host, health["gc_runs"], suspended, b"".join(payloads)
+
+
+def test_mixed_gc_run_keeps_host_data_identical_across_tiers():
+    """Reads beside GC: every acked write reads back, byte-identical on
+    both tiers, with erases suspended on both.  GC statistics, die
+    counters and the map are not compared: the template's poll ends up
+    to one poll period from the waveform tier's, which moves background
+    GC and placement decisions (a GC-heavy write run diverges there
+    without any read or suspension as well)."""
+    wave = _mixed_state("waveform")
+    tlm = _mixed_state("tlm")
+    assert wave[1] > 0 and tlm[1] > 0     # GC ran on both tiers
+    assert wave[2] > 0 and tlm[2] > 0     # reads suspended GC erases
+    assert tlm[0] == wave[0]              # host-visible counters
+    assert tlm[3] == wave[3]              # host-visible data payloads
 
 
 def test_scale_stack_uses_the_plan_executor_under_tlm():

@@ -34,6 +34,7 @@ from repro.core.opir.nodes import (
     LatchSeq,
     OpProgram,
     PollStatus,
+    Return,
     SoftSleep,
     TimerWait,
     Txn,
@@ -454,18 +455,14 @@ SITUATIONS = {
 #: never an opcode.
 PROBES = sorted(OPCODES) + [CMD.READ_UNIQUE_ID, 0xB7]
 
-#: The verifier's one deliberate blind spot.  A SUSPEND with no busy
-#: window opened by *this* program, or a RESUME with no suspension made
-#: by it, is assumed to act on a caller-owned operation — the stock
-#: `suspend`/`resume` ops are verified standalone and composed by
-#: `erase_with_preemptive_read`.  Run alone, the die raises.
-_NO_WINDOW_OF_ITS_OWN = ("idle", "await_address", "await_confirm",
-                         "cache_busy", "cache_program_active",
-                         "await_confirm_behind_cache_program",
-                         "idle_after_feature_busy")
-CALLER_OWNED = {(situation, opcode)
-                for situation in _NO_WINDOW_OF_ITS_OWN
-                for opcode in (CMD.VENDOR_SUSPEND, CMD.VENDOR_RESUME)}
+#: The verifier's one deliberate blind spot.  A SUSPEND or RESUME that
+#: is its program's *first* latch is assumed to act on a caller-owned
+#: operation — the stock `suspend`/`resume` ops run alone that way, and
+#: the sequence the TLM runner and the environment emit around them is
+#: verified as one program below.  Run alone, the die raises.  Once the
+#: program has latched anything, the die state is its own and an
+#: unmatched SUSPEND/RESUME is a proven error.
+CALLER_OWNED = {("idle", CMD.VENDOR_SUSPEND), ("idle", CMD.VENDOR_RESUME)}
 
 NO_VENDOR_OPS = dataclasses.replace(TEST_PROFILE, supports_suspend=False,
                                     supports_pslc=False)
@@ -509,3 +506,42 @@ def test_capability_columns_agree_for_a_vendor_without_them():
         assert proven == raised, hex(opcode)
         if row.requires is not None:
             assert raised, hex(opcode)
+
+
+# the erase suspension a waiting host read triggers, as one program ------
+
+
+def _stock(name, **kwargs):
+    """A stock program's nodes, without its Return."""
+    program = resolve_builder(name)(**kwargs)
+    return tuple(node for node in program.nodes
+                 if not isinstance(node, Return))
+
+
+def _erase_then(*middle):
+    """The erase's start transaction, ``middle``, then its ready poll."""
+    erase = _stock("erase_block", codec=CODEC, block=3)
+    return OpProgram("erase_suspension", erase[:1] + middle + erase[1:], "")
+
+
+def test_the_suspension_sequence_verifies_clean_as_one_program():
+    """Erase start, SUSPEND, a host read, RESUME, poll: what the plan
+    runner and the environment's preemption point emit on one die."""
+    program = _erase_then(
+        *_stock("suspend"),
+        *_stock("full_page_read", codec=CODEC,
+                address=PhysicalAddress(block=1, page=0), dram_address=0),
+        *_stock("resume"))
+    assert static_errors(program) == []
+    report, _analyzer, error = run_runtime(program)
+    assert error is None
+    assert runtime_rules(report) == []
+
+
+def test_suspend_on_the_idle_die_an_erase_left_is_a_proven_error():
+    """The race the guard closes: SUSPEND after the erase has ended."""
+    program = OpProgram("late_suspend", _stock(
+        "erase_block", codec=CODEC, block=3) + _stock("suspend"), "")
+    assert "OPV104" in static_errors(program)
+    _report, _analyzer, error = run_runtime(program)
+    assert isinstance(error, LunProtocolError)

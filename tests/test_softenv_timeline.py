@@ -1,7 +1,11 @@
 """The waveform tier's software-environment timeline, pinned to a recording.
 
 ``tests/fixtures/softenv_timeline.json`` was recorded on 08fb7bd, the
-parent of the "one kernel step per modelled delay" change (PR 23), with
+parent of the "one kernel step per modelled delay" change (PR 23), and
+re-recorded when admission began to serve a LUN's waiting ops by
+priority class (the lowest first, FIFO within a class) — with FIFO
+admission that commit replays the previous workload's recording
+exactly — with
 
     PYTHONPATH=src python -m tests.test_softenv_timeline --record
 
@@ -148,10 +152,12 @@ def _workload(sim, controller, tasks: list):
         submit(controller.read_page(3, 1, 3, 0, priority=2))
         yield Timeout(40_000)
         submit(controller.program_page(2, 1, 5, 0))
-        # The last op of LUN 3 runs under a watchdog it must trip.
+        # The last op of LUN 3 runs under a watchdog it must trip (in
+        # the read's class, so admission keeps it behind that read).
         controller.env.watchdog = Watchdog(budget_ns=9_000)
         submit(controller.submit(
-            erase_block_op, 3, codec=codec, block=5, label="doomed-erase"))
+            erase_block_op, 3, priority=2, codec=codec, block=5,
+            label="doomed-erase"))
         controller.env.watchdog = None
 
     sim.spawn(driver(), name="driver")

@@ -1,4 +1,4 @@
-"""Tests for the ONFI timing linter and the preemptive-read manager."""
+"""Tests for the ONFI timing linter and erase suspension for host reads."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.analysis import LogicAnalyzer, TimingChecker
 from repro.analysis.logic_analyzer import AnalyzerEvent
 from repro.baselines import AsyncHwController, SyncHwController
 from repro.core import BabolController, ControllerConfig
-from repro.core.preempt import PreemptiveLunManager
 from repro.onfi.commands import CMD
 from repro.onfi.timing import timing_for_mode
 from repro.sim import Simulator, Timeout
@@ -17,12 +16,13 @@ PAGE = TEST_PROFILE.geometry.full_page_size
 TIMING = timing_for_mode("NV-DDR2-200")
 
 
-def make_babol(runtime="rtos", lun_count=2):
+def make_babol(runtime="rtos", lun_count=2, fidelity="waveform"):
     sim = Simulator()
     controller = BabolController(
         sim,
         ControllerConfig(vendor=TEST_PROFILE, lun_count=lun_count,
-                         runtime=runtime, track_data=False, seed=3),
+                         runtime=runtime, track_data=False, seed=3,
+                         fidelity=fidelity),
     )
     return sim, controller
 
@@ -130,31 +130,34 @@ def test_status_enhanced_address_is_not_orphan():
 
 
 # --- preemptive reads ---------------------------------------------------------
+#
+# An erase in the background class (``priority=2``) is suspended by a
+# read in the host-read class (``priority=0``): the classes the FTL uses.
 
 
-def test_preemptive_read_cuts_latency_under_erase():
+def _suspends(controller) -> int:
+    return controller.luns[0].op_counts["VENDOR_SUSPEND"]
+
+
+@pytest.mark.parametrize("fidelity", ["waveform", "tlm"])
+def test_preemptive_read_cuts_latency_under_erase(fidelity):
     t_bers = TEST_PROFILE.timing.t_bers_ns
 
     def read_latency(preemptive: bool):
-        sim, controller = make_babol()
-        manager = PreemptiveLunManager(controller, lun=0)
+        sim, controller = make_babol(fidelity=fidelity)
         latency = {}
 
         def background():
-            if preemptive:
-                yield from manager.erase(5)
-            else:
-                task = controller.erase_block(0, 5)
-                yield from controller.wait(task)
+            task = controller.erase_block(0, 5,
+                                          priority=2 if preemptive else 1)
+            yield from controller.wait(task)
 
         def reader():
             yield Timeout(50_000)  # arrive mid-erase
             start = sim.now
-            if preemptive:
-                yield from manager.read(1, 0, 0)
-            else:
-                task = controller.read_page(0, 1, 0, 0)
-                yield from controller.wait(task)
+            task = controller.read_page(0, 1, 0, 0,
+                                        priority=0 if preemptive else 1)
+            yield from controller.wait(task)
             latency["ns"] = sim.now - start
 
         sim.spawn(background())
@@ -168,39 +171,41 @@ def test_preemptive_read_cuts_latency_under_erase():
     assert preempted < blocked / 3         # suspension rescued the read
 
 
-def test_preemptive_erase_still_completes():
-    sim, controller = make_babol()
-    manager = PreemptiveLunManager(controller, lun=0)
+@pytest.mark.parametrize("fidelity", ["waveform", "tlm"])
+def test_preemptive_erase_still_completes(fidelity):
+    sim, controller = make_babol(fidelity=fidelity)
     outcome = {}
 
     def background():
-        ok = yield from manager.erase(5)
-        outcome["ok"] = ok
+        task = controller.erase_block(0, 5, priority=2)
+        outcome["ok"] = yield from controller.wait(task)
 
     def reader():
         yield Timeout(80_000)
-        yield from manager.read(1, 0, 0)
+        yield from controller.wait(controller.read_page(0, 1, 0, 0,
+                                                        priority=0))
 
     sim.spawn(background())
     sim.spawn(reader())
     sim.run()
     assert outcome["ok"] is True
     assert controller.luns[0].erases_completed == 1
-    assert manager.stats.preemptions == 1
-    assert "1 preemption" in manager.describe()
+    assert _suspends(controller) == 1
+    assert controller.luns[0].op_counts["VENDOR_RESUME"] == 1
 
 
-def test_preemptive_manager_serves_multiple_queued_reads():
-    sim, controller = make_babol()
-    manager = PreemptiveLunManager(controller, lun=0)
+@pytest.mark.parametrize("fidelity", ["waveform", "tlm"])
+def test_preemptive_erase_serves_multiple_queued_reads(fidelity):
+    sim, controller = make_babol(fidelity=fidelity)
     served = []
 
     def background():
-        yield from manager.erase(5)
+        yield from controller.wait(controller.erase_block(0, 5, priority=2))
 
     def reader(page, delay):
         yield Timeout(delay)
-        yield from manager.read(1, page, 0)
+        yield from controller.wait(controller.read_page(0, 1, page, 0,
+                                                        priority=0))
         served.append((page, sim.now))
 
     sim.spawn(background())
@@ -214,35 +219,36 @@ def test_preemptive_manager_serves_multiple_queued_reads():
 
 def test_plain_read_path_without_background():
     sim, controller = make_babol()
-    manager = PreemptiveLunManager(controller, lun=0)
-
-    def scenario():
-        result = yield from manager.read(1, 0, 0)
-        return result
-
-    status, handle = sim.run_process(scenario())
+    status, handle = controller.run_to_completion(
+        controller.read_page(0, 1, 0, 0, priority=0))
     assert handle is not None
-    assert manager.stats.preemptions == 0
+    assert _suspends(controller) == 0
 
 
-def test_preemptive_program_supports_preemption():
-    sim, controller = make_babol()
-    manager = PreemptiveLunManager(controller, lun=0)
+@pytest.mark.parametrize("fidelity", ["waveform", "tlm"])
+def test_program_is_not_suspended_for_a_read(fidelity):
+    """Program suspend is not a policy here: a host read waits for the
+    program it finds in flight, then goes first."""
+    sim, controller = make_babol(fidelity=fidelity)
     outcome = {}
 
     def background():
-        ok = yield from manager.program(6, 0, 0)
-        outcome["ok"] = ok
+        task = controller.program_page(0, 6, 0, 0, priority=2)
+        outcome["ok"] = yield from controller.wait(task)
 
     def reader():
         yield Timeout(30_000)
-        yield from manager.read(1, 0, 0)
+        yield from controller.wait(controller.read_page(0, 1, 0, 0,
+                                                        priority=0))
+        outcome["read_at"] = sim.now
 
     sim.spawn(background())
     sim.spawn(reader())
     sim.run()
     assert outcome["ok"] is True
     assert controller.luns[0].programs_completed == 1
+    assert _suspends(controller) == 0
+    assert outcome["read_at"] > TEST_PROFILE.timing.t_prog_ns
 
 
 # --- turnaround rules: tWHR / tRR / tRHW --------------------------------------
