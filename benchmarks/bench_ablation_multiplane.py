@@ -1,0 +1,82 @@
+"""Ablation F — two writes, one tPROG: plane pairing at admission.
+
+A multi-plane die programs one page per plane in a single array time.
+With BABOL that is a scheduling decision, not a hardware FSM: each
+LUN's admission takes the first queued full-page PROGRAM on another
+plane of the die and runs the two as one ``paired_program`` (the
+multi-plane load/confirm sequence, one tPROG, READ STATUS ENHANCED per
+page).  This bench queues two programs behind a read on one Hynix die —
+on the same plane (blocks 4, 4) and on distinct planes (blocks 4, 5) —
+and measures the span from their admission to the last completion.
+
+Bound: a pair costs tPROG + 2 transfers + tDBSY plus each page's fixed
+command, status and software overhead, the part of a lone program's
+latency beyond tPROG + 1 transfer (measured here, with jitter off so
+every tPROG is the nominal one); two programs on one plane cost 2 x
+tPROG at least.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.flash import HYNIX_V7
+from repro.onfi import NVDDR2_200
+
+from benchmarks.conftest import build_babol, print_table
+
+VENDOR = dataclasses.replace(
+    HYNIX_V7, timing=dataclasses.replace(HYNIX_V7.timing, jitter=0.0))
+RUNTIMES = ("rtos", "coroutine")
+
+
+def run_case(runtime: str, blocks: tuple) -> tuple:
+    """Programs of ``blocks`` (consecutive pages per block) queued behind
+    a read: ``(span ns, programs paired)``."""
+    sim, controller = build_babol(VENDOR, 1, NVDDR2_200, runtime)
+    controller.read_page(0, 1, 0, 0)  # holds the die while they queue
+    pages: dict = {}
+    tasks = []
+    for block in blocks:
+        page = pages[block] = pages.get(block, -1) + 1
+        tasks.append(controller.program_page(0, block, page, 0))
+    sim.run()
+    assert all(task.result is True for task in tasks)
+    start = min(task.admitted_at for task in tasks)
+    return max(task.finished_at for task in tasks) - start, \
+        controller.programs_paired
+
+
+def run_all() -> dict:
+    return {runtime: {name: run_case(runtime, blocks)
+                      for name, blocks in (("single", (4,)),
+                                           ("same plane", (4, 4)),
+                                           ("two planes", (4, 5)))}
+            for runtime in RUNTIMES}
+
+
+@pytest.mark.benchmark(group="ablation-multiplane")
+def test_ablation_plane_pairing(benchmark):
+    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    timing = VENDOR.timing
+    transfer = (VENDOR.geometry.full_page_size * 1000
+                // NVDDR2_200.mega_transfers)
+
+    rows = []
+    for runtime, cases in results.items():
+        for name, (span, paired) in cases.items():
+            rows.append([runtime, name, f"{span / 1000:.1f}", str(paired)])
+    print_table(
+        "Ablation F: two programs on one Hynix die (us, jitter off)",
+        ["runtime", "programs", "span", "paired"], rows)
+
+    for runtime, cases in results.items():
+        single, _ = cases["single"]
+        same, same_pairs = cases["same plane"]
+        pair, pairs = cases["two planes"]
+        overhead = single - timing.t_prog_ns - transfer
+        assert same_pairs == 0 and pairs == 1, runtime
+        assert same >= 2 * timing.t_prog_ns, runtime
+        assert pair <= (timing.t_prog_ns + 2 * transfer + timing.t_dbsy_ns
+                        + 2 * overhead), (runtime, pair, overhead)
+        assert pair < same * 0.7, runtime

@@ -368,6 +368,11 @@ def sample_kwargs(vendor) -> dict[str, dict]:
             "pages": tuple((PhysicalAddress(block=10 + i, page=0), 0)
                            for i in range(len(plane_addrs))),
         },
+        "paired_program": {
+            "codec": codec,
+            "pages": tuple((PhysicalAddress(block=12 + i, page=0), 0)
+                           for i in range(len(plane_addrs))),
+        },
         "multiplane_erase": {"codec": codec, "blocks": (10, 11)},
         "gang_read": {
             "codec": codec, "address": addr0, "positions": (0, 1),

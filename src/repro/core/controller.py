@@ -148,6 +148,11 @@ class BabolController:
         if cfg.watchdog is not None:
             self.env.watchdog = cfg.watchdog
         self.codec = AddressCodec(cfg.vendor.geometry)
+        # Full-page PROGRAMs queued on distinct planes of a die run as
+        # one multi-plane PROGRAM (both admission paths pair them), on
+        # any multi-plane die whose vendor keeps the stock PROGRAM.
+        self.pairs_programs = cfg.vendor.geometry.planes > 1 and all(
+            name != "program_page" for name, _ in cfg.vendor.op_overrides)
 
         # Runtime sanitizers: `sanitizers=` kwarg wins, else the config
         # field; anything falsy leaves every hook None (zero overhead).
@@ -185,6 +190,7 @@ class BabolController:
         priority: int = 1,
         label: str = "",
         _plan: bool = False,
+        _pair: Optional[tuple] = None,
         **op_kwargs,
     ) -> Task:
         """Submit any operation from :mod:`repro.core.ops` (or your own).
@@ -200,14 +206,17 @@ class BabolController:
         die state, and faults, with the runtime's cycle costs charged in
         closed form rather than simulated.  Ops submitted while a
         tracer or fault injector is attached always take the generic
-        path (see :mod:`repro.core.fastops`).
+        path (see :mod:`repro.core.fastops`).  ``_pair`` (set by
+        :meth:`program_page`) lets either path's admission run the op
+        with a queued PROGRAM on another plane as one multi-plane
+        PROGRAM.
         """
         self._check_lun(lun)
 
         if _plan and self.fast_ops is not None:
             name = getattr(op_factory, "__name__", "").removesuffix("_op")
             task = self.fast_ops.try_submit(name, lun, priority,
-                                            label or name, op_kwargs)
+                                            label or name, op_kwargs, _pair)
             if task is not None:
                 return task
 
@@ -216,7 +225,14 @@ class BabolController:
 
         bound.__name__ = getattr(op_factory, "__name__", "op")
         return self.env.submit(bound, lun, priority=priority,
-                               label=label or bound.__name__)
+                               label=label or bound.__name__, pair=_pair)
+
+    @property
+    def programs_paired(self) -> int:
+        """Multi-plane PROGRAMs run for two queued programs (each one a
+        tPROG saved), on both admission paths."""
+        fast = self.fast_ops
+        return self.env.programs_paired + (fast.programs_paired if fast else 0)
 
     def wait(self, task: Task) -> Generator:
         """Simulation-process helper: block until ``task`` finishes."""
@@ -252,9 +268,14 @@ class BabolController:
     def program_page(self, lun: int, block: int, page: int,
                      dram_address: int, priority: int = 1) -> Task:
         address = PhysicalAddress(block=block, page=page)
+        pair = None
+        if self.pairs_programs:
+            pair = (self.codec.plane_of(address), address, dram_address,
+                    self.codec)
         return self.submit(
             program_page_op, lun, priority=priority, codec=self.codec,
             address=address, dram_address=dram_address, _plan=True,
+            _pair=pair,
         )
 
     def erase_block(self, lun: int, block: int, priority: int = 1) -> Task:

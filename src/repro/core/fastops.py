@@ -44,7 +44,10 @@ override) takes the *reference* plan on every submission — build,
 leaves read off the program — through the same memo.
 
 Per LUN the runner admits the lowest ``priority`` class waiting, FIFO
-within a class, as the generic runtime does; an erase's busy wait wakes
+within a class, as the generic runtime does, and pairs an admitted
+full-page PROGRAM with the first queued one on another plane of the die
+into one ``paired_program`` template by the same rule
+(:meth:`PlanExecutor._take_mate`); an erase's busy wait wakes
 for a class-0 op (a host read) and runs it inside a SUSPEND / RESUME
 pair folded from the stock programs.  Data and status match the generic
 path; the suspended ops' times match to within one poll period (the
@@ -185,6 +188,14 @@ class PlanExecutor:
         self.ops_planned = 0
         self.ops_declined = 0
         self.shapes_compiled = 0
+        self.programs_paired = 0  # multi-plane PROGRAMs run for two
+        # The paired program's memo key, once its first pair checked the
+        # operands ``_pair_leaves`` assembles (``paired_program_leaves``,
+        # bound then: the op library loads at run time); address column
+        # cycles.
+        self._pair_key = None
+        self._pair_leaves = None
+        self._col_cycles = controller.config.vendor.geometry.col_cycles
 
     @property
     def ops_templated(self) -> int:
@@ -195,8 +206,10 @@ class PlanExecutor:
     # -- submission ----------------------------------------------------
 
     def try_submit(self, op_name: str, lun_position: int, priority: int,
-                   label: str, kwargs: dict) -> Optional[Task]:
-        """Plan and enqueue one operation; None = take the generic path."""
+                   label: str, kwargs: dict,
+                   pair: Optional[tuple] = None) -> Optional[Task]:
+        """Plan and enqueue one operation; None = take the generic path.
+        ``pair``: a full-page PROGRAM admission may pair (``Task.pair``)."""
         planned = self._plan(op_name, lun_position, kwargs)
         if planned is None:
             self.ops_declined += 1
@@ -209,9 +222,12 @@ class PlanExecutor:
         if queues is None:
             queues = self._queues[lun_position] = (deque(), deque(), deque())
         urgent = priority <= 0
+        idle = lun_position not in self._running
+        # The generic runtime admits an op submitted to an idle LUN as it
+        # is submitted, before anything can wait to pair with it.
         queues[0 if urgent else 1 if priority == 1 else 2].append(
-            (task,) + planned)
-        if lun_position not in self._running:
+            (task,) + planned + (None if idle else pair,))
+        if idle:
             self._running.add(lun_position)
             self.sim.spawn(self._runner(lun_position),
                            name=f"tlm-plan-lun{lun_position}")
@@ -393,17 +409,24 @@ class PlanExecutor:
         try:
             while True:
                 if urgent:
-                    task, template, operands = urgent.popleft()
+                    task, template, operands, pair = urgent.popleft()
                 elif nested:
                     return
                 elif normal:
-                    task, template, operands = normal.popleft()
+                    task, template, operands, pair = normal.popleft()
                 elif background:
-                    task, template, operands = background.popleft()
+                    task, template, operands, pair = background.popleft()
                 else:
                     return
                 task.admitted_at = sim.now
                 task.state = TaskState.RUNNING
+                partner = None
+                if pair is not None and not nested:  # nested: class 0 only
+                    mate = self._take_mate(lun_position, pair, operands)
+                    if mate is not None:
+                        partner, template, operands = mate
+                        partner.admitted_at = sim.now
+                        partner.state = TaskState.RUNNING
                 label = task.label
                 erases = template.erases
                 regs: dict = {}
@@ -500,6 +523,17 @@ class PlanExecutor:
                 except RecoverableOpError as exc:
                     task.error = exc
                     env.tasks_failed += 1
+                    if partner is not None:
+                        partner.error = exc
+                        env.tasks_failed += 1
+                if partner is not None:
+                    passed = result
+                    result = None if passed is None else passed[0]
+                    partner.state = TaskState.DONE
+                    partner.result = None if passed is None else passed[1]
+                    partner.finished_at = sim.now
+                    env.tasks_completed += 1
+                    partner.completed.fire(partner.result)
                 task.state = TaskState.DONE
                 task.result = result
                 task.finished_at = sim.now
@@ -508,6 +542,63 @@ class PlanExecutor:
         finally:
             if not nested:
                 self._running.discard(lun_position)
+
+    def _take_mate(self, lun_position: int, pair: tuple,
+                   operands: tuple) -> Optional[tuple]:
+        """The pairing rule of ``SoftwareEnvironment._pair_up``: the
+        first queued full-page PROGRAM on another plane of this die,
+        lowest class first and FIFO within a class, leaves its queue;
+        returns ``(its task, the paired template, its operands)``, or
+        None when there is none (or the pair cannot run as a template).
+
+        The pair's operands are assembled from the two programs' own
+        (:func:`~repro.core.opir.programs.paired_program_leaves`); the
+        template is the declared shape's memo entry.  The first pair of
+        a shape takes the full plan, which checks both against the
+        built program."""
+        plane = pair[0]
+        for queue in self._queues[lun_position]:
+            for entry in queue:
+                other = entry[3]
+                if other is not None and other[0] != plane:
+                    leaves = (operands, entry[2])
+                    key = self._pair_key
+                    lowered = self.controller.ufsm.lowered.get(key) \
+                        if key is not None else None
+                    template = UNFOLDED if lowered is None \
+                        else lowered.template
+                    if template is not UNFOLDED and template is not None:
+                        planned = (template, self._pair_leaves(
+                            leaves, self._col_cycles))
+                    else:
+                        planned = self._plan_pair(lun_position, pair, other,
+                                                  leaves)
+                        if planned is None:
+                            return None
+                    queue.remove(entry)
+                    self.programs_paired += 1
+                    return (entry[0],) + planned
+        return None
+
+    def _plan_pair(self, lun_position: int, pair: tuple, other: tuple,
+                   leaves: tuple) -> Optional[tuple]:
+        """A pair's ``(template, operands)`` by the declared plan; when
+        that plan's operands are the ones ``paired_program_leaves``
+        assembles from the two programs' ``leaves``, its memo key serves
+        the pairs after it."""
+        from repro.core.opir.programs import paired_program_leaves
+
+        kwargs = {"codec": pair[3],
+                  "pages": ((pair[1], pair[2]), (other[1], other[2]))}
+        planned = self._plan("paired_program", lun_position, kwargs)
+        if planned is not None and planned[1] == paired_program_leaves(
+                leaves, self._col_cycles):
+            builder = _resolved_builder("paired_program",
+                                        self.controller.config.vendor)
+            if hasattr(builder, "plan"):
+                self._pair_leaves = paired_program_leaves
+                self._pair_key = (builder, builder.plan(**kwargs)[0])
+        return planned
 
     # -- erase suspension ----------------------------------------------
 

@@ -547,26 +547,80 @@ def _check_distinct_planes(
         raise ValueError("multi-plane targets must address distinct planes")
 
 
-@op_program("multiplane_read")
+def _multiplane_read_plan(codec, addresses, dram_addresses) -> tuple:
+    if len(addresses) != len(dram_addresses) or not addresses:
+        raise ValueError("need one DRAM destination per plane address")
+    _check_distinct_planes(codec, addresses)
+    geometry = codec.geometry
+    queued = tuple(codec.encode(address) for address in addresses)
+    selected = []
+    for address_bytes, dram_address in zip(queued, dram_addresses):
+        selected += (dram_address, address_bytes)
+    return ((len(queued), geometry.full_page_size, geometry.col_cycles,
+             geometry.row_cycles), queued + tuple(selected))
+
+
+def _multiplane_program_plan(codec, pages) -> tuple:
+    if not pages:
+        raise ValueError("multi-plane program needs at least one page")
+    _check_distinct_planes(codec, [address for address, _ in pages])
+    geometry = codec.geometry
+    leaves = []
+    for address, dram_address in pages:
+        leaves += (dram_address, codec.encode(address))
+    return ((len(pages), geometry.full_page_size, geometry.col_cycles,
+             geometry.row_cycles), tuple(leaves))
+
+
+def paired_program_leaves(pages: Sequence[tuple], col_cycles: int) -> tuple:
+    """The ``paired_program`` plan's leaves from each page's
+    ``program_page`` plan leaves, ``(dram_address, address_bytes)``:
+    the loads' leaves in page order, a capture handle per page, then
+    each page's status select — the row part of its load address.  The
+    template runner pairs two queued programs' operands through this."""
+    loads = handles = selects = ()
+    for dram_address, address_bytes in pages:
+        loads += (dram_address, address_bytes)
+        handles += (None,)
+        selects += (address_bytes[col_cycles:],)
+    return loads + handles + selects
+
+
+def _paired_program_plan(codec, pages) -> tuple:
+    shape_key, leaves = _multiplane_program_plan(codec, pages)
+    return shape_key, paired_program_leaves(
+        [leaves[at:at + 2] for at in range(0, len(leaves), 2)],
+        codec.geometry.col_cycles)
+
+
+def _multiplane_erase_plan(codec, blocks) -> tuple:
+    if not blocks:
+        raise ValueError("multi-plane erase needs at least one block")
+    addresses = [PhysicalAddress(block=b, page=0) for b in blocks]
+    _check_distinct_planes(codec, addresses)
+    return ((len(addresses), codec.geometry.row_cycles), tuple(
+        codec.encode_row(codec.row_address(address))
+        for address in addresses))
+
+
+@op_program("multiplane_read", plan=_multiplane_read_plan)
 def multiplane_read_program(
     codec: AddressCodec,
     addresses: Sequence[PhysicalAddress],
     dram_addresses: Sequence[int],
 ) -> OpProgram:
-    if len(addresses) != len(dram_addresses) or not addresses:
-        raise ValueError("need one DRAM destination per plane address")
-    _check_distinct_planes(codec, addresses)
-    page_bytes = codec.geometry.full_page_size
+    (count, page_bytes, _, _), leaves = _multiplane_read_plan(
+        codec, addresses, dram_addresses)
     nodes: list = []
-    for index, address in enumerate(addresses):
-        final = index == len(addresses) - 1
+    for index, address_bytes in enumerate(leaves[:count]):
+        final = index == count - 1
         confirm = CMD.READ_2ND if final else CMD.MP_READ_2ND
         nodes.append(
             Txn(
                 TxnKind.CMD_ADDR,
                 (
                     LatchSeq(
-                        (cmd(CMD.READ_1ST), addr(codec.encode(address)), cmd(confirm))
+                        (cmd(CMD.READ_1ST), addr(address_bytes), cmd(confirm))
                     ),
                 ),
                 label="mp-read-queue",
@@ -574,7 +628,9 @@ def multiplane_read_program(
         )
         # Queue cycles incur a short tDBSY; the final confirm the full tR.
         nodes.append(PollStatus(until="ready"))
-    for index, (address, dram_address) in enumerate(zip(addresses, dram_addresses)):
+    for index in range(count):
+        at = count + 2 * index
+        dram_address, address_bytes = leaves[at:at + 2]
         handle = f"h{index}"
         nodes.append(
             DeclareHandle(
@@ -588,7 +644,7 @@ def multiplane_read_program(
                     LatchSeq(
                         (
                             cmd(CMD.CHANGE_READ_COL_ENH_1ST),
-                            addr(codec.encode(address)),
+                            addr(address_bytes),
                             cmd(CMD.CHANGE_READ_COL_2ND),
                         )
                     ),
@@ -598,7 +654,9 @@ def multiplane_read_program(
                 label="mp-read-transfer",
             )
         )
-    nodes.append(Return([HandleRef(f"h{i}") for i in range(len(addresses))]))
+    # A tuple, not a list: a hashable Return gives the shape a
+    # fingerprint, so its declared plan is a TLM template.
+    nodes.append(Return(tuple(HandleRef(f"h{i}") for i in range(count))))
     return OpProgram(
         "multiplane_read",
         tuple(nodes),
@@ -606,44 +664,48 @@ def multiplane_read_program(
     )
 
 
-@op_program("multiplane_program")
-def multiplane_program_program(
-    codec: AddressCodec,
-    pages: Sequence[tuple[PhysicalAddress, int]],
-) -> OpProgram:
-    if not pages:
-        raise ValueError("multi-plane program needs at least one page")
-    _check_distinct_planes(codec, [address for address, _ in pages])
-    page_bytes = codec.geometry.full_page_size
+def _multiplane_loads(count: int, page_bytes: int, leaves: tuple,
+                      one_hold: bool = False) -> list:
+    """The load / queue-confirm cycles of a multi-plane PROGRAM: each
+    page but the last is queued with 0x11 (a short tDBSY), the last
+    confirms with 0x10, which starts one tPROG for them all.
+    ``one_hold``: each page's load and confirm share one channel hold
+    (the same bus cycles, one transaction fewer per page)."""
     nodes: list = []
-    for index, (address, dram_address) in enumerate(pages):
-        final = index == len(pages) - 1
+    for index in range(count):
+        dram_address, address_bytes = leaves[2 * index:2 * index + 2]
+        final = index == count - 1
         handle = f"h{index}"
         nodes.append(
             DeclareHandle(
                 handle, "to_flash", nbytes=page_bytes, dram_address=dram_address
             )
         )
-        nodes.append(
-            Txn(
-                TxnKind.DATA_IN,
-                (
-                    LatchSeq((cmd(CMD.PROGRAM_1ST), addr(codec.encode(address)))),
-                    DataXfer("in", page_bytes, HandleRef(handle), after_address=True),
-                ),
-                label="mp-program-load",
-            )
+        load = (
+            LatchSeq((cmd(CMD.PROGRAM_1ST), addr(address_bytes))),
+            DataXfer("in", page_bytes, HandleRef(handle), after_address=True),
         )
-        confirm = CMD.PROGRAM_2ND if final else CMD.MP_PROGRAM_2ND
-        nodes.append(
-            Txn(
-                TxnKind.CMD_ADDR,
-                (LatchSeq((cmd(confirm),)),),
-                label="mp-program-confirm",
-            )
-        )
+        confirm = LatchSeq((cmd(CMD.PROGRAM_2ND if final
+                                else CMD.MP_PROGRAM_2ND),))
+        if one_hold:
+            nodes.append(Txn(TxnKind.DATA_IN, load + (confirm,),
+                             label="paired-program-load"))
+        else:
+            nodes.append(Txn(TxnKind.DATA_IN, load, label="mp-program-load"))
+            nodes.append(Txn(TxnKind.CMD_ADDR, (confirm,),
+                             label="mp-program-confirm"))
         if not final:
             nodes.append(PollStatus(until="ready"))  # tDBSY between queue cycles
+    return nodes
+
+
+@op_program("multiplane_program", plan=_multiplane_program_plan)
+def multiplane_program_program(
+    codec: AddressCodec,
+    pages: Sequence[tuple[PhysicalAddress, int]],
+) -> OpProgram:
+    (count, page_bytes, _, _), leaves = _multiplane_program_plan(codec, pages)
+    nodes = _multiplane_loads(count, page_bytes, leaves)
     nodes.append(PollStatus(until="ready", dest="status"))
     nodes.append(Return(_not_failed(Reg("status"))))
     return OpProgram(
@@ -653,23 +715,49 @@ def multiplane_program_program(
     )
 
 
-@op_program("multiplane_erase")
+@op_program("paired_program", plan=_paired_program_plan)
+def paired_program_program(
+    codec: AddressCodec,
+    pages: Sequence[tuple[PhysicalAddress, int]],
+) -> OpProgram:
+    (count, page_bytes, _, _), leaves = _paired_program_plan(codec, pages)
+    nodes = _multiplane_loads(count, page_bytes, leaves, one_hold=True)
+    nodes.append(PollStatus(until="ready"))
+    # One status byte per page, its plane selected by READ STATUS
+    # ENHANCED, all in one channel hold.
+    segments: list = []
+    for index in range(count):
+        nodes.append(DeclareHandle(f"s{index}", "capture", nbytes=1))
+        segments.append(LatchSeq((cmd(CMD.READ_STATUS_ENHANCED),
+                                  addr(leaves[3 * count + index]))))
+        segments.append(DataXfer("out", 1, HandleRef(f"s{index}")))
+    nodes.append(Txn(TxnKind.POLL, tuple(segments),
+                     label="paired-program-status"))
+    nodes.append(Return(tuple(
+        _not_failed(E("delivered_byte", (HandleRef(f"s{index}"),)))
+        for index in range(count))))
+    return OpProgram(
+        "paired_program",
+        tuple(nodes),
+        doc="Queued programs on distinct planes as one multi-plane PROGRAM"
+            " (one tPROG), then READ STATUS ENHANCED per page: a pass/fail"
+            " per page.",
+    )
+
+
+@op_program("multiplane_erase", plan=_multiplane_erase_plan)
 def multiplane_erase_program(codec: AddressCodec, blocks: Sequence[int]) -> OpProgram:
-    if not blocks:
-        raise ValueError("multi-plane erase needs at least one block")
-    addresses = [PhysicalAddress(block=b, page=0) for b in blocks]
-    _check_distinct_planes(codec, addresses)
+    _, rows = _multiplane_erase_plan(codec, blocks)
     nodes: list = []
-    for index, address in enumerate(addresses):
-        final = index == len(addresses) - 1
+    for index, row_bytes in enumerate(rows):
+        final = index == len(rows) - 1
         confirm = CMD.ERASE_2ND if final else CMD.MP_ERASE_2ND
-        row = codec.row_address(address)
         nodes.append(
             Txn(
                 TxnKind.CMD_ADDR,
                 (
                     LatchSeq(
-                        (cmd(CMD.ERASE_1ST), addr(codec.encode_row(row)), cmd(confirm))
+                        (cmd(CMD.ERASE_1ST), addr(row_bytes), cmd(confirm))
                     ),
                 ),
                 label="mp-erase",

@@ -41,6 +41,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "multiplane_erase_op": "multiplane",
     "multiplane_read_op": "multiplane",
     "multiplane_program_op": "multiplane",
+    "paired_program_op": "multiplane",
     "erase_with_preemptive_read_op": "suspend",
     "resume_op": "suspend",
     "suspend_op": "suspend",

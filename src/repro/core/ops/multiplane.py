@@ -52,6 +52,23 @@ def multiplane_program_op(
 
 
 @traced_op
+def paired_program_op(
+    ctx: OperationContext,
+    codec: AddressCodec,
+    pages: Sequence[tuple[PhysicalAddress, int]],
+) -> Generator:
+    """Program one page per plane in a single tPROG, then read each
+    page's pass/fail with READ STATUS ENHANCED: returns one bool per
+    page, in the order of ``pages`` (the op a LUN's admission runs for
+    two queued programs on distinct planes)."""
+    result = yield from run_op(
+        ctx, "paired_program",
+        codec=codec, pages=tuple(tuple(page) for page in pages),
+    )
+    return result
+
+
+@traced_op
 def multiplane_erase_op(
     ctx: OperationContext,
     codec: AddressCodec,

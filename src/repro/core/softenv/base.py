@@ -145,6 +145,7 @@ class Task:
         "id", "gen", "lun_position", "priority", "state", "result",
         "completed", "submitted_at", "admitted_at", "finished_at",
         "last_resumed_at", "ready_since", "send_value", "label", "error",
+        "pair",
     )
 
     def __init__(
@@ -154,6 +155,7 @@ class Task:
         lun_position: int,
         priority: int = 1,
         label: str = "",
+        pair: Optional[tuple] = None,
     ):
         self.id = next(_task_ids)
         self.gen = gen
@@ -172,6 +174,9 @@ class Task:
         # A RecoverableOpError the operation raised (watchdog timeout,
         # FAIL status surfaced as an exception); None on the happy path.
         self.error: Optional[BaseException] = None
+        # A full-page PROGRAM admission may pair: ``(plane, address,
+        # dram_address, codec)``; None for every other op.
+        self.pair = pair
 
     def describe(self) -> str:
         return f"task#{self.id} {self.label} lun{self.lun_position} {self.state.value}"
@@ -296,6 +301,7 @@ class SoftwareEnvironment:
         self.tasks_failed = 0
         self.txns_enqueued = 0
         self.txns_dispatched = 0
+        self.programs_paired = 0  # multi-plane PROGRAMs run for two
 
         # The executor tells us when a queue slot frees so the dispatcher
         # half of the loop can run again.
@@ -313,12 +319,16 @@ class SoftwareEnvironment:
         priority: int = 1,
         chip_mask: Optional[int] = None,
         label: str = "",
+        pair: Optional[tuple] = None,
     ) -> Task:
-        """Request an operation; admission may defer it (busy LUN)."""
+        """Request an operation; admission may defer it (busy LUN).
+        ``pair``: the op is a full-page PROGRAM that admission may run
+        together with a queued one on another plane (``Task.pair``)."""
         ctx = OperationContext(self, lun_position, chip_mask=chip_mask)
         gen = op_factory(ctx)
         task = Task(self.sim, gen, lun_position, priority=priority,
-                    label=label or getattr(op_factory, "__name__", "op"))
+                    label=label or getattr(op_factory, "__name__", "op"),
+                    pair=pair)
         self.tasks_submitted += 1
         self._admission_queue.append(task)
         self._admit_eligible()
@@ -342,7 +352,10 @@ class SoftwareEnvironment:
         """Admit waiting tasks while their LUN has room: the lowest
         ``priority`` class first (0 host reads, 1 host writes and
         journal, 2 garbage collection, as the FTL assigns them), in
-        submission order within a class."""
+        submission order within a class.  An admitted full-page PROGRAM
+        takes the first waiting one on another plane of its die, in the
+        same order, and the two run as one multi-plane PROGRAM
+        (:meth:`_pair_up`)."""
         queue = self._admission_queue
         if not queue:
             return
@@ -353,6 +366,8 @@ class SoftwareEnvironment:
                 break
         admitted: list[Task] = []
         for task in queue:
+            if task.admitted_at is not None:
+                continue  # taken as an admitted PROGRAM's partner
             running = self._running_per_lun.get(task.lun_position, 0)
             if running < self.max_tasks_per_lun:
                 self._running_per_lun[task.lun_position] = running + 1
@@ -360,8 +375,47 @@ class SoftwareEnvironment:
                 task.ready_since = self.sim.now
                 self._ready.append(task)
                 admitted.append(task)
+                if task.pair is not None:
+                    self._pair_up(task, queue, admitted)
         for task in admitted:
             self._admission_queue.remove(task)
+
+    def _pair_up(self, task: Task, queue: list, admitted: list) -> None:
+        """The pairing rule: the first task in admission order that is a
+        full-page PROGRAM on the same die and another plane leaves the
+        queue with ``task``, whose op becomes the one paired PROGRAM
+        (one tPROG, a pass/fail per page) and finishes both."""
+        plane = task.pair[0]
+        lun_position = task.lun_position
+        for other in queue:
+            pair = other.pair
+            if pair is not None and pair[0] != plane \
+                    and other.lun_position == lun_position \
+                    and other.admitted_at is None:
+                other.admitted_at = other.ready_since = self.sim.now
+                other.state = TaskState.RUNNING
+                admitted.append(other)
+                self.programs_paired += 1
+                task.gen = self._run_pair(task, other)
+                return
+
+    def _run_pair(self, task: Task, partner: Task) -> Generator:
+        """``task``'s op once paired: both pages in one paired PROGRAM;
+        the partner finishes with its own page's pass/fail."""
+        from repro.core.ops.multiplane import paired_program_op
+
+        _, address, dram_address, codec = task.pair
+        pages = ((address, dram_address), partner.pair[1:3])
+        ctx = OperationContext(self, task.lun_position)
+        try:
+            passed = yield from paired_program_op(ctx, codec, pages)
+        except RecoverableOpError as exc:
+            partner.error = exc
+            self.tasks_failed += 1
+            self._finish_task(partner, None, held=False)
+            raise
+        self._finish_task(partner, passed[1], held=False)
+        return passed[0]
 
     # ------------------------------------------------------------------
     # Main loop (runs on the modeled CPU)

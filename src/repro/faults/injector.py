@@ -8,8 +8,10 @@ hook on every LUN and on the channel; :meth:`detach` restores ``None``.
 
 Hook surface (called by the models):
 
-* ``on_program(lun, targets) -> bool`` — force the ONFI FAIL bit
-  (``program_fail`` / armed ``grown_bad_block``);
+* ``on_program(lun, targets) -> frozenset`` — force the ONFI FAIL bit
+  (``program_fail`` / armed ``grown_bad_block``) on the returned blocks
+  only (empty: none), so a multi-plane program fails on the faulted
+  plane alone;
 * ``on_erase(lun, targets) -> bool`` — same for ERASE;
 * ``on_busy(lun, kind, duration) -> Optional[int]`` — stretch a busy
   (``stuck_busy`` with ``stretch``) or hang it by returning ``None``
@@ -162,7 +164,9 @@ class FaultInjector:
 
     # -- hook surface ---------------------------------------------------
 
-    def on_program(self, lun, targets) -> bool:
+    def on_program(self, lun, targets) -> frozenset:
+        """The blocks whose pages fail this program (empty: none) —
+        the one the fault names, or the lowest one targeted."""
         now = lun.sim.now
         opps = self._bump(lun.position, "program")
         blocks = {t.block for t in targets}
@@ -170,15 +174,18 @@ class FaultInjector:
             kind = armed.spec.kind
             if kind is FaultKind.PROGRAM_FAIL:
                 if self._eligible(armed, lun.position, blocks, now, opps):
-                    self._fire(armed, lun.position, now, block=min(blocks))
-                    return True
+                    block = armed.spec.block
+                    if block is None:
+                        block = min(blocks)
+                    self._fire(armed, lun.position, now, block=block)
+                    return frozenset((block,))
             elif kind is FaultKind.GROWN_BAD_BLOCK:
                 if armed.spec.block in blocks and self._worn(lun, armed.spec) \
                         and self._eligible(armed, lun.position, blocks, now, opps):
                     self._fire(armed, lun.position, now, block=armed.spec.block,
                                detail="program past P/E threshold")
-                    return True
-        return False
+                    return frozenset((armed.spec.block,))
+        return frozenset()
 
     def on_erase(self, lun, targets) -> bool:
         now = lun.sim.now

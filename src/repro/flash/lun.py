@@ -529,9 +529,11 @@ class Lun:
             self._san_liveness.on_status_poll(self)
         self._data_source = _SOURCES[row.arms]
         # READ STATUS ENHANCED carries a row address (die select on
-        # multi-LUN packages); it is legal while the array is busy,
-        # so it must not disturb the busy state machine.
+        # multi-LUN packages, and the plane whose FAIL it reports); it
+        # is legal while the array is busy, so it must not disturb the
+        # busy state machine.
         self._status_addr_pending = row.addr_format is not None
+        self.status.plane = None
 
     def _arm_now(self, row: OpcodeRow) -> None:
         # 0xE0 confirm: register data now readable
@@ -547,8 +549,12 @@ class Lun:
 
     def _on_address(self, address_bytes: tuple[int, ...]) -> None:
         if self._status_addr_pending:
-            # Enhanced-status die select; single-die positions ignore it.
+            # Enhanced-status select: single-die positions ignore the
+            # die bits; the row's plane picks the FAIL bit reported.
             self._status_addr_pending = False
+            row_index = self.codec.decode_row(address_bytes)
+            self.status.plane = self.codec.plane_of(PhysicalAddress(
+                block=row_index // self.geometry.pages_per_block, page=0))
             return
         row = self._pending
         if self.state is not LunState.AWAIT_ADDRESS or row is None:
@@ -817,23 +823,22 @@ class Lun:
         def finish() -> None:
             if inflight in self.inflight_ops:
                 self.inflight_ops.remove(inflight)
-            failed = False
-            if self._fault_hook is not None and self._fault_hook.on_program(
-                self, targets
-            ):
-                # Injected PROGRAM FAIL: the array never commits and the
-                # die raises the ONFI FAIL bit, exactly like a grown-bad
-                # page refusing to verify.
-                failed = True
-            else:
-                for target, register in staged:
-                    ok = self.array.program(
-                        target, register, now_ns=self._now(),
-                        cell_mode=mode, begun_ns=inflight["begun"],
-                    )
-                    failed = failed or not ok
+            # Injected PROGRAM FAIL (the blocks the hook names): those
+            # pages never commit and their planes raise the ONFI FAIL
+            # bit, exactly like a grown-bad page refusing to verify.
+            # FAIL is kept per plane.
+            hit = None
+            if self._fault_hook is not None:
+                hit = self._fault_hook.on_program(self, targets)
+            failed = 0
+            for target, register in staged:
+                if (hit and target.block in hit) or \
+                        not self.array.program(
+                            target, register, now_ns=self._now(),
+                            cell_mode=mode, begun_ns=inflight["begun"]):
+                    failed |= 1 << self.codec.plane_of(target)
             self.programs_completed += len(targets)
-            self.status.finish_operation(failed=failed)
+            self.status.finish_operation(failed)
 
         if not spec.holds_rb:
             # Cache program: the array works in the background while the
@@ -864,19 +869,20 @@ class Lun:
         def finish() -> None:
             if inflight in self.inflight_ops:
                 self.inflight_ops.remove(inflight)
-            failed = False
+            failed = 0
             if self._fault_hook is not None and self._fault_hook.on_erase(
                 self, targets
             ):
-                failed = True
+                for target in targets:
+                    failed |= 1 << self.codec.plane_of(target)
             else:
                 for target in targets:
-                    ok = self.array.erase(target.block, cell_mode=mode,
-                                          now_ns=self._now(),
-                                          begun_ns=inflight["begun"])
-                    failed = failed or not ok
+                    if not self.array.erase(target.block, cell_mode=mode,
+                                            now_ns=self._now(),
+                                            begun_ns=inflight["begun"]):
+                        failed |= 1 << self.codec.plane_of(target)
             self.erases_completed += len(targets)
-            self.status.finish_operation(failed=failed)
+            self.status.finish_operation(failed)
 
         self._begin_busy(spec, duration, finish=finish, sets_status=False)
 

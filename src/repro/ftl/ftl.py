@@ -140,10 +140,11 @@ class PageMappedFtl:
         self.pages_per_block = geometry.pages_per_block
         self.page_size = geometry.page_size
         self.lun_count = len(controller.luns)
+        # Host pages alternate between planes only for a controller
+        # whose admission pairs queued programs (``pairs_programs``).
+        self._planes = geometry.planes if getattr(
+            controller, "pairs_programs", False) else 1
 
-        usable_blocks = self.config.blocks_per_lun - self.config.overprovision_blocks
-        self.logical_pages = self.lun_count * usable_blocks * self.pages_per_block
-        self.map = PageMapTable(self.logical_pages)
         self.wear = WearTracker()
         # Power-loss protection (attached below once the free lists
         # exist; ``None`` keeps the historical volatile behaviour).
@@ -151,7 +152,13 @@ class PageMappedFtl:
         self._entry_seq: dict[int, int] = {}
 
         self._free: list[deque[int]] = []
+        # The host's open blocks: up to one per plane pair per LUN.
+        # Host pages alternate between ``_active`` and ``_twin`` (a block
+        # on another plane), so consecutive programs on a die can run
+        # as one multi-plane PROGRAM.
         self._active: list[Optional[BlockInfo]] = [None] * self.lun_count
+        self._twin: list[Optional[BlockInfo]] = [None] * self.lun_count
+        self._on_twin = [False] * self.lun_count
         # GC relocates into its own open block, never the host's.
         self._gc_active: list[Optional[BlockInfo]] = [None] * self.lun_count
         self._closed: list[list[BlockInfo]] = [[] for _ in range(self.lun_count)]
@@ -168,30 +175,28 @@ class PageMappedFtl:
                 if controller.luns[lun].array.is_bad(b)
             }
             usable = [b for b in range(self.config.blocks_per_lun) if b not in bad]
-            if len(usable) * self.pages_per_block < (
-                usable_blocks * self.pages_per_block
-            ):
-                raise FtlError(
-                    f"LUN {lun}: only {len(usable)} good blocks for "
-                    f"{usable_blocks} logical blocks"
-                )
             for b in sorted(bad):
                 self._retire_block(lun, b, REASON_FACTORY)
             self._free.append(deque(usable))
+        meta = self._reserve_meta() if self.config.checkpoint_interval > 0 \
+            else ()
 
         # Placement state.  ``_pending[lun]``: nominal array time (ns)
         # of the LUN's media ops issued and not yet waited on (see
         # ``_media``).  ``_lun_valid[lun]``: the LUN's valid pages plus
         # the pages placed on it and not yet bound.  ``_share[lun]``: the
-        # most ``_lun_valid`` may reach for a new LPN — the shares sum
-        # to the logical capacity.
+        # most ``_lun_valid`` may reach for a new LPN — sized from the
+        # LUN's factory-good blocks, the shares sum to the logical
+        # capacity (``_size_shares``).
         timing = controller.luns[0].profile.timing
         self._t_read = timing.t_read_ns
         self._t_prog = timing.t_prog_ns
         self._t_bers = timing.t_bers_ns
         self._pending = [0] * self.lun_count
         self._lun_valid = [0] * self.lun_count
-        self._share = [usable_blocks * self.pages_per_block] * self.lun_count
+        self._share = self._size_shares(len(meta))
+        self.logical_pages = sum(self._share)
+        self.map = PageMapTable(self.logical_pages)
         # ``_rings[r]``: the LUNs in rotor order starting at ``r``.
         self._rings = [
             tuple((r + i) % self.lun_count for i in range(self.lun_count))
@@ -201,8 +206,10 @@ class PageMappedFtl:
         self._room_waits = 0
         self._room = Trigger(sim)
 
-        if self.config.checkpoint_interval > 0:
-            self._attach_persistence(usable_blocks)
+        if meta:
+            from repro.ftl.persist import PersistenceLayer
+
+            self.persist = PersistenceLayer(self, meta, meta_lun=0)
 
         # Where placement starts looking, and where prefill puts pages.
         self._write_rotor = 0
@@ -220,15 +227,11 @@ class PageMappedFtl:
         self.writes_off_rotor = 0  # placed on a LUN other than the rotor's
         self.host_writes_by_lun = [0] * self.lun_count
 
-    def _attach_persistence(self, usable_blocks: int) -> None:
-        """Reserve the meta region and stand up the persistence layer.
-
-        The last ``meta_blocks`` factory-good blocks of LUN 0 leave the
-        data rotation; logical capacity shrinks by the same amount so
-        the rest of the overprovisioning budget is untouched.
-        """
-        from repro.ftl.persist import PersistenceLayer
-
+    def _reserve_meta(self) -> list[int]:
+        """Reserve the persistence meta region: the last ``meta_blocks``
+        factory-good blocks of LUN 0 leave the data rotation, and the
+        meta LUN's share shrinks by as many blocks (``_size_shares``),
+        so the rest of the overprovisioning budget is untouched."""
         if not self.controller.luns[0].array.track_data:
             raise FtlError("persistence requires track_data=True "
                            "(checkpoints are read back from the arrays)")
@@ -238,11 +241,49 @@ class PageMappedFtl:
                 f"LUN 0 has only {len(free0)} good blocks; cannot reserve "
                 f"{self.config.meta_blocks} for the meta region"
             )
-        meta = sorted(free0.pop() for _ in range(self.config.meta_blocks))
-        self.logical_pages -= self.config.meta_blocks * self.pages_per_block
-        self._share[0] -= self.config.meta_blocks * self.pages_per_block
-        self.map = PageMapTable(self.logical_pages)
-        self.persist = PersistenceLayer(self, meta, meta_lun=0)
+        return sorted(free0.pop() for _ in range(self.config.meta_blocks))
+
+    def _size_shares(self, meta_blocks: int) -> list[int]:
+        """Each LUN's share of valid data, in pages, from its
+        factory-good blocks (the array's ``factory_bad_blocks``, not the
+        bad-block scan: a mount's scan also sees blocks that wore out
+        during the run, and must size the shard as the run did).
+
+        A LUN's share is its data blocks less the overprovisioning (less
+        the meta region on LUN 0), as configured — unless factory
+        defects leave it fewer than ``min(2, overprovision_blocks)``
+        spare blocks (GC's reserve and the host's open block).  Then its
+        share gives up the missing blocks and the LUNs with the most
+        spare blocks above that floor take them on, one block at a
+        time.  The shares sum to the configured logical capacity; it
+        shrinks only by what no LUN's spare blocks can absorb.
+        """
+        config = self.config
+        spare = config.overprovision_blocks
+        floor = min(2, spare)
+        managed = config.blocks_per_lun
+        good = [managed - sum(b < managed for b in lun.array.factory_bad_blocks)
+                for lun in self.controller.luns]
+        good[0] -= meta_blocks
+        share = [managed - spare for _ in good]
+        share[0] -= meta_blocks
+        deficit = 0
+        for lun, blocks in enumerate(good):
+            short = min(floor - (blocks - share[lun]), share[lun])
+            if short > 0:
+                share[lun] -= short
+                deficit += short
+        while deficit:
+            roomiest = max(range(len(good)),
+                           key=lambda lun: (good[lun] - share[lun], -lun))
+            if good[roomiest] - share[roomiest] <= floor:
+                break  # every LUN is at its floor: the capacity shrinks
+            share[roomiest] += 1
+            deficit -= 1
+        if not any(share):
+            raise FtlError(f"only {sum(good)} good blocks: none is left "
+                           "for data once every LUN keeps its spare blocks")
+        return [blocks * self.pages_per_block for blocks in share]
 
     # ------------------------------------------------------------------
     # Host-facing I/O (generators: drive from a simulation process)
@@ -284,7 +325,7 @@ class PageMappedFtl:
             self._room_waits -= 1
             lun = self._place(lpn)
         yield from self._admit(lun)
-        info = self._active_block(lun)
+        info = self._host_block(lun)
         page = info.write_ptr
         info.write_ptr += 1
         info.inflight += 1
@@ -292,7 +333,11 @@ class PageMappedFtl:
             # Rotate at *allocation* time: concurrent writers (the HIC
             # runs several workers) must never be handed page indexes
             # beyond the block.
-            self._close_active(lun)
+            if info is self._twin[lun]:
+                self._twin[lun] = None
+                self._close(info)
+            else:
+                self._close_active(lun)
         if persist is not None:
             from repro.flash.oob import KIND_HOST
 
@@ -485,10 +530,47 @@ class PageMappedFtl:
             info = self._active[lun] = self._open_block(lun)
         return info
 
+    def _host_block(self, lun: int) -> BlockInfo:
+        """The open block the LUN's next host page goes to.  Pages
+        alternate between the active block and its twin on another
+        plane; the twin opens only while the LUN has two free blocks or
+        more (the last one is GC's reserve), else the active block
+        takes the page.  Prefill fills the active block alone."""
+        if self._on_twin[lun]:
+            self._on_twin[lun] = False
+            twin = self._twin[lun]
+            if twin is None and self._active[lun] is not None:
+                twin = self._twin[lun] = self._open_beside(
+                    lun, self._active[lun].block)
+            if twin is not None:
+                return twin
+        elif self._planes > 1:
+            self._on_twin[lun] = True
+        return self._active_block(lun)
+
+    def _open_beside(self, lun: int, block: int) -> Optional[BlockInfo]:
+        """Open the first free block on another plane than ``block``,
+        if the LUN has two free blocks or more; None otherwise."""
+        free = self._free[lun]
+        if len(free) < 2:
+            return None
+        plane = self._plane(block)
+        for other in free:
+            if self._plane(other) != plane:
+                free.remove(other)
+                return self._block_info(lun, other)
+        return None
+
+    def _plane(self, block: int) -> int:
+        return self.controller.codec.plane_of(PhysicalAddress(block, 0))
+
     def _open_block(self, lun: int) -> BlockInfo:
         if not self._free[lun]:
             raise FtlError(f"LUN {lun} out of free blocks (GC failed?)")
-        block = self._free[lun].popleft()
+        return self._block_info(lun, self._free[lun].popleft())
+
+    def _block_info(self, lun: int, block: int) -> BlockInfo:
+        """The FTL-side state of a block leaving the free pool."""
         info = self._info.get((lun, block))
         if info is None or info.write_ptr:
             info = BlockInfo(lun=lun, block=block, capacity=self.pages_per_block)
@@ -496,9 +578,11 @@ class PageMappedFtl:
         return info
 
     def _close_active(self, lun: int) -> None:
+        """Close the active block; its twin, if open, takes its place."""
         info = self._active[lun]
         if info is not None:
-            self._active[lun] = None
+            self._active[lun] = self._twin[lun]
+            self._twin[lun] = None
             self._close(info)
 
     def _close(self, info: BlockInfo) -> None:
@@ -624,21 +708,42 @@ class PageMappedFtl:
             if self.map.owner_of(source) != lpn:
                 continue  # a host write/trim superseded it mid-read
             seq = self._entry_seq.get(lpn, 0)
-            dest, dest_page = self._gc_page(lun)
-            if persist is not None:
-                from repro.flash.oob import KIND_GC
+            while True:
+                if self._gc_active[lun] is None and not self._free[lun]:
+                    # End of life: nowhere left to relocate to.  The
+                    # victim keeps its other pages and goes back to the
+                    # closed list; a host write needing a block raises.
+                    self._closed[lun].append(victim)
+                    return
+                dest, dest_page = self._gc_page(lun)
+                if persist is not None:
+                    from repro.flash.oob import KIND_GC
 
-                # A relocation is the *same* logical version: it keeps
-                # the original write's sequence number so the mount can
-                # never prefer a stale copy over a newer host write.
-                persist.stage_data_oob(lun, dest.block, dest_page,
-                                       KIND_GC, lpn, seq)
-            ok = yield from self._media(self._t_prog,
-                                        self.controller.program_page,
-                                        lun, dest.block, dest_page, staging,
-                                        priority=BACKGROUND)
-            if not ok:
-                raise FtlError("GC relocation program failed")
+                    # A relocation is the *same* logical version: it
+                    # keeps the original write's sequence number so the
+                    # mount can never prefer a stale copy over a newer
+                    # host write.
+                    persist.stage_data_oob(lun, dest.block, dest_page,
+                                           KIND_GC, lpn, seq)
+                ok = yield from self._media(self._t_prog,
+                                            self.controller.program_page,
+                                            lun, dest.block, dest_page,
+                                            staging, priority=BACKGROUND)
+                if ok:
+                    break
+                # The destination went bad: retire it (moving what it
+                # holds) and relocate the page again, as a host write
+                # does on a failed program — unless no free block is
+                # left to move its pages to (end of life, as above).
+                dest.inflight -= 1
+                self._release(lun)
+                if not self._free[lun]:
+                    if self._gc_active[lun] is dest:
+                        self._gc_active[lun] = None
+                        self._close(dest)
+                    self._closed[lun].append(victim)
+                    return
+                yield from self._retire(dest)
             entry = MapEntry(lun=lun, block=dest.block, page=dest_page)
             if self._rebind(lpn, source, entry, seq):
                 dest.valid.add(dest_page)
@@ -667,10 +772,18 @@ class PageMappedFtl:
 
     def _retire(self, victim: BlockInfo) -> Generator:
         """Permanently remove a grown-bad block from the rotation,
-        relocating any pages it still validly holds."""
+        relocating any pages it still validly holds.  A block whose
+        in-flight programs fail together is retired once, by the first."""
+        if victim.retired:
+            return
+        victim.retired = True
         lun = victim.lun
         if self._active[lun] is victim:
-            self._active[lun] = None
+            self._active[lun], self._twin[lun] = self._twin[lun], None
+        elif self._twin[lun] is victim:
+            self._twin[lun] = None
+        elif self._gc_active[lun] is victim:
+            self._gc_active[lun] = None
         if victim in self._closed[lun]:
             self._closed[lun].remove(victim)
         staging = self._gc_staging(lun, victim.block)
@@ -767,7 +880,7 @@ class PageMappedFtl:
             return leveled
         lun, block = coldest
         victim = self._info.get((lun, block))
-        if victim is None or victim is self._active[lun]:
+        if victim is None or victim in (self._active[lun], self._twin[lun]):
             return leveled
         if victim not in self._closed[lun] or victim.inflight:
             return leveled

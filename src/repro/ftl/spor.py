@@ -296,6 +296,8 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
     shard._entry_seq = {}
     shard._free = [deque() for _ in range(lun_count)]
     shard._active = [None] * lun_count
+    shard._twin = [None] * lun_count
+    shard._on_twin = [False] * lun_count
     shard._gc_active = [None] * lun_count
     shard._closed = [[] for _ in range(lun_count)]
     shard._info = {}
@@ -375,12 +377,18 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
                 shard._closed[lun].append(info)
             else:
                 partials.append(info)
-        # Reopen the emptiest partial block as the active block; the
+        # Reopen one partial block per plane pair — the emptiest as the
+        # active block, the emptiest on another plane as its twin; the
         # rest close (GC reclaims their untouched tails eventually).
-        if partials:
-            partials.sort(key=lambda b: (b.write_ptr, b.block))
-            shard._active[lun] = partials[0]
-            for info in partials[1:]:
+        partials.sort(key=lambda b: (b.write_ptr, b.block))
+        for info in partials:
+            active = shard._active[lun]
+            if active is None:
+                shard._active[lun] = info
+            elif shard._planes > 1 and shard._twin[lun] is None and \
+                    shard._plane(info.block) != shard._plane(active.block):
+                shard._twin[lun] = info
+            else:
                 shard._closed[lun].append(info)
         shard._free[lun] = deque(sorted(free))
     shard._lun_valid = shard._recount()  # placement counts from here

@@ -167,7 +167,9 @@ def register_ftl_health_metrics(registry: MetricsRegistry, ftl,
     counter, the host writes that waited on a LUN's GC reserve block,
     the journal's pages and records written (records per page without
     a probe; 0 with persistence off), the host writes landed per LUN,
-    and how many were placed off the rotor's LUN."""
+    how many were placed off the rotor's LUN, and the multi-plane
+    PROGRAMs its controller's admission ran for two queued programs
+    (one tPROG saved each; 0 on a controller that never pairs)."""
     p = f"{prefix}." if prefix else ""
 
     def ftl_health() -> dict:
@@ -182,6 +184,7 @@ def register_ftl_health_metrics(registry: MetricsRegistry, ftl,
             "journal_records_written":
                 persist.journal_records_written if persist else 0,
             "program_fail_rewrites": ftl.program_fail_rewrites,
+            "programs_paired": getattr(ftl.controller, "programs_paired", 0),
             "writes_off_rotor": ftl.writes_off_rotor,
         }
 

@@ -35,7 +35,8 @@ _WP = int(StatusBits.WP)
 class StatusRegister:
     """Mutable status state owned by one LUN."""
 
-    __slots__ = ("rdy", "ardy", "fail", "failc", "suspended", "write_protected")
+    __slots__ = ("rdy", "ardy", "fail", "failc", "suspended", "write_protected",
+                 "fail_planes", "plane")
 
     def __init__(self) -> None:
         self.rdy = True
@@ -44,11 +45,18 @@ class StatusRegister:
         self.failc = False
         self.suspended = False
         self.write_protected = False
+        # FAIL per plane (bit p: plane p's part of the last operation
+        # failed), and the plane a READ STATUS ENHANCED selected — its
+        # FAIL bit is that plane's; None for a plain READ STATUS.
+        self.fail_planes = 0
+        self.plane = None
 
     def value(self) -> int:
-        """Compose the status byte as a READ STATUS would return it."""
+        """Compose the status byte as a READ STATUS would return it (or
+        a READ STATUS ENHANCED, for the plane it selected)."""
         byte = 0
-        if self.fail:
+        plane = self.plane
+        if self.fail if plane is None else self.fail_planes >> plane & 1:
             byte |= _FAIL
         if self.failc:
             byte |= _FAILC
@@ -66,13 +74,17 @@ class StatusRegister:
         """Mark the LUN busy; shifts FAIL into FAILC per ONFI cache rules."""
         self.failc = self.fail
         self.fail = False
+        self.fail_planes = 0
         self.rdy = False
         self.ardy = False
 
-    def finish_operation(self, failed: bool = False) -> None:
+    def finish_operation(self, failed: int = 0) -> None:
+        """Settle the operation: ``failed`` has bit p set when its part
+        on plane p failed (a bool is plane 0's)."""
         self.rdy = True
         self.ardy = True
-        self.fail = failed
+        self.fail = failed != 0
+        self.fail_planes = failed
 
     def begin_cache_phase(self) -> None:
         """Cache ops: register free (RDY) while the array works (not ARDY)."""

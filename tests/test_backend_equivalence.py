@@ -7,7 +7,7 @@ The contract under test (see ``repro/core/backend.py``):
 * identical die state (op counts, array counters, programmed pages),
 * 0 ns total-latency drift for non-preempted ops,
 
-over the full 27-op library, on both software runtimes, plus both
+over the full 28-op library, on both software runtimes, plus both
 hardware baseline controllers.  Poll traffic is the one *allowed*
 difference — the TLM tier may skip redundant status polls — so
 ``READ_STATUS`` counts are excluded from the die-state comparison.
@@ -37,6 +37,7 @@ from repro.core.ops import (
     get_features_op,
     multiplane_erase_op,
     multiplane_program_op,
+    paired_program_op,
     multiplane_read_op,
     partial_program_op,
     partial_read_op,
@@ -70,7 +71,7 @@ ADDR = PhysicalAddress(block=2, page=0)
 ADDR_P1 = PhysicalAddress(block=3, page=0)
 DRAM_COMPARE_BYTES = 8 * PAGE    # covers every dram_address used below
 
-# One entry per library op: (name, op, kwargs-builder).  Covers all 27
+# One entry per library op: (name, op, kwargs-builder).  Covers all 28
 # exports of ``repro.core.ops`` (asserted below, so a new op cannot be
 # added without joining the harness).
 MATRIX = [
@@ -130,6 +131,10 @@ MATRIX = [
      lambda c: {"codec": c.codec,
                 "pages": [(PhysicalAddress(block=10, page=0), 0),
                           (PhysicalAddress(block=11, page=0), 0)]}),
+    ("paired_program", paired_program_op,
+     lambda c: {"codec": c.codec,
+                "pages": [(PhysicalAddress(block=12, page=0), 0),
+                          (PhysicalAddress(block=13, page=0), PAGE)]}),
     ("multiplane_erase", multiplane_erase_op,
      lambda c: {"codec": c.codec, "blocks": [10, 11]}),
     ("gang_read", gang_read_op,
@@ -317,18 +322,29 @@ def _scale_state(fidelity: str, track_data: bool = True):
                for lpn, e in shard.map._forward.items())
         for shard in ftl.shards
     ]
-    return ftl.health_summary(), arrays, mapping, dram
+    paired = sum(c.programs_paired for c in controllers)
+    return ftl.health_summary(), arrays, mapping, dram, paired
 
 
 def test_fast_path_keeps_ftl_and_data_identical_across_tiers():
-    """Same seed => same FTL state, die counters, and DRAM payloads in
-    both tiers, even though the TLM scale path runs templates."""
+    """Same seed => same FTL health, die counters, mapped LPNs and DRAM
+    payloads in both tiers, even though the TLM scale path runs
+    templates, and both tiers pair programs.  Where each LPN landed is
+    not compared: which queued programs pair depends on what waits on a
+    die when it frees, and on two channels the template's poll
+    fast-forward moves completions across controllers (with no pairing,
+    longer runs of this workload already place LPNs differently), so a
+    few LPNs change die or plane.  tests/test_plane_pairing.py pins the
+    whole tables, and equal pairs, on one channel and on two one-LUN
+    channels."""
     wave = _scale_state("waveform")
     tlm = _scale_state("tlm")
     assert tlm[0] == wave[0]          # health summary (GC, WA, mapping)
     assert tlm[1] == wave[1]          # per-die array counters
-    assert tlm[2] == wave[2]          # logical-to-physical tables
+    assert [[row[0] for row in shard] for shard in tlm[2]] == \
+        [[row[0] for row in shard] for shard in wave[2]]  # mapped LPNs
     assert tlm[3] == wave[3]          # host-visible data payloads
+    assert wave[4] > 0 and tlm[4] > 0  # multi-plane PROGRAMs on both
 
 
 def _mixed_state(fidelity: str, writes: int = 360):

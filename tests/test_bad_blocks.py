@@ -133,3 +133,51 @@ def test_grown_bad_block_retired_during_gc_churn():
         entry = ftl.map.lookup(lpn)
         if entry is not None:
             assert (entry.lun, entry.block) not in retired
+
+
+# --- valid-data shares from factory-good blocks -------------------------------
+
+
+def _shares(bad_by_lun, blocks_per_lun=8, overprovision=2, luns=3):
+    """An FTL over ``luns`` LUNs whose blocks in ``bad_by_lun[lun]`` are
+    factory-bad; returns it."""
+    sim = Simulator()
+    controller = BabolController(sim, ControllerConfig(
+        vendor=TEST_PROFILE, lun_count=luns, track_data=False))
+    for lun, blocks in bad_by_lun.items():
+        array = controller.luns[lun].array
+        array.factory_bad_blocks = set(blocks)
+        for block in blocks:
+            array.block(block).worn_out = True
+    return PageMappedFtl(sim, controller, FtlConfig(
+        blocks_per_lun=blocks_per_lun, overprovision_blocks=overprovision))
+
+
+def test_shares_are_the_configured_ones_without_defects():
+    ftl = _shares({}, overprovision=4)
+    pages = ftl.pages_per_block
+    assert ftl._share == [4 * pages] * 3
+    assert ftl.logical_pages == sum(ftl._share)
+
+
+def test_a_defect_moves_share_to_a_lun_with_spare_blocks():
+    """Four spare blocks each: one defect leaves three, above the
+    two-block floor, so nothing moves; three defects leave one, and
+    the missing block goes to the roomiest other LUN."""
+    pages = _shares({}).pages_per_block
+    ftl = _shares({1: [3]}, overprovision=4)
+    assert ftl._share == [4 * pages] * 3
+    ftl = _shares({1: [1, 3, 5]}, overprovision=4)
+    assert ftl._share == [5 * pages, 3 * pages, 4 * pages]
+    assert ftl.logical_pages == 12 * pages  # the capacity holds
+
+
+def test_the_capacity_shrinks_only_past_the_spare_blocks():
+    """Two spare blocks each (the floor): a defect has nowhere to go,
+    so the capacity shrinks by it, and every LUN keeps two spares."""
+    ftl = _shares({0: [2]})
+    pages = ftl.pages_per_block
+    assert ftl._share == [5 * pages, 6 * pages, 6 * pages]
+    assert ftl.logical_pages == 17 * pages
+    for lun, share in enumerate(ftl._share):
+        assert len(ftl._free[lun]) * pages - share >= 2 * pages

@@ -121,11 +121,18 @@ def test_ir_matches_seed_coroutine(name, op_name, build_kwargs):
                       getattr(ir_ops, op_name), build_kwargs)
 
 
+#: Library ops written after the seed was frozen: no pre-IR generator
+#: exists to hold them against (their lowering is pinned by
+#: tests/test_opir_lowering.py and their tiers by the equivalence matrix).
+POST_SEED_OPS = {"paired_program_op"}
+
+
 def test_seed_library_is_complete():
-    """Every public seed op has an IR-backed counterpart (same names)."""
+    """Every public seed op has an IR-backed counterpart (same names),
+    and the IR library adds only the ops written after the freeze."""
     import repro.core.ops as ir_ops
 
-    assert set(seed_ops.__all__) == set(ir_ops.__all__)
+    assert set(seed_ops.__all__) == set(ir_ops.__all__) - POST_SEED_OPS
 
 
 def test_full_page_read_matches_seed_with_data_tracking():

@@ -303,8 +303,9 @@ def test_a_traced_run_is_byte_identical_to_the_parents(tmp_path):
 
 def test_one_lowering_per_shape_per_controller():
     """4-way waveform: 200 reads at distinct addresses and 200 programs
-    (status-heavy: each polls through tPROG) lower three shapes — the
-    read, the program, the status poll — and build nothing else."""
+    (status-heavy: each polls through tPROG) lower four shapes — the
+    read, the program, the paired program (queued programs on blocks of
+    distinct planes pair), the status poll — and build nothing else."""
     sim, controller = _controller(TEST_PROFILE, lun_count=4)
     bank = controller.ufsm
     geometry = TEST_PROFILE.geometry
@@ -317,11 +318,13 @@ def test_one_lowering_per_shape_per_controller():
             lun, block + 8, page, geometry.full_page_size))
     for task in tasks:
         controller.run_to_completion(task)
-    assert bank.shapes_lowered == 3
+    assert controller.programs_paired > 0
+    assert bank.shapes_lowered == 4
     declared = {builder.program_name for builder, _ in bank.lowered
                 if hasattr(builder, "plan")}
-    assert declared == {"program_page", "full_page_read", "read_page"}
-    assert len(bank.lowered) == 4  # + read_status, beside its instance
+    assert declared == {"program_page", "paired_program", "full_page_read",
+                        "read_page"}
+    assert len(bank.lowered) == 5  # + read_status, beside its instance
     assert CACHE_STATS["program_misses"] - misses <= len(bank.lowered)
 
 

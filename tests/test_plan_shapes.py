@@ -44,13 +44,26 @@ DECLARED = [name for name in list_ops() if hasattr(_BUILDERS[name], "plan")]
 def test_the_eight_plan_wrapper_builders_declare():
     assert DECLARED == sorted([
         "read_page", "full_page_read", "partial_read", "program_page",
-        "erase_block", "pslc_read", "pslc_program", "pslc_erase"])
+        "erase_block", "pslc_read", "pslc_program", "pslc_erase",
+        "multiplane_read", "multiplane_program", "multiplane_erase",
+        "paired_program"])
+
+
+def _plane_blocks(rng, geometry):
+    """One block on each of 1..planes distinct planes, in a random
+    order (the multi-plane builders' structural variation is the count)."""
+    planes = rng.sample(range(geometry.planes),
+                        rng.randint(1, geometry.planes))
+    return [rng.randrange(geometry.blocks_per_plane) * geometry.planes + p
+            for p in planes]
 
 
 def _draws(name, vendor, seed):
     """Seeded kwargs for one declaring builder: block, page and DRAM
     target everywhere, plus every structural variation its signature
-    admits — ``length`` (absent, None, sub-page) and a non-zero column."""
+    admits — ``length`` (absent, None, sub-page), a non-zero column, and
+    the plane count of a multi-plane ``pages`` / ``blocks`` /
+    ``addresses``."""
     rng = random.Random(seed)
     geometry = vendor.geometry
     codec = AddressCodec(geometry)
@@ -59,6 +72,21 @@ def _draws(name, vendor, seed):
         block = rng.randrange(geometry.blocks_per_lun)
         if "block" in params:
             yield {"codec": codec, "block": block}
+            continue
+        if "blocks" in params:
+            yield {"codec": codec, "blocks": tuple(_plane_blocks(rng, geometry))}
+            continue
+        if "pages" in params or "addresses" in params:
+            addresses = tuple(
+                PhysicalAddress(b, rng.randrange(geometry.pages_per_block),
+                                rng.choice((0, 0, 16, 512)))
+                for b in _plane_blocks(rng, geometry))
+            drams = tuple(rng.randrange(0, 1 << 20, 64) for _ in addresses)
+            if "pages" in params:
+                yield {"codec": codec, "pages": tuple(zip(addresses, drams))}
+            else:
+                yield {"codec": codec, "addresses": addresses,
+                       "dram_addresses": drams}
             continue
         column = rng.choice((0, 0, 16, 512, geometry.page_size - 64))
         kwargs = {
@@ -119,8 +147,22 @@ def test_plan_raises_what_the_builder_raises(name):
     raises exactly what building (the callee, for a wrapper) raises."""
     geometry = TEST_PROFILE.geometry
     good = next(_draws(name, TEST_PROFILE, 1))
+    far = PhysicalAddress(geometry.blocks_per_lun, 0)
     if "block" in good:
         bad = [{"block": geometry.blocks_per_lun}, {"block": -1}]
+    elif "blocks" in good:
+        bad = [{"blocks": ()}, {"blocks": (4, 6)},
+               {"blocks": (geometry.blocks_per_lun,)}]
+    elif "pages" in good:
+        bad = [{"pages": ()}, {"pages": ((PhysicalAddress(4, 0), 0),
+                                         (PhysicalAddress(6, 1), 0))},
+               {"pages": ((far, 0),)}]
+    elif "addresses" in good:
+        bad = [{"addresses": (), "dram_addresses": ()},
+               {"addresses": (PhysicalAddress(4, 0),), "dram_addresses": ()},
+               {"addresses": (PhysicalAddress(4, 0), PhysicalAddress(6, 0)),
+                "dram_addresses": (0, 0)},
+               {"addresses": (far,), "dram_addresses": (0,)}]
     else:
         bad = [{"address": PhysicalAddress(geometry.blocks_per_lun, 0)},
                {"address": PhysicalAddress(0, geometry.pages_per_block)},
@@ -221,9 +263,10 @@ def test_one_build_walk_and_compile_per_shape(walks):
     compiled = sum(f.shapes_compiled for f in fast)
     assert planned >= 960 and all(f.ops_declined == 0 for f in fast)
     assert all(f.ops_templated == f.ops_planned for f in fast)
-    # program_page + full_page_read (+ erase_block if GC ran), once per
-    # controller — not once per address.
-    assert 4 <= compiled <= 6
+    # program_page + paired_program + full_page_read (+ erase_block if
+    # GC ran), once per controller — not once per address or pair.
+    assert 6 <= compiled <= 8
+    assert all(f.programs_paired for f in fast)
     assert len(walks) == compiled
     assert misses <= 2 * compiled  # a wrapper builds itself and its callee
 
@@ -254,6 +297,14 @@ PARENT_TIMELINE = [
     1293325, 1293620, 1551990, 1552285, 1650395, 1661835, 1748505, 1759945,
     1846615, 1858055, 1944725, 1956165, 2042835, 2054275, 2140945, 2152385]
 
+# The same run with the stock program_page, which pairs each LUN's
+# queued programs on distinct planes: the pairs (tasks 2/4, 3/5, 6/8,
+# 7/9) finish together, one tPROG for two.
+PAIRED_TIMELINE = [
+    258665, 258960, 562430, 573800, 562430, 573800, 866490, 877860,
+    866490, 877860, 1114230, 1125600, 1223710, 1235150, 1321820, 1333260,
+    1419930, 1431370, 1518040, 1529480, 1616150, 1627590, 1714260, 1725700]
+
 
 def test_undeclared_override_is_templated_on_the_reference_plan(walks):
     vendor = TEST_PROFILE.with_op_override(
@@ -266,7 +317,12 @@ def test_undeclared_override_is_templated_on_the_reference_plan(walks):
     assert walks.count("program_page") == 12
     assert walks.count("full_page_read") == 1
     assert fast.shapes_compiled == 2
-    assert _run_ops(TEST_PROFILE)[0] == PARENT_TIMELINE
+    # An override keeps its own PROGRAM, so nothing pairs above.  The
+    # stock builder pairs each LUN's queued programs on distinct planes
+    # (blocks 3 and 5 against block 4): one tPROG for two, four times.
+    timeline, fast = _run_ops(TEST_PROFILE)
+    assert fast.programs_paired == 4
+    assert timeline == PAIRED_TIMELINE
 
 
 def _read_page_slow_on_odd_blocks(**kwargs):

@@ -242,6 +242,30 @@ def test_interrupted_erase_is_reissued_before_reuse():
     verify_acked(sim2, controller2, ftl2, acked)
 
 
+def test_mount_keeps_the_capacity_when_blocks_wore_out():
+    # Three blocks of each LUN wear out during the run, leaving each one
+    # spare block short of the two-block floor.  The mount's bad-block
+    # scan sees them, but the shard must keep the capacity and shares it
+    # was formatted with (factory defects only), or the acked LPNs at
+    # the top of the range would fall outside the rebuilt map.
+    sim, controller, ftl = make_stack()
+    shard = ftl.shards[0]
+    top = ftl.logical_pages - 1
+    acked = []
+    run_workload(sim, controller, ftl,
+                 write_plan(60) + [(top, 1), (top - 1, 1)], acked)
+    for lun, free in enumerate(shard._free):
+        for block in list(free)[-3:]:
+            controller.luns[lun].array.block(block).worn_out = True
+
+    sim2, controller2, ftl2, _ = remount(controller)
+    mounted = ftl2.shards[0]
+    assert ftl2.logical_pages == ftl.logical_pages
+    assert mounted._share == shard._share
+    assert len(mounted.retired_blocks) == 6
+    verify_acked(sim2, controller2, ftl2, acked)
+
+
 def test_mount_requires_persistence():
     sim = Simulator()
     controller = BabolController(
