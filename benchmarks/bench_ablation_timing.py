@@ -25,9 +25,10 @@ READS = 12
 
 def fused_read_op(ctx, codec, address, dram_address):
     """Algorithm 2 as shipped: one fused preamble segment."""
-    from repro.core.ops.read import read_page_op
+    from repro.core.ops import read_page_op
 
-    result = yield from read_page_op(ctx, codec, address, dram_address)
+    result = yield from read_page_op(ctx, codec=codec, address=address,
+                                     dram_address=dram_address)
     return result
 
 

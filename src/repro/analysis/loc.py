@@ -83,9 +83,9 @@ def operation_loc_table() -> dict[str, dict[str, int]]:
          async_hw._Sequencer._poll, async_hw._Sequencer._await_ready,
          async_hw.AsyncHwController._dispatcher]
     )
-    # BABOL operations are authored as declarative op programs (the
-    # ``*_op`` generators are signature-preserving shims over the IR
-    # interpreter), so the program builders are what we measure.  READ
+    # BABOL operations are authored as declarative op programs (each
+    # ``X_op`` handle is generated from its program's registered name),
+    # so the program builders are what we measure.  READ
     # composes READ STATUS (Algorithm 2 invoking Algorithm 1); count
     # both plus the poll helper, as the paper's 58 lines cover the full
     # listing of Fig. 8.

@@ -214,7 +214,7 @@ class BabolController:
         self._check_lun(lun)
 
         if _plan and self.fast_ops is not None:
-            name = getattr(op_factory, "__name__", "").removesuffix("_op")
+            name = op_factory.program_name
             task = self.fast_ops.try_submit(name, lun, priority,
                                             label or name, op_kwargs, _pair)
             if task is not None:

@@ -8,9 +8,9 @@ shape to flat steps through the µFSM emitters
 (:mod:`repro.core.fastops`), looked up — with per-vendor overrides and
 the shape memo — through the registry
 (:mod:`~repro.core.opir.registry`), and serialized to JSON for replay
-and diffing (:mod:`~repro.core.opir.serialize`).  The public ``*_op``
-wrappers in :mod:`repro.core.ops` are one-line shims over
-:func:`run_op`.
+and diffing (:mod:`~repro.core.opir.serialize`).  An operation's
+handle, ``X_op`` in :mod:`repro.core.ops`, is generated from its
+registered name and calls :func:`run_op`.
 """
 
 from repro._lazy import lazy_exports

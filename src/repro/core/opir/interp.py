@@ -15,8 +15,9 @@ recipe keeps, so kind, duration, label, offsets, burst sizes and a
 fill-free actions tuple are the prototype's, unchecked and uncounted
 here.  The ``Transaction`` is built and ``EnvAwait`` yielded in place:
 ``ctx.transaction`` + ``ctx.add_transaction`` without their frames.
-Composition goes through the public ``*_op`` wrappers and status polls
-through the poll loop of ``core/ops/base`` (``poll_until_ready``'s), so
+Composition goes through the callee's ``X_op`` handle
+(:mod:`repro.core.ops.library`) and status polls through the poll loop
+of ``core/ops/base`` (``poll_until_ready``'s), so
 traced spans nest the way Algorithm 2 nests Algorithm 1 and vendor
 overrides resolve for callees too.
 """

@@ -360,7 +360,7 @@ class SoftSleep:
 @dataclass(frozen=True)
 class CallOp:
     """Invoke another registered operation (Algorithm 2 calling
-    Algorithm 1).  Goes through the public ``*_op`` wrapper, so traced
+    Algorithm 1).  Goes through the callee's ``X_op`` handle, so traced
     spans nest and vendor overrides resolve for the callee too."""
 
     op: str

@@ -1,6 +1,10 @@
-"""The built-in operation programs: `core/ops` rewritten as IR values.
+"""The built-in operation programs: the op library, as IR values.
 
-Each builder mirrors one seed generator from ``repro.core.ops`` —
+Each builder *is* an operation: its ``@op_program`` name gives the
+handle ``<name>_op`` in :mod:`repro.core.ops` (generated, see
+:mod:`repro.core.ops.library`), its keyword arguments and defaults are
+the op's, and its ``doc=`` says what the op returns.  Each mirrors one
+generator of the pre-IR seed library (kept in ``tests/seed_ops``) —
 same latches, same transaction labels, same poll points, same handle
 mint order — so the golden-equivalence tests can hold the two side by
 side segment for segment.  Builders run at "compile time": addresses
@@ -8,10 +12,10 @@ are encoded, data-independent loops (cache pages, multi-plane queues,
 retry level sweeps) are unrolled, and argument validation happens
 before a single segment exists.
 
-This module must not import :mod:`repro.core.ops` (the wrappers there
-import the registry, which imports us); composition is expressed with
-:class:`~repro.core.opir.nodes.CallOp` and resolved lazily by the
-lowering.
+This module must not import :mod:`repro.core.ops`: the handles there
+load before it does (it loads with the first op a run submits).
+Composition is expressed with :class:`~repro.core.opir.nodes.CallOp`
+and resolved lazily by the lowering.
 """
 
 from __future__ import annotations
@@ -112,6 +116,10 @@ def _erase_plan(codec, block) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Status (Algorithm 1)
+#
+# The paper's listing, line for line: latch 0x70, read one byte back.
+# Chip activation/deactivation is the Chip Control µFSM's doing — it
+# shows up as the chip mask stamped on each segment.
 # ---------------------------------------------------------------------------
 
 
@@ -157,12 +165,22 @@ def read_status_enhanced_program(
             ),
             Return(E("delivered_byte", (HandleRef("s"),))),
         ),
-        doc="READ STATUS ENHANCED (0x78): per-LUN status.",
+        doc="READ STATUS ENHANCED (0x78): per-LUN status on multi-die"
+            " packages; returns the status byte.",
     )
 
 
 # ---------------------------------------------------------------------------
 # READ (Algorithm 2 and variants)
+#
+# ``read_page`` is the paper's READ with Column Address Change: latch
+# command+address, *poll* for readiness instead of waiting a fixed tR
+# (lines 7..9 — tR is highly variable), then trigger the transfer with a
+# CHANGE READ COLUMN.  ``full_page_read`` is the degenerate column-0
+# case; ``partial_read`` reads a sub-page chunk (the 16 KiB-page /
+# 4 KiB-subpage use case); ``read_page_timed_wait`` is the timed-wait
+# alternative the polling ablation compares against.  Vendor profiles
+# can swap any of them without touching a caller.
 # ---------------------------------------------------------------------------
 
 
@@ -196,7 +214,7 @@ def read_page_program(
             ),
             Return((Reg("status"), HandleRef("h"))),
         ),
-        doc="READ with Column Address Change (Fig. 8, Algorithm 2).",
+        doc="READ with Column Address Change (Fig. 8, Alg. 2); returns (status, DmaHandle).",
     )
 
 
@@ -221,7 +239,8 @@ def full_page_read_program(
             ),
             Return(Reg("r")),
         ),
-        doc="Column-0 full-page READ — Algorithm 2's degenerate case.",
+        doc="Column-0 full-page READ — Algorithm 2's degenerate case;"
+            " returns (status, DmaHandle).",
     )
 
 
@@ -249,7 +268,8 @@ def partial_read_program(
             ),
             Return(Reg("r")),
         ),
-        doc="Sub-page READ from address.column.",
+        doc="Sub-page READ: transfer length bytes from address.column;"
+            " returns (status, DmaHandle).",
     )
 
 
@@ -286,12 +306,19 @@ def read_page_timed_wait_program(
             # No status was read on this path; report the nominal ready code.
             Return((int(StatusBits.RDY), HandleRef("h"))),
         ),
-        doc="READ using a fixed wait instead of status polling.",
+        doc="READ using a fixed wait instead of status polling: wait_ns"
+            " must cover the package's worst-case tR (the polling ablation"
+            " prices that margin); returns (RDY, DmaHandle).",
     )
 
 
 # ---------------------------------------------------------------------------
 # PROGRAM
+#
+# ``program_page`` is the standard three-phase PROGRAM: latch 0x80 and
+# the address, stream the page into the register, confirm with 0x10,
+# and poll for completion.  ``partial_program`` uses CHANGE WRITE COLUMN
+# to fill disjoint chunks before confirming (sub-page host writes).
 # ---------------------------------------------------------------------------
 
 
@@ -327,7 +354,7 @@ def program_page_program(
             PollStatus(until="ready", dest="status"),
             Return(_not_failed(Reg("status"))),
         ),
-        doc="Three-phase PROGRAM: load, confirm, poll.",
+        doc="Three-phase PROGRAM: load, confirm, poll; returns True on success.",
     )
 
 
@@ -392,7 +419,10 @@ def partial_program_program(
     return OpProgram(
         "partial_program",
         tuple(nodes),
-        doc="Disjoint-chunk PROGRAM via CHANGE WRITE COLUMN.",
+        doc="Disjoint-chunk PROGRAM: chunks are (column, dram_address,"
+            " nbytes); each after the first is positioned with CHANGE WRITE"
+            " COLUMN (0x85), one confirm commits them; returns True on"
+            " success.",
     )
 
 
@@ -423,12 +453,17 @@ def erase_block_program(codec: AddressCodec, block: int) -> OpProgram:
             PollStatus(until="ready", dest="status"),
             Return(_not_failed(Reg("status"))),
         ),
-        doc="ERASE: 0x60 + row + 0xD0, then poll.",
+        doc="ERASE: 0x60 + row + 0xD0, then poll; returns True, or False if worn out.",
     )
 
 
 # ---------------------------------------------------------------------------
 # Cache operations
+#
+# Cache reads interleave the array's tR with channel transfers: while
+# page *n* streams out of the cache register, the array already fetches
+# page *n+1*.  Cache ops poll ARDY (not RDY) between pages — the cache
+# register is ready (RDY) long before the array is.
 # ---------------------------------------------------------------------------
 
 
@@ -479,7 +514,8 @@ def cache_read_sequential_program(
     return OpProgram(
         "cache_read_sequential",
         tuple(nodes),
-        doc="READ CACHE SEQUENTIAL: overlap tR with transfers.",
+        doc="READ CACHE SEQUENTIAL: overlap tR with transfers; returns"
+            " one DmaHandle per page, in order.",
     )
 
 
@@ -530,12 +566,21 @@ def cache_program_program(
     return OpProgram(
         "cache_program",
         tuple(nodes),
-        doc="CACHE PROGRAM: bursts overlap background tPROG.",
+        doc="CACHE PROGRAM: bursts overlap background tPROG; pages are"
+            " (address, dram_address), every one but the last confirms with"
+            " 0x15 (the register frees while the array programs), the last"
+            " with 0x10; returns True when every page programmed cleanly.",
     )
 
 
 # ---------------------------------------------------------------------------
-# Multi-plane operations
+# Multi-plane operations: one array time covers several planes
+#
+# ONFI multi-plane sequencing: each plane but the last is queued with its
+# queue-cycle confirm (0x32 / 0x11 / 0xD1, short tDBSY busy), the last
+# uses the normal confirm, and the array performs all queued planes
+# together.  Reads then select each plane's register with CHANGE READ
+# COLUMN ENHANCED (0x06 + full address + 0xE0) before transferring.
 # ---------------------------------------------------------------------------
 
 
@@ -660,7 +705,8 @@ def multiplane_read_program(
     return OpProgram(
         "multiplane_read",
         tuple(nodes),
-        doc="One page per plane in a single array time.",
+        doc="One page per plane in a single array time; returns the"
+            " DmaHandles in the order of addresses.",
     )
 
 
@@ -711,7 +757,8 @@ def multiplane_program_program(
     return OpProgram(
         "multiplane_program",
         tuple(nodes),
-        doc="One page per plane in a single tPROG.",
+        doc="One page per plane in a single tPROG; pages are (address,"
+            " dram_address); returns True on success.",
     )
 
 
@@ -740,8 +787,9 @@ def paired_program_program(
         "paired_program",
         tuple(nodes),
         doc="Queued programs on distinct planes as one multi-plane PROGRAM"
-            " (one tPROG), then READ STATUS ENHANCED per page: a pass/fail"
-            " per page.",
+            " (one tPROG), then READ STATUS ENHANCED per page: returns one"
+            " bool per page, in the order of pages (the op a LUN's admission"
+            " runs for two queued programs on distinct planes).",
     )
 
 
@@ -770,12 +818,18 @@ def multiplane_erase_program(codec: AddressCodec, blocks: Sequence[int]) -> OpPr
     return OpProgram(
         "multiplane_erase",
         tuple(nodes),
-        doc="One block per plane in a single tBERS.",
+        doc="One block per plane in a single tBERS; returns True on"
+            " success.",
     )
 
 
 # ---------------------------------------------------------------------------
-# Gang-scheduled READ (the RAIL idiom)
+# Gang-scheduled READ (the RAIL use case, Section IV-A)
+#
+# Data replicated across several LUNs of one channel is read by
+# broadcasting the READ preamble with a multi-chip Chip Control mask,
+# then polling each replica individually and transferring from whichever
+# becomes ready first — bounding tail latency the way RAIL [32] proposes.
 # ---------------------------------------------------------------------------
 
 
@@ -824,12 +878,21 @@ def gang_read_program(
             ),
             Return((Reg("winner"), HandleRef("h"))),
         ),
-        doc="Broadcast READ to replicas; transfer from first ready LUN.",
+        doc="Broadcast READ to replicas; transfer from the first ready LUN."
+            " The caller guarantees the replicas hold the same data at the"
+            " same address and that no other op targets these LUNs; returns"
+            " (winner_position, DmaHandle).",
     )
 
 
 # ---------------------------------------------------------------------------
 # pSLC operations (Fig. 8, Algorithm 3)
+#
+# The pSLC READ is Algorithm 2 with a vendor mode-entry latch prepended
+# to the preamble and a mode-exit appended after the transfer — exactly
+# the gray-highlighted diff of Fig. 8.  In hardware each variant would be
+# a separate validated FSM; here it is a one-node diff between two op
+# programs, which is the paper's programmability argument in miniature.
 # ---------------------------------------------------------------------------
 
 
@@ -869,7 +932,9 @@ def pslc_read_program(
             ),
             Return((Reg("status"), HandleRef("h"))),
         ),
-        doc="pSLC PAGE READ (Algorithm 2 + mode enter/exit latches).",
+        doc="pSLC PAGE READ (Algorithm 2 + mode enter/exit latches): faster"
+            " and far more reliable than native mode; returns (status,"
+            " DmaHandle).",
     )
 
 
@@ -916,7 +981,8 @@ def pslc_program_program(
             ),
             Return(_not_failed(Reg("status"))),
         ),
-        doc="pSLC PROGRAM: one-bit-per-cell commit.",
+        doc="pSLC PROGRAM: one-bit-per-cell commit; returns True on"
+            " success.",
     )
 
 
@@ -948,12 +1014,20 @@ def pslc_erase_program(codec: AddressCodec, block: int) -> OpProgram:
             ),
             Return(_not_failed(Reg("status"))),
         ),
-        doc="pSLC ERASE: re-dedicates the block to pSLC duty.",
+        doc="pSLC ERASE: re-dedicates the block to pSLC duty; returns True"
+            " on success.",
     )
 
 
 # ---------------------------------------------------------------------------
 # READ RETRY (the data-dependent loop)
+#
+# The optimization of Park et al. [48] / Liu et al. [34]: when ECC cannot
+# correct a page at the default read voltage, re-read it at shifted
+# voltages (a vendor SET FEATURES register) until a level decodes.  The
+# op takes a ``validate`` callback — in a real controller the ECC engine,
+# here usually a :class:`~repro.ecc.BchEngine` closure — which crosses
+# into the program as a *hook* (its ``BreakIf`` evaluates it per level).
 # ---------------------------------------------------------------------------
 
 
@@ -1014,12 +1088,24 @@ def read_with_retry_program(
             ),
             Return((Reg("level_used"), Reg("handle"))),
         ),
-        doc="Escalating read-voltage sweep with an ECC validate hook.",
+        doc="Escalating read-voltage sweep with an ECC validate hook;"
+            " returns (level, DmaHandle) for the first level whose data"
+            " validates, or (None, DmaHandle) if every level failed (the"
+            " caller escalates to RAID/rebuild).  The retry register is"
+            " restored to the default level before returning.",
     )
 
 
 # ---------------------------------------------------------------------------
 # Features / identification / reset
+#
+# SET FEATURES is the operation the paper uses to motivate the Timer
+# µFSM: the feature data must follow the address phase by tADL, and the
+# package is busy for tFEAT afterwards.  Both waits are explicit — tADL
+# inside the Data Writer emission (its ``after_address`` contract) and
+# tFEAT as a Timer segment, since tFEAT is fixed and short enough that
+# polling it would be wasteful.  READ PARAMETER PAGE's fetch time
+# (``param_busy_ns``) is a category-3 wait the op owns, on the Timer too.
 # ---------------------------------------------------------------------------
 
 
@@ -1049,7 +1135,7 @@ def set_features_program(
             ),
             Return(True),
         ),
-        doc="Write a 4-byte feature record (0xEF).",
+        doc="Write a 4-byte feature record (0xEF); returns True.",
     )
 
 
@@ -1078,7 +1164,7 @@ def get_features_program(
             ),
             Return(E("delivered_tuple", (HandleRef("f"),))),
         ),
-        doc="Read a 4-byte feature record (0xEE).",
+        doc="Read a 4-byte feature record (0xEE); returns the 4-tuple.",
     )
 
 
@@ -1092,7 +1178,8 @@ def reset_program(synchronous: bool = False) -> OpProgram:
             PollStatus(until="ready", dest="status"),
             Return(Reg("status")),
         ),
-        doc="RESET (0xFF) or SYNCHRONOUS RESET (0xFC); polls until ready.",
+        doc="RESET (0xFF) or SYNCHRONOUS RESET (0xFC); polls until ready"
+            " and returns the status byte.",
     )
 
 
@@ -1113,7 +1200,8 @@ def read_id_program(area: int = 0x00, nbytes: int = 5) -> OpProgram:
             ),
             Return(E("delivered_tuple", (HandleRef("i"),))),
         ),
-        doc="READ ID (0x90); area 0x00 = JEDEC, 0x20 = ONFI signature.",
+        doc="READ ID (0x90); area 0x00 = JEDEC bytes, 0x20 = ONFI"
+            " signature; returns the bytes as a tuple.",
     )
 
 
@@ -1143,6 +1231,13 @@ def read_parameter_page_program(param_busy_ns: int, nbytes: int = 256) -> OpProg
 
 # ---------------------------------------------------------------------------
 # Suspend / resume and the composed preemptive-read erase
+#
+# The literature optimizations the paper cites ([23], [54]): a long
+# erase or program is paused so a latency-critical read can cut in, then
+# resumed.  ``erase_with_preemptive_read`` is the composed form — BABOL
+# expresses a multi-phase, literature-grade operation as straight-line
+# software: a program whose ``CallOp`` nodes invoke suspend, read, and
+# resume.
 # ---------------------------------------------------------------------------
 
 
@@ -1158,7 +1253,8 @@ def suspend_program() -> OpProgram:
             ),
             Return(True),
         ),
-        doc="Suspend the in-flight program/erase on the target LUN.",
+        doc="Suspend the in-flight program/erase on the target LUN;"
+            " returns True.",
     )
 
 
@@ -1174,7 +1270,7 @@ def resume_program() -> OpProgram:
             ),
             Return(True),
         ),
-        doc="Resume a previously suspended program/erase.",
+        doc="Resume a previously suspended program/erase; returns True.",
     )
 
 
@@ -1220,5 +1316,6 @@ def erase_with_preemptive_read_program(
             PollStatus(until="ready", dest="status"),
             Return((_not_failed(Reg("status")), Reg("handle"))),
         ),
-        doc="Erase, suspend for an urgent read, resume, complete.",
+        doc="Erase, suspend for an urgent read, resume, complete; returns"
+            " (erase_ok, read DmaHandle).",
     )

@@ -237,20 +237,31 @@ def resolved_op(ctx, name: str, kwargs: dict) -> tuple:
     return run_lowered, lowered, operands
 
 
+def _frozen(value: list) -> tuple:
+    """A list kwarg as nested tuples, so the program cache can key on it."""
+    return tuple(_frozen(item) if type(item) is list else item
+                 for item in value)
+
+
 def run_op(ctx, name: str, **kwargs):
     """Resolve the program for ``name`` to its lowered shape and run it.
 
     Callable kwargs become hooks (reachable from programs via
-    ``E("hook", (kwarg_name, ...))``); everything else goes to the
-    builder.  This is the body of every thin ``*_op`` wrapper; it
-    returns the generator the wrapper delegates to.
+    ``E("hook", (kwarg_name, ...))``); list kwargs become nested tuples;
+    everything else goes to the builder as given.  This is the body of
+    every ``X_op`` handle (:mod:`repro.core.ops.library`); it returns
+    the generator the handle delegates to.
     """
     hooks = None
-    for value in kwargs.values():
-        if callable(value):
-            hooks = {k: v for k, v in kwargs.items() if callable(v)}
-            kwargs = {k: v for k, v in kwargs.items() if k not in hooks}
-            break
+    for key, value in kwargs.items():
+        if type(value) is list:
+            kwargs[key] = _frozen(value)
+        elif callable(value):
+            if hooks is None:
+                hooks = {}
+            hooks[key] = value
+    if hooks is not None:
+        kwargs = {k: v for k, v in kwargs.items() if k not in hooks}
     run, lowered, operands = resolved_op(ctx, name, kwargs)
     if run is run_lowered:
         return run_lowered(ctx, lowered, operands, hooks)

@@ -402,13 +402,13 @@ class SoftwareEnvironment:
     def _run_pair(self, task: Task, partner: Task) -> Generator:
         """``task``'s op once paired: both pages in one paired PROGRAM;
         the partner finishes with its own page's pass/fail."""
-        from repro.core.ops.multiplane import paired_program_op
+        from repro.core.ops import paired_program_op
 
         _, address, dram_address, codec = task.pair
         pages = ((address, dram_address), partner.pair[1:3])
         ctx = OperationContext(self, task.lun_position)
         try:
-            passed = yield from paired_program_op(ctx, codec, pages)
+            passed = yield from paired_program_op(ctx, codec=codec, pages=pages)
         except RecoverableOpError as exc:
             partner.error = exc
             self.tasks_failed += 1
@@ -659,8 +659,8 @@ class SoftwareEnvironment:
         if self._urgent(lun_position) is None or \
                 deadline - self.sim.now <= timing.t_read_ns + timing.t_resume_ns:
             return deadline
+        from repro.core.ops import resume_op
         from repro.core.ops.base import single_latch_txn
-        from repro.core.ops.suspend import resume_op
 
         lun = self.executor.channel.luns[lun_position]
         suspend = single_latch_txn(ctx, [cmd(CMD.VENDOR_SUSPEND)],

@@ -97,6 +97,11 @@ def test_an_unsanitized_benchmark_stack_loads_only_what_it_uses():
     modules = json.loads(_probe(STARTUP_PROBE))
     loaded = sorted(set(modules["ready"]) & set(UNUSED_AT_STARTUP))
     assert loaded == []
+    # The op library is its handles and the poll loop: no per-op modules.
+    op_modules = {name for name in modules["ready"]
+                  if name.startswith("repro.core.ops")}
+    assert op_modules <= {"repro.core.ops", "repro.core.ops.base",
+                          "repro.core.ops.library"}
     # The op-program builders load with the first op a run submits, and
     # nothing else does.
     assert modules["run"] == ["repro.core.opir.programs"]
