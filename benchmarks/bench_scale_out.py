@@ -11,7 +11,7 @@ Script mode measures the fidelity tiers against each other::
 
     python benchmarks/bench_scale_out.py --fidelity=tlm
 
-runs the 8ch x QD32 cell under both backends and reports *sim-ops per
+runs the 8ch x QD32 cell under both tiers and reports *sim-ops per
 wall-second* (completed host commands divided by the wall-clock time of
 the workload phase) for each, plus the TLM speedup.  Cells are run
 paired and interleaved, keeping the best of ``--trials`` rounds, so the
@@ -173,7 +173,7 @@ def _main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--fidelity", choices=("waveform", "tlm"), default=None,
-        help="compare execution backends at 8ch x QD32 and report "
+        help="compare the fidelity tiers at 8ch x QD32 and report "
              "sim-ops/wall-second (the named tier is the subject; both "
              "tiers run so the speedup is paired)",
     )

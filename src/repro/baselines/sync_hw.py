@@ -347,7 +347,7 @@ class SyncHwController:
             sim, vendor, lun_count, seed=seed, track_data=track_data
         )
         self.channel = Channel(sim, self.luns, interface=interface,
-                               backend=fidelity)
+                               fidelity=fidelity)
         self.dram = DramBuffer(dram_size)
         self.codec = AddressCodec(vendor.geometry)
         self.reaction_ns = reaction_ns

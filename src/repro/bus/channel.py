@@ -18,15 +18,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.bus.phy import ChannelPhy
 from repro.flash.lun import Lun
 from repro.onfi.datamodes import DataInterface, NVDDR2_200
 from repro.onfi.signals import SegmentKind, WaveformSegment
 from repro.onfi.timing import TimingSet, timing_for_mode
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 from repro.sim.sync import Mutex
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.core.transaction import Transaction
 
 
 @dataclass
@@ -51,7 +54,7 @@ class Channel:
         phy: Optional[ChannelPhy] = None,
         perfect_phy: bool = True,
         name: str = "ch0",
-        backend=None,
+        fidelity: str = "waveform",
     ):
         if not luns:
             raise ValueError("a channel needs at least one LUN")
@@ -59,10 +62,14 @@ class Channel:
         # module, so a top-level import of repro.core.backend would
         # re-enter a half-initialized package when the import chain
         # starts at repro.bus.
-        from repro.core.backend import resolve_backend
+        from repro.core.backend import FIDELITIES
 
-        self.backend = resolve_backend(
-            backend if backend is not None else "waveform")
+        if fidelity not in FIDELITIES:
+            raise ValueError(
+                f"unknown fidelity {fidelity!r} (expected one of {FIDELITIES})")
+        # Read by waveform observers (taps, bus-level sanitizers): under
+        # "tlm" the template runner moves ops without segments.
+        self.fidelity = fidelity
         self.sim = sim
         self.name = name
         self.luns = luns
@@ -96,16 +103,16 @@ class Channel:
     def add_tap(self, tap: Callable[[int, WaveformSegment], None]) -> None:
         """Register a probe called with (time_ns, segment) per transmission.
 
-        Taps observe per-segment bus traffic, which only the waveform
-        tier produces — registering one on a TLM channel fails fast
-        rather than silently missing every event.
+        Taps observe per-segment bus traffic, which templated ops never
+        put on the bus — registering one on a TLM channel fails fast
+        rather than silently missing their events.
         """
-        if not self.backend.waveform:
+        if self.fidelity != "waveform":
             from repro.core.backend import FidelityError
 
             raise FidelityError(
                 "bus taps sample per-segment waveforms; this channel runs "
-                f"the '{self.backend.name}' tier — rebuild the stack with "
+                f"the '{self.fidelity}' tier — rebuild the stack with "
                 "fidelity='waveform' to attach probes"
             )
         self._taps.append(tap)
@@ -131,32 +138,39 @@ class Channel:
     # -- transmission -------------------------------------------------------
 
     def transmit(self, segment: WaveformSegment) -> Generator:
-        """Drive one segment onto the bus (caller must hold the mutex).
-
-        Holds the simulated bus for ``segment.duration_ns`` and delivers
-        the decoded actions to every chip-enabled LUN.  The fidelity
-        backend decides how: per-segment kernel events (waveform) or a
-        single inline delivery + one timeout (tlm).
-        """
+        """Drive one segment onto the bus (caller must hold the mutex)
+        and hold the bus for ``segment.duration_ns``."""
         if not self.mutex.locked:
             raise RuntimeError("transmit without owning the channel")
-        yield from self.backend.transmit(self, segment)
+        self.drive(segment)
+        if segment.duration_ns:
+            yield Timeout(segment.duration_ns)
 
-    def drive(self, segment: WaveformSegment,
-              at: Optional[int] = None) -> None:
-        """Put one segment on the bus: stamp it, account for it, show it
-        to every observer and hand its actions to the selected dies.  The
-        backend holds the bus for ``segment.duration_ns`` from its own
-        frame.  The waveform tier drives at the kernel's ``now`` and the
-        dies schedule each action at its offset; the TLM tier passes the
-        segment's logical start ``at`` and the dies apply them inline.
+    def run_transaction(self, txn: "Transaction") -> Generator:
+        """A prepared transaction's segments, back to back: the
+        executor's inner loop, and a transaction's only kernel steps
+        (one bus hold per segment)."""
+        mutex = self.mutex
+        drive = self.drive
+        for segment in txn.segments:
+            if not mutex.locked:
+                raise RuntimeError("transmit without owning the channel")
+            drive(segment)
+            if segment.duration_ns:
+                yield Timeout(segment.duration_ns)
 
-        This is where :class:`ChannelStats` is booked, for both tiers
-        and the hardware baselines, from the segment's plain fields: no
-        action is inspected here unless an NV-DDR burst meets an
-        uncalibrated PHY.
+    def drive(self, segment: WaveformSegment) -> None:
+        """Put one segment on the bus at the kernel's ``now``: stamp it,
+        account for it, show it to every observer and hand its actions
+        to the selected dies, which schedule each at its offset.  The
+        caller holds the bus for ``segment.duration_ns``.
+
+        This is where :class:`ChannelStats` is booked, for the
+        controller and the hardware baselines alike, from the segment's
+        plain fields: no action is inspected here unless an NV-DDR
+        burst meets an uncalibrated PHY.
         """
-        now = self.sim.now if at is None else at
+        now = self.sim.now
         segment.emitted_at = now
         kind = segment.kind
         stats = self.stats
@@ -193,10 +207,7 @@ class Channel:
         if self._fault_hook is not None:
             self._fault_hook.on_transmit(now, segment, targets)
         for position in targets:
-            if at is None:
-                self.luns[position].deliver_segment(segment)
-            else:
-                self.luns[position].deliver_segment_inline(segment, at)
+            self.luns[position].deliver_segment(segment)
 
     def _apply_phy(self, segment: WaveformSegment, targets: tuple) -> None:
         """An NV-DDR data burst: garble it if a selected die's PHY

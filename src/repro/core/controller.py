@@ -19,7 +19,6 @@ from typing import Callable, Generator, Optional
 
 from repro.bus.channel import Channel
 from repro.bus.phy import ChannelPhy
-from repro.core.backend import resolve_backend
 from repro.core.executor import Executor
 from repro.core.ops import (
     erase_block_op,
@@ -76,9 +75,9 @@ class ControllerConfig:
     track_data: bool = True
     seed: int = 0
     # Fidelity tier: "waveform" simulates every bus segment at its
-    # nanosecond; "tlm" collapses each transaction into one kernel
-    # event (identical data/status, same per-op latency for ops no
-    # host read suspends, ~10x the simulated ops per wall-second).
+    # nanosecond; "tlm" also runs untraced data-plane ops as templates
+    # (identical data/status/die state, ~10x the simulated ops per
+    # wall-second) and every other op exactly as "waveform" does.
     fidelity: str = "waveform"
     # Sanitizer names ("all", "bus,flash", a tuple, ...) attached at
     # construction; empty means no runtime checking and zero overhead.
@@ -120,9 +119,8 @@ class BabolController:
         self.luns: list[Lun] = build_channel_population(
             sim, cfg.vendor, cfg.lun_count, seed=cfg.seed, track_data=cfg.track_data
         )
-        self.backend = resolve_backend(cfg.fidelity)
         self.channel = Channel(sim, self.luns, interface=cfg.interface,
-                               phy=phy, backend=self.backend)
+                               phy=phy, fidelity=cfg.fidelity)
         self.dram = DramBuffer(cfg.dram_size)
         self.ufsm = UfsmBank(cfg.interface)
         self.packetizer = Packetizer(self.dram)
@@ -144,7 +142,6 @@ class BabolController:
             txn_scheduler=txn_scheduler,
             vendor=cfg.vendor,
         )
-        self.env.backend = self.backend
         if cfg.watchdog is not None:
             self.env.watchdog = cfg.watchdog
         self.codec = AddressCodec(cfg.vendor.geometry)
@@ -168,12 +165,12 @@ class BabolController:
             self.sanitizers = attach_sanitizers(self, spec, self.diagnostics)
 
         # The TLM tier's template runner for the FTL-facing data plane
-        # (read_page/program_page/erase_block/...).  It needs the
-        # generic runtime out of the loop, so it stands down when a
-        # watchdog or sanitizers are attached — both observe the
-        # generic runtime's events.
+        # (read_page/program_page/erase_block/...): the only thing
+        # "tlm" changes.  It needs the generic runtime out of the loop,
+        # so it stands down when a watchdog or sanitizers are attached
+        # — both observe the generic runtime's events.
         self.fast_ops = None
-        if not self.backend.waveform and cfg.watchdog is None \
+        if cfg.fidelity == "tlm" and cfg.watchdog is None \
                 and not self.sanitizers:
             from repro.core.fastops import PlanExecutor
 
@@ -198,10 +195,10 @@ class BabolController:
         ``priority`` is the op's admission class on its LUN: the lowest
         class waiting runs next, FIFO within a class, and a class-0 op
         (a host read) may suspend an erase in flight on its die — see
-        ``SoftwareEnvironment.preempt_erase``.  The generic path always
-        runs the full software runtime — exact per-op latency in every
-        fidelity tier, for ops nothing suspends.  ``_plan=True`` (set by
-        the data-plane convenience wrappers) lets the TLM tier run a
+        ``SoftwareEnvironment.preempt_erase``.  The generic path runs
+        the full software runtime on the segment-accurate bus, the same
+        run on both fidelity tiers.  ``_plan=True`` (set by the
+        data-plane convenience wrappers) lets the TLM tier run a
         straight-line op as a template instead: identical data, status,
         die state, and faults, with the runtime's cycle costs charged in
         closed form rather than simulated.  Ops submitted while a

@@ -7,6 +7,10 @@ advance* by software, the only latency this stage adds is a fixed
 hardware dispatch time — that asynchrony is the paper's first design
 principle.
 
+Each transaction's segments go on the bus one by one, each holding it
+for its duration (``Channel.run_transaction``), on both fidelity tiers:
+only a TLM template bypasses this pipeline.
+
 The queue is deliberately shallow (default depth 1): keeping ordering
 decisions in software until the last possible moment is what lets the
 transaction scheduler reorder under contention.
@@ -98,10 +102,7 @@ class Executor:
             if guard is not None and not guard(txn):
                 txn.segments.clear()  # refused at the last moment
             else:
-                # The fidelity backend owns the inner loop: per-segment
-                # bus events (waveform) or one event per transaction (tlm).
-                yield from self.channel.backend.run_transaction(
-                    self.channel, txn)
+                yield from self.channel.run_transaction(txn)
             txn.finished_at = self.sim.now
             self.busy_ns += txn.finished_at - txn.started_at
             tracer = self.sim._tracer

@@ -2,16 +2,16 @@
 
 The generic execution path is faithful to the paper's software stack:
 every transaction crosses the modeled runtime (admission, scheduler
-iterations, context switches, completion wakeups) and every status
-poll is a full round trip.  The equivalence harness holds that path to
-0 ns drift against the waveform tier — but a scale-out throughput
-workload pays the per-op machinery millions of times without reading
-anything from it.
+iterations, context switches, completion wakeups), every segment is on
+the bus and every status poll is a full round trip — on both fidelity
+tiers.  A scale-out throughput workload pays that per-op machinery
+millions of times without reading anything from it.
 
 For operations submitted through the FTL-facing convenience wrappers
 (``controller.read_page`` and friends) there is therefore one other way
-to run an op under TLM.  A straight-line program — transactions, handle
-declarations, polls, sleeps, a return — is lowered once per *shape* by
+to run an op under TLM, and it is all that ``fidelity="tlm"`` adds.
+A straight-line program — transactions, handle declarations, polls,
+sleeps, a return — is lowered once per *shape* by
 the lowering the waveform tier runs (:mod:`repro.core.opir.compile`,
 memoized on the µFSM bank by
 :func:`repro.core.opir.registry.declared_shape`), and a
@@ -55,11 +55,11 @@ generic path sees the read at its next poll round).
 
 The decision is made once, in :meth:`PlanExecutor.try_submit`.
 Anything a template cannot reproduce takes the generic path, which is
-exact for ops nothing suspends: programs with control flow, callees,
-gang masks or hook kwargs,
-and every op submitted while something is watching bus segments that a
-template never creates — a tracer, a channel fault hook, or (for ops
-that move data) a DDR PHY trim outside the sampling eye.  Attach
+the waveform tier's run, suspended ops included: programs with control
+flow, callees, gang masks or hook kwargs, and every op submitted while
+something is watching bus segments that a template never creates — a
+tracer, a channel fault hook, or (for ops that move data) a DDR PHY
+trim outside the sampling eye.  Attach
 observers before submitting the ops they should see; an op already
 queued finishes as a template.  A watchdog or runtime sanitizers stand
 the whole runner down (see ``BabolController``).
@@ -148,7 +148,7 @@ class PlanExecutor:
     """Runs templatable op-IR programs without the generic runtime.
 
     Per LUN, one FIFO per admission class preserves the environment's
-    admission semantics (``max_tasks_per_lun=1``, see
+    admission semantics (one op per LUN, see
     ``SoftwareEnvironment._admit_eligible``): operations against the
     same die run one at a time, the lowest ``priority`` class first and
     in submission order within a class; operations against different

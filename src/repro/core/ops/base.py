@@ -27,88 +27,6 @@ def single_latch_txn(
     return txn
 
 
-class _TlmPollPlanner:
-    """The TLM tier's poll fast-forward: skip redundant busy polls.
-
-    A solo read spends most of its simulated life polling STATUS during
-    tR — dozens of full software round trips that all observe "busy".
-    Under the waveform tier those polls ARE the measured behaviour
-    (Fig. 11); under TLM only their timing grid matters.  The planner
-    measures the loop's steady polling period P from consecutive status
-    samples, asks the die when its earliest pending completion lands,
-    and replaces ``k`` redundant iterations with one soft-sleep of
-    ``k*P - g`` ns, where ``g`` is the scheduler+context-switch cost an
-    extra sleep-resume adds versus straight-line continuation.  The
-    next real poll then samples on exactly the nanosecond the waveform
-    tier's ``k``-th poll would have — 0 ns drift for ops nothing
-    suspends.
-
-    Safety: the skip is bounded by the watchdog deadline grid (an
-    ``OpTimeout`` still raises on its exact waveform nanosecond) and by
-    the remaining ``max_polls`` budget; a hung die has no pending
-    completion, so its polls never fast-forward and liveness behaviour
-    is unchanged.  The loop always re-polls after a skip, so a stale
-    estimate merely costs one extra (on-grid) iteration.
-    """
-
-    __slots__ = ("lun", "resume_cost_ns", "prev_sample", "gap_iters")
-
-    def __init__(self, lun, resume_cost_ns: int):
-        self.lun = lun
-        self.resume_cost_ns = resume_cost_ns
-        self.prev_sample: Optional[int] = None
-        self.gap_iters = 1  # loop iterations covered by the last gap
-
-    @classmethod
-    def create(cls, ctx: OperationContext,
-               chip_mask: Optional[int]) -> Optional["_TlmPollPlanner"]:
-        backend = ctx.backend
-        if backend is None or not getattr(backend, "poll_fast_forward", False):
-            return None
-        mask = chip_mask if chip_mask is not None else ctx.chip_mask
-        if not isinstance(mask, int) or mask <= 0 or mask & (mask - 1):
-            return None  # gang polls walk multiple dies — keep them exact
-        executor = getattr(ctx.env, "executor", None)
-        channel = getattr(executor, "channel", None)
-        if channel is None:
-            return None
-        position = mask.bit_length() - 1
-        if position >= len(channel.luns):
-            return None
-        env = ctx.env
-        cpu = env.cpu
-        resume = (cpu.cycles_to_ns(env.costs.scheduler_iteration)
-                  + cpu.cycles_to_ns(env.costs.context_switch))
-        return cls(channel.luns[position], resume)
-
-    def plan(self, check_ns: int, deadline: Optional[int],
-             polls_left: int) -> tuple[int, int]:
-        """Return (iterations to skip, ns to sleep); (0, 0) = poll on."""
-        sample = self.lun.last_status_sample_ns
-        prev, self.prev_sample = self.prev_sample, sample
-        gap_iters, self.gap_iters = self.gap_iters, 1
-        if prev is None or sample is None or sample <= prev:
-            return 0, 0
-        period = (sample - prev) // gap_iters
-        if period <= 0:
-            return 0, 0
-        end = self.lun.next_completion_ns()
-        if end is None or end - sample <= period:
-            return 0, 0  # idle, hung, or ready by the very next poll
-        skip = -(-(end - sample) // period) - 1  # land on first grid >= end
-        if deadline is not None:
-            # Never skip past the check where the watchdog would fire.
-            to_deadline = -(-(deadline - check_ns) // period)
-            skip = min(skip, to_deadline - 1)
-        skip = min(skip, polls_left - 1)
-        sleep_ns = skip * period - self.resume_cost_ns
-        if skip < 1 or sleep_ns < 1:
-            return 0, 0
-        self.prev_sample = sample
-        self.gap_iters = skip + 1
-        return skip, sleep_ns
-
-
 #: ``PollStatus.until`` -> (what the poll's errors call it, the status
 #: bit it waits for).
 POLLS = {"ready": ("status", int(StatusBits.RDY)),
@@ -147,23 +65,19 @@ def _poll_status(
     crashing the scheduler, so a hung die can be escalated (retry →
     RESET → degrade) while the rest of the package keeps serving.
 
-    Under the TLM fidelity tier redundant busy polls are skipped by the
-    :class:`_TlmPollPlanner` — same sampling grid, same final status,
-    same timeout nanosecond, far fewer simulated round trips.
+    This loop runs on both fidelity tiers: every poll of an op the
+    TLM template runner does not take is on the bus, as in waveform.
 
     ``erase`` (:data:`ERASE_POLL`, chosen by the lowering for the wait
     after an erase latch): between rounds is the environment's
     preemption point, where a waiting host read may suspend the erase
-    (``SoftwareEnvironment.preempt_erase``).  A fast-forwarded sleep
-    passes over the rounds it skips, so under TLM a read that arrives
-    mid-skip waits for the next round that runs.
+    (``SoftwareEnvironment.preempt_erase``).
     """
     from repro.core.opir.registry import resolved_op
     from repro.core.recovery import OpTimeout
 
     watchdog = ctx.watchdog
     deadline = None if watchdog is None else ctx.sim.now + watchdog.budget_ns
-    planner = _TlmPollPlanner.create(ctx, chip_mask)
     # Waiting on an erase: between rounds, a host read may suspend it.
     erase_end = ctx.env.erase_deadline(ctx, chip_mask) if erase else None
     # READ STATUS, resolved once for the loop (what ``read_status_op``
@@ -187,12 +101,6 @@ def _poll_status(
             erase_end = yield from ctx.env.preempt_erase(ctx, erase_end)
         if period_ns:
             yield from ctx.sleep(period_ns)
-        if planner is not None:
-            skip, sleep_ns = planner.plan(
-                ctx.sim.now, deadline, max_polls - polls)
-            if skip:
-                polls += skip
-                yield from ctx.sleep(sleep_ns)
     raise poll_budget_exhausted(what)
 
 

@@ -210,9 +210,6 @@ class OperationContext:
         # The vendor profile of the attached package, if known: op-IR
         # programs resolve per-vendor overrides through it.
         self.vendor = getattr(env, "vendor", None)
-        # The fidelity backend driving the channel (None = waveform
-        # semantics).  Ops consult it for the TLM poll fast-forward.
-        self.backend = env.backend
 
     # -- transaction building ------------------------------------------
 
@@ -259,7 +256,6 @@ class SoftwareEnvironment:
         costs: RuntimeCosts,
         task_scheduler: Optional[TaskScheduler] = None,
         txn_scheduler: Optional[TxnScheduler] = None,
-        max_tasks_per_lun: int = 1,
         vendor=None,
     ):
         self.sim = sim
@@ -271,19 +267,14 @@ class SoftwareEnvironment:
         self.vendor = vendor
         self.task_scheduler = task_scheduler or RoundRobinTaskScheduler()
         self.txn_scheduler = txn_scheduler or FifoTxnScheduler()
-        self.max_tasks_per_lun = max_tasks_per_lun
         # Optional Watchdog giving every busy-wait an ns budget; the
         # controller installs it from its config (None = off).
         self.watchdog = None
-        # ExecutionBackend of the attached channel; the controller
-        # installs it so ops can ask about fidelity capabilities
-        # (poll fast-forward).  None behaves as waveform.
-        self.backend = None
 
         self._ready: list[Task] = []
         self._pending_txns: list[Transaction] = []
         self._admission_queue: list[Task] = []
-        self._running_per_lun: dict[int, int] = {}
+        self._running: set[int] = set()  # LUNs running an op: one each
         # The loop parks on this gate when it finds no work; only a
         # change made from outside the loop (a submit, a task made ready,
         # a freed executor slot) can give it work while it is parked.
@@ -349,13 +340,13 @@ class SoftwareEnvironment:
     # ------------------------------------------------------------------
 
     def _admit_eligible(self) -> None:
-        """Admit waiting tasks while their LUN has room: the lowest
-        ``priority`` class first (0 host reads, 1 host writes and
-        journal, 2 garbage collection, as the FTL assigns them), in
-        submission order within a class.  An admitted full-page PROGRAM
-        takes the first waiting one on another plane of its die, in the
-        same order, and the two run as one multi-plane PROGRAM
-        (:meth:`_pair_up`)."""
+        """Admit a waiting task on every LUN that runs none (a LUN runs
+        one op at a time): the lowest ``priority`` class first (0 host
+        reads, 1 host writes and journal, 2 garbage collection, as the
+        FTL assigns them), in submission order within a class.  An
+        admitted full-page PROGRAM takes the first waiting one on another
+        plane of its die, in the same order, and the two run as one
+        multi-plane PROGRAM (:meth:`_pair_up`)."""
         queue = self._admission_queue
         if not queue:
             return
@@ -368,9 +359,8 @@ class SoftwareEnvironment:
         for task in queue:
             if task.admitted_at is not None:
                 continue  # taken as an admitted PROGRAM's partner
-            running = self._running_per_lun.get(task.lun_position, 0)
-            if running < self.max_tasks_per_lun:
-                self._running_per_lun[task.lun_position] = running + 1
+            if task.lun_position not in self._running:
+                self._running.add(task.lun_position)
                 task.admitted_at = self.sim.now
                 task.ready_since = self.sim.now
                 self._ready.append(task)
@@ -622,8 +612,7 @@ class SoftwareEnvironment:
             )
         self.tasks_completed += 1
         if held:  # not a task run inside its LUN's holder
-            running = self._running_per_lun.get(task.lun_position, 1)
-            self._running_per_lun[task.lun_position] = running - 1
+            self._running.discard(task.lun_position)
             self._admit_eligible()
         task.completed.fire(result)
 

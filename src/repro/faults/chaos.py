@@ -544,8 +544,8 @@ def run_chaos(spec: ExperimentSpec, profile=None,
     report dict.
 
     Everything comes from the spec: the stack every phase derives its
-    own from (``stack.fidelity`` selects the backend of every target —
-    fault injection, recovery and retirement accounting are
+    own from (``stack.fidelity`` turns every target's template runner
+    on or off — fault injection, recovery and retirement accounting are
     tier-independent, so a TLM campaign must reach the same verdicts),
     and the plan, seed and baseline switch in ``spec.campaign``.  The
     two arguments beside it are what data cannot name: ``profile``, an

@@ -13,9 +13,9 @@ This module owns the concrete side effects (array I/O, completions,
 fault and sanitizer hooks) and the raises.
 
 There are two ways in, and one definition of what the die does.  The
-pin-level entry (``deliver_segment`` / ``deliver_segment_inline`` ->
-``_process`` -> ``_on_command`` ...) takes decoded waveform actions one
-at a time: the waveform tier and the generic TLM path use it.  The
+pin-level entry (``deliver_segment`` -> ``_process`` -> ``_on_command``
+...) takes decoded waveform actions one at a time: every op on the
+segment-accurate path, on both fidelity tiers, uses it.  The
 *transaction-level* entry takes what a TLM template folded once per
 shape: :meth:`Lun.apply_transaction` applies a whole transaction's
 die ops in one call, with each command latch pre-resolved by
@@ -235,19 +235,15 @@ class Lun:
         self._mp_queue: list[PhysicalAddress] = []
         self._cache_next_row: Optional[PhysicalAddress] = None
 
-        # Logical clock (TLM tier).  While a transaction's segments are
-        # delivered inline, die actions run at logical times computed
+        # Logical clock (TLM templates).  While a folded transaction is
+        # applied in one call, die actions run at logical times computed
         # from segment offsets; _now() reads this instead of sim.now so
-        # timestamps (array aging, busy deadlines, status samples) are
-        # identical to the waveform tier.  None means "real time".
+        # timestamps (array aging, busy deadlines) are identical to the
+        # waveform path.  None means "real time".
         self._action_time: Optional[int] = None
         self._pending_completions: list[_PendingCompletion] = []
         self._completion_seq = 0
         self._burst = _Burst()
-        # Nanosecond of the most recent STATUS byte sampled from this
-        # die — the poll fast-forward in ops/base reads it to measure
-        # the polling period.
-        self.last_status_sample_ns: Optional[int] = None
 
         # Array operations in flight (confirmed, not yet committed):
         # dicts of {kind, targets, begun}.  A power cut consults this to
@@ -288,11 +284,14 @@ class Lun:
 
     def deliver_segment_inline(self, segment: WaveformSegment,
                                base_ns: int) -> None:
-        """TLM delivery: run each action now, at its logical nanosecond.
+        """Inline delivery: run each action now, at its logical nanosecond.
 
-        ``base_ns`` is the segment's logical start (the transaction's
-        start plus preceding segment durations).  Before each action,
-        pending completions whose recorded time precedes it fire early
+        No tier drives segments this way: it is the pin-level reference
+        ``tests/test_die_transactions.py`` holds :meth:`apply_transaction`
+        to, action by action, on twin dies.  ``base_ns`` is the
+        segment's logical start (the transaction's start plus preceding
+        segment durations).  Before each action, pending completions
+        whose recorded time precedes it fire early
         ("catch-up"), so ordering against busy windows — intra-
         transaction timer waits spanning tFEAT, status samples racing
         tR — matches the waveform tier exactly.
@@ -388,7 +387,6 @@ class Lun:
             self._action_time = sample_ns
             if self._data_source is _DataSource.STATUS:
                 # The 1-byte status burst, minus the array and handle.
-                self.last_status_sample_ns = sample_ns
                 return self.status.value()
             # A completion between latch and burst re-armed the data
             # source; sample through the real produce path so the
@@ -398,7 +396,8 @@ class Lun:
             self._action_time = None
 
     def _now(self) -> int:
-        """The die's clock: logical action time under TLM, sim.now else."""
+        """The die's clock: the logical action time while a template's
+        transaction (or an inline segment) is applied, sim.now else."""
         at = self._action_time
         return at if at is not None else self.sim.now
 
@@ -437,10 +436,9 @@ class Lun:
     def next_completion_ns(self) -> Optional[int]:
         """Earliest pending die-side completion, or None (idle or hung).
 
-        The TLM poll fast-forward reads this to find when the die will
-        go ready; a hung die (injected fault) has no pending completion,
-        so polls against it keep running at full rate and the watchdog
-        fires on the exact waveform nanosecond.
+        A TLM template's ready-wait sleeps to it (:mod:`repro.core.fastops`);
+        a hung die (injected fault) has no pending completion, so the
+        template falls back to re-polling at the minimum legal period.
         """
         earliest = None
         for rec in self._pending_completions:
@@ -608,7 +606,6 @@ class Lun:
     def _produce_data(self, nbytes: int) -> np.ndarray:
         source = self._data_source
         if source is _DataSource.STATUS:
-            self.last_status_sample_ns = self._now()
             return np.full(nbytes, self.status.value(), dtype=np.uint8)
         if source is _DataSource.REGISTER:
             register = self._page_register[self._active_plane]

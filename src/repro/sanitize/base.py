@@ -32,8 +32,8 @@ class Sanitizer:
     name = "base"
 
     #: True when the sanitizer samples per-segment bus traffic and is
-    #: therefore meaningless under the TLM tier (which collapses that
-    #: traffic into whole-transaction events).  Attachment to a TLM
+    #: therefore meaningless under the TLM tier (whose templates run ops
+    #: without putting their segments on the bus).  Attachment to a TLM
     #: stack fails fast with a FidelityError instead of silently
     #: missing every event it was asked to observe.
     requires_waveform = False
@@ -132,17 +132,17 @@ def attach_sanitizers(
     read it back from any sanitizer's ``.report``.
     """
     shared = report if report is not None else DiagnosticReport()
-    backend = getattr(getattr(target, "channel", None), "backend", None)
     sanitizers = []
     for name in resolve_names(spec):
         sanitizer = SANITIZER_REGISTRY[name]()
-        if (sanitizer.requires_waveform and backend is not None
-                and not backend.waveform):
+        if (sanitizer.requires_waveform
+                and target.channel.fidelity != "waveform"):
             from repro.core.backend import FidelityError
 
             raise FidelityError(
                 f"sanitizer '{name}' samples per-segment bus traffic, "
-                f"which the '{backend.name}' tier does not simulate — "
+                f"which the '{target.channel.fidelity}' tier's templates "
+                f"do not put on the bus — "
                 f"run with fidelity='waveform', or select only "
                 f"transaction-safe sanitizers (e.g. 'memory,liveness')"
             )

@@ -31,7 +31,7 @@ class FlashSanitizer(Sanitizer):
 
     name = "flash"
     # SAN203 inspects chip-select masks on driven segments via a channel
-    # tap, which the TLM tier never fires.
+    # tap, which templated TLM ops never fire.
     requires_waveform = True
 
     def attach(self, target, report) -> None:

@@ -291,6 +291,48 @@ def test_tlm_matches_waveform_on_hw_baselines(kind):
     assert outcomes["tlm"] == outcomes["waveform"]
 
 
+def _generic_mix(fidelity: str) -> dict:
+    """No op submitted with ``_plan``: LUN 0 erases block 3 and a class-0
+    read arriving mid-erase suspends it, while LUN 1 runs four
+    programs beside them on the shared channel."""
+    sim, controller = _make(fidelity, "rtos")
+    codec = controller.codec
+    tasks = [controller.submit(erase_block_op, 0, codec=codec, block=3)]
+    tasks += [controller.submit(
+        program_page_op, 1, codec=codec,
+        address=PhysicalAddress(block=4, page=page), dram_address=0)
+        for page in range(4)]
+
+    def host_read():
+        yield Timeout(TEST_PROFILE.timing.t_bers_ns // 4)
+        tasks.append(controller.submit(
+            full_page_read_op, 0, priority=0, codec=codec, address=ADDR,
+            dram_address=PAGE))
+
+    sim.spawn(host_read(), name="host-read")
+    sim.run()
+    stats = controller.channel.stats
+    return {
+        "finished_at": [task.finished_at for task in tasks],
+        "errors": [task.error for task in tasks],
+        "channel": (stats.segments, stats.busy_ns, dict(stats.per_kind)),
+        "op_counts": [dict(lun.op_counts) for lun in controller.luns],
+        "dram": controller.dram.read(0, DRAM_COMPARE_BYTES).tobytes(),
+    }
+
+
+def test_generic_ops_on_tlm_are_the_waveform_run():
+    """Every op the template runner does not take runs on the
+    segment-accurate path on both tiers — polls, suspensions and
+    channel contention included — so the two runs are one run."""
+    wave = _generic_mix("waveform")
+    tlm = _generic_mix("tlm")
+    assert wave["op_counts"][0]["VENDOR_SUSPEND"] == 1
+    erase_end, read_end = wave["finished_at"][0], wave["finished_at"][-1]
+    assert read_end < erase_end            # the read cut into the erase
+    assert tlm == wave
+
+
 # ---------------------------------------------------------------------------
 # Template fast path: behavioural identity at scale
 # ---------------------------------------------------------------------------

@@ -191,7 +191,6 @@ class Twin:
             "busy_until": lun._busy_until,
             "busy_ns_total": lun.busy_ns_total,
             "inflight": lun.inflight_ops,
-            "last_sample": lun.last_status_sample_ns,
             "action_time_cleared": lun._action_time is None,
             "rng": lun._rng.bit_generator.state,
             "pslc": (lun._pslc_override, lun.features.pslc_enabled),
@@ -465,10 +464,9 @@ def test_completion_between_status_latch_and_sample():
     end = twins.lun.next_completion_ns()
     (_, _, _, ((cmd_off, _),), *_), _ = twins.status_recipes
     twins.run_until(end - cmd_off - 1)
-    column, sampled_at = twins.lun._column, twins.lun.last_status_sample_ns
+    column = twins.lun._column
     twins.status()
     assert twins.lun._column == column + 1
-    assert twins.lun.last_status_sample_ns == sampled_at   # not a status byte
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,7 @@ class ConditionExecutor(Executor):
             if not self.channel.mutex.try_acquire(txn):
                 yield from self.channel.acquire(owner=txn)
             txn.started_at = self.sim.now
-            yield from self.channel.backend.run_transaction(
-                self.channel, txn)
+            yield from self.channel.run_transaction(txn)
             txn.finished_at = self.sim.now
             self.busy_ns += txn.finished_at - txn.started_at
             self.channel.release()
