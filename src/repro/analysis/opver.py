@@ -32,9 +32,9 @@ Rule namespaces (OPV — INTERNALS §13 has the full catalogue):
   vs. minted window, OPV403 register read before any definition,
   OPV404 handle use not dominated by its declaration.
 * **OPV5xx** — TLM templatability: OPV501 explains (info severity)
-  each reason :func:`~repro.core.opir.summarize.plan_fingerprint`
-  gives for the TLM tier running the program on the generic runtime
-  instead of as a template.
+  each reason :func:`~repro.core.fastops.template_blockers` finds in
+  the program's lowering for the TLM tier running it on the generic
+  runtime instead of as a template.
 
 Abstract domains
 ----------------
@@ -440,18 +440,27 @@ class _Verifier:
 
     def _plan_findings(self) -> None:
         """OPV501: name each reason the TLM tier runs this program on
-        the generic runtime instead of as a template."""
-        from repro.core.opir.summarize import plan_fingerprint
+        the generic runtime instead of as a template — the runner's own
+        step check (:func:`~repro.core.fastops.template_blockers`), on
+        this program's lowering against the verifier's bank (a pure
+        wrapper's callee's, which is the shape the runner runs)."""
+        from repro.core.fastops import template_blockers
+        from repro.core.opir.registry import program_shape
 
         try:
-            _, blockers = plan_fingerprint(self.program, self.vendor)
+            lowered = program_shape(self.bank, self.vendor, self.program)[0]
+            prefix = ""
+            if lowered.alias is not None:
+                lowered = lowered.alias[1]
+                prefix = f"nodes[0].{lowered.program.name}."
+            blockers = template_blockers(self.bank, self.vendor, lowered)
         except Exception as exc:  # defensive: never crash the verifier
             self.flag("OPV501", "info", "nodes",
                       f"plan analysis failed: {exc}")
             return
         for where, reason in blockers:
             self.flag(
-                "OPV501", "info", where,
+                "OPV501", "info", prefix + where,
                 f"not TLM-templatable: {reason}",
                 hint="the program runs on the generic runtime, which is "
                      "exact; this is informational, not a defect",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.bus.phy import ChannelPhy
+from repro.config.specs import FIDELITIES, FidelityError
 from repro.flash.lun import Lun
 from repro.onfi.datamodes import DataInterface, NVDDR2_200
 from repro.onfi.signals import SegmentKind, WaveformSegment
@@ -58,12 +59,6 @@ class Channel:
     ):
         if not luns:
             raise ValueError("a channel needs at least one LUN")
-        # Imported lazily: repro.core.__init__ -> controller -> this
-        # module, so a top-level import of repro.core.backend would
-        # re-enter a half-initialized package when the import chain
-        # starts at repro.bus.
-        from repro.core.backend import FIDELITIES
-
         if fidelity not in FIDELITIES:
             raise ValueError(
                 f"unknown fidelity {fidelity!r} (expected one of {FIDELITIES})")
@@ -108,8 +103,6 @@ class Channel:
         rather than silently missing their events.
         """
         if self.fidelity != "waveform":
-            from repro.core.backend import FidelityError
-
             raise FidelityError(
                 "bus taps sample per-segment waveforms; this channel runs "
                 f"the '{self.fidelity}' tier — rebuild the stack with "

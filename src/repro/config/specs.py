@@ -15,7 +15,7 @@ One :class:`ExperimentSpec` is the complete description of a run:
 Specs are **frozen** (hashable, safely shareable), **validated at
 parse time** (malformed documents never reach a simulator — e.g. the
 TLM tier combined with a waveform-only sanitizer raises
-:class:`~repro.core.backend.FidelityError` from ``from_dict``, not
+:class:`FidelityError` from ``from_dict``, not
 from deep inside a run), **defaulted** (a sparse document means "the
 stock experiment"), and **schema versioned** (documents carry
 ``schema``; readers reject documents newer than they understand).
@@ -48,6 +48,11 @@ SPEC_SCHEMA = 1
 _MIB = 1024 * 1024
 
 VALID_RUNTIMES = ("coroutine", "rtos")
+#: Fidelity tiers: "waveform" runs every op on the segment-accurate
+#: path; "tlm" adds the template runner (:mod:`repro.core.fastops`) for
+#: untraced data-plane ops and runs every other op exactly as
+#: "waveform" does.
+FIDELITIES = ("waveform", "tlm")
 VALID_PATTERNS = ("sequential", "random")
 VALID_INTERFACES = (100, 200)
 #: Workload mixes.  "read"/"write" are single-opcode streams through
@@ -71,15 +76,18 @@ class SpecError(ValueError):
     """A malformed experiment spec (unknown field, bad value, bad combo)."""
 
 
+class FidelityError(RuntimeError):
+    """A component that needs waveform fidelity met a TLM channel.
+
+    Raised *at attach time* (sanitizer/analyzer construction, tap
+    registration) — or at parse time, for a spec that combines the two —
+    so a run can never silently miss the events it was asked to observe.
+    """
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, tight separators."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _fidelities() -> tuple[str, ...]:
-    from repro.core.backend import FIDELITIES
-
-    return tuple(FIDELITIES)
 
 
 # ----------------------------------------------------------------------
@@ -294,9 +302,9 @@ class StackSpec:
                 f"stack.interface_mt must be one of {VALID_INTERFACES}, "
                 f"got {self.interface_mt!r}"
             )
-        if self.fidelity not in _fidelities():
+        if self.fidelity not in FIDELITIES:
             raise SpecError(
-                f"stack.fidelity must be one of {_fidelities()}, "
+                f"stack.fidelity must be one of {FIDELITIES}, "
                 f"got {self.fidelity!r}"
             )
         if self.cpu_freq_hz <= 0:
@@ -405,8 +413,6 @@ class StackSpec:
         # the validator failed.
         waveform_only = sorted(set(resolved) & WAVEFORM_ONLY_SANITIZERS)
         if waveform_only and self.fidelity != "waveform":
-            from repro.core.backend import FidelityError
-
             raise FidelityError(
                 f"sanitizer(s) {', '.join(waveform_only)} sample "
                 f"per-segment bus traffic, which the "

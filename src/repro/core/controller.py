@@ -19,6 +19,7 @@ from typing import Callable, Generator, Optional
 
 from repro.bus.channel import Channel
 from repro.bus.phy import ChannelPhy
+from repro.config.specs import FIDELITIES
 from repro.core.executor import Executor
 from repro.core.ops import (
     erase_block_op,
@@ -87,8 +88,6 @@ class ControllerConfig:
     watchdog: object = None
 
     def validate(self) -> None:
-        from repro.core.backend import FIDELITIES
-
         if self.runtime not in RUNTIMES:
             raise ValueError(f"runtime must be one of {sorted(RUNTIMES)}")
         if self.lun_count <= 0:

@@ -14,7 +14,7 @@ A straight-line program — transactions, handle declarations, polls,
 sleeps, a return — is lowered once per *shape* by
 the lowering the waveform tier runs (:mod:`repro.core.opir.compile`,
 memoized on the µFSM bank by
-:func:`repro.core.opir.registry.declared_shape`), and a
+:func:`repro.core.opir.registry.lowered_shape`), and a
 :class:`_Template` is the *fold* of those steps: per transaction, the
 sum of its segment recipes, plus the closed-form software cost.
 Running a template is one channel-mutex hold plus one ``Timeout`` per
@@ -37,11 +37,11 @@ one generator frame a wake-up resumes: the channel is taken with the
 non-generator ``Mutex.try_acquire`` (``acquire`` only when contended)
 and fixed waits are ``Timeout`` commands built once per phase.
 
-Submission is O(1) in the op's shape: a declared builder's ``plan``
-call and one memo hit.  A builder with no declaration (a vendor
-override) takes the *reference* plan on every submission — build,
-:func:`~repro.core.opir.summarize.plan_fingerprint` as shape key, the
-leaves read off the program — through the same memo.
+Submission finds the op's shape on the one route both tiers share,
+:func:`~repro.core.opir.registry.lowered_shape`: a declared builder's
+``plan`` call and one memo hit; a builder with no declaration (a vendor
+override) is lowered and folded once per distinct kwargs; a pure
+wrapper is its callee's shape, and runs its callee's template.
 
 Per LUN the runner admits the lowest ``priority`` class waiting, FIFO
 within a class, as the generic runtime does, and pairs an admitted
@@ -53,13 +53,16 @@ pair folded from the stock programs.  Data and status match the generic
 path; the suspended ops' times match to within one poll period (the
 generic path sees the read at its next poll round).
 
-The decision is made once, in :meth:`PlanExecutor.try_submit`.
-Anything a template cannot reproduce takes the generic path, which is
-the waveform tier's run, suspended ops included: programs with control
-flow, callees, gang masks or hook kwargs, and every op submitted while
-something is watching bus segments that a template never creates — a
-tracer, a channel fault hook, or (for ops that move data) a DDR PHY
-trim outside the sampling eye.  Attach
+The decision is made once per submission, in
+:meth:`PlanExecutor.try_submit`, and once per shape on its steps
+(:func:`template_blockers`, which the static verifier reports as
+OPV501).  Anything a template cannot reproduce takes the generic path,
+which is the waveform tier's run, suspended ops included: programs with
+control flow, callees, gang masks or hook kwargs, polls under a vendor
+``read_status`` that is not the stock round trip, cache reads, and
+every op submitted while something is watching bus segments that a
+template never creates — a tracer, a channel fault hook, or (for ops
+that move data) a DDR PHY trim outside the sampling eye.  Attach
 observers before submitting the ops they should see; an op already
 queued finishes as a template.  A watchdog or runtime sanitizers stand
 the whole runner down (see ``BabolController``).
@@ -78,27 +81,22 @@ from repro.core.opir.compile import (
     POLL,
     RETURN,
     SLEEP,
+    STEP_NAMES,
     TXN,
     UNFOLDED,
-    lower,
 )
-from repro.core.opir.registry import (
-    _cached_program,
-    _remember,
-    _resolved_builder,
-    declared_shape,
-    lowered_shape,
-    resolve_builder,
-)
-from repro.core.opir.summarize import (
-    plan_fingerprint,
-    program_operands,
-    wrapper_callee,
-)
+from repro.core.opir.registry import _resolved_builder, lowered_shape
 from repro.core.ops.base import ERASE_POLL, POLLS, poll_budget_exhausted
 from repro.core.recovery import RecoverableOpError
 from repro.core.softenv.base import Task, TaskState
-from repro.flash.lun import DIE_ADDR, DIE_DATA_IN, DIE_DATA_OUT, die_latch
+from repro.flash.lun import (
+    DIE_ADDR,
+    DIE_CMD,
+    DIE_DATA_IN,
+    DIE_DATA_OUT,
+    die_latch,
+)
+from repro.onfi.commands import CMD
 from repro.onfi.signals import CommandLatch
 from repro.sim import Timeout, Trigger, WaitTrigger
 
@@ -250,22 +248,18 @@ class PlanExecutor:
         controller = self.controller
         vendor = controller.config.vendor
         try:
-            builder = _resolved_builder(op_name, vendor)
-            shape = declared_shape(controller.ufsm, vendor, builder, kwargs)
-            if shape is None:
-                shape = self._reference_shape(builder, kwargs, vendor)
+            lowered, operands = lowered_shape(
+                controller.ufsm, vendor, _resolved_builder(op_name, vendor),
+                kwargs)
         except AssertionError:
             raise  # a wrong declaration stops the shape's first submission
         except Exception:
             return None  # bad args: let the generic path report
-        if shape is None:
-            return None
-        lowered, operands = shape
+        if lowered.alias is not None:  # a pure wrapper is its callee's shape
+            lowered = lowered.alias[1]
         template = lowered.template
-        if template is UNFOLDED:  # a declared shape's first submission:
-            # THE plannability decision, on the instance it was lowered from
-            template = lowered.template = self._fold(
-                lowered, plan_fingerprint(lowered.program, vendor)[0])
+        if template is UNFOLDED:  # the shape's first submission
+            template = lowered.template = self._fold(lowered)
         if template is None:
             return None
         if template.has_data and channel.interface.ddr \
@@ -273,49 +267,17 @@ class PlanExecutor:
             return None  # the PHY corrupts bursts per segment
         return template, operands
 
-    def _reference_shape(self, builder, kwargs: dict,
-                         vendor) -> Optional[tuple]:
-        """The shape of a builder that declares none (a vendor override,
-        a pinned wrapper): built and fingerprinted on every submission,
-        lowered once per fingerprint in the same memo.  None when the
-        program has no fingerprint, hence no template."""
-        fingerprint, operands, program, _ = self._reference_plan(
-            builder, kwargs, vendor)
-        if fingerprint is None:
-            return None
-        bank = self.controller.ufsm
-        lowered = bank.lowered.get((builder, fingerprint))
-        if lowered is None:
-            lowered = _remember(bank, (builder, fingerprint),
-                                lower(bank, program)[0])
-            lowered.template = self._fold(lowered, fingerprint)
-        return lowered, operands
-
-    @staticmethod
-    def _reference_plan(builder, kwargs: dict, vendor) -> tuple:
-        """``(fingerprint, operands, program, declares)`` read off the
-        built program.  A pure wrapper is planned as its callee;
-        ``declares``: that program's builder has a ``plan`` of its own."""
-        program = _cached_program(builder, kwargs)
-        fingerprint = plan_fingerprint(program, vendor)[0]
-        callee = wrapper_callee(program)
-        if fingerprint is not None and callee is not None:
-            builder = _resolved_builder(callee[0], vendor)
-            program = _cached_program(builder, callee[1])
-        return (fingerprint, program_operands(program), program,
-                hasattr(builder, "plan"))
-
     # -- template folding ----------------------------------------------
 
-    def _fold(self, lowered, fingerprint) -> Optional[_Template]:
-        """Fold a shape's lowered steps (its callee's, for a pure
-        wrapper) into a template: per transaction, the sum of its
-        segment recipes.  None when the program has no fingerprint."""
-        if fingerprint is None:
+    def _fold(self, lowered) -> Optional[_Template]:
+        """Fold a shape's lowered steps into a template: per transaction,
+        the sum of its segment recipes.  None when
+        :func:`template_blockers` finds a reason the steps have none."""
+        bank = self.controller.ufsm
+        vendor = self.controller.config.vendor
+        if template_blockers(bank, vendor, lowered):
             return None
         self.shapes_compiled += 1
-        if lowered.alias is not None:
-            lowered = lowered.alias[1]
         packetizer = self.controller.packetizer
         phases = []
         result = None
@@ -332,17 +294,19 @@ class PlanExecutor:
             elif tag == HANDLE:  # mint(operand, nbytes) on our Packetizer
                 phase = (_PH_HANDLE, step[1], partial(step[2], packetizer),
                          step[3], step[4])
-            elif tag == POLL:
-                phase = self._fold_poll(step)
+            elif tag == POLL:  # a ready-wait, then the stock round trip
+                _, hold, stats, ((latch,), (burst,)) = _stock_status(
+                    bank, vendor)
+                what, mask = POLLS[step[2]]
+                phase = (_PH_POLL, mask, step[3], step[5], what, hold,
+                         stats[1], latch[1], burst[1], stats[4])
                 erases = erases or step[1] is ERASE_POLL
                 polls += 1
             elif tag == SLEEP:
                 phase = (_PH_SLEEP, Timeout(step[1]))
-            elif tag == RETURN:
+            else:  # RETURN
                 result = step[1]
                 break
-            else:
-                raise AssertionError(f"step {tag} in a fingerprinted program")
             phases.append(phase)
         sw_ns = self.pre_txn_ns * (txns + polls) + self.wakeup_ns * polls
         return _Template(_timeout(sw_ns), tuple(phases), result, has_data,
@@ -379,17 +343,6 @@ class PlanExecutor:
         stats = (len(recipes), hold, bytes_in, bytes_out,
                  tuple(kinds.items()))
         return (_PH_TXN, _timeout(hold), stats, tuple(segs))
-
-    def _fold_poll(self, step: tuple) -> tuple:
-        # The status round trip is the stock ``read_status`` shape (one
-        # command latch, one 1-byte burst); its durations are mask-free.
-        status, _ = lowered_shape(self.controller.ufsm, None,
-                                  resolve_builder("read_status"), {})
-        _, hold, stats, ((latch,), (burst,)) = self._fold_txn(
-            status.steps[1][3])
-        what, mask = POLLS[step[2]]
-        return (_PH_POLL, mask, step[3], step[5], what, hold, stats[1],
-                latch[1], burst[1], stats[4])
 
     # -- the per-LUN runner --------------------------------------------
 
@@ -685,3 +638,86 @@ class PlanExecutor:
             yield hold
         channel.release()
         return at
+
+
+# -- templatability: the one step check --------------------------------
+
+#: Command latches that keep an otherwise templatable op on the generic
+#: runtime, and why.  A cache read polls ARDY once per page: a template
+#: sleeps to each busy window's end and polls once, where the runtime
+#: polls on its round-trip grid and sees ready up to a round late, so
+#: the template would end about a quarter early on the coroutine
+#: runtime.  It is templated once templates poll on that grid.
+_KEPT_GENERIC = dict.fromkeys(
+    (CMD.READ_CACHE_SEQ, CMD.READ_CACHE_END),
+    "a cache read polls once per page; a template would end it early "
+    "(its polls skip the runtime's round-trip grid)")
+
+
+def template_blockers(bank, vendor, lowered) -> list[tuple[str, str]]:
+    """``(step path, reason)`` for each reason ``lowered``'s steps have
+    no template; empty when the runner folds them.  The runner decides
+    on it once per shape (:meth:`PlanExecutor._fold`) and the static
+    verifier reports it as OPV501, so both read one check off the
+    lowering the waveform tier runs.
+
+    A template is straight-line: transactions, handle declarations,
+    polls, fixed sleeps and a return, against the op's one die, with
+    each poll a round trip of the stock ``read_status`` shape."""
+    blockers = []
+    polls = False
+    for index, step in enumerate(lowered.steps):
+        tag = step[0]
+        where = f"steps[{index}]"
+        if tag == TXN:
+            for seg, recipe in enumerate(step[3]):
+                if recipe[5] is not None or recipe[7]:
+                    blockers.append((
+                        f"{where}.recipes[{seg}]",
+                        "segment re-targets dies (chip_mask / Chip "
+                        "Control); a template drives the op's one die"))
+                for _, action in recipe.prototype.actions:
+                    reason = isinstance(action, CommandLatch) \
+                        and _KEPT_GENERIC.get(action.opcode)
+                    if reason:
+                        blockers.append((f"{where}.recipes[{seg}]", reason))
+        elif tag == POLL:
+            polls = True
+            if step[4] is not None:
+                blockers.append((where, "gang-masked poll needs the "
+                                        "generic runtime"))
+        elif tag == SLEEP:
+            if type(step[1]) is not int:
+                blockers.append((where, "sleep length is computed at run "
+                                        "time"))
+        elif tag == RETURN:
+            break
+        elif tag != HANDLE:
+            blockers.append((where, f"a {STEP_NAMES[tag]} step has no "
+                                    f"template (templates are "
+                                    f"straight-line)"))
+    if polls and _stock_status(bank, vendor) is None:
+        blockers.append(("read_status", "the vendor's read_status is not "
+                                        "the stock round trip (one 70h "
+                                        "latch, one 1-byte burst) a "
+                                        "template's poll runs"))
+    return blockers
+
+
+def _stock_status(bank, vendor) -> Optional[tuple]:
+    """The vendor's ``read_status``, folded, when it is the stock round
+    trip: one READ STATUS (70h) latch and one 1-byte burst on the op's
+    die — all :meth:`~repro.flash.lun.Lun.status_round_trip` models.
+    None when an override makes it anything else."""
+    steps = lowered_shape(bank, vendor,
+                          _resolved_builder("read_status", vendor),
+                          {"chip_mask": None})[0].steps
+    if [step[0] for step in steps] != [HANDLE, TXN, RETURN]:
+        return None
+    recipes = steps[1][3]
+    status = PlanExecutor._fold_txn(recipes)
+    if any(recipe[5] is not None or recipe[7] for recipe in recipes) or [
+            [(op[0], op[2]) for op in ops] for ops in status[3]] != [
+            [(DIE_CMD, CMD.READ_STATUS)], [(DIE_DATA_OUT, 1)]]:
+        return None
+    return status

@@ -67,8 +67,10 @@ from repro.onfi.signals import (
     DataOutAction,
 )
 
+STEP_NAMES = ("TXN", "HANDLE", "POLL", "SLEEP", "CALL", "SET", "BRANCH",
+              "LOOP", "BREAK_IF", "SELECT", "RETURN")
 (TXN, HANDLE, POLL, SLEEP, CALL, SET, BRANCH, LOOP, BREAK_IF, SELECT,
- RETURN) = range(11)
+ RETURN) = range(len(STEP_NAMES))
 ADDR, DATA_OUT, DATA_IN = range(3)
 
 # DeclareHandle source -> mint(packetizer, operand, nbytes): the operand
@@ -102,10 +104,10 @@ class Recipe(tuple):
 
 class Lowered:
     """One lowered shape.  ``program`` is the instance it was lowered
-    from (the TLM runner fingerprints it); ``alias`` is set instead of
-    ``steps`` for a declared pure wrapper — ``(run, callee Lowered)``,
-    the callee's shape run under the wrapper's own operands;
-    ``template`` caches the TLM fold."""
+    from; ``alias`` is set instead of ``steps`` for a pure wrapper —
+    ``(run, callee Lowered)``, the callee's shape run under the
+    wrapper's own operands; ``template`` caches the TLM runner's fold of
+    ``steps`` (None when the steps have no template)."""
 
     __slots__ = ("steps", "program", "alias", "template")
 

@@ -699,8 +699,6 @@ def multiplane_read_program(
                 label="mp-read-transfer",
             )
         )
-    # A tuple, not a list: a hashable Return gives the shape a
-    # fingerprint, so its declared plan is a TLM template.
     nodes.append(Return(tuple(HandleRef(f"h{i}") for i in range(count))))
     return OpProgram(
         "multiplane_read",

@@ -18,10 +18,11 @@ lives on the controller's µFSM bank (``UfsmBank.lowered``, emptied by
 plan=)``) is never built per call: :func:`declared_shape` is the
 ``plan`` call plus one memo hit.  An undeclared builder (``read_status``,
 a vendor override, anything with control flow) is built — programs are
-memoized per (builder, kwargs) when the kwargs are hashable — and keeps
-its lowered form beside that instance (:func:`lowered_shape`); the TLM
-template runner (:mod:`repro.core.fastops`) shares one lowering per
-fingerprint among an undeclared builder's instances instead.
+memoized per (builder, kwargs) when the kwargs are hashable — and
+lowered once per kwargs; a pure wrapper is its callee's shape.
+:func:`lowered_shape` is that one route: the waveform executor runs
+what it returns, and the TLM template runner (:mod:`repro.core.fastops`)
+reads templatability off the same steps and folds them.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def declared_shape(bank, vendor, builder, kwargs: dict) -> Optional[tuple]:
     """``(Lowered, operands)`` of one call of a builder that declares its
     shape: the ``plan`` call and one hit in the bank's memo — no program
     built, no node visited.  None for a builder with no declaration (or
-    a pinned wrapper): the caller takes its undeclared route.
+    a pinned wrapper): :func:`lowered_shape` takes its undeclared route.
 
     The first call of a shape builds the program, checks the declared
     operands against the leaves the lowering found, and lowers it; a pure
@@ -186,17 +187,11 @@ def declared_shape(bank, vendor, builder, kwargs: dict) -> Optional[tuple]:
     if lowered is None:
         program = _cached_program(builder, kwargs)
         callee = wrapper_callee(program)
-        if callee is None:
-            lowered, leaves = lower(bank, program)
+        if callee is not None and not hasattr(
+                _resolved_builder(callee[0], vendor), "plan"):
+            lowered, leaves = PINNED, operands
         else:
-            shape = declared_shape(
-                bank, vendor, _resolved_builder(callee[0], vendor), callee[1])
-            if shape is None:
-                lowered, leaves = PINNED, operands
-            else:
-                leaves = shape[1]
-                lowered = Lowered((), program, alias=(
-                    traced_op(run_lowered, name=f"{callee[0]}_op"), shape[0]))
+            lowered, leaves = program_shape(bank, vendor, program)
         if leaves != operands:
             raise AssertionError(
                 f"{program.name}: declared operands {operands!r} are not the "
@@ -206,22 +201,39 @@ def declared_shape(bank, vendor, builder, kwargs: dict) -> Optional[tuple]:
 
 
 def lowered_shape(bank, vendor, builder, kwargs: dict) -> tuple:
-    """``(Lowered, operands)`` of one call on the waveform tier.  An
-    undeclared builder (``read_status``, a vendor override, anything
-    with control flow) keeps its lowered form beside its instance:
-    memoized per kwargs like the program cache, lowered afresh when the
-    kwargs are unhashable."""
+    """``(Lowered, operands)`` of one call: THE way both tiers find an
+    op's shape.  A declared builder is its ``plan`` call and one memo hit
+    (:func:`declared_shape`).  An undeclared builder (``read_status``, a
+    vendor override, anything with control flow) is lowered once per
+    kwargs, memoized like the program cache, and lowered afresh when the
+    kwargs are unhashable.  A pure wrapper is its callee's shape
+    (``Lowered.alias``), whether its declaration holds or is pinned."""
     shape = declared_shape(bank, vendor, builder, kwargs)
     if shape is None:
         try:
             key = (builder, tuple(sorted(kwargs.items())))
             shape = bank.lowered.get(key)
         except TypeError:
-            return lower(bank, _cached_program(builder, kwargs))
+            return program_shape(bank, vendor,
+                                 _cached_program(builder, kwargs))
         if shape is None:
-            shape = _remember(
-                bank, key, lower(bank, _cached_program(builder, kwargs)))
+            shape = _remember(bank, key, program_shape(
+                bank, vendor, _cached_program(builder, kwargs)))
     return shape
+
+
+def program_shape(bank, vendor, program: OpProgram) -> tuple:
+    """``(Lowered, operands)`` of a built program: its lowering, or —
+    for a pure wrapper — its callee's shape (``Lowered.alias``)."""
+    callee = wrapper_callee(program)
+    if callee is not None:
+        lowered, operands = lowered_shape(
+            bank, vendor, _resolved_builder(callee[0], vendor), callee[1])
+        if lowered.alias is None:  # a wrapper of a wrapper runs its CALL
+            return Lowered((), program, alias=(
+                traced_op(run_lowered, name=f"{callee[0]}_op"), lowered)
+            ), operands
+    return lower(bank, program)
 
 
 def resolved_op(ctx, name: str, kwargs: dict) -> tuple:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Union
 
 from repro.analysis.diagnostics import DiagnosticReport, Finding
+from repro.config.specs import FidelityError
 
 
 class Sanitizer:
@@ -137,8 +138,6 @@ def attach_sanitizers(
         sanitizer = SANITIZER_REGISTRY[name]()
         if (sanitizer.requires_waveform
                 and target.channel.fidelity != "waveform"):
-            from repro.core.backend import FidelityError
-
             raise FidelityError(
                 f"sanitizer '{name}' samples per-segment bus traffic, "
                 f"which the '{target.channel.fidelity}' tier's templates "

@@ -1,16 +1,22 @@
-"""Cross-tier equivalence: the TLM backend must be behaviourally
-indistinguishable from waveform for every library operation.
+"""Cross-tier equivalence: what the TLM tier runs on the generic
+runtime is the waveform run, and what it runs as a template keeps the
+data, status and die state of that run.
 
-The contract under test (see ``repro/core/backend.py``):
+The tiers differ in one setting, ``fidelity``
+(``repro.config.specs.FIDELITIES``): "tlm" adds the template runner
+(``repro.core.fastops``) for untraced data-plane wrappers and runs
+every other op on the segment-accurate path.  Under test:
 
 * byte-identical data payloads and status bytes,
 * identical die state (op counts, array counters, programmed pages),
-* 0 ns total-latency drift for non-preempted ops,
+* 0 ns total-latency drift for ops submitted without ``_plan``,
 
 over the full 28-op library, on both software runtimes, plus both
-hardware baseline controllers.  Poll traffic is the one *allowed*
-difference — the TLM tier may skip redundant status polls — so
-``READ_STATUS`` counts are excluded from the die-state comparison.
+hardware baseline controllers; the templated wrappers' own timeline is
+pinned to a recording.  ``READ_STATUS`` counts stay out of the
+die-state comparison: a template waits for the die's busy window to
+end and then polls once, where the runtime polls on its round-trip
+grid.
 """
 
 from __future__ import annotations
@@ -192,7 +198,7 @@ def _snapshot(sim: Simulator, controller: BabolController) -> dict:
     ops = {}
     for lun in controller.luns:
         for name, count in lun.op_counts.items():
-            if name != "READ_STATUS":   # poll skipping is the TLM contract
+            if name != "READ_STATUS":   # a template polls once per wait
                 ops[(lun.position, name)] = count
     return {
         "now": sim.now,
@@ -698,7 +704,7 @@ def test_sharded_health_aggregation_with_one_empty_shard():
 
 def test_logic_analyzer_fails_fast_under_tlm():
     from repro.analysis.logic_analyzer import LogicAnalyzer
-    from repro.core.backend import FidelityError
+    from repro.config.specs import FidelityError
 
     sim, controller = _make("tlm", "rtos")
     with pytest.raises(FidelityError, match="tlm"):
@@ -706,7 +712,7 @@ def test_logic_analyzer_fails_fast_under_tlm():
 
 
 def test_bus_sanitizer_fails_fast_under_tlm():
-    from repro.core.backend import FidelityError
+    from repro.config.specs import FidelityError
     from repro.sanitize import attach_sanitizers
 
     sim, controller = _make("tlm", "rtos")

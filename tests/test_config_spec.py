@@ -19,12 +19,12 @@ from repro.config import (
 )
 from repro.config.specs import (
     CampaignSpec,
+    FidelityError,
     FtlSpec,
     GeometrySpec,
     StackSpec,
     WorkloadSpec,
 )
-from repro.core.backend import FidelityError
 
 # A document exercising every section, including non-default nesting.
 FULL_DOC = {

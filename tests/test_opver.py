@@ -3,7 +3,7 @@
 Organized by layer: the CFG builder (shared with OPL009), the lint /
 verify library sweeps and their override-coverage accounting, the
 clean-library pin, one detonation test per OPV rule family, and the
-TLM-templatability explanations (OPV501 / plan_fingerprint).
+TLM-templatability explanations (OPV501 / the runner's step check).
 """
 
 import dataclasses
@@ -37,7 +37,6 @@ from repro.core.opir.nodes import (
     Txn,
 )
 from repro.core.opir.registry import resolve_builder
-from repro.core.opir.summarize import plan_fingerprint
 from repro.core.recovery import Watchdog
 from repro.core.transaction import TxnKind
 from repro.core.ufsm.ca_writer import addr, cmd
@@ -524,33 +523,49 @@ def test_opv501_explains_read_with_retry_demotion():
 
 
 def test_plan_blockers_matches_plan_check_across_library():
-    """One walk, one answer: for every library program, "no blockers"
-    <=> "has a fingerprint" <=> the TLM runner really templates it."""
+    """One check, one answer: for every library program under every
+    vendor, OPV501 fires <=> the TLM runner declines it, and the ops
+    left on the generic path are exactly these five.  ``cache_read_
+    sequential`` is straight-line but kept generic by rule: as a
+    template it polls once per busy window, off the runtime's poll
+    grid, and ends early."""
     from repro.core import BabolController, ControllerConfig
     from repro.sim import Simulator
 
-    for vendor in VENDOR_PROFILES.values():
+    generic = set()
+    for vendor in [*VENDOR_PROFILES.values(), TEST_PROFILE]:
         controller = BabolController(Simulator(), ControllerConfig(
             vendor=vendor, lun_count=2, fidelity="tlm"))
         for name, kwargs in sample_kwargs(vendor).items():
             program = resolve_builder(name, vendor)(**kwargs)
-            fingerprint, blockers = plan_fingerprint(program, vendor)
-            assert (fingerprint is not None) == (not blockers), name
+            notes = [f for f in verify_program(program, vendor, mode=MODE)
+                     if f.rule == "OPV501"]
             task = controller.fast_ops.try_submit(name, 0, 1, name, kwargs)
-            assert (task is not None) == (not blockers), name
+            assert (task is not None) == (not notes), name
+            if task is None:
+                generic.add(name)
+    assert generic == {"cache_program", "cache_read_sequential",
+                       "erase_with_preemptive_read", "gang_read",
+                       "read_with_retry"}
 
 
 def test_plan_blockers_read_page_empty_gang_read_not():
+    from repro.core.fastops import template_blockers
+    from repro.core.opir.compile import lower
+    from repro.core.ufsm.base import UfsmBank
+    from repro.onfi.datamodes import interface_by_name
+
+    bank = UfsmBank(interface_by_name(MODE))
     samples = sample_kwargs(TEST_PROFILE)
-    read_page = resolve_builder("read_page", TEST_PROFILE)(
-        **samples["read_page"])
-    gang = resolve_builder("gang_read", TEST_PROFILE)(
-        **samples["gang_read"])
-    assert plan_fingerprint(read_page, TEST_PROFILE)[1] == []
-    fingerprint, blockers = plan_fingerprint(gang, TEST_PROFILE)
-    assert fingerprint is None and blockers
-    assert all(isinstance(p, str) and isinstance(r, str)
-               for p, r in blockers)
+
+    def blockers(name):
+        program = resolve_builder(name, TEST_PROFILE)(**samples[name])
+        return template_blockers(bank, TEST_PROFILE, lower(bank, program)[0])
+
+    assert blockers("read_page") == []
+    gang = blockers("gang_read")
+    assert gang and all(isinstance(p, str) and isinstance(r, str)
+                        for p, r in gang)
 
 
 # -- control flow through the verifier ------------------------------------

@@ -1,16 +1,18 @@
 """The ``plan`` declarations of the data-plane builders, tested not trusted.
 
 A builder that declares ``plan(**kwargs) -> (shape_key, operands)``
-(``op_program(..., plan=)``) is submitted on the TLM tier without its
-program being built: the template runner trusts the shape key to pick
-the template and the operands to be the program's leaves.  This file
-holds that contract against the *reference* plan — build the program,
-fingerprint it, read its leaves off — for every declaring builder under
-every in-tree vendor profile, and pins what the runner's traffic looks
-like because of it: one build, one walk, one compile per shape.
+(``op_program(..., plan=)``) is run on either tier without its program
+being built: both trust the shape key to pick the lowered shape (and
+the TLM runner its template) and the operands to be the program's
+leaves.  This file holds that contract against the lowering itself —
+build the program, ``lower()`` it, read its structure and leaves off —
+for every declaring builder under every in-tree vendor profile, and
+pins what the runner's traffic looks like because of it: one build,
+one step check, one compile per shape.
 """
 
 import dataclasses
+import functools
 import inspect
 import random
 
@@ -20,17 +22,25 @@ import repro.core.fastops as fastops
 from repro.config.build import build_stack
 from repro.config.specs import FtlSpec, StackSpec
 from repro.core import BabolController, ControllerConfig
-from repro.core.fastops import PlanExecutor
-from repro.core.opir.nodes import PollStatus, SoftSleep
+from repro.core.opir.compile import lower
+from repro.core.opir.nodes import PollStatus, SoftSleep, wrapper_callee
 from repro.core.opir.programs import (
     erase_block_program,
     program_page_program,
     read_page_program,
+    read_status_enhanced_program,
 )
-from repro.core.opir.registry import CACHE_STATS, _BUILDERS, list_ops
+from repro.core.opir.registry import (
+    CACHE_STATS,
+    _BUILDERS,
+    _resolved_builder,
+    list_ops,
+)
+from repro.core.ufsm.base import UfsmBank
 from repro.flash.vendors import VENDOR_PROFILES
 from repro.host import ScaleEngine, ScaleJob, run_scale_workload
 from repro.host.hic import HostOpcode
+from repro.onfi.datamodes import NVDDR2_200
 from repro.onfi.geometry import AddressCodec, PhysicalAddress
 from repro.sim import Simulator
 
@@ -104,25 +114,41 @@ def _draws(name, vendor, seed):
         yield kwargs
 
 
-def _reference(name, vendor, kwargs):
-    """(fingerprint, leaves) the way the runner itself reads them off a
-    built program — a pure wrapper is judged by its callee."""
-    fingerprint, leaves, _, declares = PlanExecutor._reference_plan(
-        _BUILDERS[name], kwargs, vendor)
-    assert declares and fingerprint is not None, name
-    return fingerprint, leaves
+def _structure(value):
+    """Lowered steps as comparable data: a lowered expression (a
+    ``lower_expr`` lambda) by its code and constants, everything else
+    (recipes, µFSMs, poll loops, mints) as it is."""
+    if isinstance(value, tuple):
+        return tuple(_structure(item) for item in value)
+    code = getattr(value, "__code__", None)
+    if code is not None and "consts" in value.__globals__:
+        return (code.co_code, code.co_consts, code.co_names,
+                repr(value.__globals__["consts"]))
+    return value
+
+
+def _reference(name, vendor, kwargs, bank):
+    """(structure, leaves) of the built program's lowering — a pure
+    wrapper's callee's, which is the shape both tiers run for it."""
+    program = _BUILDERS[name](**kwargs)
+    callee = wrapper_callee(program)
+    if callee is not None:
+        program = _resolved_builder(callee[0], vendor)(**callee[1])
+    lowered, leaves = lower(bank, program)
+    return _structure(lowered.steps), leaves
 
 
 def check_declaration(name, vendor, seed=0):
-    """The differential: declared operands are the built program's
-    leaves, and the shape key decides the fingerprint."""
+    """The differential: declared operands are the lowering's leaves,
+    and the shape key decides the lowered structure."""
     plan = _BUILDERS[name].plan
+    bank = UfsmBank(NVDDR2_200)
     by_key = {}
     for kwargs in _draws(name, vendor, seed):
         shape_key, operands = plan(**kwargs)
-        fingerprint, leaves = _reference(name, vendor, kwargs)
+        structure, leaves = _reference(name, vendor, kwargs, bank)
         assert operands == leaves, (name, kwargs)
-        assert by_key.setdefault(shape_key, fingerprint) == fingerprint, \
+        assert by_key.setdefault(shape_key, structure) == structure, \
             (name, shape_key)
     return by_key
 
@@ -132,13 +158,13 @@ def check_declaration(name, vendor, seed=0):
 def test_declared_plan_matches_the_built_program(name, profile):
     by_key = check_declaration(name, PROFILES[profile],
                                seed=DECLARED.index(name))
-    # Equal key => equal fingerprint held above; the draws must also
+    # Equal key => equal structure held above; the draws must also
     # have produced every structural variation, or it held vacuously
-    # (and a key finer than the fingerprint would compile duplicates).
-    fingerprints = set(by_key.values())
-    assert len(fingerprints) == len(by_key)
+    # (and a key finer than the structure would compile duplicates).
+    structures = set(by_key.values())
+    assert len(structures) == len(by_key)
     if "length" in inspect.signature(_BUILDERS[name]).parameters:
-        assert len(fingerprints) >= 3, name
+        assert len(structures) >= 3, name
 
 
 @pytest.mark.parametrize("name", DECLARED)
@@ -172,7 +198,7 @@ def test_plan_raises_what_the_builder_raises(name):
             bad += [{"length": 0}, {"length": -4}]
 
     def build(**kwargs):
-        callee = fastops.wrapper_callee(_BUILDERS[name](**kwargs))
+        callee = wrapper_callee(_BUILDERS[name](**kwargs))
         if callee is not None:
             _BUILDERS[callee[0]](**callee[1])
 
@@ -232,15 +258,15 @@ def test_runner_checks_the_first_instance_of_a_shape(monkeypatch):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Count the runner's plan_fingerprint walks."""
+    """Count the runner's step checks, by the checked shape's program."""
     calls = []
-    real = fastops.plan_fingerprint
+    real = fastops.template_blockers
 
-    def counting(program, vendor=None):
-        calls.append(program.name)
-        return real(program, vendor)
+    def counting(bank, vendor, lowered):
+        calls.append(lowered.program.name)
+        return real(bank, vendor, lowered)
 
-    monkeypatch.setattr(fastops, "plan_fingerprint", counting)
+    monkeypatch.setattr(fastops, "template_blockers", counting)
     return calls
 
 
@@ -312,11 +338,12 @@ def test_undeclared_override_is_templated_on_the_reference_plan(walks):
     timeline, fast = _run_ops(vendor)
     assert timeline == PARENT_TIMELINE
     assert (fast.ops_planned, fast.ops_declined) == (24, 0)
-    # Every program_page is built and walked (today's cost); the
-    # declared full_page_read walks once.  One compile each.
+    # The undeclared override is lowered, checked and folded once per
+    # distinct kwargs: twelve programs, twelve shapes.  The declared
+    # full_page_read is its callee read_page's shape: one more.
     assert walks.count("program_page") == 12
-    assert walks.count("full_page_read") == 1
-    assert fast.shapes_compiled == 2
+    assert walks.count("read_page") == 1
+    assert fast.shapes_compiled == 13
     # An override keeps its own PROGRAM, so nothing pairs above.  The
     # stock builder pairs each LUN's queued programs on distinct planes
     # (blocks 3 and 5 against block 4): one tPROG for two, four times.
@@ -338,8 +365,9 @@ def _read_page_slow_on_odd_blocks(**kwargs):
 def test_wrapper_around_an_undeclared_override_takes_the_reference_plan():
     """``full_page_read`` declares a plan, but it stands for the stock
     ``read_page``.  With ``read_page`` overridden by a builder that
-    declares none, the wrapper's declaration is not trusted: odd and
-    even blocks get their own templates, as when the override is
+    declares none, the wrapper's declaration is not trusted: the wrapper
+    is the override's shape per kwargs, so each block gets its own
+    template (odd blocks a slower one), as when the override is
     submitted by name."""
     vendor = TEST_PROFILE.with_op_override(
         "read_page", _read_page_slow_on_odd_blocks)
@@ -355,7 +383,7 @@ def test_wrapper_around_an_undeclared_override_takes_the_reference_plan():
         return done, controller.fast_ops
 
     via_wrapper, fast = run("read_page")           # -> full_page_read
-    assert (fast.ops_planned, fast.shapes_compiled) == (4, 2)
+    assert (fast.ops_planned, fast.shapes_compiled) == (4, 4)
     by_name, _ = run("read_page", 0, TEST_PROFILE.geometry.full_page_size)
     assert via_wrapper == by_name
     laps = [b - a for a, b in zip([0] + via_wrapper, via_wrapper)]
@@ -406,3 +434,30 @@ def test_poll_budget_error_names_the_poll_on_both_paths(observed):
             match="^array-ready poll budget exhausted — stuck LUN\\?$"):
         controller.run_to_completion(task)
     assert controller.luns[0].op_counts["READ_STATUS"] == 2
+
+
+def test_template_polls_honour_a_read_status_override():
+    """A vendor ``read_status`` that is not the stock round trip (here
+    READ STATUS ENHANCED, 78h plus a row address) leaves a template
+    nothing to poll with: the op takes the generic path, and TLM sends
+    the die the waveform tier's polls and ends on its nanosecond."""
+    vendor = TEST_PROFILE.with_op_override("read_status", functools.partial(
+        read_status_enhanced_program, row_address_bytes=(0, 0, 0)))
+
+    def run(fidelity):
+        controller = BabolController(Simulator(), ControllerConfig(
+            vendor=vendor, lun_count=1, fidelity=fidelity, runtime="rtos",
+            seed=6))
+        task = controller.read_page(0, 1, 0, 0)
+        controller.run_to_completion(task)
+        counts = {op: n for op, n in controller.luns[0].op_counts.items()
+                  if n}
+        return task.finished_at, counts, controller.fast_ops
+
+    finished, counts, _ = run("waveform")
+    assert counts["READ_STATUS_ENHANCED"] == 18
+    assert "READ_STATUS" not in counts
+    assert finished == 70865
+    tlm_finished, tlm_counts, fast = run("tlm")
+    assert (tlm_finished, tlm_counts) == (finished, counts)
+    assert (fast.ops_planned, fast.ops_declined) == (0, 1)
