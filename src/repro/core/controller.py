@@ -145,8 +145,9 @@ class BabolController:
             self.env.watchdog = cfg.watchdog
         self.codec = AddressCodec(cfg.vendor.geometry)
         # Full-page PROGRAMs queued on distinct planes of a die run as
-        # one multi-plane PROGRAM (both admission paths pair them), on
-        # any multi-plane die whose vendor keeps the stock PROGRAM.
+        # one multi-plane PROGRAM (the admission pairs them, templated
+        # or not), on any multi-plane die whose vendor keeps the stock
+        # PROGRAM.
         self.pairs_programs = cfg.vendor.geometry.planes > 1 and all(
             name != "program_page" for name, _ in cfg.vendor.op_overrides)
 
@@ -165,15 +166,16 @@ class BabolController:
 
         # The TLM tier's template runner for the FTL-facing data plane
         # (read_page/program_page/erase_block/...): the only thing
-        # "tlm" changes.  It needs the generic runtime out of the loop,
-        # so it stands down when a watchdog or sanitizers are attached
-        # — both observe the generic runtime's events.
+        # "tlm" changes.  It runs the planned tasks the environment
+        # admits, outside the generic runtime's loop, so it stands down
+        # when a watchdog or sanitizers are attached — both observe the
+        # generic runtime's events.
         self.fast_ops = None
         if cfg.fidelity == "tlm" and cfg.watchdog is None \
                 and not self.sanitizers:
             from repro.core.fastops import PlanExecutor
 
-            self.fast_ops = PlanExecutor(self)
+            self.fast_ops = self.env.plan_runner = PlanExecutor(self)
 
     # ------------------------------------------------------------------
     # Generic submission
@@ -202,33 +204,31 @@ class BabolController:
         die state, and faults, with the runtime's cycle costs charged in
         closed form rather than simulated.  Ops submitted while a
         tracer or fault injector is attached always take the generic
-        path (see :mod:`repro.core.fastops`).  ``_pair`` (set by
-        :meth:`program_page`) lets either path's admission run the op
+        path (see :mod:`repro.core.fastops`); a template already queued
+        and a later generic op on its die run one at a time, because
+        both paths share the environment's one admission.  ``_pair``
+        (set by :meth:`program_page`) lets that admission run the op
         with a queued PROGRAM on another plane as one multi-plane
         PROGRAM.
         """
         self._check_lun(lun)
 
-        if _plan and self.fast_ops is not None:
-            name = op_factory.program_name
-            task = self.fast_ops.try_submit(name, lun, priority,
-                                            label or name, op_kwargs, _pair)
-            if task is not None:
-                return task
-
         def bound(ctx):
             return op_factory(ctx, **op_kwargs)
 
         bound.__name__ = getattr(op_factory, "__name__", "op")
+        plan = None
+        if _plan and self.fast_ops is not None:
+            plan = self.fast_ops.plan(op_factory.program_name, lun, op_kwargs)
         return self.env.submit(bound, lun, priority=priority,
-                               label=label or bound.__name__, pair=_pair)
+                               label=label or bound.__name__, pair=_pair,
+                               plan=plan)
 
     @property
     def programs_paired(self) -> int:
         """Multi-plane PROGRAMs run for two queued programs (each one a
-        tPROG saved), on both admission paths."""
-        fast = self.fast_ops
-        return self.env.programs_paired + (fast.programs_paired if fast else 0)
+        tPROG saved), templated or not: the admission counts them."""
+        return self.env.programs_paired
 
     def wait(self, task: Task) -> Generator:
         """Simulation-process helper: block until ``task`` finishes."""

@@ -43,18 +43,22 @@ Submission finds the op's shape on the one route both tiers share,
 override) is lowered and folded once per distinct kwargs; a pure
 wrapper is its callee's shape, and runs its callee's template.
 
-Per LUN the runner admits the lowest ``priority`` class waiting, FIFO
-within a class, as the generic runtime does, and pairs an admitted
-full-page PROGRAM with the first queued one on another plane of the die
-into one ``paired_program`` template by the same rule
-(:meth:`PlanExecutor._take_mate`); an erase's busy wait wakes
-for a class-0 op (a host read) and runs it inside a SUSPEND / RESUME
-pair folded from the stock programs.  Data and status match the generic
-path; the suspended ops' times match to within one poll period (the
-generic path sees the read at its next poll round).
+Admission is not here.  A planned op enters the software environment's
+one admission queue with its plan (``Task.plan``), so templates and
+generic ops on one die run one at a time, the lowest ``priority`` class
+first and FIFO within a class; an admitted planned task comes back to
+its LUN's runner (:meth:`PlanExecutor.admit`), and the runner finishes
+it through the environment.  The environment's one pairing rule
+(``SoftwareEnvironment._pair_up``) asks :meth:`PlanExecutor.pair_plan`
+for a pair's ``paired_program`` template.  An erase's busy wait wakes
+for a planned class-0 op (a host read) and runs it inside a SUSPEND /
+RESUME pair folded from the stock programs; a generic class-0 op waits
+the template erase out.  Data and status match the generic path; the
+suspended ops' times match to within one poll period (the generic path
+sees the read at its next poll round).
 
 The decision is made once per submission, in
-:meth:`PlanExecutor.try_submit`, and once per shape on its steps
+:meth:`PlanExecutor.plan`, and once per shape on its steps
 (:func:`template_blockers`, which the static verifier reports as
 OPV501).  Anything a template cannot reproduce takes the generic path,
 which is the waveform tier's run, suspended ops included: programs with
@@ -70,7 +74,6 @@ the whole runner down (see ``BabolController``).
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 from typing import Callable, Generator, NamedTuple, Optional
 
@@ -135,25 +138,15 @@ class _Template(NamedTuple):
     erases: bool  # waits on an erase (``ERASE_POLL``): reads may cut in
 
 
-def _parked() -> Generator:
-    """Placeholder generator for plan-run tasks: the runner completes
-    the task itself; the environment never steps it."""
-    return
-    yield  # pragma: no cover
-
-
 class PlanExecutor:
     """Runs templatable op-IR programs without the generic runtime.
 
-    Per LUN, one FIFO per admission class preserves the environment's
-    admission semantics (one op per LUN, see
-    ``SoftwareEnvironment._admit_eligible``): operations against the
-    same die run one at a time, the lowest ``priority`` class first and
-    in submission order within a class; operations against different
-    dies contend only for the channel mutex, exactly like the generic
-    path.  An erase lets class 0 (host reads) cut in: a read that
-    arrives before the erase latches runs first, and one that arrives
-    during its busy wait suspends it (:meth:`_erase_wait`).
+    It plans a submission (:meth:`plan`) and runs the planned tasks the
+    environment's one admission hands back (:meth:`admit`), so ops on
+    one die run one at a time, templates and generic ops alike, and ops
+    on different dies contend only for the channel mutex.  A planned
+    class-0 op (a host read) cuts into an erase: before it latches, or
+    by suspending it during its busy wait (:meth:`_erase_wait`).
     """
 
     def __init__(self, controller):
@@ -178,15 +171,15 @@ class PlanExecutor:
         self._suspend_floor = timing.t_read_ns + timing.t_resume_ns
         self._pre_txn = _timeout(self.pre_txn_ns)
         self._suspension = None  # (suspend, resume) phases, folded once
-        # Per LUN: the (class 0, class 1, class 2) FIFOs.
-        self._queues: dict[int, tuple] = {}
-        self._running: set[int] = set()
-        # LUNs whose erase sleeps until a host read arrives -> its wake.
-        self._waking: dict[int, Trigger] = {}
+        # LUNs whose runner is finishing a task -> the task admission
+        # handed it to run next in the same frame (None: none yet).
+        self._following: dict[int, Optional[Task]] = {}
         self.ops_planned = 0
         self.ops_declined = 0
+        # Planned ops a template ran: all but a planned class-0 op that a
+        # generic erase ran inside its suspension, on the generic runtime.
+        self.ops_templated = 0
         self.shapes_compiled = 0
-        self.programs_paired = 0  # multi-plane PROGRAMs run for two
         # The paired program's memo key, once its first pair checked the
         # operands ``_pair_leaves`` assembles (``paired_program_leaves``,
         # bound then: the op library loads at run time); address column
@@ -195,45 +188,29 @@ class PlanExecutor:
         self._pair_leaves = None
         self._col_cycles = controller.config.vendor.geometry.col_cycles
 
-    @property
-    def ops_templated(self) -> int:
-        """Every planned op runs as a template (the name the benchmark
-        ledger reads; kept so its template ratio stays defined)."""
-        return self.ops_planned
+    # -- submission and admission ----------------------------------------
 
-    # -- submission ----------------------------------------------------
-
-    def try_submit(self, op_name: str, lun_position: int, priority: int,
-                   label: str, kwargs: dict,
-                   pair: Optional[tuple] = None) -> Optional[Task]:
-        """Plan and enqueue one operation; None = take the generic path.
-        ``pair``: a full-page PROGRAM admission may pair (``Task.pair``)."""
+    def plan(self, op_name: str, lun_position: int,
+             kwargs: dict) -> Optional[tuple]:
+        """The ``(template, operands)`` a submission runs as (its
+        ``Task.plan``), or None: it takes the generic path."""
         planned = self._plan(op_name, lun_position, kwargs)
         if planned is None:
             self.ops_declined += 1
-            return None
-        self.ops_planned += 1
-        task = Task(self.sim, _parked(), lun_position, priority=priority,
-                    label=label or op_name)
-        self.env.tasks_submitted += 1
-        queues = self._queues.get(lun_position)
-        if queues is None:
-            queues = self._queues[lun_position] = (deque(), deque(), deque())
-        urgent = priority <= 0
-        idle = lun_position not in self._running
-        # The generic runtime admits an op submitted to an idle LUN as it
-        # is submitted, before anything can wait to pair with it.
-        queues[0 if urgent else 1 if priority == 1 else 2].append(
-            (task,) + planned + (None if idle else pair,))
-        if idle:
-            self._running.add(lun_position)
-            self.sim.spawn(self._runner(lun_position),
+        else:
+            self.ops_planned += 1
+        return planned
+
+    def admit(self, task: Task) -> None:
+        """Run a planned task the environment admitted: next in the frame
+        of the LUN's runner when that runner is finishing the task
+        before it (no kernel event), else on a new runner."""
+        lun_position = task.lun_position
+        if lun_position in self._following:
+            self._following[lun_position] = task
+        else:
+            self.sim.spawn(self._runner(task),
                            name=f"tlm-plan-lun{lun_position}")
-        elif urgent:
-            wake = self._waking.pop(lun_position, None)
-            if wake is not None:
-                wake.fire()  # the LUN's erase is waiting: look now
-        return task
 
     def _plan(self, op_name: str, lun_position: int,
               kwargs: dict) -> Optional[tuple]:
@@ -346,204 +323,171 @@ class PlanExecutor:
 
     # -- the per-LUN runner --------------------------------------------
 
-    def _runner(self, lun_position: int, nested: bool = False) -> Generator:
-        """Run this LUN's queued templates, one at a time and the lowest
-        class first, in one generator frame: every wake-up resumes this
-        frame and nothing under it (a contended channel, and an erase's
-        busy wait, excepted).  The die is touched through its
-        transaction-level entry only.  ``nested``: run the waiting
-        class-0 ops inside the op that holds the LUN, then return."""
-        urgent, normal, background = self._queues[lun_position]
+    def _runner(self, task: Task, nested: bool = False) -> Generator:
+        """Run ``task`` and the planned tasks admitted after it on its
+        LUN in one generator frame: every wake-up resumes this frame and
+        nothing under it (a contended channel, and an erase's busy wait,
+        excepted).  The die is touched through its transaction-level
+        entry only, and each task finishes through the environment's
+        ``_finish_task``.  ``nested``: ``task`` is a planned class-0
+        task waiting for the LUN the caller holds; take it in, and each
+        one still waiting, then return."""
+        lun_position = task.lun_position
         sim = self.sim
         env = self.env
+        following = self._following
         channel = self.channel
         mutex = channel.mutex
         lun = channel.luns[lun_position]
-        try:
-            while True:
-                if urgent:
-                    task, template, operands, pair = urgent.popleft()
-                elif nested:
-                    return
-                elif normal:
-                    task, template, operands, pair = normal.popleft()
-                elif background:
-                    task, template, operands, pair = background.popleft()
-                else:
-                    return
-                task.admitted_at = sim.now
-                task.state = TaskState.RUNNING
-                partner = None
-                if pair is not None and not nested:  # nested: class 0 only
-                    mate = self._take_mate(lun_position, pair, operands)
-                    if mate is not None:
-                        partner, template, operands = mate
-                        partner.admitted_at = sim.now
-                        partner.state = TaskState.RUNNING
-                label = task.label
-                erases = template.erases
-                regs: dict = {}
-                handles: dict = {}
-                result = None
-                try:
-                    if template.software is not None:
-                        yield template.software
-                    for phase in template.phases:
-                        tag = phase[0]
-                        if tag == _PH_TXN:
-                            _, hold, stats, segs = phase
-                            if not mutex.try_acquire(label):
-                                yield from mutex.acquire(label)
-                            if erases:
-                                if urgent:
-                                    # A host read that arrives before the
-                                    # erase latches runs first.
-                                    channel.release()
-                                    yield from self._runner(lun_position, True)
-                                    if not mutex.try_acquire(label):
-                                        yield from mutex.acquire(label)
-                                nominal = sim.now + self._t_bers
-                            lun.apply_transaction(segs, sim.now, operands,
-                                                  handles)
-                            chan_stats = channel.stats
-                            chan_stats.segments += stats[0]
-                            chan_stats.busy_ns += stats[1]
-                            chan_stats.data_bytes_in += stats[2]
-                            chan_stats.data_bytes_out += stats[3]
-                            per_kind = chan_stats.per_kind
-                            for key, count in stats[4]:
-                                per_kind[key] += count
-                            if hold is not None:
-                                yield hold
-                            channel.release()
-                        elif tag == _PH_POLL:
-                            (_, mask, dest, max_polls, what, hold, busy,
-                             cmd_off, sample_off, kinds) = phase
-                            # The die knows when its busy window ends;
-                            # sleeping there first makes the common case
-                            # exactly one status round trip.  (Under load
-                            # the waveform tier's poll count converges to
-                            # the same one-poll floor, because contention
-                            # stretches each round trip past the
-                            # remaining busy time.)
-                            polls = 0
-                            while True:
-                                end = lun.next_completion_ns()
-                                now = sim.now
-                                if end is not None and end > now:
-                                    if erases:
-                                        nominal = yield from self._erase_wait(
-                                            lun_position, lun, nominal)
-                                    else:
-                                        yield Timeout(end - now)
-                                elif polls:
-                                    # an opaque (hung) die: re-poll on
-                                    # the minimum legal grid, keeping the
-                                    # generic path's poll-budget escape
-                                    yield self._repoll
+        while True:
+            if nested:
+                env._take_inside(task)
+            task.state = TaskState.RUNNING
+            template, operands = task.plan
+            partner = task.partner
+            self.ops_templated += 1 if partner is None else 2
+            label = task.label
+            erases = template.erases
+            regs: dict = {}
+            handles: dict = {}
+            result = None
+            try:
+                if template.software is not None:
+                    yield template.software
+                for phase in template.phases:
+                    tag = phase[0]
+                    if tag == _PH_TXN:
+                        _, hold, stats, segs = phase
+                        if not mutex.try_acquire(label):
+                            yield from mutex.acquire(label)
+                        if erases:
+                            urgent = env._urgent(lun_position, True)
+                            if urgent is not None:
+                                # A host read that arrives before the
+                                # erase latches runs first.
+                                channel.release()
+                                yield from self._runner(urgent, True)
                                 if not mutex.try_acquire(label):
                                     yield from mutex.acquire(label)
-                                now = sim.now
-                                status = lun.status_round_trip(
-                                    now + cmd_off, now + sample_off)
-                                chan_stats = channel.stats
-                                chan_stats.segments += 2
-                                chan_stats.busy_ns += busy
-                                chan_stats.data_bytes_out += 1
-                                per_kind = chan_stats.per_kind
-                                for key, count in kinds:
-                                    per_kind[key] += count
-                                yield hold
-                                channel.release()
-                                polls += 1
-                                if status & mask:
-                                    if dest:
-                                        regs[dest] = status
-                                    break
-                                if polls >= max_polls:
-                                    raise poll_budget_exhausted(what)
-                                # Not ready: charge the extra round's
-                                # runtime cost before looking again.
-                                if self._extra_round is not None:
-                                    yield self._extra_round
-                        elif tag == _PH_HANDLE:
-                            _, name, mint, nbytes, slot = phase
-                            handles[name] = mint(operands[slot], nbytes)
-                        else:  # _PH_SLEEP
-                            yield phase[1]
-                    if template.result is not None:
-                        result = template.result(regs, handles)
-                except RecoverableOpError as exc:
-                    task.error = exc
-                    env.tasks_failed += 1
-                    if partner is not None:
-                        partner.error = exc
-                        env.tasks_failed += 1
+                            nominal = sim.now + self._t_bers
+                        lun.apply_transaction(segs, sim.now, operands,
+                                              handles)
+                        chan_stats = channel.stats
+                        chan_stats.segments += stats[0]
+                        chan_stats.busy_ns += stats[1]
+                        chan_stats.data_bytes_in += stats[2]
+                        chan_stats.data_bytes_out += stats[3]
+                        per_kind = chan_stats.per_kind
+                        for key, count in stats[4]:
+                            per_kind[key] += count
+                        if hold is not None:
+                            yield hold
+                        channel.release()
+                    elif tag == _PH_POLL:
+                        (_, mask, dest, max_polls, what, hold, busy,
+                         cmd_off, sample_off, kinds) = phase
+                        # The die knows when its busy window ends;
+                        # sleeping there first makes the common case
+                        # exactly one status round trip.  (Under load
+                        # the waveform tier's poll count converges to
+                        # the same one-poll floor, because contention
+                        # stretches each round trip past the
+                        # remaining busy time.)
+                        polls = 0
+                        while True:
+                            end = lun.next_completion_ns()
+                            now = sim.now
+                            if end is not None and end > now:
+                                if erases:
+                                    nominal = yield from self._erase_wait(
+                                        lun_position, lun, nominal)
+                                else:
+                                    yield Timeout(end - now)
+                            elif polls:
+                                # an opaque (hung) die: re-poll on
+                                # the minimum legal grid, keeping the
+                                # generic path's poll-budget escape
+                                yield self._repoll
+                            if not mutex.try_acquire(label):
+                                yield from mutex.acquire(label)
+                            now = sim.now
+                            status = lun.status_round_trip(
+                                now + cmd_off, now + sample_off)
+                            chan_stats = channel.stats
+                            chan_stats.segments += 2
+                            chan_stats.busy_ns += busy
+                            chan_stats.data_bytes_out += 1
+                            per_kind = chan_stats.per_kind
+                            for key, count in kinds:
+                                per_kind[key] += count
+                            yield hold
+                            channel.release()
+                            polls += 1
+                            if status & mask:
+                                if dest:
+                                    regs[dest] = status
+                                break
+                            if polls >= max_polls:
+                                raise poll_budget_exhausted(what)
+                            # Not ready: charge the extra round's
+                            # runtime cost before looking again.
+                            if self._extra_round is not None:
+                                yield self._extra_round
+                    elif tag == _PH_HANDLE:
+                        _, name, mint, nbytes, slot = phase
+                        handles[name] = mint(operands[slot], nbytes)
+                    else:  # _PH_SLEEP
+                        yield phase[1]
+                if template.result is not None:
+                    result = template.result(regs, handles)
+            except RecoverableOpError as exc:
+                task.error = exc
+                env.tasks_failed += 1
                 if partner is not None:
-                    passed = result
-                    result = None if passed is None else passed[0]
-                    partner.state = TaskState.DONE
-                    partner.result = None if passed is None else passed[1]
-                    partner.finished_at = sim.now
-                    env.tasks_completed += 1
-                    partner.completed.fire(partner.result)
-                task.state = TaskState.DONE
-                task.result = result
-                task.finished_at = sim.now
-                env.tasks_completed += 1
-                task.completed.fire(result)
-        finally:
-            if not nested:
-                self._running.discard(lun_position)
+                    partner.error = exc
+                    env.tasks_failed += 1
+            if partner is not None:
+                passed = result
+                result = None if passed is None else passed[0]
+                env._finish_task(partner,
+                                 None if passed is None else passed[1],
+                                 held=False)
+            if nested:
+                env._finish_task(task, result, held=False)
+                task = env._urgent(lun_position, True)
+                if task is None:
+                    return
+            else:
+                following[lun_position] = None
+                env._finish_task(task, result)
+                task = following[lun_position]
+                del following[lun_position]
+                if task is None:
+                    return
 
-    def _take_mate(self, lun_position: int, pair: tuple,
-                   operands: tuple) -> Optional[tuple]:
-        """The pairing rule of ``SoftwareEnvironment._pair_up``: the
-        first queued full-page PROGRAM on another plane of this die,
-        lowest class first and FIFO within a class, leaves its queue;
-        returns ``(its task, the paired template, its operands)``, or
-        None when there is none (or the pair cannot run as a template).
+    def pair_plan(self, task: Task, other: Task) -> Optional[tuple]:
+        """The plan of ``task``'s full-page PROGRAM run with ``other``'s
+        as one ``paired_program`` (the environment's ``_pair_up`` asks),
+        or None when the pair cannot run as a template.
 
         The pair's operands are assembled from the two programs' own
         (:func:`~repro.core.opir.programs.paired_program_leaves`); the
         template is the declared shape's memo entry.  The first pair of
         a shape takes the full plan, which checks both against the
-        built program."""
-        plane = pair[0]
-        for queue in self._queues[lun_position]:
-            for entry in queue:
-                other = entry[3]
-                if other is not None and other[0] != plane:
-                    leaves = (operands, entry[2])
-                    key = self._pair_key
-                    lowered = self.controller.ufsm.lowered.get(key) \
-                        if key is not None else None
-                    template = UNFOLDED if lowered is None \
-                        else lowered.template
-                    if template is not UNFOLDED and template is not None:
-                        planned = (template, self._pair_leaves(
-                            leaves, self._col_cycles))
-                    else:
-                        planned = self._plan_pair(lun_position, pair, other,
-                                                  leaves)
-                        if planned is None:
-                            return None
-                    queue.remove(entry)
-                    self.programs_paired += 1
-                    return (entry[0],) + planned
-        return None
-
-    def _plan_pair(self, lun_position: int, pair: tuple, other: tuple,
-                   leaves: tuple) -> Optional[tuple]:
-        """A pair's ``(template, operands)`` by the declared plan; when
-        that plan's operands are the ones ``paired_program_leaves``
-        assembles from the two programs' ``leaves``, its memo key serves
-        the pairs after it."""
+        built program; its memo key then serves the pairs after it."""
+        leaves = (task.plan[1], other.plan[1])
+        key = self._pair_key
+        lowered = self.controller.ufsm.lowered.get(key) \
+            if key is not None else None
+        template = UNFOLDED if lowered is None else lowered.template
+        if template is not UNFOLDED and template is not None:
+            return template, self._pair_leaves(leaves, self._col_cycles)
         from repro.core.opir.programs import paired_program_leaves
 
+        pair, second = task.pair, other.pair
         kwargs = {"codec": pair[3],
-                  "pages": ((pair[1], pair[2]), (other[1], other[2]))}
-        planned = self._plan("paired_program", lun_position, kwargs)
+                  "pages": ((pair[1], pair[2]), (second[1], second[2]))}
+        planned = self._plan("paired_program", task.lun_position, kwargs)
         if planned is not None and planned[1] == paired_program_leaves(
                 leaves, self._col_cycles):
             builder = _resolved_builder("paired_program",
@@ -558,23 +502,26 @@ class PlanExecutor:
     def _erase_wait(self, lun_position: int, lun, nominal: int) -> Generator:
         """Wait out the erase on ``lun``, letting host reads cut in.
 
-        Sleeps until the die's busy window ends, or until a class-0 op
-        is queued for the LUN.  Then, if the erase has more than tR +
-        t_resume left by ``nominal`` (its own estimate of its end, not
-        the die's jittered one), SUSPEND -> the waiting reads -> RESUME,
-        and wait again.  Returns the erase's nominal end once the die's
-        busy window is over (or has no end: a hung die)."""
+        Sleeps until the die's busy window ends, or until the
+        environment's ``submit`` queues a class-0 task with a plan for
+        the LUN.  Then, if the erase has more than tR + t_resume left by
+        ``nominal`` (its own estimate of its end, not the die's jittered
+        one), SUSPEND -> the waiting planned class-0 tasks -> RESUME, and
+        wait again.  Returns the erase's nominal end once the die's busy
+        window is over (or has no end: a hung die)."""
         sim = self.sim
-        urgent = self._queues[lun_position][0]
+        env = self.env
+        waking = env._waking
         while True:
             end = lun.next_completion_ns()
             if end is None or end <= sim.now:
                 return nominal
-            if not urgent:
-                wake = self._waking[lun_position] = Trigger(sim)
+            urgent = env._urgent(lun_position, True)
+            if urgent is None:
+                wake = waking[lun_position] = Trigger(sim)
                 timer = sim.schedule(end - sim.now, wake.fire)
                 yield WaitTrigger(wake)
-                self._waking.pop(lun_position, None)
+                waking.pop(lun_position, None)
                 timer.cancel()
                 continue
             if nominal - sim.now <= self._suspend_floor:
@@ -587,7 +534,7 @@ class PlanExecutor:
                 if end is not None and end > sim.now:
                     yield Timeout(end - sim.now)
                 return nominal
-            yield from self._runner(lun_position, True)
+            yield from self._runner(urgent, True)  # still the first
             left = nominal - at
             at = yield from self._transmit(lun, resume)
             nominal = at + left + self._t_resume

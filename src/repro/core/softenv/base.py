@@ -145,17 +145,19 @@ class Task:
         "id", "gen", "lun_position", "priority", "state", "result",
         "completed", "submitted_at", "admitted_at", "finished_at",
         "last_resumed_at", "ready_since", "send_value", "label", "error",
-        "pair",
+        "pair", "plan", "factory", "partner",
     )
 
     def __init__(
         self,
         sim: Simulator,
-        gen: Generator,
+        gen: Optional[Generator],
         lun_position: int,
         priority: int = 1,
         label: str = "",
         pair: Optional[tuple] = None,
+        plan: Optional[tuple] = None,
+        factory: Optional[Callable] = None,
     ):
         self.id = next(_task_ids)
         self.gen = gen
@@ -177,6 +179,12 @@ class Task:
         # A full-page PROGRAM admission may pair: ``(plane, address,
         # dram_address, codec)``; None for every other op.
         self.pair = pair
+        # ``(template, operands)`` when the TLM template runner runs the
+        # op, which then has no ``gen`` unless a generic holder takes it
+        # in (``factory`` builds it); the partner of a templated pair.
+        self.plan = plan
+        self.factory = factory
+        self.partner: Optional["Task"] = None
 
     def describe(self) -> str:
         return f"task#{self.id} {self.label} lun{self.lun_position} {self.state.value}"
@@ -293,6 +301,11 @@ class SoftwareEnvironment:
         self.txns_enqueued = 0
         self.txns_dispatched = 0
         self.programs_paired = 0  # multi-plane PROGRAMs run for two
+        # The TLM template runner (``fastops.PlanExecutor``) of tasks
+        # admitted with a plan, and the LUNs whose template erase sleeps
+        # until a planned class-0 task is queued -> its wake.
+        self.plan_runner = None
+        self._waking: dict[int, Trigger] = {}
 
         # The executor tells us when a queue slot frees so the dispatcher
         # half of the loop can run again.
@@ -311,20 +324,27 @@ class SoftwareEnvironment:
         chip_mask: Optional[int] = None,
         label: str = "",
         pair: Optional[tuple] = None,
+        plan: Optional[tuple] = None,
     ) -> Task:
         """Request an operation; admission may defer it (busy LUN).
         ``pair``: the op is a full-page PROGRAM that admission may run
-        together with a queued one on another plane (``Task.pair``)."""
-        ctx = OperationContext(self, lun_position, chip_mask=chip_mask)
-        gen = op_factory(ctx)
+        together with a queued one on another plane (``Task.pair``).
+        ``plan``: the template runner's ``(template, operands)`` for the
+        op, which it then runs once admitted (``Task.plan``)."""
+        gen = None if plan is not None else op_factory(
+            OperationContext(self, lun_position, chip_mask=chip_mask))
         task = Task(self.sim, gen, lun_position, priority=priority,
                     label=label or getattr(op_factory, "__name__", "op"),
-                    pair=pair)
+                    pair=pair, plan=plan, factory=op_factory)
         self.tasks_submitted += 1
         self._admission_queue.append(task)
         self._admit_eligible()
-        if self._parked:
+        if self._parked and plan is None:  # a plan gives the loop no work
             self._unpark()
+        if priority <= 0 and plan is not None and self._waking:
+            wake = self._waking.pop(lun_position, None)
+            if wake is not None:
+                wake.fire()  # the LUN's template erase: run it inside
         return task
 
     @staticmethod
@@ -341,11 +361,12 @@ class SoftwareEnvironment:
 
     def _admit_eligible(self) -> None:
         """Admit a waiting task on every LUN that runs none (a LUN runs
-        one op at a time): the lowest ``priority`` class first (0 host
-        reads, 1 host writes and journal, 2 garbage collection, as the
-        FTL assigns them), in submission order within a class.  An
-        admitted full-page PROGRAM takes the first waiting one on another
-        plane of its die, in the same order, and the two run as one
+        one op at a time, templated or not): the lowest ``priority``
+        class first (0 host reads, 1 host writes and journal, 2 garbage
+        collection, as the FTL assigns them), in submission order within
+        a class, to the template runner if it has a plan.  An admitted
+        full-page PROGRAM takes the first waiting one on another plane
+        of its die, in the same order, and the two run as one
         multi-plane PROGRAM (:meth:`_pair_up`)."""
         queue = self._admission_queue
         if not queue:
@@ -362,31 +383,44 @@ class SoftwareEnvironment:
             if task.lun_position not in self._running:
                 self._running.add(task.lun_position)
                 task.admitted_at = self.sim.now
-                task.ready_since = self.sim.now
-                self._ready.append(task)
                 admitted.append(task)
                 if task.pair is not None:
                     self._pair_up(task, queue, admitted)
+                if task.plan is None:
+                    task.ready_since = self.sim.now
+                    self._ready.append(task)
+                else:
+                    self.plan_runner.admit(task)
         for task in admitted:
             self._admission_queue.remove(task)
 
     def _pair_up(self, task: Task, queue: list, admitted: list) -> None:
         """The pairing rule: the first task in admission order that is a
-        full-page PROGRAM on the same die and another plane leaves the
-        queue with ``task``, whose op becomes the one paired PROGRAM
-        (one tPROG, a pass/fail per page) and finishes both."""
+        full-page PROGRAM on the same die, another plane and the same
+        path (planned or not) leaves the queue with ``task``, whose op
+        becomes the one paired PROGRAM (one tPROG, a pass/fail per page)
+        and finishes both; a planned pair needs a template."""
         plane = task.pair[0]
         lun_position = task.lun_position
+        generic = task.plan is None
         for other in queue:
             pair = other.pair
             if pair is not None and pair[0] != plane \
                     and other.lun_position == lun_position \
-                    and other.admitted_at is None:
+                    and other.admitted_at is None \
+                    and (other.plan is None) is generic:
+                if generic:
+                    task.gen = self._run_pair(task, other)
+                else:
+                    plan = self.plan_runner.pair_plan(task, other)
+                    if plan is None:
+                        return
+                    task.plan = plan
+                    task.partner = other
                 other.admitted_at = other.ready_since = self.sim.now
                 other.state = TaskState.RUNNING
                 admitted.append(other)
                 self.programs_paired += 1
-                task.gen = self._run_pair(task, other)
                 return
 
     def _run_pair(self, task: Task, partner: Task) -> Generator:
@@ -614,6 +648,8 @@ class SoftwareEnvironment:
         if held:  # not a task run inside its LUN's holder
             self._running.discard(task.lun_position)
             self._admit_eligible()
+            if self._parked and self._ready:  # the template runner's task
+                self._unpark()
         task.completed.fire(result)
 
     # ------------------------------------------------------------------
@@ -640,9 +676,10 @@ class SoftwareEnvironment:
         """The preemption point: if a class-0 task (a host read) waits
         for this LUN and the erase has more than tR + t_resume left by
         ``deadline`` (the holder's nominal estimate), SUSPEND -> every
-        waiting class-0 task, run inside the holder -> RESUME.  The
-        SUSPEND is guarded: the executor sends it only while the die is
-        still erasing past its end.  Returns the new nominal end."""
+        waiting class-0 task, run inside the holder (a planned one on
+        the generic runtime) -> RESUME.  The SUSPEND is guarded: the
+        executor sends it only while the die is still erasing past its
+        end.  Returns the new nominal end."""
         lun_position = ctx.lun_position
         timing = self.vendor.timing
         if self._urgent(lun_position) is None or \
@@ -668,18 +705,28 @@ class SoftwareEnvironment:
         yield from resume_op(ctx)
         return self.sim.now + left + timing.t_resume_ns
 
-    def _urgent(self, lun_position: int) -> Optional[Task]:
-        """The first waiting class-0 task for the LUN."""
+    def _urgent(self, lun_position: int,
+                planned: bool = False) -> Optional[Task]:
+        """The first waiting class-0 task for the LUN; ``planned``: the
+        first one with a plan, the only kind the template runner can run
+        inside an erase (a generic one waits the erase out)."""
         for task in self._admission_queue:
-            if task.priority <= 0 and task.lun_position == lun_position:
+            if task.priority <= 0 and task.lun_position == lun_position \
+                    and (task.plan is not None or not planned):
                 return task
         return None
 
-    def _run_inside(self, task: Task) -> Generator:
-        """Run a waiting task inside the op that holds its LUN."""
+    def _take_inside(self, task: Task) -> None:
+        """Admit a waiting task into the op that holds its LUN."""
         self._admission_queue.remove(task)
         task.admitted_at = task.ready_since = self.sim.now
         task.state = TaskState.RUNNING
+
+    def _run_inside(self, task: Task) -> Generator:
+        """Run a waiting task inside the op that holds its LUN."""
+        self._take_inside(task)
+        if task.gen is None:  # planned: run it as the waveform tier does
+            task.gen = task.factory(OperationContext(self, task.lun_position))
         try:
             result = yield from task.gen
         except RecoverableOpError as exc:

@@ -339,6 +339,80 @@ def test_generic_ops_on_tlm_are_the_waveform_run():
     assert tlm == wave
 
 
+def _program_then_retry_read(sim, controller):
+    """A templated PROGRAM, then a generic read of its page (a
+    ``validate`` hook keeps ``read_with_retry`` off the runner)."""
+    page = controller.config.vendor.geometry.full_page_size
+    controller.dram.write(0, np.arange(page, dtype=np.uint8) % 251)
+    return [controller.program_page(0, 1, 0, 0),
+            controller.read_with_retry(0, 1, 0, page,
+                                       validate=lambda *_: True)]
+
+
+def _erase_then_traced_read(sim, controller):
+    """A templated erase, then a read submitted under a tracer."""
+    from repro.obs import Tracer
+
+    tasks = [controller.erase_block(0, 3)]
+    sim.set_tracer(Tracer())
+    return tasks + [controller.read_page(0, 1, 0, 0)]
+
+
+def _traced_erase_then_read(sim, controller):
+    """A class-2 erase submitted under a tracer (the generic runtime),
+    then an untraced class-0 read that suspends it."""
+    from repro.obs import Tracer
+
+    sim.set_tracer(Tracer())
+    tasks = [controller.erase_block(0, 3, priority=2)]
+    sim.set_tracer(None)
+    return tasks + [controller.read_page(0, 1, 0, 0, priority=0)]
+
+
+def _one_die_run(fidelity: str, submit) -> dict:
+    from repro.flash.vendors import HYNIX_V7
+
+    sim = Simulator()
+    controller = BabolController(sim, ControllerConfig(
+        vendor=HYNIX_V7, lun_count=2, fidelity=fidelity))
+    tasks = submit(sim, controller)
+    sim.run()  # a LunProtocolError here: two ops on one die at once
+    page = HYNIX_V7.geometry.full_page_size
+    fast = controller.fast_ops
+    return {
+        "templated": fast and (fast.ops_planned, fast.ops_templated),
+        "windows": [(task.admitted_at, task.finished_at) for task in tasks],
+        "errors": [task.error for task in tasks],
+        "suspends": controller.luns[0].op_counts.get("VENDOR_SUSPEND", 0),
+        "dram": controller.dram.read(0, 2 * page).tobytes(),
+    }
+
+
+@pytest.mark.parametrize("submit", [
+    _program_then_retry_read, _erase_then_traced_read,
+    _traced_erase_then_read])
+def test_one_admission_per_die_across_paths(submit):
+    """A template and a generic op on one die are admitted by the one
+    admission, so they run one at a time — or the read runs inside the
+    erase it suspends — exactly as the waveform run does."""
+    wave = _one_die_run("waveform", submit)
+    tlm = _one_die_run("tlm", submit)
+    assert tlm["errors"] == wave["errors"] == [None, None]
+    assert tlm["dram"] == wave["dram"]  # the read-back bytes
+    (first_in, first_out), (second_in, second_out) = tlm["windows"]
+    if submit is _traced_erase_then_read:
+        # Both run the waveform path: the read suspends the erase.
+        assert tlm["windows"] == wave["windows"]
+        assert [end for _, end in tlm["windows"]] == [4_063_805, 363_270]
+        assert first_in < second_in and second_out < first_out
+        assert tlm["suspends"] == wave["suspends"] == 1
+        assert tlm["templated"] == (1, 0)  # the read ran on the runtime
+    else:
+        assert first_out <= second_in  # one op on the die at a time
+        assert tlm["suspends"] == wave["suspends"] == 0
+        assert tlm["templated"] == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Template fast path: behavioural identity at scale
 # ---------------------------------------------------------------------------

@@ -540,9 +540,9 @@ def test_plan_blockers_matches_plan_check_across_library():
             program = resolve_builder(name, vendor)(**kwargs)
             notes = [f for f in verify_program(program, vendor, mode=MODE)
                      if f.rule == "OPV501"]
-            task = controller.fast_ops.try_submit(name, 0, 1, name, kwargs)
-            assert (task is not None) == (not notes), name
-            if task is None:
+            plan = controller.fast_ops.plan(name, 0, kwargs)
+            assert (plan is not None) == (not notes), name
+            if plan is None:
                 generic.add(name)
     assert generic == {"cache_program", "cache_read_sequential",
                        "erase_with_preemptive_read", "gang_read",

@@ -292,7 +292,7 @@ def test_one_build_walk_and_compile_per_shape(walks):
     # program_page + paired_program + full_page_read (+ erase_block if
     # GC ran), once per controller — not once per address or pair.
     assert 6 <= compiled <= 8
-    assert all(f.programs_paired for f in fast)
+    assert all(c.programs_paired for c in controllers)
     assert len(walks) == compiled
     assert misses <= 2 * compiled  # a wrapper builds itself and its callee
 
@@ -313,7 +313,7 @@ def _run_ops(vendor):
               for i in range(12)]
     for task in tasks[12:]:
         controller.run_to_completion(task)
-    return [task.finished_at for task in tasks], controller.fast_ops
+    return [task.finished_at for task in tasks], controller
 
 
 # Completion times of _run_ops with program_page overridden by an
@@ -335,7 +335,8 @@ PAIRED_TIMELINE = [
 def test_undeclared_override_is_templated_on_the_reference_plan(walks):
     vendor = TEST_PROFILE.with_op_override(
         "program_page", _undeclared_program_page)
-    timeline, fast = _run_ops(vendor)
+    timeline, controller = _run_ops(vendor)
+    fast = controller.fast_ops
     assert timeline == PARENT_TIMELINE
     assert (fast.ops_planned, fast.ops_declined) == (24, 0)
     # The undeclared override is lowered, checked and folded once per
@@ -347,8 +348,9 @@ def test_undeclared_override_is_templated_on_the_reference_plan(walks):
     # An override keeps its own PROGRAM, so nothing pairs above.  The
     # stock builder pairs each LUN's queued programs on distinct planes
     # (blocks 3 and 5 against block 4): one tPROG for two, four times.
-    timeline, fast = _run_ops(TEST_PROFILE)
-    assert fast.programs_paired == 4
+    timeline, controller = _run_ops(TEST_PROFILE)
+    assert controller.programs_paired == 4
+    assert controller.fast_ops.ops_declined == 0
     assert timeline == PAIRED_TIMELINE
 
 

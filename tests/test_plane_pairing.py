@@ -1,13 +1,14 @@
 """Two writes, one tPROG: queued programs on opposite planes of a die run
 as one multi-plane PROGRAM, on both fidelity tiers.
 
-Each LUN's admission (``SoftwareEnvironment._pair_up`` on the generic
-runtime, ``PlanExecutor._take_mate`` on the TLM runner) pairs an
-admitted full-page PROGRAM with the first waiting one on another plane
-of the same die (lowest class first, FIFO within a class) and runs the
-two as one ``paired_program``: the multi-plane load/confirm sequence,
-one tPROG, then READ STATUS ENHANCED per page, so each caller gets its
-own page's pass/fail.  The FTL alternates host pages between an open
+Each LUN's one admission (``SoftwareEnvironment._pair_up``, for
+generic ops and templates alike; a templated pair runs the template
+``PlanExecutor.pair_plan`` returns) pairs an admitted full-page PROGRAM
+with the first waiting one on another plane of the same die (lowest
+class first, FIFO within a class) and runs the two as one
+``paired_program``: the multi-plane load/confirm sequence, one tPROG,
+then READ STATUS ENHANCED per page, so each caller gets its own page's
+pass/fail.  The FTL alternates host pages between an open
 block per plane so consecutive programs on a die can pair.
 """
 
