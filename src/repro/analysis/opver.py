@@ -1139,12 +1139,10 @@ class _Verifier:
             # goes unchecked.
             self._havoc(st)
             return
-        from repro.core.opir.registry import _cached_program, _resolved_builder
+        from repro.core.opir.registry import resolve_builder
 
-        kwargs = dict(node.kwargs)
         try:
-            builder = _resolved_builder(node.op, self.vendor)
-            callee = _cached_program(builder, kwargs)
+            callee = resolve_builder(node.op, self.vendor)(**dict(node.kwargs))
         except Exception as exc:
             self.flag("OPV501", "info", path,
                       f"callee {node.op!r} not buildable here: {exc}")

@@ -144,9 +144,7 @@ def run_scale_cell(spec: ExperimentSpec, channels: int,
     import dataclasses
 
     from repro.config.build import build_experiment
-    from repro.core.opir.registry import cache_stats
 
-    cache_before = cache_stats()
     built = build_experiment(dataclasses.replace(
         spec,
         stack=dataclasses.replace(spec.stack, channels=channels),
@@ -160,17 +158,13 @@ def run_scale_cell(spec: ExperimentSpec, channels: int,
     wall_s = time.process_time() - started
     cell = result.to_json_obj()
     cell["fidelity"] = spec.stack.fidelity
-    # Ungated diagnostics of the op dispatch path.  ``opir_cache`` is
-    # the op-IR registry's cache traffic over this cell; the caches are
-    # process-wide, so what a cell misses depends on what ran before it
-    # — it sits with the host numbers.  ``shapes_lowered`` counts the
-    # op programs lowered by this cell's controllers (one per shape and
-    # controller on either tier, never one per command); ``fastops``
-    # (TLM cells) is how the template runner's submissions went.
+    # Ungated diagnostics of the op dispatch path.  ``shapes_lowered``
+    # counts the op programs lowered by this cell's controllers (one per
+    # shape and controller on either tier, never one per command);
+    # ``fastops`` (TLM cells) is how the template runner's submissions
+    # went.
     cell["host"] = {
         "dispatch_us_per_op": round(wall_s / max(result.commands, 1) * 1e6, 1),
-        "opir_cache": {key: value - cache_before[key]
-                       for key, value in cache_stats().items()},
         "shapes_lowered": sum(c.ufsm.shapes_lowered for c in controllers),
         "wall_s": round(wall_s, 4),
     }

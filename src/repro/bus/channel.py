@@ -124,10 +124,6 @@ class Channel:
             self._san_bus.on_release(self.sim.now)
         self.mutex.release()
 
-    @property
-    def is_idle(self) -> bool:
-        return not self.mutex.locked
-
     # -- transmission -------------------------------------------------------
 
     def transmit(self, segment: WaveformSegment) -> Generator:

@@ -160,10 +160,6 @@ class GeometrySpec:
                     f"got {value!r}"
                 )
 
-    @property
-    def is_default(self) -> bool:
-        return all(getattr(self, f.name) is None for f in fields(self))
-
     def to_dict(self, resolved: bool = False) -> dict:
         data = {}
         for f in fields(self):

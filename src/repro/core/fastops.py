@@ -52,10 +52,10 @@ it through the environment.  The environment's one pairing rule
 (``SoftwareEnvironment._pair_up``) asks :meth:`PlanExecutor.pair_plan`
 for a pair's ``paired_program`` template.  An erase's busy wait wakes
 for a planned class-0 op (a host read) and runs it inside a SUSPEND /
-RESUME pair folded from the stock programs; a generic class-0 op waits
-the template erase out.  Data and status match the generic path; the
-suspended ops' times match to within one poll period (the generic path
-sees the read at its next poll round).
+RESUME pair, the templates of the ``suspend`` / ``resume`` shapes; a
+generic class-0 op waits the template erase out.  Data and status match
+the generic path; the suspended ops' times match to within one poll
+period (the generic path sees the read at its next poll round).
 
 The decision is made once per submission, in
 :meth:`PlanExecutor.plan`, and once per shape on its steps
@@ -88,7 +88,7 @@ from repro.core.opir.compile import (
     TXN,
     UNFOLDED,
 )
-from repro.core.opir.registry import _resolved_builder, lowered_shape
+from repro.core.opir.registry import lowered_shape, resolve_builder
 from repro.core.ops.base import ERASE_POLL, POLLS, poll_budget_exhausted
 from repro.core.recovery import RecoverableOpError
 from repro.core.softenv.base import Task, TaskState
@@ -169,8 +169,6 @@ class PlanExecutor:
         self._t_bers = timing.t_bers_ns
         self._t_resume = timing.t_resume_ns
         self._suspend_floor = timing.t_read_ns + timing.t_resume_ns
-        self._pre_txn = _timeout(self.pre_txn_ns)
-        self._suspension = None  # (suspend, resume) phases, folded once
         # LUNs whose runner is finishing a task -> the task admission
         # handed it to run next in the same frame (None: none yet).
         self._following: dict[int, Optional[Task]] = {}
@@ -226,7 +224,7 @@ class PlanExecutor:
         vendor = controller.config.vendor
         try:
             lowered, operands = lowered_shape(
-                controller.ufsm, vendor, _resolved_builder(op_name, vendor),
+                controller.ufsm, vendor, resolve_builder(op_name, vendor),
                 kwargs)
         except AssertionError:
             raise  # a wrong declaration stops the shape's first submission
@@ -490,8 +488,8 @@ class PlanExecutor:
         planned = self._plan("paired_program", task.lun_position, kwargs)
         if planned is not None and planned[1] == paired_program_leaves(
                 leaves, self._col_cycles):
-            builder = _resolved_builder("paired_program",
-                                        self.controller.config.vendor)
+            builder = resolve_builder("paired_program",
+                                      self.controller.config.vendor)
             if hasattr(builder, "plan"):
                 self._pair_leaves = paired_program_leaves
                 self._pair_key = (builder, builder.plan(**kwargs)[0])
@@ -539,35 +537,35 @@ class PlanExecutor:
             at = yield from self._transmit(lun, resume)
             nominal = at + left + self._t_resume
 
-    def _suspension_phases(self) -> tuple:
-        """The SUSPEND and RESUME transactions, folded once per runner
-        from the stock ``suspend`` / ``resume`` programs."""
-        if self._suspension is None:
-            bank = self.controller.ufsm
-            vendor = self.controller.config.vendor
-            self._suspension = tuple(
-                next(self._fold_txn(step[3])
-                     for step in lowered_shape(
-                         bank, vendor, _resolved_builder(name, vendor),
-                         {})[0].steps
-                     if step[0] == TXN)
-                for name in ("suspend", "resume"))
-        return self._suspension
+    def _suspension_phases(self) -> list:
+        """The SUSPEND and RESUME templates: the ``suspend`` / ``resume``
+        shapes' memo entries, folded on first use like every template,
+        so a data-mode change (which empties the memo) re-prices them."""
+        bank = self.controller.ufsm
+        vendor = self.controller.config.vendor
+        templates = []
+        for name in ("suspend", "resume"):
+            lowered = lowered_shape(bank, vendor, resolve_builder(name, vendor),
+                                    {})[0]
+            if lowered.template is UNFOLDED:
+                lowered.template = self._fold(lowered)
+            templates.append(lowered.template)
+        return templates
 
-    def _transmit(self, lun, phase: tuple, guarded: bool = False
+    def _transmit(self, lun, template: _Template, guarded: bool = False
                   ) -> Generator:
-        """Run one folded SUSPEND or RESUME the way the runner runs a
-        template's transaction, after one transaction's software cost;
-        returns the nanosecond it reached the die.  ``guarded``: only if
-        the die is still erasing when the transaction ends (None when
-        not: nothing is sent).  The runner inlines these steps rather
-        than call this: a frame per transaction is a call per op."""
+        """Run a SUSPEND or RESUME template the way the runner runs a
+        template's transaction, after its software cost; returns the
+        nanosecond it reached the die.  ``guarded``: only if the die is
+        still erasing when the transaction ends (None when not: nothing
+        is sent).  The runner inlines these steps rather than call this:
+        a frame per transaction is a call per op."""
         sim = self.sim
         channel = self.channel
         mutex = channel.mutex
-        _, hold, stats, segs = phase
-        if self._pre_txn is not None:
-            yield self._pre_txn
+        _, hold, stats, segs = template.phases[0]
+        if template.software is not None:
+            yield template.software
         if not mutex.try_acquire("suspend"):
             yield from mutex.acquire("suspend")
         at = sim.now
@@ -657,7 +655,7 @@ def _stock_status(bank, vendor) -> Optional[tuple]:
     die — all :meth:`~repro.flash.lun.Lun.status_round_trip` models.
     None when an override makes it anything else."""
     steps = lowered_shape(bank, vendor,
-                          _resolved_builder("read_status", vendor),
+                          resolve_builder("read_status", vendor),
                           {"chip_mask": None})[0].steps
     if [step[0] for step in steps] != [HANDLE, TXN, RETURN]:
         return None

@@ -14,15 +14,17 @@ new-package bring-up story (Section IV-C) as a table change.
 A program is lowered (:func:`repro.core.opir.compile.lower`) once per
 *shape*, and both tiers find the result through THE shape memo, which
 lives on the controller's µFSM bank (``UfsmBank.lowered``, emptied by
-``retarget``).  A builder that declares its shape (``op_program(...,
-plan=)``) is never built per call: :func:`declared_shape` is the
-``plan`` call plus one memo hit.  An undeclared builder (``read_status``,
-a vendor override, anything with control flow) is built — programs are
-memoized per (builder, kwargs) when the kwargs are hashable — and
-lowered once per kwargs; a pure wrapper is its callee's shape.
+``retarget``).  It is the one cache between an op's name and what runs:
+a builder is called only when the memo misses.  A builder that declares
+its shape (``op_program(..., plan=)``) is never built per call:
+:func:`declared_shape` is the ``plan`` call plus one memo hit.  An
+undeclared builder (``read_status``, a vendor override, anything with
+control flow) is memoized per hashable kwargs, and built and lowered
+afresh when they are unhashable; a pure wrapper is its callee's shape.
 :func:`lowered_shape` is that one route: the waveform executor runs
 what it returns, and the TLM template runner (:mod:`repro.core.fastops`)
-reads templatability off the same steps and folds them.
+reads templatability off the same steps and folds them onto the memo's
+entry (``Lowered.template``).
 """
 
 from __future__ import annotations
@@ -35,25 +37,7 @@ from repro.core.opir.nodes import OpProgram, wrapper_callee
 from repro.obs.instrument import traced_op
 
 _BUILDERS: dict[str, Callable[..., OpProgram]] = {}
-_PROGRAM_CACHE: dict = {}
-_PROGRAM_CACHE_MAX = 512
-# (op name, id(vendor)) -> (vendor, builder): memoized override
-# resolution so the hot dispatch path never rescans ``op_overrides``.
-# The vendor is kept in the value both to pin its id against reuse and
-# to validate the hit (`is` check) before trusting it.
-_RESOLVE_CACHE: dict = {}
-_RESOLVE_CACHE_MAX = 256
 _programs_loaded = False
-
-#: Hot-path cache counters — how often the dispatch path reused a
-#: resolved builder / a built program.  ``repro perf`` records their
-#: movement per sweep cell (``cells.*.host.opir_cache``).
-CACHE_STATS = {
-    "resolve_hits": 0,
-    "resolve_misses": 0,
-    "program_hits": 0,
-    "program_misses": 0,
-}
 
 
 def op_program(name: str, plan: Optional[Callable[..., tuple]] = None):
@@ -98,11 +82,12 @@ def list_ops() -> list[str]:
 
 def resolve_builder(name: str, vendor=None) -> Callable[..., OpProgram]:
     """The builder for ``name``, honouring ``vendor.op_overrides``."""
-    if vendor is not None:
-        for key, builder in getattr(vendor, "op_overrides", ()) or ():
-            if key == name:
-                return builder
-    _ensure_programs()
+    if vendor is not None and vendor.op_overrides:
+        builder = vendor.op_override(name)
+        if builder is not None:
+            return builder
+    if not _programs_loaded:
+        _ensure_programs()
     try:
         return _BUILDERS[name]
     except KeyError:
@@ -116,49 +101,11 @@ def build_program(name: str, vendor=None, **kwargs) -> OpProgram:
     return resolve_builder(name, vendor)(**kwargs)
 
 
-def _cached_program(builder: Callable[..., OpProgram], kwargs: dict) -> OpProgram:
-    try:
-        key = (builder, tuple(sorted(kwargs.items())))
-        program = _PROGRAM_CACHE.get(key)
-    except TypeError:  # unhashable kwarg (lists of pages, ...): build fresh
-        CACHE_STATS["program_misses"] += 1
-        return builder(**kwargs)
-    if program is None:
-        CACHE_STATS["program_misses"] += 1
-        program = builder(**kwargs)
-        if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_MAX:
-            _PROGRAM_CACHE.clear()
-        _PROGRAM_CACHE[key] = program
-    else:
-        CACHE_STATS["program_hits"] += 1
-    return program
-
-
-def _resolved_builder(name: str, vendor) -> Callable[..., OpProgram]:
-    """``resolve_builder`` behind a (name, vendor-identity) cache."""
-    key = (name, id(vendor))
-    hit = _RESOLVE_CACHE.get(key)
-    if hit is not None and hit[0] is vendor:
-        CACHE_STATS["resolve_hits"] += 1
-        return hit[1]
-    CACHE_STATS["resolve_misses"] += 1
-    builder = resolve_builder(name, vendor)
-    if len(_RESOLVE_CACHE) >= _RESOLVE_CACHE_MAX:
-        _RESOLVE_CACHE.clear()
-    _RESOLVE_CACHE[key] = (vendor, builder)
-    return builder
-
-
-def cache_stats() -> dict:
-    """Snapshot of the dispatch-path cache counters (sorted keys)."""
-    return dict(sorted(CACHE_STATS.items()))
-
-
 #: Memo state of a declared wrapper whose callee declares no shape (an
 #: undeclared vendor override): its declaration stands for the stock
 #: callee only, so every call takes the undeclared route.
 PINNED = object()
-_SHAPE_MEMO_MAX = 512  # bounded like the caches above
+_SHAPE_MEMO_MAX = 512  # undeclared kwargs are open-ended: bound the memo
 
 
 def _remember(bank, key: tuple, value):
@@ -185,10 +132,10 @@ def declared_shape(bank, vendor, builder, kwargs: dict) -> Optional[tuple]:
     shape_key, operands = plan(**kwargs)
     lowered = bank.lowered.get((builder, shape_key))
     if lowered is None:
-        program = _cached_program(builder, kwargs)
+        program = builder(**kwargs)
         callee = wrapper_callee(program)
         if callee is not None and not hasattr(
-                _resolved_builder(callee[0], vendor), "plan"):
+                resolve_builder(callee[0], vendor), "plan"):
             lowered, leaves = PINNED, operands
         else:
             lowered, leaves = program_shape(bank, vendor, program)
@@ -204,21 +151,20 @@ def lowered_shape(bank, vendor, builder, kwargs: dict) -> tuple:
     """``(Lowered, operands)`` of one call: THE way both tiers find an
     op's shape.  A declared builder is its ``plan`` call and one memo hit
     (:func:`declared_shape`).  An undeclared builder (``read_status``, a
-    vendor override, anything with control flow) is lowered once per
-    kwargs, memoized like the program cache, and lowered afresh when the
-    kwargs are unhashable.  A pure wrapper is its callee's shape
-    (``Lowered.alias``), whether its declaration holds or is pinned."""
+    vendor override, anything with control flow) is built and lowered
+    once per kwargs, and afresh when the kwargs are unhashable.  A pure
+    wrapper is its callee's shape (``Lowered.alias``), whether its
+    declaration holds or is pinned."""
     shape = declared_shape(bank, vendor, builder, kwargs)
     if shape is None:
         try:
             key = (builder, tuple(sorted(kwargs.items())))
             shape = bank.lowered.get(key)
         except TypeError:
-            return program_shape(bank, vendor,
-                                 _cached_program(builder, kwargs))
+            return program_shape(bank, vendor, builder(**kwargs))
         if shape is None:
             shape = _remember(bank, key, program_shape(
-                bank, vendor, _cached_program(builder, kwargs)))
+                bank, vendor, builder(**kwargs)))
     return shape
 
 
@@ -228,7 +174,7 @@ def program_shape(bank, vendor, program: OpProgram) -> tuple:
     callee = wrapper_callee(program)
     if callee is not None:
         lowered, operands = lowered_shape(
-            bank, vendor, _resolved_builder(callee[0], vendor), callee[1])
+            bank, vendor, resolve_builder(callee[0], vendor), callee[1])
         if lowered.alias is None:  # a wrapper of a wrapper runs its CALL
             return Lowered((), program, alias=(
                 traced_op(run_lowered, name=f"{callee[0]}_op"), lowered)
@@ -242,7 +188,7 @@ def resolved_op(ctx, name: str, kwargs: dict) -> tuple:
     ``run(ctx, lowered, operands)``; the status poll loop decides once."""
     vendor = getattr(ctx, "vendor", None)
     lowered, operands = lowered_shape(
-        ctx.ufsm, vendor, _resolved_builder(name, vendor), kwargs)
+        ctx.ufsm, vendor, resolve_builder(name, vendor), kwargs)
     if lowered.alias is not None:
         run_callee, lowered = lowered.alias
         return run_callee, lowered, operands
@@ -250,7 +196,7 @@ def resolved_op(ctx, name: str, kwargs: dict) -> tuple:
 
 
 def _frozen(value: list) -> tuple:
-    """A list kwarg as nested tuples, so the program cache can key on it."""
+    """A list kwarg as nested tuples, so the shape memo can key on it."""
     return tuple(_frozen(item) if type(item) is list else item
                  for item in value)
 

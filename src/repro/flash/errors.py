@@ -77,9 +77,6 @@ class ErrorModel:
         )
         return rate * profile_for(mode).rber_scale
 
-    def expected_bit_errors(self, nbytes: int, rate: float) -> float:
-        return nbytes * 8 * rate
-
     def inject(self, data: np.ndarray, rate: float) -> int:
         """Flip bits in-place at the given rate; returns the flip count."""
         nbits = data.size * 8

@@ -68,16 +68,8 @@ class OobRecord:
     chunks: int = 0
 
     @property
-    def kind_name(self) -> str:
-        return _KIND_NAMES.get(self.kind, f"kind{self.kind}")
-
-    @property
     def is_data(self) -> bool:
         return self.kind in (KIND_HOST, KIND_GC)
-
-    @property
-    def is_meta(self) -> bool:
-        return self.kind in (KIND_CKPT, KIND_JOURNAL)
 
 
 def encode_oob(record: OobRecord, spare_size: int) -> np.ndarray:

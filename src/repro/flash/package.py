@@ -48,11 +48,6 @@ class Package:
             raise IndexError(f"position {position} not in {self.positions}")
         return self.luns[index]
 
-    @property
-    def any_busy(self) -> bool:
-        """Shared R/B# pin view: low if any die in the package is busy."""
-        return any(lun.is_busy for lun in self.luns)
-
     def describe(self) -> str:
         return (
             f"Package[{self.profile.manufacturer} {self.profile.name}] "

@@ -60,7 +60,8 @@ class VendorProfile:
     # The op-IR registry consults these before its built-in table, so a
     # package quirk is a profile change, not an edit to the op library
     # (the paper's new-package bring-up story).  A tuple of pairs — not
-    # a dict — keeps the profile hashable for the lru_cache below.
+    # a dict — keeps the profile hashable: ``_parameter_page_cached``
+    # keys on it.
     op_overrides: tuple[tuple[str, Callable], ...] = ()
     # Per-vendor interface-timing tightening: (TimingSet field, ns)
     # pairs applied on top of the ONFI mode values by ``timing_set``.

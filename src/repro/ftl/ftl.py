@@ -1118,13 +1118,6 @@ class ShardedFtl:
             for record in shard.bad_blocks.journal
         ]
 
-    def free_blocks_total(self) -> int:
-        return sum(
-            shard.free_blocks(lun)
-            for shard in self.shards
-            for lun in range(shard.lun_count)
-        )
-
     def health_summary(self) -> dict:
         """Array-wide health counters (sorted keys, JSON-ready)."""
         return {

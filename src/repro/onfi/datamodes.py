@@ -29,10 +29,6 @@ class DataInterface:
     ddr: bool
     turnaround_ns: int
 
-    @property
-    def ns_per_transfer(self) -> float:
-        return 1000.0 / self.mega_transfers
-
     def transfer_ns(self, nbytes: int) -> int:
         """Wire time for an ``nbytes`` burst, including turnaround."""
         if nbytes <= 0:

@@ -102,9 +102,6 @@ class AddressCodec:
         self._check(addr)
         return addr.block * self._pages + addr.page
 
-    def column_address(self, addr: PhysicalAddress) -> int:
-        return addr.column
-
     # -- wire encoding ---------------------------------------------------
     #
     # Cycles are little-endian bytes of one integer, so both directions

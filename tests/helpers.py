@@ -3,6 +3,8 @@ builders for driving LUNs without a controller."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.dram import DmaHandle, DramBuffer
@@ -92,3 +94,25 @@ def page_pattern(geometry: Geometry = TEST_GEOMETRY, fill: int = 0xA5):
     data = np.full(geometry.full_page_size, fill, dtype=np.uint8)
     data[: geometry.page_size] = (np.arange(geometry.page_size) % 253).astype(np.uint8)
     return data
+
+
+def count_builds(monkeypatch) -> list:
+    """Wrap every registered program builder so that each call appends
+    its op name to the returned list.  A wrapper carries its builder's
+    ``plan`` and ``program_name``, so it keys the shape memo as the
+    builder does."""
+    from repro.core.opir import registry
+
+    registry.list_ops()  # load the library before wrapping it
+    builds = []
+
+    def counted(builder):
+        @functools.wraps(builder)
+        def build(*args, **kwargs):
+            builds.append(builder.program_name)
+            return builder(*args, **kwargs)
+        return build
+
+    for name, builder in list(registry._BUILDERS.items()):
+        monkeypatch.setitem(registry._BUILDERS, name, counted(builder))
+    return builds

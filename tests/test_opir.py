@@ -26,7 +26,6 @@ from repro.core.opir import (
     run_program,
     to_json,
 )
-from repro.core.opir import registry
 from repro.core.transaction import TxnKind
 from repro.core.ufsm.ca_writer import addr, cmd
 from repro.onfi.commands import CMD
@@ -223,26 +222,6 @@ def test_lowered_expressions_equal_eval_expr():
 def test_resolve_builder_unknown_name():
     with pytest.raises(KeyError, match="no operation program named"):
         resolve_builder("definitely_not_an_op")
-
-
-def test_program_cache_reuses_hashable_builds():
-    builder = resolve_builder("read_status")
-    first = registry._cached_program(builder, {})
-    second = registry._cached_program(builder, {})
-    assert first is second
-
-
-def test_program_cache_skips_unhashable_kwargs():
-    codec = BabolController(
-        Simulator(), ControllerConfig(vendor=TEST_PROFILE, lun_count=1)
-    ).codec
-    builder = resolve_builder("partial_program")
-    kwargs = {"codec": codec,
-              "address": sample_kwargs(TEST_PROFILE)["partial_program"]["address"],
-              "chunks": [(0, 0, 128)]}  # list: unhashable cache key
-    first = registry._cached_program(builder, kwargs)
-    second = registry._cached_program(builder, kwargs)
-    assert first is not second
 
 
 def test_vendor_override_changes_the_emitted_waveform():
