@@ -1,4 +1,4 @@
-"""Ablation F — two writes, one tPROG: plane pairing at admission.
+"""Ablation F — two writes, one tPROG; two victims, one tBERS.
 
 A multi-plane die programs one page per plane in a single array time.
 With BABOL that is a scheduling decision, not a hardware FSM: each
@@ -14,6 +14,15 @@ command, status and software overhead, the part of a lone program's
 latency beyond tPROG + 1 transfer (measured here, with jitter off so
 every tPROG is the nominal one); two programs on one plane cost 2 x
 tPROG at least.
+
+The GC case does the same for erases: the FTL's collector reclaims two
+victims on distinct planes of a die with one ``erase_pair`` (a
+multi-plane ERASE, one tBERS, READ STATUS ENHANCED per block).  The
+bench erases blocks 4 and 5 that way and with two ``erase_block``
+calls.  Bound: the pair costs tBERS + tDBSY plus three times a lone
+erase's fixed overhead (its latency beyond tBERS: one latch, one poll
+and their software cost) — two latches and polls, and the status round
+— and the two single erases cost 2 x tBERS at least.
 """
 
 import dataclasses
@@ -53,6 +62,46 @@ def run_all() -> dict:
                                            ("same plane", (4, 4)),
                                            ("two planes", (4, 5)))}
             for runtime in RUNTIMES}
+
+
+def run_erase_case(runtime: str, paired: bool, blocks: tuple) -> int:
+    """Erase ``blocks`` as one pair or one by one: the span from the
+    first admission to the last completion (ns)."""
+    sim, controller = build_babol(VENDOR, 1, NVDDR2_200, runtime)
+    if paired:
+        tasks = [controller.erase_pair(0, blocks)]
+    else:
+        tasks = [controller.erase_block(0, block) for block in blocks]
+    sim.run()
+    assert all(task.result in (True, (True,) * len(blocks))
+               for task in tasks)
+    start = min(task.admitted_at for task in tasks)
+    return max(task.finished_at for task in tasks) - start
+
+
+@pytest.mark.benchmark(group="ablation-multiplane")
+def test_ablation_erase_pairing(benchmark):
+    results = benchmark.pedantic(
+        lambda: {runtime: {"single": run_erase_case(runtime, False, (4,)),
+                           "two erases": run_erase_case(runtime, False,
+                                                        (4, 5)),
+                           "one pair": run_erase_case(runtime, True, (4, 5))}
+                 for runtime in RUNTIMES},
+        rounds=1, iterations=1)
+    timing = VENDOR.timing
+    print_table(
+        "Ablation F (GC): two blocks on one Hynix die (us, jitter off)",
+        ["runtime", "erases", "span"],
+        [[runtime, name, f"{span / 1000:.1f}"]
+         for runtime, cases in results.items()
+         for name, span in cases.items()])
+
+    for runtime, cases in results.items():
+        overhead = cases["single"] - timing.t_bers_ns
+        assert cases["two erases"] >= 2 * timing.t_bers_ns, runtime
+        assert cases["one pair"] <= (timing.t_bers_ns + timing.t_dbsy_ns
+                                     + 3 * overhead), (runtime, overhead)
+        assert cases["one pair"] < cases["two erases"] * 0.6, runtime
 
 
 @pytest.mark.benchmark(group="ablation-multiplane")

@@ -374,6 +374,7 @@ def sample_kwargs(vendor) -> dict[str, dict]:
                            for i in range(len(plane_addrs))),
         },
         "multiplane_erase": {"codec": codec, "blocks": (10, 11)},
+        "paired_erase": {"codec": codec, "blocks": (12, 13)},
         "gang_read": {
             "codec": codec, "address": addr0, "positions": (0, 1),
             "dram_address": 0,

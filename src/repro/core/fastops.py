@@ -50,10 +50,13 @@ first and FIFO within a class; an admitted planned task comes back to
 its LUN's runner (:meth:`PlanExecutor.admit`), and the runner finishes
 it through the environment.  The environment's one pairing rule
 (``SoftwareEnvironment._pair_up``) asks :meth:`PlanExecutor.pair_plan`
-for a pair's ``paired_program`` template.  An erase's busy wait wakes
-for a planned class-0 op (a host read) and runs it inside a SUSPEND /
-RESUME pair, the templates of the ``suspend`` / ``resume`` shapes; a
-generic class-0 op waits the template erase out.  Data and status match
+for a pair's ``paired_program`` template.  On a vendor that supports
+SUSPEND, a planned class-0 op (a host read) cuts into an erasing
+template: before the template's first transaction (never between the
+plane latches of a multi-plane erase), or in the erase's busy wait,
+which wakes for it and runs it inside a SUSPEND / RESUME pair, the
+templates of the ``suspend`` / ``resume`` shapes; a generic class-0 op
+waits the template erase out.  Data and status match
 the generic path; the suspended ops' times match to within one poll
 period (the generic path sees the read at its next poll round).
 
@@ -135,7 +138,7 @@ class _Template(NamedTuple):
     phases: tuple
     result: Optional[Callable]  # the Return, lowered to f(regs, handles)
     has_data: bool
-    erases: bool  # waits on an erase (``ERASE_POLL``): reads may cut in
+    erases: bool  # waits on a suspendable erase: reads may cut in
 
 
 class PlanExecutor:
@@ -145,8 +148,9 @@ class PlanExecutor:
     environment's one admission hands back (:meth:`admit`), so ops on
     one die run one at a time, templates and generic ops alike, and ops
     on different dies contend only for the channel mutex.  A planned
-    class-0 op (a host read) cuts into an erase: before it latches, or
-    by suspending it during its busy wait (:meth:`_erase_wait`).
+    class-0 op (a host read) cuts into an erase the vendor can suspend:
+    before its first latch, or by suspending it during its busy wait
+    (:meth:`_erase_wait`).
     """
 
     def __init__(self, controller):
@@ -275,7 +279,8 @@ class PlanExecutor:
                 what, mask = POLLS[step[2]]
                 phase = (_PH_POLL, mask, step[3], step[5], what, hold,
                          stats[1], latch[1], burst[1], stats[4])
-                erases = erases or step[1] is ERASE_POLL
+                erases = erases or (step[1] is ERASE_POLL
+                                    and vendor.supports_suspend)
                 polls += 1
             elif tag == SLEEP:
                 phase = (_PH_SLEEP, Timeout(step[1]))
@@ -345,7 +350,7 @@ class PlanExecutor:
             partner = task.partner
             self.ops_templated += 1 if partner is None else 2
             label = task.label
-            erases = template.erases
+            erases = cut_in = template.erases
             regs: dict = {}
             handles: dict = {}
             result = None
@@ -358,15 +363,19 @@ class PlanExecutor:
                         _, hold, stats, segs = phase
                         if not mutex.try_acquire(label):
                             yield from mutex.acquire(label)
-                        if erases:
+                        if cut_in:
+                            # A host read that arrives before the op's
+                            # first latch runs first.  Only then: once a
+                            # plane's erase is queued on the die, a
+                            # read's confirm would take its row.
+                            cut_in = False
                             urgent = env._urgent(lun_position, True)
                             if urgent is not None:
-                                # A host read that arrives before the
-                                # erase latches runs first.
                                 channel.release()
                                 yield from self._runner(urgent, True)
                                 if not mutex.try_acquire(label):
                                     yield from mutex.acquire(label)
+                        if erases:
                             nominal = sim.now + self._t_bers
                         lun.apply_transaction(segs, sim.now, operands,
                                               handles)
@@ -522,8 +531,11 @@ class PlanExecutor:
                 waking.pop(lun_position, None)
                 timer.cancel()
                 continue
-            if nominal - sim.now <= self._suspend_floor:
-                yield Timeout(end - sim.now)  # too little left to pay
+            if nominal - sim.now <= self._suspend_floor \
+                    or not lun.erasing_past(sim.now):
+                # Too little left to pay, or the die is busy with a
+                # plane's queue cycle (tDBSY), not the erase.
+                yield Timeout(end - sim.now)
                 return nominal
             suspend, resume = self._suspension_phases()
             at = yield from self._transmit(lun, suspend, guarded=True)

@@ -648,6 +648,13 @@ def _multiplane_erase_plan(codec, blocks) -> tuple:
         for address in addresses))
 
 
+def _paired_erase_plan(codec, blocks) -> tuple:
+    # The erase latches' rows, a capture handle per block, then each
+    # block's status select (its row again).
+    shape_key, rows = _multiplane_erase_plan(codec, blocks)
+    return shape_key, rows + (None,) * len(rows) + rows
+
+
 @op_program("multiplane_read", plan=_multiplane_read_plan)
 def multiplane_read_program(
     codec: AddressCodec,
@@ -743,6 +750,24 @@ def _multiplane_loads(count: int, page_bytes: int, leaves: tuple,
     return nodes
 
 
+def _status_per_plane(selects: tuple, label: str) -> list:
+    """READ STATUS ENHANCED for each plane ``selects`` names (a row
+    address each), all in one channel hold, and the return of one bool
+    per plane — its FAIL bit clear — in the order of ``selects``."""
+    nodes: list = []
+    segments: list = []
+    for index, row_bytes in enumerate(selects):
+        nodes.append(DeclareHandle(f"s{index}", "capture", nbytes=1))
+        segments.append(LatchSeq((cmd(CMD.READ_STATUS_ENHANCED),
+                                  addr(row_bytes))))
+        segments.append(DataXfer("out", 1, HandleRef(f"s{index}")))
+    nodes.append(Txn(TxnKind.POLL, tuple(segments), label=label))
+    nodes.append(Return(tuple(
+        _not_failed(E("delivered_byte", (HandleRef(f"s{index}"),)))
+        for index in range(len(selects)))))
+    return nodes
+
+
 @op_program("multiplane_program", plan=_multiplane_program_plan)
 def multiplane_program_program(
     codec: AddressCodec,
@@ -768,19 +793,7 @@ def paired_program_program(
     (count, page_bytes, _, _), leaves = _paired_program_plan(codec, pages)
     nodes = _multiplane_loads(count, page_bytes, leaves, one_hold=True)
     nodes.append(PollStatus(until="ready"))
-    # One status byte per page, its plane selected by READ STATUS
-    # ENHANCED, all in one channel hold.
-    segments: list = []
-    for index in range(count):
-        nodes.append(DeclareHandle(f"s{index}", "capture", nbytes=1))
-        segments.append(LatchSeq((cmd(CMD.READ_STATUS_ENHANCED),
-                                  addr(leaves[3 * count + index]))))
-        segments.append(DataXfer("out", 1, HandleRef(f"s{index}")))
-    nodes.append(Txn(TxnKind.POLL, tuple(segments),
-                     label="paired-program-status"))
-    nodes.append(Return(tuple(
-        _not_failed(E("delivered_byte", (HandleRef(f"s{index}"),)))
-        for index in range(count))))
+    nodes += _status_per_plane(leaves[3 * count:], "paired-program-status")
     return OpProgram(
         "paired_program",
         tuple(nodes),
@@ -791,9 +804,10 @@ def paired_program_program(
     )
 
 
-@op_program("multiplane_erase", plan=_multiplane_erase_plan)
-def multiplane_erase_program(codec: AddressCodec, blocks: Sequence[int]) -> OpProgram:
-    _, rows = _multiplane_erase_plan(codec, blocks)
+def _multiplane_erase_latches(rows: tuple, label: str) -> list:
+    """The latch cycles of a multi-plane ERASE: each block but the last
+    is queued with 0xD1 (a short tDBSY), the last confirms with 0xD0,
+    which starts one tBERS for them all."""
     nodes: list = []
     for index, row_bytes in enumerate(rows):
         final = index == len(rows) - 1
@@ -806,11 +820,18 @@ def multiplane_erase_program(codec: AddressCodec, blocks: Sequence[int]) -> OpPr
                         (cmd(CMD.ERASE_1ST), addr(row_bytes), cmd(confirm))
                     ),
                 ),
-                label="mp-erase",
+                label=label,
             )
         )
         if not final:
             nodes.append(PollStatus(until="ready"))
+    return nodes
+
+
+@op_program("multiplane_erase", plan=_multiplane_erase_plan)
+def multiplane_erase_program(codec: AddressCodec, blocks: Sequence[int]) -> OpProgram:
+    _, rows = _multiplane_erase_plan(codec, blocks)
+    nodes = _multiplane_erase_latches(rows, "mp-erase")
     nodes.append(PollStatus(until="ready", dest="status"))
     nodes.append(Return(_not_failed(Reg("status"))))
     return OpProgram(
@@ -818,6 +839,22 @@ def multiplane_erase_program(codec: AddressCodec, blocks: Sequence[int]) -> OpPr
         tuple(nodes),
         doc="One block per plane in a single tBERS; returns True on"
             " success.",
+    )
+
+
+@op_program("paired_erase", plan=_paired_erase_plan)
+def paired_erase_program(codec: AddressCodec, blocks: Sequence[int]) -> OpProgram:
+    (count, _), leaves = _paired_erase_plan(codec, blocks)
+    nodes = _multiplane_erase_latches(leaves[:count], "paired-erase")
+    nodes.append(PollStatus(until="ready"))
+    nodes += _status_per_plane(leaves[2 * count:], "paired-erase-status")
+    return OpProgram(
+        "paired_erase",
+        tuple(nodes),
+        doc="Blocks on distinct planes as one multi-plane ERASE (one"
+            " tBERS), then READ STATUS ENHANCED per block: returns one bool"
+            " per block, in the order of blocks (the op the FTL's collector"
+            " reclaims two victims with).",
     )
 
 

@@ -44,6 +44,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "multiplane_read_op": "library",
     "multiplane_program_op": "library",
     "paired_program_op": "library",
+    "paired_erase_op": "library",
     "erase_with_preemptive_read_op": "library",
     "resume_op": "library",
     "suspend_op": "library",

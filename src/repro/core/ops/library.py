@@ -50,6 +50,7 @@ multiplane_read_op = library_op("multiplane_read")
 multiplane_program_op = library_op("multiplane_program")
 paired_program_op = library_op("paired_program")
 multiplane_erase_op = library_op("multiplane_erase")
+paired_erase_op = library_op("paired_erase")
 gang_read_op = library_op("gang_read")
 pslc_read_op = library_op("pslc_read")
 pslc_program_op = library_op("pslc_program")

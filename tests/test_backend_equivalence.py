@@ -43,6 +43,7 @@ from repro.core.ops import (
     get_features_op,
     multiplane_erase_op,
     multiplane_program_op,
+    paired_erase_op,
     paired_program_op,
     multiplane_read_op,
     partial_program_op,
@@ -143,6 +144,8 @@ MATRIX = [
                           (PhysicalAddress(block=13, page=0), PAGE)]}),
     ("multiplane_erase", multiplane_erase_op,
      lambda c: {"codec": c.codec, "blocks": [10, 11]}),
+    ("paired_erase", paired_erase_op,
+     lambda c: {"codec": c.codec, "blocks": [12, 13]}),
     ("gang_read", gang_read_op,
      lambda c: {"codec": c.codec, "address": ADDR, "positions": [0, 1],
                 "dram_address": 0}),

@@ -328,11 +328,11 @@ def test_at_most_one_collect_per_lun_in_flight_level_wear_included():
     peak = {0: 0, 1: 0}
     collect = ftl._collect
 
-    def counted(victim):
+    def counted(victim, partner=None):
         in_flight[victim.lun] += 1
         peak[victim.lun] = max(peak[victim.lun], in_flight[victim.lun])
         try:
-            yield from collect(victim)
+            yield from collect(victim, partner)
         finally:
             in_flight[victim.lun] -= 1
 
@@ -381,9 +381,9 @@ def test_write_during_collect_completes_before_the_collect_ends():
     spans = []
     collect = ftl._collect
 
-    def timed(victim):
+    def timed(victim, partner=None):
         start = sim.now
-        yield from collect(victim)
+        yield from collect(victim, partner)
         spans.append((start, sim.now))
 
     ftl._collect = timed

@@ -51,7 +51,7 @@ def test_the_eight_plan_wrapper_builders_declare():
         "read_page", "full_page_read", "partial_read", "program_page",
         "erase_block", "pslc_read", "pslc_program", "pslc_erase",
         "multiplane_read", "multiplane_program", "multiplane_erase",
-        "paired_program"])
+        "paired_program", "paired_erase"])
 
 
 def _plane_blocks(rng, geometry):
@@ -283,9 +283,10 @@ def test_one_build_walk_and_compile_per_shape(walks, monkeypatch):
     compiled = sum(f.shapes_compiled for f in fast)
     assert planned >= 960 and all(f.ops_declined == 0 for f in fast)
     assert all(f.ops_templated == f.ops_planned for f in fast)
-    # program_page + paired_program + full_page_read (+ erase_block if
-    # GC ran), once per controller — not once per address or pair.
-    assert 6 <= compiled <= 8
+    # program_page + paired_program + full_page_read (+ erase_block and
+    # paired_erase if GC ran), once per controller — not once per
+    # address or pair.
+    assert 6 <= compiled <= 10
     assert all(c.programs_paired for c in controllers)
     assert len(walks) == compiled
     # A builder runs only when the shape memo misses: a wrapper builds
