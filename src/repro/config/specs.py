@@ -184,7 +184,6 @@ class FtlSpec:
 
     blocks_per_lun: int = 8
     overprovision_blocks: int = 2
-    gc_free_threshold: int = 2
     gc_staging_base: int = 48 * _MIB
     # Power-loss protection (0 = off, the volatile FTL).
     checkpoint_interval: int = 0
@@ -194,22 +193,18 @@ class FtlSpec:
     prefill_pages: Optional[int] = None
 
     def validate(self) -> None:
-        from repro.ftl.ftl import FtlConfig
-
         if self.prefill_pages is not None and self.prefill_pages < 0:
             raise SpecError("stack.ftl.prefill_pages must be >= 0 or null")
         try:
             self.to_ftl_config().validate()
         except ValueError as exc:
             raise SpecError(f"stack.ftl: {exc}") from None
-        del FtlConfig
 
     def to_ftl_config(self):
         from repro.ftl.ftl import FtlConfig
 
         return FtlConfig(
             blocks_per_lun=self.blocks_per_lun,
-            gc_free_threshold=self.gc_free_threshold,
             overprovision_blocks=self.overprovision_blocks,
             gc_staging_base=self.gc_staging_base,
             checkpoint_interval=self.checkpoint_interval,
@@ -349,22 +344,24 @@ class StackSpec:
         A LUN may come to hold a full LUN's logical share
         (``blocks_per_lun - overprovision_blocks`` blocks: writes stripe
         by rotor, not by LPN), and a persistent FTL carves its meta ring
-        out of LUN 0.  What is left must hold the LUN's last free block,
-        which only GC may open, plus GC's own open block; the host's
-        open block is full whenever it asks for the next one.  With one
-        spare block fewer, a filled LUN has no invalid page to reclaim
-        and a write dies mid-run with ``FtlError``."""
+        out of LUN 0.  What is left must hold ``SPARE_BLOCKS`` (see
+        ``ftl/ftl.py``).  With one spare block fewer, a filled LUN has no
+        invalid page to reclaim and a write dies mid-run with
+        ``FtlError``."""
+        from repro.ftl.ftl import SPARE_BLOCKS
+
         ftl = self.ftl
         ring = ftl.meta_blocks if ftl.checkpoint_interval > 0 else 0
-        if ftl.overprovision_blocks - ring < 2:
+        if ftl.overprovision_blocks - ring < SPARE_BLOCKS:
             where = (f"beyond the {ring}-block meta ring on LUN 0"
                      if ring else "per LUN")
             raise SpecError(
                 f"stack.ftl.overprovision_blocks="
                 f"{ftl.overprovision_blocks} leaves "
                 f"{ftl.overprovision_blocks - ring} spare block(s) {where}; "
-                f"background GC needs 2 (the reserve block only GC may "
-                f"open, plus GC's open block): set it to >= {ring + 2}")
+                f"background GC needs {SPARE_BLOCKS} (the reserve block "
+                f"only GC may open, plus GC's open block): set it to "
+                f">= {ring + SPARE_BLOCKS}")
 
     def _validate_persistence(self) -> None:
         """What power-loss protection (``ftl/persist.py``) needs of the

@@ -18,12 +18,12 @@ Design choices (conventional, per the FTL surveys the paper cites):
   already holding its share of valid data (its data blocks less the
   overprovisioning, in pages) takes only overwrites of LPNs it holds,
   so no LUN fills past the point where its GC can still make room.
-* **Background GC**: when a LUN's free-block pool dips below the
-  threshold, the write starts that LUN's collector (one process per
-  LUN at most) and goes on.  The collector reclaims victims
-  (policy-pluggable) into its own open block until the pool is back at
-  the threshold.  The LUN's last free block is GC's reserve: a host
-  write that would open it waits until the collector frees another.
+* **Background GC**: a LUN's last free block is GC's reserve
+  (:class:`LunBlocks` ``.spare``).  A write on a LUN below that starts
+  its collector (one process per LUN at most) and goes on; one that
+  would open the reserve waits until the collector frees another.  The
+  collector reclaims victims (policy-pluggable) into its own open block
+  until ``spare`` holds again.
 * **GC in plane pairs**: on a controller with ``pairs_erases`` (a
   multi-plane die with the stock ERASE), the collector takes a
   partner with each victim — the policy's pick among the LUN's closed
@@ -68,7 +68,6 @@ class FtlConfig:
     """FTL sizing and thresholds."""
 
     blocks_per_lun: int = 32          # physical blocks the FTL manages per LUN
-    gc_free_threshold: int = 2        # reclaim when a pool dips below this
     overprovision_blocks: int = 4     # per LUN, withheld from logical capacity
     gc_staging_base: int = 48 * 1024 * 1024  # DRAM region for GC moves
     # Power-loss protection (0 = off: the historical volatile FTL).
@@ -81,10 +80,6 @@ class FtlConfig:
     def validate(self) -> None:
         if self.blocks_per_lun <= self.overprovision_blocks:
             raise ValueError("need more blocks than overprovisioning")
-        if self.gc_free_threshold < 2:
-            # The last free block is GC's reserve; the host opens the
-            # one before it, so a lower threshold would start GC too late.
-            raise ValueError("gc threshold must be >= 2")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
         if self.checkpoint_interval > 0:
@@ -121,6 +116,45 @@ class BlockInfo:
     @property
     def is_full(self) -> bool:
         return self.write_ptr >= self.capacity
+
+
+#: Spare blocks a LUN keeps beyond its share of valid data: the reserve
+#: only GC may open, plus GC's open block (the host's open block is full
+#: whenever the host asks for the next one).
+SPARE_BLOCKS = 2
+
+
+@dataclass
+class LunBlocks:
+    """One LUN's blocks and the one rule over them, ``spare``."""
+
+    free: deque = field(default_factory=deque)
+    # The host's open blocks: pages alternate between ``active`` and
+    # ``twin`` (a block on another plane), so consecutive programs on a
+    # die can run as one multi-plane PROGRAM.
+    active: Optional[BlockInfo] = None
+    twin: Optional[BlockInfo] = None
+    on_twin: bool = False
+    gc: Optional[BlockInfo] = None  # GC relocates here, never the host
+    closed: list = field(default_factory=list)
+
+    @property
+    def spare(self) -> bool:
+        """The host may open a block: the last free one is GC's
+        reserve.  Below this GC runs, and it stops once this holds."""
+        return len(self.free) > 1
+
+    def drop(self, info: BlockInfo) -> None:
+        """Take a block out of its role (an active block's twin takes
+        over)."""
+        if self.active is info:
+            self.active, self.twin = self.twin, None
+        elif self.twin is info:
+            self.twin = None
+        elif self.gc is info:
+            self.gc = None
+        elif info in self.closed:
+            self.closed.remove(info)
 
 
 class FtlError(RuntimeError):
@@ -162,22 +196,9 @@ class PageMappedFtl:
         self.persist = None
         self._entry_seq: dict[int, int] = {}
 
-        self._free: list[deque[int]] = []
-        # The host's open blocks: up to one per plane pair per LUN.
-        # Host pages alternate between ``_active`` and ``_twin`` (a block
-        # on another plane), so consecutive programs on a die can run
-        # as one multi-plane PROGRAM.
-        self._active: list[Optional[BlockInfo]] = [None] * self.lun_count
-        self._twin: list[Optional[BlockInfo]] = [None] * self.lun_count
-        self._on_twin = [False] * self.lun_count
-        # GC relocates into its own open block, never the host's.
-        self._gc_active: list[Optional[BlockInfo]] = [None] * self.lun_count
-        self._closed: list[list[BlockInfo]] = [[] for _ in range(self.lun_count)]
+        self._luns: list[LunBlocks] = []
         self._info: dict[tuple[int, int], BlockInfo] = {}
-        # ``bad_blocks`` is the journaled table; ``retired_blocks`` is a
-        # plain (lun, block) list kept as the historical view of it.
         self.bad_blocks = GrownBadBlockTable()
-        self.retired_blocks: list[tuple[int, int]] = []
         for lun in range(self.lun_count):
             # Factory bad-block scan: defective blocks never enter the
             # rotation; the overprovisioning budget absorbs them.
@@ -188,7 +209,7 @@ class PageMappedFtl:
             usable = [b for b in range(self.config.blocks_per_lun) if b not in bad]
             for b in sorted(bad):
                 self._retire_block(lun, b, REASON_FACTORY)
-            self._free.append(deque(usable))
+            self._luns.append(LunBlocks(free=deque(usable)))
         meta = self._reserve_meta() if self.config.checkpoint_interval > 0 \
             else ()
 
@@ -246,7 +267,7 @@ class PageMappedFtl:
         if not self.controller.luns[0].array.track_data:
             raise FtlError("persistence requires track_data=True "
                            "(checkpoints are read back from the arrays)")
-        free0 = self._free[0]
+        free0 = self._luns[0].free
         if len(free0) <= self.config.meta_blocks:
             raise FtlError(
                 f"LUN 0 has only {len(free0)} good blocks; cannot reserve "
@@ -262,8 +283,8 @@ class PageMappedFtl:
 
         A LUN's share is its data blocks less the overprovisioning (less
         the meta region on LUN 0), as configured — unless factory
-        defects leave it fewer than ``min(2, overprovision_blocks)``
-        spare blocks (GC's reserve and the host's open block).  Then its
+        defects leave it fewer than ``min(SPARE_BLOCKS,
+        overprovision_blocks)`` spare blocks.  Then its
         share gives up the missing blocks and the LUNs with the most
         spare blocks above that floor take them on, one block at a
         time.  The shares sum to the configured logical capacity; it
@@ -271,7 +292,7 @@ class PageMappedFtl:
         """
         config = self.config
         spare = config.overprovision_blocks
-        floor = min(2, spare)
+        floor = min(SPARE_BLOCKS, spare)
         managed = config.blocks_per_lun
         good = [managed - sum(b < managed for b in lun.array.factory_bad_blocks)
                 for lun in self.controller.luns]
@@ -344,11 +365,7 @@ class PageMappedFtl:
             # Rotate at *allocation* time: concurrent writers (the HIC
             # runs several workers) must never be handed page indexes
             # beyond the block.
-            if info is self._twin[lun]:
-                self._twin[lun] = None
-                self._close(info)
-            else:
-                self._close_active(lun)
+            self._close(info)
         if persist is not None:
             from repro.flash.oob import KIND_HOST
 
@@ -525,7 +542,7 @@ class PageMappedFtl:
             info.valid.add(page)
             count[lun] += 1
             if info.is_full:
-                self._close_active(lun)
+                self._close(info)
         if persist is not None:
             # Anchor the prefilled state so a crash before the first
             # periodic checkpoint still mounts.
@@ -536,35 +553,37 @@ class PageMappedFtl:
     # ------------------------------------------------------------------
 
     def _active_block(self, lun: int) -> BlockInfo:
-        info = self._active[lun]
-        if info is None:
-            info = self._active[lun] = self._open_block(lun)
-        return info
+        blocks = self._luns[lun]
+        if blocks.active is None:
+            blocks.active = self._open_block(lun)
+        return blocks.active
 
     def _host_block(self, lun: int) -> BlockInfo:
         """The open block the LUN's next host page goes to.  Pages
         alternate between the active block and its twin on another
-        plane; the twin opens only while the LUN has two free blocks or
-        more (the last one is GC's reserve), else the active block
-        takes the page.  Prefill fills the active block alone."""
-        if self._on_twin[lun]:
-            self._on_twin[lun] = False
-            twin = self._twin[lun]
-            if twin is None and self._active[lun] is not None:
-                twin = self._twin[lun] = self._open_beside(
-                    lun, self._active[lun].block)
+        plane; the twin opens only while the LUN has a ``spare`` block,
+        else the active block takes the page.  Prefill fills the active
+        block alone."""
+        blocks = self._luns[lun]
+        if blocks.on_twin:
+            blocks.on_twin = False
+            twin = blocks.twin
+            if twin is None and blocks.active is not None:
+                twin = blocks.twin = self._open_beside(
+                    lun, blocks.active.block)
             if twin is not None:
                 return twin
         elif self._planes > 1:
-            self._on_twin[lun] = True
+            blocks.on_twin = True
         return self._active_block(lun)
 
     def _open_beside(self, lun: int, block: int) -> Optional[BlockInfo]:
         """Open the first free block on another plane than ``block``,
-        if the LUN has two free blocks or more; None otherwise."""
-        free = self._free[lun]
-        if len(free) < 2:
+        if the LUN has a ``spare`` block; None otherwise."""
+        blocks = self._luns[lun]
+        if not blocks.spare:
             return None
+        free = blocks.free
         plane = self._plane(block)
         for other in free:
             if self._plane(other) != plane:
@@ -576,9 +595,10 @@ class PageMappedFtl:
         return self.controller.codec.plane_of(PhysicalAddress(block, 0))
 
     def _open_block(self, lun: int) -> BlockInfo:
-        if not self._free[lun]:
+        free = self._luns[lun].free
+        if not free:
             raise FtlError(f"LUN {lun} out of free blocks (GC failed?)")
-        return self._block_info(lun, self._free[lun].popleft())
+        return self._block_info(lun, free.popleft())
 
     def _block_info(self, lun: int, block: int) -> BlockInfo:
         """The FTL-side state of a block leaving the free pool."""
@@ -588,17 +608,12 @@ class PageMappedFtl:
             self._info[(lun, block)] = info
         return info
 
-    def _close_active(self, lun: int) -> None:
-        """Close the active block; its twin, if open, takes its place."""
-        info = self._active[lun]
-        if info is not None:
-            self._active[lun] = self._twin[lun]
-            self._twin[lun] = None
-            self._close(info)
-
     def _close(self, info: BlockInfo) -> None:
+        """Close a full open block (an active block's twin takes over)."""
+        blocks = self._luns[info.lun]
+        blocks.drop(info)
         info.closed_at_ns = self.sim.now
-        self._closed[info.lun].append(info)
+        blocks.closed.append(info)
 
     def _invalidate(self, entry: MapEntry) -> None:
         info = self._info.get((entry.lun, entry.block))
@@ -606,30 +621,27 @@ class PageMappedFtl:
             info.valid.remove(entry.page)
             self._release(entry.lun)
 
-    def free_blocks(self, lun: int) -> int:
-        return len(self._free[lun])
-
     # ------------------------------------------------------------------
     # Garbage collection (one background collector per LUN)
     # ------------------------------------------------------------------
 
     def _admit(self, lun: int) -> Generator:
-        """Start the LUN's collector when its pool is low, and hold a
-        write that would open the LUN's last free block until the
+        """Start the LUN's collector unless it has a ``spare`` block, and
+        hold a write that would open its last free block until the
         collector frees another — unless nothing on the LUN can become
         reclaimable, where the write takes the block (or raises)."""
-        free = self._free[lun]
-        if len(free) >= self.config.gc_free_threshold:
+        blocks = self._luns[lun]
+        if blocks.spare:
             return
         collecting = self._start_collector(lun)
-        if self._active[lun] is not None or len(free) > 1:
+        if blocks.active is not None:
             return
         if not (collecting or self._draining(lun)):
             return
         self.gc_write_stalls += 1
         while True:
             yield from self._gc_done.wait()
-            if self._active[lun] is not None or len(free) > 1:
+            if blocks.active is not None or blocks.spare:
                 return
             if not (self._start_collector(lun) or self._draining(lun)):
                 return
@@ -637,7 +649,7 @@ class PageMappedFtl:
     def _draining(self, lun: int) -> bool:
         """A closed block still has programs in flight (it may become a
         victim once they land)."""
-        return any(info.inflight for info in self._closed[lun])
+        return any(info.inflight for info in self._luns[lun].closed)
 
     def _start_collector(self, lun: int) -> bool:
         """Spawn the LUN's collector on a claimed victim unless a collect
@@ -655,10 +667,11 @@ class PageMappedFtl:
         """Take the policy's victim out of the closed list — before any
         yield, so nothing else (a retire, level_wear) can take it — if
         its valid pages have somewhere to go."""
-        victim = self.victim_policy.select(self._closed[lun], self.sim.now)
+        closed = self._luns[lun].closed
+        victim = self.victim_policy.select(closed, self.sim.now)
         if victim is None or not self._has_room(victim):
             return None
-        self._closed[lun].remove(victim)
+        closed.remove(victim)
         return victim
 
     def _claim_partner(self, victim: BlockInfo) -> Optional[BlockInfo]:
@@ -669,7 +682,7 @@ class PageMappedFtl:
         erase saves, and only if both victims' pages fit."""
         if self._erase_pair is None:
             return None
-        closed = self._closed[victim.lun]
+        closed = self._luns[victim.lun].closed
         plane = self._plane(victim.block)
         partner = self.victim_policy.select(
             [info for info in closed if self._plane(info.block) != plane],
@@ -683,12 +696,12 @@ class PageMappedFtl:
 
     def _has_room(self, victim: BlockInfo,
                   partner: Optional[BlockInfo] = None) -> bool:
-        """GC's open block, plus one free block if any is left, holds
-        the victim's valid pages (and its partner's)."""
-        lun = victim.lun
-        dest = self._gc_active[lun]
+        """GC's open block, plus one free block if any is left (even the
+        reserve), holds the victim's valid pages (and its partner's)."""
+        blocks = self._luns[victim.lun]
+        dest = blocks.gc
         room = dest.capacity - dest.write_ptr if dest is not None else 0
-        if self._free[lun]:
+        if blocks.free:
             room += self.pages_per_block
         pages = victim.valid_count
         if partner is not None:
@@ -697,12 +710,12 @@ class PageMappedFtl:
 
     def _collector(self, victim: BlockInfo) -> Generator:
         """Collect greedy victims, in plane pairs where a partner is
-        worth it, until the pool is back at the threshold."""
+        worth it, until the LUN has a ``spare`` block again."""
         lun = victim.lun
         try:
             while victim is not None:
                 yield from self._collect(victim, self._claim_partner(victim))
-                if len(self._free[lun]) >= self.config.gc_free_threshold:
+                if self._luns[lun].spare:
                     break
                 victim = self._claim_victim(lun)
         finally:
@@ -711,15 +724,15 @@ class PageMappedFtl:
 
     def _gc_page(self, lun: int) -> tuple[BlockInfo, int]:
         """Allocate the next page of the LUN's GC destination block."""
-        dest = self._gc_active[lun]
+        blocks = self._luns[lun]
+        dest = blocks.gc
         if dest is None:
-            dest = self._gc_active[lun] = self._open_block(lun)
+            dest = blocks.gc = self._open_block(lun)
         page = dest.write_ptr
         dest.write_ptr += 1
         dest.inflight += 1
         self._lun_valid[lun] += 1
         if dest.is_full:
-            self._gc_active[lun] = None
             self._close(dest)
         return dest, page
 
@@ -746,7 +759,7 @@ class PageMappedFtl:
                 # End of life: nowhere left to relocate to.  The victims
                 # keep their other pages and go back to the closed list;
                 # a host write needing a block raises.
-                self._closed[lun].extend(victims)
+                self._luns[lun].closed.extend(victims)
                 return
         for info in victims:
             self._drop_valid(info)
@@ -769,7 +782,7 @@ class PageMappedFtl:
                 self._retire_block(lun, info.block, REASON_ERASE_FAIL)
                 continue
             self.wear.record_erase(lun, info.block)
-            self._free[lun].append(info.block)
+            self._luns[lun].free.append(info.block)
             if persist is not None:
                 persist.note_erase(lun, info.block)
         if any(passed):
@@ -783,6 +796,7 @@ class PageMappedFtl:
         """Move the victim's valid pages into GC's open block; False at
         end of life (no block left to move a page to)."""
         lun = victim.lun
+        blocks = self._luns[lun]
         staging = self._gc_staging(lun, victim.block)
         persist = self.persist
         for page in sorted(victim.valid):
@@ -797,7 +811,7 @@ class PageMappedFtl:
                 continue  # a host write/trim superseded it mid-read
             seq = self._entry_seq.get(lpn, 0)
             while True:
-                if self._gc_active[lun] is None and not self._free[lun]:
+                if blocks.gc is None and not blocks.free:
                     return False
                 dest, dest_page = self._gc_page(lun)
                 if persist is not None:
@@ -821,9 +835,8 @@ class PageMappedFtl:
                 # left to move its pages to (end of life, as above).
                 dest.inflight -= 1
                 self._release(lun)
-                if not self._free[lun]:
-                    if self._gc_active[lun] is dest:
-                        self._gc_active[lun] = None
+                if not blocks.free:
+                    if blocks.gc is dest:
                         self._close(dest)
                     return False
                 yield from self._retire(dest)
@@ -838,58 +851,21 @@ class PageMappedFtl:
 
     def _retire(self, victim: BlockInfo) -> Generator:
         """Permanently remove a grown-bad block from the rotation,
-        relocating any pages it still validly holds.  A block whose
-        in-flight programs fail together is retired once, by the first."""
+        relocating its valid pages as GC does.  A block whose in-flight
+        programs fail together is retired once, by the first."""
         if victim.retired:
             return
         victim.retired = True
         lun = victim.lun
-        if self._active[lun] is victim:
-            self._active[lun], self._twin[lun] = self._twin[lun], None
-        elif self._twin[lun] is victim:
-            self._twin[lun] = None
-        elif self._gc_active[lun] is victim:
-            self._gc_active[lun] = None
-        if victim in self._closed[lun]:
-            self._closed[lun].remove(victim)
-        staging = self._gc_staging(lun, victim.block)
-        persist = self.persist
-        for page in sorted(victim.valid):
-            source = MapEntry(lun=lun, block=victim.block, page=page)
-            lpn = self.map.owner_of(source)
-            if lpn is None:
-                continue
-            yield from self._media(self._t_read, self.controller.read_page,
-                                   lun, victim.block, page, staging,
-                                   priority=BACKGROUND)
-            if self.map.owner_of(source) != lpn:
-                continue  # superseded while the rescue read ran
-            seq = self._entry_seq.get(lpn, 0)
-            dest, dest_page = self._gc_page(lun)
-            if persist is not None:
-                from repro.flash.oob import KIND_GC
-
-                persist.stage_data_oob(lun, dest.block, dest_page,
-                                       KIND_GC, lpn, seq)
-            ok = yield from self._media(self._t_prog,
-                                        self.controller.program_page,
-                                        lun, dest.block, dest_page, staging,
-                                        priority=BACKGROUND)
-            dest.inflight -= 1
-            if not ok:
-                self._release(lun)
-                raise FtlError("relocation during block retirement failed")
-            entry = MapEntry(lun=lun, block=dest.block, page=dest_page)
-            if self._rebind(lpn, source, entry, seq):
-                dest.valid.add(dest_page)
-            else:
-                self._release(lun)
-            self.gc_page_moves += 1
+        self._luns[lun].drop(victim)
+        if not (yield from self._relocate(victim)):
+            raise FtlError(f"LUN {lun} out of free blocks retiring "
+                           f"block {victim.block}")
         self._drop_valid(victim)
         self._info.pop((lun, victim.block), None)
         self._retire_block(lun, victim.block, REASON_PROGRAM_FAIL)
-        if persist is not None:
-            persist.maybe_flush()
+        if self.persist is not None:
+            self.persist.maybe_flush()
 
     def _drop_valid(self, victim: BlockInfo) -> None:
         """Forget a reclaimed block's leftover valid pages (none whose
@@ -905,14 +881,17 @@ class PageMappedFtl:
         if not pe:
             pe = self.controller.luns[lun].array.block(block).erase_count
         self.bad_blocks.retire(self.sim.now, lun, block, reason, pe_cycles=pe)
-        self.retired_blocks.append((lun, block))
         self.wear.counts.pop((lun, block), None)
         info = self._info.get((lun, block))
         if info is not None:
             info.retired = True
-        persist = getattr(self, "persist", None)
-        if persist is not None and reason != REASON_FACTORY:
-            persist.note_retire(lun, block, reason, pe, self.sim.now)
+        if self.persist is not None and reason != REASON_FACTORY:
+            self.persist.note_retire(lun, block, reason, pe, self.sim.now)
+
+    @property
+    def retired_blocks(self) -> list[tuple[int, int]]:
+        """Every retired ``(lun, block)``, in journal order."""
+        return self.bad_blocks.blocks()
 
     # ------------------------------------------------------------------
     # Durability barrier
@@ -946,13 +925,12 @@ class PageMappedFtl:
             return leveled
         lun, block = coldest
         victim = self._info.get((lun, block))
-        if victim is None or victim in (self._active[lun], self._twin[lun]):
-            return leveled
-        if victim not in self._closed[lun] or victim.inflight:
+        closed = self._luns[lun].closed
+        if victim is None or victim not in closed or victim.inflight:
             return leveled
         if lun in self._collecting or not self._has_room(victim):
             return leveled  # one collect per LUN, and only one that fits
-        self._closed[lun].remove(victim)
+        closed.remove(victim)
         self._collecting.add(lun)
         try:
             yield from self._collect(victim)

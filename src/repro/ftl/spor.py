@@ -49,7 +49,8 @@ from typing import Optional
 
 from repro.flash.oob import KIND_CKPT, KIND_JOURNAL, decode_oob
 from repro.ftl.badblocks import REASON_ERASE_FAIL, REASON_FACTORY
-from repro.ftl.ftl import BlockInfo, FtlError, PageMappedFtl, ShardedFtl
+from repro.ftl.ftl import (BlockInfo, FtlError, LunBlocks, PageMappedFtl,
+                           ShardedFtl)
 from repro.ftl.mapping import MapEntry, PageMapTable
 from repro.ftl.persist import (
     REC_BIND,
@@ -294,12 +295,7 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
     lun_count = shard.lun_count
     shard.map = PageMapTable(shard.logical_pages)
     shard._entry_seq = {}
-    shard._free = [deque() for _ in range(lun_count)]
-    shard._active = [None] * lun_count
-    shard._twin = [None] * lun_count
-    shard._on_twin = [False] * lun_count
-    shard._gc_active = [None] * lun_count
-    shard._closed = [[] for _ in range(lun_count)]
+    shard._luns = [LunBlocks() for _ in range(lun_count)]
     shard._info = {}
     shard._write_rotor = rotor
     shard._pending = [0] * lun_count  # nothing is in flight after a mount
@@ -311,14 +307,9 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
     from repro.ftl.badblocks import GrownBadBlockTable
 
     shard.bad_blocks = GrownBadBlockTable()
-    shard.retired_blocks = []
     for rec in bad_records:
-        key = (rec["lun"], rec["block"])
-        if key in shard.bad_blocks:
-            continue
         shard.bad_blocks.retire(rec["time_ns"], rec["lun"], rec["block"],
                                 rec["reason"], pe_cycles=rec["pe_cycles"])
-        shard.retired_blocks.append(key)
     for lun in range(lun_count):
         array = shard.controller.luns[lun].array
         for blk in range(shard.config.blocks_per_lun):
@@ -326,7 +317,6 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
                 continue
             if array.block(blk).worn_out:
                 shard.bad_blocks.retire(0, lun, blk, REASON_FACTORY)
-                shard.retired_blocks.append((lun, blk))
     shard.wear.counts = dict(wear)
 
     for lpn in sorted(current):
@@ -344,7 +334,7 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
             entry.page
         )
 
-    for lun in range(lun_count):
+    for lun, blocks in enumerate(shard._luns):
         array = shard.controller.luns[lun].array
         free: list[int] = []
         partials: list[BlockInfo] = []
@@ -374,7 +364,7 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
             )
             shard._info[(lun, blk)] = info
             if info.is_full:
-                shard._closed[lun].append(info)
+                blocks.closed.append(info)
             else:
                 partials.append(info)
         # Reopen one partial block per plane pair — the emptiest as the
@@ -382,15 +372,15 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
         # rest close (GC reclaims their untouched tails eventually).
         partials.sort(key=lambda b: (b.write_ptr, b.block))
         for info in partials:
-            active = shard._active[lun]
+            active = blocks.active
             if active is None:
-                shard._active[lun] = info
-            elif shard._planes > 1 and shard._twin[lun] is None and \
+                blocks.active = info
+            elif shard._planes > 1 and blocks.twin is None and \
                     shard._plane(info.block) != shard._plane(active.block):
-                shard._twin[lun] = info
+                blocks.twin = info
             else:
-                shard._closed[lun].append(info)
-        shard._free[lun] = deque(sorted(free))
+                blocks.closed.append(info)
+        blocks.free = deque(sorted(free))
     shard._lun_valid = shard._recount()  # placement counts from here
 
     # -- 7. re-anchor the persistence layer -----------------------------

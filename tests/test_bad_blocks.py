@@ -78,7 +78,7 @@ def test_ftl_scan_excludes_factory_bads():
         if b < ftl.config.blocks_per_lun
     }
     assert managed_bads
-    assert all(b not in ftl._free[0] for b in managed_bads)
+    assert all(b not in ftl._luns[0].free for b in managed_bads)
     assert set(ftl.retired_blocks) == {(0, b) for b in managed_bads}
 
 
@@ -180,4 +180,4 @@ def test_the_capacity_shrinks_only_past_the_spare_blocks():
     assert ftl._share == [5 * pages, 6 * pages, 6 * pages]
     assert ftl.logical_pages == 17 * pages
     for lun, share in enumerate(ftl._share):
-        assert len(ftl._free[lun]) * pages - share >= 2 * pages
+        assert len(ftl._luns[lun].free) * pages - share >= 2 * pages

@@ -116,10 +116,16 @@ def test_spec_file_replaces_the_stock_spec_and_later_set_wins(tmp_path):
 
 def test_bad_spec_file_is_a_usage_error(tmp_path, capsys):
     spec_path = tmp_path / "bad.json"
-    spec_path.write_text('{"stack": {"vendor": "acme"}}')
-    assert main(["bench-smoke", "--spec", str(spec_path)]) == 1
-    out = capsys.readouterr().out
-    assert "spec error" in out and "acme" in out
+    for document, named in (
+            ('{"stack": {"vendor": "acme"}}', "acme"),
+            # A field the FTL no longer has: GC runs whenever a LUN is
+            # down to its reserve block.
+            ('{"stack": {"ftl": {"gc_free_threshold": 2}}}',
+             "gc_free_threshold")):
+        spec_path.write_text(document)
+        assert main(["bench-smoke", "--spec", str(spec_path)]) == 1
+        out = capsys.readouterr().out
+        assert "spec error" in out and named in out
 
 
 # A spec saved as UTF-16 (it starts with b"\xff\xfe"): found by hand at

@@ -234,6 +234,9 @@ def test_unknown_fields_are_rejected_everywhere():
         ExperimentSpec.from_dict({"workload": {"iodepth": 2}})
     with pytest.raises(SpecError, match="unknown campaign field"):
         ExperimentSpec.from_dict({"campaign": {"sed": 2}})
+    # A field the FTL no longer has (its one value is now the rule).
+    with pytest.raises(SpecError, match="unknown stack.ftl field"):
+        ExperimentSpec.from_dict({"stack": {"ftl": {"gc_free_threshold": 2}}})
 
 
 def test_future_schema_is_rejected():

@@ -176,7 +176,7 @@ def _ftl(sim, fidelity="tlm", config=None, **kwargs):
 def _closed(ftl, block, valid):
     info = BlockInfo(lun=0, block=block, capacity=ftl.pages_per_block,
                      write_ptr=ftl.pages_per_block, valid=set(range(valid)))
-    ftl._closed[0].append(info)
+    ftl._luns[0].closed.append(info)
     return info
 
 
@@ -188,34 +188,34 @@ def test_a_partner_comes_from_another_plane_under_the_cost_rule():
     most = -(-timing.t_bers_ns // (timing.t_read_ns + timing.t_prog_ns)) - 1
     assert most == 3
     victim = _closed(ftl, 6, 1)
-    ftl._closed[0].remove(victim)
+    ftl._luns[0].closed.remove(victim)
     _closed(ftl, 4, 0)            # the greedy pick, but on the same plane
     wanted = _closed(ftl, 3, most)
     _closed(ftl, 5, most + 1)
     assert _plane(victim.block) == _plane(4) != _plane(3) == _plane(5)
     assert ftl._claim_partner(victim) is wanted
-    assert wanted not in ftl._closed[0]
+    assert wanted not in ftl._luns[0].closed
     # The next pick on the other plane costs more than the erase saves.
     assert ftl._claim_partner(victim) is None
-    assert [info.block for info in ftl._closed[0]] == [4, 5]
+    assert [info.block for info in ftl._luns[0].closed] == [4, 5]
 
 
 def test_no_partner_without_erase_pair_or_room():
     sim = Simulator()
     _, ftl = _ftl(sim)
     victim = _closed(ftl, 6, 10)
-    ftl._closed[0].remove(victim)
+    ftl._luns[0].closed.remove(victim)
     partner = _closed(ftl, 3, 3)
-    ftl._free[0].clear()  # GC's open block alone must take both
-    ftl._gc_active[0] = BlockInfo(lun=0, block=8, capacity=16, write_ptr=4)
+    ftl._luns[0].free.clear()  # GC's open block alone must take both
+    ftl._luns[0].gc = BlockInfo(lun=0, block=8, capacity=16, write_ptr=4)
     assert ftl._claim_partner(victim) is None  # 13 pages, room for 12
-    ftl._gc_active[0].write_ptr = 3
+    ftl._luns[0].gc.write_ptr = 3
     assert ftl._claim_partner(victim) is partner
     sim = Simulator()
     _, ftl = _ftl(sim)
     ftl._erase_pair = None  # a controller without the wrapper
     victim = _closed(ftl, 6, 1)
-    ftl._closed[0].remove(victim)
+    ftl._luns[0].closed.remove(victim)
     _closed(ftl, 3, 0)
     assert ftl._claim_partner(victim) is None
 
@@ -324,7 +324,7 @@ def test_end_of_life_in_either_relocation_returns_both_victims(empty):
         last[lpn] = 1
         controller.dram.write(0, _payload(lpn, 1))
         sim.run_process(ftl.write(lpn, 0))
-    closed = ftl._closed[0]
+    closed = ftl._luns[0].closed
     victim = next(info for info in closed if info.valid)
     partner = next(info for info in closed
                    if _plane(info.block) != _plane(victim.block))
@@ -338,8 +338,8 @@ def test_end_of_life_in_either_relocation_returns_both_victims(empty):
     assert stuck.valid and not relocated.valid
     closed.remove(victim)
     closed.remove(partner)
-    ftl._free[0].clear()
-    ftl._gc_active[0] = None
+    ftl._luns[0].free.clear()
+    ftl._luns[0].gc = None
     runs = ftl.gc_runs
     sim.run_process(ftl._collect(victim, partner))
     assert ftl.gc_runs == runs + 2

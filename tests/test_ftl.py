@@ -255,12 +255,6 @@ def test_gc_preserves_valid_data_mapping():
 def test_ftl_config_validation():
     with pytest.raises(ValueError):
         FtlConfig(blocks_per_lun=2, overprovision_blocks=4).validate()
-    with pytest.raises(ValueError):
-        FtlConfig(gc_free_threshold=0).validate()
-    with pytest.raises(ValueError, match=">= 2"):
-        # The last free block is GC's: a threshold of 1 would start the
-        # collector only once the host had already taken it.
-        FtlConfig(gc_free_threshold=1).validate()
 
 
 def test_describe_reports_policy():
@@ -306,18 +300,29 @@ def churn(sim, ftl, writers=4, writes_each=48):
 
 def test_host_never_opens_a_luns_last_free_block():
     sim, ftl = make_full_ftl()
-    free_at_open = []
-    host_open = ftl._active_block
+    free_at_open = {"active": [], "twin": []}
+    open_active = ftl._active_block
+    open_twin = ftl._open_beside
 
     def active_block(lun):
-        if ftl._active[lun] is None:
-            free_at_open.append(len(ftl._free[lun]))
-        return host_open(lun)
+        if ftl._luns[lun].active is None:
+            free_at_open["active"].append(len(ftl._luns[lun].free))
+        return open_active(lun)
+
+    def open_beside(lun, block):
+        free = len(ftl._luns[lun].free)
+        twin = open_twin(lun, block)
+        if twin is not None:
+            free_at_open["twin"].append(free)
+        return twin
 
     ftl._active_block = active_block
+    ftl._open_beside = open_beside
     churn(sim, ftl)
     assert ftl.gc_runs > 0 and ftl.gc_write_stalls > 0
-    assert min(free_at_open) >= 2  # the last one is GC's reserve
+    assert free_at_open["active"] and free_at_open["twin"]
+    # The last free block is GC's reserve, for twins as for actives.
+    assert min(free_at_open["active"] + free_at_open["twin"]) >= 2
     ftl.map.check_invariants()
     ftl.check_invariants()
 
@@ -360,12 +365,12 @@ def test_nothing_reclaimable_raises_at_once_instead_of_waiting():
     sim, ftl = make_full_ftl(blocks_per_lun=4, overprovision=2)
     # Every closed page is valid (no victim); drop one of the two free
     # blocks as if retired, leaving only the reserve.
-    ftl._free[0].pop()
+    ftl._luns[0].free.pop()
     # Nothing could ever free another block, so the write takes it.
     sim.run_process(ftl.write(0, 0))
-    assert ftl.gc_write_stalls == 0 and not ftl._free[0]
-    ftl._active[0].write_ptr = ftl.pages_per_block  # fill it
-    ftl._close_active(0)
+    assert ftl.gc_write_stalls == 0 and not ftl._luns[0].free
+    ftl._luns[0].active.write_ptr = ftl.pages_per_block  # fill it
+    ftl._close(ftl._luns[0].active)
     now = sim.now
 
     def write_again():

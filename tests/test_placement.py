@@ -79,7 +79,7 @@ def test_uniform_load_reproduces_the_rotor_order():
 
 def test_a_lun_erasing_gets_no_write_while_an_idle_lun_exists():
     sim, controller, ftl = make_ftl(lun_count=2)
-    block = ftl._free[0][-1]  # a free block: erasing it loses nothing
+    block = ftl._luns[0].free[-1]  # a free block: erasing it loses nothing
     erased = []
 
     def eraser():

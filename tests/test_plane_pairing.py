@@ -199,7 +199,7 @@ def test_a_one_plane_die_never_pairs():
         sim.run()
         assert ftl.host_writes == 48
         assert controller.programs_paired == 0
-        assert ftl._twin == [None]
+        assert ftl._luns[0].twin is None
 
 
 def _writes(ftl, k, count):
@@ -303,6 +303,39 @@ def test_a_program_fault_on_one_plane_retires_only_that_block(fidelity):
         sim.run_process(ftl.read(lpn, 0))
         assert np.array_equal(controller.dram.read(0, PAGE),
                               _payload(lpn, version)), lpn
+    ftl.check_invariants()
+
+
+@pytest.mark.parametrize("fidelity", TIERS)
+def test_a_failed_program_on_a_retirements_destination_retires_it_too(
+        fidelity):
+    """Retiring a block moves its pages as GC does: when GC's
+    destination fails too, it is retired and the move goes on into the
+    next free block."""
+    sim = Simulator()
+    controller = _controller(sim, fidelity)
+    ftl = PageMappedFtl(sim, controller, FtlConfig(
+        blocks_per_lun=12, overprovision_blocks=4))
+
+    def write(lpn):
+        controller.dram.write(0, _payload(lpn, 1))
+        sim.run_process(ftl.write(lpn, 0))
+
+    for lpn in range(4):
+        write(lpn)
+    blocks = ftl._luns[0]
+    assert (blocks.active.block, blocks.twin.block) == (0, 1)
+    assert blocks.active.write_ptr == blocks.twin.write_ptr == 2
+    assert blocks.free[0] == 2  # GC's next destination
+    for block in (0, 1, 2):
+        controller.luns[0].array.block(block).worn_out = True
+    for lpn in range(4, 8):
+        write(lpn)
+    assert ftl.retired_blocks == [(0, 2), (0, 0), (0, 1)]
+    for lpn in range(8):
+        sim.run_process(ftl.read(lpn, 0))
+        assert np.array_equal(controller.dram.read(0, PAGE),
+                              _payload(lpn, 1)), lpn
     ftl.check_invariants()
 
 
@@ -432,10 +465,10 @@ def test_the_mount_reopens_one_partial_block_per_plane():
     restore_media([controller2], images)
     ftl2, _ = mount_sharded(sim2, [controller2], CONFIG)
     mounted = ftl2.shards[0]
-    twins = [(lun, a.block, t.block)
-             for lun, (a, t) in enumerate(zip(mounted._active, mounted._twin))
-             if a is not None and t is not None]
-    assert twins, (shard._active, shard._twin)
+    twins = [(lun, blocks.active.block, blocks.twin.block)
+             for lun, blocks in enumerate(mounted._luns)
+             if blocks.active is not None and blocks.twin is not None]
+    assert twins, shard._luns
     for lun, active, twin in twins:
         assert _plane(active) != _plane(twin)
         assert not mounted._info[(lun, active)].is_full

@@ -41,7 +41,8 @@ from repro.sanitize import (
     sanitize_spec,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
 
 # --- one path --------------------------------------------------------------
@@ -256,14 +257,24 @@ def test_stock_specs_hash_as_they_did_with_the_legacy_flags():
         "demo": "b9df215064df7b4c",
         "fig10": "7ca033929f7349dc",
         "fig11": "8605bf5c7c543116",
-        "fig12": "5d7bcc0c5f35c329",
+        "fig12": "5bb6c37b25e610c5",
         "trace": "7680248de4009e33",
         "bench-smoke": "aace2c5b383c38d4",
         "chaos": "95306d65a13baf7d",
-        "crashfuzz": "4353b7149e68e762",
+        "crashfuzz": "6850678b335b7fde",
         "sanitize": "8b2b6d9371ade36b",
-        "perf": "ff9e21eae93ffb71",
+        "perf": "3cb35c96e622adb0",
     }
+
+
+@pytest.mark.parametrize("baseline", sorted(
+    path.name for path in REPO.glob("BENCH_scale*.json")))
+def test_a_committed_baseline_hashes_as_its_own_spec(baseline):
+    """A hand-edited baseline fails here, not only as "spec_hash
+    mismatch" in the perf gate."""
+    data = json.loads((REPO / baseline).read_text())
+    assert ExperimentSpec.from_dict(data["spec"]).spec_hash() == \
+        data["spec_hash"]
 
 
 # --- the two reproducers that motivated this, as regressions ---------------

@@ -234,7 +234,7 @@ def test_interrupted_erase_is_reissued_before_reuse():
     # Interrupt an erase on a block the FTL holds free: the media reads
     # erased but the cycle never completed.
     shard = ftl.shards[0]
-    free_block = shard._free[1][0]
+    free_block = shard._luns[1].free[0]
     controller.luns[1].array.interrupt_erase(free_block)
     sim2, controller2, ftl2, report = remount(controller)
     assert report.erases_reissued == 1
@@ -254,8 +254,8 @@ def test_mount_keeps_the_capacity_when_blocks_wore_out():
     acked = []
     run_workload(sim, controller, ftl,
                  write_plan(60) + [(top, 1), (top - 1, 1)], acked)
-    for lun, free in enumerate(shard._free):
-        for block in list(free)[-3:]:
+    for lun, blocks in enumerate(shard._luns):
+        for block in list(blocks.free)[-3:]:
             controller.luns[lun].array.block(block).worn_out = True
 
     sim2, controller2, ftl2, _ = remount(controller)
