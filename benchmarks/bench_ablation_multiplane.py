@@ -15,6 +15,15 @@ latency beyond tPROG + 1 transfer (measured here, with jitter off so
 every tPROG is the nominal one); two programs on one plane cost 2 x
 tPROG at least.
 
+The chain case queues four such pairs (blocks 4 and 5, pages 0..3)
+behind the read.  Where the die has CACHE PROGRAM the admission's
+chain rule confirms each loaded pair with 0x15 and loads the next
+while the array programs; the same die without it (``supports_cache``
+off) pairs them only, and idles between tPROGs while each pair loads.
+Bound: the chain costs at least 4 x tPROG and at most 4 x tPROG + one
+pair load + 4 x a step's fixed overhead (a lone pair's span beyond
+tPROG and its load).
+
 The GC case does the same for erases: the FTL's collector reclaims two
 victims on distinct planes of a die with one ``erase_pair`` (a
 multi-plane ERASE, one tBERS, READ STATUS ENHANCED per block).  The
@@ -62,6 +71,20 @@ def run_all() -> dict:
                                            ("same plane", (4, 4)),
                                            ("two planes", (4, 5)))}
             for runtime in RUNTIMES}
+
+
+def run_chain_case(runtime: str, vendor, pairs: int = 4) -> tuple:
+    """``pairs`` pairs of programs queued behind a read: ``(span ns,
+    pairs chained)``."""
+    sim, controller = build_babol(vendor, 1, NVDDR2_200, runtime)
+    controller.read_page(0, 1, 0, 0)  # holds the die while they queue
+    tasks = [controller.program_page(0, block, page, 0)
+             for page in range(pairs) for block in (4, 5)]
+    sim.run()
+    assert all(task.result is True for task in tasks)
+    start = min(task.admitted_at for task in tasks)
+    return max(task.finished_at for task in tasks) - start, \
+        controller.programs_chained
 
 
 def run_erase_case(runtime: str, paired: bool, blocks: tuple) -> int:
@@ -129,3 +152,36 @@ def test_ablation_plane_pairing(benchmark):
         assert pair <= (timing.t_prog_ns + 2 * transfer + timing.t_dbsy_ns
                         + 2 * overhead), (runtime, pair, overhead)
         assert pair < same * 0.7, runtime
+
+
+@pytest.mark.benchmark(group="ablation-multiplane")
+def test_ablation_program_chain(benchmark):
+    paired_only = dataclasses.replace(VENDOR, supports_cache=False)
+    results = benchmark.pedantic(
+        lambda: {runtime: {"one pair": run_case(runtime, (4, 5)),
+                           "paired only": run_chain_case(runtime,
+                                                         paired_only),
+                           "chained": run_chain_case(runtime, VENDOR)}
+                 for runtime in RUNTIMES},
+        rounds=1, iterations=1)
+    timing = VENDOR.timing
+    load = (2 * VENDOR.geometry.full_page_size * 1000
+            // NVDDR2_200.mega_transfers + timing.t_dbsy_ns)
+    print_table(
+        "Ablation F (chain): four pairs on one Hynix die (us, jitter off)",
+        ["runtime", "programs", "span", "chained"],
+        [[runtime, name, f"{span / 1000:.1f}",
+          "-" if name == "one pair" else str(chained)]
+         for runtime, cases in results.items()
+         for name, (span, chained) in cases.items()])
+
+    for runtime, cases in results.items():
+        pair, _ = cases["one pair"]
+        paired, unchained = cases["paired only"]
+        chain, chained = cases["chained"]
+        overhead = pair - timing.t_prog_ns - load
+        assert (unchained, chained) == (0, 3), runtime
+        assert chain >= 4 * timing.t_prog_ns, runtime
+        assert chain <= 4 * timing.t_prog_ns + load + 4 * overhead, (
+            runtime, chain, overhead)
+        assert paired - chain >= 3 * load, (runtime, paired, chain)

@@ -373,6 +373,20 @@ def sample_kwargs(vendor) -> dict[str, dict]:
             "pages": tuple((PhysicalAddress(block=12 + i, page=0), 0)
                            for i in range(len(plane_addrs))),
         },
+        # A chain step after a first one (continues its loaded pages),
+        # and the end of that chain.
+        "program_chain_step": {
+            "codec": codec,
+            "pages": tuple((PhysicalAddress(block=14 + i, page=0), 0)
+                           for i in range(len(plane_addrs))),
+            "finished": tuple((PhysicalAddress(block=12 + i, page=0), 0)
+                              for i in range(len(plane_addrs))),
+        },
+        "program_chain_end": {
+            "codec": codec,
+            "pages": tuple((PhysicalAddress(block=12 + i, page=0), 0)
+                           for i in range(len(plane_addrs))),
+        },
         "multiplane_erase": {"codec": codec, "blocks": (10, 11)},
         "paired_erase": {"codec": codec, "blocks": (12, 13)},
         "gang_read": {

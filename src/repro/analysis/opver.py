@@ -434,6 +434,14 @@ class _Verifier:
 
     def run(self) -> list[VerifyFinding]:
         state = _State()
+        if self.program.continues:
+            # The op before it on the die left a PROGRAM loaded,
+            # awaiting its confirm (OpProgram.continues).
+            state.pending = OPCODES[CMD.PROGRAM_1ST]
+            state.phase = "await_confirm"
+            state.have_row = True
+            state.register_loaded = "yes"
+            state.owned = True
         self._exec_nodes(self.program.nodes, "nodes", state, depth=0)
         self._plan_findings()
         return self.findings
@@ -899,6 +907,13 @@ class _Verifier:
             st.cache_prog = self._window(row.busy, st)
             st.phase = "idle"
 
+    def _queue_plane(self, row: OpcodeRow, where: str, st: _State) -> None:
+        """A multi-plane queue cycle: the row joins the queue behind a
+        short R/B#-holding busy (tDBSY); a cache program still in the
+        array stays there (ARDY stays low)."""
+        if self._require_row(st, where):
+            self._open_busy(row, where, st)
+
     def _cache_confirm(self, row: OpcodeRow, where: str, st: _State) -> None:
         if row.busy.kind == "read":
             self._cache_read(row, where, st)
@@ -933,7 +948,7 @@ class _Verifier:
     _EFFECTS = {
         Effect.LATCH: _latch,
         Effect.CONFIRM: _confirm,
-        Effect.MP_QUEUE: _confirm,
+        Effect.MP_QUEUE: _queue_plane,
         Effect.CACHE_CONFIRM: _cache_confirm,
         Effect.CACHE_END: _cache_read,
         Effect.ARM: _arm_now,
@@ -1049,9 +1064,13 @@ class _Verifier:
             )
 
         waiting = st.busy
-        if node.until == "array_ready" and waiting is None:
+        if node.until == "array_ready":
+            # ARDY waits for the array too: a cache op still working
+            # behind a queue cycle's tDBSY outlasts it.
             for pending in (st.cache_busy, st.cache_prog):
-                if pending is not None:
+                if pending is not None and (
+                        waiting is None
+                        or pending.lo > waiting.remaining.lo):
                     waiting = _Busy("cache", pending, path)
                     break
         if waiting is not None:

@@ -237,6 +237,12 @@ class BabolController:
         tPROG saved), templated or not: the admission counts them."""
         return self.env.programs_paired
 
+    @property
+    def programs_chained(self) -> int:
+        """Pairs a program chain took behind another (their loads under
+        the tPROG before them), templated or not."""
+        return self.env.programs_chained
+
     def wait(self, task: Task) -> Generator:
         """Simulation-process helper: block until ``task`` finishes."""
         result = yield from self.env.wait_task(task)

@@ -50,13 +50,17 @@ first and FIFO within a class; an admitted planned task comes back to
 its LUN's runner (:meth:`PlanExecutor.admit`), and the runner finishes
 it through the environment.  The environment's one pairing rule
 (``SoftwareEnvironment._pair_up``) asks :meth:`PlanExecutor.pair_plan`
-for a pair's ``paired_program`` template.  On a vendor that supports
-SUSPEND, a planned class-0 op (a host read) cuts into an erasing
-template: before the template's first transaction (never between the
-plane latches of a multi-plane erase), or in the erase's busy wait,
-which wakes for it and runs it inside a SUSPEND / RESUME pair, the
-templates of the ``suspend`` / ``resume`` shapes; a generic class-0 op
-waits the template erase out.  Data and status match
+for a pair's template, or :meth:`PlanExecutor.head_plan` for a program
+chain's first step; the runner then asks the environment's chain rule
+(``SoftwareEnvironment.chain_next``) what confirms each pair a step
+leaves loaded — the next step's CACHE PROGRAM or the chain's end — and
+finishes each pair's tasks once their status is read.  On a vendor
+that supports SUSPEND, a planned class-0 op (a host read) cuts into an
+erasing template: before the template's first transaction (never
+between the plane latches of a multi-plane erase), or in the erase's
+busy wait, which wakes for it and runs it inside a SUSPEND / RESUME
+pair, the templates of the ``suspend`` / ``resume`` shapes; a generic
+class-0 op waits the template erase out.  Data and status match
 the generic path; the suspended ops' times match to within one poll
 period (the generic path sees the read at its next poll round).
 
@@ -106,6 +110,11 @@ from repro.onfi.commands import CMD
 from repro.onfi.signals import CommandLatch
 from repro.sim import Timeout, Trigger, WaitTrigger
 
+#: The latches that open (0x80) or close a PROGRAM's load: a template
+#: whose last one is 0x80 leaves a page awaiting its confirm.
+_PROGRAM_LATCHES = (CMD.PROGRAM_1ST, CMD.PROGRAM_2ND, CMD.MP_PROGRAM_2ND,
+                    CMD.CACHE_PROGRAM_2ND)
+
 # Template phase tags (first element of each phase tuple).
 _PH_TXN = 0
 _PH_HANDLE = 1
@@ -139,6 +148,15 @@ class _Template(NamedTuple):
     result: Optional[Callable]  # the Return, lowered to f(regs, handles)
     has_data: bool
     erases: bool  # waits on a suspendable erase: reads may cut in
+    # Leaves a PROGRAM loaded, awaiting its confirm: a program chain's
+    # step, after which the chain rule decides what confirms it.
+    awaits_confirm: bool
+    # The software cost charged after the first transaction, for a
+    # program that starts by confirming the PROGRAM the op before it
+    # loaded (``OpProgram.continues``): the die waits for that confirm,
+    # so only the transaction's own software precedes it, as on the
+    # generic runtime; ``software`` is then that share alone.
+    late_software: Optional[Timeout]
 
 
 class PlanExecutor:
@@ -182,12 +200,13 @@ class PlanExecutor:
         # generic erase ran inside its suspension, on the generic runtime.
         self.ops_templated = 0
         self.shapes_compiled = 0
-        # The paired program's memo key, once its first pair checked the
-        # operands ``_pair_leaves`` assembles (``paired_program_leaves``,
-        # bound then: the op library loads at run time); address column
-        # cycles.
-        self._pair_key = None
-        self._pair_leaves = None
+        # ``(op name, finished pages)`` -> the memo key of a shape whose
+        # operands the runner assembles for a pair of queued programs
+        # (``_pair_shape``), once its first call checked them; whether
+        # pairs start program chains (settled by the first pair); address
+        # column cycles.
+        self._pair_keys: dict[tuple, tuple] = {}
+        self.chains: Optional[bool] = None
         self._col_cycles = controller.config.vendor.geometry.col_cycles
 
     # -- submission and admission ----------------------------------------
@@ -262,6 +281,7 @@ class PlanExecutor:
         result = None
         has_data = False
         erases = False
+        awaits_confirm = False
         txns = 0
         polls = 0
         for step in lowered.steps:
@@ -269,6 +289,10 @@ class PlanExecutor:
             if tag == TXN:
                 phase = self._fold_txn(step[3])
                 has_data = has_data or phase[2][3] or phase[2][2]
+                for ops in phase[3]:
+                    for op in ops:
+                        if op[0] == DIE_CMD and op[2] in _PROGRAM_LATCHES:
+                            awaits_confirm = op[2] == CMD.PROGRAM_1ST
                 txns += 1
             elif tag == HANDLE:  # mint(operand, nbytes) on our Packetizer
                 phase = (_PH_HANDLE, step[1], partial(step[2], packetizer),
@@ -289,8 +313,9 @@ class PlanExecutor:
                 break
             phases.append(phase)
         sw_ns = self.pre_txn_ns * (txns + polls) + self.wakeup_ns * polls
-        return _Template(_timeout(sw_ns), tuple(phases), result, has_data,
-                         erases)
+        first_ns = self.pre_txn_ns if lowered.program.continues else sw_ns
+        return _Template(_timeout(first_ns), tuple(phases), result, has_data,
+                         erases, awaits_confirm, _timeout(sw_ns - first_ns))
 
     @staticmethod
     def _fold_txn(recipes: tuple) -> tuple:
@@ -350,104 +375,138 @@ class PlanExecutor:
             partner = task.partner
             self.ops_templated += 1 if partner is None else 2
             label = task.label
-            erases = cut_in = template.erases
-            regs: dict = {}
-            handles: dict = {}
-            result = None
+            # A program chain: the pair loaded, awaiting its confirm, and
+            # the pair the chain rule took behind it.
+            loaded = behind = None
             try:
-                if template.software is not None:
-                    yield template.software
-                for phase in template.phases:
-                    tag = phase[0]
-                    if tag == _PH_TXN:
-                        _, hold, stats, segs = phase
-                        if not mutex.try_acquire(label):
-                            yield from mutex.acquire(label)
-                        if cut_in:
-                            # A host read that arrives before the op's
-                            # first latch runs first.  Only then: once a
-                            # plane's erase is queued on the die, a
-                            # read's confirm would take its row.
-                            cut_in = False
-                            urgent = env._urgent(lun_position, True)
-                            if urgent is not None:
-                                channel.release()
-                                yield from self._runner(urgent, True)
-                                if not mutex.try_acquire(label):
-                                    yield from mutex.acquire(label)
-                        if erases:
-                            nominal = sim.now + self._t_bers
-                        lun.apply_transaction(segs, sim.now, operands,
-                                              handles)
-                        chan_stats = channel.stats
-                        chan_stats.segments += stats[0]
-                        chan_stats.busy_ns += stats[1]
-                        chan_stats.data_bytes_in += stats[2]
-                        chan_stats.data_bytes_out += stats[3]
-                        per_kind = chan_stats.per_kind
-                        for key, count in stats[4]:
-                            per_kind[key] += count
-                        if hold is not None:
-                            yield hold
-                        channel.release()
-                    elif tag == _PH_POLL:
-                        (_, mask, dest, max_polls, what, hold, busy,
-                         cmd_off, sample_off, kinds) = phase
-                        # The die knows when its busy window ends;
-                        # sleeping there first makes the common case
-                        # exactly one status round trip.  (Under load
-                        # the waveform tier's poll count converges to
-                        # the same one-poll floor, because contention
-                        # stretches each round trip past the
-                        # remaining busy time.)
-                        polls = 0
-                        while True:
-                            end = lun.next_completion_ns()
-                            now = sim.now
-                            if end is not None and end > now:
-                                if erases:
-                                    nominal = yield from self._erase_wait(
-                                        lun_position, lun, nominal)
-                                else:
-                                    yield Timeout(end - now)
-                            elif polls:
-                                # an opaque (hung) die: re-poll on
-                                # the minimum legal grid, keeping the
-                                # generic path's poll-budget escape
-                                yield self._repoll
+                while True:  # a program chain: one template per step
+                    erases = cut_in = template.erases
+                    regs: dict = {}
+                    handles: dict = {}
+                    result = None
+                    late = template.late_software
+                    if template.software is not None:
+                        yield template.software
+                    for phase in template.phases:
+                        tag = phase[0]
+                        if tag == _PH_TXN:
+                            _, hold, stats, segs = phase
                             if not mutex.try_acquire(label):
                                 yield from mutex.acquire(label)
-                            now = sim.now
-                            status = lun.status_round_trip(
-                                now + cmd_off, now + sample_off)
+                            if cut_in:
+                                # A host read that arrives before the op's
+                                # first latch runs first.  Only then: once a
+                                # plane's erase is queued on the die, a
+                                # read's confirm would take its row.
+                                cut_in = False
+                                urgent = env._urgent(lun_position, True)
+                                if urgent is not None:
+                                    channel.release()
+                                    yield from self._runner(urgent, True)
+                                    if not mutex.try_acquire(label):
+                                        yield from mutex.acquire(label)
+                            if erases:
+                                nominal = sim.now + self._t_bers
+                            lun.apply_transaction(segs, sim.now, operands,
+                                                  handles)
                             chan_stats = channel.stats
-                            chan_stats.segments += 2
-                            chan_stats.busy_ns += busy
-                            chan_stats.data_bytes_out += 1
+                            chan_stats.segments += stats[0]
+                            chan_stats.busy_ns += stats[1]
+                            chan_stats.data_bytes_in += stats[2]
+                            chan_stats.data_bytes_out += stats[3]
                             per_kind = chan_stats.per_kind
-                            for key, count in kinds:
+                            for key, count in stats[4]:
                                 per_kind[key] += count
-                            yield hold
+                            if hold is not None:
+                                yield hold
                             channel.release()
-                            polls += 1
-                            if status & mask:
-                                if dest:
-                                    regs[dest] = status
-                                break
-                            if polls >= max_polls:
-                                raise poll_budget_exhausted(what)
-                            # Not ready: charge the extra round's
-                            # runtime cost before looking again.
-                            if self._extra_round is not None:
-                                yield self._extra_round
-                    elif tag == _PH_HANDLE:
-                        _, name, mint, nbytes, slot = phase
-                        handles[name] = mint(operands[slot], nbytes)
-                    else:  # _PH_SLEEP
-                        yield phase[1]
-                if template.result is not None:
-                    result = template.result(regs, handles)
+                            if late is not None:
+                                yield late
+                                late = None
+                        elif tag == _PH_POLL:
+                            (_, mask, dest, max_polls, what, hold, busy,
+                             cmd_off, sample_off, kinds) = phase
+                            # The die knows when its busy window ends;
+                            # sleeping there first makes the common case
+                            # exactly one status round trip.  (Under load
+                            # the waveform tier's poll count converges to
+                            # the same one-poll floor, because contention
+                            # stretches each round trip past the
+                            # remaining busy time.)
+                            polls = 0
+                            while True:
+                                end = lun.next_completion_ns()
+                                now = sim.now
+                                if end is not None and end > now:
+                                    if erases:
+                                        nominal = yield from self._erase_wait(
+                                            lun_position, lun, nominal)
+                                    else:
+                                        yield Timeout(end - now)
+                                elif polls:
+                                    # an opaque (hung) die: re-poll on
+                                    # the minimum legal grid, keeping the
+                                    # generic path's poll-budget escape
+                                    yield self._repoll
+                                if not mutex.try_acquire(label):
+                                    yield from mutex.acquire(label)
+                                now = sim.now
+                                status = lun.status_round_trip(
+                                    now + cmd_off, now + sample_off)
+                                chan_stats = channel.stats
+                                chan_stats.segments += 2
+                                chan_stats.busy_ns += busy
+                                chan_stats.data_bytes_out += 1
+                                per_kind = chan_stats.per_kind
+                                for key, count in kinds:
+                                    per_kind[key] += count
+                                yield hold
+                                channel.release()
+                                polls += 1
+                                if status & mask:
+                                    if dest:
+                                        regs[dest] = status
+                                    break
+                                if polls >= max_polls:
+                                    raise poll_budget_exhausted(what)
+                                # Not ready: charge the extra round's
+                                # runtime cost before looking again.
+                                if self._extra_round is not None:
+                                    yield self._extra_round
+                        elif tag == _PH_HANDLE:
+                            _, name, mint, nbytes, slot = phase
+                            handles[name] = mint(operands[slot], nbytes)
+                        else:  # _PH_SLEEP
+                            yield phase[1]
+                    if template.result is not None:
+                        result = template.result(regs, handles)
+                    if not template.awaits_confirm:
+                        break
+                    # A program chain's step left a pair loaded: the
+                    # chain rule picks the pair behind it, before the
+                    # tasks of the pair the step confirmed finish.
+                    after = env.chain_next(lun_position, True)
+                    if loaded is None:  # the first step loaded the pair
+                        loaded = (operands[0:2], operands[2:4])
+                    else:  # it confirmed task's pair, read its status
+                        env._finish_task(partner, result[1])
+                        env._finish_task(task, result[0])
+                        task, partner = behind
+                        self.ops_templated += 2
+                        loaded = (task.plan[1], partner.plan[1])
+                    behind = after
+                    if behind is None:
+                        template, operands = self._pair_shape(
+                            "program_chain_end", (), loaded, pages=loaded)
+                    else:
+                        pages = (behind[0].plan[1], behind[1].plan[1])
+                        template, operands = self._pair_shape(
+                            "program_chain_step", pages, loaded,
+                            pages=pages, finished=loaded)
             except RecoverableOpError as exc:
+                result = None
+                if behind is not None:  # loaded behind the failed pair
+                    env.drop_behind(lun_position, behind)
                 task.error = exc
                 env.tasks_failed += 1
                 if partner is not None:
@@ -457,10 +516,9 @@ class PlanExecutor:
                 passed = result
                 result = None if passed is None else passed[0]
                 env._finish_task(partner,
-                                 None if passed is None else passed[1],
-                                 held=False)
+                                 None if passed is None else passed[1])
             if nested:
-                env._finish_task(task, result, held=False)
+                env._finish_task(task, result)
                 task = env._urgent(lun_position, True)
                 if task is None:
                     return
@@ -475,34 +533,67 @@ class PlanExecutor:
     def pair_plan(self, task: Task, other: Task) -> Optional[tuple]:
         """The plan of ``task``'s full-page PROGRAM run with ``other``'s
         as one ``paired_program`` (the environment's ``_pair_up`` asks),
-        or None when the pair cannot run as a template.
+        or None when the pair has no template.  Where the die chains
+        programs, the first pair also settles ``chains``: whether a
+        program chain's three shapes have templates too."""
+        pages = (task.plan[1], other.plan[1])
+        if self.chains is None:
+            self.chains = self.env.chains_programs and None not in (
+                self._pair_shape("program_chain_step", pages, (),
+                                 pages=pages),
+                self._pair_shape("program_chain_step", pages, pages,
+                                 pages=pages, finished=pages),
+                self._pair_shape("program_chain_end", (), pages,
+                                 pages=pages))
+        return self._pair_shape("paired_program", pages, pages, pages=pages)
 
-        The pair's operands are assembled from the two programs' own
-        (:func:`~repro.core.opir.programs.paired_program_leaves`); the
-        template is the declared shape's memo entry.  The first pair of
-        a shape takes the full plan, which checks both against the
-        built program; its memo key then serves the pairs after it."""
-        leaves = (task.plan[1], other.plan[1])
-        key = self._pair_key
-        lowered = self.controller.ufsm.lowered.get(key) \
-            if key is not None else None
-        template = UNFOLDED if lowered is None else lowered.template
-        if template is not UNFOLDED and template is not None:
-            return template, self._pair_leaves(leaves, self._col_cycles)
-        from repro.core.opir.programs import paired_program_leaves
+    def head_plan(self, task: Task, other: Task) -> tuple:
+        """The plan of a program chain's first step, which loads
+        ``task``'s and ``other``'s pages; the runner runs the chain on."""
+        pages = (task.plan[1], other.plan[1])
+        return self._pair_shape("program_chain_step", pages, (), pages=pages)
 
-        pair, second = task.pair, other.pair
-        kwargs = {"codec": pair[3],
-                  "pages": ((pair[1], pair[2]), (second[1], second[2]))}
-        planned = self._plan("paired_program", task.lun_position, kwargs)
-        if planned is not None and planned[1] == paired_program_leaves(
-                leaves, self._col_cycles):
-            builder = resolve_builder("paired_program",
-                                      self.controller.config.vendor)
-            if hasattr(builder, "plan"):
-                self._pair_leaves = paired_program_leaves
-                self._pair_key = (builder, builder.plan(**kwargs)[0])
-        return planned
+    def _pair_shape(self, name: str, loads: tuple, reads: tuple,
+                    **kwargs) -> Optional[tuple]:
+        """``(template, operands)`` of the declared shape ``name`` that
+        loads ``loads`` and reads the status of ``reads`` — page
+        operands ``(dram_address, address_bytes)`` of queued full-page
+        PROGRAMs — or None when the shape has no template.  The operands
+        are assembled from the pages'
+        (:func:`~repro.core.opir.programs.program_chain_leaves`); the
+        template is the shape's memo entry.  The shape's first call
+        finds it through the declared plan of ``kwargs`` (the builder's
+        page arguments, as page operands), which checks the assembled
+        operands against the built program."""
+        from repro.core.opir.programs import program_chain_leaves
+
+        leaves = program_chain_leaves(loads, reads, self._col_cycles)
+        key = self._pair_keys.get((name, len(reads)))
+        controller = self.controller
+        lowered = controller.ufsm.lowered.get(key) if key is not None \
+            else None
+        if lowered is None:
+            vendor = controller.config.vendor
+            builder = resolve_builder(name, vendor)
+            if not hasattr(builder, "plan"):
+                return None
+            decode = controller.codec.decode
+            kwargs = {arg: tuple((decode(address_bytes), dram_address)
+                                 for dram_address, address_bytes in value)
+                      for arg, value in kwargs.items()}
+            kwargs["codec"] = controller.codec
+            lowered, operands = lowered_shape(controller.ufsm, vendor,
+                                              builder, kwargs)
+            if operands != leaves:
+                raise AssertionError(
+                    f"{name}: assembled operands {leaves!r} are not the "
+                    f"declared {operands!r}")
+            self._pair_keys[name, len(reads)] = (
+                builder, builder.plan(**kwargs)[0])
+        if lowered.template is UNFOLDED:
+            lowered.template = self._fold(lowered)
+        template = lowered.template
+        return None if template is None else (template, leaves)
 
     # -- erase suspension ----------------------------------------------
 

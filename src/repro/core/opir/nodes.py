@@ -440,11 +440,17 @@ STEP_NODES = (
 
 @dataclass(frozen=True)
 class OpProgram:
-    """A complete operation: a name and an ordered node tuple."""
+    """A complete operation: a name and an ordered node tuple.
+
+    ``continues``: the program starts where the op before it on the die
+    stopped — a PROGRAM loaded and awaiting its confirm (a program
+    chain's step or end, :mod:`repro.core.opir.programs`) — instead of
+    on a die that awaits a new command."""
 
     name: str
     nodes: tuple
     doc: str = field(default="", compare=False)
+    continues: bool = False
 
     def walk(self):
         """Pre-order traversal of every node (steps and segments)."""

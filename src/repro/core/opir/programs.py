@@ -617,25 +617,47 @@ def _multiplane_program_plan(codec, pages) -> tuple:
              geometry.row_cycles), tuple(leaves))
 
 
-def paired_program_leaves(pages: Sequence[tuple], col_cycles: int) -> tuple:
-    """The ``paired_program`` plan's leaves from each page's
-    ``program_page`` plan leaves, ``(dram_address, address_bytes)``:
-    the loads' leaves in page order, a capture handle per page, then
-    each page's status select — the row part of its load address.  The
-    template runner pairs two queued programs' operands through this."""
+def program_chain_leaves(pages: Sequence[tuple], finished: Sequence[tuple],
+                         col_cycles: int) -> tuple:
+    """The plan leaves of an op that loads ``pages`` and reads the
+    status of ``finished``, from each page's ``program_page`` plan
+    leaves ``(dram_address, address_bytes)``: the loads' leaves in page
+    order, then a capture handle per finished page, then each one's
+    status select — the row part of its load address.  The template
+    runner assembles a pair's, and a chain's, operands through this."""
     loads = handles = selects = ()
     for dram_address, address_bytes in pages:
         loads += (dram_address, address_bytes)
+    for _, address_bytes in finished:
         handles += (None,)
         selects += (address_bytes[col_cycles:],)
     return loads + handles + selects
 
 
+def _page_leaves(leaves: tuple) -> list:
+    """``_multiplane_program_plan`` leaves, one ``(dram_address,
+    address_bytes)`` per page."""
+    return [leaves[at:at + 2] for at in range(0, len(leaves), 2)]
+
+
 def _paired_program_plan(codec, pages) -> tuple:
     shape_key, leaves = _multiplane_program_plan(codec, pages)
-    return shape_key, paired_program_leaves(
-        [leaves[at:at + 2] for at in range(0, len(leaves), 2)],
-        codec.geometry.col_cycles)
+    loads = _page_leaves(leaves)
+    return shape_key, program_chain_leaves(loads, loads,
+                                           codec.geometry.col_cycles)
+
+
+def _program_chain_step_plan(codec, pages, finished=()) -> tuple:
+    shape_key, leaves = _multiplane_program_plan(codec, pages)
+    done = _multiplane_program_plan(codec, finished)[1] if finished else ()
+    return shape_key + (len(finished),), program_chain_leaves(
+        _page_leaves(leaves), _page_leaves(done), codec.geometry.col_cycles)
+
+
+def _program_chain_end_plan(codec, pages) -> tuple:
+    shape_key, leaves = _multiplane_program_plan(codec, pages)
+    return shape_key, program_chain_leaves(
+        (), _page_leaves(leaves), codec.geometry.col_cycles)
 
 
 def _multiplane_erase_plan(codec, blocks) -> tuple:
@@ -716,12 +738,16 @@ def multiplane_read_program(
 
 
 def _multiplane_loads(count: int, page_bytes: int, leaves: tuple,
-                      one_hold: bool = False) -> list:
+                      one_hold: bool = False,
+                      confirm: Optional[int] = CMD.PROGRAM_2ND,
+                      lead: tuple = ()) -> list:
     """The load / queue-confirm cycles of a multi-plane PROGRAM: each
     page but the last is queued with 0x11 (a short tDBSY), the last
-    confirms with 0x10, which starts one tPROG for them all.
-    ``one_hold``: each page's load and confirm share one channel hold
-    (the same bus cycles, one transaction fewer per page)."""
+    confirms with ``confirm`` (0x10: one tPROG for them all; None: the
+    last page is left loaded, awaiting its confirm).  ``one_hold``: each
+    page's load and confirm share one channel hold (the same bus
+    cycles, one transaction fewer per page).  ``lead``: segments the
+    first page's load transaction starts with."""
     nodes: list = []
     for index in range(count):
         dram_address, address_bytes = leaves[2 * index:2 * index + 2]
@@ -732,18 +758,21 @@ def _multiplane_loads(count: int, page_bytes: int, leaves: tuple,
                 handle, "to_flash", nbytes=page_bytes, dram_address=dram_address
             )
         )
-        load = (
+        load = (() if index else lead) + (
             LatchSeq((cmd(CMD.PROGRAM_1ST), addr(address_bytes))),
             DataXfer("in", page_bytes, HandleRef(handle), after_address=True),
         )
-        confirm = LatchSeq((cmd(CMD.PROGRAM_2ND if final
-                                else CMD.MP_PROGRAM_2ND),))
-        if one_hold:
-            nodes.append(Txn(TxnKind.DATA_IN, load + (confirm,),
+        opcode = confirm if final else CMD.MP_PROGRAM_2ND
+        if opcode is None:
+            nodes.append(Txn(TxnKind.DATA_IN, load,
+                             label="chain-program-load"))
+        elif one_hold:
+            nodes.append(Txn(TxnKind.DATA_IN,
+                             load + (LatchSeq((cmd(opcode),)),),
                              label="paired-program-load"))
         else:
             nodes.append(Txn(TxnKind.DATA_IN, load, label="mp-program-load"))
-            nodes.append(Txn(TxnKind.CMD_ADDR, (confirm,),
+            nodes.append(Txn(TxnKind.CMD_ADDR, (LatchSeq((cmd(opcode),)),),
                              label="mp-program-confirm"))
         if not final:
             nodes.append(PollStatus(until="ready"))  # tDBSY between queue cycles
@@ -801,6 +830,70 @@ def paired_program_program(
             " (one tPROG), then READ STATUS ENHANCED per page: returns one"
             " bool per page, in the order of pages (the op a LUN's admission"
             " runs for two queued programs on distinct planes).",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Program chains: a die's queued plane pairs through multi-plane CACHE
+# PROGRAM (0x80...0x11, 0x80...0x15).  A chain is a run of ops on one
+# die, and the decision between them is the admission's: the first
+# step loads a pair and leaves it awaiting its confirm; each further
+# step confirms the loaded pair with 0x15 (in the hold that starts the
+# next pair's load), loads the next while the array programs, polls
+# ARDY and reads the finished pair's status per plane; the end
+# confirms the last pair with 0x10 and reads its status.  Step and end
+# continue where the op before them stopped (``OpProgram.continues``).
+# ---------------------------------------------------------------------------
+
+
+@op_program("program_chain_step", plan=_program_chain_step_plan)
+def program_chain_step_program(
+    codec: AddressCodec,
+    pages: Sequence[tuple[PhysicalAddress, int]],
+    finished: Sequence[tuple[PhysicalAddress, int]] = (),
+) -> OpProgram:
+    (count, page_bytes, _, _, done), leaves = _program_chain_step_plan(
+        codec, pages, finished)
+    lead = (LatchSeq((cmd(CMD.CACHE_PROGRAM_2ND),)),) if done else ()
+    nodes = _multiplane_loads(count, page_bytes, leaves, one_hold=True,
+                              confirm=None, lead=lead)
+    if done:
+        nodes.append(PollStatus(until="array_ready"))
+        nodes += _status_per_plane(leaves[2 * count + done:],
+                                   "chain-program-status")
+    else:
+        nodes.append(Return(()))
+    return OpProgram(
+        "program_chain_step",
+        tuple(nodes),
+        doc="One step of a program chain: confirm the loaded pages of"
+            " ``finished`` with CACHE PROGRAM (0x15), load ``pages`` (each"
+            " but the last queued with 0x11, the last left awaiting its"
+            " confirm; the first in the 0x15's hold) while the array"
+            " programs, poll ARDY, then READ STATUS ENHANCED per finished"
+            " page: returns one bool per finished page, in their order"
+            " (none for a first step).",
+        continues=bool(done),
+    )
+
+
+@op_program("program_chain_end", plan=_program_chain_end_plan)
+def program_chain_end_program(
+    codec: AddressCodec,
+    pages: Sequence[tuple[PhysicalAddress, int]],
+) -> OpProgram:
+    (count, _, _, _), leaves = _program_chain_end_plan(codec, pages)
+    nodes = [Txn(TxnKind.CMD_ADDR, (LatchSeq((cmd(CMD.PROGRAM_2ND),)),),
+                 label="chain-program-confirm"),
+             PollStatus(until="ready")]
+    nodes += _status_per_plane(leaves[count:], "chain-program-status")
+    return OpProgram(
+        "program_chain_end",
+        tuple(nodes),
+        doc="A program chain's end: confirm the loaded ``pages`` with"
+            " PROGRAM (0x10), poll, then READ STATUS ENHANCED per page:"
+            " returns one bool per page, in their order.",
+        continues=True,
     )
 
 

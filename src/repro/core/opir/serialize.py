@@ -35,12 +35,15 @@ _NODE_TYPES = {
 def encode_value(value: Any) -> Any:
     """Lower one IR value to JSON-compatible data."""
     if isinstance(value, OpProgram):
-        return {
+        out = {
             "$type": "program",
             "name": value.name,
             "doc": value.doc,
             "nodes": [encode_value(n) for n in value.nodes],
         }
+        if value.continues:
+            out["continues"] = True
+        return out
     if isinstance(value, _nodes.STEP_NODES + _nodes.SEGMENT_NODES):
         out: dict = {"$type": f"node:{type(value).__name__}"}
         for field in dataclasses.fields(value):
@@ -94,6 +97,7 @@ def decode_value(data: Any) -> Any:
             name=data["name"],
             nodes=tuple(decode_value(n) for n in data["nodes"]),
             doc=data.get("doc", ""),
+            continues=data.get("continues", False),
         )
     if tag is not None and tag.startswith("node:"):
         cls = _NODE_TYPES.get(tag[len("node:"):])

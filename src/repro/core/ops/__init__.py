@@ -44,6 +44,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "multiplane_read_op": "library",
     "multiplane_program_op": "library",
     "paired_program_op": "library",
+    "program_chain_step_op": "library",
+    "program_chain_end_op": "library",
     "paired_erase_op": "library",
     "erase_with_preemptive_read_op": "library",
     "resume_op": "library",

@@ -49,6 +49,8 @@ cache_program_op = library_op("cache_program")
 multiplane_read_op = library_op("multiplane_read")
 multiplane_program_op = library_op("multiplane_program")
 paired_program_op = library_op("paired_program")
+program_chain_step_op = library_op("program_chain_step")
+program_chain_end_op = library_op("program_chain_end")
 multiplane_erase_op = library_op("multiplane_erase")
 paired_erase_op = library_op("paired_erase")
 gang_read_op = library_op("gang_read")

@@ -282,7 +282,9 @@ class SoftwareEnvironment:
         self._ready: list[Task] = []
         self._pending_txns: list[Transaction] = []
         self._admission_queue: list[Task] = []
-        self._running: set[int] = set()  # LUNs running an op: one each
+        # LUN -> the task holding it: a LUN runs one op at a time, and
+        # only its holder's finish frees it (a program chain moves it on).
+        self._running: dict[int, Task] = {}
         # The loop parks on this gate when it finds no work; only a
         # change made from outside the loop (a submit, a task made ready,
         # a freed executor slot) can give it work while it is parked.
@@ -301,6 +303,10 @@ class SoftwareEnvironment:
         self.txns_enqueued = 0
         self.txns_dispatched = 0
         self.programs_paired = 0  # multi-plane PROGRAMs run for two
+        # Pairs a program chain took behind another (each one's loads
+        # under the tPROG before it); where the die has CACHE PROGRAM.
+        self.programs_chained = 0
+        self.chains_programs = vendor is not None and vendor.supports_cache
         # The TLM template runner (``fastops.PlanExecutor``) of tasks
         # admitted with a plan, and the LUNs whose template erase sleeps
         # until a planned class-0 task is queued -> its wake.
@@ -367,7 +373,8 @@ class SoftwareEnvironment:
         a class, to the template runner if it has a plan.  An admitted
         full-page PROGRAM takes the first waiting one on another plane
         of its die, in the same order, and the two run as one
-        multi-plane PROGRAM (:meth:`_pair_up`)."""
+        multi-plane PROGRAM (:meth:`_pair_up`); where the die has CACHE
+        PROGRAM that pair starts a program chain (:meth:`chain_next`)."""
         queue = self._admission_queue
         if not queue:
             return
@@ -381,7 +388,7 @@ class SoftwareEnvironment:
             if task.admitted_at is not None:
                 continue  # taken as an admitted PROGRAM's partner
             if task.lun_position not in self._running:
-                self._running.add(task.lun_position)
+                self._running[task.lun_position] = task
                 task.admitted_at = self.sim.now
                 admitted.append(task)
                 if task.pair is not None:
@@ -394,34 +401,136 @@ class SoftwareEnvironment:
         for task in admitted:
             self._admission_queue.remove(task)
 
-    def _pair_up(self, task: Task, queue: list, admitted: list) -> None:
-        """The pairing rule: the first task in admission order that is a
-        full-page PROGRAM on the same die, another plane and the same
-        path (planned or not) leaves the queue with ``task``, whose op
-        becomes the one paired PROGRAM (one tPROG, a pass/fail per page)
-        and finishes both; a planned pair needs a template."""
+    @staticmethod
+    def _partner(task: Task, queue: list) -> Optional[Task]:
+        """The pairing rule: the first task in admission order (lowest
+        class first, FIFO within a class) among ``queue``, in submission
+        order, that is a full-page PROGRAM on ``task``'s die, another
+        plane and the same path (planned or not), and not yet admitted."""
         plane = task.pair[0]
         lun_position = task.lun_position
         generic = task.plan is None
+        partner = None
         for other in queue:
             pair = other.pair
             if pair is not None and pair[0] != plane \
                     and other.lun_position == lun_position \
                     and other.admitted_at is None \
-                    and (other.plan is None) is generic:
-                if generic:
-                    task.gen = self._run_pair(task, other)
-                else:
-                    plan = self.plan_runner.pair_plan(task, other)
-                    if plan is None:
-                        return
-                    task.plan = plan
-                    task.partner = other
-                other.admitted_at = other.ready_since = self.sim.now
-                other.state = TaskState.RUNNING
-                admitted.append(other)
-                self.programs_paired += 1
+                    and (other.plan is None) is generic \
+                    and (partner is None
+                         or other.priority < partner.priority):
+                partner = other
+        return partner
+
+    def _pair_up(self, task: Task, queue: list, admitted: list) -> None:
+        """An admitted full-page PROGRAM takes its partner
+        (:meth:`_partner`) out of the queue, and its op becomes the one
+        paired PROGRAM (one tPROG, a pass/fail per page) that finishes
+        both; a planned pair needs a template.  Where the die has CACHE
+        PROGRAM and another pair waits for it, the pair is a program
+        chain's first step instead (:meth:`chain_next`)."""
+        other = self._partner(task, queue)
+        if other is None:
+            return
+        runner = self.plan_runner
+        planned = task.plan is not None
+        if planned:
+            plan = runner.pair_plan(task, other)
+            if plan is None:
                 return
+        other.admitted_at = other.ready_since = self.sim.now
+        other.state = TaskState.RUNNING
+        admitted.append(other)
+        self.programs_paired += 1
+        chain = self.chains_programs and (not planned or runner.chains) \
+            and self._next_pair(task.lun_position, planned) is not None
+        if planned:
+            task.plan = runner.head_plan(task, other) if chain else plan
+            task.partner = other
+        elif chain:
+            task.gen = self._run_chain(task, other, None, True)
+        else:
+            task.gen = self._run_pair(task, other)
+
+    def chain_next(self, lun_position: int, planned: bool
+                   ) -> Optional[tuple[Task, Task]]:
+        """The chain rule, the one both tiers ask when a program chain on
+        ``lun_position`` has a pair loaded and is about to confirm it:
+        after its first step's loads, and after each step has read the
+        status of the pair it confirmed (before that pair's tasks
+        finish).  The task admission would admit next on the die must be
+        a full-page PROGRAM on the chain's path (``planned``) with a
+        partner by the pairing rule, and no class-0 task may wait (a
+        host read ends the chain).  The pair returned is taken: admitted,
+        out of the queue, and holding the die — the loaded pairs' tasks
+        finish when their status is read, and whichever holds the die
+        last frees it.  None: the loaded pair is the chain's last."""
+        pair = self._next_pair(lun_position, planned)
+        if pair is None:
+            return None
+        now = self.sim.now
+        for task in pair:
+            self._admission_queue.remove(task)
+            task.admitted_at = task.ready_since = now
+            task.state = TaskState.RUNNING
+        self._running[lun_position] = pair[0]
+        self.programs_paired += 1
+        self.programs_chained += 1
+        return pair
+
+    def _next_pair(self, lun_position: int, planned: bool
+                   ) -> Optional[tuple[Task, Task]]:
+        """The pair the chain rule would take on ``lun_position`` now
+        (:meth:`chain_next`), left where it is."""
+        queue = self._admission_queue
+        first = None
+        for task in queue:
+            if task.lun_position == lun_position \
+                    and task.admitted_at is None and (
+                        first is None or task.priority < first.priority):
+                first = task
+        if first is None or first.priority <= 0 or first.pair is None \
+                or (first.plan is not None) is not planned:
+            return None
+        other = self._partner(first, queue)
+        return None if other is None else (first, other)
+
+    def drop_behind(self, lun_position: int, behind: tuple) -> None:
+        """A program chain's step failed with the pair ``behind`` taken
+        and its pages loaded, never confirmed: a RESET takes the die
+        over and drops them (it also ends a hang).  If the die comes
+        back, the pair's tasks return to the admission queue unrun, in
+        their place; if the RESET fails too, so do they.  Either way
+        the pair confirmed before them keeps its own failure, and no
+        other op sees the die until the RESET ends."""
+        task = Task(self.sim, None, lun_position, priority=0,
+                    label="chain-reset")
+        task.gen = self._reset_behind(lun_position, behind)
+        task.admitted_at = self.sim.now
+        self.tasks_submitted += 1
+        self._running[lun_position] = task
+        self._make_ready(task)
+
+    def _reset_behind(self, lun_position: int, behind: tuple) -> Generator:
+        from repro.core.ops import reset_op
+
+        try:
+            status = yield from reset_op(OperationContext(self, lun_position))
+        except RecoverableOpError as exc:
+            for task in behind:
+                self._fail(task, exc)
+            raise
+        self.programs_paired -= 1
+        self.programs_chained -= 1
+        queue = self._admission_queue
+        for task in behind:
+            task.admitted_at = None
+            task.state = TaskState.READY
+            at = len(queue)
+            while at and queue[at - 1].id > task.id:
+                at -= 1
+            queue.insert(at, task)
+        return status
 
     def _run_pair(self, task: Task, partner: Task) -> Generator:
         """``task``'s op once paired: both pages in one paired PROGRAM;
@@ -434,12 +543,55 @@ class SoftwareEnvironment:
         try:
             passed = yield from paired_program_op(ctx, codec=codec, pages=pages)
         except RecoverableOpError as exc:
-            partner.error = exc
-            self.tasks_failed += 1
-            self._finish_task(partner, None, held=False)
+            self._fail(partner, exc)
             raise
-        self._finish_task(partner, passed[1], held=False)
+        self._finish_task(partner, passed[1])
         return passed[0]
+
+    def _run_chain(self, task: Task, partner: Task, behind: Optional[tuple],
+                   first: bool) -> Generator:
+        """``task``'s op in a program chain: its and ``partner``'s pages,
+        loaded here when ``first`` (by the step before else), are
+        confirmed with CACHE PROGRAM while the ``behind`` pair loads —
+        when ``first``, the chain rule picks it after the loads — or
+        with PROGRAM, ending the chain, when none is behind.  The two
+        tasks finish with their pages' status once the chain rule has
+        picked the pair after ``behind``, whose first task runs the
+        chain on."""
+        from repro.core.ops import program_chain_end_op, program_chain_step_op
+
+        codec = task.pair[3]
+        pages = (task.pair[1:3], partner.pair[1:3])
+        ctx = OperationContext(self, task.lun_position)
+        after = None
+        try:
+            if first:
+                yield from program_chain_step_op(ctx, codec=codec, pages=pages)
+                behind = self.chain_next(task.lun_position, False)
+            if behind is None:
+                passed = yield from program_chain_end_op(
+                    ctx, codec=codec, pages=pages)
+            else:
+                passed = yield from program_chain_step_op(
+                    ctx, codec=codec, finished=pages,
+                    pages=(behind[0].pair[1:3], behind[1].pair[1:3]))
+                after = self.chain_next(task.lun_position, False)
+        except RecoverableOpError as exc:
+            if behind is not None:
+                self.drop_behind(task.lun_position, behind)
+            self._fail(partner, exc)
+            raise
+        self._finish_task(partner, passed[1])
+        if behind is not None:
+            behind[0].gen = self._run_chain(*behind, after, False)
+            self._make_ready(behind[0])
+        return passed[0]
+
+    def _fail(self, task: Task, exc: RecoverableOpError) -> None:
+        """Finish a task an op run for it failed (no result)."""
+        task.error = exc
+        self.tasks_failed += 1
+        self._finish_task(task, None)
 
     # ------------------------------------------------------------------
     # Main loop (runs on the modeled CPU)
@@ -525,10 +677,8 @@ class SoftwareEnvironment:
                 # the task (result None) so waiters unblock and a
                 # recovery manager can escalate.  Anything else still
                 # propagates — a protocol violation must stay loud.
-                task.error = exc
                 task.gen.close()
-                self.tasks_failed += 1
-                self._finish_task(task, None)
+                self._fail(task, exc)
                 return
             kind = command.__class__
             if kind is EnvAwait or kind is EnvPost:
@@ -628,8 +778,7 @@ class SoftwareEnvironment:
         if self._parked:
             self._unpark()
 
-    def _finish_task(self, task: Task, result: Any,
-                     held: bool = True) -> None:
+    def _finish_task(self, task: Task, result: Any) -> None:
         task.state = TaskState.DONE
         task.result = result
         task.finished_at = self.sim.now
@@ -645,8 +794,8 @@ class SoftwareEnvironment:
                 {"admission_wait_ns": start - task.submitted_at},
             )
         self.tasks_completed += 1
-        if held:  # not a task run inside its LUN's holder
-            self._running.discard(task.lun_position)
+        if self._running.get(task.lun_position) is task:  # it frees the LUN
+            del self._running[task.lun_position]
             self._admit_eligible()
             if self._parked and self._ready:  # the template runner's task
                 self._unpark()
@@ -730,10 +879,9 @@ class SoftwareEnvironment:
         try:
             result = yield from task.gen
         except RecoverableOpError as exc:
-            task.error = exc
-            self.tasks_failed += 1
-            result = None
-        self._finish_task(task, result, held=False)
+            self._fail(task, exc)
+            return
+        self._finish_task(task, result)
 
     # -- reporting ----------------------------------------------------------
 

@@ -703,17 +703,12 @@ class Lun:
         return max(int(self._rng.uniform(low, high)), 1)
 
     def _confirm(self, row: OpcodeRow) -> None:
-        """The latched row address becomes (or joins) an array operation."""
+        """The latched row address becomes an array operation, together
+        with the planes queued before it."""
         addr = self._row_addr
         if addr is None or self.state is not LunState.AWAIT_CONFIRM:
             raise LunProtocolError("confirm latched without a full address")
         spec = row.busy
-        if row.effect is Effect.MP_QUEUE:
-            # Multi-plane queue cycle: short inter-plane busy, then ready
-            # for the next plane's first cycle/address.
-            self._mp_queue.append(addr)
-            self._begin_busy(spec, self._busy_ns(spec))
-            return
         if spec.kind == "program" and self._cache_program_active:
             raise LunProtocolError(
                 "program confirm while a cache program is still in the array"
@@ -724,6 +719,25 @@ class Lun:
         mode = self._effective_mode()
         self._ARRAY_OPS[spec.kind](self, spec, targets,
                                    self._busy_ns(spec, mode), mode)
+
+    def _queue_plane(self, row: OpcodeRow) -> None:
+        """Multi-plane queue cycle (0x11 / 0x32 / 0xD1): the latched row
+        joins the planes the next confirm starts, after a short busy
+        (tDBSY).  It is no array operation: FAIL and FAILC keep the last
+        one's result, and behind a cache program still in the array ARDY
+        stays low through it."""
+        addr = self._row_addr
+        if addr is None or self.state is not LunState.AWAIT_CONFIRM:
+            raise LunProtocolError("confirm latched without a full address")
+        self._mp_queue.append(addr)
+        self._begin_busy(row.busy, self._busy_ns(row.busy),
+                         finish=self._queue_done, sets_status=False,
+                         queue=True)
+
+    def _queue_done(self) -> None:
+        status = self.status
+        status.rdy = True
+        status.ardy = not self._cache_program_active
 
     def _cache_confirm(self, row: OpcodeRow) -> None:
         if row.busy.kind == "read":
@@ -850,6 +864,11 @@ class Lun:
             def cache_done() -> None:
                 self._cache_program_active = False
                 finish()
+                if self.state is LunState.ARRAY_BUSY:
+                    # A plane's queue cycle (tDBSY) still holds the die;
+                    # its end raises RDY and ARDY.
+                    self.status.rdy = self.status.ardy = False
+                    return
                 self.rb_trigger.fire(self)
                 self._notify_rb(False)
 
@@ -896,10 +915,14 @@ class Lun:
         duration: int,
         finish=None,
         sets_status: bool = True,
+        queue: bool = False,
     ) -> None:
         if self._fault_hook is not None:
             duration = self._fault_hook.on_busy(self, spec.kind, duration)
-        self.status.begin_operation()
+        if queue:  # FAIL and FAILC keep the last array op's result
+            self.status.rdy = self.status.ardy = False
+        else:
+            self.status.begin_operation()
         self.state = LunState.ARRAY_BUSY
         self._busy_spec = spec
         self._busy_finish = finish
@@ -994,7 +1017,7 @@ class Lun:
     _EFFECTS = {
         Effect.LATCH: _latch,
         Effect.CONFIRM: _confirm,
-        Effect.MP_QUEUE: _confirm,
+        Effect.MP_QUEUE: _queue_plane,
         Effect.CACHE_CONFIRM: _cache_confirm,
         Effect.CACHE_END: _confirm_cache_read,
         Effect.ARM: _arm_now,

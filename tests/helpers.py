@@ -116,3 +116,16 @@ def count_builds(monkeypatch) -> list:
     for name, builder in list(registry._BUILDERS.items()):
         monkeypatch.setitem(registry._BUILDERS, name, counted(builder))
     return builds
+
+
+def chain_prelude(name: str, kwargs: dict) -> list:
+    """``[(op name, kwargs)]`` to run on a die before the op ``name``
+    when that op continues a program chain (``OpProgram.continues``):
+    the chain's first step, loading the pages it confirms — a step's
+    ``finished``, the end's ``pages``.  Empty for every other op."""
+    loaded = kwargs.get("finished") if name == "program_chain_step" \
+        else kwargs.get("pages") if name == "program_chain_end" else None
+    if not loaded:
+        return []
+    return [("program_chain_step", {"codec": kwargs["codec"],
+                                    "pages": loaded})]

@@ -11,7 +11,7 @@ every other op on the segment-accurate path.  Under test:
 * identical die state (op counts, array counters, programmed pages),
 * 0 ns total-latency drift for ops submitted without ``_plan``,
 
-over the full 28-op library, on both software runtimes, plus both
+over the full op library, on both software runtimes, plus both
 hardware baseline controllers; the templated wrappers' own timeline is
 pinned to a recording.  ``READ_STATUS`` counts stay out of the
 die-state comparison: a template waits for the die's busy window to
@@ -48,6 +48,8 @@ from repro.core.ops import (
     multiplane_read_op,
     partial_program_op,
     partial_read_op,
+    program_chain_end_op,
+    program_chain_step_op,
     program_page_op,
     pslc_erase_op,
     pslc_program_op,
@@ -78,8 +80,8 @@ ADDR = PhysicalAddress(block=2, page=0)
 ADDR_P1 = PhysicalAddress(block=3, page=0)
 DRAM_COMPARE_BYTES = 8 * PAGE    # covers every dram_address used below
 
-# One entry per library op: (name, op, kwargs-builder).  Covers all 28
-# exports of ``repro.core.ops`` (asserted below, so a new op cannot be
+# One entry per library op: (name, op, kwargs-builder).  Covers every
+# export of ``repro.core.ops`` (asserted below, so a new op cannot be
 # added without joining the harness).
 MATRIX = [
     ("read_status", read_status_op, lambda c: {}),
@@ -142,6 +144,10 @@ MATRIX = [
      lambda c: {"codec": c.codec,
                 "pages": [(PhysicalAddress(block=12, page=0), 0),
                           (PhysicalAddress(block=13, page=0), PAGE)]}),
+    # a program chain's step and end continue its first step: the
+    # harness runs each after one (probes below).
+    ("program_chain_step", program_chain_step_op, None),
+    ("program_chain_end", program_chain_end_op, None),
     ("multiplane_erase", multiplane_erase_op,
      lambda c: {"codec": c.codec, "blocks": [10, 11]}),
     ("paired_erase", paired_erase_op,
@@ -250,9 +256,35 @@ def _resume_probe_op(ctx, codec):
     return status
 
 
+_CHAIN = [[(PhysicalAddress(block=14, page=page), 0),
+           (PhysicalAddress(block=15, page=page), PAGE)] for page in (0, 1)]
+
+
+def _chain_step_probe_op(ctx, codec):
+    """Exercise ``program_chain_step_op`` in a chain of two pairs:
+    first step, the step, the end."""
+    yield from program_chain_step_op(ctx, codec=codec, pages=_CHAIN[0])
+    passed = yield from program_chain_step_op(
+        ctx, codec=codec, pages=_CHAIN[1], finished=_CHAIN[0])
+    passed += yield from program_chain_end_op(ctx, codec=codec,
+                                              pages=_CHAIN[1])
+    return passed
+
+
+def _chain_end_probe_op(ctx, codec):
+    """Exercise ``program_chain_end_op`` after the chain's first step."""
+    yield from program_chain_step_op(ctx, codec=codec, pages=_CHAIN[0])
+    passed = yield from program_chain_end_op(ctx, codec=codec,
+                                             pages=_CHAIN[0])
+    return passed
+
+
 _PROBES = {
     "suspend": (_suspend_probe_op, lambda c: {"codec": c.codec}),
     "resume": (_resume_probe_op, lambda c: {"codec": c.codec}),
+    "program_chain_step": (_chain_step_probe_op,
+                           lambda c: {"codec": c.codec}),
+    "program_chain_end": (_chain_end_probe_op, lambda c: {"codec": c.codec}),
 }
 
 

@@ -55,7 +55,7 @@ from tests.test_plan_shapes import DECLARED, PROFILES, _draws
 #: The eight single-target declared shapes (the wrappers' data plane);
 #: the multi-plane ones run in the straight-line sweep below.
 WRAPPERS = [name for name in DECLARED
-            if not name.startswith(("multiplane", "paired"))]
+            if not name.startswith(("multiplane", "paired", "program_chain"))]
 
 REPO = Path(__file__).resolve().parents[1]
 DRAM_BYTES = 1 << 21
@@ -329,7 +329,8 @@ def test_declared_shapes_agree_on_twin_dies(profile):
 def test_other_straight_line_programs_agree_on_twin_dies():
     """The fold is not special to the declared eight: every other
     program a template could run (feature and ID sources, enhanced
-    status, the parameter page, reset, multi-plane queues)."""
+    status, the parameter page, reset, multi-plane queues, a program
+    chain)."""
     twins = Twins(TEST_PROFILE)
     codec = twins.lun.codec
     row = codec.encode_row(codec.row_address(PhysicalAddress(2, 0)))
@@ -338,6 +339,15 @@ def test_other_straight_line_programs_agree_on_twin_dies():
             (PhysicalAddress(10, 0), 0), (PhysicalAddress(11, 0), 4096)]}),
         ("paired_program", {"codec": codec, "pages": [
             (PhysicalAddress(13, 0), 4096), (PhysicalAddress(12, 0), 0)]}),
+        # A program chain of two pairs: first step, step, end.
+        ("program_chain_step", {"codec": codec, "pages": [
+            (PhysicalAddress(14, 0), 0), (PhysicalAddress(15, 0), 4096)]}),
+        ("program_chain_step", {"codec": codec, "pages": [
+            (PhysicalAddress(14, 1), 4096), (PhysicalAddress(15, 1), 0)],
+            "finished": [(PhysicalAddress(14, 0), 0),
+                         (PhysicalAddress(15, 0), 4096)]}),
+        ("program_chain_end", {"codec": codec, "pages": [
+            (PhysicalAddress(14, 1), 4096), (PhysicalAddress(15, 1), 0)]}),
         ("partial_program", {"codec": codec, "address": PhysicalAddress(4, 1),
                              "chunks": [(0, 0, 128), (512, 0, 128)]}),
         ("read_page_timed_wait", {
@@ -357,8 +367,9 @@ def test_other_straight_line_programs_agree_on_twin_dies():
     ]:
         assert twins.run_op(name, kwargs) is None, name
     assert twins.lun.features.read_retry_level == 2
-    assert twins.lun.op_counts["MP_PROGRAM_2ND"] == 2
-    assert twins.lun.op_counts["READ_STATUS_ENHANCED"] == 3
+    assert twins.lun.op_counts["MP_PROGRAM_2ND"] == 4
+    assert twins.lun.op_counts["CACHE_PROGRAM_2ND"] == 1
+    assert twins.lun.op_counts["READ_STATUS_ENHANCED"] == 7
 
 
 def test_read_status_is_statically_legal():

@@ -124,7 +124,8 @@ def test_ir_matches_seed_coroutine(name, op_name, build_kwargs):
 #: Library ops written after the seed was frozen: no pre-IR generator
 #: exists to hold them against (their lowering is pinned by
 #: tests/test_opir_lowering.py and their tiers by the equivalence matrix).
-POST_SEED_OPS = {"paired_program_op", "paired_erase_op"}
+POST_SEED_OPS = {"paired_program_op", "paired_erase_op",
+                 "program_chain_step_op", "program_chain_end_op"}
 
 
 def test_seed_library_is_complete():

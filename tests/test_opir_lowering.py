@@ -2,8 +2,11 @@
 
 ``tests/fixtures/opir_lowering_digests.json`` was recorded on the parent
 commit (9fcf3d4, the node-walking interpreter) by running this file as a
-script there: for every registered program x the four vendor profiles x
-{first run, a second run at another address} it holds a digest of the
+script there (programs added since were recorded as they came, every
+earlier entry unchanged): for every registered program x the four
+vendor profiles x {first run, a second run at another address} — a
+program chain's step or end after the chain's first step — it holds a
+digest of the
 dispatched transaction stream — (kind, label, [segment kind, duration,
 actions, chip mask, label]) — interleaved with the environment commands
 the op yielded, the result and the final clock.  The lowered executor
@@ -40,7 +43,7 @@ from repro.onfi.geometry import PhysicalAddress
 from repro.onfi.signals import SegmentKind
 from repro.sim import Simulator, Timeout
 
-from tests.helpers import TEST_PROFILE, count_builds
+from tests.helpers import TEST_PROFILE, chain_prelude, count_builds
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "opir_lowering_digests.json"
 PROFILES = dict(VENDOR_PROFILES, test=TEST_PROFILE)
@@ -110,6 +113,9 @@ def capture(controller, sim, name, kwargs):
         push(txn)
 
     def driver(ctx):
+        # A program chain's step or end continues the chain's first step.
+        for prelude, prelude_kwargs in chain_prelude(name, kwargs):
+            yield from getattr(ops, f"{prelude}_op")(ctx, **prelude_kwargs)
         gen = getattr(ops, f"{name}_op")(ctx, **kwargs)
         value = None
         while True:

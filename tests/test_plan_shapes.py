@@ -51,7 +51,8 @@ def test_the_eight_plan_wrapper_builders_declare():
         "read_page", "full_page_read", "partial_read", "program_page",
         "erase_block", "pslc_read", "pslc_program", "pslc_erase",
         "multiplane_read", "multiplane_program", "multiplane_erase",
-        "paired_program", "paired_erase"])
+        "paired_program", "paired_erase", "program_chain_step",
+        "program_chain_end"])
 
 
 def _plane_blocks(rng, geometry):
@@ -68,7 +69,7 @@ def _draws(name, vendor, seed):
     target everywhere, plus every structural variation its signature
     admits — ``length`` (absent, None, sub-page), a non-zero column, and
     the plane count of a multi-plane ``pages`` / ``blocks`` /
-    ``addresses``."""
+    ``addresses`` (and of a chain step's ``finished``)."""
     rng = random.Random(seed)
     geometry = vendor.geometry
     codec = AddressCodec(geometry)
@@ -87,7 +88,15 @@ def _draws(name, vendor, seed):
                                 rng.choice((0, 0, 16, 512)))
                 for b in _plane_blocks(rng, geometry))
             drams = tuple(rng.randrange(0, 1 << 20, 64) for _ in addresses)
-            if "pages" in params:
+            if "finished" in params and index % 2:
+                # a chain step behind a pair of another plane count
+                done = tuple(
+                    (PhysicalAddress(b, rng.randrange(geometry.pages_per_block)),
+                     rng.randrange(0, 1 << 20, 64))
+                    for b in _plane_blocks(rng, geometry))
+                yield {"codec": codec, "pages": tuple(zip(addresses, drams)),
+                       "finished": done}
+            elif "pages" in params:
                 yield {"codec": codec, "pages": tuple(zip(addresses, drams))}
             else:
                 yield {"codec": codec, "addresses": addresses,
@@ -283,10 +292,10 @@ def test_one_build_walk_and_compile_per_shape(walks, monkeypatch):
     compiled = sum(f.shapes_compiled for f in fast)
     assert planned >= 960 and all(f.ops_declined == 0 for f in fast)
     assert all(f.ops_templated == f.ops_planned for f in fast)
-    # program_page + paired_program + full_page_read (+ erase_block and
-    # paired_erase if GC ran), once per controller — not once per
-    # address or pair.
-    assert 6 <= compiled <= 10
+    # program_page + paired_program + the program chain's first step,
+    # step and end + full_page_read (+ erase_block and paired_erase if
+    # GC ran), once per controller — not once per address or pair.
+    assert 12 <= compiled <= 16
     assert all(c.programs_paired for c in controllers)
     assert len(walks) == compiled
     # A builder runs only when the shape memo misses: a wrapper builds
@@ -322,11 +331,13 @@ PARENT_TIMELINE = [
 
 # The same run with the stock program_page, which pairs each LUN's
 # queued programs on distinct planes: the pairs (tasks 2/4, 3/5, 6/8,
-# 7/9) finish together, one tPROG for two.
+# 7/9) finish together, one tPROG for two, and each LUN's second pair,
+# queued when its first is admitted, chains behind it (its pages load
+# during the first pair's tPROG).
 PAIRED_TIMELINE = [
-    258665, 258960, 562430, 573800, 562430, 573800, 866490, 877860,
-    866490, 877860, 1114230, 1125600, 1223710, 1235150, 1321820, 1333260,
-    1419930, 1431370, 1518040, 1529480, 1616150, 1627590, 1714260, 1725700]
+    258665, 258960, 552165, 564115, 552165, 564115, 763985, 768510,
+    763985, 768510, 1022650, 1022945, 1121055, 1132495, 1219165, 1230605,
+    1317275, 1328715, 1415385, 1426825, 1513495, 1524935, 1611605, 1623045]
 
 
 def test_undeclared_override_is_templated_on_the_reference_plan(walks):
