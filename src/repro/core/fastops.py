@@ -27,11 +27,16 @@ order, same RNG draws — die state, payload bytes, status bits, LUN-side
 fault hooks and array aging are identical to the waveform tier; only
 the bus-segment *objects*, the per-latch table lookups and the
 runtime's per-event machinery are gone.  Each poll site becomes a
-ready-wait: sleep to the die's next pending completion, then one real
-STATUS round trip (:meth:`~repro.flash.lun.Lun.status_round_trip`).
+ready-wait: sleep to :meth:`~repro.flash.lun.Lun.ready_at` — now, if
+the polled bit is already set, else the die's next pending completion
+— then one real STATUS round trip
+(:meth:`~repro.flash.lun.Lun.status_round_trip`).  So a template sees
+ready when the device would report it: a program chain's queue cycle
+behind a CACHE PROGRAM still in the array is seen at once, and the
+pair's next page loads during that tPROG, not after it.
 
-This module touches a die through those two calls and
-``next_completion_ns`` only — the die's private state stays behind
+This module touches a die through those two calls and ``ready_at``
+only — the die's private state stays behind
 ``repro.flash`` — and the per-LUN :meth:`PlanExecutor._runner` is the
 one generator frame a wake-up resumes: the channel is taken with the
 non-generator ``Mutex.try_acquire`` (``acquire`` only when contended)
@@ -426,21 +431,22 @@ class PlanExecutor:
                         elif tag == _PH_POLL:
                             (_, mask, dest, max_polls, what, hold, busy,
                              cmd_off, sample_off, kinds) = phase
-                            # The die knows when its busy window ends;
-                            # sleeping there first makes the common case
-                            # exactly one status round trip.  (Under load
-                            # the waveform tier's poll count converges to
-                            # the same one-poll floor, because contention
-                            # stretches each round trip past the
-                            # remaining busy time.)
+                            # The die knows when a bit of the mask can
+                            # next be set (now, if one is); sleeping there
+                            # first makes the common case exactly one
+                            # status round trip.  (Under load the waveform
+                            # tier's poll count converges to the same
+                            # one-poll floor, because contention stretches
+                            # each round trip past the remaining busy
+                            # time.)
                             polls = 0
                             while True:
-                                end = lun.next_completion_ns()
+                                end = lun.ready_at(mask)
                                 now = sim.now
                                 if end is not None and end > now:
                                     if erases:
                                         nominal = yield from self._erase_wait(
-                                            lun_position, lun, nominal)
+                                            lun_position, lun, mask, nominal)
                                     else:
                                         yield Timeout(end - now)
                                 elif polls:
@@ -504,9 +510,12 @@ class PlanExecutor:
                             "program_chain_step", pages, loaded,
                             pages=pages, finished=loaded)
             except RecoverableOpError as exc:
-                result = None
                 if behind is not None:  # loaded behind the failed pair
-                    env.drop_behind(lun_position, behind)
+                    # A RESET task settles both pairs and holds the die.
+                    env.drop_behind(lun_position, behind, (task, partner),
+                                    exc)
+                    return
+                result = None
                 task.error = exc
                 env.tasks_failed += 1
                 if partner is not None:
@@ -597,21 +606,23 @@ class PlanExecutor:
 
     # -- erase suspension ----------------------------------------------
 
-    def _erase_wait(self, lun_position: int, lun, nominal: int) -> Generator:
+    def _erase_wait(self, lun_position: int, lun, mask: int,
+                    nominal: int) -> Generator:
         """Wait out the erase on ``lun``, letting host reads cut in.
 
-        Sleeps until the die's busy window ends, or until the
+        Sleeps until the die would show a bit of the poll's ``mask``
+        (:meth:`~repro.flash.lun.Lun.ready_at`), or until the
         environment's ``submit`` queues a class-0 task with a plan for
         the LUN.  Then, if the erase has more than tR + t_resume left by
         ``nominal`` (its own estimate of its end, not the die's jittered
         one), SUSPEND -> the waiting planned class-0 tasks -> RESUME, and
-        wait again.  Returns the erase's nominal end once the die's busy
-        window is over (or has no end: a hung die)."""
+        wait again.  Returns the erase's nominal end once the die shows
+        the bit (or never will: a hung die)."""
         sim = self.sim
         env = self.env
         waking = env._waking
         while True:
-            end = lun.next_completion_ns()
+            end = lun.ready_at(mask)
             if end is None or end <= sim.now:
                 return nominal
             urgent = env._urgent(lun_position, True)
@@ -631,7 +642,7 @@ class PlanExecutor:
             suspend, resume = self._suspension_phases()
             at = yield from self._transmit(lun, suspend, guarded=True)
             if at is None:  # the erase ends before a SUSPEND could land
-                end = lun.next_completion_ns()
+                end = lun.ready_at(mask)
                 if end is not None and end > sim.now:
                     yield Timeout(end - sim.now)
                 return nominal

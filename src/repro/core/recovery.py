@@ -21,6 +21,8 @@ policy:
       op times out
         └─ bounded retry-with-backoff: re-poll status; a *slow* die
            (stretched busy) finishes here and the op is re-issued
+           (skipped for an op a RESET aborted, :class:`OpAborted`:
+           the status after that RESET is no verdict on it)
         └─ targeted RESET (legal while the array is busy; cancels the
            hung operation, which never committed) then re-issue
         └─ mark the die degraded/offline; subsequent ops fail fast
@@ -79,6 +81,15 @@ class OpTimeout(RecoverableOpError):
         )
         self.what = what
         self.budget_ns = budget_ns
+
+
+class OpAborted(RecoverableOpError):
+    """A RESET aborted the op while its array time ran: it never
+    committed, and the status the RESET left is no verdict on it."""
+
+    def __init__(self, kind: str, lun: int):
+        super().__init__(f"{kind} on LUN {lun} aborted by a RESET", lun=lun)
+        self.kind = kind
 
 
 class DieDegraded(RuntimeError):
@@ -213,7 +224,7 @@ class RecoveryManager:
         result = yield from self.controller.wait(task)
         if task.error is None:
             return self._check(kind, lun, result)
-        result = yield from self._escalate(kind, lun, submit)
+        result = yield from self._escalate(kind, lun, submit, task.error)
         return result
 
     def _check(self, kind: str, lun: int, result):
@@ -223,12 +234,16 @@ class RecoveryManager:
                 raise OpFailed(kind, lun)
         return result
 
-    def _escalate(self, kind: str, lun: int, submit) -> Generator:
+    def _escalate(self, kind: str, lun: int, submit,
+                  error: RecoverableOpError) -> Generator:
         self.stats.timeouts += 1
         # Stage 1: bounded retry-with-backoff.  The die may merely be
         # slow (a stretched busy): re-poll status and, once it reports
-        # ready, re-issue the operation against the now-idle array.
-        for attempt in range(self.policy.max_status_retries):
+        # ready, re-issue the operation against the now-idle array.  An
+        # op a RESET aborted skips it: the die's status is no verdict.
+        retries = 0 if isinstance(error, OpAborted) \
+            else self.policy.max_status_retries
+        for attempt in range(retries):
             yield Timeout(self.policy.backoff_ns << attempt)
             self.stats.status_retries += 1
             status = yield from self._read_status(lun)

@@ -47,7 +47,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.core.executor import Executor
 from repro.core.packetizer import Packetizer
-from repro.core.recovery import RecoverableOpError
+from repro.core.recovery import OpAborted, RecoverableOpError
 from repro.core.softenv.cpu import Cpu
 from repro.core.softenv.task_scheduler import RoundRobinTaskScheduler, TaskScheduler
 from repro.core.softenv.txn_scheduler import FifoTxnScheduler, TxnScheduler
@@ -55,6 +55,7 @@ from repro.core.transaction import Transaction, TxnKind
 from repro.core.ufsm.base import UfsmBank
 from repro.core.ufsm.ca_writer import cmd
 from repro.onfi.commands import CMD
+from repro.onfi.status import StatusRegister
 from repro.sim import Simulator, Trigger, WaitTrigger
 
 _task_ids = itertools.count()
@@ -495,31 +496,51 @@ class SoftwareEnvironment:
         other = self._partner(first, queue)
         return None if other is None else (first, other)
 
-    def drop_behind(self, lun_position: int, behind: tuple) -> None:
-        """A program chain's step failed with the pair ``behind`` taken
-        and its pages loaded, never confirmed: a RESET takes the die
-        over and drops them (it also ends a hang).  If the die comes
-        back, the pair's tasks return to the admission queue unrun, in
-        their place; if the RESET fails too, so do they.  Either way
-        the pair confirmed before them keeps its own failure, and no
-        other op sees the die until the RESET ends."""
+    def drop_behind(self, lun_position: int, behind: tuple,
+                    confirmed: tuple, exc: RecoverableOpError) -> None:
+        """A program chain's step failed with ``exc``, the pair
+        ``behind`` taken and its pages loaded, never confirmed: a RESET
+        task takes the die over and settles ``confirmed`` — the tasks
+        of the pair the step confirmed — and ``behind``
+        (:meth:`_reset_behind`).  No other op sees the die until the
+        RESET ends."""
         task = Task(self.sim, None, lun_position, priority=0,
                     label="chain-reset")
-        task.gen = self._reset_behind(lun_position, behind)
+        task.gen = self._reset_behind(lun_position, behind, confirmed, exc)
         task.admitted_at = self.sim.now
         self.tasks_submitted += 1
         self._running[lun_position] = task
         self._make_ready(task)
 
-    def _reset_behind(self, lun_position: int, behind: tuple) -> Generator:
-        from repro.core.ops import reset_op
+    def _reset_behind(self, lun_position: int, behind: tuple,
+                      confirmed: tuple, exc: RecoverableOpError
+                      ) -> Generator:
+        """Read the die's status, then RESET it: the RESET drops the
+        pair ``behind``, whose tasks return to the admission queue unrun
+        in their place (they fail too if the RESET fails), and it ends a
+        hang.  The tasks in ``confirmed`` fail with ``exc`` — unless the
+        status showed their CACHE PROGRAM still in the array (RDY
+        without ARDY), which the RESET aborts: they fail with
+        :class:`OpAborted` then, since the status after the RESET is no
+        verdict on a program that never committed.  Returns the error
+        they failed with."""
+        from repro.core.ops import read_status_op, reset_op
 
+        ctx = OperationContext(self, lun_position)
         try:
-            status = yield from reset_op(OperationContext(self, lun_position))
-        except RecoverableOpError as exc:
-            for task in behind:
+            status = yield from read_status_op(ctx)
+            if StatusRegister.is_ready(status) \
+                    and not StatusRegister.is_array_ready(status):
+                exc = OpAborted("program", lun_position)
+            yield from reset_op(ctx)
+        except RecoverableOpError as failed:
+            for task in confirmed:
                 self._fail(task, exc)
+            for task in behind:
+                self._fail(task, failed)
             raise
+        for task in confirmed:
+            self._fail(task, exc)
         self.programs_paired -= 1
         self.programs_chained -= 1
         queue = self._admission_queue
@@ -530,7 +551,7 @@ class SoftwareEnvironment:
             while at and queue[at - 1].id > task.id:
                 at -= 1
             queue.insert(at, task)
-        return status
+        return exc
 
     def _run_pair(self, task: Task, partner: Task) -> Generator:
         """``task``'s op once paired: both pages in one paired PROGRAM;
@@ -577,10 +598,14 @@ class SoftwareEnvironment:
                     pages=(behind[0].pair[1:3], behind[1].pair[1:3]))
                 after = self.chain_next(task.lun_position, False)
         except RecoverableOpError as exc:
-            if behind is not None:
-                self.drop_behind(task.lun_position, behind)
-            self._fail(partner, exc)
-            raise
+            if behind is None:
+                self._fail(partner, exc)
+                raise
+            # This task holds the die through the RESET that settles
+            # its pair and drops the one behind (`_reset_behind`).
+            self._running[task.lun_position] = task
+            raise (yield from self._reset_behind(
+                task.lun_position, behind, (partner,), exc))
         self._finish_task(partner, passed[1])
         if behind is not None:
             behind[0].gen = self._run_chain(*behind, after, False)

@@ -56,7 +56,7 @@ from repro.onfi.signals import (
     IdleWait,
     WaveformSegment,
 )
-from repro.onfi.status import StatusRegister
+from repro.onfi.status import StatusBits, StatusRegister
 from repro.sim import Simulator
 from repro.sim.sync import Trigger
 
@@ -89,6 +89,10 @@ _SOURCES = {source.value: source for source in _DataSource}
 
 #: READ STATUS's row, for :meth:`Lun.status_round_trip`.
 _READ_STATUS = OPCODES[CMD.READ_STATUS]
+
+#: The status bits a poll waits on, as plain ints (:meth:`Lun.ready_at`).
+_RDY = int(StatusBits.RDY)
+_ARDY = int(StatusBits.ARDY)
 
 
 # Die ops of a folded transaction (``Lun.apply_transaction``), tagged by
@@ -260,6 +264,9 @@ class Lun:
         self._suspended_spec: Optional[BusySpec] = None
         self._suspended_finish = None
         self._sets_status = True
+        # A CACHE PROGRAM's array completion while it is pending: its
+        # tPROG holds no busy window, so a RESET cancels it here.
+        self._cache_event: Optional[_PendingCompletion] = None
 
         # Statistics exposed to the analysis layer.
         self.op_counts: Counter[str] = Counter()  # latches, by opcode name
@@ -433,13 +440,22 @@ class Lun:
                 return
             due.fire_early()
 
-    def next_completion_ns(self) -> Optional[int]:
-        """Earliest pending die-side completion, or None (idle or hung).
+    def ready_at(self, mask: int) -> Optional[int]:
+        """When a READ STATUS would first show a bit of ``mask`` (RDY
+        and/or ARDY, the bits a poll waits on) set: now if one already
+        is, else the earliest pending die-side completion (the next
+        instant the status can change), or None — a hung die, whose
+        status nothing will change.
 
-        A TLM template's ready-wait sleeps to it (:mod:`repro.core.fastops`);
-        a hung die (injected fault) has no pending completion, so the
-        template falls back to re-polling at the minimum legal period.
+        A TLM template's ready-wait sleeps to it (:mod:`repro.core.fastops`),
+        so it polls when the device would report ready: a queue cycle's
+        RDY behind a CACHE PROGRAM still in the array is seen at once,
+        not at the array's end.  A hung die (injected fault) makes the
+        template re-poll at the minimum legal period instead.
         """
+        status = self.status
+        if status.rdy and mask & _RDY or status.ardy and mask & _ARDY:
+            return self.sim.now
         earliest = None
         for rec in self._pending_completions:
             if earliest is None or rec.time < earliest:
@@ -854,14 +870,22 @@ class Lun:
         if not spec.holds_rb:
             # Cache program: the array works in the background while the
             # interface stays usable (RDY without ARDY), so the next
-            # page's data can stream in during tPROG.
+            # page's data can stream in during tPROG.  Its tPROG is a
+            # busy the fault hook may stretch or hang, as a PROGRAM's.
+            if self._fault_hook is not None:
+                duration = self._fault_hook.on_busy(self, spec.kind, duration)
             self._cache_program_active = True
             self.status.begin_operation()
             self.status.begin_cache_phase()
             self.state = LunState.IDLE
+            if duration is None:
+                # Injected hang: no completion, ARDY stays low until a
+                # RESET aborts the program (it never commits).
+                return
             self.busy_ns_total += duration
 
             def cache_done() -> None:
+                self._cache_event = None
                 self._cache_program_active = False
                 finish()
                 if self.state is LunState.ARRAY_BUSY:
@@ -872,7 +896,8 @@ class Lun:
                 self.rb_trigger.fire(self)
                 self._notify_rb(False)
 
-            self._schedule_completion(duration, cache_done)
+            self._cache_event = self._schedule_completion(duration,
+                                                          cache_done)
         else:
             self._begin_busy(spec, duration, finish=finish, sets_status=False)
 
@@ -971,6 +996,9 @@ class Lun:
     def _do_reset(self, row: OpcodeRow) -> None:
         if self._busy_event is not None and self._busy_event.pending:
             self._busy_event.cancel()
+        if self._cache_event is not None:  # a CACHE PROGRAM in the array
+            self._cache_event.cancel()
+            self._cache_event = None
         self._busy_finish = None
         self.inflight_ops.clear()  # aborted ops never reached the array
         self._mp_queue = []

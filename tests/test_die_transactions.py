@@ -28,7 +28,15 @@ import pytest
 
 from repro.core import BabolController, ControllerConfig
 from repro.core.fastops import PlanExecutor
-from repro.core.opir.compile import ADDR, DATA_OUT, HANDLE, POLL, SLEEP, TXN
+from repro.core.opir.compile import (
+    ADDR,
+    DATA_IN,
+    DATA_OUT,
+    HANDLE,
+    POLL,
+    SLEEP,
+    TXN,
+)
 from repro.core.opir.registry import _BUILDERS, lowered_shape
 from repro.core.ops.base import POLLS
 from repro.core.packetizer import Packetizer
@@ -273,7 +281,7 @@ class Twins:
                         twin.packetizer, operands[step[4]], step[3])
             elif tag == POLL:
                 for _ in range(max_polls):
-                    end = self.lun.next_completion_ns()
+                    end = self.lun.ready_at(POLLS[step[2]][1])
                     self.run_until(max(end or 0, self.now + 1))
                     if self.status() & POLLS[step[2]][1]:
                         break
@@ -392,7 +400,7 @@ def _erasing(hooks=None):
         CA, 300, latch(0, CMD.ERASE_1ST), address(25, 0),
         latch(200, CMD.ERASE_2ND))], (row,)) is None
     assert twins.lun.state is LunState.ARRAY_BUSY
-    return twins, twins.lun.next_completion_ns()
+    return twins, twins.lun.ready_at(StatusBits.RDY)
 
 
 @pytest.mark.parametrize("delta,ready", [(-1, False), (0, None), (7, True)])
@@ -472,7 +480,7 @@ def test_completion_between_status_latch_and_sample():
     assert twins.transaction([recipe(
         CA, 400, latch(0, CMD.READ_1ST), address(25, 0),
         latch(300, CMD.READ_2ND))], (codec.encode(target),)) is None
-    end = twins.lun.next_completion_ns()
+    end = twins.lun.ready_at(StatusBits.RDY)
     (_, _, _, ((cmd_off, _),), *_), _ = twins.status_recipes
     twins.run_until(end - cmd_off - 1)
     column = twins.lun._column
@@ -581,12 +589,79 @@ def test_hung_die_stays_opaque_to_both_entries():
     twins = Twins(TEST_PROFILE, hooks=hooks)
     assert twins.run_op("erase_block", {
         "codec": twins.lun.codec, "block": 7}) == "hung"
-    assert twins.lun.next_completion_ns() is None
+    assert twins.lun.ready_at(StatusBits.RDY) is None
     assert twins.lun._busy_until == -1
     assert twins.lun.op_counts["READ_STATUS"] == 3
     # RESET is legal while busy and revives it.
     assert twins.run_op("reset", {}) is None
     assert twins.lun.state is LunState.IDLE
+
+
+# ---------------------------------------------------------------------------
+# (f) a CACHE PROGRAM in the array: ready_at, RESET, the fault hook
+# ---------------------------------------------------------------------------
+
+
+def _cache_programming(confirm=CMD.CACHE_PROGRAM_2ND, hooks=Hooks):
+    """Twins on TEST_PROFILE (tPROG exact) with block 4 page 0 loaded
+    and confirmed by ``confirm``; returns them and the confirm's
+    nanosecond."""
+    twins = Twins(TEST_PROFILE, hooks=hooks)
+    full = TEST_PROFILE.geometry.full_page_size
+    for twin in twins.pair:
+        twin.handles["h"] = twin.packetizer.to_flash(0, full)
+    base = twins.now
+    assert twins.transaction([recipe(
+        SegmentKind.DATA_IN, 400, latch(0, CMD.PROGRAM_1ST), address(25, 0),
+        (200, DATA_IN, full, "h", 0), latch(300, confirm))],
+        (twins.lun.codec.encode(PhysicalAddress(4, 0)),)) is None
+    return twins, base + 300
+
+
+def test_ready_at_sees_rdy_under_a_cache_program():
+    """RDY is up while the array programs: the ready-wait polls at
+    once.  ARDY waits for the array's end, the one pending completion."""
+    twins, confirmed = _cache_programming()
+    lun = twins.lun
+    assert lun.ready_at(StatusBits.RDY) == twins.now
+    assert lun.ready_at(StatusBits.ARDY) == \
+        confirmed + TEST_PROFILE.timing.t_prog_ns
+    status = twins.status()
+    assert status & StatusBits.RDY and not status & StatusBits.ARDY
+
+
+def test_ready_at_a_hung_cache_program_is_none():
+    """A hang the fault hook puts on a CACHE PROGRAM's tPROG schedules
+    no completion: ARDY never comes, and RDY is still up."""
+    def hooks():
+        return Hooks(busy=lambda kind, duration:
+                     None if kind == "program" else duration)
+
+    twins, _ = _cache_programming(hooks=hooks)
+    assert twins.lun.ready_at(StatusBits.ARDY) is None
+    assert twins.lun.ready_at(StatusBits.RDY) == twins.now
+    twins.run_until(twins.now + 10 * TEST_PROFILE.timing.t_prog_ns)
+    assert not twins.status() & StatusBits.ARDY
+    assert twins.lun.programs_completed == 0
+
+
+@pytest.mark.parametrize("confirm", [CMD.CACHE_PROGRAM_2ND,
+                                     CMD.PROGRAM_2ND],
+                         ids=["cache-program", "program"])
+def test_reset_aborts_the_program_in_the_array(confirm):
+    """RESET right after 80h...15h aborts the CACHE PROGRAM in the array,
+    as one right after 80h...10h aborts the PROGRAM: block 4 page 0
+    stays erased, on both entries.  The confirm's tPROG reached the
+    fault hook either way."""
+    twins, _ = _cache_programming(confirm)
+    assert twins.transaction([recipe(CA, 100, latch(0, CMD.RESET))]) is None
+    twins.run_until(twins.now + 2 * TEST_PROFILE.timing.t_prog_ns)
+    lun = twins.lun
+    assert lun.programs_completed == 0 and lun.array.programs == 0
+    assert (lun.array.pristine_page(PhysicalAddress(4, 0)) == 0xFF).all()
+    assert lun.status.value() & StatusBits.ARDY
+    assert [entry[2] for entry in twins.pair[1].hooks.log
+            if entry[0] == "busy"] == ["program", "reset"]
 
 
 # ---------------------------------------------------------------------------

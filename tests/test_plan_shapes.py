@@ -333,11 +333,21 @@ PARENT_TIMELINE = [
 # queued programs on distinct planes: the pairs (tasks 2/4, 3/5, 6/8,
 # 7/9) finish together, one tPROG for two, and each LUN's second pair,
 # queued when its first is admitted, chains behind it (its pages load
-# during the first pair's tPROG).
+# during the first pair's tPROG).  Re-recorded when the template's
+# ready-wait started to poll at once on a status bit already set
+# (``Lun.ready_at``): the chained pair's second page no longer waits
+# for the tPROG ahead to end, so tasks 2/4 end at 540 650 ns (552 165
+# before) and 6-9 at 745 045 ns (763 985).
+#
+# The waveform run of the same _run_ops ends tasks 2/4 at 655 640 ns and
+# 6-9 at 926 885 ns.  TLM ends earlier than waveform, by more than
+# before, because it still models no CPU time and no poll grid (ROADMAP
+# item 1): the die-side order of latches now matches waveform's, the
+# absolute times do not.
 PAIRED_TIMELINE = [
-    258665, 258960, 552165, 564115, 552165, 564115, 763985, 768510,
-    763985, 768510, 1022650, 1022945, 1121055, 1132495, 1219165, 1230605,
-    1317275, 1328715, 1415385, 1426825, 1513495, 1524935, 1611605, 1623045]
+    258665, 258960, 540650, 551875, 540650, 551875, 745045, 756270,
+    745045, 756270, 992785, 1004010, 1102120, 1113560, 1200230, 1211670,
+    1298340, 1309780, 1396450, 1407890, 1494560, 1506000, 1592670, 1604110]
 
 
 def test_undeclared_override_is_templated_on_the_reference_plan(walks):

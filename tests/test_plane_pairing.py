@@ -230,7 +230,8 @@ def _scale_state(fidelity, channels, luns_per_channel):
     arrays = [(lun.array.reads, lun.array.programs, lun.array.erases)
               for c in controllers for lun in c.luns]
     dram = b"".join(c.dram.read(0, 4 * PAGE).tobytes() for c in controllers)
-    return ([c.programs_paired for c in controllers], ftl.health_summary(),
+    return ([c.programs_paired for c in controllers],
+            [c.programs_chained for c in controllers], ftl.health_summary(),
             arrays, mapping, dram)
 
 
@@ -238,11 +239,15 @@ def _scale_state(fidelity, channels, luns_per_channel):
 def test_both_tiers_pair_the_same_programs(channels, luns_per_channel):
     """Two one-LUN channels, and two dies sharing one channel and one
     runtime (the tiers time each op differently there: the template's
-    poll fast-forward), pair the same programs and build the same map."""
+    poll fast-forward), pair and chain the same programs and build the
+    same map.  (The chains agree since a template polls at once on a
+    status bit already set: before, its ready-wait slept through a
+    chained pair's load to the end of the tPROG ahead.)"""
     wave = _scale_state("waveform", channels, luns_per_channel)
     tlm = _scale_state("tlm", channels, luns_per_channel)
     assert all(wave[0]) and tlm[0] == wave[0]
-    assert tlm[1:] == wave[1:]
+    assert tlm[1] == wave[1]
+    assert tlm[2:] == wave[2:]
 
 
 # ---------------------------------------------------------------------------

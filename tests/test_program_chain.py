@@ -56,6 +56,7 @@ from repro.faults.power import (
 )
 from repro.flash.errors import ErrorModelConfig
 from repro.flash.lun import Lun
+from repro.flash.vendors import VENDOR_PROFILES
 from repro.ftl import FtlConfig, PageMappedFtl, ShardedFtl
 from repro.ftl.badblocks import REASON_PROGRAM_FAIL
 from repro.ftl.spor import mount_sharded
@@ -181,6 +182,67 @@ def test_a_chain_confirms_with_cache_program_until_its_end(array_programs):
     _queued_pairs("waveform", 3, False)
     assert [cached for _, targets, _, _, cached in array_programs
             if len(targets) == 2] == [True, True, False]
+
+
+# ---------------------------------------------------------------------------
+# The pair behind loads under the tPROG ahead
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def die_latches(monkeypatch):
+    """Every command latch the dies take, as ``(opcode name, ns)``:
+    each effect handler wrapped where both entries dispatch to it."""
+    latched = []
+
+    def recording(handler):
+        def latch(lun, row):
+            latched.append((row.name, lun._now()))
+            return handler(lun, row)
+        return latch
+
+    for effect, handler in list(Lun._EFFECTS.items()):
+        monkeypatch.setitem(Lun._EFFECTS, effect, recording(handler))
+    return latched
+
+
+@pytest.mark.parametrize("fidelity", TIERS)
+@pytest.mark.parametrize("runtime", ["rtos", "coroutine"])
+@pytest.mark.parametrize("vendor", [TEST_PROFILE, VENDOR_PROFILES["hynix"]],
+                         ids=["test", "hynix"])
+def test_the_pair_behind_loads_under_the_tprog_ahead(
+        vendor, runtime, fidelity, die_latches, array_programs):
+    """Two pairs queued behind an erase chain: the second pair's pages
+    both load while the first pair's CACHE PROGRAM is in the array.  A
+    template polls the queue cycle (tDBSY) between them as soon as RDY
+    is up; its ready-wait once slept to the tPROG's end instead, and the
+    second page loaded after it.  A page's load is timed from the pair's
+    first page: its 80h latch to its 0x11 latch."""
+    sim = Simulator()
+    controller = BabolController(sim, ControllerConfig(
+        vendor=vendor, lun_count=1, runtime=runtime, track_data=True,
+        seed=3, fidelity=fidelity))
+    controller.luns[0].array.error_model.config = ErrorModelConfig.noiseless()
+    page = vendor.geometry.page_size
+    controller.erase_block(0, 9)
+    tasks = [controller.program_page(0, block, index, page * block)
+             for index in range(2) for block in (4, 5)]
+    sim.run()
+    assert [task.result for task in tasks] == [True] * 4
+    assert controller.programs_chained == 1
+    if fidelity == "tlm":
+        assert controller.fast_ops.ops_templated == 5
+    ((begun, tprog),) = [(begun, duration) for _, _, begun, duration, cached
+                         in array_programs if cached]
+    confirm = [at for name, at in die_latches
+               if name == "CACHE_PROGRAM_2ND"]
+    assert confirm == [begun]
+    after = [(name, at) for name, at in die_latches if at >= begun]
+    loads = [at for name, at in after if name == "PROGRAM_1ST"]
+    queued = [at for name, at in after if name == "MP_PROGRAM_2ND"]
+    assert len(loads) == 2 and len(queued) == 1
+    load = queued[0] - loads[0]
+    assert loads[1] + load <= begun + tprog
 
 
 # ---------------------------------------------------------------------------
@@ -542,22 +604,42 @@ def _guarded_writes(fidelity, fault):
 
 
 @pytest.mark.parametrize("fidelity", TIERS)
-@pytest.mark.parametrize("fault", [
+# A fault's ``after_op`` counts the busies the die opens: the erase,
+# then per pair its queue cycle (tDBSY, a "dummy" busy) and its tPROG —
+# a CACHE PROGRAM's for the first three pairs, the end's PROGRAM for the
+# fourth.
+@pytest.mark.parametrize("fault,busy,retried,reissued,resets,chained", [
     # The die hangs in the queue cycle (tDBSY) that loads the pair
-    # behind: the fourth busy, in the step that confirmed pair 2 and
-    # loads pair 3.
-    FaultSpec(kind=FaultKind.DIE_HANG, lun=0, count=1, after_op=3),
-    # The first program busy a chain holds R/B# for, its end's tPROG,
-    # stretched past the watchdog (a CACHE PROGRAM's array time holds
-    # no busy, so the fault hook never sees it).
-    FaultSpec(kind=FaultKind.STUCK_BUSY, lun=0, count=1, after_op=1,
-              stretch=30.0),
-], ids=["hang-behind", "stretched-end"])
-def test_a_fault_in_a_chain_loses_no_acked_write(fidelity, fault):
+    # behind: the sixth busy, in the step that confirmed pair 2 and
+    # loads pair 3.  Pair 2's tPROG ends under the hang: the recovery
+    # stage-1 status read finds the die ready and takes its verdict.
+    (FaultSpec(kind=FaultKind.DIE_HANG, lun=0, count=1, after_op=5),
+     "dummy", 2, 0, 1, 2),
+    # The chain end's tPROG, the ninth busy, stretched past the
+    # watchdog: no pair is behind it, so nothing is reset.
+    (FaultSpec(kind=FaultKind.STUCK_BUSY, lun=0, count=1, after_op=7,
+               stretch=30.0), "program", 2, 0, 0, 3),
+    # The first CACHE PROGRAM's tPROG, stretched within the watchdog:
+    # the step's ARDY poll waits it out.
+    (FaultSpec(kind=FaultKind.STUCK_BUSY, lun=0, count=1, after_op=1,
+               stretch=3.0), "program", 0, 0, 0, 3),
+    # The same tPROG stretched past the watchdog, or hung: the chain's
+    # RESET aborts it, so its pair fails with OpAborted and the
+    # recovery re-issues it after a RESET of its own, per write.
+    (FaultSpec(kind=FaultKind.STUCK_BUSY, lun=0, count=1, after_op=1,
+               stretch=30.0), "program", 0, 2, 3, 2),
+    (FaultSpec(kind=FaultKind.DIE_HANG, lun=0, count=1, after_op=2),
+     "program", 0, 2, 3, 2),
+], ids=["hang-behind", "stretched-end", "stretched-cache",
+        "aborted-cache", "hung-cache"])
+def test_a_fault_in_a_chain_loses_no_acked_write(
+        fidelity, fault, busy, retried, reissued, resets, chained,
+        array_programs):
     """Every acknowledged page reads back, and no row is programmed but
     the eight written: a pair loaded behind a step that timed out is
     dropped by a RESET and runs again, so its unconfirmed pages are
-    never taken for committed, nor programmed with another confirm."""
+    never taken for committed, nor programmed with another confirm; a
+    pair whose CACHE PROGRAM that RESET aborts is written again."""
     controller, recovery, acks, data = _guarded_writes(fidelity, fault)
     lun = controller.luns[0]
     assert acks == {target: True for target in data}
@@ -565,24 +647,38 @@ def test_a_fault_in_a_chain_loses_no_acked_write(fidelity, fault):
         got = lun.array.pristine_page(PhysicalAddress(block, page))
         assert got.tobytes()[:PAGE] == payload.tobytes(), (block, page)
     assert lun.array.programs == len(data)
-    # Only the pair in the array timed out; the recovery stage-1 status
-    # read found the die ready and took its verdict.
-    assert recovery.stats.timeouts == 2
-    assert recovery.stats.recovered_by_retry == 2
-    assert recovery.stats.resets == 0
-    hung = fault.kind is FaultKind.DIE_HANG
-    assert lun.op_counts.get("RESET", 0) == (1 if hung else 0)
-    assert controller.programs_chained == (2 if hung else 3)
+    (record,) = lun._fault_hook.records
+    assert record.detail.startswith(f"{busy} busy"), record.detail
+    assert recovery.stats.timeouts == retried + reissued
+    assert recovery.stats.recovered_by_retry == retried
+    assert recovery.stats.recovered_by_reset == reissued
+    assert recovery.stats.resets == reissued
+    assert lun.op_counts.get("RESET", 0) == resets
+    assert controller.programs_chained == chained
+    if fault.stretch == 3.0:
+        # The chain waited the stretched tPROG out before its next one.
+        cached = [(begun, duration) for _, targets, begun, duration, cached
+                  in array_programs if cached and len(targets) == 2]
+        (first, tprog), (second, _) = cached[:2]
+        assert second - first >= 3 * tprog
 
 
-def test_a_failed_template_step_hands_the_pair_behind_back(monkeypatch):
+@pytest.mark.parametrize("busy,error,programs", [
+    # The sixth busy: the queue cycle loading pair 3, in the step that
+    # confirmed pair 2, whose tPROG ends under the hang.
+    (6, "OpTimeout", 8),
+    # The fifth: pair 2's CACHE PROGRAM, which the RESET aborts.
+    (5, "OpAborted", 6),
+], ids=["hang-behind", "hung-cache"])
+def test_a_failed_template_step_hands_the_pair_behind_back(
+        monkeypatch, busy, error, programs):
     """The template runner's side of the same rule.  A watchdog stands
     the runner down, so a template's poll that gives up raises a
     timeout here, as the generic poll would under a watchdog."""
     monkeypatch.setattr(fastops, "poll_budget_exhausted",
                         lambda what: OpTimeout(what, 0, 1))
 
-    class HangsFourthBusy:
+    class HangsOneBusy:
         def __init__(self):
             self.busies = 0
 
@@ -594,12 +690,12 @@ def test_a_failed_template_step_hands_the_pair_behind_back(monkeypatch):
 
         def on_busy(self, lun, kind, duration):
             self.busies += 1
-            return None if self.busies == 4 else duration
+            return None if self.busies == busy else duration
 
     sim = Simulator()
     controller = _controller(sim, "tlm")
     lun = controller.luns[0]
-    lun._fault_hook = HangsFourthBusy()  # keeps the TLM templates
+    lun._fault_hook = HangsOneBusy()  # keeps the TLM templates
     for block in (4, 5):
         controller.dram.write(PAGE * block, _payload(block, 1))
     controller.erase_block(0, 9)
@@ -609,14 +705,18 @@ def test_a_failed_template_step_hands_the_pair_behind_back(monkeypatch):
     assert controller.fast_ops.ops_templated == 9
     # The pair in the array when the die hung fails; the pair loaded
     # behind it runs again after the RESET, and so do the rest.
-    assert [task.result for task in tasks] == \
-        [True, True, None, None] + [True] * 4
-    assert all(isinstance(task.error, OpTimeout) for task in tasks[2:4])
+    results = [True, True, None, None] + [True] * 4
+    assert [task.result for task in tasks] == results
+    assert all(type(task.error).__name__ == error for task in tasks[2:4])
     assert lun.op_counts["RESET"] == 1
-    assert lun.array.programs == 8
-    for block, page in [(b, p) for p in range(4) for b in (4, 5)]:
+    assert lun.array.programs == programs
+    for index, (block, page) in enumerate(
+            [(b, p) for p in range(4) for b in (4, 5)]):
         got = lun.array.pristine_page(PhysicalAddress(block, page))
-        assert got.tobytes()[:PAGE] == _payload(block, 1).tobytes()
+        if results[index] or programs == 8:  # or committed under the hang
+            assert got.tobytes()[:PAGE] == _payload(block, 1).tobytes()
+        else:  # aborted by the RESET: still erased
+            assert (got == 0xFF).all()
 
 
 # ---------------------------------------------------------------------------
