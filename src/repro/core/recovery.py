@@ -72,7 +72,12 @@ class OpFailed(RecoverableOpError):
 
 
 class OpTimeout(RecoverableOpError):
-    """A busy-wait exhausted its watchdog budget (stuck LUN)."""
+    """A busy-wait exhausted its watchdog budget (stuck LUN).
+
+    ``status``: the status byte the environment read on the die after
+    the timeout, holding it (``SoftwareEnvironment._settle``) — ready,
+    the verdict on the op, or still busy on a hung die; None when no one
+    read it."""
 
     def __init__(self, what: str, lun: int, budget_ns: int):
         super().__init__(
@@ -81,6 +86,7 @@ class OpTimeout(RecoverableOpError):
         )
         self.what = what
         self.budget_ns = budget_ns
+        self.status: Optional[int] = None
 
 
 class OpAborted(RecoverableOpError):
@@ -241,12 +247,16 @@ class RecoveryManager:
         # slow (a stretched busy): re-poll status and, once it reports
         # ready, re-issue the operation against the now-idle array.  An
         # op a RESET aborted skips it: the die's status is no verdict.
+        # A status the environment read while it held the die counts as
+        # the first re-poll: no other op ran on the die before it.
         retries = 0 if isinstance(error, OpAborted) \
             else self.policy.max_status_retries
+        status = getattr(error, "status", None)
         for attempt in range(retries):
-            yield Timeout(self.policy.backoff_ns << attempt)
-            self.stats.status_retries += 1
-            status = yield from self._read_status(lun)
+            if status is None:
+                yield Timeout(self.policy.backoff_ns << attempt)
+                self.stats.status_retries += 1
+                status = yield from self._read_status(lun)
             if status is not None and StatusRegister.is_ready(status):
                 if kind in ("program", "erase"):
                     # The slow die finished the op while we waited: the
@@ -262,6 +272,7 @@ class RecoveryManager:
                     self.stats.recovered_by_retry += 1
                     return self._check(kind, lun, result)
                 break
+            status = None
         # Stage 2: targeted RESET.  Legal while the array is busy; it
         # cancels the hung operation (which never committed to the
         # array) and returns the die to idle after tRST.

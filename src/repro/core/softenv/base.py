@@ -47,7 +47,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.core.executor import Executor
 from repro.core.packetizer import Packetizer
-from repro.core.recovery import OpAborted, RecoverableOpError
+from repro.core.recovery import OpAborted, OpTimeout, RecoverableOpError
 from repro.core.softenv.cpu import Cpu
 from repro.core.softenv.task_scheduler import RoundRobinTaskScheduler, TaskScheduler
 from repro.core.softenv.txn_scheduler import FifoTxnScheduler, TxnScheduler
@@ -55,10 +55,12 @@ from repro.core.transaction import Transaction, TxnKind
 from repro.core.ufsm.base import UfsmBank
 from repro.core.ufsm.ca_writer import cmd
 from repro.onfi.commands import CMD
-from repro.onfi.status import StatusRegister
+from repro.onfi.status import StatusBits, StatusRegister
 from repro.sim import Simulator, Trigger, WaitTrigger
 
 _task_ids = itertools.count()
+_ARDY = int(StatusBits.ARDY)
+
 #: Admission order: the lowest ``priority`` class first; ``sorted`` is
 #: stable, so FIFO within a class.
 _CLASS = attrgetter("priority")
@@ -564,8 +566,7 @@ class SoftwareEnvironment:
         try:
             passed = yield from paired_program_op(ctx, codec=codec, pages=pages)
         except RecoverableOpError as exc:
-            self._fail(partner, exc)
-            raise
+            yield from self._settle(ctx, (partner,), exc)
         self._finish_task(partner, passed[1])
         return passed[0]
 
@@ -599,8 +600,7 @@ class SoftwareEnvironment:
                 after = self.chain_next(task.lun_position, False)
         except RecoverableOpError as exc:
             if behind is None:
-                self._fail(partner, exc)
-                raise
+                yield from self._settle(ctx, (partner,), exc)
             # This task holds the die through the RESET that settles
             # its pair and drops the one behind (`_reset_behind`).
             self._running[task.lun_position] = task
@@ -611,6 +611,43 @@ class SoftwareEnvironment:
             behind[0].gen = self._run_chain(*behind, after, False)
             self._make_ready(behind[0])
         return passed[0]
+
+    def _settle(self, ctx: OperationContext, others: tuple,
+                exc: RecoverableOpError) -> Generator:
+        """The op the task holding ``ctx``'s die runs failed with
+        ``exc``: fail ``others`` (a pair's partner) with it, and raise it
+        for the holder.  A watchdog timeout leaves the die maybe still
+        busy, so the holder first keeps the die until its array is ready
+        — the status it then reads goes on the error
+        (``OpTimeout.status``), the verdict no later op on the die can
+        change — or, still busy after one more watchdog budget, RESETs
+        it: the op never committed, and the tasks fail with
+        :class:`OpAborted`.  If that RESET times out too, the die is
+        hung: its busy status goes on the error."""
+        if isinstance(exc, OpTimeout) and exc.status is None:
+            from repro.core.ops import read_status_op, reset_op
+
+            lun = self.executor.channel.luns[ctx.lun_position]
+            deadline = self.sim.now + exc.budget_ns
+            while True:
+                # Wait on the die: the next instant its status can change.
+                at = lun.ready_at(_ARDY)
+                at = deadline if at is None else min(at, deadline)
+                if at > self.sim.now:
+                    yield from ctx.sleep(at - self.sim.now)
+                exc.status = yield from read_status_op(ctx)
+                if StatusRegister.is_array_ready(exc.status):
+                    break
+                if self.sim.now >= deadline:
+                    try:
+                        yield from reset_op(ctx)
+                        exc = OpAborted(exc.what, ctx.lun_position)
+                    except RecoverableOpError:
+                        pass
+                    break
+        for task in others:
+            self._fail(task, exc)
+        raise exc
 
     def _fail(self, task: Task, exc: RecoverableOpError) -> None:
         """Finish a task an op run for it failed (no result)."""
@@ -700,9 +737,15 @@ class SoftwareEnvironment:
                 # Watchdog timeouts / surfaced FAIL bits are policy
                 # events, not runtime bugs: attach the error and finish
                 # the task (result None) so waiters unblock and a
-                # recovery manager can escalate.  Anything else still
-                # propagates — a protocol violation must stay loud.
+                # recovery manager can escalate — after a timeout, once
+                # the task's die is settled (``_settle``).  Anything else
+                # still propagates — a protocol violation must stay loud.
                 task.gen.close()
+                if isinstance(exc, OpTimeout) and exc.status is None:
+                    task.gen = self._settle(
+                        OperationContext(self, task.lun_position), (), exc)
+                    send = None
+                    continue
                 self._fail(task, exc)
                 return
             kind = command.__class__

@@ -675,15 +675,28 @@ class PageMappedFtl:
         return victim
 
     def _claim_partner(self, victim: BlockInfo) -> Optional[BlockInfo]:
-        """Take a second victim for ``victim``'s erase out of the closed
-        list: the policy's pick among the LUN's closed blocks on another
-        plane.  Only on a controller with ``pairs_erases``, only if moving
-        its valid pages costs less die time than the tBERS the shared
-        erase saves, and only if both victims' pages fit."""
+        """Take a second block for ``victim``'s erase, only on a
+        controller with ``pairs_erases``.  On the meta LUN, the
+        persistence ring's stale block comes first when it sits on
+        another plane (``PersistenceLayer.stale_block``): returned as a
+        block with nothing to relocate, it rides the victim's erase (the
+        collect claims it then, ``PersistenceLayer.start_ride``), so the
+        ring's erase costs no tBERS on the flush path.  Else the
+        second victim out of the closed list: the policy's pick among the
+        LUN's closed blocks on another plane, only if moving its valid
+        pages costs less die time than the tBERS the shared erase saves,
+        and only if both victims' pages fit."""
         if self._erase_pair is None:
             return None
-        closed = self._luns[victim.lun].closed
+        lun = victim.lun
         plane = self._plane(victim.block)
+        persist = self.persist
+        if persist is not None and lun == persist.meta_lun:
+            stale = persist.stale_block()
+            if stale is not None and self._plane(stale) != plane:
+                return BlockInfo(lun=lun, block=stale,
+                                 capacity=self.pages_per_block)
+        closed = self._luns[lun].closed
         partner = self.victim_policy.select(
             [info for info in closed if self._plane(info.block) != plane],
             self.sim.now)
@@ -750,10 +763,15 @@ class PageMappedFtl:
         """Move the victim's valid pages, then erase it — with a partner
         on another plane, move both blocks' pages, then erase the two
         in one multi-plane ERASE, each freed or retired on its own
-        status."""
-        victims = (victim,) if partner is None else (victim, partner)
-        self.gc_runs += len(victims)
+        status.  A partner that is the meta ring's ride is only erased,
+        and only if it is still stale then; whatever its status, the
+        ring's rotation checks the block."""
         lun = victim.lun
+        persist = self.persist
+        ride = partner is not None and persist is not None \
+            and lun == persist.meta_lun and partner.block in persist.meta_blocks
+        victims = (victim,) if partner is None or ride else (victim, partner)
+        self.gc_runs += len(victims)
         for info in victims:
             if not (yield from self._relocate(info)):
                 # End of life: nowhere left to relocate to.  The victims
@@ -763,6 +781,8 @@ class PageMappedFtl:
                 return
         for info in victims:
             self._drop_valid(info)
+        if ride and not persist.start_ride(partner.block):
+            partner = None  # the ring rotated onto it meanwhile
         if partner is None:
             ok = yield from self._media(
                 self._t_bers, self.controller.erase_block, lun, victim.block,
@@ -773,7 +793,9 @@ class PageMappedFtl:
                 self._t_bers, self._erase_pair, lun,
                 (victim.block, partner.block), priority=BACKGROUND)
             passed = passed or (False, False)  # the op itself failed
-        persist = self.persist
+            if ride:
+                persist.end_ride(passed[1])
+                passed = passed[:1]
         for info, ok in zip(victims, passed):
             self._info.pop((lun, info.block), None)
             if not ok:

@@ -31,6 +31,15 @@ never erased before a newer one is fully committed.  A crash at any
 nanosecond therefore always leaves one complete checkpoint plus a
 durable prefix of its journal on media.
 
+That erase rarely runs on the rotation itself.  Once the live block
+holds a committed checkpoint, the next ring block is stale, and the
+meta LUN's collector erases it beside a GC victim on another plane in
+one multi-plane ERASE (:meth:`PersistenceLayer.stale_block`, a *ride*;
+``PageMappedFtl._claim_partner``).  The rotation waits for a ride in
+flight on its target and erases only what is still not erased, so a
+journal page a FLUSH waits on seldom waits for a tBERS.  Neither erase
+writes a journal or wear record: the mount rescans the whole ring.
+
 Every meta program is **written behind** host I/O by the shard's one
 writer process: the FTL's hooks only count and, when a checkpoint or a
 journal flush is due, start the writer and return.  A host write's
@@ -118,6 +127,10 @@ class PersistenceLayer:
         self._ckpt_owed = False  # the live meta block has no checkpoint
         self._busy = False       # the shard's writer process is running
         self._idle = Trigger(ftl.sim)  # each writer step, and its end
+        # The stale ring block a GC erase is erasing for the ring, and
+        # the pulse at its end (``stale_block``, ``end_ride``).
+        self.riding: Optional[int] = None
+        self._ride_done = Trigger(ftl.sim)
 
         # Host-side copies of what is durably on media (the crash-fuzz
         # verifier compares the rebuilt state against these).
@@ -129,6 +142,8 @@ class PersistenceLayer:
         self.journal_records_written = 0
         self.checkpoints_written = 0
         self.meta_program_failures = 0
+        self.meta_erases_ridden = 0  # passed inside a GC multi-plane ERASE
+        self.meta_erases_inline = 0  # issued by a rotation itself
 
     # ------------------------------------------------------------------
     # Sequence numbers
@@ -322,6 +337,37 @@ class PersistenceLayer:
     def _pages_left(self) -> int:
         return self.ftl.pages_per_block - self._next_page
 
+    def _needs_erase(self, block: int) -> bool:
+        info = self._array().block(block)
+        return bool(info.programmed or info.torn or info.erase_interrupted)
+
+    def stale_block(self) -> Optional[int]:
+        """The ring block the next rotation will erase, if an erase may
+        start on it now: the live block holds a committed checkpoint (so
+        every other ring block is stale), the block is not erased yet,
+        and no ride is in flight.  A caller that erases it claims it
+        with :meth:`start_ride` and calls :meth:`end_ride` after."""
+        if self._ckpt_owed or self.riding is not None:
+            return None
+        block = self.meta_blocks[(self._ring_pos + 1) % len(self.meta_blocks)]
+        return block if self._needs_erase(block) else None
+
+    def start_ride(self, block: int) -> bool:
+        """Claim ``block`` for an erase that is about to start, if it is
+        still :meth:`stale_block`; False (nothing claimed) if not."""
+        if self.stale_block() != block:
+            return False
+        self.riding = block
+        return True
+
+    def end_ride(self, passed: bool) -> None:
+        """The ride's erase ended (``passed``: its block's status); a
+        rotation waiting on it goes on."""
+        if passed:
+            self.meta_erases_ridden += 1
+        self.riding = None
+        self._ride_done.fire()
+
     def _rotate(self) -> Generator:
         if self._ckpt_owed:
             # Rotating again would erase the block that holds the last
@@ -331,12 +377,18 @@ class PersistenceLayer:
                 f"(LUN {self.meta_lun}) filled before its checkpoint "
                 f"committed; persistence region exhausted"
             )
-        self._ring_pos = (self._ring_pos + 1) % len(self.meta_blocks)
+        ring_pos = (self._ring_pos + 1) % len(self.meta_blocks)
+        block = self.meta_blocks[ring_pos]
+        while self.riding == block:
+            # A GC erase is erasing it: the live block stays live (and
+            # the ride stale) until that erase ends.
+            yield from self._ride_done.wait()
+        self._ring_pos = ring_pos
         self._next_page = 0
         self._ckpt_owed = True
-        block = self.meta_blocks[self._ring_pos]
-        info = self._array().block(block)
-        if info.programmed or info.torn or info.erase_interrupted:
+        if self._needs_erase(block):
+            # No ride erased it (or its erase failed): erase it here.
+            self.meta_erases_inline += 1
             ftl = self.ftl
             ok = yield from ftl._media(ftl._t_bers, ftl.controller.erase_block,
                                        self.meta_lun, block)
@@ -433,8 +485,7 @@ class PersistenceLayer:
             self._ring_pos = (self._ring_pos + 1) % len(self.meta_blocks)
             self._next_page = 0
             block = self.meta_blocks[self._ring_pos]
-            info = array.block(block)
-            if info.programmed or info.torn or info.erase_interrupted:
+            if self._needs_erase(block):
                 if not array.erase(block, now_ns=now_ns):
                     raise self._FtlError(
                         f"meta block {block} wore out during offline "

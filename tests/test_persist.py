@@ -313,3 +313,19 @@ def test_meta_ring_rotation_survives_sustained_writes():
     assert persist.checkpoint_state is not None
     # The live meta block always holds the current checkpoint id.
     assert persist.checkpoint_id == persist.checkpoint_state["ckpt"]
+
+
+def test_meta_erase_counters_account_for_every_ring_erase():
+    # A ring erase rides a GC erase on the meta LUN or is the
+    # rotation's own.  Together they are every erase the ring's blocks
+    # took (no prefill or mount here, which erase offline).
+    sim, controller, ftl = make_persistent_ftl(checkpoint_interval=8,
+                                               journal_flush_records=4)
+    for i in range(300):
+        host_write(sim, controller, ftl, lpn=i % ftl.logical_pages, fill=i)
+    sim.run()
+    persist = ftl.persist
+    array = controller.luns[persist.meta_lun].array
+    erased = sum(array.block(b).erase_count for b in persist.meta_blocks)
+    assert persist.meta_erases_ridden and persist.meta_erases_inline
+    assert persist.meta_erases_ridden + persist.meta_erases_inline == erased

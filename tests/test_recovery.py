@@ -31,6 +31,7 @@ from repro.obs import (
     register_recovery_metrics,
     register_reliability_metrics,
 )
+from repro.onfi.geometry import PhysicalAddress
 from repro.sim import Simulator
 
 from tests.helpers import TEST_PROFILE
@@ -130,6 +131,53 @@ def test_slow_die_recovers_via_status_retry():
     assert ok is True
     assert recovery.stats.recovered_by_retry == 1
     assert recovery.stats.resets == 0
+
+
+# A fault's ``after_op`` counts the busies the die opens: per pair of
+# the eight writes (a program chain, two planes) its queue cycle (tDBSY)
+# and its tPROG.
+@pytest.mark.parametrize("fidelity", ["waveform", "tlm"])
+@pytest.mark.parametrize("kind,after_op", [
+    (FaultKind.STUCK_BUSY, 0), (FaultKind.STUCK_BUSY, 5),
+    (FaultKind.STUCK_BUSY, 6), (FaultKind.DIE_HANG, 0),
+    (FaultKind.DIE_HANG, 1), (FaultKind.DIE_HANG, 6),
+])
+def test_a_timed_out_op_holds_its_die_for_the_writes_behind(
+        fidelity, kind, after_op):
+    """Eight concurrent writes on one die, each through a recovery
+    manager: a timeout leaves the die busy (a 30x stretched busy, or a
+    hang a RESET ends), and no queued write is latched on it before it
+    is ready or reset — every write is acked and reads back."""
+    sim = Simulator()
+    controller = BabolController(sim, ControllerConfig(
+        vendor=TEST_PROFILE, lun_count=1, runtime="rtos", track_data=True,
+        seed=7, fidelity=fidelity, watchdog=Watchdog.for_vendor(TEST_PROFILE)))
+    array = controller.luns[0].array
+    array.error_model.config = ErrorModelConfig.noiseless()
+    stretch = {"stretch": 30.0} if kind is FaultKind.STUCK_BUSY else {}
+    FaultInjector(FaultCampaign(name="held", seed=7, faults=[FaultSpec(
+        kind=kind, lun=0, count=1, after_op=after_op, **stretch)])
+    ).attach(controller)
+    recovery = RecoveryManager(controller, policy=RecoveryPolicy(
+        max_status_retries=8, backoff_ns=TEST_PROFILE.timing.t_prog_ns))
+    targets = [(block, page) for page in range(4) for block in (4, 5)]
+    acks, data = {}, {}
+
+    def writer(index, block, page):
+        data[block, page] = (np.arange(PAGE_BYTES) * (index + 3) % 251
+                             ).astype(np.uint8)
+        controller.dram.write(PAGE_BYTES * index, data[block, page])
+        acks[block, page] = yield from recovery.program_page(
+            0, block, page, PAGE_BYTES * index)
+
+    for index, (block, page) in enumerate(targets):
+        sim.spawn(writer(index, block, page), name=f"writer{index}")
+    sim.run()
+    assert acks == {target: True for target in targets}
+    for (block, page), payload in data.items():
+        got = array.pristine_page(PhysicalAddress(block, page))
+        assert got.tobytes() == payload.tobytes(), (block, page)
+    assert recovery.stats.timeouts >= 1 and recovery.stats.degraded == 0
 
 
 def test_die_hang_degrades_and_isolates():
