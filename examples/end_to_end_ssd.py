@@ -13,7 +13,7 @@ from repro import BabolController, ControllerConfig, Simulator
 from repro.core.softenv import GHZ
 from repro.flash import HYNIX_V7
 from repro.ftl import FtlConfig, PageMappedFtl
-from repro.host import FioJob, HostCommand, HostInterface, run_fio
+from repro.host import FioJob, HostInterface, ScaleCommand, run_fio
 from repro.host.hic import HostOpcode
 
 
@@ -38,8 +38,8 @@ def main() -> None:
     ftl.prefill(ftl.logical_pages * 3 // 4)
     hot_span = ftl.logical_pages // 8
     for i in range(hot_span * 3):
-        hic.submit(HostCommand(opcode=HostOpcode.WRITE, lpn=i % hot_span,
-                               dram_address=0))
+        hic.submit(ScaleCommand(opcode=HostOpcode.WRITE, lpn=i % hot_span,
+                                dram_address=0))
     sim.run_process(hic.drain())
     print("phase 1: hot-range overwrite")
     print(f"  host writes            : {ftl.host_writes}")

@@ -11,7 +11,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "ScaleJob": "engine",
     "ScaleRunResult": "engine",
     "run_scale_workload": "engine",
-    "HostCommand": "hic",
     "HostInterface": "hic",
     "ReadWorkloadResult": "workload",
     "measure_read_throughput": "workload",

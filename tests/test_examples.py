@@ -17,10 +17,16 @@ SRC = Path(repro.__file__).resolve().parents[1]
 EXAMPLES = SRC.parent / "examples"
 
 
+#: What a script must print besides exiting 0.
+EXPECT = {"nvme_host.py": "structure verified: True"}
+
+
 @pytest.mark.parametrize("script", [
     "custom_operation.py",
     "new_package_bringup.py",
+    "nvme_host.py",
     "quickstart.py",
+    "trace_replay.py",
 ])
 def test_example_runs(script):
     env = dict(os.environ)
@@ -30,3 +36,4 @@ def test_example_runs(script):
                           capture_output=True, text=True, env=env,
                           cwd=SRC.parent, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert EXPECT.get(script, "") in done.stdout

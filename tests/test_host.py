@@ -1,11 +1,12 @@
 """Tests for the host substrate: HIC, workload injector, fio driver."""
 
+import numpy as np
 import pytest
 
 from repro.core import BabolController, ControllerConfig
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl
-from repro.host import FioJob, HostCommand, HostInterface, run_fio
+from repro.host import FioJob, HostInterface, ScaleCommand, run_fio
 from repro.host.hic import HostOpcode
 from repro.host.workload import measure_read_throughput
 from repro.sim import Simulator
@@ -38,7 +39,7 @@ def test_hic_completes_reads_and_records_latency():
     sim, controller, ftl, hic = make_stack()
     ftl.prefill(16)
     for lpn in range(8):
-        hic.submit(HostCommand(opcode=HostOpcode.READ, lpn=lpn, dram_address=0))
+        hic.submit(ScaleCommand(opcode=HostOpcode.READ, lpn=lpn, dram_address=0))
     sim.run_process(hic.drain())
     assert len(hic.completed) == 8
     assert hic.mean_latency_ns() > 0
@@ -49,7 +50,7 @@ def test_hic_iodepth_bounds_concurrency():
     sim, controller, ftl, hic = make_stack(iodepth=1)
     ftl.prefill(8)
     for lpn in range(4):
-        hic.submit(HostCommand(opcode=HostOpcode.READ, lpn=lpn))
+        hic.submit(ScaleCommand(opcode=HostOpcode.READ, lpn=lpn))
     sim.run_process(hic.drain())
     # With iodepth 1 completions are strictly serialized.
     ends = [c.finished_at for c in hic.completed]
@@ -60,9 +61,9 @@ def test_hic_iodepth_bounds_concurrency():
 
 def test_hic_write_then_read_path():
     sim, controller, ftl, hic = make_stack()
-    hic.submit(HostCommand(opcode=HostOpcode.WRITE, lpn=3, dram_address=0))
+    hic.submit(ScaleCommand(opcode=HostOpcode.WRITE, lpn=3, dram_address=0))
     sim.run_process(hic.drain())
-    hic.submit(HostCommand(opcode=HostOpcode.READ, lpn=3, dram_address=65536))
+    hic.submit(ScaleCommand(opcode=HostOpcode.READ, lpn=3, dram_address=65536))
     sim.run_process(hic.drain())
     assert ftl.host_reads == 1 and ftl.host_writes == 1
 
@@ -70,7 +71,7 @@ def test_hic_write_then_read_path():
 def test_hic_trim_path():
     sim, controller, ftl, hic = make_stack()
     ftl.prefill(4)
-    hic.submit(HostCommand(opcode=HostOpcode.TRIM, lpn=2))
+    hic.submit(ScaleCommand(opcode=HostOpcode.TRIM, lpn=2))
     sim.run_process(hic.drain())
     assert ftl.map.lookup(2) is None
 
@@ -166,6 +167,18 @@ def test_fio_sequential_and_random():
     assert seq.bandwidth_mb_s > 0 and rand.bandwidth_mb_s > 0
     assert seq.iops > 0
     assert seq.p99_latency_ns >= seq.mean_latency_ns * 0.5
+
+
+def test_fio_and_hic_p99_interpolate_like_numpy():
+    sim, controller, ftl, hic = make_stack(lun_count=2, iodepth=4)
+    ftl.prefill(32)
+    result = run_fio(sim, hic, FioJob(pattern="random", io_count=24,
+                                      iodepth=4, seed=5))
+    latencies = [c.latency_ns for c in hic.completed]
+    expected = np.percentile(latencies, 99)
+    assert result.p99_latency_ns == pytest.approx(expected)
+    assert hic.p99_latency_ns() == pytest.approx(expected)
+    assert result.mean_latency_ns == pytest.approx(np.mean(latencies))
 
 
 def test_fio_validates_job():

@@ -1,5 +1,6 @@
 """Tests for trace synthesis, serialization, replay, and wear leveling."""
 
+import numpy as np
 import pytest
 
 from repro.core import BabolController, ControllerConfig
@@ -111,6 +112,16 @@ def test_replay_completes_all_ios():
     assert result.reads + result.writes == 40
     assert result.mean_latency_ns > 0
     assert result.iops > 0
+
+
+def test_replay_p99_interpolates_like_numpy():
+    sim, controller, ftl, hic = make_stack()
+    ftl.prefill(32)
+    trace = synthesize_trace(io_count=24, working_set_pages=32,
+                             mean_interarrival_ns=20_000, seed=4)
+    result = replay_trace(sim, hic, trace)
+    latencies = [c.latency_ns for c in hic.completed]
+    assert result.p99_latency_ns == pytest.approx(np.percentile(latencies, 99))
 
 
 def test_replay_open_loop_respects_arrivals():
