@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.metrics import per_second
 from repro.config.specs import require_dram
 from repro.sim import Simulator
-from repro.sim.kernel import NS_PER_S
 
 
 @dataclass
@@ -30,9 +30,7 @@ class ReadWorkloadResult:
 
     @property
     def throughput_mb_s(self) -> float:
-        if self.elapsed_ns == 0:
-            return 0.0
-        return self.payload_bytes / (self.elapsed_ns / NS_PER_S) / 1e6
+        return per_second(self.payload_bytes, self.elapsed_ns) / 1e6
 
     @property
     def mean_page_latency_us(self) -> float:
