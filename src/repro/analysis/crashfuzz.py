@@ -34,7 +34,12 @@ One fuzz *seed* is an oracle plus a family of crashes:
      program reached the array just before the cut is on media although
      the FTL never saw it complete, so the mount may know more than
      the projection, never less and never more than really happened;
-   * every durably-recorded retirement survives the remount.
+   * every durably-recorded retirement survives the remount;
+   * a FLUSH keeps its promise: a trim acked before an acked FLUSH on
+     its shard was submitted is in the durable projection
+     (:meth:`~repro.ftl.persist.PersistenceLayer.durable_trims`) unless
+     a later write to that LPN was acked.  The report counts the FLUSHes
+     that covered at least one such trim as ``flush_barriers_checked``.
 
 Everything derives from seeded RNGs and simulated time: the same
 ``(base_seed, seeds, points)`` triple produces a byte-identical report
@@ -432,6 +437,33 @@ def _verify_point(crashed, oracle_acks, crash_ns: int,
                     f"({reason}) lost across remount"
                 )
 
+    # 5. What a FLUSH promises: a trim acked before an acked FLUSH on
+    #    its shard was submitted is durably its LPN's latest state,
+    #    unless a later write to that LPN was acked (the stream puts a
+    #    write between any two trims of one LPN, so that is: unless the
+    #    trim is no longer the LPN's last acked op).
+    acked_trims = [c for c in engine.acks
+                   if c.opcode is HostOpcode.TRIM
+                   and acked[c.lpn][0] == c.tag]
+    barriers = 0
+    undone: set[tuple[int, int]] = set()
+    for flush in engine.acks:
+        if flush.opcode is not HostOpcode.FLUSH:
+            continue
+        covered = [t for t in acked_trims
+                   if t.channel == flush.channel
+                   and t.finished_at < flush.submitted_at]
+        barriers += bool(covered)
+        for trim in covered:
+            if trim.lpn not in durable_trimmed:
+                undone.add((trim.lpn, trim.tag))
+    for lpn, version in sorted(undone):
+        violations.append(
+            f"trim of LPN {lpn} (version {version}) not durable although "
+            f"a FLUSH on its shard completed after it was acked"
+        )
+    point["flush_barriers_checked"] = barriers
+
     point["violations"] = violations
     if internal:
         point["internal"] = internal
@@ -454,6 +486,7 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
     results: list[dict] = []
     total_violations = 0
     total_internal = 0
+    total_barriers = 0
     for index in range(knobs.crash_seeds):
         seed = knobs.base_seed + index
         rng = np.random.default_rng(seed * 1000 + 17)
@@ -507,6 +540,7 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
             point["fired"] = fired
             total_violations += len(point["violations"])
             total_internal += len(point.get("internal", ()))
+            total_barriers += point["flush_barriers_checked"]
             entry["points"].append(point)
         results.append(entry)
 
@@ -521,6 +555,7 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
         "channels": channels,
         "exit_code": exit_code,
         "fidelity": spec.stack.fidelity,
+        "flush_barriers_checked": total_barriers,
         "internal_errors": total_internal,
         "ios": ios,
         "luns_per_channel": spec.stack.luns_per_channel,
@@ -555,6 +590,7 @@ def summarize(report: dict) -> list[str]:
         )
     lines.append(
         f"verdict: {report['violations']} violation(s), "
-        f"{report['internal_errors']} internal error(s)"
+        f"{report['internal_errors']} internal error(s), "
+        f"{report['flush_barriers_checked']} FLUSH barrier(s) checked"
     )
     return lines

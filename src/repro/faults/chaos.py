@@ -31,6 +31,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from repro.analysis.metrics import summarize_latencies
 from repro.config.build import build_baseline, build_controllers, build_stack
 from repro.config.specs import (
     FINDINGS_ONLY,
@@ -166,19 +167,14 @@ def chaos_spec(vendor: str = "hynix", seed: int = 4,
 
 
 def _percentiles(latencies: list[int]) -> dict:
-    if not latencies:
-        return {"count": 0, "p50_ns": 0, "p99_ns": 0, "max_ns": 0}
-    ordered = sorted(latencies)
-    last = len(ordered) - 1
-
-    def pct(q: float) -> int:
-        return int(ordered[min(last, int(len(ordered) * q))])
-
+    """The report's latency block: p50/p99 interpolate like every other
+    host latency summary (:func:`~repro.analysis.metrics.summarize_latencies`)."""
+    stats = summarize_latencies(latencies)
     return {
-        "count": len(ordered),
-        "p50_ns": pct(0.50),
-        "p99_ns": pct(0.99),
-        "max_ns": int(ordered[last]),
+        "count": stats.count,
+        "p50_ns": stats.p50_ns,
+        "p99_ns": stats.p99_ns,
+        "max_ns": stats.max_ns,
     }
 
 

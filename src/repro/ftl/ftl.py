@@ -920,8 +920,9 @@ class PageMappedFtl:
     # ------------------------------------------------------------------
 
     def flush(self) -> Generator:
-        """Host FLUSH: return once every journal record noted before
-        the call is on media (group commit; see ``persist.flush``)."""
+        """Host FLUSH: return once every trim, erase and retirement
+        noted before the call is on media (group commit; see
+        ``persist.flush``)."""
         if self.persist is not None:
             yield from self.persist.flush()
 

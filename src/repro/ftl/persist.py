@@ -44,9 +44,18 @@ Every meta program is **written behind** host I/O by the shard's one
 writer process: the FTL's hooks only count and, when a checkpoint or a
 journal flush is due, start the writer and return.  A host write's
 durability never waited on the journal anyway (its OOB record commits
-with the data).  A host FLUSH is a **group commit**: it marks how many
-records were noted before it and waits until that many are journaled
-or absorbed by a checkpoint — records noted later do not extend it.
+with the data, and the mount's OOB scan rolls the map forward to it).
+
+A host FLUSH therefore waits only for the records **no data page
+carries**: trim tombstones, erases and retirements.  It is a **group
+commit**: it marks the position of the last such record noted before
+it and waits until the buffer up to there is journaled or absorbed by
+a checkpoint — records noted later do not extend it.  A FLUSH that
+follows only writes returns at once; one after a trim returns once
+the page holding that trim commits.  Binds still reach the journal,
+through the batch threshold (``journal_flush_records``) and through
+checkpoints, so the mount's replay and the on-media format are the
+same either way.
 
 Data pages carry their own OOB record (kind ``host`` or ``gc`` with
 the LPN and write sequence number), staged by the FTL right before the
@@ -121,6 +130,9 @@ class PersistenceLayer:
         self._buffer: list[list] = []
         self._noted = 0          # records ever noted (monotonic)
         self._committed = 0      # of those, journaled or absorbed
+        self._fence = 0          # noted count through the last record
+                                 # no data page carries (trim, erase,
+                                 # retirement): what a FLUSH waits for
         self._want = 0           # noted count a sync record/FLUSH awaits
         self._writes_since_ckpt = 0
         self._ckpt_requested = False  # checkpoint() asked for one
@@ -182,11 +194,12 @@ class PersistenceLayer:
     def note_trim(self, lpn: int, seq: int) -> None:
         self._buffer.append([REC_TRIM, lpn, seq])
         self._noted += 1
+        self._fence = self._noted
 
     def note_erase(self, lun: int, block: int) -> None:
         self._buffer.append([REC_ERASE, lun, block])
         self._noted += 1
-        self._want = self._noted  # flush at the next opportunity
+        self._fence = self._want = self._noted  # flush at the next chance
 
     def note_retire(self, lun: int, block: int, reason: str,
                     pe_cycles: int, time_ns: int) -> None:
@@ -194,7 +207,7 @@ class PersistenceLayer:
             [REC_RETIRE, lun, block, reason, pe_cycles, time_ns]
         )
         self._noted += 1
-        self._want = self._noted
+        self._fence = self._want = self._noted
 
     @property
     def _sync(self) -> bool:
@@ -222,14 +235,17 @@ class PersistenceLayer:
             yield from self._idle.wait()
 
     def flush(self) -> Generator:
-        """Host FLUSH: return once every record noted before the call
-        is journaled or absorbed by a checkpoint (group commit)."""
+        """Host FLUSH: return once every trim, erase and retirement
+        noted before the call is journaled or absorbed by a checkpoint
+        (group commit).  Binds do not extend it: their data pages'
+        OOB records already carry them."""
         yield from self.wait_durable(self.mark())
 
     def mark(self) -> int:
-        """Demand durability for every record noted so far and start
-        the writer; returns the mark for :meth:`wait_durable`."""
-        mark = self._noted
+        """Demand durability through the last record no data page
+        carries and start the writer; returns the mark for
+        :meth:`wait_durable` (already met if nothing such is pending)."""
+        mark = self._fence
         if mark > self._want:
             self._want = mark
         self._start_writer()

@@ -7,7 +7,11 @@ FTL:
 
 * :class:`NvmeCommand` — READ / WRITE / FLUSH / DSM(deallocate) with
   ``slba``/``nlb`` addressing and a PRP-style DRAM pointer; it is its
-  own completion entry (``status``, ``finished_at``);
+  own completion entry (``status``, ``finished_at``).  A FLUSH
+  completes once every DSM deallocate completed before it is durable
+  (with every erase and retirement the FTL noted): a WRITE is durable
+  when it completes, since its page's OOB record commits with the data,
+  so a FLUSH after only writes completes at once;
 * :class:`NvmeController` — LBA→LPN translation, including
   **read-modify-write** for writes that cover only part of a flash
   page (a 4 KiB write into a 16 KiB page really does cost a page read
@@ -123,8 +127,9 @@ class NvmeController:
     def _execute(self, bounce_base: int, command: NvmeCommand) -> Generator:
         """What a queue pair's worker runs: sets ``command.status``."""
         if command.opcode is NvmeOpcode.FLUSH:
-            # Durability barrier: every journal record noted before the
-            # FLUSH is on media when it completes.
+            # Durability barrier: every deallocate, erase and retirement
+            # noted before the FLUSH is on media when it completes (a
+            # write's own OOB record made it durable at its completion).
             yield from self.ftl.flush()
             command.status = NvmeStatus.SUCCESS
         elif command.block_count <= 0 or command.opcode not in (

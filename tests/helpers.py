@@ -129,3 +129,60 @@ def chain_prelude(name: str, kwargs: dict) -> list:
         return []
     return [("program_chain_step", {"codec": kwargs["codec"],
                                     "pages": loaded})]
+
+
+def crash_after(make_controllers, make_ftl, scenario):
+    """Cut power 1 ns after the host process ``scenario`` returns, then
+    mount the dead media.
+
+    ``make_controllers(sim)`` builds the controller list,
+    ``make_ftl(sim, controllers)`` the FTL over it (a
+    :class:`~repro.ftl.PageMappedFtl` or a :class:`~repro.ftl.ShardedFtl`),
+    and ``scenario(sim, controllers, ftl)`` is the host's generator.  A
+    first run learns the ns at which the scenario returns; an identical
+    second run is cut 1 ns later (anything in flight then tears).
+    Returns ``(crashed, result, mounted, controllers)``: the cut run's
+    FTL, the scenario's return value in it, the
+    :class:`~repro.ftl.ShardedFtl` mounted from its media, and the
+    mounted stack's controllers.
+    """
+    from repro.faults.power import (PowerCut, PowerLossError,
+                                    apply_power_cut, restore_media,
+                                    snapshot_media)
+    from repro.ftl.spor import mount_sharded
+    from repro.sim import Simulator
+
+    def run(cut_ns=None):
+        sim = Simulator()
+        controllers = make_controllers(sim)
+        ftl = make_ftl(sim, controllers)
+        if cut_ns is not None:
+            PowerCut(sim, cut_ns).arm(controllers)
+        done = {}
+
+        def host():
+            done["value"] = yield from scenario(sim, controllers, ftl)
+            done["at"] = sim.now
+
+        sim.spawn(host(), name="host")
+        try:
+            sim.run()
+        except PowerLossError:
+            apply_power_cut(controllers, cut_ns)
+        return controllers, ftl, done
+
+    _, _, first = run()
+    controllers, crashed, done = run(cut_ns=first["at"] + 1)
+    assert done["at"] == first["at"], "the cut run diverged before the cut"
+    sim = Simulator()
+    fresh = make_controllers(sim)
+    restore_media(fresh, snapshot_media(controllers))
+    mounted, _ = mount_sharded(sim, fresh, crashed.config)
+    return crashed, done["value"], mounted, fresh
+
+
+def read_back(mounted, controllers, lpn: int) -> np.ndarray:
+    """One page of ``lpn`` read through the mounted FTL."""
+    mounted.sim.run_process(mounted.read(lpn, 0))
+    channel, _ = mounted.router.route(lpn)
+    return controllers[channel].dram.read(0, mounted.page_size)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.crashfuzz import (
     EXIT_OK,
+    EXIT_VIOLATION,
     build_ops,
     crashfuzz_spec,
     drive,
@@ -14,6 +15,7 @@ from repro.analysis.crashfuzz import (
     stand_up,
 )
 from repro.faults.power import versioned_payload
+from repro.ftl.persist import PersistenceLayer
 from repro.host.hic import HostOpcode
 
 SMALL = crashfuzz_spec(seeds=1, points=4, ios=80, qd=4)
@@ -171,6 +173,23 @@ def test_flush_opcode_reaches_the_ftl_journal():
     # journal buffer holds a sync-flagged backlog.
     for shard in ftl.shards:
         assert not shard.persist._sync
+
+
+def test_flush_barrier_check_catches_a_flush_that_waits_for_nothing(
+        monkeypatch):
+    spec = crashfuzz_spec(seeds=1, points=10, ios=200, qd=4)
+    clean = run_crashfuzz(spec)
+    assert clean["exit_code"] == EXIT_OK
+    assert clean["flush_barriers_checked"] > 0
+    # A FLUSH that returns before the trims acked ahead of it are on
+    # media breaks its promise, and the oracle says so.
+    monkeypatch.setattr(PersistenceLayer, "mark", lambda self: 0)
+    broken = run_crashfuzz(spec)
+    assert broken["exit_code"] == EXIT_VIOLATION
+    messages = [message for entry in broken["results"]
+                for point in entry["points"]
+                for message in point["violations"]]
+    assert messages and all("FLUSH" in message for message in messages)
 
 
 def test_payload_encodes_identity():

@@ -17,14 +17,13 @@ from repro.host.nvme import (
 )
 from repro.sim import Simulator
 
-from tests.helpers import TEST_PROFILE
+from tests.helpers import TEST_PROFILE, crash_after, read_back
 
 PAGE = TEST_PROFILE.geometry.page_size  # 2048 in the test geometry
 BLOCK = 512                              # 4 logical blocks per page
 
 
-def make_nvme(lun_count=2, depth=8, track_data=True, **ftl_config):
-    sim = Simulator()
+def make_controller(sim, lun_count=2, track_data=True):
     controller = BabolController(
         sim,
         ControllerConfig(vendor=TEST_PROFILE, lun_count=lun_count,
@@ -32,6 +31,12 @@ def make_nvme(lun_count=2, depth=8, track_data=True, **ftl_config):
     )
     for lun in controller.luns:
         lun.array.error_model.config = ErrorModelConfig.noiseless()
+    return controller
+
+
+def make_nvme(lun_count=2, depth=8, track_data=True, **ftl_config):
+    sim = Simulator()
+    controller = make_controller(sim, lun_count, track_data)
     config = {"blocks_per_lun": 8, "overprovision_blocks": 2,
               "gc_staging_base": 8 * 1024 * 1024, **ftl_config}
     ftl = PageMappedFtl(sim, controller, FtlConfig(**config))
@@ -182,21 +187,38 @@ def test_drain_waits_for_all():
 
 
 def test_flush_completes_once_earlier_writes_are_durable():
-    sim, controller, ftl, nvme, qp = make_nvme(
-        blocks_per_lun=10, overprovision_blocks=4, meta_blocks=2,
-        checkpoint_interval=1000, journal_flush_records=100)
-    bpp = nvme.blocks_per_page
-    controller.dram.write(0, np.full(PAGE, 5, dtype=np.uint8))
-    for page in range(3):
-        run_cmd(sim, qp, NvmeCommand(NvmeOpcode.WRITE, slba=page * bpp,
-                                     block_count=bpp, prp=0))
-    persist = ftl.persist
-    noted = persist._noted
-    assert noted == 3 and persist._committed == 0  # buffered, not durable
-    entry = run_cmd(sim, qp, NvmeCommand(NvmeOpcode.FLUSH))
+    config = FtlConfig(blocks_per_lun=10, overprovision_blocks=4,
+                       meta_blocks=2, checkpoint_interval=1000,
+                       journal_flush_records=100,
+                       gc_staging_base=8 * 1024 * 1024)
+
+    def scenario(sim, controllers, ftl):
+        nvme = NvmeController(sim, ftl, block_size=BLOCK)
+        qp = nvme.create_queue_pair(depth=8)
+        bpp = nvme.blocks_per_page
+        for page in range(3):
+            controllers[0].dram.write(0, np.full(PAGE, 5 + page,
+                                                 dtype=np.uint8))
+            cid = qp.submit(NvmeCommand(NvmeOpcode.WRITE, slba=page * bpp,
+                                        block_count=bpp, prp=0))
+            assert (yield from qp.wait_completion(cid)).ok
+        persist = ftl.persist
+        assert persist._noted == 3 and persist._committed == 0  # buffered
+        cid = qp.submit(NvmeCommand(NvmeOpcode.FLUSH))
+        entry = yield from qp.wait_completion(cid)
+        return entry
+
+    crashed, entry, mounted, controllers = crash_after(
+        lambda sim: [make_controller(sim)],
+        lambda sim, controllers: PageMappedFtl(sim, controllers[0], config),
+        scenario)
     assert entry.ok
-    assert persist._committed >= noted
-    assert entry.finished_at > entry.submitted_at  # a journal page program
+    # Each write's data page carried its bind: no journal page to wait on.
+    assert entry.finished_at == entry.submitted_at
+    assert crashed.persist._committed == 0
+    # Cut 1 ns after the FLUSH: all three pages read back.
+    for page in range(3):
+        assert (read_back(mounted, controllers, page) == 5 + page).all()
 
 
 def test_concurrent_sub_page_writes_to_one_page_both_land():

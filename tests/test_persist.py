@@ -20,14 +20,12 @@ from repro.ftl import FtlConfig, PageMappedFtl
 from repro.ftl.persist import REC_BIND, REC_ERASE, REC_RETIRE, REC_TRIM
 from repro.sim import Simulator, Timeout
 
-from tests.helpers import TEST_PROFILE
+from tests.helpers import TEST_PROFILE, crash_after
 
 PAGE = TEST_PROFILE.geometry.page_size
 
 
-def make_persistent_ftl(checkpoint_interval=48, journal_flush_records=8,
-                        **config_kwargs):
-    sim = Simulator()
+def make_controller(sim):
     controller = BabolController(
         sim,
         ControllerConfig(vendor=TEST_PROFILE, lun_count=2, runtime="rtos",
@@ -35,13 +33,26 @@ def make_persistent_ftl(checkpoint_interval=48, journal_flush_records=8,
     )
     for lun in controller.luns:
         lun.array.error_model.config = ErrorModelConfig.noiseless()
+    return controller
+
+
+def persistent_config(checkpoint_interval=48, journal_flush_records=8,
+                      **config_kwargs):
+    return FtlConfig(blocks_per_lun=10, overprovision_blocks=4,
+                     checkpoint_interval=checkpoint_interval,
+                     journal_flush_records=journal_flush_records,
+                     meta_blocks=2, gc_staging_base=48 * 1024 * 1024,
+                     **config_kwargs)
+
+
+def make_persistent_ftl(checkpoint_interval=48, journal_flush_records=8,
+                        **config_kwargs):
+    sim = Simulator()
+    controller = make_controller(sim)
     ftl = PageMappedFtl(
         sim, controller,
-        FtlConfig(blocks_per_lun=10, overprovision_blocks=4,
-                  checkpoint_interval=checkpoint_interval,
-                  journal_flush_records=journal_flush_records,
-                  meta_blocks=2, gc_staging_base=48 * 1024 * 1024,
-                  **config_kwargs),
+        persistent_config(checkpoint_interval, journal_flush_records,
+                          **config_kwargs),
     )
     return sim, controller, ftl
 
@@ -173,16 +184,30 @@ def test_trim_records_journal_tombstones():
 
 
 def test_big_journal_buffer_splits_across_pages():
-    sim, controller, ftl = make_persistent_ftl(journal_flush_records=64,
-                                               checkpoint_interval=10_000)
-    persist = ftl.persist
-    for i in range(500):
-        persist.note_bind(i, type("E", (), {"lun": 0, "block": 1,
-                                            "page": i % 16})(), i + 1)
-    sim.run_process(persist.flush())
-    assert persist.journal_pages_written >= 2
-    assert len(persist.durable_journal) == 500
+    def scenario(sim, controllers, ftl):
+        for lpn in range(4):
+            controllers[0].dram.write(0, np.full(PAGE, lpn + 1,
+                                                 dtype=np.uint8))
+            yield from ftl.write(lpn, 0)
+        for i in range(496):  # tombstones for unmapped LPNs
+            ftl.trim(4 + i % 156)
+        for lpn in range(4):  # the mark, in the buffer's last page
+            ftl.trim(lpn)
+        assert len(ftl.persist._buffer) == 504
+        yield from ftl.flush()
+
+    config = persistent_config(journal_flush_records=64,
+                               checkpoint_interval=10_000)
+    crashed, _, mounted, _ = crash_after(
+        lambda sim: [make_controller(sim)],
+        lambda sim, controllers: PageMappedFtl(sim, controllers[0], config),
+        scenario)
+    persist = crashed.persist
+    assert persist.journal_pages_written == 8  # 504 records, 64 a page
+    assert len(persist.durable_journal) == 504
     assert persist._buffer == []
+    # Cut 1 ns after the FLUSH: the last page's trims held.
+    assert not any(mounted.is_mapped(lpn) for lpn in range(4))
 
 
 def test_checkpoint_keeps_binds_noted_during_chunk_programs():

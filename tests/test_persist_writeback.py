@@ -3,6 +3,7 @@ group-commit host FLUSH, the array-wide FLUSH barrier, and retry of a
 failed meta program."""
 
 import numpy as np
+import pytest
 
 from repro.core import BabolController, ControllerConfig
 from repro.faults import FaultCampaign, FaultInjector, FaultKind, FaultSpec
@@ -16,7 +17,7 @@ from repro.host.hic import HostOpcode
 from repro.obs import MetricsRegistry, register_ftl_health_metrics
 from repro.sim import Simulator, Timeout
 
-from tests.helpers import TEST_PROFILE
+from tests.helpers import TEST_PROFILE, crash_after, read_back
 
 PAGE = TEST_PROFILE.geometry.page_size
 T_PROG = TEST_PROFILE.timing.t_prog_ns
@@ -29,11 +30,11 @@ def persistent_config(checkpoint_interval=1000, journal_flush_records=100):
                      meta_blocks=2, gc_staging_base=48 * 1024 * 1024)
 
 
-def make_controller(sim, seed=5):
+def make_controller(sim, seed=5, fidelity="waveform"):
     controller = BabolController(
         sim,
         ControllerConfig(vendor=TEST_PROFILE, lun_count=2, runtime="rtos",
-                         track_data=True, seed=seed),
+                         track_data=True, seed=seed, fidelity=fidelity),
     )
     for lun in controller.luns:
         lun.array.error_model.config = ErrorModelConfig.noiseless()
@@ -138,36 +139,47 @@ def test_one_writer_per_shard_and_idle_after_run():
 
 
 def test_flush_returns_when_the_page_holding_its_mark_commits():
-    sim, controller, ftl = make_shard(persistent_config())
-    persist = ftl.persist
-    for lpn in range(3):
-        write(sim, controller, ftl, lpn)
-    assert persist.journal_pages_written == 0  # below the batch threshold
+    config = persistent_config()
 
-    def noter():
-        # A writer that keeps noting records while the FLUSH runs.
-        for seq in range(1000, 1020):
-            yield Timeout(T_PROG // 4)
-            persist.note_bind(seq, _Entry(), seq)
+    def scenario(sim, controllers, ftl):
+        persist = ftl.persist
+        for lpn in range(3):
+            controllers[0].dram.write(0, np.full(PAGE, 7 + lpn,
+                                                 dtype=np.uint8))
+            yield from ftl.write(lpn, 0)
+        ftl.trim(1)  # the mark: the last record no data page carries
+        assert persist.journal_pages_written == 0  # below the threshold
 
-    returned = {}
+        def noter():
+            # A writer that keeps noting records while the FLUSH runs.
+            for seq in range(1000, 1020):
+                yield Timeout(T_PROG // 4)
+                persist.note_bind(seq, _Entry(), seq)
 
-    def host():
+        sim.spawn(noter())
+        start = sim.now
         yield from ftl.flush()
-        returned["pages"] = persist.journal_pages_written
-        returned["records"] = len(persist.durable_journal)
-        returned["at"] = sim.now
+        return {"pages": persist.journal_pages_written,
+                "records": len(persist.durable_journal),
+                "took": sim.now - start}
 
-    start = sim.now
-    sim.spawn(noter())
-    sim.spawn(host())
-    sim.run()
-    # One page carried the three records noted before the FLUSH; the
-    # ones noted during its program did not extend it.
-    assert returned["pages"] == 1
-    assert returned["records"] == 3
-    assert returned["at"] - start < 2 * T_PROG
-    assert len(persist._buffer) == 20  # below the threshold: still buffered
+    crashed, seen, mounted, controllers = crash_after(
+        lambda sim: [make_controller(sim)],
+        lambda sim, controllers: PageMappedFtl(sim, controllers[0], config),
+        scenario)
+    # One page carried the four records noted before the FLUSH (three
+    # binds, then the trim); the ones noted during its program did not
+    # extend it, and were still buffered at the cut 1 ns later.
+    assert seen["pages"] == 1
+    assert seen["records"] == 4
+    assert seen["took"] < 2 * T_PROG
+    buffered = [rec[1] for rec in crashed.persist._buffer]
+    assert len(buffered) >= 3 and buffered == list(
+        range(1000, 1000 + len(buffered)))
+    # After the cut, the trim held and both written pages read back.
+    assert not mounted.is_mapped(1)
+    for lpn in (0, 2):
+        assert (read_back(mounted, controllers, lpn) == 7 + lpn).all()
 
 
 def test_flush_with_nothing_noted_returns_at_once():
@@ -178,17 +190,73 @@ def test_flush_with_nothing_noted_returns_at_once():
 
 
 def test_array_flush_runs_the_shards_in_parallel():
-    sim, controllers, ftl = make_array(persistent_config(), channels=4)
-    for lpn in range(8):  # two buffered binds on every shard
-        controllers[ftl.shard_of(lpn)].dram.write(
-            0, np.full(PAGE, lpn, dtype=np.uint8))
-        sim.run_process(ftl.write(lpn, 0))
-    assert all(len(shard.persist._buffer) == 2 for shard in ftl.shards)
-    start, end = timed(sim, ftl.flush())
-    assert T_PROG <= end - start < 2 * T_PROG  # the slowest shard, not 4x
-    for shard in ftl.shards:
+    config = persistent_config()
+
+    def scenario(sim, controllers, ftl):
+        for lpn in range(12):  # three buffered binds on every shard
+            controllers[ftl.shard_of(lpn)].dram.write(
+                0, np.full(PAGE, lpn + 1, dtype=np.uint8))
+            yield from ftl.write(lpn, 0)
+        for lpn in range(4):
+            ftl.trim(lpn)  # one trim per shard
+        assert sorted(ftl.shard_of(lpn) for lpn in range(4)) == [0, 1, 2, 3]
+        assert all(len(shard.persist._buffer) == 4 for shard in ftl.shards)
+        start = sim.now
+        yield from ftl.flush()
+        return sim.now - start
+
+    crashed, took, mounted, controllers = crash_after(
+        lambda sim: [make_controller(sim, seed=channel)
+                     for channel in range(4)],
+        lambda sim, controllers: ShardedFtl(sim, controllers, config),
+        scenario)
+    assert T_PROG <= took < 2 * T_PROG  # the slowest shard, not 4x
+    for shard in crashed.shards:
         assert shard.persist.journal_pages_written == 1
         assert shard.persist._buffer == []
+    # Cut 1 ns after the FLUSH: every shard's trim held, and every
+    # other page reads back.
+    for lpn in range(4):
+        assert not mounted.is_mapped(lpn)
+    for lpn in range(4, 12):
+        assert (read_back(mounted, controllers, lpn) == lpn + 1).all()
+
+
+@pytest.mark.parametrize("fidelity", ["waveform", "tlm"])
+def test_flush_after_only_writes_returns_at_its_submit_ns(fidelity):
+    config = persistent_config()
+
+    def scenario(sim, controllers, ftl):
+        engine = ScaleEngine(sim, ftl, queue_depth=8, doorbell_batch=1,
+                             auto_dram=True)
+        writes = [
+            ScaleCommand(opcode=HostOpcode.WRITE, lpn=lpn,
+                         payload=np.full(PAGE, lpn + 1, dtype=np.uint8))
+            for lpn in range(8)
+        ]
+        for command in writes:
+            engine.submit(command)
+        yield from engine.drain()
+        flush = ScaleCommand(opcode=HostOpcode.FLUSH, lpn=0)
+        engine.submit(flush)
+        yield from engine.drain()
+        return writes, flush
+
+    crashed, (writes, flush), mounted, controllers = crash_after(
+        lambda sim: [make_controller(sim, seed=channel, fidelity=fidelity)
+                     for channel in range(2)],
+        lambda sim, controllers: ShardedFtl(sim, controllers, config),
+        scenario)
+    assert all(command.finished_at is not None for command in writes)
+    # Every bind was carried by its data page: nothing to wait for.
+    assert flush.finished_at == flush.submitted_at
+    for shard in crashed.shards:
+        assert shard.persist.journal_pages_written == 0
+        assert len(shard.persist._buffer) == 4
+    # A cut 1 ns after the FLUSH loses no acked write.
+    for command in writes:
+        got = read_back(mounted, controllers, command.lpn)
+        assert (got == command.lpn + 1).all()
 
 
 # --- a failed meta program keeps its records --------------------------------

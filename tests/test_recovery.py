@@ -17,7 +17,7 @@ from repro.core import (
     Watchdog,
 )
 from repro.faults import FaultCampaign, FaultInjector, FaultKind, FaultSpec
-from repro.faults.chaos import chaos_spec, run_chaos
+from repro.faults.chaos import _percentiles, chaos_spec, run_chaos
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl
 from repro.ftl.badblocks import (
@@ -290,6 +290,15 @@ def test_recovery_and_reliability_metrics_registered():
 
 
 # --- the chaos runner -------------------------------------------------------
+
+
+def test_chaos_latency_percentiles_interpolate_like_numpy():
+    samples = [100, 200, 300, 400]
+    block = _percentiles(samples)
+    assert block == {"count": 4, "p50_ns": 250.0, "p99_ns": 397.0,
+                     "max_ns": 400}
+    assert [block["p50_ns"], block["p99_ns"]] == list(
+        np.percentile(samples, [50, 99]))
 
 
 @pytest.mark.slow_waveform
