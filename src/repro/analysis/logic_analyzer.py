@@ -20,7 +20,6 @@ from repro.onfi.signals import (
     CommandLatch,
     DataInAction,
     DataOutAction,
-    SegmentKind,
     WaveformSegment,
 )
 

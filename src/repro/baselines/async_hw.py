@@ -12,7 +12,7 @@ modified OpenSSD against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.baselines.fsm import HwRequest, HwRequestKind, wait_request

@@ -36,7 +36,6 @@ from repro.onfi.signals import (
     CommandLatch,
     DataInAction,
     DataOutAction,
-    IdleWait,
     SegmentKind,
     WaveformSegment,
 )

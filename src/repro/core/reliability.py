@@ -16,7 +16,7 @@ studies can measure retry rates and tail-latency impact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np

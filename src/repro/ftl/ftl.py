@@ -751,9 +751,9 @@ class PageMappedFtl:
 
     def _gc_staging(self, lun: int, block: int) -> int:
         """Per-victim staging buffer, growing *down* from the staging
-        base (meta staging and NVMe bounce slots own the space above
-        it).  A queue-depth host runs several GC collects at once —
-        relocations sharing one buffer write each other's bytes."""
+        base (meta staging owns the space above it).  A queue-depth
+        host runs several GC collects at once — relocations sharing one
+        buffer write each other's bytes."""
         full = self.controller.codec.geometry.full_page_size
         slot = 1 + lun * self.config.blocks_per_lun + block
         return self.config.gc_staging_base - slot * full

@@ -75,8 +75,6 @@ import numpy as np
 
 from repro.flash.oob import (
     KIND_CKPT,
-    KIND_GC,
-    KIND_HOST,
     KIND_JOURNAL,
     OobRecord,
     encode_oob,

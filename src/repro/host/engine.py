@@ -6,7 +6,7 @@ what a real NVMe host does against a multi-channel array:
 
 * one :class:`ChannelQueuePair` per channel — a bounded SQ, a
   completion list, one worker per slot (QD32 keeps 32 commands in
-  flight); the HIC and the NVMe front end run on the same pair;
+  flight); the HIC runs on the same pair;
 * **batched doorbells** — submissions stage host-side and the doorbell
   rings once per batch (``doorbell_batch``), the way a driver updates
   the SQ tail once after writing several entries;
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 from repro.analysis.metrics import per_second, summarize_latencies
 from repro.ftl.ftl import PageMappedFtl, ShardedFtl
@@ -91,24 +90,21 @@ class ChannelQueuePair:
     """A bounded SQ/CQ pair: the one device-side host queue.
 
     ``depth`` workers each take the oldest published entry, run
-    ``execute(command)`` on it (:func:`ftl_dispatch` for the engine and
-    the HIC, NVMe's LBA translation for an NVMe pair), then complete it:
-    one span on ``host/<name>``, ``on_complete(command)``, one
-    ``cq_pulse``.  A command record has ``cid``, ``slot``,
-    ``submitted_at`` (the front end stamps it), ``started_at``,
-    ``finished_at`` and ``span`` (trace name, args).
+    :func:`ftl_dispatch` on ``shards`` for it, then complete it: one
+    span on ``host/<name>``, one ``cq_pulse`` (a front end hears its
+    completions as a synchronous subscriber).  A command record is a
+    :class:`ScaleCommand`; the front end stamps ``submitted_at`` and
+    routes ``channel`` and ``local_lpn``.
     """
 
-    def __init__(self, sim: Simulator, channel: int, depth: int,
-                 execute: Callable, on_complete: Optional[Callable] = None,
+    def __init__(self, sim: Simulator, channel: int, depth: int, shards,
                  name: Optional[str] = None):
         if depth <= 0:
             raise ValueError("queue depth must be positive")
         self.sim = sim
         self.channel = channel
         self.depth = depth
-        self.execute = execute
-        self.on_complete = on_complete
+        self.shards = shards
         name = name or f"qp{channel}"
         self.track = f"host/{name}"
         self._staged: list = []        # written, doorbell not rung
@@ -120,7 +116,6 @@ class ChannelQueuePair:
         # when completions are FIFO — mixed read/write latencies break
         # that.)
         self._slots: deque[int] = deque(range(depth))
-        self._by_cid: dict = {}        # what submit() posted, by cid
         self.inflight = 0
         self.completions: list = []
         self.cq_pulse = Trigger(sim)
@@ -171,32 +166,10 @@ class ChannelQueuePair:
             unclaimed -= 1
         return batch
 
-    def submit(self, command) -> int:
-        """Stage one entry and ring at once; returns its ``cid``."""
-        self.stage(command)
-        command.submitted_at = self.sim.now
-        self.ring()
-        self._by_cid[command.cid] = command
-        return command.cid
-
-    def wait_completion(self, cid: int) -> Generator:
-        """Process helper: block until ``cid`` completes; returns it."""
-        command = self._by_cid.pop(cid)
-        while command.finished_at is None:
-            yield from self.cq_pulse.wait()
-        return command
-
-    def drain(self) -> Generator:
-        """Process helper: block until nothing is outstanding."""
-        self.ring()
-        while self.outstanding:
-            yield from self.cq_pulse.wait()
-
     # -- device side ---------------------------------------------------
 
     def _worker(self) -> Generator:
-        execute = self.execute
-        on_complete = self.on_complete
+        shards = self.shards
         while True:
             while not self._sq:
                 gate = Trigger(self.sim)
@@ -205,7 +178,7 @@ class ChannelQueuePair:
             command = self._sq.popleft()
             self.inflight += 1
             command.started_at = self.sim.now
-            yield from execute(command)
+            yield from ftl_dispatch(shards, command)
             command.finished_at = self.sim.now
             self.inflight -= 1
             self._slots.append(command.slot)
@@ -217,8 +190,6 @@ class ChannelQueuePair:
                     "host", self.track, name, command.submitted_at,
                     command.finished_at - command.submitted_at, args,
                 )
-            if on_complete is not None:
-                on_complete(command)
             self.cq_pulse.fire(command)
 
 
@@ -263,12 +234,12 @@ class ScaleEngine:
         else:
             self._router = None
             self._shards = [ftl]
-        execute = partial(ftl_dispatch, self._shards)
         self.pairs = [
-            ChannelQueuePair(sim, channel, queue_depth, execute,
-                             self._completed)
+            ChannelQueuePair(sim, channel, queue_depth, self._shards)
             for channel in range(len(self._shards))
         ]
+        for pair in self.pairs:
+            pair.cq_pulse.subscribe(self._completed)
         self.completion_pulse = Trigger(sim)
         self._drained = Trigger(sim)  # the last outstanding command completed
         self.submitted = 0

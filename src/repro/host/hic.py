@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from functools import partial
 from typing import Generator
 
 from repro.analysis.metrics import summarize_latencies
@@ -37,16 +36,14 @@ class HostInterface:
 
     def __init__(self, sim: Simulator, ftl: PageMappedFtl, iodepth: int = 8):
         # engine imports HostOpcode from here.
-        from repro.host.engine import ChannelQueuePair, ftl_dispatch
+        from repro.host.engine import ChannelQueuePair
 
         if iodepth <= 0:
             raise ValueError("iodepth must be positive")
         self.sim = sim
         self.ftl = ftl
         self.iodepth = iodepth
-        self._pair = ChannelQueuePair(sim, 0, iodepth,
-                                      partial(ftl_dispatch, (ftl,)),
-                                      name="hic")
+        self._pair = ChannelQueuePair(sim, 0, iodepth, (ftl,), name="hic")
         self.completed = self._pair.completions
         self._backlog: deque = deque()
         self._drained = Trigger(sim)  # nothing backlogged or outstanding

@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.dram import DmaHandle, DramBuffer
 from repro.flash.vendors import VendorProfile, VendorTiming
-from repro.onfi.commands import CMD
 from repro.onfi.geometry import AddressCodec, Geometry, PhysicalAddress
 from repro.onfi.signals import (
     AddressLatch,

@@ -6,7 +6,7 @@ from typing import Generator, Optional
 
 from repro.core.softenv.base import OperationContext
 from repro.core.transaction import Transaction, TxnKind
-from repro.core.ufsm.ca_writer import Latch, cmd
+from repro.core.ufsm.ca_writer import Latch
 from repro.onfi.status import StatusRegister
 
 

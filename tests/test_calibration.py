@@ -1,7 +1,5 @@
 """Tests for the phase calibration and boot tools (Section IV-C)."""
 
-import pytest
-
 from repro.bus import ChannelPhy
 from repro.calibration import boot_channel, calibrate_phase
 from repro.calibration.phase import _longest_run

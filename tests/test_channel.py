@@ -1,6 +1,5 @@
 """Unit tests for the channel bus, PHY, packages, and vendor profiles."""
 
-import numpy as np
 import pytest
 
 from repro.bus import Channel, ChannelPhy

@@ -1,7 +1,8 @@
 """The examples are the op library's public callers: each must run.
 
-Each script runs in a fresh interpreter with ``src`` on its path, the
-way the README tells a reader to run it, and must exit 0.
+Every script in ``examples/`` runs in a fresh interpreter with ``src``
+on its path, the way the README tells a reader to run it, and must exit
+0.
 """
 
 import os
@@ -17,17 +18,8 @@ SRC = Path(repro.__file__).resolve().parents[1]
 EXAMPLES = SRC.parent / "examples"
 
 
-#: What a script must print besides exiting 0.
-EXPECT = {"nvme_host.py": "structure verified: True"}
-
-
 @pytest.mark.parametrize("script", [
-    "custom_operation.py",
-    "new_package_bringup.py",
-    "nvme_host.py",
-    "quickstart.py",
-    "trace_replay.py",
-])
+    path.name for path in sorted(EXAMPLES.glob("*.py"))])
 def test_example_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -36,4 +28,3 @@ def test_example_runs(script):
                           capture_output=True, text=True, env=env,
                           cwd=SRC.parent, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert EXPECT.get(script, "") in done.stdout

@@ -32,7 +32,7 @@ from repro.core.ufsm.ca_writer import cmd
 from repro.flash.package import build_channel_population
 from repro.onfi import NVDDR2_200
 from repro.onfi.commands import CMD
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 
 from tests.helpers import TEST_PROFILE
 

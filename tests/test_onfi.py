@@ -12,7 +12,6 @@ from repro.onfi import (
     AddressLatch,
     CommandClass,
     CommandLatch,
-    DataInterface,
     DataOutAction,
     FeatureAddress,
     FeatureStore,

@@ -8,7 +8,7 @@ from repro.core.controller import ControllerConfig
 from repro.core.softenv import Cpu, GHZ, MHZ
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 
 from tests.helpers import TEST_PROFILE, page_pattern
 
