@@ -14,12 +14,12 @@ from repro.sim import Simulator
 from tests.helpers import TEST_PROFILE
 
 
-def make_stack(lun_count=2, iodepth=4, runtime="rtos"):
+def make_stack(lun_count=2, iodepth=4, runtime="rtos", track_data=False):
     sim = Simulator()
     controller = BabolController(
         sim,
         ControllerConfig(vendor=TEST_PROFILE, lun_count=lun_count,
-                         runtime=runtime, track_data=False, seed=7),
+                         runtime=runtime, track_data=track_data, seed=7),
     )
     for lun in controller.luns:
         lun.array.error_model.config = ErrorModelConfig.noiseless()
@@ -80,6 +80,61 @@ def test_hic_validates_iodepth():
     sim, controller, ftl, hic = make_stack()
     with pytest.raises(ValueError):
         HostInterface(sim, ftl, iodepth=0)
+
+
+def test_hic_write_then_read_round_trips_the_data():
+    sim, controller, ftl, hic = make_stack(track_data=True)
+    page = ftl.page_size
+    controller.dram.write(0, np.full(page, 0x6C, dtype=np.uint8))
+    hic.submit(ScaleCommand(opcode=HostOpcode.WRITE, lpn=5, dram_address=0))
+    sim.run_process(hic.drain())
+    hic.submit(ScaleCommand(opcode=HostOpcode.READ, lpn=5,
+                            dram_address=4 * page))
+    sim.run_process(hic.drain())
+    assert (controller.dram.read(4 * page, page) == 0x6C).all()
+
+
+def test_hic_backlog_takes_freed_slots_in_submission_order():
+    sim, controller, ftl, hic = make_stack(iodepth=2)
+    ftl.prefill(8)
+    commands = [ScaleCommand(opcode=HostOpcode.READ, lpn=lpn)
+                for lpn in range(6)]
+    for command in commands:
+        hic.submit(command)
+    sim.run_process(hic.drain())
+    assert [c.cid for c in commands] == list(range(6))
+    starts = [c.started_at for c in commands]
+    assert starts == sorted(starts)
+    assert len(hic.completed) == 6
+
+
+def test_hic_latency_counts_the_backlog_wait():
+    sim, controller, ftl, hic = make_stack(iodepth=1)
+    ftl.prefill(4)
+    first = ScaleCommand(opcode=HostOpcode.READ, lpn=0)
+    second = ScaleCommand(opcode=HostOpcode.READ, lpn=1)
+    hic.submit(first)
+    hic.submit(second)
+    sim.run_process(hic.drain())
+    assert second.submitted_at == first.submitted_at == 0
+    assert second.started_at == first.finished_at
+    assert second.latency_ns == second.finished_at
+    assert second.latency_ns > second.finished_at - second.started_at
+
+
+def test_hic_drain_returns_at_once_when_idle():
+    sim, controller, ftl, hic = make_stack()
+    sim.run_process(hic.drain())
+    assert sim.now == 0 and hic.completed == []
+
+
+def test_hic_flush_without_a_journal_completes_at_once():
+    sim, controller, ftl, hic = make_stack()
+    flush = ScaleCommand(opcode=HostOpcode.FLUSH, lpn=0)
+    hic.submit(flush)
+    sim.run_process(hic.drain())
+    assert hic.completed == [flush]
+    assert flush.latency_ns == 0
 
 
 # --- workload injector -------------------------------------------------------

@@ -2,6 +2,7 @@
 queue-depth host engine (backpressure, doorbell batching, determinism,
 and the channels × QD end-to-end smoke)."""
 
+import numpy as np
 import pytest
 
 from repro.config import FtlSpec, StackSpec, build_stack
@@ -10,6 +11,7 @@ from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl, ShardRouter, ShardedFtl
 from repro.ftl.ftl import FtlError
 from repro.host import (
+    ChannelQueuePair,
     QueueSaturatedError,
     ScaleCommand,
     ScaleEngine,
@@ -26,13 +28,13 @@ FTL_CONFIG = FtlConfig(blocks_per_lun=8, overprovision_blocks=2,
 
 
 def make_array(channels=2, luns=2, prefill=32, queue_depth=8,
-               doorbell_batch=4):
+               doorbell_batch=4, track_data=False):
     sim = Simulator()
     controllers = [
         BabolController(
             sim,
             ControllerConfig(vendor=TEST_PROFILE, lun_count=luns,
-                             runtime="coroutine", track_data=False,
+                             runtime="coroutine", track_data=track_data,
                              seed=channel),
         )
         for channel in range(channels)
@@ -292,3 +294,177 @@ def test_job_validation():
     sim, _, engine = make_array(channels=1, prefill=0)
     with pytest.raises(ValueError):
         run_scale_workload(sim, engine, ScaleJob(io_count=4))
+
+
+# --- the queue pair: slots, doorbells, completions -----------------------
+
+
+def test_queue_pair_rejects_a_nonpositive_depth():
+    sim, ftl, _ = make_array(channels=1, prefill=0)
+    with pytest.raises(ValueError, match="queue depth"):
+        ChannelQueuePair(sim, 0, 0, ftl.shards)
+
+
+def test_engine_rejects_a_nonpositive_doorbell_batch():
+    sim, ftl, _ = make_array(channels=1, prefill=0)
+    with pytest.raises(ValueError, match="doorbell_batch"):
+        ScaleEngine(sim, ftl, doorbell_batch=0)
+
+
+def test_ringing_with_nothing_staged_counts_no_doorbell():
+    sim, _, engine = make_array(channels=2)
+    assert [pair.ring() for pair in engine.pairs] == [0, 0]
+    assert engine.ring_doorbells() == 0
+    assert engine.doorbells_rung == 0
+
+
+def test_a_staged_command_waits_for_its_doorbell():
+    sim, _, engine = make_array(channels=1, doorbell_batch=4)
+    command = ScaleCommand(opcode=HostOpcode.READ, lpn=0)
+    engine.submit(command)
+    sim.run(until=sim.now + 1_000_000)
+    assert command.started_at is None       # no worker saw it
+    assert engine.pairs[0].outstanding == 1
+    sim.run_process(engine.drain())         # rings the partial batch
+    assert command.started_at == 1_000_000
+    assert command.finished_at > command.started_at
+
+
+def test_a_completed_command_returns_its_slot():
+    sim, _, engine = make_array(channels=1, queue_depth=2)
+    for lpn in range(2):
+        engine.submit(ScaleCommand(opcode=HostOpcode.READ, lpn=lpn))
+    assert engine.pairs[0].free_slots == 0
+    sim.run_process(engine.drain())
+    assert engine.pairs[0].free_slots == 2
+    engine.submit(ScaleCommand(opcode=HostOpcode.READ, lpn=2))
+
+
+def test_submit_routes_each_command_to_its_channel_pair():
+    sim, ftl, engine = make_array(channels=2, prefill=16)
+    commands = [ScaleCommand(opcode=HostOpcode.READ, lpn=lpn)
+                for lpn in range(6)]
+    for command in commands:
+        engine.submit(command)
+        assert (command.channel, command.local_lpn) == \
+            ftl.router.route(command.lpn)
+        assert engine.pair_for(command.lpn) is engine.pairs[command.channel]
+    sim.run_process(engine.drain())
+    for channel, pair in enumerate(engine.pairs):
+        assert sorted(c.lpn for c in pair.completions) == \
+            [c.lpn for c in commands if c.channel == channel]
+
+
+def test_the_completion_pulse_carries_each_completed_command():
+    sim, _, engine = make_array(channels=2)
+    heard = []
+    engine.completion_pulse.subscribe(heard.append)
+    for lpn in range(5):
+        engine.submit(ScaleCommand(opcode=HostOpcode.READ, lpn=lpn))
+    sim.run_process(engine.drain())
+    assert sorted(c.cid for c in heard) == list(range(5))
+    assert all(c.finished_at is not None for c in heard)
+
+
+def test_each_channel_pair_traces_on_its_own_track():
+    from repro.obs import Tracer
+
+    sim, _, engine = make_array(channels=2)
+    tracer = Tracer()
+    sim.set_tracer(tracer)
+    assert [pair.track for pair in engine.pairs] == ["host/qp0", "host/qp1"]
+    for lpn in range(6):
+        engine.submit(ScaleCommand(opcode=HostOpcode.READ, lpn=lpn))
+    sim.run_process(engine.drain())
+    for pair in engine.pairs:
+        spans = tracer.spans(pair.track)
+        assert len(spans) == len(pair.completions) == 3
+        assert {span.name for span in spans} == {"read"}
+
+
+def test_reads_of_one_lpn_do_not_wait_for_each_other():
+    sim, _, engine = make_array(channels=1, queue_depth=4)
+    first = ScaleCommand(opcode=HostOpcode.READ, lpn=0)
+    second = ScaleCommand(opcode=HostOpcode.READ, lpn=0, dram_address=4096)
+    engine.submit(first)
+    engine.submit(second)
+    sim.run_process(engine.drain())
+    assert first.started_at == second.started_at == 0
+
+
+# --- the engine's commands on the FTL ------------------------------------
+
+
+def test_engine_write_then_read_round_trips_the_data():
+    sim, ftl, engine = make_array(channels=2, prefill=0, track_data=True)
+    page = ftl.page_size
+    for lpn in range(4):
+        engine.submit(ScaleCommand(
+            opcode=HostOpcode.WRITE, lpn=lpn, dram_address=lpn * page,
+            payload=np.full(page, 0x30 + lpn, dtype=np.uint8)))
+    sim.run_process(engine.drain())
+    reads = [ScaleCommand(opcode=HostOpcode.READ, lpn=lpn,
+                          dram_address=64 * 1024 + lpn * page)
+             for lpn in range(4)]
+    for command in reads:
+        engine.submit(command)
+    sim.run_process(engine.drain())
+    for command in reads:
+        dram = engine.shard(command.channel).controller.dram
+        assert (dram.read(command.dram_address, page)
+                == 0x30 + command.lpn).all()
+
+
+def test_engine_trim_unmaps_the_page_without_media_work():
+    sim, ftl, engine = make_array(channels=2, prefill=8)
+    trim = ScaleCommand(opcode=HostOpcode.TRIM, lpn=3)
+    engine.submit(trim)
+    sim.run_process(engine.drain())
+    assert not ftl.is_mapped(3)
+    assert ftl.mapped_count == 7
+    assert trim.finished_at == trim.started_at
+
+
+def test_engine_flush_without_a_journal_completes_at_once():
+    sim, ftl, engine = make_array(channels=2, prefill=8)
+    flush = ScaleCommand(opcode=HostOpcode.FLUSH, lpn=0)
+    engine.submit(flush)
+    sim.run_process(engine.drain())
+    assert flush.latency_ns == 0
+
+
+def test_engine_records_acks_of_state_changing_commands_only():
+    sim, ftl, _ = make_array(channels=2, prefill=8)
+    engine = ScaleEngine(sim, ftl, queue_depth=4, doorbell_batch=1,
+                         record_acks=True)
+    opcodes = [HostOpcode.READ, HostOpcode.WRITE, HostOpcode.TRIM,
+               HostOpcode.READ]
+    for lpn, opcode in enumerate(opcodes):
+        engine.submit(ScaleCommand(opcode=opcode, lpn=lpn))
+        sim.run_process(engine.drain())
+    assert [(c.opcode, c.lpn) for c in engine.acks] == [
+        (HostOpcode.WRITE, 1), (HostOpcode.TRIM, 2)]
+
+
+def test_engine_keeps_no_ack_ledger_by_default():
+    sim, _, engine = make_array(channels=1, prefill=8)
+    engine.submit(ScaleCommand(opcode=HostOpcode.WRITE, lpn=0))
+    sim.run_process(engine.drain())
+    assert not engine.record_acks and engine.acks == []
+
+
+def test_auto_dram_addresses_each_command_from_its_slot():
+    sim, ftl, _ = make_array(channels=2, prefill=16)
+    engine = ScaleEngine(sim, ftl, queue_depth=4, auto_dram=True,
+                         dram_base=4096, dram_stride=8192)
+    commands = [ScaleCommand(opcode=HostOpcode.READ, lpn=lpn,
+                             dram_address=123) for lpn in range(8)]
+    for command in commands:
+        engine.submit(command)
+    for command in commands:
+        assert command.dram_address == 4096 + command.slot * 8192
+    # Each pair hands out its slots 0..depth-1 once.
+    for channel in range(2):
+        assert sorted(c.slot for c in commands
+                      if c.channel == channel) == [0, 1, 2, 3]
+    sim.run_process(engine.drain())
