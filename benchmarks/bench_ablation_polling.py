@@ -16,7 +16,6 @@ from repro.core.ops import read_page_op, read_page_timed_wait_op
 from repro.flash import HYNIX_V7
 from repro.onfi import NVDDR2_200
 from repro.onfi.geometry import PhysicalAddress
-from repro.sim import Simulator
 
 from benchmarks.conftest import build_babol, print_table
 

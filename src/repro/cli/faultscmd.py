@@ -13,7 +13,8 @@ def cmd_chaos(args) -> int:
     default, both hardware baselines) and report what was injected,
     what recovered, and the added tail latency.  Exit 0 when every
     recoverable fault recovered, 1 when any did not, 2 when the chaos
-    harness itself broke."""
+    harness itself broke or a target's workload crashed with no fault
+    to blame (``summary["crashed"]``)."""
     from repro.faults.chaos import (
         CHAOS_FIXED,
         EXIT_INTERNAL,
@@ -39,6 +40,8 @@ def cmd_chaos(args) -> int:
         )
         for key, count in sorted(summary["unrecovered"].items()):
             print(f"  UNRECOVERED {key}: {count}")
+        for key, error in sorted(summary["crashed"].items()):
+            print(f"  CRASHED {key}: {error}")
     except SpecError:  # sized against the spec before anything ran
         raise
     except Exception as exc:  # the harness broke — not a finding

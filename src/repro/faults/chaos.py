@@ -573,6 +573,9 @@ def run_chaos(spec: ExperimentSpec, profile=None,
     injected_total = 0
     recovered_total = 0
     unrecovered: dict[str, int] = {}
+    # Phases whose workload raised with no fault to blame: a faulted run
+    # that died before any fault fired, or a fault-free reference run.
+    crashed: dict[str, str] = {}
     degraded_luns: list[int] = []
 
     for target in targets:
@@ -593,6 +596,10 @@ def run_chaos(spec: ExperimentSpec, profile=None,
             for kind, count in faulted.get("unrecovered_by_kind", {}).items():
                 if count:
                     unrecovered[f"{target}/{name}/{kind}"] = count
+            if "error" in faulted and not faulted.get("injected"):
+                crashed[f"{target}/{name}"] = faulted["error"]
+            if "error" in clean:
+                crashed[f"{target}/{name}/clean"] = clean["error"]
         if target == "babol":
             degraded_luns = entry["ops"]["degraded_luns"]
         report["targets"][target] = entry
@@ -602,8 +609,10 @@ def run_chaos(spec: ExperimentSpec, profile=None,
         "recovered_total": recovered_total,
         "unrecovered_total": sum(unrecovered.values()),
         "unrecovered": unrecovered,
+        "crashed": crashed,
         "degraded_luns": degraded_luns,
     }
     report["exit_code"] = (
+        EXIT_INTERNAL if crashed else
         EXIT_UNRECOVERED if unrecovered else EXIT_OK)
     return report

@@ -215,7 +215,12 @@ class PageMappedFtl:
 
         # Placement state.  ``_pending[lun]``: nominal array time (ns)
         # of the LUN's media ops issued and not yet waited on (see
-        # ``_media``).  ``_lun_valid[lun]``: the LUN's valid pages plus
+        # ``_media``).  ``_place`` credits it from the admission state
+        # of the controller's software environment (``_env``; None on a
+        # controller without one): one tPROG for a queued PROGRAM that
+        # waits for a partner, and the part of the die's running op
+        # already run, up to its nominal array time (``_op_cost``, by
+        # task label).  ``_lun_valid[lun]``: the LUN's valid pages plus
         # the pages placed on it and not yet bound.  ``_share[lun]``: the
         # most ``_lun_valid`` may reach for a new LPN — sized from the
         # LUN's factory-good blocks, the shares sum to the logical
@@ -225,6 +230,24 @@ class PageMappedFtl:
         self._t_prog = timing.t_prog_ns
         self._t_bers = timing.t_bers_ns
         self._pending = [0] * self.lun_count
+        self._env = getattr(controller, "env", None)
+        self._op_cost = {}
+        if self._env is not None:
+            from repro.core.ops import (
+                erase_block_op,
+                full_page_read_op,
+                paired_erase_op,
+                program_page_op,
+                read_page_op,
+            )
+
+            self._op_cost = {
+                full_page_read_op.__name__: self._t_read,
+                read_page_op.__name__: self._t_read,
+                program_page_op.__name__: self._t_prog,
+                erase_block_op.__name__: self._t_bers,
+                paired_erase_op.__name__: self._t_bers,
+            }
         self._lun_valid = [0] * self.lun_count
         self._share = self._size_shares(len(meta))
         self.logical_pages = sum(self._share)
@@ -401,12 +424,34 @@ class PageMappedFtl:
         on it; -1 when every LUN is at its share.
 
         The candidate with the least outstanding die work wins; ties go
-        to the first in rotor order.  A LUN at its share is a candidate
-        only for an overwrite of an LPN it already holds.
+        to the first in rotor order.  A LUN's work is its ledger entry
+        less its credits (see ``__init__``): one tPROG while an odd
+        number of full-page PROGRAMs wait in its admission queue (one
+        waits for a partner, and admission runs the new page with it in
+        one tPROG), and its running op's elapsed time, capped at that
+        op's nominal array time.  A LUN at its share is a candidate only
+        for an overwrite of an LPN it already holds.
         """
         rotor = self._write_rotor % self.lun_count
         self._write_rotor += 1
         pending = self._pending
+        credit = [0] * self.lun_count
+        env = self._env
+        if env is not None:
+            t_prog = self._t_prog
+            for task in env._admission_queue:
+                if task.pair is not None:
+                    lun = task.lun_position
+                    credit[lun] = t_prog - credit[lun]
+            now = self.sim.now
+            cost = self._op_cost
+            running = env._running
+            for lun in running:
+                task = running[lun]
+                if task.label in cost:
+                    ran = now - task.admitted_at
+                    cap = cost[task.label]
+                    credit[lun] += ran if ran < cap else cap
         count = self._lun_valid
         share = self._share
         best = -1
@@ -418,7 +463,8 @@ class PageMappedFtl:
                     holder = held.lun if held is not None else -1
                 if lun != holder:
                     continue
-            if best < 0 or pending[lun] < pending[best]:
+            if best < 0 or pending[lun] - credit[lun] \
+                    < pending[best] - credit[best]:
                 best = lun
         if best >= 0:
             count[best] += 1

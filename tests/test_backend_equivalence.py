@@ -484,16 +484,21 @@ def _scale_state(fidelity: str, track_data: bool = True):
 
 
 def test_fast_path_keeps_ftl_and_data_identical_across_tiers():
-    """Same seed => same FTL health, die counters, mapped LPNs and DRAM
-    payloads in both tiers, even though the TLM scale path runs
-    templates, and both tiers pair programs.  Where each LPN landed is
-    not compared: which queued programs pair depends on what waits on a
-    die when it frees, and on two channels the template's poll
-    fast-forward moves completions across controllers (with no pairing,
-    longer runs of this workload already place LPNs differently), so a
-    few LPNs change die or plane.  tests/test_plane_pairing.py pins the
-    whole tables, and equal pairs, on one channel and on two one-LUN
-    channels."""
+    """Same seed => same FTL health, per-die array counters, mapped LPNs
+    and DRAM payloads in both tiers, even though the TLM scale path runs
+    templates, and both tiers pair programs.  The address each LPN
+    landed on is not compared: which queued programs pair depends on
+    what waits on a die when it frees, and on two channels the
+    template's poll fast-forward moves completions across controllers
+    (with no pairing, longer runs of this workload already place LPNs
+    differently), so a few LPNs may change block, plane or page.
+    tests/test_plane_pairing.py pins the whole tables, and equal pairs,
+    on one channel and on two one-LUN channels.
+
+    The equal health summary and per-die counters hold at this seed,
+    not at every seed: over write seeds 1-30 (read seed one above) the
+    per-die program counts differ between tiers at write seed 13, where
+    one program lands on another die of the same channel."""
     wave = _scale_state("waveform")
     tlm = _scale_state("tlm")
     assert tlm[0] == wave[0]          # health summary (GC, WA, mapping)

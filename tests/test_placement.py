@@ -4,7 +4,9 @@ and the valid-share cap keeps every LUN's data within what its GC can
 make room for."""
 
 import numpy as np
+import pytest
 
+from repro.baselines import AsyncHwController, SyncHwController
 from repro.core import BabolController, ControllerConfig
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl
@@ -118,6 +120,96 @@ def test_every_media_op_leaves_the_ledger_empty_when_done():
     for lpn in range(0, ftl.logical_pages, 7):
         sim.run_process(ftl.read(lpn, 0))
     assert ftl._pending == [0, 0]
+
+
+def issue_at(sim, ftl, at_ns, lun, media):
+    """Issue ``media`` — ``(cost, issue, *args)`` tuples — on ``lun`` at
+    ``at_ns``, each through the ledger (``_media``) in its own process,
+    in order."""
+    def one(cost, issue, *args):
+        yield Timeout(at_ns)
+        yield from ftl._media(cost, issue, lun, *args)
+
+    for cost, issue, *args in media:
+        sim.spawn(one(cost, issue, *args), name=f"media-lun{lun}")
+
+
+def write_at(sim, ftl, at_ns, lpn, rotor):
+    """The LUN a host write of ``lpn`` issued at ``at_ns`` is placed on,
+    with the rotor naming ``rotor``; also the ledger placement saw."""
+    seen = {}
+
+    def host():
+        yield Timeout(at_ns - sim.now)
+        seen["pending"] = list(ftl._pending)
+        ftl._write_rotor = rotor
+        entry = yield from ftl.write(lpn, 0)
+        return entry.lun
+
+    lun = sim.run_process(host())
+    return lun, seen["pending"]
+
+
+def test_a_write_joins_a_queued_program_waiting_for_its_plane_pair():
+    sim, controller, ftl = make_ftl(lun_count=2)
+    t_read = ftl._t_read
+    # LUN 1: a read, then two programs on distinct planes, which pair
+    # once the read is done.  LUN 0, later: one program running and one
+    # on the other plane queued behind it, waiting for a partner.  The
+    # first host page goes to block 0, plane 0.
+    issue_at(sim, ftl, 0, 1, [(t_read, controller.read_page, 3, 0, 0),
+                              (T_PROG, controller.program_page, 4, 0, 0),
+                              (T_PROG, controller.program_page, 5, 0, 0)])
+    issue_at(sim, ftl, 100_000, 0, [(T_PROG, controller.program_page, 4, 0, 0),
+                                    (T_PROG, controller.program_page, 5, 0, 0)])
+    sim.run(until=100_500)
+    paired = controller.programs_paired
+    assert paired == 1  # LUN 1's two programs
+    # Today's ledger sees two tPROGs on each LUN and LUN 1's op running
+    # longer; the rotor names LUN 1.  The queued program prices the new
+    # page at no tPROG of its own on LUN 0.
+    lun, pending = write_at(sim, ftl, 101_000, 0, rotor=1)
+    assert pending == [2 * T_PROG, 2 * T_PROG]
+    assert lun == 0
+    sim.run()
+    assert controller.programs_paired == paired + 1
+    assert ftl._pending == [0, 0]
+
+
+def test_a_write_goes_to_the_die_whose_running_op_is_nearly_done():
+    sim, controller, ftl = make_ftl(lun_count=2)
+    issue_at(sim, ftl, 0, 0, [(T_PROG, controller.program_page, 4, 0, 0)])
+    issue_at(sim, ftl, 150_000, 1, [(T_PROG, controller.program_page, 4, 0, 0)])
+    # One tPROG outstanding on each LUN; LUN 0's has run 180 µs, LUN
+    # 1's 30 µs, and the rotor names LUN 1.
+    lun, pending = write_at(sim, ftl, 180_000, 0, rotor=1)
+    assert pending == [T_PROG, T_PROG]
+    assert lun == 0
+    sim.run()
+    assert ftl._pending == [0, 0]
+
+
+@pytest.mark.parametrize("baseline, expected", [
+    ("sync", "120120120102102102102102102102102102102102102102102102120102"),
+    ("async", "012012012012012012012012012012012012012012012012012012012012"),
+])
+def test_a_hardware_baseline_places_by_the_ledger_alone(baseline, expected):
+    # No software environment, no credits: a fixed concurrent write
+    # stream lands on the LUNs the bare ledger picks (the LUN of each
+    # write, in completion order).
+    sim = Simulator()
+    cls = SyncHwController if baseline == "sync" else AsyncHwController
+    controller = cls(sim, vendor=TEST_PROFILE, lun_count=3, seed=3)
+    ftl = PageMappedFtl(sim, controller, FtlConfig(
+        blocks_per_lun=6, overprovision_blocks=2,
+        gc_staging_base=48 * 1024 * 1024))
+    rng = np.random.default_rng(5)
+    streams = [rng.integers(0, ftl.logical_pages // 2, 12).tolist()
+               for _ in range(5)]
+    landed = spawn_writers(sim, ftl, streams)
+    sim.run()
+    assert "".join(str(entry.lun) for _, entry in landed) == expected
+    assert ftl._pending == [0, 0, 0]
 
 
 # --- the valid-share cap ----------------------------------------------------

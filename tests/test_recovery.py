@@ -330,3 +330,21 @@ def test_chaos_campaign_recovers_and_is_deterministic():
     again = run_chaos(chaos_spec(seed=4, baselines=False))
     assert json.dumps(report, sort_keys=True) == json.dumps(
         again, sort_keys=True)
+
+
+def test_a_target_that_crashes_before_any_fault_fails_the_campaign(
+        monkeypatch, capsys):
+    # A baseline whose every program raises dies before the campaign's
+    # first fault can fire: no fault to blame, so the harness broke.
+    from repro.baselines.sync_hw import SyncHwController
+    from repro.cli import main
+
+    def broken(self, *args, **kwargs):
+        raise RuntimeError("program path broke")
+
+    monkeypatch.setattr(SyncHwController, "program_page", broken)
+    assert main(["chaos", "--set", "stack.fidelity=tlm"]) == 2
+    out = capsys.readouterr().out
+    assert "CRASHED sync-hw/ftl: RuntimeError: program path broke" in out
+    assert "CRASHED sync-hw/ftl/clean: RuntimeError" in out
+    assert "async-hw" not in out and "babol" not in out
