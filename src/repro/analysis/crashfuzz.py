@@ -41,6 +41,11 @@ One fuzz *seed* is an oracle plus a family of crashes:
      a later write to that LPN was acked.  The report counts the FLUSHes
      that covered at least one such trim as ``flush_barriers_checked``.
 
+The report also sums, over the oracle and every crashed run, the ops
+the controllers ran inside a suspended erase, by kind
+(``inside_suspension``): a cut that lands while a PROGRAM runs inside a
+suspended GC erase is one of the states the fuzzer is there to reach.
+
 Everything derives from seeded RNGs and simulated time: the same
 ``(base_seed, seeds, points)`` triple produces a byte-identical report
 under either fidelity tier.
@@ -487,6 +492,13 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
     total_violations = 0
     total_internal = 0
     total_barriers = 0
+    inside = {"read": 0, "program": 0}
+
+    def count_inside(built) -> None:
+        for controller in built.controllers:
+            for kind, count in controller.env.inside_suspension.items():
+                inside[kind] += count
+
     for index in range(knobs.crash_seeds):
         seed = knobs.base_seed + index
         rng = np.random.default_rng(seed * 1000 + 17)
@@ -498,6 +510,7 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
         start_ns = sim.now
         drive(oracle, ops)
         elapsed = sim.now - start_ns
+        count_inside(oracle)
         oracle_acks = list(oracle.engine.acks)
         write_versions: dict[int, list[int]] = {}
         trims: dict[int, tuple[int, int]] = {}  # lpn -> (first, last)
@@ -534,6 +547,7 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
                 pass
             if not fired:
                 cut.cancel()  # the run outlived this cut point
+            count_inside(crashed)
             crash_ns = cut_ns if fired else crashed.sim.now + 1
             point = _verify_point(crashed, oracle_acks, crash_ns,
                                   write_versions, trims)
@@ -556,6 +570,7 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
         "exit_code": exit_code,
         "fidelity": spec.stack.fidelity,
         "flush_barriers_checked": total_barriers,
+        "inside_suspension": inside,
         "internal_errors": total_internal,
         "ios": ios,
         "luns_per_channel": spec.stack.luns_per_channel,
@@ -591,6 +606,9 @@ def summarize(report: dict) -> list[str]:
     lines.append(
         f"verdict: {report['violations']} violation(s), "
         f"{report['internal_errors']} internal error(s), "
-        f"{report['flush_barriers_checked']} FLUSH barrier(s) checked"
+        f"{report['flush_barriers_checked']} FLUSH barrier(s) checked, "
+        f"{report['inside_suspension']['program']} program(s) and "
+        f"{report['inside_suspension']['read']} read(s) run inside a "
+        f"suspended erase"
     )
     return lines

@@ -19,7 +19,8 @@ Rule namespaces (OPV — INTERNALS §13 has the full catalogue):
   source, OPV103 static chip-select selecting zero/multiple dies,
   OPV104 cycle-grammar violations (orphan address, confirm without a
   full address, cache read without a prior read, unsuspendable
-  suspend).
+  suspend, a confirm a suspended erase refuses: another ERASE, or a
+  READ/PROGRAM/ERASE of its own block).
 * **OPV2xx** — interval timing vs. the vendor-tightened
   :meth:`~repro.flash.vendors.VendorProfile.timing_set`: OPV201 tWB,
   OPV202 tWHR, OPV203 tRR, OPV204 tRHW, OPV205 tCCS, OPV206 minimum
@@ -83,7 +84,7 @@ from repro.core.opir.nodes import (
 from repro.core.ufsm.base import UfsmBank
 from repro.dram import DmaHandle
 from repro.flash.cell import CellMode, profile_for
-from repro.onfi.commands import CMD, opcode_name
+from repro.onfi.commands import CMD, CommandClass, opcode_name
 from repro.onfi.datamodes import interface_by_name
 from repro.onfi.protocol import (
     ANCHOR_EVENTS,
@@ -187,6 +188,7 @@ class _Busy:
     remaining: Iv
     started_at: str = ""  # node path of the confirm, for messages
     suspendable: bool = True  # may be: only a proven no is flagged
+    blocks: Optional[frozenset] = None  # an erase's blocks, when known
 
 
 @dataclass
@@ -209,6 +211,10 @@ class _State:
     phase: str = "idle"   # idle|await_addr|await_confirm
     pending: Optional[OpcodeRow] = None  # row awaiting its address/data
     have_row: bool = False
+    # The block of the latched row address, and those of the planes
+    # queued for the next confirm (None: not known on every path).
+    row_block: Optional[int] = None
+    queued: Optional[tuple] = ()
     status_addr_pending: bool = False
     pslc: bool = False
 
@@ -323,10 +329,14 @@ class _State:
         elif a.suspended is not None and b.suspended is not None:
             kind = (a.suspended.kind if a.suspended.kind == b.suspended.kind
                     else "unknown")
+            blocks = None
+            if a.suspended.blocks is not None \
+                    and b.suspended.blocks is not None:
+                blocks = a.suspended.blocks & b.suspended.blocks  # both paths
             out.suspended = _Busy(
                 kind, a.suspended.remaining.hull(b.suspended.remaining),
                 suspendable=(a.suspended.suspendable
-                             or b.suspended.suspendable))
+                             or b.suspended.suspendable), blocks=blocks)
         else:
             present = a.suspended or b.suspended
             out.suspended = _Busy("unknown", Iv(0, present.remaining.hi))
@@ -341,6 +351,8 @@ class _State:
         out.phase = a.phase if a.phase == b.phase else "idle"
         out.pending = a.pending if a.pending is b.pending else None
         out.have_row = a.have_row and b.have_row
+        out.row_block = a.row_block if a.row_block == b.row_block else None
+        out.queued = a.queued if a.queued == b.queued else None
         out.status_addr_pending = False
         out.pslc = a.pslc or b.pslc
         out.since = {name: _State._join_iv(a.since.get(name),
@@ -835,6 +847,7 @@ class _Verifier:
 
     def _reset(self, row: OpcodeRow, where: str, st: _State) -> None:
         st.suspended = None
+        st.queued = ()
         st.cache_prog = None
         st.cache_busy = None
         st.armed = row.arms
@@ -889,10 +902,33 @@ class _Verifier:
             return False
         return True
 
+    def _suspension_takes(self, row: OpcodeRow, where: str,
+                          st: _State) -> None:
+        """What a suspended erase cannot take (the die raises): another
+        ERASE, or a READ, PROGRAM or ERASE of a block it erases."""
+        erase = st.suspended
+        if erase is None or erase.kind != "erase":
+            return
+        if row.cls is CommandClass.ERASE_CONFIRM:
+            why = "while an erase is suspended"
+        elif erase.blocks is not None and st.row_block in erase.blocks:
+            why = f"to block {st.row_block}, which the suspended erase targets"
+        else:
+            return
+        self.flag("OPV104", "error", where,
+                  f"{row.name} confirm latches {why} — LunProtocolError at "
+                  f"run time",
+                  hint="RESUME the erase and let it finish first")
+
     def _confirm(self, row: OpcodeRow, where: str, st: _State) -> None:
         """The latched row address becomes (or joins) an array operation."""
         if not self._require_row(st, where):
             return
+        self._suspension_takes(row, where, st)
+        blocks = None
+        if st.queued is not None and st.row_block is not None:
+            blocks = frozenset(st.queued + (st.row_block,))
+        st.queued = ()
         if row.busy.kind == "program" and st.cache_prog is not None:
             self.flag(
                 "OPV101", "error", where,
@@ -903,6 +939,8 @@ class _Verifier:
             )
         if row.busy.holds_rb:
             self._open_busy(row, where, st)
+            if row.busy.kind == "erase":
+                st.busy.blocks = blocks
         else:  # cache program: the array works behind a usable interface
             st.cache_prog = self._window(row.busy, st)
             st.phase = "idle"
@@ -912,6 +950,9 @@ class _Verifier:
         short R/B#-holding busy (tDBSY); a cache program still in the
         array stays there (ARDY stays low)."""
         if self._require_row(st, where):
+            self._suspension_takes(row, where, st)
+            st.queued = None if st.queued is None or st.row_block is None \
+                else st.queued + (st.row_block,)
             self._open_busy(row, where, st)
 
     def _cache_confirm(self, row: OpcodeRow, where: str, st: _State) -> None:
@@ -960,6 +1001,16 @@ class _Verifier:
         Effect.PSLC_EXIT: _set_pslc,
     }
 
+    def _block_of(self, address_bytes, fmt: str) -> Optional[int]:
+        """The block a ``full`` or ``row`` address names (None without a
+        vendor geometry)."""
+        geometry = getattr(self.vendor, "geometry", None)
+        if geometry is None:
+            return None
+        row = tuple(address_bytes)[geometry.col_cycles if fmt == "full"
+                                   else 0:]
+        return int.from_bytes(bytes(row), "little") // geometry.pages_per_block
+
     def _on_address(self, address_bytes, where: str, st: _State) -> None:
         st.prev_wire = "addr"
         if st.status_addr_pending:
@@ -977,6 +1028,7 @@ class _Verifier:
             return
         if row.addr_format in ("full", "row"):
             st.have_row = True
+            st.row_block = self._block_of(address_bytes, row.addr_format)
         st.phase = "await_confirm"
         # Rows whose effect happens right after the address phase.
         if row.busy is not None and row.busy.opens_on == "address":

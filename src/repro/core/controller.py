@@ -202,7 +202,8 @@ class BabolController:
 
         ``priority`` is the op's admission class on its LUN: the lowest
         class waiting runs next, FIFO within a class, and a class-0 op
-        (a host read) may suspend an erase in flight on its die — see
+        (a host read), or a full-page PROGRAM, may suspend an erase of a
+        higher class in flight on its die — see
         ``SoftwareEnvironment.preempt_erase``.  The generic path runs
         the full software runtime on the segment-accurate bus, the same
         run on both fidelity tiers.  ``_plan=True`` (set by the

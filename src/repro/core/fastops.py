@@ -60,14 +60,17 @@ chain's first step; the runner then asks the environment's chain rule
 (``SoftwareEnvironment.chain_next``) what confirms each pair a step
 leaves loaded — the next step's CACHE PROGRAM or the chain's end — and
 finishes each pair's tasks once their status is read.  On a vendor
-that supports SUSPEND, a planned class-0 op (a host read) cuts into an
-erasing template: before the template's first transaction (never
-between the plane latches of a multi-plane erase), or in the erase's
-busy wait, which wakes for it and runs it inside a SUSPEND / RESUME
-pair, the templates of the ``suspend`` / ``resume`` shapes; a generic
-class-0 op waits the template erase out.  Data and status match
-the generic path; the suspended ops' times match to within one poll
-period (the generic path sees the read at its next poll round).
+that supports SUSPEND, a planned op that the environment's one
+erase-preemption rule (``SoftwareEnvironment._urgent``) takes in — a
+read, or a full-page PROGRAM with its plane partner as one paired
+PROGRAM, of a lower class than the erase — cuts into an erasing
+template: before the template's first transaction (never between the
+plane latches of a multi-plane erase), or in the erase's busy wait,
+which wakes for it and runs it inside a SUSPEND / RESUME pair, the
+templates of the ``suspend`` / ``resume`` shapes; a generic op waits
+the template erase out.  Data and status match the generic path; the
+suspended ops' times match to within one poll period (the generic path
+sees the op at its next poll round).
 
 The decision is made once per submission, in
 :meth:`PlanExecutor.plan`, and once per shape on its steps
@@ -152,7 +155,7 @@ class _Template(NamedTuple):
     phases: tuple
     result: Optional[Callable]  # the Return, lowered to f(regs, handles)
     has_data: bool
-    erases: bool  # waits on a suspendable erase: reads may cut in
+    erases: bool  # waits on a suspendable erase: ops may cut in
     # Leaves a PROGRAM loaded, awaiting its confirm: a program chain's
     # step, after which the chain rule decides what confirms it.
     awaits_confirm: bool
@@ -170,10 +173,11 @@ class PlanExecutor:
     It plans a submission (:meth:`plan`) and runs the planned tasks the
     environment's one admission hands back (:meth:`admit`), so ops on
     one die run one at a time, templates and generic ops alike, and ops
-    on different dies contend only for the channel mutex.  A planned
-    class-0 op (a host read) cuts into an erase the vendor can suspend:
-    before its first latch, or by suspending it during its busy wait
-    (:meth:`_erase_wait`).
+    on different dies contend only for the channel mutex.  A planned op
+    the environment's erase-preemption rule takes in (a read, or a
+    full-page PROGRAM, of a lower class) cuts into an erase the vendor
+    can suspend: before its first latch, or by suspending it during its
+    busy wait (:meth:`_erase_wait`).
     """
 
     def __init__(self, controller):
@@ -191,18 +195,16 @@ class PlanExecutor:
         self._extra_round = _timeout(self.pre_txn_ns + self.wakeup_ns)
         timing = controller.config.vendor.timing
         self._repoll = Timeout(max(timing.t_poll_min_ns, 1))
-        # An erase's nominal time, and the least of it that must be left
-        # for a suspension to pay: the read's tR plus the resume penalty.
+        # An erase's nominal time, and the penalty a RESUME adds to it.
         self._t_bers = timing.t_bers_ns
         self._t_resume = timing.t_resume_ns
-        self._suspend_floor = timing.t_read_ns + timing.t_resume_ns
         # LUNs whose runner is finishing a task -> the task admission
         # handed it to run next in the same frame (None: none yet).
         self._following: dict[int, Optional[Task]] = {}
         self.ops_planned = 0
         self.ops_declined = 0
-        # Planned ops a template ran: all but a planned class-0 op that a
-        # generic erase ran inside its suspension, on the generic runtime.
+        # Planned ops a template ran: all but a planned op that a generic
+        # erase ran inside its suspension, on the generic runtime.
         self.ops_templated = 0
         self.shapes_compiled = 0
         # ``(op name, finished pages)`` -> the memo key of a shape whose
@@ -356,15 +358,18 @@ class PlanExecutor:
 
     # -- the per-LUN runner --------------------------------------------
 
-    def _runner(self, task: Task, nested: bool = False) -> Generator:
+    def _runner(self, task: Task, inside: Optional[tuple] = None
+                ) -> Generator:
         """Run ``task`` and the planned tasks admitted after it on its
         LUN in one generator frame: every wake-up resumes this frame and
         nothing under it (a contended channel, and an erase's busy wait,
         excepted).  The die is touched through its transaction-level
         entry only, and each task finishes through the environment's
-        ``_finish_task``.  ``nested``: ``task`` is a planned class-0
-        task waiting for the LUN the caller holds; take it in, and each
-        one still waiting, then return."""
+        ``_finish_task``.  ``inside``: ``task`` is a planned task waiting
+        for the LUN the caller's erase holds, ``(the erase's class, its
+        ns left)``; take it in (a PROGRAM with its partner, as one paired
+        PROGRAM), and each one the environment's rule still takes in
+        (``_urgent``), then return."""
         lun_position = task.lun_position
         sim = self.sim
         env = self.env
@@ -373,8 +378,8 @@ class PlanExecutor:
         mutex = channel.mutex
         lun = channel.luns[lun_position]
         while True:
-            if nested:
-                env._take_inside(task)
+            if inside is not None:
+                env._take_inside(task, True)
             task.state = TaskState.RUNNING
             template, operands = task.plan
             partner = task.partner
@@ -399,15 +404,18 @@ class PlanExecutor:
                             if not mutex.try_acquire(label):
                                 yield from mutex.acquire(label)
                             if cut_in:
-                                # A host read that arrives before the op's
-                                # first latch runs first.  Only then: once a
-                                # plane's erase is queued on the die, a
-                                # read's confirm would take its row.
+                                # An op the erase would take in that
+                                # arrives before its first latch runs
+                                # first.  Only then: once a plane's erase
+                                # is queued on the die, a read's or a
+                                # program's confirm would take its row.
                                 cut_in = False
-                                urgent = env._urgent(lun_position, True)
+                                ahead = (task.priority, self._t_bers)
+                                urgent = env._urgent(lun_position, *ahead,
+                                                     True)
                                 if urgent is not None:
                                     channel.release()
-                                    yield from self._runner(urgent, True)
+                                    yield from self._runner(urgent, ahead)
                                     if not mutex.try_acquire(label):
                                         yield from mutex.acquire(label)
                             if erases:
@@ -446,7 +454,7 @@ class PlanExecutor:
                                 if end is not None and end > now:
                                     if erases:
                                         nominal = yield from self._erase_wait(
-                                            lun_position, lun, mask, nominal)
+                                            task, lun, mask, nominal)
                                     else:
                                         yield Timeout(end - now)
                                 elif polls:
@@ -526,9 +534,9 @@ class PlanExecutor:
                 result = None if passed is None else passed[0]
                 env._finish_task(partner,
                                  None if passed is None else passed[1])
-            if nested:
+            if inside is not None:
                 env._finish_task(task, result)
-                task = env._urgent(lun_position, True)
+                task = env._urgent(lun_position, *inside, True)
                 if task is None:
                     return
             else:
@@ -606,26 +614,30 @@ class PlanExecutor:
 
     # -- erase suspension ----------------------------------------------
 
-    def _erase_wait(self, lun_position: int, lun, mask: int,
+    def _erase_wait(self, task: Task, lun, mask: int,
                     nominal: int) -> Generator:
-        """Wait out the erase on ``lun``, letting host reads cut in.
+        """Wait out the erase ``task`` runs on ``lun``, letting the ops
+        the environment's rule takes in (``_urgent``) cut in.
 
         Sleeps until the die would show a bit of the poll's ``mask``
         (:meth:`~repro.flash.lun.Lun.ready_at`), or until the
-        environment's ``submit`` queues a class-0 task with a plan for
-        the LUN.  Then, if the erase has more than tR + t_resume left by
+        environment's ``submit`` queues a planned task the erase may
+        take in.  Then, if the rule takes one with the erase ending at
         ``nominal`` (its own estimate of its end, not the die's jittered
-        one), SUSPEND -> the waiting planned class-0 tasks -> RESUME, and
-        wait again.  Returns the erase's nominal end once the die shows
-        the bit (or never will: a hung die)."""
+        one), SUSPEND -> the tasks the rule takes -> RESUME, and wait
+        again.  Returns the erase's nominal end once the die shows the
+        bit (or never will: a hung die)."""
         sim = self.sim
         env = self.env
         waking = env._waking
+        lun_position = task.lun_position
+        holder = task.priority
         while True:
             end = lun.ready_at(mask)
             if end is None or end <= sim.now:
                 return nominal
-            urgent = env._urgent(lun_position, True)
+            urgent = env._urgent(lun_position, holder, nominal - sim.now,
+                                 True)
             if urgent is None:
                 wake = waking[lun_position] = Trigger(sim)
                 timer = sim.schedule(end - sim.now, wake.fire)
@@ -633,10 +645,9 @@ class PlanExecutor:
                 waking.pop(lun_position, None)
                 timer.cancel()
                 continue
-            if nominal - sim.now <= self._suspend_floor \
-                    or not lun.erasing_past(sim.now):
-                # Too little left to pay, or the die is busy with a
-                # plane's queue cycle (tDBSY), not the erase.
+            if not lun.erasing_past(sim.now):
+                # The die is busy with a plane's queue cycle (tDBSY), not
+                # the erase.
                 yield Timeout(end - sim.now)
                 return nominal
             suspend, resume = self._suspension_phases()
@@ -646,8 +657,10 @@ class PlanExecutor:
                 if end is not None and end > sim.now:
                     yield Timeout(end - sim.now)
                 return nominal
-            yield from self._runner(urgent, True)  # still the first
             left = nominal - at
+            urgent = env._urgent(lun_position, holder, left, True)
+            if urgent is not None:  # the first now, which may have changed
+                yield from self._runner(urgent, (holder, left))
             at = yield from self._transmit(lun, resume)
             nominal = at + left + self._t_resume
 

@@ -70,15 +70,15 @@ def _poll_status(
 
     ``erase`` (:data:`ERASE_POLL`, chosen by the lowering for the wait
     after an erase latch): between rounds is the environment's
-    preemption point, where a waiting host read may suspend the erase
-    (``SoftwareEnvironment.preempt_erase``).
+    preemption point, where a waiting read or PROGRAM may suspend the
+    erase (``SoftwareEnvironment.preempt_erase``).
     """
     from repro.core.opir.registry import resolved_op
     from repro.core.recovery import OpTimeout
 
     watchdog = ctx.watchdog
     deadline = None if watchdog is None else ctx.sim.now + watchdog.budget_ns
-    # Waiting on an erase: between rounds, a host read may suspend it.
+    # Waiting on an erase: between rounds, a waiting op may suspend it.
     erase_end = ctx.env.erase_deadline(ctx, chip_mask) if erase else None
     # READ STATUS, resolved once for the loop (what ``read_status_op``
     # resolves per call); each poll runs the shape, under that op's span.

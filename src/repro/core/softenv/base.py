@@ -53,8 +53,6 @@ from repro.core.softenv.task_scheduler import RoundRobinTaskScheduler, TaskSched
 from repro.core.softenv.txn_scheduler import FifoTxnScheduler, TxnScheduler
 from repro.core.transaction import Transaction, TxnKind
 from repro.core.ufsm.base import UfsmBank
-from repro.core.ufsm.ca_writer import cmd
-from repro.onfi.commands import CMD
 from repro.onfi.status import StatusBits, StatusRegister
 from repro.sim import Simulator, Trigger, WaitTrigger
 
@@ -312,9 +310,18 @@ class SoftwareEnvironment:
         self.chains_programs = vendor is not None and vendor.supports_cache
         # The TLM template runner (``fastops.PlanExecutor``) of tasks
         # admitted with a plan, and the LUNs whose template erase sleeps
-        # until a planned class-0 task is queued -> its wake.
+        # until a planned task it may take in is queued -> its wake.
         self.plan_runner = None
         self._waking: dict[int, Trigger] = {}
+        # What a suspended erase may take in (:meth:`_urgent`): the
+        # nominal array time of a read and of a PROGRAM, and the penalty
+        # a RESUME adds to the erase.
+        timing = vendor.timing if vendor is not None else None
+        self._t_read = timing.t_read_ns if timing else 0
+        self._t_prog = timing.t_prog_ns if timing else 0
+        self._t_resume = timing.t_resume_ns if timing else 0
+        # Tasks run inside a suspended erase, by op kind, on both paths.
+        self.inside_suspension = {"read": 0, "program": 0}
 
         # The executor tells us when a queue slot frees so the dispatcher
         # half of the loop can run again.
@@ -350,10 +357,11 @@ class SoftwareEnvironment:
         self._admit_eligible()
         if self._parked and plan is None:  # a plan gives the loop no work
             self._unpark()
-        if priority <= 0 and plan is not None and self._waking:
-            wake = self._waking.pop(lun_position, None)
-            if wake is not None:
-                wake.fire()  # the LUN's template erase: run it inside
+        if plan is not None and lun_position in self._waking \
+                and self._inside_ns(task) is not None \
+                and priority < self._running[lun_position].priority:
+            # The LUN's template erase: it may take the task in.
+            self._waking.pop(lun_position).fire()
         return task
 
     @staticmethod
@@ -890,59 +898,113 @@ class SoftwareEnvironment:
 
     def preempt_erase(self, ctx: OperationContext,
                       deadline: int) -> Generator:
-        """The preemption point: if a class-0 task (a host read) waits
-        for this LUN and the erase has more than tR + t_resume left by
-        ``deadline`` (the holder's nominal estimate), SUSPEND -> every
-        waiting class-0 task, run inside the holder (a planned one on
-        the generic runtime) -> RESUME.  The SUSPEND is guarded: the
-        executor sends it only while the die is still erasing past its
-        end.  Returns the new nominal end."""
+        """The preemption point of the erase the task holding ``ctx``'s
+        LUN runs: if a waiting task may run inside it by the rule
+        (:meth:`_urgent`, with the erase ending at ``deadline``, the
+        holder's nominal estimate), SUSPEND -> the tasks the rule takes,
+        run inside the holder (a planned one on the generic runtime) ->
+        RESUME.  The SUSPEND, the declared ``suspend`` shape, is
+        guarded: the executor sends it only while the die is still
+        erasing past its end.  Returns the new nominal end."""
         lun_position = ctx.lun_position
-        timing = self.vendor.timing
-        if self._urgent(lun_position) is None or \
-                deadline - self.sim.now <= timing.t_read_ns + timing.t_resume_ns:
+        holder = self._running[lun_position].priority
+        if self._urgent(lun_position, holder,
+                        deadline - self.sim.now) is None:
             return deadline
+        from repro.core.opir.registry import resolved_op
         from repro.core.ops import resume_op
-        from repro.core.ops.base import single_latch_txn
 
         lun = self.executor.channel.luns[lun_position]
-        suspend = single_latch_txn(ctx, [cmd(CMD.VENDOR_SUSPEND)],
-                                   kind=TxnKind.CONFIG, label="suspend")
+        run, lowered, operands = resolved_op(ctx, "suspend", {})
+        steps = run(ctx, lowered, operands)
+        send = next(steps)  # the EnvAwait of the shape's one transaction
+        suspend = send.txn
         suspend.guard = lambda txn: lun.erasing_past(
             txn.started_at + txn.duration_ns)
-        yield from ctx.add_transaction(suspend)
+        yield send
+        steps.close()
         if not suspend.segments:
             return deadline  # the erase ends first: nothing was sent
         left = deadline - suspend.started_at
         while True:
-            task = self._urgent(lun_position)
+            task = self._urgent(lun_position, holder, left)
             if task is None:
                 break
             yield from self._run_inside(task)
         yield from resume_op(ctx)
-        return self.sim.now + left + timing.t_resume_ns
+        return self.sim.now + left + self._t_resume
 
-    def _urgent(self, lun_position: int,
+    def _inside_ns(self, task: Task) -> Optional[int]:
+        """The nominal array time of ``task``'s op if it is one a
+        suspended erase may take in — tPROG for a full-page PROGRAM (one
+        admission may pair, ``Task.pair``), tR for a read (class 0, the
+        FTL's host reads) — else None."""
+        if task.pair is not None:
+            return self._t_prog
+        return self._t_read if task.priority <= 0 else None
+
+    def _urgent(self, lun_position: int, holder: int, left: int,
                 planned: bool = False) -> Optional[Task]:
-        """The first waiting class-0 task for the LUN; ``planned``: the
-        first one with a plan, the only kind the template runner can run
-        inside an erase (a generic one waits the erase out)."""
+        """The erase-preemption rule, the one both paths ask: the first
+        task waiting for the LUN, in admission order (lowest class
+        first, FIFO within a class), that may run inside the erase of
+        class ``holder`` holding it with ``left`` ns of the erase to go.
+        That is a read or a full-page PROGRAM (:meth:`_inside_ns`) of a
+        class strictly below ``holder``, for which ``left`` exceeds its
+        own array time plus t_resume: the suspension saves it more than
+        it costs the erase.  So an erase never runs inside one, and a
+        class-1 erase (the meta ring's) takes in reads only.
+        ``planned``: only a task with a plan, the only kind the template
+        runner can run inside an erase (a generic one waits it out)."""
+        floor = left - self._t_resume
+        first = None
         for task in self._admission_queue:
-            if task.priority <= 0 and task.lun_position == lun_position \
+            if task.lun_position == lun_position and task.priority < holder \
+                    and (first is None or task.priority < first.priority) \
                     and (task.plan is not None or not planned):
-                return task
-        return None
+                need = self._inside_ns(task)
+                if need is not None and need < floor:
+                    first = task
+        return first
 
-    def _take_inside(self, task: Task) -> None:
-        """Admit a waiting task into the op that holds its LUN."""
-        self._admission_queue.remove(task)
-        task.admitted_at = task.ready_since = self.sim.now
+    def _take_inside(self, task: Task, templated: bool) -> Optional[Task]:
+        """Admit a waiting task into the op that holds its LUN.  A
+        full-page PROGRAM takes its partner by the pairing rule
+        (:meth:`_partner`), and the two run as one paired PROGRAM —
+        ``templated``: on the template runner, which needs the pair's
+        template (``pair_plan``).  Returns the partner taken, or None."""
+        queue = self._admission_queue
+        queue.remove(task)
+        now = self.sim.now
+        task.admitted_at = task.ready_since = now
         task.state = TaskState.RUNNING
+        partner = None
+        if task.pair is not None:
+            partner = self._partner(task, queue)
+            if partner is not None and templated:
+                plan = self.plan_runner.pair_plan(task, partner)
+                if plan is None:
+                    partner = None
+                else:
+                    task.plan = plan
+                    task.partner = partner
+            if partner is not None:
+                queue.remove(partner)
+                partner.admitted_at = partner.ready_since = now
+                partner.state = TaskState.RUNNING
+                self.programs_paired += 1
+        if self.executor.channel.luns[task.lun_position].status.suspended:
+            kind = "read" if task.pair is None else "program"
+            self.inside_suspension[kind] += 1 if partner is None else 2
+        return partner
 
     def _run_inside(self, task: Task) -> Generator:
-        """Run a waiting task inside the op that holds its LUN."""
-        self._take_inside(task)
-        if task.gen is None:  # planned: run it as the waveform tier does
+        """Run a waiting task inside the op that holds its LUN (a planned
+        one as the waveform tier does)."""
+        partner = self._take_inside(task, False)
+        if partner is not None:
+            task.gen = self._run_pair(task, partner)
+        elif task.gen is None:
             task.gen = task.factory(OperationContext(self, task.lun_position))
         try:
             result = yield from task.gen

@@ -43,7 +43,7 @@ import numpy as np
 from repro.flash.array import FlashArray
 from repro.flash.cell import CellMode, profile_for
 from repro.flash.vendors import VendorProfile
-from repro.onfi.commands import CMD, opcode_name
+from repro.onfi.commands import CMD, CommandClass, opcode_name
 from repro.onfi.features import FeatureStore
 from repro.onfi.geometry import AddressCodec, PhysicalAddress
 from repro.onfi.protocol import OPCODES, BusySpec, Effect, OpcodeRow
@@ -263,6 +263,8 @@ class Lun:
         self._suspend_pending = False
         self._suspended_spec: Optional[BusySpec] = None
         self._suspended_finish = None
+        # The blocks a suspended erase targets (None: no erase is).
+        self._suspended_blocks: Optional[frozenset] = None
         self._sets_status = True
         # A CACHE PROGRAM's array completion while it is pending: its
         # tPROG holds no busy window, so a RESET cancels it here.
@@ -730,6 +732,8 @@ class Lun:
                 "program confirm while a cache program is still in the array"
                 " (poll ARDY first)"
             )
+        if self._suspended_blocks is not None:
+            self._refuse_in_suspension(row, addr)
         targets = self._mp_queue + [addr]
         self._mp_queue = []
         mode = self._effective_mode()
@@ -745,10 +749,27 @@ class Lun:
         addr = self._row_addr
         if addr is None or self.state is not LunState.AWAIT_CONFIRM:
             raise LunProtocolError("confirm latched without a full address")
+        if self._suspended_blocks is not None:
+            self._refuse_in_suspension(row, addr)
         self._mp_queue.append(addr)
         self._begin_busy(row.busy, self._busy_ns(row.busy),
                          finish=self._queue_done, sets_status=False,
                          queue=True)
+
+    def _refuse_in_suspension(self, row: OpcodeRow,
+                              addr: PhysicalAddress) -> None:
+        """What a suspended erase cannot take: another ERASE, or a READ,
+        PROGRAM or ERASE of a block it erases."""
+        if row.cls is CommandClass.ERASE_CONFIRM:
+            why = "while an erase is suspended"
+        elif addr.block in self._suspended_blocks:
+            why = f"to block {addr.block}, which the suspended erase targets"
+        else:
+            return
+        if self._san_flash is not None:
+            self._san_flash.on_suspension_violation(self, row.opcode, why)
+        raise LunProtocolError(
+            f"opcode {row.name} latched on LUN {self.position} {why}")
 
     def _queue_done(self) -> None:
         status = self.status
@@ -1006,6 +1027,7 @@ class Lun:
         self._data_source = _SOURCES[row.arms]
         self._suspend_remaining = 0
         self._suspend_pending = False
+        self._suspended_blocks = None
         self._cache_program_active = False
         self.status.suspended = False
         self._begin_busy(row.busy, self._busy_ns(row.busy))
@@ -1016,9 +1038,13 @@ class Lun:
         if self._busy_event is not None:  # a hung busy has no event
             self._busy_event.cancel()
         self._suspend_remaining = max(self._busy_until - self._now(), 0)
-        self._suspended_spec = self._busy_spec
+        self._suspended_spec = spec = self._busy_spec
         self._suspended_finish = self._busy_finish
         self._suspend_pending = True
+        if spec.kind == "erase":
+            self._suspended_blocks = frozenset(
+                target.block for op in self.inflight_ops
+                if op["kind"] == "erase" for target in op["targets"])
         self._busy_spec = None
         self._busy_finish = None
         self.state = LunState.SUSPENDED
@@ -1033,6 +1059,7 @@ class Lun:
             raise LunProtocolError("resume latched while not suspended")
         self.status.suspended = False
         self._suspend_pending = False
+        self._suspended_blocks = None
         remaining = self._suspend_remaining + self._busy_ns(row.busy)
         finish = self._suspended_finish
         self._suspend_remaining = 0

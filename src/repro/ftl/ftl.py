@@ -33,8 +33,9 @@ Design choices (conventional, per the FTL surveys the paper cites):
   status.
 * **Admission classes**: every media op carries a ``priority`` class
   for the controller's per-LUN admission — host reads first, then host
-  writes and persistence, then GC — and a waiting host read suspends an
-  erase in flight on its die (see ``core/fastops.py`` and
+  writes and persistence, then GC — and a waiting host read, or a host
+  or meta-writer PROGRAM, suspends an erase of a higher class in flight
+  on its die (see ``core/fastops.py`` and
   ``SoftwareEnvironment.preempt_erase``).
 """
 
@@ -60,6 +61,7 @@ from repro.sim.sync import Trigger
 #: The admission classes the FTL gives its media ops (lowest first).
 HOST_READ = 0    # may suspend an erase on its die
 HOST_WRITE = 1   # host programs; the meta writer's programs and erases
+#                  (the programs may suspend a GC erase on their die)
 BACKGROUND = 2   # GC and retirement relocations, GC erases
 
 

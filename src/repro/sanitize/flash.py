@@ -9,7 +9,8 @@ the model is silent about:
 * **SAN201** — an opcode whose protocol-table row is not
   ``legal_while_busy`` (anything but status/reset/suspend) latched while
   the LUN is array-busy (the LUN raises right after the finding is
-  recorded).
+  recorded) — or an ERASE confirm, or a READ, PROGRAM or ERASE confirm
+  addressed to a block the erase targets, while an erase is suspended.
 * **SAN202** — a data-out/cache-register read before anything armed a
   data source: empty page register, cache read before the first tR
   completed, or no source armed at all.
@@ -59,6 +60,15 @@ class FlashSanitizer(Sanitizer):
             component=f"lun/{lun.position}",
             hint="poll READ STATUS until RDY (or suspend the operation) "
                  "before issuing the next command",
+        )
+
+    def on_suspension_violation(self, lun, opcode: int, why: str) -> None:
+        self.emit(
+            "SAN201",
+            f"opcode {opcode_name(opcode)} latched {why}",
+            component=f"lun/{lun.position}",
+            hint="a suspended erase admits reads and programs of other "
+                 "blocks only; RESUME it (and let it finish) first",
         )
 
     def on_unarmed_read(self, lun, detail: str) -> None:

@@ -13,6 +13,7 @@ from repro.analysis.crashfuzz import (
     drive,
     run_crashfuzz,
     stand_up,
+    summarize,
 )
 from repro.faults.power import versioned_payload
 from repro.ftl.persist import PersistenceLayer
@@ -198,3 +199,14 @@ def test_payload_encodes_identity():
     assert a.dtype == np.uint8 and len(a) == 2048
     assert not np.array_equal(a, b)
     assert int(a[0]) == 7 and int(a[2]) == 3
+
+
+@pytest.mark.parametrize("fidelity", ["tlm", "waveform"])
+def test_the_report_counts_programs_run_inside_a_suspended_erase(fidelity):
+    """The stock campaign's writes cut into GC erases on both tiers, and
+    the report says how many (CI needs it above zero)."""
+    report = run_crashfuzz(crashfuzz_spec(fidelity=fidelity, seeds=1,
+                                          points=4))
+    assert report["exit_code"] == EXIT_OK
+    assert report["inside_suspension"]["program"] > 0
+    assert "run inside a suspended erase" in summarize(report)[-1]

@@ -545,3 +545,38 @@ def test_suspend_on_the_idle_die_an_erase_left_is_a_proven_error():
     assert "OPV104" in static_errors(program)
     _report, _analyzer, error = run_runtime(program)
     assert isinstance(error, LunProtocolError)
+
+
+# what a suspended erase cannot take, through both lenses -----------------
+
+
+@pytest.mark.parametrize("inside", [
+    # another ERASE, of a block the suspended one does not erase
+    lambda: _stock("erase_block", codec=CODEC, block=5),
+    # a READ of the block the suspended erase targets
+    lambda: _stock("full_page_read", codec=CODEC,
+                   address=PhysicalAddress(block=3, page=0),
+                   dram_address=0),
+], ids=["erase", "read_of_the_erased_block"])
+def test_a_suspended_erase_refuses_an_erase_and_its_own_block(inside):
+    """The die raises (SAN201 first), and the verifier proves it."""
+    program = _erase_then(*_stock("suspend"), *inside(), *_stock("resume"))
+    assert "OPV104" in static_errors(program)
+    report, _analyzer, error = run_runtime(program)
+    assert isinstance(error, LunProtocolError)
+    assert "suspended erase" in str(error) or "erase is suspended" in str(error)
+    assert runtime_rules(report) == ["SAN201"]
+
+
+def test_a_program_of_another_block_runs_inside_a_suspended_erase():
+    """Erase, SUSPEND, a full-page PROGRAM elsewhere, RESUME, poll: the
+    sequence a class-1 write cutting into a GC erase emits."""
+    program = _erase_then(
+        *_stock("suspend"),
+        *_stock("program_page", codec=CODEC,
+                address=PhysicalAddress(block=4, page=0), dram_address=0),
+        *_stock("resume"))
+    assert static_errors(program) == []
+    report, _analyzer, error = run_runtime(program)
+    assert error is None
+    assert runtime_rules(report) == []

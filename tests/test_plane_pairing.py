@@ -374,11 +374,12 @@ CONFIG = FtlConfig(blocks_per_lun=10, overprovision_blocks=4,
                    meta_blocks=2, gc_staging_base=48 * 1024 * 1024)
 
 
-def _persistent_run(fidelity, cut_ns=None):
+def _persistent_run(fidelity, cut_ns=None, on_ack=None):
     """Four writers, each on its own LPNs, on a persistent two-LUN shard,
-    optionally cut at ``cut_ns``.  Returns ``(controller, ftl, issued,
-    acked, staged)``: the last version issued and the last acked per
-    LPN, and the host LPN staged into each data page's spare area."""
+    optionally cut at ``cut_ns``; ``on_ack(sim, shard)`` is called after
+    each acked write.  Returns ``(controller, ftl, issued, acked,
+    staged)``: the last version issued and the last acked per LPN, and
+    the host LPN staged into each data page's spare area."""
     sim = Simulator()
     controller = _controller(sim, fidelity, lun_count=2)
     ftl = ShardedFtl(sim, [controller], CONFIG)
@@ -402,6 +403,8 @@ def _persistent_run(fidelity, cut_ns=None):
             controller.dram.write(PAGE * (2 + k), _payload(lpn, version))
             yield from ftl.write(lpn, PAGE * (2 + k))
             acked[lpn] = version
+            if on_ack is not None:
+                on_ack(sim, shard)
 
     for k in range(4):
         sim.spawn(writer(k), name=f"writer{k}")
@@ -459,10 +462,28 @@ def test_a_power_cut_inside_a_paired_program(fidelity, array_programs):
             assert landed, f"LPN {lpn} is older than v{version}"
 
 
+def _twin_open(shard):
+    """Whether a LUN of ``shard`` has an open host block and its twin,
+    neither full."""
+    return any(blocks.active is not None and blocks.twin is not None
+               and not blocks.active.is_full and not blocks.twin.is_full
+               for blocks in shard._luns)
+
+
 def test_the_mount_reopens_one_partial_block_per_plane():
     """SPOR reopens the emptiest partial host block and, on another
-    plane, its twin; host pages alternate between them again."""
-    controller, ftl, *_ = _persistent_run("tlm")
+    plane, its twin; host pages alternate between them again.  The
+    media is the run's, cut just after the last ack that left a twin
+    block open."""
+    opened = []
+
+    def note(sim, shard):
+        if _twin_open(shard):
+            opened.append(sim.now)
+
+    _persistent_run("tlm", on_ack=note)
+    assert opened, "the run never opened a twin block"
+    controller, ftl, *_ = _persistent_run("tlm", opened[-1] + 1)
     shard = ftl.shards[0]
     images = snapshot_media([controller])
     sim2 = Simulator()
