@@ -15,6 +15,8 @@ Design choices (conventional, per the FTL surveys the paper cites):
   (tR / tPROG / tBERS) of every media op issued and not yet waited on —
   with ties going to the LUN a write rotor names, so a uniformly loaded
   array stripes consecutive writes exactly as a rotor would.  A LUN
+  whose next write would wait for its collector (``LunBlocks.held``)
+  takes a write only when no other candidate can.  A LUN
   already holding its share of valid data (its data blocks less the
   overprovisioning, in pages) takes only overwrites of LPNs it holds,
   so no LUN fills past the point where its GC can still make room.
@@ -145,6 +147,12 @@ class LunBlocks:
         """The host may open a block: the last free one is GC's
         reserve.  Below this GC runs, and it stops once this holds."""
         return len(self.free) > 1
+
+    @property
+    def held(self) -> bool:
+        """The LUN's next host write would open GC's reserve, so it
+        waits for the collector: no open host block and no ``spare``."""
+        return self.active is None and not self.spare
 
     def drop(self, info: BlockInfo) -> None:
         """Take a block out of its role (an active block's twin takes
@@ -425,14 +433,17 @@ class PageMappedFtl:
         """Choose the LUN for a host write of ``lpn`` and count the page
         on it; -1 when every LUN is at its share.
 
-        The candidate with the least outstanding die work wins; ties go
-        to the first in rotor order.  A LUN's work is its ledger entry
-        less its credits (see ``__init__``): one tPROG while an odd
-        number of full-page PROGRAMs wait in its admission queue (one
-        waits for a partner, and admission runs the new page with it in
-        one tPROG), and its running op's elapsed time, capped at that
-        op's nominal array time.  A LUN at its share is a candidate only
-        for an overwrite of an LPN it already holds.
+        An unheld candidate beats a ``held`` one (``LunBlocks.held``: the
+        write would wait in ``_admit`` for the LUN's collector, a wait no
+        ledger entry shows).  Among candidates alike in that, the one
+        with the least outstanding die work wins; ties go to the first
+        in rotor order.  A LUN's work is its ledger entry less its
+        credits (see ``__init__``): one tPROG while an odd number of
+        full-page PROGRAMs wait in its admission queue (one waits for a
+        partner, and admission runs the new page with it in one tPROG),
+        and its running op's elapsed time, capped at that op's nominal
+        array time.  A LUN at its share is a candidate only for an
+        overwrite of an LPN it already holds, held or not.
         """
         rotor = self._write_rotor % self.lun_count
         self._write_rotor += 1
@@ -456,18 +467,27 @@ class PageMappedFtl:
                     credit[lun] += ran if ran < cap else cap
         count = self._lun_valid
         share = self._share
+        luns = self._luns
         best = -1
+        best_held = False
         holder = None
         for lun in self._rings[rotor]:
             if count[lun] >= share[lun]:
                 if holder is None:
-                    held = self.map._forward.get(lpn)
-                    holder = held.lun if held is not None else -1
+                    entry = self.map._forward.get(lpn)
+                    holder = entry.lun if entry is not None else -1
                 if lun != holder:
                     continue
-            if best < 0 or pending[lun] - credit[lun] \
-                    < pending[best] - credit[best]:
-                best = lun
+            held = luns[lun].active is None and luns[lun].held
+            if best >= 0:
+                if held != best_held:
+                    if held:
+                        continue
+                elif pending[lun] - credit[lun] \
+                        >= pending[best] - credit[best]:
+                    continue
+            best = lun
+            best_held = held
         if best >= 0:
             count[best] += 1
             if best != rotor:
@@ -675,21 +695,24 @@ class PageMappedFtl:
 
     def _admit(self, lun: int) -> Generator:
         """Start the LUN's collector unless it has a ``spare`` block, and
-        hold a write that would open its last free block until the
-        collector frees another — unless nothing on the LUN can become
-        reclaimable, where the write takes the block (or raises)."""
+        hold a write on a ``held`` LUN (one that would open its last
+        free block) until the collector frees another — unless nothing
+        on the LUN can become reclaimable, where the write takes the
+        block (or raises).  ``_place`` sends a write here only when no
+        unheld LUN could take it, so ``gc_write_stalls`` counts only
+        writes with no unheld candidate."""
         blocks = self._luns[lun]
         if blocks.spare:
             return
         collecting = self._start_collector(lun)
-        if blocks.active is not None:
+        if not blocks.held:
             return
         if not (collecting or self._draining(lun)):
             return
         self.gc_write_stalls += 1
         while True:
             yield from self._gc_done.wait()
-            if blocks.active is not None or blocks.spare:
+            if not blocks.held:
                 return
             if not (self._start_collector(lun) or self._draining(lun)):
                 return

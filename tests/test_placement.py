@@ -9,22 +9,23 @@ import pytest
 from repro.baselines import AsyncHwController, SyncHwController
 from repro.core import BabolController, ControllerConfig
 from repro.flash.errors import ErrorModelConfig
-from repro.ftl import FtlConfig, PageMappedFtl
+from repro.ftl import FtlConfig, PageMappedFtl, ShardedFtl
 from repro.obs import MetricsRegistry, register_ftl_health_metrics
 from repro.sim import Simulator, Timeout
 
-from tests.helpers import TEST_PROFILE
+from tests.helpers import TEST_PROFILE, crash_after, read_back
 
 T_PROG = TEST_PROFILE.timing.t_prog_ns
 
 
-def make_ftl(lun_count=2, blocks_per_lun=6, overprovision=2, **ftl_kwargs):
+def make_ftl(lun_count=2, blocks_per_lun=6, overprovision=2,
+             fidelity="tlm", **ftl_kwargs):
     sim = Simulator()
     controller = BabolController(
         sim,
         ControllerConfig(vendor=TEST_PROFILE, lun_count=lun_count,
                          runtime="rtos", track_data=True, seed=3,
-                         fidelity="tlm"),
+                         fidelity=fidelity),
     )
     for lun in controller.luns:
         lun.array.error_model.config = ErrorModelConfig.noiseless()
@@ -210,6 +211,153 @@ def test_a_hardware_baseline_places_by_the_ledger_alone(baseline, expected):
     sim.run()
     assert "".join(str(entry.lun) for _, entry in landed) == expected
     assert ftl._pending == [0, 0, 0]
+
+
+# --- a LUN held for its collector -----------------------------------------
+
+READ_DRAM = 64 * 1024  # where the queued reads land, clear of the writes'
+
+
+def hold(ftl, lun, keep=4):
+    """Leave ``lun`` held with its collect in flight: every LPN of its
+    first closed block but ``keep`` trimmed (the victim), GC's block
+    open, and every free block but the reserve dropped as if retired.
+    The LUN's next host write would wait for the collector, which
+    moves the ``keep`` pages and erases the victim."""
+    blocks = ftl._luns[lun]
+    victim = blocks.closed[0].block
+    lpns = [lpn for lpn in range(ftl.logical_pages)
+            if (entry := ftl.map.lookup(lpn)) is not None
+            and (entry.lun, entry.block) == (lun, victim)]
+    for lpn in lpns[keep:]:
+        ftl.trim(lpn)
+    blocks.gc = ftl._open_block(lun)
+    while len(blocks.free) > 1:
+        blocks.free.pop()
+    assert blocks.held
+    assert ftl._start_collector(lun)
+    return lpns[keep:]
+
+
+def queue_reads(sim, ftl, controller, lun, count):
+    """``count`` reads of ``lun``'s first closed block, issued at 0:
+    more die work on the ledger than a collect's one op at a time."""
+    block = ftl._luns[lun].closed[-1].block
+    issue_at(sim, ftl, 0, lun, [
+        (ftl._t_read, controller.read_page, block, page, READ_DRAM)
+        for page in range(count)])
+
+
+@pytest.mark.parametrize("fidelity", ["tlm", "waveform"])
+def test_a_write_passes_over_a_lun_held_for_its_collector(fidelity):
+    sim, controller, ftl = make_ftl(fidelity=fidelity)
+    ftl.prefill(ftl.logical_pages // 2)
+    hold(ftl, 0)
+    queue_reads(sim, ftl, controller, 1, 12)
+    # The rotor names LUN 0, and its ledger (one relocation op) is
+    # below LUN 1's: the ledger alone would hold the write on LUN 0.
+    lun, pending = write_at(sim, ftl, 100_000, ftl.logical_pages - 1,
+                            rotor=0)
+    assert pending[0] < pending[1]
+    assert lun == 1
+    assert ftl.gc_write_stalls == 0
+    sim.run()
+    assert not ftl._luns[0].held and ftl._pending == [0, 0]
+    ftl.check_invariants()
+
+
+@pytest.mark.parametrize("fidelity", ["tlm", "waveform"])
+def test_a_write_waits_for_a_collector_when_every_lun_is_held(fidelity):
+    sim, _, ftl = make_ftl(fidelity=fidelity)
+    ftl.prefill(ftl.logical_pages // 2)
+    hold(ftl, 0)
+    hold(ftl, 1)
+    lun, _ = write_at(sim, ftl, 100_000, ftl.logical_pages - 1, rotor=0)
+    assert ftl.gc_write_stalls == 1
+    # The write went on once its LUN's collect had freed a block.
+    assert lun not in ftl._collecting and not ftl._luns[lun].held
+    sim.run()
+    ftl.check_invariants()
+
+
+@pytest.mark.parametrize("fidelity", ["tlm", "waveform"])
+def test_an_overwrite_at_share_goes_to_its_held_holder(fidelity):
+    sim, _, ftl = make_ftl(blocks_per_lun=8, overprovision=4,
+                           fidelity=fidelity)
+    ftl.prefill(ftl.logical_pages)
+    assert ftl._lun_valid == ftl._share  # every LUN at its share
+    own = [lpn for lpn in range(ftl.logical_pages)
+           if ftl.map.lookup(lpn).lun == 0]
+    # Overwrites of LUN 0's first two blocks leave one page in its open
+    # blocks; drop every free block but the reserve, as if retired.
+    for lpn in own[:2 * ftl.pages_per_block - 1]:
+        assert sim.run_process(ftl.write(lpn, 0)).lun == 0
+    blocks = ftl._luns[0]
+    while len(blocks.free) > 1:
+        blocks.free.pop()
+    assert not blocks.held
+    seen = []
+
+    def host():
+        # This overwrite starts the collector and takes the last page;
+        # LUN 1 is unheld but at its share, so the next waits on LUN 0.
+        for lpn in own[-2:]:
+            entry = yield from ftl.write(lpn, 0)
+            seen.append((entry.lun, ftl.gc_write_stalls, blocks.held,
+                         0 in ftl._collecting))
+
+    sim.run_process(host())
+    assert seen[0] == (0, 0, True, True)
+    assert seen[1][:3] == (0, 1, False)
+    ftl.check_invariants()
+
+
+@pytest.mark.parametrize("fidelity", ["tlm", "waveform"])
+def test_a_write_steered_off_a_held_lun_survives_a_power_cut(fidelity):
+    config = FtlConfig(blocks_per_lun=10, overprovision_blocks=4,
+                       checkpoint_interval=16, journal_flush_records=4,
+                       meta_blocks=2, gc_staging_base=48 * 1024 * 1024)
+    prefilled = 64
+    lpn = prefilled  # a new LPN
+    data = np.full(TEST_PROFILE.geometry.page_size, 0xC3, dtype=np.uint8)
+    trimmed = []
+
+    def make_controllers(sim):
+        controller = BabolController(sim, ControllerConfig(
+            vendor=TEST_PROFILE, lun_count=2, runtime="rtos",
+            track_data=True, seed=3, fidelity=fidelity))
+        for lun in controller.luns:
+            lun.array.error_model.config = ErrorModelConfig.noiseless()
+        return [controller]
+
+    def make_sharded(sim, controllers):
+        """LUN 1 held, LUN 0 busier on the ledger."""
+        sharded = ShardedFtl(sim, controllers, config)
+        sharded.prefill(prefilled)
+        trimmed[:] = hold(sharded.shards[0], 1)
+        queue_reads(sim, sharded.shards[0], controllers[0], 0, 8)
+        controllers[0].dram.write(0, data)
+        return sharded
+
+    def scenario(sim, controllers, sharded):
+        """A write the rotor names LUN 1 for."""
+        ftl = sharded.shards[0]
+        yield Timeout(100_000)
+        ftl._write_rotor = 1
+        entry = yield from ftl.write(lpn, 0)
+        return entry.lun, ftl.gc_write_stalls, 1 in ftl._collecting
+
+    _, (lun, stalls, collecting), mounted, controllers = crash_after(
+        make_controllers, make_sharded, scenario)
+    assert lun == 0 and stalls == 0
+    assert collecting  # the cut 1 ns after the ack lands mid-collect
+    for acked in [lpn] + [k for k in range(prefilled) if k not in trimmed]:
+        assert mounted.is_mapped(acked), f"acked LPN {acked} lost"
+        got = read_back(mounted, controllers, acked)
+        if acked == lpn:
+            assert np.array_equal(got, data)
+        else:
+            assert (got[:64] == 0x5A).all(), f"LPN {acked} read back wrong"
 
 
 # --- the valid-share cap ----------------------------------------------------
