@@ -45,6 +45,9 @@ The report also sums, over the oracle and every crashed run, the ops
 the controllers ran inside a suspended erase, by kind
 (``inside_suspension``): a cut that lands while a PROGRAM runs inside a
 suspended GC erase is one of the states the fuzzer is there to reach.
+Likewise ``erases_after_trims``: the GC erases that waited for a trim's
+tombstone to reach media before erasing the copy it undid (see
+:mod:`repro.ftl.persist`), a rule whose cuts only such erases test.
 
 Everything derives from seeded RNGs and simulated time: the same
 ``(base_seed, seeds, points)`` triple produces a byte-identical report
@@ -493,11 +496,15 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
     total_internal = 0
     total_barriers = 0
     inside = {"read": 0, "program": 0}
+    erases_after_trims = 0
 
-    def count_inside(built) -> None:
+    def tally(built) -> None:
+        nonlocal erases_after_trims
         for controller in built.controllers:
             for kind, count in controller.env.inside_suspension.items():
                 inside[kind] += count
+        erases_after_trims += sum(shard.persist.erases_after_trims
+                                  for shard in built.ftl.shards)
 
     for index in range(knobs.crash_seeds):
         seed = knobs.base_seed + index
@@ -510,7 +517,7 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
         start_ns = sim.now
         drive(oracle, ops)
         elapsed = sim.now - start_ns
-        count_inside(oracle)
+        tally(oracle)
         oracle_acks = list(oracle.engine.acks)
         write_versions: dict[int, list[int]] = {}
         trims: dict[int, tuple[int, int]] = {}  # lpn -> (first, last)
@@ -547,7 +554,7 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
                 pass
             if not fired:
                 cut.cancel()  # the run outlived this cut point
-            count_inside(crashed)
+            tally(crashed)
             crash_ns = cut_ns if fired else crashed.sim.now + 1
             point = _verify_point(crashed, oracle_acks, crash_ns,
                                   write_versions, trims)
@@ -567,6 +574,7 @@ def run_crashfuzz(spec: ExperimentSpec) -> dict:
         "schema": 2,
         "base_seed": knobs.base_seed,
         "channels": channels,
+        "erases_after_trims": erases_after_trims,
         "exit_code": exit_code,
         "fidelity": spec.stack.fidelity,
         "flush_barriers_checked": total_barriers,
@@ -609,6 +617,7 @@ def summarize(report: dict) -> list[str]:
         f"{report['flush_barriers_checked']} FLUSH barrier(s) checked, "
         f"{report['inside_suspension']['program']} program(s) and "
         f"{report['inside_suspension']['read']} read(s) run inside a "
-        f"suspended erase"
+        f"suspended erase, {report['erases_after_trims']} GC erase(s) "
+        f"waited on a trim"
     )
     return lines

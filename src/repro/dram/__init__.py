@@ -12,5 +12,4 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "DramBuffer": "buffer",
     "DmaHandle": "dma",
     "InlineDmaHandle": "dma",
-    "ScatterGatherList": "dma",
 })

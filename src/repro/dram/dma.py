@@ -8,7 +8,6 @@ records transfer accounting for the metrics layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -72,24 +71,3 @@ class InlineDmaHandle(DmaHandle):
         self.bytes_moved += min(nbytes, len(self._data))
         return self._data[:nbytes].copy()
 
-
-@dataclass
-class ScatterGatherList:
-    """A chain of DMA windows for operations spanning regions."""
-
-    entries: list[DmaHandle] = field(default_factory=list)
-
-    def add(self, handle: DmaHandle) -> None:
-        self.entries.append(handle)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(h.nbytes for h in self.entries)
-
-    def gather(self) -> np.ndarray:
-        parts = [
-            h.dram.read(h.address, h.nbytes) if h.dram is not None
-            else np.zeros(h.nbytes, dtype=np.uint8)
-            for h in self.entries
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)

@@ -112,6 +112,9 @@ class BlockInfo:
     closed_at_ns: int = 0
     inflight: int = 0  # pages allocated but not yet committed/validated
     retired: bool = False  # grown-bad: must never be a GC victim again
+    # Journal position of the last trim tombstone that invalidated one
+    # of its pages: GC erases the block only once that is durable.
+    tombstone: int = 0
 
     @property
     def valid_count(self) -> int:
@@ -534,12 +537,15 @@ class PageMappedFtl:
             return True
         current = self._entry_seq.get(lpn)
         if current is not None and current > seq:
-            return False  # a newer version won the race
+            # A newer version won the race.  If that was a trim, this
+            # page is a copy it undid, and waits for it like one.
+            if lpn not in self.map._forward:
+                self._hold_for_trim(entry, persist._fence)
+            return False
         self._entry_seq[lpn] = seq
         old = self.map.bind(lpn, entry)
         if old is not None:
             self._invalidate(old)
-        persist.note_bind(lpn, entry, seq)
         return True
 
     def _rebind(self, lpn: int, source: MapEntry, entry: MapEntry,
@@ -559,10 +565,22 @@ class PageMappedFtl:
         persist = self.persist
         if persist is not None:
             # Tombstone: the trim gets its own sequence number so the
-            # mount's OOB scan cannot resurrect an older version.
+            # mount's OOB scan cannot resurrect an older version, and
+            # the page it undid keeps its block from being erased until
+            # the tombstone is on media.
             seq = persist.next_seq()
             self._entry_seq[lpn] = seq
-            persist.note_trim(lpn, seq)
+            mark = persist.note_trim(lpn, seq)
+            if old is not None:
+                self._hold_for_trim(old, mark)
+
+    def _hold_for_trim(self, entry: MapEntry, mark: int) -> None:
+        """A trim whose tombstone sits at journal position ``mark``
+        undid the page at ``entry``: its block erases only once that
+        position is durable (``_collect``)."""
+        info = self._info.get((entry.lun, entry.block))
+        if info is not None:
+            info.tombstone = mark
 
     # ------------------------------------------------------------------
     # Prefill (zero-simulated-time initialization for experiments)
@@ -836,7 +854,9 @@ class PageMappedFtl:
         in one multi-plane ERASE, each freed or retired on its own
         status.  A partner that is the meta ring's ride is only erased,
         and only if it is still stale then; whatever its status, the
-        ring's rotation checks the block."""
+        ring's rotation checks the block.  A victim holding a page a
+        trim undid erases only once that trim's tombstone is durable
+        (``BlockInfo.tombstone``); any other erases at once."""
         lun = victim.lun
         persist = self.persist
         ride = partner is not None and persist is not None \
@@ -852,6 +872,9 @@ class PageMappedFtl:
                 return
         for info in victims:
             self._drop_valid(info)
+        if persist is not None:
+            yield from persist.wait_tombstones(
+                max(info.tombstone for info in victims))
         if ride and not persist.start_ride(partner.block):
             partner = None  # the ring rotated onto it meanwhile
         if partner is None:
@@ -881,8 +904,8 @@ class PageMappedFtl:
         if any(passed):
             self._gc_done.fire()  # a write may be waiting on the reserve
         if persist is not None:
-            # An erase or retirement starts the journal writer at once:
-            # the journal must not lag far behind a block being reused.
+            # A retirement starts the journal writer at once (an erase
+            # record waits for the next page written).
             persist.maybe_flush()
 
     def _relocate(self, victim: BlockInfo) -> Generator:

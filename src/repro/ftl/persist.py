@@ -19,10 +19,16 @@ withheld from the data rotation and used as a small log ring:
   checkpoint id (``seq``) and its chunk index/count — a checkpoint
   counts only if *every* chunk committed, so a cut mid-checkpoint
   falls back to the previous one.
-* **Journal pages** — batches of compact records (binds, trims,
-  erases, retirements) appended since the last checkpoint, tagged with
-  the checkpoint *epoch* they extend and a monotonically increasing
-  meta sequence number for replay ordering.
+* **Journal pages** — batches of compact records (trims, erases,
+  retirements) appended since the last checkpoint, tagged with the
+  checkpoint *epoch* they extend and a monotonically increasing meta
+  sequence number for replay ordering.
+
+The journal carries only what no data page carries.  A host or GC
+bind never reaches it: the data page's own OOB record holds its (LPN,
+sequence number), and the mount's OOB scan rebuilds the map from
+those records, keeping a checkpoint's entry only where the page's OOB
+record still names the same (LPN, seq).
 
 Rotation is ping-pong: when the current meta block fills, the ring
 advances, the (stale) target block is erased, and a **fresh checkpoint
@@ -42,20 +48,26 @@ writes a journal or wear record: the mount rescans the whole ring.
 
 Every meta program is **written behind** host I/O by the shard's one
 writer process: the FTL's hooks only count and, when a checkpoint or a
-journal flush is due, start the writer and return.  A host write's
-durability never waited on the journal anyway (its OOB record commits
-with the data, and the mount's OOB scan rolls the map forward to it).
+journal flush is due, start the writer and return.
 
-A host FLUSH therefore waits only for the records **no data page
-carries**: trim tombstones, erases and retirements.  It is a **group
-commit**: it marks the position of the last such record noted before
-it and waits until the buffer up to there is journaled or absorbed by
-a checkpoint — records noted later do not extend it.  A FLUSH that
-follows only writes returns at once; one after a trim returns once
-the page holding that trim commits.  Binds still reach the journal,
-through the batch threshold (``journal_flush_records``) and through
-checkpoints, so the mount's replay and the on-media format are the
-same either way.
+A host FLUSH waits only for the records that carry a promise:
+**trim tombstones and retirements**.  It is a **group commit**: it
+marks the position of the last such record noted before it and waits
+until the buffer up to there is journaled or absorbed by a checkpoint
+— records noted later do not extend it.  A FLUSH that follows only
+writes and GC erases returns at once; one after a trim returns once
+the page holding that trim commits.  An erase record is lazy: it only
+bumps wear, so it rides whatever page is written next (a trim's, a
+retirement's, a full batch (``journal_flush_records``) or a
+checkpoint).
+
+One ordering rule keeps a trim from being undone by GC: **a trim's
+tombstone is durable before GC erases the newest copy it
+invalidated.**  ``PageMappedFtl.trim`` tags the invalidated page's
+block with the tombstone's journal position (``BlockInfo.tombstone``),
+and the collect waits for that position (:meth:`wait_tombstones`)
+before it erases the block.  Without the rule the mount's OOB scan could
+find an older copy of the LPN and resurrect it.
 
 Data pages carry their own OOB record (kind ``host`` or ``gc`` with
 the LPN and write sequence number), staged by the FTL right before the
@@ -83,7 +95,6 @@ from repro.onfi.geometry import PhysicalAddress
 from repro.sim.sync import Trigger
 
 # Journal record tags (first element of each compact record list).
-REC_BIND = "b"       # ["b", lpn, lun, block, page, seq]
 REC_TRIM = "t"       # ["t", lpn, seq]
 REC_ERASE = "x"      # ["x", lun, block]
 REC_RETIRE = "d"     # ["d", lun, block, reason, pe_cycles, time_ns]
@@ -128,10 +139,10 @@ class PersistenceLayer:
         self._buffer: list[list] = []
         self._noted = 0          # records ever noted (monotonic)
         self._committed = 0      # of those, journaled or absorbed
-        self._fence = 0          # noted count through the last record
-                                 # no data page carries (trim, erase,
-                                 # retirement): what a FLUSH waits for
-        self._want = 0           # noted count a sync record/FLUSH awaits
+        self._fence = 0          # noted count through the last trim or
+                                 # retirement: what a FLUSH waits for
+        self._want = 0           # noted count a retirement, FLUSH or
+                                 # GC erase (``wait_durable``) awaits
         self._writes_since_ckpt = 0
         self._ckpt_requested = False  # checkpoint() asked for one
         self._ckpt_owed = False  # the live meta block has no checkpoint
@@ -154,6 +165,7 @@ class PersistenceLayer:
         self.meta_program_failures = 0
         self.meta_erases_ridden = 0  # passed inside a GC multi-plane ERASE
         self.meta_erases_inline = 0  # issued by a rotation itself
+        self.erases_after_trims = 0  # GC erases that waited on a tombstone
 
     # ------------------------------------------------------------------
     # Sequence numbers
@@ -183,21 +195,18 @@ class PersistenceLayer:
     # Journal recording (cheap, in-memory; durable at the next flush)
     # ------------------------------------------------------------------
 
-    def note_bind(self, lpn: int, entry, seq: int) -> None:
-        self._buffer.append(
-            [REC_BIND, lpn, entry.lun, entry.block, entry.page, seq]
-        )
-        self._noted += 1
-
-    def note_trim(self, lpn: int, seq: int) -> None:
+    def note_trim(self, lpn: int, seq: int) -> int:
+        """Buffer a trim tombstone; returns its journal position (the
+        mark :meth:`wait_durable` takes)."""
         self._buffer.append([REC_TRIM, lpn, seq])
         self._noted += 1
         self._fence = self._noted
+        return self._noted
 
     def note_erase(self, lun: int, block: int) -> None:
+        """Buffer an erase's wear bump; it rides the next page written."""
         self._buffer.append([REC_ERASE, lun, block])
         self._noted += 1
-        self._fence = self._want = self._noted  # flush at the next chance
 
     def note_retire(self, lun: int, block: int, reason: str,
                     pe_cycles: int, time_ns: int) -> None:
@@ -209,7 +218,7 @@ class PersistenceLayer:
 
     @property
     def _sync(self) -> bool:
-        """A sync record (erase, retirement) or a FLUSH awaits the journal."""
+        """A retirement, a FLUSH or a GC erase awaits the journal."""
         return self._committed < self._want
 
     # ------------------------------------------------------------------
@@ -233,16 +242,15 @@ class PersistenceLayer:
             yield from self._idle.wait()
 
     def flush(self) -> Generator:
-        """Host FLUSH: return once every trim, erase and retirement
-        noted before the call is journaled or absorbed by a checkpoint
-        (group commit).  Binds do not extend it: their data pages'
-        OOB records already carry them."""
+        """Host FLUSH: return once every trim and retirement noted
+        before the call is journaled or absorbed by a checkpoint (group
+        commit).  Erase records do not extend it: they only bump wear."""
         yield from self.wait_durable(self.mark())
 
     def mark(self) -> int:
-        """Demand durability through the last record no data page
-        carries and start the writer; returns the mark for
-        :meth:`wait_durable` (already met if nothing such is pending)."""
+        """Demand durability through the last trim or retirement and
+        start the writer; returns the mark for :meth:`wait_durable`
+        (already met if nothing such is pending)."""
         mark = self._fence
         if mark > self._want:
             self._want = mark
@@ -250,12 +258,23 @@ class PersistenceLayer:
         return mark
 
     def wait_durable(self, mark: int) -> Generator:
-        """Wait until the first ``mark`` noted records are on media."""
+        """Wait until the first ``mark`` noted records are on media,
+        demanding a journal page for them if none is due."""
+        if mark > self._want:
+            self._want = mark
         while self._committed < mark:
             # A no-op while the writer runs; after a pass that ended on
             # a failed checkpoint, a retry.
             self._start_writer()
             yield from self._idle.wait()
+
+    def wait_tombstones(self, mark: int) -> Generator:
+        """Hold a GC erase until the tombstones up to ``mark`` (the
+        victims' ``BlockInfo.tombstone``) are on media, counting the
+        erases that had to wait."""
+        if self._committed < mark:
+            self.erases_after_trims += 1
+            yield from self.wait_durable(mark)
 
     def checkpoint(self) -> Generator:
         """Have the writer write a checkpoint next; wait until it stops."""
@@ -449,7 +468,7 @@ class PersistenceLayer:
         self.durable_journal = []
         # Only the records the serialized state absorbed are disposable;
         # records appended by concurrent workers during the chunk
-        # programs (binds, trims, GC erases) are *not* in the state and
+        # programs (trims, GC erases) are *not* in the state and
         # stay buffered for the next flush under the new epoch.
         del self._buffer[:absorbed]
         self._committed += absorbed
@@ -578,12 +597,12 @@ class PersistenceLayer:
     def durable_trims(self) -> set:
         """LPNs whose durably-recorded *latest* state is a trim.
 
-        Replays the checkpoint and the durable journal in order and
-        keeps the LPNs whose last record is a tombstone with no later
-        durable bind.  A write acked after the trim may still be
-        durable via its OOB record alone (the mount's roll-forward
-        handles that); what this projection promises is only that the
-        trim itself reached media, so the mount can never resurrect a
+        Takes the checkpoint's map and tombstones, then the durable
+        journal's tombstones.  No bind reaches the journal, so a write
+        acked after a journaled trim is durable via its OOB record
+        alone (the mount's roll-forward finds it) and this projection
+        still names its LPN; what it promises is only that the trim
+        itself reached media, so the mount can never resurrect a
         *pre*-trim version of these LPNs.
         """
         latest_is_trim: dict[int, bool] = {}
@@ -593,9 +612,7 @@ class PersistenceLayer:
             for lpn, _seq in self.checkpoint_state.get("trim", ()):
                 latest_is_trim[lpn] = True
         for rec in self.durable_journal:
-            if rec[0] == REC_BIND:
-                latest_is_trim[rec[1]] = False
-            elif rec[0] == REC_TRIM:
+            if rec[0] == REC_TRIM:
                 latest_is_trim[rec[1]] = True
         return {lpn for lpn, trimmed in latest_is_trim.items() if trimmed}
 

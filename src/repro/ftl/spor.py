@@ -12,19 +12,23 @@ controllers whose arrays carry post-crash media (transplanted via
    wins; a cut mid-checkpoint falls back to the previous one (genesis
    — the empty FTL — if none ever completed).
 3. **Journal replay** — journal pages extending the chosen checkpoint
-   epoch replay in meta-sequence order: binds, trim tombstones, erase
-   wear bumps, block retirements.
-4. **Stale-entry drop** — replayed entries whose physical page is now
-   erased or torn are dropped; the OOB scan may re-fill them from a GC
-   copy carrying the same write sequence number.
-5. **OOB scan** — every committed data page's spare record is a bind
+   epoch replay in meta-sequence order: trim tombstones, erase wear
+   bumps, block retirements.  The journal holds no binds: every bind
+   since the checkpoint is on media in its data page's OOB record.
+4. **OOB scan** — every committed data page's spare record is a bind
    candidate.  Highest sequence number wins (ties break on the lowest
    physical address — equal-sequence copies hold identical bytes), and
-   a candidate must beat the LPN's trim tombstone.  This is also what
-   makes *acked-but-unjournaled* writes durable: the program having
+   a candidate must beat the LPN's trim tombstone.  This is what makes
+   every write since the checkpoint durable: the program having
    committed implies the record is on media, so the mount rolls the
-   map forward past the last durable bind.
-6. **Block-state rebuild** — write pointers from the media's
+   map forward past the checkpoint.  The same scan checks each
+   checkpoint-map entry: it stands only if its page's OOB record still
+   names the same (LPN, seq).  A page since erased, torn, or
+   reprogrammed (its block freed and reopened before the erase record
+   committed) fails the check; the entry drops, and the scan may
+   re-fill it from a GC copy carrying the same sequence number, never
+   from an older one.
+5. **Block-state rebuild** — write pointers from the media's
    programmed-page sets (torn pages count: they occupy cells), valid
    sets from the final map, free lists in ascending block order, at
    most one partially-written block reopened as the active block per
@@ -32,7 +36,7 @@ controllers whose arrays carry post-crash media (transplanted via
    reused (without charging the wear tracker: the verifier compares
    wear against the durable projection).  The placement counters
    restart from the rebuilt valid sets, with no die work outstanding.
-7. **Re-anchor** — a fresh checkpoint is written offline so the next
+6. **Re-anchor** — a fresh checkpoint is written offline so the next
    crash replays from the mounted state, not the pre-crash one.
 
 Metadata reads use the array's pristine accessor — modeling the
@@ -52,12 +56,7 @@ from repro.ftl.badblocks import REASON_ERASE_FAIL, REASON_FACTORY
 from repro.ftl.ftl import (BlockInfo, FtlError, LunBlocks, PageMappedFtl,
                            ShardedFtl)
 from repro.ftl.mapping import MapEntry, PageMapTable
-from repro.ftl.persist import (
-    REC_BIND,
-    REC_ERASE,
-    REC_RETIRE,
-    REC_TRIM,
-)
+from repro.ftl.persist import REC_ERASE, REC_RETIRE, REC_TRIM
 from repro.onfi.geometry import PhysicalAddress
 
 # Deterministic per-record replay cost (ns) for the mount-time model.
@@ -198,10 +197,6 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
         rotor = state["rotor"]
 
     # -- 3. journal replay ----------------------------------------------
-    # ``dropped`` holds LPNs whose bound page is provably gone (erased
-    # per the journal, or erased/torn on the media); the OOB scan may
-    # re-fill them from a copy carrying the same write sequence number.
-    dropped: dict[int, int] = {}
     for _, epoch, records in sorted(journal_pages):
         if epoch != chosen_id:
             continue  # a stale epoch's leftovers (pre-checkpoint pages)
@@ -209,11 +204,7 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
             report.journal_replay_entries += 1
             mount_ns += _REPLAY_NS_PER_RECORD
             tag = rec[0]
-            if tag == REC_BIND:
-                _, lpn, lun, blk, page, seq = rec
-                current[lpn] = (seq, MapEntry(lun=lun, block=blk, page=page))
-                write_seq = max(write_seq, seq)
-            elif tag == REC_TRIM:
+            if tag == REC_TRIM:
                 _, lpn, seq = rec
                 current.pop(lpn, None)
                 floor[lpn] = max(floor.get(lpn, 0), seq)
@@ -221,16 +212,6 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
             elif tag == REC_ERASE:
                 _, lun, blk = rec
                 wear[(lun, blk)] = wear.get((lun, blk), 0) + 1
-                # Every bind into this block that replayed before the
-                # erase is gone.  The block may since have been reused,
-                # so the media check below cannot catch these — but the
-                # relocated copy (same seq) is on media for the OOB
-                # scan to find, unless a newer bind already replayed.
-                for stale_lpn, (stale_seq, entry) in list(current.items()):
-                    if entry.lun == lun and entry.block == blk:
-                        dropped[stale_lpn] = max(
-                            dropped.get(stale_lpn, 0), stale_seq)
-                        del current[stale_lpn]
             elif tag == REC_RETIRE:
                 _, lun, blk, reason, pe, time_ns = rec
                 bad_records.append({
@@ -239,20 +220,12 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
                 })
                 wear.pop((lun, blk), None)
 
-    # -- 4. stale-entry drop --------------------------------------------
-    for lpn, (seq, entry) in list(current.items()):
-        array = shard.controller.luns[entry.lun].array
-        block = array.block(entry.block)
-        if (entry.page not in block.programmed
-                or entry.page in block.torn
-                or block.erase_interrupted):
-            dropped[lpn] = max(dropped.get(lpn, 0), seq)
-            del current[lpn]
-    report.dropped_stale += len(dropped)
-
-    # -- 5. OOB scan of the data blocks ---------------------------------
+    # -- 4. OOB scan of the data blocks ---------------------------------
+    # ``confirmed``: the checkpoint entries whose page's OOB record
+    # still names the same (LPN, seq).
     meta_keys = {(persist.meta_lun, b) for b in persist.meta_blocks}
     candidates: dict[int, tuple[int, MapEntry]] = {}
+    confirmed: set[int] = set()
     for lun in range(shard.lun_count):
         array = shard.controller.luns[lun].array
         for blk in range(shard.config.blocks_per_lun):
@@ -271,10 +244,20 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
                 if record is None or not record.is_data:
                     continue
                 cand = (record.seq, MapEntry(lun=lun, block=blk, page=page))
+                if current.get(record.lpn) == cand:
+                    confirmed.add(record.lpn)
                 write_seq = max(write_seq, record.seq)
                 prev = candidates.get(record.lpn)
                 if prev is None or _better(cand, prev):
                     candidates[record.lpn] = cand
+
+    # A checkpoint entry that failed the check is provably gone; the
+    # scan may re-fill it only from a copy at least as new.
+    dropped = {lpn: seq for lpn, (seq, _) in current.items()
+               if lpn not in confirmed}
+    for lpn in dropped:
+        del current[lpn]
+    report.dropped_stale += len(dropped)
 
     for lpn, (seq, entry) in sorted(candidates.items()):
         if lpn >= shard.logical_pages:
@@ -291,7 +274,7 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
             current[lpn] = (seq, entry)
             report.rolled_forward += 1
 
-    # -- 6. rebuild the shard's volatile state --------------------------
+    # -- 5. rebuild the shard's volatile state --------------------------
     lun_count = shard.lun_count
     shard.map = PageMapTable(shard.logical_pages)
     shard._entry_seq = {}
@@ -383,7 +366,7 @@ def _rebuild_shard(sim, shard: PageMappedFtl, report: MountReport) -> None:
         blocks.free = deque(sorted(free))
     shard._lun_valid = shard._recount()  # placement counts from here
 
-    # -- 7. re-anchor the persistence layer -----------------------------
+    # -- 6. re-anchor the persistence layer -----------------------------
     persist.write_seq = write_seq
     persist.meta_seq = max_meta_seq
     persist.checkpoint_id = chosen_id

@@ -193,6 +193,14 @@ def test_flush_barrier_check_catches_a_flush_that_waits_for_nothing(
     assert messages and all("FLUSH" in message for message in messages)
 
 
+def test_the_report_counts_gc_erases_that_waited_on_a_trim():
+    # 800 commands: long enough that GC takes a block holding a page a
+    # trim undid before that trim's tombstone is on media.
+    report = run_crashfuzz(crashfuzz_spec(seeds=1, points=1, ios=800))
+    assert report["exit_code"] == EXIT_OK
+    assert report["erases_after_trims"] > 0
+
+
 def test_payload_encodes_identity():
     a = versioned_payload(7, 3, PAGE_SIZE)
     b = versioned_payload(7, 4, PAGE_SIZE)

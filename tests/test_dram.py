@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dram import AllocationError, DmaHandle, DramBuffer, ScatterGatherList
+from repro.dram import AllocationError, DmaHandle, DramBuffer
 
 
 def test_alloc_is_bump_pointer_then_reuse():
@@ -93,15 +93,3 @@ def test_corrupt_seed_garbles_delivery_deterministically():
     h2.deliver(clean.copy())
     assert (h1.delivered != 0).any()
     np.testing.assert_array_equal(h1.delivered, h2.delivered)
-
-
-def test_scatter_gather_concatenates():
-    dram = DramBuffer(4096)
-    dram.write(0, np.full(16, 1, dtype=np.uint8))
-    dram.write(100, np.full(16, 2, dtype=np.uint8))
-    sgl = ScatterGatherList()
-    sgl.add(DmaHandle(dram, 0, 16))
-    sgl.add(DmaHandle(dram, 100, 16))
-    assert sgl.total_bytes == 32
-    out = sgl.gather()
-    assert (out[:16] == 1).all() and (out[16:] == 2).all()

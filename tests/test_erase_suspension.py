@@ -69,9 +69,14 @@ def _payload(lpn, version):
 # ---------------------------------------------------------------------------
 
 
+#: Enough writes that reads land inside suspended GC erases on LUN 1
+#: (which holds no meta block) as well as on LUN 0.
+MIXED_WRITES = 320
+
+
 def _mixed_run(fidelity, cut_ns=None):
-    """Writes that trigger GC beside a reader of acked LPNs, optionally
-    cut at ``cut_ns``.  Returns ``(controller, acked, inside, at_cut)``:
+    """``MIXED_WRITES`` writes that trigger GC beside a reader of acked
+    LPNs, optionally cut at ``cut_ns``.  Returns ``(controller, acked, inside, at_cut)``:
     ``(ns, LUN, kind)`` of each array op a die started while an erase was
     suspended (``kind`` "read" or "program"), and ``(LUN, kind, blocks,
     suspended)`` of each array op in flight 1 ns before the cut target
@@ -93,7 +98,7 @@ def _mixed_run(fidelity, cut_ns=None):
 
     def writer():
         versions = {}
-        for i in range(240):
+        for i in range(MIXED_WRITES):
             lpn = (i * 7) % 40
             versions[lpn] = versions.get(lpn, 0) + 1
             controller.dram.write(0, _payload(lpn, versions[lpn]))
@@ -102,7 +107,7 @@ def _mixed_run(fidelity, cut_ns=None):
 
     def reader():
         rng = random.Random(5)
-        while len(acked) < 240:
+        while len(acked) < MIXED_WRITES:
             if acked:
                 yield from ftl.read(rng.choice(acked)[0], PAGE * 4)
             yield Timeout(40_000)
@@ -274,8 +279,10 @@ def test_a_class_1_erase_is_not_suspended_by_a_class_1_write(fidelity):
 def test_a_gc_erase_under_a_saturating_write_stream_still_completes(
         fidelity):
     """Sixteen writers keep a one-LUN persistent shard's queue full of
-    class-1 PROGRAMs (host pages and the meta writer's journal pages)
-    while GC erases on it, and they cut into its erases.  The rule has
+    class-1 PROGRAMs (host pages and the meta writer's journal pages:
+    each writer trims every page it wrote, so the journal takes one
+    tombstone a write) while GC erases on it, and they cut into its
+    erases.  The rule has
     no budget of its own (a stream that never needs a free block would
     hold an erase for as long as it lasts); what bounds an erase's
     delay here is the FTL's spare rule: while GC runs the LUN has no
@@ -283,7 +290,7 @@ def test_a_gc_erase_under_a_saturating_write_stream_still_completes(
     — pages_per_block paired PROGRAMs — plus the journal pages those
     writes need.  The test allows as many again: every GC erase ends
     within tBERS + 2 x pages_per_block x (tPROG + t_resume) of its
-    admission (7.6 ms; about 1.9 ms is measured on both tiers)."""
+    admission (7.6 ms; about 2.6 ms is measured on both tiers)."""
     sim = Simulator()
     controller = _controller(sim, fidelity, lun_count=1)
     ftl = ShardedFtl(sim, [controller], CONFIG)
@@ -303,6 +310,7 @@ def test_a_gc_erase_under_a_saturating_write_stream_still_completes(
             lpn = (i * 16 + k) % 40
             controller.dram.write(PAGE * k, _payload(lpn, i))
             yield from ftl.write(lpn, PAGE * k)
+            ftl.trim(lpn)
 
     for k in range(16):
         sim.spawn(writer(k), name=f"writer{k}")

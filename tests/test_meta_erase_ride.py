@@ -96,11 +96,14 @@ def erases(monkeypatch):
 
 
 def _run(fidelity, erases, cut_ns=None, setup=None):
-    """Four writers, each on its own LPNs and each with a FLUSH after
-    every eighth write, on a persistent one-LUN shard (the meta LUN
-    collects too), optionally cut at ``cut_ns``.  Returns ``(controller,
-    ftl, issued, acked)``: the last version issued and the last acked
-    per LPN.  ``setup(controller)`` runs before the FTL is built."""
+    """Four writers, each on its own LPNs and each trimming its last
+    LPN and FLUSHing after every eighth write (the tombstone is what
+    fills the journal: binds never reach it), on a persistent one-LUN
+    shard (the meta LUN collects too), optionally cut at ``cut_ns``.
+    Returns ``(controller, ftl, issued, acked)``: the last version
+    issued and the last acked per LPN (a trimmed LPN has none until
+    it is written again).  ``setup(controller)`` runs before the FTL
+    is built."""
     sim = Simulator()
     controller = _controller(sim, fidelity)
     if setup is not None:
@@ -119,6 +122,8 @@ def _run(fidelity, erases, cut_ns=None, setup=None):
             yield from ftl.write(lpn, PAGE * (2 + k))
             acked[lpn] = version
             if i % 8 == 7:
+                ftl.trim(lpn)
+                del acked[lpn]
                 yield from ftl.flush()
 
     for k in range(4):
@@ -194,6 +199,8 @@ def test_a_rotation_waits_for_the_ride_in_flight(fidelity, erases):
     for lpn in range(200):
         controller.dram.write(0, _payload(lpn % 40, lpn))
         sim.run_process(ftl.write(lpn % 40, 0))
+        ftl.trim((lpn + 20) % 40)  # a tombstone for the FLUSH to journal
+        sim.run_process(ftl.flush())
         sim.run()
         if persist.stale_block() is not None:
             break

@@ -17,7 +17,7 @@ from repro.flash.oob import (
     encode_oob,
 )
 from repro.ftl import FtlConfig, PageMappedFtl
-from repro.ftl.persist import REC_BIND, REC_ERASE, REC_RETIRE, REC_TRIM
+from repro.ftl.persist import REC_ERASE, REC_RETIRE, REC_TRIM
 from repro.sim import Simulator, Timeout
 
 from tests.helpers import TEST_PROFILE, crash_after
@@ -118,15 +118,22 @@ def test_host_writes_carry_decodable_oob_records():
 
 
 def test_journal_flushes_at_batch_threshold():
+    # Binds never reach the journal; trims fill it, and the next host
+    # write's hook starts the writer once a batch is buffered.
     sim, controller, ftl = make_persistent_ftl(journal_flush_records=4,
                                                checkpoint_interval=1000)
     persist = ftl.persist
-    for i in range(3):
+    for i in range(4):
         host_write(sim, controller, ftl, lpn=i, fill=i)
+    assert persist._buffer == []
+    for i in range(3):
+        ftl.trim(i)
+    host_write(sim, controller, ftl, lpn=8, fill=8)
     assert persist.journal_pages_written == 0  # below the batch threshold
-    host_write(sim, controller, ftl, lpn=3, fill=3)
+    ftl.trim(3)
+    host_write(sim, controller, ftl, lpn=9, fill=9)
     assert persist.journal_pages_written == 1
-    assert [rec[0] for rec in persist.durable_journal] == [REC_BIND] * 4
+    assert [rec[0] for rec in persist.durable_journal] == [REC_TRIM] * 4
     assert [rec[1] for rec in persist.durable_journal] == [0, 1, 2, 3]
 
 
@@ -143,19 +150,27 @@ def test_checkpoint_interval_resets_journal():
     assert state["write_seq"] == persist.write_seq
 
 
-def test_note_erase_and_retire_force_sync_flush():
+def test_an_erase_rides_the_page_a_retirement_forces():
+    # An erase record only bumps wear: it forces no page and no FLUSH
+    # waits for it.  A retirement forces one, and the erase rides it.
     sim, controller, ftl = make_persistent_ftl(journal_flush_records=100,
                                                checkpoint_interval=1000)
     persist = ftl.persist
     persist.note_erase(1, 5)
+    assert not persist._sync
+    persist.maybe_flush()
+    sim.run_process(persist.drained())
+    assert persist.journal_pages_written == 0
+    start = sim.now
+    sim.run_process(persist.flush())
+    assert sim.now == start
+    persist.note_retire(0, 7, "program_fail", 3, 123)
     assert persist._sync
     persist.maybe_flush()
     sim.run_process(persist.drained())
-    assert [REC_ERASE, 1, 5] in persist.durable_journal
-    persist.note_retire(0, 7, "program_fail", 3, 123)
-    persist.maybe_flush()
-    sim.run_process(persist.drained())
-    assert [REC_RETIRE, 0, 7, "program_fail", 3, 123] in persist.durable_journal
+    assert persist.journal_pages_written == 1
+    assert persist.durable_journal == [
+        [REC_ERASE, 1, 5], [REC_RETIRE, 0, 7, "program_fail", 3, 123]]
 
 
 def test_durable_wear_projection_tracks_journal():
@@ -189,7 +204,7 @@ def test_big_journal_buffer_splits_across_pages():
             controllers[0].dram.write(0, np.full(PAGE, lpn + 1,
                                                  dtype=np.uint8))
             yield from ftl.write(lpn, 0)
-        for i in range(496):  # tombstones for unmapped LPNs
+        for i in range(500):  # tombstones for unmapped LPNs
             ftl.trim(4 + i % 156)
         for lpn in range(4):  # the mark, in the buffer's last page
             ftl.trim(lpn)
@@ -210,8 +225,8 @@ def test_big_journal_buffer_splits_across_pages():
     assert not any(mounted.is_mapped(lpn) for lpn in range(4))
 
 
-def test_checkpoint_keeps_binds_noted_during_chunk_programs():
-    # A concurrent worker notes a bind while the checkpoint's chunk
+def test_checkpoint_keeps_trims_noted_during_chunk_programs():
+    # A concurrent worker notes a trim while the checkpoint's chunk
     # programs are mid-flight (its maybe_flush bails on _busy).  The
     # serialized state was captured before the record existed, so the
     # commit must keep it buffered for the next flush — not clear it.
@@ -220,22 +235,22 @@ def test_checkpoint_keeps_binds_noted_during_chunk_programs():
     persist = ftl.persist
     for i in range(4):
         host_write(sim, controller, ftl, lpn=i, fill=i)
-    late = [REC_BIND, 99, 0, 1, 3, 777]
+    late = [REC_TRIM, 99, 777]
     sim.schedule(TEST_PROFILE.timing.t_prog_ns // 2,
-                 lambda: persist._buffer.append(list(late)))
+                 lambda: persist.note_trim(99, 777))
     sim.run_process(persist.checkpoint())
     assert persist.checkpoints_written == 1
     assert late in persist._buffer          # survived the commit
     assert late not in persist.durable_journal
-    assert all(lpn != 99 for lpn, *_ in persist.checkpoint_state["map"])
+    assert all(lpn != 99 for lpn, _ in persist.checkpoint_state["trim"])
 
 
-def test_checkpoint_flushes_erases_noted_during_chunk_programs():
-    # Same window, but the late record is a GC erase (sync-flagged):
-    # after the checkpoint releases the layer it must flush promptly,
-    # so the erase is durable in the *new* epoch's journal rather than
-    # silently discarded.  A lost erase would let the committed map
-    # keep LPNs bound into a block that was erased and reused.
+def test_checkpoint_keeps_erases_noted_during_chunk_programs():
+    # Same window, but the late record is a GC erase: it forces no
+    # page, so it stays buffered past the commit and rides the next
+    # page written (here a trim's, forced by a FLUSH) in the *new*
+    # epoch's journal rather than being silently discarded.  A lost
+    # erase would leave the durable wear count short.
     sim, controller, ftl = make_persistent_ftl(journal_flush_records=100,
                                                checkpoint_interval=1000)
     persist = ftl.persist
@@ -245,6 +260,10 @@ def test_checkpoint_flushes_erases_noted_during_chunk_programs():
                  lambda: persist.note_erase(1, 5))
     sim.run_process(persist.checkpoint())
     assert persist.checkpoints_written == 1
+    assert persist._buffer == [[REC_ERASE, 1, 5]]
+    assert persist.durable_journal == []
+    ftl.trim(0)
+    sim.run_process(persist.flush())
     assert [REC_ERASE, 1, 5] in persist.durable_journal
     assert persist._buffer == []
     assert not persist._sync
@@ -299,8 +318,9 @@ def test_checkpoint_serializes_trim_tombstones():
 
 def test_durable_trims_tracks_latest_recorded_state():
     # The projection must replay checkpoint + journal *in order*: a
-    # trim superseded by a later durable bind is not durably-latest,
-    # and a buffered (unflushed) trim is not durable at all.
+    # trim superseded by a later write is not durably-latest once a
+    # checkpoint records that write (no bind reaches the journal), and
+    # a buffered (unflushed) trim is not durable at all.
     sim, controller, ftl = make_persistent_ftl(journal_flush_records=1,
                                                checkpoint_interval=1000)
     persist = ftl.persist
@@ -310,11 +330,13 @@ def test_durable_trims_tracks_latest_recorded_state():
     ftl.trim(5)
     sim.run_process(persist.flush())
     assert persist.durable_trims() == {4, 5}
-    # A later durable bind supersedes LPN 4's tombstone.
+    # A later write leaves the journal as it was: only its data page's
+    # OOB record carries it, so the tombstone is still the last record.
     host_write(sim, controller, ftl, lpn=4, fill=10)
     sim.run_process(persist.flush())
-    assert persist.durable_trims() == {5}
-    # A checkpoint absorbs the journal; the tombstone list carries it.
+    assert persist.durable_trims() == {4, 5}
+    # A checkpoint records the write and absorbs the journal; its
+    # tombstone list carries LPN 5's trim.
     sim.run_process(persist.checkpoint())
     assert persist.durable_journal == []
     assert persist.durable_trims() == {5}

@@ -10,7 +10,7 @@ from repro.faults import FaultCampaign, FaultInjector, FaultKind, FaultSpec
 from repro.faults.power import apply_power_cut, restore_media, snapshot_media
 from repro.flash.errors import ErrorModelConfig
 from repro.ftl import FtlConfig, PageMappedFtl, ShardedFtl
-from repro.ftl.persist import REC_TRIM
+from repro.ftl.persist import REC_ERASE, REC_TRIM
 from repro.ftl.spor import mount_sharded
 from repro.host import ScaleCommand, ScaleEngine
 from repro.host.hic import HostOpcode
@@ -71,10 +71,6 @@ def timed(sim, gen):
 def write(sim, controller, ftl, lpn, fill=7):
     controller.dram.write(0, np.full(PAGE, fill, dtype=np.uint8))
     return timed(sim, ftl.write(lpn, 0))
-
-
-class _Entry:
-    lun, block, page = 0, 1, 0
 
 
 # --- the write path no longer waits on meta programs ----------------------
@@ -147,14 +143,16 @@ def test_flush_returns_when_the_page_holding_its_mark_commits():
             controllers[0].dram.write(0, np.full(PAGE, 7 + lpn,
                                                  dtype=np.uint8))
             yield from ftl.write(lpn, 0)
-        ftl.trim(1)  # the mark: the last record no data page carries
+        for lpn in (4, 5, 6):
+            ftl.trim(lpn)  # tombstones for LPNs never written
+        ftl.trim(1)  # the mark: the last trim noted before the FLUSH
         assert persist.journal_pages_written == 0  # below the threshold
 
         def noter():
-            # A writer that keeps noting records while the FLUSH runs.
+            # A worker that keeps noting trims while the FLUSH runs.
             for seq in range(1000, 1020):
                 yield Timeout(T_PROG // 4)
-                persist.note_bind(seq, _Entry(), seq)
+                persist.note_trim(seq, seq)
 
         sim.spawn(noter())
         start = sim.now
@@ -168,8 +166,8 @@ def test_flush_returns_when_the_page_holding_its_mark_commits():
         lambda sim, controllers: PageMappedFtl(sim, controllers[0], config),
         scenario)
     # One page carried the four records noted before the FLUSH (three
-    # binds, then the trim); the ones noted during its program did not
-    # extend it, and were still buffered at the cut 1 ns later.
+    # tombstones, then the mark's); the ones noted during its program
+    # did not extend it, and were still buffered at the cut 1 ns later.
     assert seen["pages"] == 1
     assert seen["records"] == 4
     assert seen["took"] < 2 * T_PROG
@@ -193,10 +191,12 @@ def test_array_flush_runs_the_shards_in_parallel():
     config = persistent_config()
 
     def scenario(sim, controllers, ftl):
-        for lpn in range(12):  # three buffered binds on every shard
+        for lpn in range(12):
             controllers[ftl.shard_of(lpn)].dram.write(
                 0, np.full(PAGE, lpn + 1, dtype=np.uint8))
             yield from ftl.write(lpn, 0)
+        for lpn in range(12, 24):
+            ftl.trim(lpn)  # three buffered tombstones on every shard
         for lpn in range(4):
             ftl.trim(lpn)  # one trim per shard
         assert sorted(ftl.shard_of(lpn) for lpn in range(4)) == [0, 1, 2, 3]
@@ -224,39 +224,62 @@ def test_array_flush_runs_the_shards_in_parallel():
 
 @pytest.mark.parametrize("fidelity", ["waveform", "tlm"])
 def test_flush_after_only_writes_returns_at_its_submit_ns(fidelity):
+    # Then the same after enough overwrites that GC erased blocks on
+    # every shard: an erase record only bumps wear, so it forces no
+    # journal page and the FLUSH does not wait for it.
     config = persistent_config()
+    rounds = 60
 
     def scenario(sim, controllers, ftl):
         engine = ScaleEngine(sim, ftl, queue_depth=8, doorbell_batch=1,
                              auto_dram=True)
-        writes = [
-            ScaleCommand(opcode=HostOpcode.WRITE, lpn=lpn,
-                         payload=np.full(PAGE, lpn + 1, dtype=np.uint8))
-            for lpn in range(8)
-        ]
-        for command in writes:
-            engine.submit(command)
-        yield from engine.drain()
-        flush = ScaleCommand(opcode=HostOpcode.FLUSH, lpn=0)
-        engine.submit(flush)
-        yield from engine.drain()
-        return writes, flush
 
-    crashed, (writes, flush), mounted, controllers = crash_after(
+        def burst(fill):
+            writes = [
+                ScaleCommand(opcode=HostOpcode.WRITE, lpn=lpn,
+                             payload=np.full(PAGE, fill(lpn),
+                                             dtype=np.uint8))
+                for lpn in range(8)
+            ]
+            for command in writes:
+                engine.submit(command)
+            yield from engine.drain()
+            return writes
+
+        def flush():
+            command = ScaleCommand(opcode=HostOpcode.FLUSH, lpn=0)
+            engine.submit(command)
+            yield from engine.drain()
+            return command
+
+        writes = yield from burst(lambda lpn: lpn + 1)
+        first = yield from flush()
+        buffered = [list(shard.persist._buffer) for shard in ftl.shards]
+        for n in range(rounds):
+            writes = yield from burst(lambda lpn, n=n: (lpn * rounds + n) % 251)
+        assert all(shard.gc_runs for shard in ftl.shards)
+        second = yield from flush()
+        return writes, (first, second), buffered
+
+    crashed, (writes, flushes, buffered), mounted, controllers = crash_after(
         lambda sim: [make_controller(sim, seed=channel, fidelity=fidelity)
                      for channel in range(2)],
         lambda sim, controllers: ShardedFtl(sim, controllers, config),
         scenario)
     assert all(command.finished_at is not None for command in writes)
-    # Every bind was carried by its data page: nothing to wait for.
-    assert flush.finished_at == flush.submitted_at
+    # Every bind was carried by its data page, and every GC erase's
+    # record waits for the next page written: nothing to wait for.
+    for flush in flushes:
+        assert flush.finished_at == flush.submitted_at
+    assert buffered == [[], []]
     for shard in crashed.shards:
         assert shard.persist.journal_pages_written == 0
-        assert len(shard.persist._buffer) == 4
+        records = shard.persist._buffer
+        assert records and all(rec[0] == REC_ERASE for rec in records)
     # A cut 1 ns after the FLUSH loses no acked write.
     for command in writes:
         got = read_back(mounted, controllers, command.lpn)
-        assert (got == command.lpn + 1).all()
+        assert (got == (command.lpn * rounds + rounds - 1) % 251).all()
 
 
 # --- a failed meta program keeps its records --------------------------------
@@ -324,6 +347,8 @@ def test_journal_records_written_is_counted_and_exported():
         controllers[ftl.shard_of(lpn)].dram.write(
             0, np.full(PAGE, lpn, dtype=np.uint8))
         sim.run_process(ftl.write(lpn, 0))
+    for lpn in range(16):
+        ftl.trim(lpn)  # eight tombstones a shard, four a page
     sim.run_process(ftl.flush())
     per_shard = [shard.persist.journal_records_written
                  for shard in ftl.shards]
